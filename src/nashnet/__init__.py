@@ -8,8 +8,7 @@ from .digraph import (GeometricRateBound, GraphSequenceSpec, LimitVector,
                       geometric_rate_bound, is_weight_balanced,
                       limiting_stochastic_vector, perron_vector,
                       transition_product, validate_weight_rule)
-from .engine import (NetworkState, Scenario, Trace, initial_state,
-                     make_identical_scenario, run, step)
+from .engine import Scenario, Trace, make_identical_scenario, run
 from .errors import (NashnetError, NumericError, ParseError, ResourceError,
                      ValidationError)
 from .exprs import (Abs, Affine, BoxSet, Const, Expr, Neg, Pow, Prod, Scale,
@@ -26,6 +25,6 @@ from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
                         Homogeneous, LearnerState, OracleHeterogeneous,
                         learner_init_common, learner_init_periodic,
                         learner_step, oracle_heterogeneous_build,
-                        stepsize_for, validate_schedule)
+                        validate_schedule)
 
 __version__ = "1.0.0"

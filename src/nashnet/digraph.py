@@ -1,10 +1,17 @@
 """Stochastic matrices and time-varying digraph machinery.
 
 Conventions: the weight of arc (j, i) - node i listening to node j - is
-entry (i, j) of the adjacency matrix, so neighbor averaging is the plain
-matrix-vector product A @ x. Rows are stochastic, diagonals positive
-(self-loops everywhere). Graph sequences are periodic; a fixed graph is a
-period-1 sequence.
+entry (i, j) of the adjacency matrix, so neighbor averaging is the matrix
+product A @ x. Rows are stochastic, diagonals positive (self-loops
+everywhere). Graph sequences are periodic; a fixed graph is a period-1
+sequence.
+
+Every such product that feeds a trace is computed in one canonical order,
+defined here: entry i is accumulated left to right over the nonzero A[i, j]
+in increasing j, A[i, j0] x[j0] + A[i, j1] x[j1] + ..., with every product
+and every sum rounded separately. :func:`canonical_matmul` evaluates it on
+arrays and :func:`canonical_mix_code` emits it as Python source for the
+generated loops, so results follow from IEEE doubles and not from the BLAS.
 """
 
 from __future__ import annotations
@@ -56,6 +63,63 @@ def require_stochastic(A, tol=STOCHASTIC_TOL, eta=None):
     if problems:
         raise ValidationError("; ".join(problems))
     return A
+
+
+# ---------------------------------------------------------------------------
+# canonical products
+# ---------------------------------------------------------------------------
+
+SUM_TERMS_PER_STATEMENT = 32  # bounds the expression depth of emitted sums
+
+
+def canonical_matmul(A, B) -> np.ndarray:
+    """A @ B in the canonical order (see the module docstring).
+
+    Vectorized over rows: pass t adds the t-th nonzero term of every row
+    that has one. A row without nonzero weights yields 0.0.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    B2 = B.reshape(B.shape[0], -1)
+    out = np.zeros((A.shape[0], B2.shape[1]))
+    rows, cols = np.nonzero(A)  # row-major, so j increases within a row
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    for t in range(int(rank.max(initial=-1)) + 1):
+        sel = rank == t
+        r, c = rows[sel], cols[sel]
+        term = A[r, c][:, None] * B2[c]
+        out[r] = term if t == 0 else out[r] + term
+    return out.reshape((A.shape[0],) + B.shape[1:])
+
+
+def canonical_mix_code(A, targets, sources) -> list:
+    """Statements assigning each ``targets[i][d]`` the canonical sum of
+    ``A[i, j] * sources[j][d]`` (0.0 without nonzero weights): the source
+    form of ``A @ sources``. Weights become literals, so they must be finite.
+
+    A long sum is split into statements ``t = t + w * v + ...`` of at most
+    SUM_TERMS_PER_STATEMENT terms, which keeps the order and bounds the
+    nesting the compiler recurses through.
+    """
+    out = []
+    for i, row in enumerate(targets):
+        nonzero = np.flatnonzero(A[i])
+        for d, t in enumerate(row):
+            terms = [f"{float(A[i, j])!r} * {sources[j][d]}" for j in nonzero] or ["0.0"]
+            out += [f"{t} = " + (f"{t} + " if start else "")
+                    + " + ".join(terms[start:start + SUM_TERMS_PER_STATEMENT])
+                    for start in range(0, len(terms), SUM_TERMS_PER_STATEMENT)]
+    return out
+
+
+def periodic_code(bodies) -> list:
+    """Statements running ``bodies[k % len(bodies)]``, one branch per phase."""
+    if len(bodies) == 1:
+        return list(bodies[0])
+    out = [f"ph = k % {len(bodies)}"]
+    for ph, body in enumerate(bodies):
+        out += [f"{'elif' if ph else 'if'} ph == {ph}:"] + ["    " + ln for ln in body]
+    return out
 
 
 def is_weight_balanced(A, tol=1e-9) -> bool:
@@ -152,6 +216,8 @@ class GraphSequenceSpec:
         for m in c2:
             if m.shape != (self.n2, self.n1):
                 raise ValidationError("cross-to-2 layer has wrong shape")
+        if not all(np.isfinite(m).all() for m in a1 + a2 + c1 + c2):
+            raise ValidationError("graph weights must be finite")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "cross1", c1)
@@ -275,7 +341,7 @@ def transition_product(spec: GraphSequenceSpec, subnet: int, k: int, s: int) -> 
         raise ValueError(f"need k >= s >= 0, got k={k}, s={s}")
     P = spec.mixing(subnet, s)
     for t in range(s + 1, k + 1):
-        P = spec.mixing(subnet, t) @ P
+        P = canonical_matmul(spec.mixing(subnet, t), P)
     return P
 
 
@@ -316,6 +382,8 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     guarantees termination at a geometric rate.
     """
     n = spec.subnet_size(subnet)
+    if max_steps is None and n == 1:
+        max_steps = 1  # a 1x1 stochastic product is its own limit; the bound needs n > 1
     if max_steps is None:
         bound = geometric_rate_bound(n, spec.window(subnet), spec.eta)
         if bound.rho < 1.0:
@@ -330,7 +398,7 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
         if spread <= spread_tol:
             phi = P.mean(axis=0)
             return LimitVector(phi=phi / phi.sum(), start_index=s, achieved_spread=spread)
-        P = spec.mixing(subnet, s + step + 1) @ P
+        P = canonical_matmul(spec.mixing(subnet, s + step + 1), P)
     raise NumericError(
         f"transition product of subnet {subnet} starting at {s} did not reach "
         f"spread {spread_tol} within {max_steps} factors")

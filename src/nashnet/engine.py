@@ -8,23 +8,29 @@ descends in x, subnet 2 ascends in y. All quantities within one iteration
 are computed from the time-k snapshot (synchronous semantics). Agents that
 have not yet had any cross contact perform the mixing step only.
 
-Runs are strictly deterministic: no randomness anywhere, so repeated runs
-are bit-identical.
+The arithmetic order is part of the definition. Neighbor averages and
+cross observations are canonical sums (see ``digraph``): left to right over
+the nonzero weights in increasing j, every product and sum rounded
+separately. The stepsizes of all K iterations are tabulated before the
+loop (``stepsizes.stepsize_tables``). :func:`run` then generates one Python
+function per call that keeps states, cross caches and contact times in
+locals, has one branch per phase with the weights as literals, and calls
+each agent's compiled objective. There is no randomness, and no BLAS call
+feeds a state, so a trace follows from IEEE doubles and the platform libm
+``pow`` alone: repeated runs are bit-identical, on any CPU.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import GraphSequenceSpec
+from .digraph import GraphSequenceSpec, canonical_mix_code, periodic_code
 from .errors import NumericError, ValidationError
 from .exprs import BoxSet, check_selection, compile_objective
-from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, Homogeneous,
-                        LearnerState, OracleHeterogeneous, StepsizeRule,
-                        learner_init_common, learner_init_periodic,
-                        learner_step)
+from .stepsizes import StepsizeRule, stepsize_tables
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,7 @@ class Scenario:
         y0 = np.asarray(self.y0, dtype=float).reshape(g.n2, self.m2)
         if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
             raise ValidationError("initial states must be finite")
+        self.rule.schedule.require_horizon(self.iterations)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
         for e, s in tuple(self.objectives1) + tuple(self.objectives2):
@@ -91,236 +98,109 @@ class Trace:
         return self.x.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """One-step-at-a-time view of the network, for tests and inspection."""
+def _kernel_source(scenario: Scenario, env: dict) -> str:
+    """Source of ``_kernel(K, ia, ib, rx, ry, rc, f0, f1)``: K iterations of
+    the dynamics on scalar locals, one branch per phase.
 
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    breve_x: np.ndarray  # cached cross observations of subnet-1 agents
-    breve_y: np.ndarray
-    contact_x: np.ndarray  # last contact time, -1 before first contact
-    contact_y: np.ndarray
-
-
-def initial_state(scenario: Scenario) -> NetworkState:
-    return NetworkState(
-        k=0,
-        x=scenario.x0.copy(),
-        y=scenario.y0.copy(),
-        breve_x=np.zeros((scenario.n1, scenario.m2)),
-        breve_y=np.zeros((scenario.n2, scenario.m1)),
-        contact_x=np.full(scenario.n1, -1, dtype=int),
-        contact_y=np.full(scenario.n2, -1, dtype=int),
-    )
-
-
-def mix_within(states, A) -> np.ndarray:
-    """Row-stochastic neighbor averaging: one convex combination per agent."""
-    return np.asarray(A, dtype=float) @ np.asarray(states, dtype=float)
-
-
-def cross_observe(cross_row, other_states, cache_value, cache_time, k):
-    """Refresh one agent's cross cache if it has cross in-neighbors now.
-
-    Returns (value, time): the newly mixed observation stamped k, or the
-    unchanged cache when the cross row is empty.
-    """
-    cross_row = np.asarray(cross_row, dtype=float)
-    if cross_row.sum() > 0:
-        return cross_row @ np.asarray(other_states, dtype=float), k
-    return cache_value, cache_time
-
-
-def step(state: NetworkState, scenario: Scenario, alpha, beta) -> NetworkState:
-    """One synchronous update of the whole network (reference path).
-
-    `alpha`, `beta` are the per-agent stepsizes at time state.k. The fast
-    loop in :func:`run` is the optimized equivalent; a test pins them to
-    each other.
+    ia/ib yield the stepsizes row by row, f0/f1 hold the two subnetworks'
+    compiled objectives, and rx/ry/rc receive the states after each
+    iteration and the contact times used in it. Box bounds are bound in
+    `env` (``repr(inf)`` is not a literal). Names carry the subnetwork s:
+    state x{s}_{i}_{d}, neighbor average u.., cross cache c.., contact time
+    t{s}_{i}, stepsize a{s}_{i}, objective f{s}_{i}.
     """
     g = scenario.graph
-    k = state.k
-    xh = mix_within(state.x, g.mixing(1, k))
-    yh = mix_within(state.y, g.mixing(2, k))
-    c1, c2 = g.cross_into(1, k), g.cross_into(2, k)
-    breve_x = state.breve_x.copy()
-    breve_y = state.breve_y.copy()
-    tcx = state.contact_x.copy()
-    tcy = state.contact_y.copy()
-    for i in range(scenario.n1):
-        breve_x[i], tcx[i] = cross_observe(c1[i], state.y, breve_x[i], tcx[i], k)
-    for i in range(scenario.n2):
-        breve_y[i], tcy[i] = cross_observe(c2[i], state.x, breve_y[i], tcy[i], k)
+    n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
+    mats, cross = (g.a1, g.a2), (g.cross1, g.cross2)
+    x0, boxes = (scenario.x0, scenario.y0), (scenario.box_x, scenario.box_y)
+    sides = (0, 1)
+    state = [[[f"x{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
+    mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
+    cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
+    clock = [[f"t{s}_{i}" for i in range(n[s])] for s in sides]
+    contact = [[C.sum(axis=1) > 0 for C in cross[s]] for s in sides]
+    for s in sides:
+        env.update({f"lo{s}_{d}": v for d, v in enumerate(boxes[s].lower)})
+        env.update({f"hi{s}_{d}": v for d, v in enumerate(boxes[s].upper)})
 
-    from .exprs import project, subgradient_x, subgradient_y
+    def tuple_code(names):
+        return "(" + ", ".join(names) + ",)"
 
-    new_x = xh.copy()
-    for i, (e, sel) in enumerate(scenario.objectives1):
-        if tcx[i] < 0:
-            continue  # never observed the other side: consensus only
-        q = subgradient_x(e, xh[i], breve_x[i], sel)
-        new_x[i] = project(xh[i] - alpha[i] * q, scenario.box_x)
-    new_y = yh.copy()
-    for i, (e, sel) in enumerate(scenario.objectives2):
-        if tcy[i] < 0:
-            continue
-        q = subgradient_y(e, breve_y[i], yh[i], sel)
-        new_y[i] = project(yh[i] + beta[i] * q, scenario.box_y)
-    if not (np.isfinite(new_x).all() and np.isfinite(new_y).all()):
-        raise NumericError(f"non-finite state produced at iteration {k}")
-    return NetworkState(k=k + 1, x=new_x, y=new_y, breve_x=breve_x,
-                        breve_y=breve_y, contact_x=tcx, contact_y=tcy)
+    def update(s, i, ph):
+        """Agent i's projected subgradient step, or its mixing step alone
+        before its first cross contact."""
+        args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
+        step = [f"_, q = f{s}_{i}({tuple_code(args[0])}, {tuple_code(args[1])})"]
+        for d, (x, u) in enumerate(zip(state[s][i], mix[s][i])):
+            step += [f"{x} = {u} {'-+'[s]} a{s}_{i} * q[{d}]",
+                     f"if {x} < lo{s}_{d}:", f"    {x} = lo{s}_{d}",
+                     f"elif {x} > hi{s}_{d}:", f"    {x} = hi{s}_{d}"]
+        hold = [f"{x} = {u}" for x, u in zip(state[s][i], mix[s][i])]
+        if contact[s][ph][i]:
+            return step
+        if not any(c[i] for c in contact[s]):
+            return hold
+        return ([f"if {clock[s][i]} >= 0:"] + ["    " + ln for ln in step]
+                + ["else:"] + ["    " + ln for ln in hold])
 
+    def phase_body(ph):
+        out = []
+        for s in sides:  # all reads of the time-k snapshot come first
+            out += canonical_mix_code(mats[s][ph], mix[s], state[s])
+        for s in sides:
+            for i in np.flatnonzero(contact[s][ph]):
+                out += canonical_mix_code(cross[s][ph][i:i + 1], [cache[s][i]], state[1 - s])
+                out.append(f"{clock[s][i]} = k")
+        for s in sides:
+            for i in range(n[s]):
+                out += update(s, i, ph)
+        return out
 
-def _replay_readouts(learner: LearnerState, mats, K: int) -> np.ndarray:
-    """Readout vectors at times 0..K-1 under the periodic matrix list."""
-    p = len(mats)
-    out = np.empty((K, learner.n))
-    banks = list(learner.banks)
-    activation = learner.activation
-    nb = len(banks)
-    for k in range(K):
-        bank = banks[k % nb]
-        out[k] = 1.0 if bank is None else np.diagonal(bank)
-        A = mats[k % p]
-        for nu in range(nb):
-            if banks[nu] is not None:
-                banks[nu] = A @ banks[nu]
-            elif activation[nu] == k + 1:
-                banks[nu] = np.eye(learner.n)
-    return out
-
-
-def _make_learners(scenario: Scenario):
-    rule = scenario.rule
-    if isinstance(rule, AdaptiveCommonEigvec):
-        return learner_init_common(scenario.n1), learner_init_common(scenario.n2)
-    if isinstance(rule, AdaptivePeriodic):
-        return (learner_init_periodic(scenario.n1, rule.p1),
-                learner_init_periodic(scenario.n2, rule.p2))
-    return None, None
+    lines = []
+    for s in sides:
+        lines.append(", ".join(f"f{s}_{i}" for i in range(n[s])) + f", = f{s}")
+        lines += [f"{x} = {float(v)!r}" for row, vals in zip(state[s], x0[s]) for x, v in zip(row, vals)]
+        lines += [f"{c} = 0.0" for row in cache[s] for c in row]
+        lines += [f"{t} = -1" for t in clock[s]]
+    steps = [f"a{s}_{i}" for s in sides for i in range(n[s])]
+    streams = ["ia"] * n[0] + ["ib"] * n[1]
+    lines.append(f"for k, {', '.join(steps)} in zip(range(K), {', '.join(streams)}):")
+    body = periodic_code([phase_body(ph) for ph in range(g.period)])
+    body += [f"{rec}({tuple_code([x for row in state[s] for x in row])})"
+             for rec, s in (("rx", 0), ("ry", 1))]
+    body.append(f"rc({tuple_code(clock[0] + clock[1])})")
+    lines += ["    " + ln for ln in body]
+    return "\n".join(["def _kernel(K, ia, ib, rx, ry, rc, f0, f1):"] + ["    " + ln for ln in lines])
 
 
 def run(scenario: Scenario, iterations: int | None = None) -> Trace:
-    """Execute the full dynamics for K iterations and record everything."""
+    """Execute the full dynamics for K iterations and record everything.
+
+    Stepsizes are tabulated first; then one function generated for this
+    scenario runs all K iterations (see the module docstring).
+    """
     K = scenario.iterations if iterations is None else int(iterations)
-    if K < 0:
-        raise ValueError("iterations must be >= 0")
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
-    p = g.period
-    rule = scenario.rule
-    schedule = rule.schedule
-
+    alpha, beta, r1, r2 = stepsize_tables(scenario.rule, g, K)
     fx = [compile_objective(e, s, m1, m2, which="x") for e, s in scenario.objectives1]
     fy = [compile_objective(e, s, m1, m2, which="y") for e, s in scenario.objectives2]
-
-    A1 = [g.mixing(1, ph) for ph in range(p)]
-    A2 = [g.mixing(2, ph) for ph in range(p)]
-    C1 = [g.cross_into(1, ph) for ph in range(p)]
-    C2 = [g.cross_into(2, ph) for ph in range(p)]
-    contact1 = [c.sum(axis=1) > 0 for c in C1]
-    contact2 = [c.sum(axis=1) > 0 for c in C2]
-
-    den1 = den2 = None
-    if isinstance(rule, OracleHeterogeneous):
-        if rule.period != p:
-            raise ValidationError("oracle stepsize rule period does not match the graph")
-        den1 = [rule.phi1[(ph + 1) % p] for ph in range(p)]
-        den2 = [rule.phi2[(ph + 1) % p] for ph in range(p)]
-    learner1, learner2 = _make_learners(scenario)
-    adaptive = learner1 is not None
-    if adaptive:
-        # learner banks depend only on the matrix sequence, so replay them
-        # up front instead of interleaving with the state loop
-        r1tr_pre = _replay_readouts(learner1, A1, K)
-        r2tr_pre = _replay_readouts(learner2, A2, K)
-
-    lo_x, hi_x = list(scenario.box_x.lower), list(scenario.box_x.upper)
-    lo_y, hi_y = list(scenario.box_y.lower), list(scenario.box_y.upper)
-
-    xtr = np.empty((K + 1, n1, m1))
-    ytr = np.empty((K + 1, n2, m2))
-    atr = np.empty((K, n1))
-    btr = np.empty((K, n2))
-    cxtr = np.empty((K, n1), dtype=int)
-    cytr = np.empty((K, n2), dtype=int)
-    r1tr = np.empty((K, n1)) if adaptive else None
-    r2tr = np.empty((K, n2)) if adaptive else None
-
-    X = scenario.x0.copy()
-    Y = scenario.y0.copy()
-    xtr[0] = X
-    ytr[0] = Y
-    breve_x = np.zeros((n1, m2))
-    breve_y = np.zeros((n2, m1))
-    tcx = np.full(n1, -1, dtype=int)
-    tcy = np.full(n2, -1, dtype=int)
-
-    for k in range(K):
-        ph = k % p
-        Xh = A1[ph] @ X
-        Yh = A2[ph] @ Y
-        rows = contact1[ph]
-        if rows.any():
-            breve_x[rows] = C1[ph][rows] @ Y
-            tcx[rows] = k
-        rows = contact2[ph]
-        if rows.any():
-            breve_y[rows] = C2[ph][rows] @ X
-            tcy[rows] = k
-        cxtr[k] = tcx
-        cytr[k] = tcy
-
-        gk = schedule.value(k)
-        if den1 is not None:
-            al = gk / den1[ph]
-            be = gk / den2[ph]
-        elif adaptive:
-            r1tr[k] = r1tr_pre[k]
-            r2tr[k] = r2tr_pre[k]
-            al = gk / r1tr_pre[k]
-            be = gk / r2tr_pre[k]
-        else:
-            al = np.full(n1, gk)
-            be = np.full(n2, gk)
-        atr[k] = al
-        btr[k] = be
-
-        xh_l = Xh.tolist()
-        bx_l = breve_x.tolist()
-        new_x = []
-        try:
-            for i in range(n1):
-                row = xh_l[i]
-                if tcx[i] >= 0:
-                    _, q = fx[i](row, bx_l[i])
-                    a = al[i]
-                    row = [min(max(row[d] - a * q[d], lo_x[d]), hi_x[d]) for d in range(m1)]
-                new_x.append(row)
-            yh_l = Yh.tolist()
-            by_l = breve_y.tolist()
-            new_y = []
-            for i in range(n2):
-                row = yh_l[i]
-                if tcy[i] >= 0:
-                    _, q = fy[i](by_l[i], row)
-                    b = be[i]
-                    row = [min(max(row[d] + b * q[d], lo_y[d]), hi_y[d]) for d in range(m2)]
-                new_y.append(row)
-        except OverflowError:
-            raise NumericError(f"numeric overflow at iteration {k}") from None
-        X = np.array(new_x)
-        Y = np.array(new_y)
-        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise NumericError(f"non-finite state produced at iteration {k}")
-        xtr[k + 1] = X
-        ytr[k + 1] = Y
-
-    return Trace(x=xtr, y=ytr, alpha=atr, beta=btr, contact_x=cxtr,
-                 contact_y=cytr, readout1=r1tr, readout2=r2tr)
+    env = {}
+    exec(_kernel_source(scenario, env), env)  # noqa: S102 - source generated here from the scenario
+    xs, ys, cs = array("d", scenario.x0.ravel()), array("d", scenario.y0.ravel()), array("q")
+    try:
+        env["_kernel"](K, iter(memoryview(alpha.ravel())), iter(memoryview(beta.ravel())),
+                       xs.extend, ys.extend, cs.extend, fx, fy)
+    except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
+        raise NumericError(f"{type(exc).__name__} at iteration {len(cs) // (n1 + n2)}") from None
+    x = np.frombuffer(xs, dtype=float).reshape(K + 1, n1, m1)
+    y = np.frombuffer(ys, dtype=float).reshape(K + 1, n2, m2)
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
+    contact = np.frombuffer(cs, dtype=np.int64).reshape(K, n1 + n2)
+    return Trace(x=x, y=y, alpha=alpha, beta=beta, contact_x=contact[:, :n1],
+                 contact_y=contact[:, n1:], readout1=r1, readout2=r2)
 
 
 def make_identical_scenario(objectives, a_seq, eta: float, t1: int,

@@ -23,10 +23,22 @@ class MetricsSeries:
     step_max: np.ndarray
 
 
+PAIRWISE_CHUNK = 1 << 22  # elements of the (k, n, n, m) difference array held at once
+
+
 def _pairwise_max(states):
-    """(K+1,) max pairwise Euclidean distance across agents per iteration."""
-    diff = states[:, :, None, :] - states[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    """(K+1,) max pairwise Euclidean distance across agents per iteration.
+
+    Chunked over k to bound memory; no k's reduction depends on the chunk.
+    """
+    _, n, m = states.shape
+    rows = max(1, PAIRWISE_CHUNK // max(1, n * n * m))
+    out = np.empty(len(states))
+    for start in range(0, len(states), rows):
+        part = states[start:start + rows]
+        diff = part[:, :, None, :] - part[:, None, :, :]
+        out[start:start + rows] = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    return out
 
 
 def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> MetricsSeries:

@@ -11,12 +11,15 @@ bank per phase for periodically switching matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import GraphSequenceSpec, limiting_stochastic_vector, require_stochastic
-from .errors import NashnetError, ValidationError
+from .digraph import (GraphSequenceSpec, canonical_matmul, canonical_mix_code,
+                      limiting_stochastic_vector, periodic_code,
+                      require_stochastic)
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +53,14 @@ class GammaSchedule:
         if not 0.0 < self.eps <= 0.5:
             raise ValidationError("power-law exponent eps must lie in (0, 1/2]")
 
+    def require_horizon(self, K: int) -> None:
+        """Raise ValidationError unless gamma_0 .. gamma_{K-1} all exist."""
+        if K < 0:
+            raise ValidationError(f"iterations must be >= 0, got {K}")
+        if self.table is not None and K > len(self.table):
+            raise ValidationError(
+                f"schedule table of length {len(self.table)} cannot cover {K} iterations")
+
     def value(self, k: int) -> float:
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -58,10 +69,6 @@ class GammaSchedule:
                 raise ValueError(f"schedule table of length {len(self.table)} has no entry {k}")
             return self.table[k]
         return self.c / (k + self.b) ** (0.5 + self.eps)
-
-
-def gamma(schedule: GammaSchedule, k: int) -> float:
-    return schedule.value(k)
 
 
 def validate_schedule(schedule: GammaSchedule, horizon: int = 10_000) -> list:
@@ -138,10 +145,6 @@ class AdaptivePeriodic:
 StepsizeRule = Homogeneous | OracleHeterogeneous | AdaptiveCommonEigvec | AdaptivePeriodic
 
 
-def rule_schedule(rule: StepsizeRule) -> GammaSchedule:
-    return rule.schedule
-
-
 def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule) -> OracleHeterogeneous:
     """Precompute the per-phase limiting vectors of a periodic UJSC spec."""
     phi1 = tuple(limiting_stochastic_vector(spec, 1, s).phi for s in range(spec.period))
@@ -201,12 +204,13 @@ def learner_init_periodic(n: int, p: int) -> LearnerState:
 
 
 def learner_step(state: LearnerState, A, k: int) -> LearnerState:
-    """Advance every active bank by the mixing matrix A(k); activate banks
-    whose start time is k + 1. Mutates and returns `state`."""
+    """Advance every active bank by the mixing matrix A(k) (canonical
+    product); activate banks whose start time is k + 1. Mutates and returns
+    `state`."""
     A = require_stochastic(A)
     for nu, bank in enumerate(state.banks):
         if bank is not None:
-            state.banks[nu] = A @ bank
+            state.banks[nu] = canonical_matmul(A, bank)
     for nu, t0 in enumerate(state.activation):
         if t0 == k + 1 and state.banks[nu] is None:
             state.banks[nu] = np.eye(state.n)
@@ -214,35 +218,67 @@ def learner_step(state: LearnerState, A, k: int) -> LearnerState:
     return state
 
 
-def learner_step_common(state: LearnerState, A) -> LearnerState:
-    return learner_step(state, A, state.k)
+def learner_readouts(learner: LearnerState, mats, K: int) -> np.ndarray:
+    """Readout vectors at times 0..K-1 of a fresh `learner` advanced by the
+    periodic matrix list `mats` (time k mixes with mats[k % len(mats)]).
 
-
-def learner_step_periodic(state: LearnerState, A, k: int) -> LearnerState:
-    return learner_step(state, A, k)
+    The same canonical products as repeated :func:`learner_step`, run as one
+    generated loop with the bank entries in locals; bank nu is columns
+    nu*n .. nu*n+n-1 of one n-row grid. An inactive bank is carried as zeros
+    and set to the identity when it activates; its readout is 1.0 until then.
+    """
+    n, nb = learner.n, len(learner.banks)
+    bank = [[f"b{i}_{c}" for c in range(nb * n)] for i in range(n)]
+    new = [[f"n{i}_{c}" for c in range(nb * n)] for i in range(n)]
+    init = np.hstack([np.zeros((n, n)) if B is None else B for B in learner.banks])
+    lines = [f"{b} = {float(v)!r}" for row, vals in zip(bank, init) for b, v in zip(row, vals)]
+    body = ["record((" + ", ".join(bank[i][nu * n + i] for nu in range(nb) for i in range(n)) + ",))"]
+    swap = ", ".join(sum(bank, [])) + " = " + ", ".join(sum(new, []))
+    body += periodic_code([canonical_mix_code(A, new, bank) + [swap] for A in mats])
+    for nu, t0 in enumerate(learner.activation):
+        if learner.banks[nu] is None:
+            body += [f"if k == {t0 - 1}:"] + [f"    {bank[i][nu * n + c]} = {float(i == c)!r}"
+                                              for i in range(n) for c in range(n)]
+    source = ["def _replay(K, record):"] + ["    " + ln for ln in lines] + ["    for k in range(K):"]
+    env = {}
+    exec("\n".join(source + ["        " + ln for ln in body]), env)  # noqa: S102
+    diag = array("d")
+    env["_replay"](K, diag.extend)
+    k = np.arange(K)
+    out = np.frombuffer(diag, dtype=float).reshape(K, nb, n)[k, k % nb]
+    out[k < np.asarray(learner.activation)[k % nb]] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
 # runtime dispatch
 # ---------------------------------------------------------------------------
 
-def stepsize_for(rule: StepsizeRule, agent: int, subnet: int, k: int,
-                 learner: LearnerState | None = None) -> float:
-    """The stepsize of `agent` in `subnet` at time k under `rule`."""
-    g = rule.schedule.value(k)
+def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
+    """Per-agent stepsizes of iterations 0..K-1, computed before a run.
+
+    Returns (alpha, beta, readout1, readout2): alpha (K, n1) and beta
+    (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
+    the readouts are the adaptive learners' denominators, None for the
+    other rules.
+    """
+    rule.schedule.require_horizon(K)
+    gam = np.array([rule.schedule.value(k) for k in range(K)], dtype=float)[:, None]
     if isinstance(rule, Homogeneous):
-        return g
+        return np.repeat(gam, graph.n1, axis=1), np.repeat(gam, graph.n2, axis=1), None, None
     if isinstance(rule, OracleHeterogeneous):
-        vecs = rule.phi1 if subnet == 1 else rule.phi2
-        phi = vecs[(k + 1) % rule.period]
-        return g / float(phi[agent])
-    if isinstance(rule, (AdaptiveCommonEigvec, AdaptivePeriodic)):
-        if learner is None:
-            raise ValueError("adaptive rules need a learner state")
-        denom = learner.readout(agent, k)
-        if denom <= 0.0:
-            raise NashnetError(
-                f"adaptive readout {denom} not positive for agent {agent} at k={k}; "
-                "weight-rule floor violated upstream")
-        return g / denom
-    raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
+        if rule.period != graph.period:
+            raise ValidationError("oracle stepsize rule period does not match the graph")
+        nxt = (np.arange(K) + 1) % rule.period
+        return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
+    if isinstance(rule, AdaptiveCommonEigvec):
+        l1, l2 = learner_init_common(graph.n1), learner_init_common(graph.n2)
+    elif isinstance(rule, AdaptivePeriodic):
+        l1, l2 = learner_init_periodic(graph.n1, rule.p1), learner_init_periodic(graph.n2, rule.p2)
+    else:
+        raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
+    r1 = learner_readouts(l1, graph.a1, K)
+    r2 = learner_readouts(l2, graph.a2, K)
+    if (r1 <= 0).any() or (r2 <= 0).any():
+        raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
+    return gam / r1, gam / r2, r1, r2

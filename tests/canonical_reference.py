@@ -1,0 +1,172 @@
+"""Plain-Python reference of the network dynamics in the canonical
+arithmetic order: the bit-exact oracle that tests hold ``engine.run`` to.
+
+Every neighbor average is summed left to right over the nonzero weights in
+increasing j, each product and sum a separately rounded Python float
+operation. Stepsizes come from :func:`stepsize_for`, one agent and one
+time step at a time, with learners advanced by ``learner_step``.
+Objectives are the compiled closures the engine calls; ``test_exprs``
+checks those against the interpreter.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from nashnet.errors import NashnetError, NumericError
+from nashnet.exprs import compile_objective
+from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
+                               Homogeneous, LearnerState, OracleHeterogeneous,
+                               learner_init_common, learner_init_periodic,
+                               learner_step)
+
+
+@dataclass(frozen=True)
+class NetworkState:
+    """One-step-at-a-time view of the network."""
+
+    k: int
+    x: np.ndarray
+    y: np.ndarray
+    breve_x: np.ndarray  # cached cross observations of subnet-1 agents
+    breve_y: np.ndarray
+    contact_x: np.ndarray  # last contact time, -1 before first contact
+    contact_y: np.ndarray
+
+
+def initial_state(scenario) -> NetworkState:
+    return NetworkState(
+        k=0,
+        x=scenario.x0.copy(),
+        y=scenario.y0.copy(),
+        breve_x=np.zeros((scenario.n1, scenario.m2)),
+        breve_y=np.zeros((scenario.n2, scenario.m1)),
+        contact_x=np.full(scenario.n1, -1, dtype=int),
+        contact_y=np.full(scenario.n2, -1, dtype=int),
+    )
+
+
+def canonical_dot(weights, values) -> float:
+    acc = None
+    for w, v in zip(weights, values):
+        if w != 0.0:
+            term = float(w) * v
+            acc = term if acc is None else acc + term
+    return 0.0 if acc is None else acc
+
+
+def mix_within(states, A) -> np.ndarray:
+    """One canonical convex combination per agent and component."""
+    columns = np.asarray(states, dtype=float).T.tolist()
+    return np.array([[canonical_dot(row, col) for col in columns]
+                     for row in np.asarray(A, dtype=float).tolist()])
+
+
+def cross_observe(cross_row, other_states, cache_value, cache_time, k):
+    """Refresh one agent's cross cache if it has cross in-neighbors now.
+
+    Returns (value, time): the newly mixed observation stamped k, or the
+    unchanged cache when the cross row is empty.
+    """
+    cross_row = np.asarray(cross_row, dtype=float)
+    if cross_row.sum() > 0:
+        return mix_within(other_states, [cross_row])[0], k
+    return cache_value, cache_time
+
+
+def compiled_objectives(scenario):
+    m1, m2 = scenario.m1, scenario.m2
+    return ([compile_objective(e, s, m1, m2, which="x") for e, s in scenario.objectives1],
+            [compile_objective(e, s, m1, m2, which="y") for e, s in scenario.objectives2])
+
+
+def _project(point, box):
+    return [min(max(v, lo), hi) for v, lo, hi in zip(point, box.lower, box.upper)]
+
+
+def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> NetworkState:
+    """One synchronous update of the whole network with the per-agent
+    stepsizes `alpha`, `beta` of time state.k."""
+    fx, fy = objectives or compiled_objectives(scenario)
+    g = scenario.graph
+    k = state.k
+    xh = mix_within(state.x, g.mixing(1, k))
+    yh = mix_within(state.y, g.mixing(2, k))
+    c1, c2 = g.cross_into(1, k), g.cross_into(2, k)
+    breve_x = state.breve_x.copy()
+    breve_y = state.breve_y.copy()
+    tcx = state.contact_x.copy()
+    tcy = state.contact_y.copy()
+    for i in range(scenario.n1):
+        breve_x[i], tcx[i] = cross_observe(c1[i], state.y, breve_x[i], tcx[i], k)
+    for i in range(scenario.n2):
+        breve_y[i], tcy[i] = cross_observe(c2[i], state.x, breve_y[i], tcy[i], k)
+
+    new_x = xh.copy()
+    for i in range(scenario.n1):
+        if tcx[i] < 0:
+            continue  # never observed the other side: consensus only
+        row = xh[i].tolist()
+        _, q = fx[i](row, breve_x[i].tolist())
+        a = float(alpha[i])
+        new_x[i] = _project([v - a * qd for v, qd in zip(row, q)], scenario.box_x)
+    new_y = yh.copy()
+    for i in range(scenario.n2):
+        if tcy[i] < 0:
+            continue
+        row = yh[i].tolist()
+        _, q = fy[i](breve_y[i].tolist(), row)
+        b = float(beta[i])
+        new_y[i] = _project([v + b * qd for v, qd in zip(row, q)], scenario.box_y)
+    if not (np.isfinite(new_x).all() and np.isfinite(new_y).all()):
+        raise NumericError(f"non-finite state produced at iteration {k}")
+    return NetworkState(k=k + 1, x=new_x, y=new_y, breve_x=breve_x,
+                        breve_y=breve_y, contact_x=tcx, contact_y=tcy)
+
+
+def stepsize_for(rule, agent: int, subnet: int, k: int,
+                 learner: LearnerState | None = None) -> float:
+    """The stepsize of `agent` in `subnet` at time k under `rule`."""
+    g = rule.schedule.value(k)
+    if isinstance(rule, Homogeneous):
+        return g
+    if isinstance(rule, OracleHeterogeneous):
+        vecs = rule.phi1 if subnet == 1 else rule.phi2
+        phi = vecs[(k + 1) % rule.period]
+        return g / float(phi[agent])
+    if isinstance(rule, (AdaptiveCommonEigvec, AdaptivePeriodic)):
+        if learner is None:
+            raise ValueError("adaptive rules need a learner state")
+        denom = learner.readout(agent, k)
+        if denom <= 0.0:
+            raise NashnetError(
+                f"adaptive readout {denom} not positive for agent {agent} at k={k}; "
+                "weight-rule floor violated upstream")
+        return g / denom
+    raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
+
+
+def reference_run(scenario, K):
+    """K reference steps, with stepsizes and learners advanced alongside.
+
+    Returns (states, alphas, betas, readouts): the K + 1 states, the
+    stepsizes applied at each step and, for adaptive rules, the learner
+    readouts per step as (subnet 1, subnet 2) pairs.
+    """
+    rule, g = scenario.rule, scenario.graph
+    learners = (None, None)
+    if isinstance(rule, AdaptiveCommonEigvec):
+        learners = learner_init_common(g.n1), learner_init_common(g.n2)
+    elif isinstance(rule, AdaptivePeriodic):
+        learners = learner_init_periodic(g.n1, rule.p1), learner_init_periodic(g.n2, rule.p2)
+    objectives = compiled_objectives(scenario)
+    states, alphas, betas, readouts = [initial_state(scenario)], [], [], []
+    for k in range(K):
+        alphas.append([stepsize_for(rule, i, 1, k, learners[0]) for i in range(g.n1)])
+        betas.append([stepsize_for(rule, i, 2, k, learners[1]) for i in range(g.n2)])
+        if learners[0] is not None:
+            readouts.append(tuple(lr.readout_vector(k) for lr in learners))
+            for subnet, lr in enumerate(learners, start=1):
+                learner_step(lr, g.mixing(subnet, k), k)
+        states.append(step(states[-1], scenario, alphas[-1], betas[-1], objectives))
+    return states, alphas, betas, readouts

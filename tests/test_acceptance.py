@@ -8,6 +8,7 @@ byte-identical determinism on every bundled trace. Each test prints one
 pass line with the measured numbers.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -375,6 +376,26 @@ def test_criterion_8_saddle_residual_nonnegative(scenarios, traces):
     assert worst >= -1e-9
     print(f"\nPASS criterion 8: saddle residual >= -1e-9 on all bundled "
           f"traces (min {worst:.2e})")
+
+
+# SHA-256 of trace_to_csv for each bundled scenario's full run. The bytes
+# follow from the canonical arithmetic order, IEEE doubles and the platform
+# libm pow; a mismatch means one of those changed.
+TRACE_DIGESTS = {
+    "example1": "855f5dec2f5384dbb609d5bf5eee0a5236d24b896fbc7f5f441503caf4d7db2d",
+    "example2": "8099e3d301134963288958e626f61b30f20b940c86d6501132fbedde698408ff",
+    "example3": "435ae43af7f44747c4ee60ca744a7a06d88a6303a5a1a9228e665f09264659be",
+    "perron_weighted": "338b18ed0085d050a2f2559693c4a9765dd2ec73f23a0f66eb5ba047c0a2f6e0",
+    "shared_saddle": "e1c589cf6bde0fd45c4af7bac7fd4547c7b2e22f866706476173858205d3cf85",
+}
+
+
+def test_bundled_trace_digests_pinned(scenarios, traces):
+    for name in BUNDLED:
+        s = scenarios[name]
+        csv = trace_to_csv(traces[name][0], s.m1, s.m2)
+        assert hashlib.sha256(csv.encode()).hexdigest() == TRACE_DIGESTS[name], name
+    print("\nPASS trace digests: all five bundled traces match the pinned SHA-256")
 
 
 def test_criterion_9_byte_identical_determinism(scenarios, traces):

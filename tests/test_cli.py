@@ -58,6 +58,25 @@ def test_run_validation_error_exit_3_no_trace(shsad, tmp_path, capsys):
     assert "(ii)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("run_doc, argv, message", [
+    ({"iterations": -3}, [], "iterations must be >= 0"),
+    ({"iterations": 500}, ["--iters", "-1"], "iterations must be >= 0"),
+    ({"iterations": 3, "table": 2}, [], "table of length 2"),
+    ({"iterations": 2, "table": 2}, ["--iters", "3"], "table of length 2"),
+])
+def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, argv, message):
+    doc = yaml.safe_load(open(shsad))
+    doc["run"]["iterations"] = run_doc["iterations"]
+    if "table" in run_doc:
+        doc["stepsize"]["gamma"] = {"table": [0.1] * run_doc["table"]}
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    trace = tmp_path / "never.csv"
+    assert main(["run", str(bad), "--out", str(trace)] + argv) == 3
+    assert not trace.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
     import numpy as np

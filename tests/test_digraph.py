@@ -4,8 +4,11 @@ limits."""
 import numpy as np
 import pytest
 
-from nashnet.digraph import (GraphSequenceSpec, build_cycle_matrix,
-                             check_jointly_bipartite, check_ujsc,
+from canonical_reference import canonical_dot
+from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GraphSequenceSpec,
+                             build_cycle_matrix, canonical_matmul,
+                             canonical_mix_code, check_jointly_bipartite,
+                             check_ujsc,
                              disagreement_span, ergodicity_coefficient,
                              geometric_rate_bound, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
@@ -129,6 +132,32 @@ def test_transition_product_is_backward(balanced):
     assert stochastic_violations(transition_product(balanced, 1, 9, 2)) == []
     with pytest.raises(ValueError):
         transition_product(balanced, 1, 1, 2)
+
+
+def test_canonical_matmul_is_the_canonical_sum():
+    rng = np.random.default_rng(3)
+    for n, cols in ((1, 1), (3, 4), (7, 2), (12, 12)):
+        A = np.where(rng.random((n, n)) < 0.5, rng.normal(size=(n, n)), 0.0)
+        A[0] = 0.0  # a row without weights sums to 0.0
+        B = rng.normal(size=(n, cols))
+        want = [[canonical_dot(row, col) for col in B.T.tolist()] for row in A.tolist()]
+        assert canonical_matmul(A, B).tobytes() == np.array(want).tobytes()
+        assert canonical_matmul(A, B[:, 0]).tobytes() == np.array(want)[:, 0].tobytes()
+
+
+def test_canonical_mix_code_bounds_statement_length():
+    """A sum far longer than the compiler's nesting limit compiles, in
+    statements of bounded length, to the same canonical sum."""
+    n = 5000
+    w = np.random.default_rng(4).uniform(0.1, 1.0, (1, n))
+    w[0, ::7] = 0.0
+    lines = canonical_mix_code(w, [["t"]], [[f"v[{j}]"] for j in range(n)])
+    assert all(ln.count(" * ") <= SUM_TERMS_PER_STATEMENT for ln in lines)
+    env = {}
+    exec("def f(v):\n" + "\n".join("    " + ln for ln in lines) + "\n    return t", env)
+    v = np.random.default_rng(5).normal(size=n).tolist()
+    assert env["f"](v) == canonical_dot(w[0], v)
+    assert canonical_mix_code(np.zeros((1, 2)), [["t"]], [["a"], ["b"]]) == ["t = 0.0"]
 
 
 def test_limit_vectors_balanced_are_uniform(balanced):

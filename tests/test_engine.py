@@ -1,17 +1,29 @@
-"""The network dynamics: single-step semantics, the optimized run loop, and
-their equivalence."""
+"""The network dynamics: single-step semantics, the generated run loop,
+and their bit-for-bit equivalence."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nashnet.engine import (Scenario, initial_state, make_identical_scenario,
-                            run, step)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nashnet
+from canonical_reference import initial_state, reference_run, step, stepsize_for
+from nashnet.digraph import GraphSequenceSpec
+from nashnet.engine import Scenario, make_identical_scenario, run
 from nashnet.errors import NumericError, ValidationError
-from nashnet.exprs import BoxSet, Neg, Pow, Sum, x_var, y_var
+from nashnet.exprs import BoxSet, Neg, Pow, Prod, Scale, Sum, x_var, y_var
 from nashnet.scenario_io import bundled_scenario
-from nashnet.stepsizes import GammaSchedule, Homogeneous, stepsize_for
+from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
+                               GammaSchedule, Homogeneous,
+                               oracle_heterogeneous_build)
 
 BOX5 = BoxSet((-5.0,), (5.0,))
 SCHED = GammaSchedule(c=1.0, b=1.0, eps=0.5)
@@ -76,17 +88,151 @@ def test_projection_keeps_states_in_box():
 @pytest.mark.parametrize("name", ["example1", "example2", "example3",
                                   "perron_weighted", "shared_saddle"])
 def test_run_equals_repeated_step(name):
-    """The optimized loop and the reference single-step path agree exactly."""
+    """The generated loop and the reference single-step path agree bit for
+    bit."""
     scenario = bundled_scenario(name)
     K = 40
-    tr = run(scenario, iterations=K)
-    st = initial_state(scenario)
-    for k in range(K):
-        st = step(st, scenario, tr.alpha[k], tr.beta[k])
-        np.testing.assert_allclose(st.x, tr.x[k + 1], atol=1e-13)
-        np.testing.assert_allclose(st.y, tr.y[k + 1], atol=1e-13)
-        np.testing.assert_array_equal(st.contact_x, tr.contact_x[k])
-        np.testing.assert_array_equal(st.contact_y, tr.contact_y[k])
+    _assert_run_matches_reference(scenario, run(scenario, iterations=K), K)
+
+
+def _assert_bits_equal(got, want):
+    """Equal as IEEE bit patterns: -0.0 and 0.0 differ, a NaN equals itself."""
+    bits = [np.ascontiguousarray(a, dtype=float).view(np.int64) for a in (got, want)]
+    np.testing.assert_array_equal(*bits)
+
+
+def _assert_run_matches_reference(scenario, tr, K):
+    states, alphas, betas, readouts = reference_run(scenario, K)
+    _assert_bits_equal(tr.alpha, np.reshape(alphas, (K, scenario.n1)))
+    _assert_bits_equal(tr.beta, np.reshape(betas, (K, scenario.n2)))
+    if readouts:
+        _assert_bits_equal(tr.readout1, np.reshape([r1 for r1, _ in readouts], (K, scenario.n1)))
+        _assert_bits_equal(tr.readout2, np.reshape([r2 for _, r2 in readouts], (K, scenario.n2)))
+    else:
+        assert tr.readout1 is None and tr.readout2 is None
+    for k, st in enumerate(states):
+        _assert_bits_equal(tr.x[k], st.x)
+        _assert_bits_equal(tr.y[k], st.y)
+        if k:
+            np.testing.assert_array_equal(st.contact_x, tr.contact_x[k - 1])
+            np.testing.assert_array_equal(st.contact_y, tr.contact_y[k - 1])
+
+
+def _random_mixing(rng, n, eta=0.1):
+    """Sparse row-stochastic matrix with self-loops on a directed cycle
+    (strongly connected), extra arcs at random, positive weights >= eta."""
+    A = np.where(rng.random((n, n)) < 0.3, rng.uniform(0.5, 1.0, (n, n)), 0.0)
+    A[np.arange(n), np.arange(n)] = rng.uniform(0.5, 1.0, n)
+    A[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 1.0, n)
+    A = A / A.sum(axis=1, keepdims=True)
+    A[(A > 0) & (A < eta)] = eta
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def _random_cross(rng, n_to, n_from, delayed):
+    """Cross weights with empty rows at random; all rows empty if `delayed`."""
+    C = np.where(rng.random((n_to, n_from)) < 0.6, rng.uniform(0.5, 1.0, (n_to, n_from)), 0.0)
+    C[rng.random(n_to) < 0.3] = 0.0
+    if delayed:
+        C[:] = 0.0
+    sums = C.sum(axis=1, keepdims=True)
+    return np.divide(C, sums, out=np.zeros_like(C), where=sums > 0)
+
+
+def _random_objective(rng, m1, m2):
+    """sum_d a_d (x_d - c_d)^2 + b x_0 y_0 - sum_d e_d (y_d - f_d)^2."""
+    terms = [Scale(float(rng.uniform(0.2, 1.0)), Pow(Sum((x_var(d), float(rng.uniform(-2, 2)))), 2))
+             for d in range(m1)]
+    terms.append(Scale(float(rng.uniform(-0.5, 0.5)), Prod((x_var(0), y_var(0)))))
+    terms += [Neg(Scale(float(rng.uniform(0.2, 1.0)), Pow(Sum((y_var(d), float(rng.uniform(-2, 2)))), 2)))
+              for d in range(m2)]
+    return Sum(tuple(terms)), {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 3), n2=st.integers(1, 3), m1=st.integers(1, 3), m2=st.integers(1, 3),
+       period=st.integers(1, 3), variant=st.sampled_from(["homogeneous", "oracle", "common", "periodic"]),
+       infinite_side=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, variant,
+                                                   infinite_side, seed):
+    rng = np.random.default_rng(seed)
+    a1 = tuple(_random_mixing(rng, n1) for _ in range(period))
+    a2 = tuple(_random_mixing(rng, n2) for _ in range(period))
+    # the first phase has no cross arcs when there is more than one
+    c1 = tuple(_random_cross(rng, n1, n2, ph == 0 and period > 1) for ph in range(period))
+    c2 = tuple(_random_cross(rng, n2, n1, ph == 0 and period > 1) for ph in range(period))
+    graph = GraphSequenceSpec(n1=n1, n2=n2, period=period, a1=a1, a2=a2, cross1=c1,
+                              cross2=c2, eta=0.1, t1=period, t2=period, t_cross=period)
+    lo_x = rng.uniform(-3, -1, m1)
+    if infinite_side:
+        lo_x[0] = -np.inf
+    box_x = BoxSet(tuple(lo_x), tuple(rng.uniform(1, 3, m1)))
+    box_y = BoxSet(tuple(rng.uniform(-3, -1, m2)), tuple(rng.uniform(1, 3, m2)))
+    schedule = GammaSchedule(c=float(rng.uniform(0.05, 0.3)), b=10.0, eps=0.5)
+    rule = {"homogeneous": lambda: Homogeneous(schedule),
+            "oracle": lambda: oracle_heterogeneous_build(graph, schedule),
+            "common": lambda: AdaptiveCommonEigvec(schedule),
+            "periodic": lambda: AdaptivePeriodic(schedule, p1=int(rng.integers(1, 4)),
+                                                 p2=int(rng.integers(1, 4)))}[variant]()
+    K = 12
+    scenario = Scenario(
+        name="random", m1=m1, m2=m2,
+        objectives1=tuple(_random_objective(rng, m1, m2) for _ in range(n1)),
+        objectives2=tuple(_random_objective(rng, m1, m2) for _ in range(n2)),
+        graph=graph, box_x=box_x, box_y=box_y, rule=rule,
+        x0=rng.uniform(-4, 4, (n1, m1)), y0=rng.uniform(-4, 4, (n2, m2)), iterations=K)
+    _assert_run_matches_reference(scenario, run(scenario), K)
+
+
+def _openblas_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_DIGEST_SCRIPT = """
+import hashlib, json
+from nashnet.engine import run
+from nashnet.scenario_io import BUNDLED, bundled_scenario, trace_to_csv
+digests = {}
+for name in BUNDLED:
+    s = bundled_scenario(name)
+    csv = trace_to_csv(run(s, iterations=20000), s.m1, s.m2)
+    digests[name] = hashlib.sha256(csv.encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+def test_trace_bytes_independent_of_blas_kernel():
+    """The bundled traces hash the same under OpenBLAS's Prescott kernels as
+    under the one it picks for this CPU."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(nashnet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def digests(extra):
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env={**env, **extra},
+                             capture_output=True, text=True, check=True, timeout=600)
+        return json.loads(out.stdout)
+
+    assert digests({}) == digests({"OPENBLAS_CORETYPE": "Prescott"})
+
+
+def test_dense_scenario_compiles_and_matches_reference():
+    n = 300
+    e = Sum((Pow(x_var(0), 2), Neg(Pow(y_var(0), 2))))
+    rng = np.random.default_rng(9)
+    A = rng.uniform(0.5, 1.0, (n, n))
+    s = make_identical_scenario(
+        objectives=[(e, {})] * n, a_seq=(A / A.sum(axis=1, keepdims=True),),
+        eta=0.001, t1=1, box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
+        x0=rng.uniform(-4, 4, (n, 1)), y0=rng.uniform(-4, 4, (n, 1)), iterations=2)
+    _assert_run_matches_reference(s, run(s), 2)
 
 
 def test_recorded_stepsizes_match_rule():
@@ -170,3 +316,17 @@ def test_zero_iterations():
     tr = run(s)
     assert tr.x.shape == (1, 2, 1)
     assert tr.alpha.shape == (0, 2)
+
+
+def test_iteration_count_validated():
+    s = toy_identical(iterations=4)
+    with pytest.raises(ValidationError):
+        run(s, iterations=-1)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(s, iterations=-1)
+    table = dataclasses.replace(s, rule=Homogeneous(GammaSchedule(table=(0.1,) * 4)))
+    assert run(table).iterations == 4
+    with pytest.raises(ValidationError):
+        run(table, iterations=5)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(table, iterations=5)

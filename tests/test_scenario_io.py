@@ -142,6 +142,18 @@ def test_metrics_series_contracts():
         compute_metrics(tr, s, SaddleReport((0.0, 0.0), s.oracle_y, 0.0, 0.0, 0))
 
 
+def test_pairwise_max_is_chunk_independent(monkeypatch):
+    """Chunking over k leaves every per-k reduction, and so every bit, as
+    the one-shot computation has it."""
+    from nashnet import metrics
+    states = np.random.default_rng(5).normal(size=(11, 4, 3))
+    diff = states[:, :, None, :] - states[:, None, :, :]
+    whole = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+    for rows in (1, 3, 11, 20):  # chunks of `rows` iterations, one spans all
+        monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 4 * 3)
+        assert metrics._pairwise_max(states).tobytes() == whole.tobytes()
+
+
 def test_metrics_at_exact_consensus_fixed_point():
     """A trace sitting at consensus on the reference saddle scores zero."""
     import dataclasses

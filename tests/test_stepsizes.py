@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from nashnet.digraph import transition_product
+from canonical_reference import stepsize_for
+from nashnet.digraph import GraphSequenceSpec, transition_product
 from nashnet.errors import ValidationError
 from nashnet.scenario_io import bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
                                OracleHeterogeneous, learner_init_common,
-                               learner_init_periodic, learner_step,
-                               oracle_heterogeneous_build, stepsize_for,
-                               validate_schedule)
+                               learner_init_periodic, learner_readouts,
+                               learner_step, oracle_heterogeneous_build,
+                               stepsize_tables, validate_schedule)
 
 
 def test_schedule_power_law():
@@ -137,3 +138,14 @@ def test_adaptive_common_matches_oracle_on_static_graph():
         got = stepsize_for(rule, agent, 1, 300, learner=st)
         want = stepsize_for(oracle, agent, 1, 300)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_stepsize_tables_reject_nonpositive_readout():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # no self-loops: the readout hits 0
+    g = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(swap,), a2=(np.eye(1),),
+                          cross1=(np.ones((2, 1)),), cross2=(np.full((1, 2), 0.5),),
+                          eta=0.5, t1=1, t2=1, t_cross=1)
+    np.testing.assert_array_equal(learner_readouts(learner_init_common(2), g.a1, 3),
+                                  [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError):
+        stepsize_tables(AdaptiveCommonEigvec(GammaSchedule()), g, 3)
