@@ -13,22 +13,22 @@ Failure classes map to fixed exit codes: 2 parse, 3 validation, 4 numeric,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from .digraph import (check_jointly_bipartite, check_ujsc, is_weight_balanced,
                       limiting_stochastic_vector, validate_weight_rule)
 from .engine import Scenario, run
-from .errors import NashnetError, ParseError, ResourceError, ValidationError
+from .errors import NashnetError, ValidationError
 from .metrics import compute_metrics
 from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
-                     unit_weighted, verify_saddle)
-from .scenario_io import (BUNDLED, FLOAT_FMT, bundled_scenario, load_scenario,
-                          metrics_to_csv, plotdata_to_csv, trace_to_csv)
+                     unit_weighted)
+from .scenario_io import (BUNDLED, bundled_scenario, load_scenario,
+                          metrics_to_csv, plotdata_to_csv, report_to_csv,
+                          sweep_summary_to_csv, trace_to_csv)
 from .stepsizes import GammaSchedule
 
 
@@ -90,14 +90,51 @@ def _build_parser():
 # run
 # ---------------------------------------------------------------------------
 
-def _reference_saddle(scenario: Scenario, resolution: int = 2001):
-    """Stored oracle reference if present, else a fresh grid search."""
-    if scenario.oracle_x is not None:
+def _reference_saddle(scenario: Scenario, rederive: bool = False) -> SaddleReport:
+    """The saddle reference every command scores its run against.
+
+    The scenario's stored reference, unless it has none or `rederive` asks
+    for a fresh grid search; a re-derived saddle must then agree with the
+    stored one to 1e-4.
+    """
+    stored = scenario.oracle_x is not None
+    if stored and not rederive:
         return SaddleReport(x_star=scenario.oracle_x, y_star=scenario.oracle_y,
                             value=float("nan"), minimax_gap=float("nan"),
                             grid_resolution=0)
-    return grid_minimax(unit_weighted(scenario.objectives1),
-                        scenario.box_x, scenario.box_y, resolution=resolution)
+    saddle = grid_minimax(unit_weighted(scenario.objectives1), scenario.box_x, scenario.box_y)
+    if stored:
+        drift = max(abs(a - b) for a, b in zip(saddle.x_star + saddle.y_star,
+                                               scenario.oracle_x + scenario.oracle_y))
+        if drift > 1e-4:
+            raise ValidationError(
+                f"re-derived saddle differs from the stored reference by {drift:.3e}")
+    return saddle
+
+
+WRITE_SLICE = 1 << 20  # characters per write: the file layer's copy stays small
+
+
+def _write(path, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
+
+
+def _numbers(text: str, what: str) -> list:
+    """Comma-separated finite floats from a command-line argument."""
+    try:
+        values = [float(v) for v in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise ValidationError(f"{what} must be comma-separated finite numbers, got {text!r}")
+
+
+def _outcome(trace, metrics) -> str:
+    return (f"{trace.iterations} iterations, nash_error={metrics.nash_error[-1]:.6g}, "
+            f"h1={metrics.h1[-1]:.6g}, h2={metrics.h2[-1]:.6g}")
 
 
 def _print_warnings(scenario):
@@ -112,14 +149,10 @@ def cmd_run(args) -> int:
     saddle = _reference_saddle(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_csv(trace, scenario.m1, scenario.m2))
+        _write(args.out, trace_to_csv(trace, scenario.m1, scenario.m2))
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(metrics_to_csv(metrics))
-    print(f"{scenario.name}: {trace.iterations} iterations, "
-          f"nash_error={metrics.nash_error[-1]:.6g}, "
-          f"h1={metrics.h1[-1]:.6g}, h2={metrics.h2[-1]:.6g}")
+        _write(args.metrics, metrics_to_csv(metrics))
+    print(f"{scenario.name}: {_outcome(trace, metrics)}")
     return 0
 
 
@@ -127,33 +160,20 @@ def cmd_run(args) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-def _report_csv(report: SaddleReport) -> str:
-    lines = ["key,value"]
-    for d, v in enumerate(report.x_star):
-        lines.append(f"x_star[{d}]," + (FLOAT_FMT % v))
-    for d, v in enumerate(report.y_star):
-        lines.append(f"y_star[{d}]," + (FLOAT_FMT % v))
-    lines.append("value," + (FLOAT_FMT % report.value))
-    lines.append("minimax_gap," + (FLOAT_FMT % report.minimax_gap))
-    lines.append(f"grid_resolution,{report.grid_resolution}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.weights is None:
         w = unit_weighted(scenario.objectives1)
     else:
-        vals = [float(v) for v in args.weights.split(",")]
-        if len(vals) != len(scenario.objectives1):
-            raise ValidationError(
-                f"got {len(vals)} weights for {len(scenario.objectives1)} objectives")
+        vals = _numbers(args.weights, "--weights")
+        if len(vals) != len(scenario.objectives1) or min(vals) <= 0:
+            raise ValidationError(f"--weights needs {len(scenario.objectives1)} positive "
+                                  f"weights, one per subnet-1 objective; got {args.weights!r}")
         w = WeightedObjective(tuple((v, e, s) for v, (e, s) in
                                     zip(vals, scenario.objectives1)))
     report = grid_minimax(w, scenario.box_x, scenario.box_y, resolution=args.grid)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_report_csv(report))
+        _write(args.out, report_to_csv(report))
     xs = ", ".join(f"{v:.6g}" for v in report.x_star)
     ys = ", ".join(f"{v:.6g}" for v in report.y_star)
     print(f"saddle: x*=({xs}), y*=({ys}), value={report.value:.6g}, "
@@ -170,24 +190,20 @@ def cmd_graph_check(args) -> int:
     g = scenario.graph
     failed = []
 
+    def verdict(claim, ok, name):
+        print(f"{claim}: {'pass' if ok else 'FAIL'}")
+        if not ok:
+            failed.append(name)
+
     problems = validate_weight_rule(g, g.eta)
-    print(f"weight rule (eta={g.eta}): {'pass' if not problems else 'FAIL'}")
+    verdict(f"weight rule (eta={g.eta})", not problems, "weight rule")
     for v in problems:
         print(f"  {v}")
-    if problems:
-        failed.append("weight rule")
-
     for subnet, T in ((1, g.t1), (2, g.t2)):
-        ok = check_ujsc(g, subnet, T)
-        print(f"subnet {subnet} jointly strongly connected within T={T}: "
-              f"{'pass' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(f"subnet {subnet} connectivity")
-    ok = check_jointly_bipartite(g, g.t_cross)
-    print(f"cross layer covers every node within T={g.t_cross}: "
-          f"{'pass' if ok else 'FAIL'}")
-    if not ok:
-        failed.append("cross coverage")
+        verdict(f"subnet {subnet} jointly strongly connected within T={T}",
+                check_ujsc(g, subnet, T), f"subnet {subnet} connectivity")
+    verdict(f"cross layer covers every node within T={g.t_cross}",
+            check_jointly_bipartite(g, g.t_cross), "cross coverage")
 
     for subnet, mats in ((1, g.a1), (2, g.a2)):
         flags = [is_weight_balanced(A) for A in mats]
@@ -214,38 +230,16 @@ def cmd_reproduce(args) -> int:
         raise ValidationError(f"unknown bundled experiment {args.example!r}")
     scenario = bundled_scenario(name)
     _print_warnings(scenario)
-
-    if args.trust_bundled:
-        if scenario.oracle_x is None:
-            raise ValidationError(f"{name} carries no stored saddle reference")
-        saddle = SaddleReport(x_star=scenario.oracle_x, y_star=scenario.oracle_y,
-                              value=float("nan"), minimax_gap=float("nan"),
-                              grid_resolution=0)
-    else:
-        saddle = grid_minimax(unit_weighted(scenario.objectives1),
-                              scenario.box_x, scenario.box_y)
-        if scenario.oracle_x is not None:
-            drift = max(max(abs(a - b) for a, b in zip(saddle.x_star, scenario.oracle_x)),
-                        max(abs(a - b) for a, b in zip(saddle.y_star, scenario.oracle_y)))
-            if drift > 1e-4:
-                raise ValidationError(
-                    f"re-derived saddle differs from the stored reference by {drift:.3e}")
-
+    saddle = _reference_saddle(scenario, rederive=not args.trust_bundled)
     trace = run(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
     os.makedirs(args.out, exist_ok=True)
     paths = {ext: os.path.join(args.out, f"{name}_{ext}.csv")
              for ext in ("trace", "metrics", "plotdata")}
-    with open(paths["trace"], "w", encoding="utf-8") as fh:
-        fh.write(trace_to_csv(trace, scenario.m1, scenario.m2))
-    with open(paths["metrics"], "w", encoding="utf-8") as fh:
-        fh.write(metrics_to_csv(metrics))
-    with open(paths["plotdata"], "w", encoding="utf-8") as fh:
-        fh.write(plotdata_to_csv(trace, metrics))
-    print(f"{name}: {trace.iterations} iterations, "
-          f"nash_error={metrics.nash_error[-1]:.6g}, "
-          f"h1={metrics.h1[-1]:.6g}, h2={metrics.h2[-1]:.6g}; "
-          f"wrote {', '.join(paths.values())}")
+    _write(paths["trace"], trace_to_csv(trace, scenario.m1, scenario.m2))
+    _write(paths["metrics"], metrics_to_csv(metrics))
+    _write(paths["plotdata"], plotdata_to_csv(trace, metrics))
+    print(f"{name}: {_outcome(trace, metrics)}; wrote {', '.join(paths.values())}")
     return 0
 
 
@@ -265,32 +259,31 @@ def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def _sweep_worker(job):
-    path, param, value, out_dir, tag = job
-    scenario = _apply_override(load_scenario(path), param, value)
+    scenario, out = job
     trace = run(scenario)
     metrics = compute_metrics(trace, scenario, _reference_saddle(scenario))
-    out = os.path.join(out_dir, f"{scenario.name}_{tag}_metrics.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(metrics_to_csv(metrics))
-    return value, float(metrics.nash_error[-1]), out
+    _write(out, metrics_to_csv(metrics))
+    return float(metrics.nash_error[-1])
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    load_scenario(args.scenario)  # fail fast before spawning workers
-    os.makedirs(args.out, exist_ok=True)
-    jobs = [(args.scenario, args.param, v, args.out, f"{args.param.replace('.', '_')}_{i}")
+    values = _numbers(args.values, "--values")
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
+    scenario = load_scenario(args.scenario)
+    tag = args.param.replace(".", "_")
+    jobs = [(_apply_override(scenario, args.param, v),
+             os.path.join(args.out, f"{scenario.name}_{tag}_{i}_metrics.csv"))
             for i, v in enumerate(values)]
+    os.makedirs(args.out, exist_ok=True)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+            errors = list(pool.map(_sweep_worker, jobs))
     else:
-        results = [_sweep_worker(j) for j in jobs]
+        errors = [_sweep_worker(j) for j in jobs]
+    results = [(v, err, out) for v, err, (_, out) in zip(values, errors, jobs)]  # job order
     summary = os.path.join(args.out, "sweep_summary.csv")
-    with open(summary, "w", encoding="utf-8") as fh:
-        fh.write(f"{args.param},final_nash_error,metrics_file\n")
-        for value, err, out in results:  # job order, independent of scheduling
-            fh.write((FLOAT_FMT % value) + "," + (FLOAT_FMT % err) + f",{out}\n")
+    _write(summary, sweep_summary_to_csv(args.param, results))
     for value, err, _ in results:
         print(f"{args.param}={value:g}: final nash_error={err:.6g}")
     print(f"wrote {summary}")

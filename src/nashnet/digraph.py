@@ -17,7 +17,7 @@ generated loops, so results follow from IEEE doubles and not from the BLAS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

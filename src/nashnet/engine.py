@@ -49,7 +49,6 @@ class Scenario:
     x0: np.ndarray  # (n1, m1), may lie outside the box
     y0: np.ndarray
     iterations: int = 1000
-    metrics: tuple = ("h1", "h2", "nash_error", "saddle_residual")
     oracle_x: tuple | None = None  # precomputed saddle reference, if any
     oracle_y: tuple | None = None
     oracle_provenance: str = ""

@@ -15,8 +15,7 @@ the hot loops. Tests assert they agree.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

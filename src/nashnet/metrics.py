@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Scenario, Trace
-from .saddle import SaddleReport, WeightedObjective, unit_weighted
+from .saddle import SaddleReport, unit_weighted
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ centralized recursion stays available there.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, ValidationError
 from .exprs import BoxSet, compile_objective, project
 
 # 2001 grid points per 1-D block must fit, so the cap sits just above 2001^2
@@ -82,8 +81,8 @@ def grid_budget() -> int:
         return DEFAULT_BUDGET
     try:
         return int(float(raw))
-    except ValueError:
-        raise ResourceError(f"{BUDGET_ENV}={raw!r} is not a number") from None
+    except (ValueError, OverflowError):
+        raise ResourceError(f"{BUDGET_ENV}={raw!r} is not a finite number") from None
 
 
 def _axis_grids(box: BoxSet, resolution: int):
@@ -116,7 +115,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     grid; the reported minimax gap is their difference on the coarse grid.
     """
     if resolution < 3:
-        raise ValueError("resolution must be >= 3")
+        raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
     m1, m2 = bx.dim, by.dim
     if m1 > 2 or m2 > 2:
         raise ResourceError(

@@ -3,15 +3,15 @@
 Scenario documents are YAML: nested key-value sections with matrix literals
 as lists of lists and objectives in prefix notation (see ``exprs.parse_expr``).
 Loading validates structure and the weight rule; connectivity-window checks
-and convexity sampling attach warnings without failing the load. Traces and
-metrics emit as CSV with a fixed header and 17-significant-digit floats so
-reimports are bit-faithful.
+and convexity sampling attach warnings without failing the load. Every CSV
+the package writes (traces, metrics, plot data, oracle reports, sweep
+summaries) comes from one formatter, with a fixed header and
+17-significant-digit floats so reimports are bit-faithful.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -35,17 +35,24 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 
 def load_scenario(path, check_assumptions: bool = True) -> Scenario:
-    """Parse and validate a scenario file.
-
-    Weight-rule violations fail the load; window and convexity findings are
-    collected on the returned scenario's ``warnings`` attribute.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse and validate a scenario file (see :func:`loads_scenario`)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read scenario file {str(path)!r}: {reason}") from None
     return loads_scenario(text, check_assumptions=check_assumptions)
 
 
 def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
+    """Parse and validate a scenario document.
+
+    Weight-rule violations fail the load; window and convexity findings are
+    collected on the returned scenario's ``warnings`` attribute. With
+    `check_assumptions` false no assumption is checked at all: the caller
+    runs every check itself (``nashnet graph-check`` reports them).
+    """
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -56,16 +63,16 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
         raise ParseError("scenario document must be a mapping")
     try:
         scenario = _scenario_from_doc(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"scenario document malformed: {exc!r}") from None
 
     warnings = []
-    problems = validate_weight_rule(scenario.graph, scenario.graph.eta)
-    if problems:
-        raise ValidationError(
-            "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
     if check_assumptions:
         g = scenario.graph
+        problems = validate_weight_rule(g, g.eta)
+        if problems:
+            raise ValidationError(
+                "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
         if not check_ujsc(g, 1, g.t1):
             warnings.append(f"subnet 1 not jointly strongly connected within window {g.t1}")
         if not check_ujsc(g, 2, g.t2):
@@ -126,8 +133,6 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         x0=np.asarray(doc["initial"]["x"], dtype=float),
         y0=np.asarray(doc["initial"]["y"], dtype=float),
         iterations=int(run_doc.get("iterations", 1000)),
-        metrics=tuple(run_doc.get("metrics",
-                                  ("h1", "h2", "nash_error", "saddle_residual"))),
         oracle_x=tuple(oracle["x_star"]) if "x_star" in oracle else None,
         oracle_y=tuple(oracle["y_star"]) if "y_star" in oracle else None,
         oracle_provenance=str(oracle.get("provenance", "")))
@@ -206,7 +211,7 @@ def scenario_to_doc(s: Scenario) -> dict:
         "stepsize": sdoc,
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},
-        "run": {"iterations": s.iterations, "metrics": list(s.metrics)},
+        "run": {"iterations": s.iterations},
     }
     if s.oracle_x is not None:
         doc["run"]["oracle"] = {"x_star": [float(v) for v in s.oracle_x],
@@ -253,82 +258,84 @@ def bundled_scenario(name: str) -> Scenario:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def trace_to_csv(trace: Trace, m1: int, m2: int) -> str:
-    """Long-format rows (k, agent, subnet, states..., applied stepsize)."""
-    m = max(m1, m2)
-    cols = ["k", "agent", "subnet"] + [f"s{d}" for d in range(m)] + ["stepsize"]
+CSV_CHUNK = 8192  # values per `%` call: bounds each chunk's table and text
+
+
+def _csv(header: str, *parts) -> str:
+    """The one formatter that turns numbers into CSV text.
+
+    Each part is ``(template, blocks)``: `blocks` are 2-D arrays with one
+    row per `template`, whose columns, left to right, fill the template's
+    `%` fields. A chunk of at most CSV_CHUNK values is gathered from the
+    blocks only when it is formatted, goes through one `%`, and lands in
+    the one buffer that holds the whole text.
+    """
     buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    K = trace.iterations
-
-    def row(k, agent, subnet, state, step_val):
-        vals = [str(k), str(agent + 1), str(subnet)]
-        vals += [FLOAT_FMT % v for v in state]
-        vals += [""] * (m - len(state))
-        vals.append(FLOAT_FMT % step_val if step_val is not None else "")
-        buf.write(",".join(vals) + "\n")
-
-    for k in range(K + 1):
-        for i in range(trace.x.shape[1]):
-            row(k, i, 1, trace.x[k, i], trace.alpha[k, i] if k < K else None)
-        for i in range(trace.y.shape[1]):
-            row(k, i, 2, trace.y[k, i], trace.beta[k, i] if k < K else None)
+    buf.write(header + "\n")
+    for template, blocks in parts:
+        rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
+        for r in range(0, len(blocks[0]), rows):
+            table = np.concatenate([b[r:r + rows] for b in blocks], axis=1)
+            buf.write((template * len(table)) % tuple(table.ravel().tolist()))
     return buf.getvalue()
+
+
+def trace_to_csv(trace: Trace, m1: int, m2: int) -> str:
+    """Long-format rows (k, agent, subnet, states..., applied stepsize);
+    the last iteration's rows leave the stepsize empty."""
+    m = max(m1, m2)
+    K = trace.iterations
+    k = np.arange(K + 1)[:, None]
+    sides = ((1, trace.x, trace.alpha), (2, trace.y, trace.beta))
+
+    def part(rows, last):
+        fields, blocks = "", []
+        for subnet, states, steps in sides:
+            dim = states.shape[2]
+            for i in range(states.shape[1]):
+                fields += (f"%d,{i + 1},{subnet}," + ",".join([FLOAT_FMT] * dim)
+                           + "," * (m - dim) + ("," if last else "," + FLOAT_FMT) + "\n")
+                blocks += [k[rows], states[rows, i]] + ([] if last else [steps[rows, i:i + 1]])
+        return fields, blocks
+
+    cols = ["k", "agent", "subnet"] + [f"s{d}" for d in range(m)] + ["stepsize"]
+    return _csv(",".join(cols), part(slice(0, K), False), part(slice(K, K + 1), True))
 
 
 def metrics_to_csv(metrics: MetricsSeries) -> str:
-    buf = io.StringIO()
-    buf.write("k,h1,h2,nash_error,saddle_residual\n")
-    for k in range(len(metrics.h1)):
-        buf.write(",".join([str(k)] + [FLOAT_FMT % v for v in
-                                       (metrics.h1[k], metrics.h2[k],
-                                        metrics.nash_error[k], metrics.saddle_residual[k])]) + "\n")
-    return buf.getvalue()
+    series = (np.arange(len(metrics.h1)), metrics.h1, metrics.h2, metrics.nash_error,
+              metrics.saddle_residual)
+    return _csv("k,h1,h2,nash_error,saddle_residual",
+                ("%d" + f",{FLOAT_FMT}" * 4 + "\n", [v[:, None] for v in series]))
 
 
 def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None) -> str:
     """Plot-ready long format: k, series, value."""
-    buf = io.StringIO()
-    buf.write("k,series,value\n")
-    K = trace.iterations
-    for k in range(K + 1):
-        for i in range(trace.x.shape[1]):
-            for d in range(trace.x.shape[2]):
-                tag = f"x{i + 1}" if trace.x.shape[2] == 1 else f"x{i + 1}[{d}]"
-                buf.write(f"{k},{tag}," + (FLOAT_FMT % trace.x[k, i, d]) + "\n")
-        for i in range(trace.y.shape[1]):
-            for d in range(trace.y.shape[2]):
-                tag = f"y{i + 1}" if trace.y.shape[2] == 1 else f"y{i + 1}[{d}]"
-                buf.write(f"{k},{tag}," + (FLOAT_FMT % trace.y[k, i, d]) + "\n")
-        if metrics is not None:
-            buf.write(f"{k},nash_error," + (FLOAT_FMT % metrics.nash_error[k]) + "\n")
-    return buf.getvalue()
+    k = np.arange(trace.iterations + 1)[:, None]
+    fields, blocks = "", []
+    for name, states in (("x", trace.x), ("y", trace.y)):
+        for i in range(states.shape[1]):
+            for d in range(states.shape[2]):
+                tag = f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]"
+                fields += f"%d,{tag},{FLOAT_FMT}\n"
+                blocks += [k, states[:, i, d:d + 1]]
+    if metrics is not None:
+        fields += f"%d,nash_error,{FLOAT_FMT}\n"
+        blocks += [k, metrics.nash_error[:, None]]
+    return _csv("k,series,value", (fields, blocks))
 
 
-def read_trace_csv(text: str, n1: int, n2: int, m1: int, m2: int) -> Trace:
-    """Inverse of :func:`trace_to_csv` for regression round-trips."""
-    lines = text.strip().split("\n")
-    body = [ln.split(",") for ln in lines[1:]]
-    K = len(body) // (n1 + n2) - 1
-    x = np.empty((K + 1, n1, m1))
-    y = np.empty((K + 1, n2, m2))
-    alpha = np.empty((K, n1))
-    beta = np.empty((K, n2))
-    for parts in body:
-        k = int(parts[0])
-        i = int(parts[1]) - 1
-        subnet = int(parts[2])
-        m = m1 if subnet == 1 else m2
-        state = [float(v) for v in parts[3:3 + m]]
-        step_raw = parts[-1]
-        if subnet == 1:
-            x[k, i] = state
-            if k < K and step_raw:
-                alpha[k, i] = float(step_raw)
-        else:
-            y[k, i] = state
-            if k < K and step_raw:
-                beta[k, i] = float(step_raw)
-    return Trace(x=x, y=y, alpha=alpha, beta=beta,
-                 contact_x=np.zeros((K, n1), dtype=int),
-                 contact_y=np.zeros((K, n2), dtype=int))
+def report_to_csv(report) -> str:
+    """Key-value rows of a :class:`~nashnet.saddle.SaddleReport`."""
+    keys = ([f"x_star[{d}]" for d in range(len(report.x_star))]
+            + [f"y_star[{d}]" for d in range(len(report.y_star))] + ["value", "minimax_gap"])
+    row = (*report.x_star, *report.y_star, report.value, report.minimax_gap,
+           report.grid_resolution)
+    fields = "".join(f"{key},{FLOAT_FMT}\n" for key in keys) + "grid_resolution,%d\n"
+    return _csv("key,value", (fields, [np.array([row], dtype=object)]))
+
+
+def sweep_summary_to_csv(param: str, results) -> str:
+    """One row per sweep job: (value, final nash error, metrics file path)."""
+    return _csv(f"{param},final_nash_error,metrics_file",
+                (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(results, dtype=object)]))

@@ -27,7 +27,7 @@ from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
                             unit_weighted, verify_saddle)
 from nashnet.scenario_io import (bundled_scenario, metrics_to_csv,
-                                 trace_to_csv)
+                                 plotdata_to_csv, trace_to_csv)
 from nashnet.stepsizes import (LearnerState, learner_init_common,
                                learner_init_periodic, learner_step,
                                oracle_heterogeneous_build)
@@ -390,12 +390,45 @@ TRACE_DIGESTS = {
 }
 
 
+# SHA-256 of metrics_to_csv and plotdata_to_csv for the same runs, scored
+# against each scenario's stored saddle reference.
+METRICS_DIGESTS = {
+    "example1": "45290e2856e93c94c4e14fb5092af1d27e07094751ad94b01d832eb8977ae4df",
+    "example2": "c02b79dd2e1d80301a3d6388c0ab3018faeec4c570c2021f05ad364552503b0a",
+    "example3": "0090206f30a88a7b4628fe45b31a59c9e74b550fbb8cb616b73577703a4472ad",
+    "perron_weighted": "79c671f5bccbc03af725e963050d76ef280cff228baecce5c2d8044cf002485f",
+    "shared_saddle": "29b494cb9ee9243bf0820397f83e2da7d073fa66aa039d72430cbd30a14d6475",
+}
+PLOTDATA_DIGESTS = {
+    "example1": "34c09584a18cefb148dd50472bf073e3a4b2b863d6569ab495ef6dd2dda9a58e",
+    "example2": "f39a90d5592bc6266af744d3b50ba48a47c7ec921fe71ce089dd832eea93b970",
+    "example3": "1d2e584ee2df1430e07389c050f3e200176dcce090ac466446bad546cd00a4a2",
+    "perron_weighted": "ae6a2ee18f0bbe2936e15a526d145ccbaa26a76f1c8f8e117dda3f76290789d3",
+    "shared_saddle": "b3a61ac719aa3667da8be2c79ed16866abd1bd8a132af307a627c518b5422c87",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_bundled_trace_digests_pinned(scenarios, traces):
     for name in BUNDLED:
         s = scenarios[name]
         csv = trace_to_csv(traces[name][0], s.m1, s.m2)
-        assert hashlib.sha256(csv.encode()).hexdigest() == TRACE_DIGESTS[name], name
+        assert _sha256(csv) == TRACE_DIGESTS[name], name
     print("\nPASS trace digests: all five bundled traces match the pinned SHA-256")
+
+
+def test_bundled_metrics_and_plotdata_digests_pinned(scenarios, traces):
+    for name in BUNDLED:
+        s = scenarios[name]
+        trace = traces[name][0]
+        m = compute_metrics(trace, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
+        assert _sha256(metrics_to_csv(m)) == METRICS_DIGESTS[name], name
+        assert _sha256(plotdata_to_csv(trace, m)) == PLOTDATA_DIGESTS[name], name
+    print("\nPASS metrics and plot-data digests: all five bundled runs match "
+          "the pinned SHA-256")
 
 
 def test_criterion_9_byte_identical_determinism(scenarios, traces):

@@ -1,0 +1,39 @@
+"""The benchmark's traced replay still wraps what the CLI calls.
+
+``perfbench/replay.py`` runs CLI commands in one process with the names the
+CLI looks up at call time (loaders, writers, ``_reference_saddle``,
+``_sweep_worker``, ...) wrapped as spans. A CLI refactor that renames or
+bypasses one of them breaks the benchmark; this runs the replay on small
+commands so such a break fails here too.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHARED_SADDLE = str(ROOT / "src" / "nashnet" / "scenarios" / "shared_saddle.yaml")
+
+
+def test_replay_records_the_cli_spans(tmp_path):
+    commands = [
+        ["run", SHARED_SADDLE, "--iters", "50"],
+        ["oracle", SHARED_SADDLE, "--grid", "41"],
+        ["reproduce", "shared_saddle", "--trust-bundled", "--out", "out"],
+        ["sweep", SHARED_SADDLE, "--values", "1,2", "--out", "out"],
+    ]
+    (tmp_path / "commands.json").write_text(json.dumps(commands), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "replay.py"), "commands.json", "spans.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    names = {s["name"] for s in spans}
+    assert {"scenario_io.trace_csv", "saddle.reference", "cli.sweep_job"} <= names
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "shared_saddle_gamma_c_0_metrics.csv", "shared_saddle_gamma_c_1_metrics.csv",
+        "shared_saddle_metrics.csv", "shared_saddle_plotdata.csv",
+        "shared_saddle_trace.csv", "sweep_summary.csv"]

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, file outputs, and the exit-code
 contract (2 parse, 3 validation, 4 numeric, 5 resource)."""
 
+import hashlib
 import os
 
 import pytest
 import yaml
 
+import nashnet
 from nashnet.cli import main
 from nashnet.scenario_io import bundled_scenario, save_scenario, scenario_to_doc
 
@@ -33,11 +35,14 @@ def test_run_writes_trace_and_metrics(shsad, tmp_path, capsys):
 
 
 def test_run_iters_zero(shsad, tmp_path):
-    trace = str(tmp_path / "t.csv")
-    assert main(["run", shsad, "--iters", "0", "--out", trace]) == 0
-    with open(trace) as fh:
-        rows = fh.read().strip().splitlines()
-    assert len(rows) == 1 + 5  # header + one row per agent at k=0
+    trace, metrics = tmp_path / "t.csv", tmp_path / "m.csv"
+    assert main(["run", shsad, "--iters", "0", "--out", str(trace),
+                 "--metrics", str(metrics)]) == 0
+    # header + one row per agent at k=0, with no stepsize applied
+    assert trace.read_text() == ("k,agent,subnet,s0,stepsize\n"
+                                 "0,1,1,3,\n0,2,1,-2,\n0,3,1,4,\n0,1,2,2.5,\n0,2,2,-3,\n")
+    assert metrics.read_text() == ("k,h1,h2,nash_error,saddle_residual\n"
+                                   "0,6,5.5,37.25,1.7430555555555558\n")
 
 
 def test_run_parse_error_exit_2(tmp_path, capsys):
@@ -105,6 +110,19 @@ def test_oracle_default_weights(shsad, tmp_path, capsys):
     assert float(vals["y_star[0]"]) == pytest.approx(-0.5, abs=1e-6)
 
 
+def test_oracle_report_text_pinned(tmp_path):
+    example1 = os.path.join(os.path.dirname(nashnet.__file__), "scenarios", "example1.yaml")
+    out = tmp_path / "saddle.csv"
+    assert main(["oracle", example1, "--grid", "101", "--weights", "1,2,0.5",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ("key,value\n"
+                               "x_star[0],0.99011919999999998\n"
+                               "y_star[0],0.9000984000000003\n"
+                               "value,-1.8000988115781169\n"
+                               "minimax_gap,0\n"
+                               "grid_resolution,101\n")
+
+
 def test_oracle_weights_flag(shsad, capsys):
     # weights shift nothing here (all objectives share the saddle), but the
     # count must match
@@ -138,6 +156,64 @@ def test_graph_check_failure_exit_3(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
+    """graph-check loads without any check, so a weight-rule violation is
+    listed beside the other verdicts; every other command fails at load."""
+    doc = yaml.safe_load(open(shsad))
+    doc["graph"]["phases"][0]["a1"][0] = [0.7, 0.2, 0.0]  # sums to 0.9
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["graph-check", str(bad)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "weight rule (eta=0.1): FAIL"
+    assert lines[1].startswith("  ") and "(ii)" in lines[1]
+    assert any(ln.startswith("subnet 1 jointly strongly connected") for ln in lines)
+    assert any(ln.startswith("cross layer covers every node") for ln in lines)
+    assert "assumptions failed: weight rule" in captured.err
+    for argv in (["run", str(bad)], ["oracle", str(bad), "--grid", "41"],
+                 ["sweep", str(bad), "--values", "1", "--out", str(tmp_path / "sw")]):
+        assert main(argv) == 3
+        assert "weight rule violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("missing scenario file", 2, "nonexistent.yaml"),
+    ("sweep values not numbers", 3, "--values"),
+    ("grid resolution below 3", 3, "grid resolution"),
+    ("infinite budget", 5, "NASHNET_BUDGET"),
+    ("dimension not a number", 3, "malformed"),
+    ("zero sweep jobs", 3, "--jobs"),
+    ("infinite sweep value", 3, "--values"),
+    ("non-positive weight", 3, "--weights"),
+])
+def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
+                                       monkeypatch, capsys):
+    """User input errors end in their documented exit code, not a traceback."""
+    doc = yaml.safe_load(open(shsad))
+    doc["dimensions"]["m1"] = "x"
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    sweep_dir = tmp_path / "sw"
+    argv = {
+        "missing scenario file": ["run", str(tmp_path / "nonexistent.yaml")],
+        "sweep values not numbers": ["sweep", shsad, "--values", "a,b", "--out", str(sweep_dir)],
+        "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
+        "infinite budget": ["oracle", shsad, "--grid", "41"],
+        "dimension not a number": ["run", str(bad)],
+        "zero sweep jobs": ["sweep", shsad, "--values", "1", "--out", str(sweep_dir),
+                            "--jobs", "0"],
+        "infinite sweep value": ["sweep", shsad, "--param", "iterations", "--values", "1e400",
+                                 "--out", str(sweep_dir)],
+        "non-positive weight": ["oracle", shsad, "--grid", "41", "--weights", "1,0,1"],
+    }[case]
+    if case == "infinite budget":
+        monkeypatch.setenv("NASHNET_BUDGET", "inf")
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not sweep_dir.exists()
+
+
 def test_reproduce_trust_bundled(tmp_path, capsys, monkeypatch):
     # shrink the bundled horizon via --iters? reproduce has no iters flag, so
     # run the cheap shared_saddle bundle instead of an example
@@ -165,6 +241,31 @@ def test_sweep_serial_and_parallel_agree(shsad, tmp_path):
     s2 = open(os.path.join(d2, "sweep_summary.csv")).read()
     assert s1.replace(d1, "") == s2.replace(d2, "")
     assert len(s1.strip().splitlines()) == 3
+
+
+def test_sweep_outputs_pinned(shsad, tmp_path):
+    """The summary names each metrics file by its path; a '%' in the output
+    directory is copied, never interpreted."""
+    d = str(tmp_path / "sw%d 100%")
+    assert main(["sweep", shsad, "--param", "gamma.c", "--values", "0.5,1.0,2e-3",
+                 "--out", d]) == 0
+    summary = open(os.path.join(d, "sweep_summary.csv")).read()
+    assert summary == (
+        "gamma.c,final_nash_error,metrics_file\n"
+        "0.5,2.370336467542939e-08,<DIR>/shared_saddle_gamma_c_0_metrics.csv\n"
+        "1,5.7946508526276113e-14,<DIR>/shared_saddle_gamma_c_1_metrics.csv\n"
+        "0.002,11.020093754777523,<DIR>/shared_saddle_gamma_c_2_metrics.csv\n"
+    ).replace("<DIR>", d)
+    digests = {f: hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+               for f in sorted(os.listdir(d)) if f != "sweep_summary.csv"}
+    assert digests == {
+        "shared_saddle_gamma_c_0_metrics.csv":
+            "263b1f5859247d061313473f0e5ca525f752e76effd0d64a195cbf92d0f8082c",
+        "shared_saddle_gamma_c_1_metrics.csv":
+            "37754139a507043b4ccf5c8050d254e8f49929b09f6563f7e3193d81b16a0c96",
+        "shared_saddle_gamma_c_2_metrics.csv":
+            "01ec97e6ccc709502c543ca46af62efe0ccb3fb8d676d7c29fa0e502e0e297c3",
+    }
 
 
 def test_sweep_iterations_param(shsad, tmp_path):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from nashnet.catalog import subnet1_objectives, subnet2_objectives
-from nashnet.engine import run
+from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
-from nashnet.metrics import compute_metrics
+from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
 from nashnet.scenario_io import (bundled_scenario, load_scenario,
                                  loads_scenario, metrics_to_csv,
-                                 plotdata_to_csv, read_trace_csv,
-                                 save_scenario, scenario_to_doc, trace_to_csv)
+                                 plotdata_to_csv, save_scenario,
+                                 scenario_to_doc, trace_to_csv)
 from nashnet.stepsizes import (AdaptivePeriodic, Homogeneous,
                                OracleHeterogeneous)
 
@@ -60,6 +60,16 @@ def test_save_load_roundtrip_lossless(name, tmp_path):
     assert scenario_to_doc(s) == scenario_to_doc(s2)
 
 
+def test_documents_with_a_metrics_list_still_load():
+    """`run.metrics` was dropped from the format; the key is ignored."""
+    import yaml
+    doc = scenario_to_doc(bundled_scenario("shared_saddle"))
+    assert "metrics" not in doc["run"]
+    doc["run"]["metrics"] = ["h1", "h2", "nash_error", "saddle_residual"]
+    assert scenario_to_doc(loads_scenario(yaml.safe_dump(doc))) == scenario_to_doc(
+        bundled_scenario("shared_saddle"))
+
+
 def test_parse_error_carries_location(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("meta: {name: [unclosed\n")
@@ -92,16 +102,82 @@ def test_warnings_attached_not_raised():
 
 
 def test_trace_csv_roundtrip():
+    """17 significant digits reimport every state and stepsize exactly."""
     s = bundled_scenario("shared_saddle")
     tr = run(s, iterations=25)
-    text = trace_to_csv(tr, s.m1, s.m2)
-    header = text.splitlines()[0]
-    assert header == "k,agent,subnet,s0,stepsize"
-    back = read_trace_csv(text, s.n1, s.n2, s.m1, s.m2)
-    np.testing.assert_array_equal(back.x, tr.x)
-    np.testing.assert_array_equal(back.y, tr.y)
-    np.testing.assert_array_equal(back.alpha, tr.alpha)
-    np.testing.assert_array_equal(back.beta, tr.beta)
+    lines = trace_to_csv(tr, s.m1, s.m2).splitlines()
+    assert lines[0] == "k,agent,subnet,s0,stepsize"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == (tr.iterations + 1) * (s.n1 + s.n2)
+    x, y = np.empty_like(tr.x), np.empty_like(tr.y)
+    alpha, beta = np.empty_like(tr.alpha), np.empty_like(tr.beta)
+    for k, agent, subnet, state, step in rows:
+        k, i = int(k), int(agent) - 1
+        states, steps = (x, alpha) if subnet == "1" else (y, beta)
+        states[k, i, 0] = float(state)
+        if k < tr.iterations:
+            steps[k, i] = float(step)
+        else:
+            assert step == ""
+    np.testing.assert_array_equal(x, tr.x)
+    np.testing.assert_array_equal(y, tr.y)
+    np.testing.assert_array_equal(alpha, tr.alpha)
+    np.testing.assert_array_equal(beta, tr.beta)
+
+
+def _padded_run():
+    """A hand-made 2 + 1 agent run with m1 = 2, m2 = 1 over two iterations,
+    whose values reach the corners of the float format."""
+    x = np.array([[[0.1, -1 / 3], [1e22, -0.0]],
+                  [[5e-324, 2.5], [-7.0, 1e-300]],
+                  [[np.pi, -np.e], [123456789.125, 0.0]]])
+    y = np.array([[[2 / 3]], [[-1e-5]], [[1.7976931348623157e308]]])
+    trace = Trace(x=x, y=y, alpha=np.array([[0.02, 0.5], [1 / 51, 0.25]]),
+                  beta=np.array([[1 / 3], [1e-17]]),
+                  contact_x=np.zeros((2, 2), dtype=int),
+                  contact_y=np.zeros((2, 1), dtype=int))
+    metrics = MetricsSeries(
+        h1=np.array([1.5, 0.1, 1e-9]), h2=np.array([0.0, -0.0, 2 / 7]),
+        nash_error=np.array([10.0, 1 / 3, 4e-20]),
+        saddle_residual=np.array([0.125, -1e-12, float("inf")]),
+        step_min=np.zeros(2), step_max=np.zeros(2))
+    return trace, metrics
+
+
+def test_padded_layout_csv_texts():
+    """Pinned texts of all three writers for a layout no bundled scenario
+    has: subnet 2 rows pad the missing state column with an empty field."""
+    trace, metrics = _padded_run()
+    assert trace_to_csv(trace, 2, 1) == (
+        "k,agent,subnet,s0,s1,stepsize\n"
+        "0,1,1,0.10000000000000001,-0.33333333333333331,0.02\n"
+        "0,2,1,1e+22,-0,0.5\n"
+        "0,1,2,0.66666666666666663,,0.33333333333333331\n"
+        "1,1,1,4.9406564584124654e-324,2.5,0.019607843137254902\n"
+        "1,2,1,-7,1e-300,0.25\n"
+        "1,1,2,-1.0000000000000001e-05,,1.0000000000000001e-17\n"
+        "2,1,1,3.1415926535897931,-2.7182818284590451,\n"
+        "2,2,1,123456789.125,0,\n"
+        "2,1,2,1.7976931348623157e+308,,\n")
+    assert metrics_to_csv(metrics) == (
+        "k,h1,h2,nash_error,saddle_residual\n"
+        "0,1.5,0,10,0.125\n"
+        "1,0.10000000000000001,-0,0.33333333333333331,-9.9999999999999998e-13\n"
+        "2,1.0000000000000001e-09,0.2857142857142857,3.9999999999999998e-20,inf\n")
+    states = [
+        ("0,x1[0],0.10000000000000001\n0,x1[1],-0.33333333333333331\n"
+         "0,x2[0],1e+22\n0,x2[1],-0\n0,y1,0.66666666666666663\n"),
+        ("1,x1[0],4.9406564584124654e-324\n1,x1[1],2.5\n"
+         "1,x2[0],-7\n1,x2[1],1e-300\n1,y1,-1.0000000000000001e-05\n"),
+        ("2,x1[0],3.1415926535897931\n2,x1[1],-2.7182818284590451\n"
+         "2,x2[0],123456789.125\n2,x2[1],0\n2,y1,1.7976931348623157e+308\n"),
+    ]
+    errors = ["0,nash_error,10\n", "1,nash_error,0.33333333333333331\n",
+              "2,nash_error,3.9999999999999998e-20\n"]
+    header = "k,series,value\n"
+    assert plotdata_to_csv(trace, None) == header + "".join(states)
+    assert plotdata_to_csv(trace, metrics) == header + "".join(
+        s + e for s, e in zip(states, errors))
 
 
 def test_metrics_csv_schema():
