@@ -22,9 +22,7 @@ from .scenario_io import (bundled_scenario, load_scenario, loads_scenario,
                           metrics_to_csv, plotdata_to_csv, save_scenario,
                           trace_to_csv)
 from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
-                        Homogeneous, LearnerState, OracleHeterogeneous,
-                        learner_init_common, learner_init_periodic,
-                        learner_step, oracle_heterogeneous_build,
-                        validate_schedule)
+                        Homogeneous, OracleHeterogeneous, learner_readouts,
+                        oracle_heterogeneous_build, validate_schedule)
 
 __version__ = "1.0.0"

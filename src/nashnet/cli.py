@@ -116,9 +116,19 @@ WRITE_SLICE = 1 << 20  # characters per write: the file layer's copy stays small
 
 
 def _write(path, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(text), WRITE_SLICE):
-            fh.write(text[start:start + WRITE_SLICE])
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start:start + WRITE_SLICE])
+    except OSError as exc:
+        raise ValidationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+
+
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _numbers(text: str, what: str) -> list:
@@ -230,10 +240,10 @@ def cmd_reproduce(args) -> int:
         raise ValidationError(f"unknown bundled experiment {args.example!r}")
     scenario = bundled_scenario(name)
     _print_warnings(scenario)
+    _make_dir(args.out)
     saddle = _reference_saddle(scenario, rederive=not args.trust_bundled)
     trace = run(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
-    os.makedirs(args.out, exist_ok=True)
     paths = {ext: os.path.join(args.out, f"{name}_{ext}.csv")
              for ext in ("trace", "metrics", "plotdata")}
     _write(paths["trace"], trace_to_csv(trace, scenario.m1, scenario.m2))
@@ -249,6 +259,8 @@ def cmd_reproduce(args) -> int:
 
 def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
     if param == "iterations":
+        if value != int(value):
+            raise ValidationError(f"--values for iterations must be whole numbers, got {value!r}")
         return replace(scenario, iterations=int(value))
     sched = scenario.rule.schedule
     if sched.table is not None:
@@ -275,7 +287,7 @@ def cmd_sweep(args) -> int:
     jobs = [(_apply_override(scenario, args.param, v),
              os.path.join(args.out, f"{scenario.name}_{tag}_{i}_metrics.csv"))
             for i, v in enumerate(values)]
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             errors = list(pool.map(_sweep_worker, jobs))

@@ -200,6 +200,8 @@ class GraphSequenceSpec:
             raise ValidationError("phase count must equal the declared period")
         if len(self.cross1) != self.period or len(self.cross2) != self.period:
             raise ValidationError("cross layers must cover every phase")
+        if min(self.t1, self.t2, self.t_cross) < 1:
+            raise ValidationError("connectivity windows t1, t2 and t_cross must be >= 1")
         a1 = tuple(np.asarray(m, dtype=float) for m in self.a1)
         a2 = tuple(np.asarray(m, dtype=float) for m in self.a2)
         c1 = tuple(np.asarray(m, dtype=float) for m in self.cross1)
@@ -308,7 +310,7 @@ def check_ujsc(spec: GraphSequenceSpec, subnet: int, T: int) -> bool:
     n = spec.subnet_size(subnet)
     for start in range(spec.period):
         union = np.zeros((n, n), dtype=bool)
-        for k in range(start, start + T):
+        for k in range(start, start + min(T, spec.period)):  # longer windows repeat phases
             union |= spec.mixing(subnet, k) > 0
         if not strongly_connected(union):
             return False
@@ -324,7 +326,7 @@ def check_jointly_bipartite(spec: GraphSequenceSpec, T: int) -> bool:
         for subnet in (1, 2):
             n = spec.subnet_size(subnet)
             seen = np.zeros(n, dtype=bool)
-            for k in range(start, start + T):
+            for k in range(start, start + min(T, spec.period)):
                 seen |= spec.cross_into(subnet, k).sum(axis=1) > 0
             if not seen.all():
                 return False
@@ -409,10 +411,8 @@ def _constant_spec(A) -> GraphSequenceSpec:
     n = A.shape[0]
     pos = A[A > 0]
     eta = float(pos.min()) if pos.size else 0.0
-    zeros1 = np.zeros((n, 1))
-    zeros2 = np.zeros((1, n))
     return GraphSequenceSpec(n1=n, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
-                             cross1=(zeros1,), cross2=(zeros2,),
+                             cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),),
                              eta=eta, t1=n, t2=1, t_cross=1)
 
 

@@ -63,7 +63,7 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
         raise ParseError("scenario document must be a mapping")
     try:
         scenario = _scenario_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"scenario document malformed: {exc!r}") from None
 
     warnings = []
@@ -142,6 +142,8 @@ def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
     """Edge list [source, target, weight] -> (n_to, n_from) weight matrix."""
     C = np.zeros((n_to, n_from))
     for src, dst, w in edges:
+        if not (0 <= int(dst) < n_to and 0 <= int(src) < n_from):
+            raise ValidationError(f"cross edge {[src, dst, w]} names a missing agent")
         C[int(dst), int(src)] = float(w)
     return C
 
@@ -162,6 +164,9 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
             return OracleHeterogeneous(schedule=schedule, period=graph.period,
                                        phi1=tuple(tuple(v) for v in sdoc["phi1"]),
                                        phi2=tuple(tuple(v) for v in sdoc["phi2"]))
+        if validate_weight_rule(graph, graph.eta) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
+            raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
+                                  "graph that meets the weight rule; store phi1 and phi2 otherwise")
         from .stepsizes import oracle_heterogeneous_build
         return oracle_heterogeneous_build(graph, schedule)
     if variant == "adaptive_common":

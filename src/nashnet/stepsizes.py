@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import (GraphSequenceSpec, canonical_matmul, canonical_mix_code,
-                      limiting_stochastic_vector, periodic_code,
-                      require_stochastic)
+from .digraph import (GraphSequenceSpec, canonical_mix_code,
+                      limiting_stochastic_vector, periodic_code)
 from .errors import ValidationError
 
 
@@ -141,6 +140,10 @@ class AdaptivePeriodic:
     p1: int
     p2: int
 
+    def __post_init__(self):
+        if self.p1 < 1 or self.p2 < 1:
+            raise ValidationError("adaptive periodic rule needs p1 >= 1 and p2 >= 1")
+
 
 StepsizeRule = Homogeneous | OracleHeterogeneous | AdaptiveCommonEigvec | AdaptivePeriodic
 
@@ -156,87 +159,25 @@ def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule)
 # adaptive learners
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LearnerState:
-    """Auxiliary consensus states whose diagonal readout estimates the
-    limiting-vector components.
+def learner_readouts(mats, activation, K: int) -> np.ndarray:
+    """Adaptive stepsize denominators at times 0..K-1, shape (K, n).
 
-    `banks[nu]` holds the matrix whose row i is agent i's auxiliary vector
-    for phase nu (a row of a product of mixing matrices, hence stochastic);
-    a bank is None until its activation time nu+1. The common-eigenvector
-    learner is the single-bank case activated at time 0.
+    Bank nu starts as the identity at time ``activation[nu]`` and mixes with
+    mats[k % len(mats)] at time k. Time k reads bank k % len(activation):
+    agent i reads entry (i, i) of the backward product Phi(k-1, t0) from that
+    bank's start t0, or 1.0 while k <= t0. ``(0,)`` is the common-eigenvector
+    learner, ``(1, ..., p)`` the periodic one. One generated loop, canonical order.
     """
-
-    n: int
-    banks: list
-    activation: tuple  # activation time of each bank
-    k: int = 0  # number of mixing steps consumed so far
-
-    def readout(self, agent: int, k: int) -> float:
-        """Stepsize denominator for `agent` at time `k`; falls back to 1
-        before the owning bank has been activated."""
-        nu = k % len(self.banks)
-        bank = self.banks[nu]
-        if bank is None:
-            return 1.0
-        return float(bank[agent, agent])
-
-    def readout_vector(self, k: int) -> np.ndarray:
-        nu = k % len(self.banks)
-        bank = self.banks[nu]
-        if bank is None:
-            return np.ones(self.n)
-        return np.diagonal(bank).copy()
-
-
-def learner_init_common(n: int) -> LearnerState:
-    """Single learner started from the standard basis at time 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return LearnerState(n=n, banks=[np.eye(n)], activation=(0,))
-
-
-def learner_init_periodic(n: int, p: int) -> LearnerState:
-    """One bank per phase; bank nu starts from the basis at time nu + 1."""
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-    return LearnerState(n=n, banks=[None] * p, activation=tuple(nu + 1 for nu in range(p)))
-
-
-def learner_step(state: LearnerState, A, k: int) -> LearnerState:
-    """Advance every active bank by the mixing matrix A(k) (canonical
-    product); activate banks whose start time is k + 1. Mutates and returns
-    `state`."""
-    A = require_stochastic(A)
-    for nu, bank in enumerate(state.banks):
-        if bank is not None:
-            state.banks[nu] = canonical_matmul(A, bank)
-    for nu, t0 in enumerate(state.activation):
-        if t0 == k + 1 and state.banks[nu] is None:
-            state.banks[nu] = np.eye(state.n)
-    state.k = k + 1
-    return state
-
-
-def learner_readouts(learner: LearnerState, mats, K: int) -> np.ndarray:
-    """Readout vectors at times 0..K-1 of a fresh `learner` advanced by the
-    periodic matrix list `mats` (time k mixes with mats[k % len(mats)]).
-
-    The same canonical products as repeated :func:`learner_step`, run as one
-    generated loop with the bank entries in locals; bank nu is columns
-    nu*n .. nu*n+n-1 of one n-row grid. An inactive bank is carried as zeros
-    and set to the identity when it activates; its readout is 1.0 until then.
-    """
-    n, nb = learner.n, len(learner.banks)
+    n, nb = len(mats[0]), len(activation)
     bank = [[f"b{i}_{c}" for c in range(nb * n)] for i in range(n)]
     new = [[f"n{i}_{c}" for c in range(nb * n)] for i in range(n)]
-    init = np.hstack([np.zeros((n, n)) if B is None else B for B in learner.banks])
+    init = np.hstack([np.eye(n) if t0 == 0 else np.zeros((n, n)) for t0 in activation])
     lines = [f"{b} = {float(v)!r}" for row, vals in zip(bank, init) for b, v in zip(row, vals)]
     body = ["record((" + ", ".join(bank[i][nu * n + i] for nu in range(nb) for i in range(n)) + ",))"]
     swap = ", ".join(sum(bank, [])) + " = " + ", ".join(sum(new, []))
     body += periodic_code([canonical_mix_code(A, new, bank) + [swap] for A in mats])
-    for nu, t0 in enumerate(learner.activation):
-        if learner.banks[nu] is None:
+    for nu, t0 in enumerate(activation):
+        if t0 > 0:
             body += [f"if k == {t0 - 1}:"] + [f"    {bank[i][nu * n + c]} = {float(i == c)!r}"
                                               for i in range(n) for c in range(n)]
     source = ["def _replay(K, record):"] + ["    " + ln for ln in lines] + ["    for k in range(K):"]
@@ -246,7 +187,7 @@ def learner_readouts(learner: LearnerState, mats, K: int) -> np.ndarray:
     env["_replay"](K, diag.extend)
     k = np.arange(K)
     out = np.frombuffer(diag, dtype=float).reshape(K, nb, n)[k, k % nb]
-    out[k < np.asarray(learner.activation)[k % nb]] = 1.0
+    out[k < np.asarray(activation)[k % nb]] = 1.0
     return out
 
 
@@ -272,13 +213,12 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
         nxt = (np.arange(K) + 1) % rule.period
         return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
     if isinstance(rule, AdaptiveCommonEigvec):
-        l1, l2 = learner_init_common(graph.n1), learner_init_common(graph.n2)
+        act1 = act2 = (0,)
     elif isinstance(rule, AdaptivePeriodic):
-        l1, l2 = learner_init_periodic(graph.n1, rule.p1), learner_init_periodic(graph.n2, rule.p2)
+        act1, act2 = tuple(range(1, rule.p1 + 1)), tuple(range(1, rule.p2 + 1))
     else:
         raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
-    r1 = learner_readouts(l1, graph.a1, K)
-    r2 = learner_readouts(l2, graph.a2, K)
+    r1, r2 = learner_readouts(graph.a1, act1, K), learner_readouts(graph.a2, act2, K)
     if (r1 <= 0).any() or (r2 <= 0).any():
         raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
     return gam / r1, gam / r2, r1, r2

@@ -4,7 +4,8 @@ arithmetic order: the bit-exact oracle that tests hold ``engine.run`` to.
 Every neighbor average is summed left to right over the nonzero weights in
 increasing j, each product and sum a separately rounded Python float
 operation. Stepsizes come from :func:`stepsize_for`, one agent and one
-time step at a time, with learners advanced by ``learner_step``.
+time step at a time; adaptive denominators from :func:`phi_readouts`, the
+diagonals of the paper's backward products ``transition_product``.
 Objectives are the compiled closures the engine calls; ``test_exprs``
 checks those against the interpreter.
 """
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nashnet.digraph import transition_product
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import compile_objective
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
-                               Homogeneous, LearnerState, OracleHeterogeneous,
-                               learner_init_common, learner_init_periodic,
-                               learner_step)
+                               Homogeneous, OracleHeterogeneous)
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,30 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
                         breve_y=breve_y, contact_x=tcx, contact_y=tcy)
 
 
-def stepsize_for(rule, agent: int, subnet: int, k: int,
-                 learner: LearnerState | None = None) -> float:
-    """The stepsize of `agent` in `subnet` at time k under `rule`."""
+def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
+    """Adaptive denominators at times 0..K-1 straight from the paper: time k
+    reads bank nu = k % len(activation), started at t0 = activation[nu], and
+    agent i's denominator is Phi(k-1, t0)[i, i], or 1.0 while k <= t0."""
+    out = np.ones((K, spec.subnet_size(subnet)))
+    for k in range(K):
+        t0 = activation[k % len(activation)]
+        if k > t0:
+            out[k] = np.diagonal(transition_product(spec, subnet, k - 1, t0))
+    return out
+
+
+def activations(rule):
+    """Bank start times of an adaptive rule per subnet; None otherwise."""
+    if isinstance(rule, AdaptiveCommonEigvec):
+        return (0,), (0,)
+    if isinstance(rule, AdaptivePeriodic):
+        return tuple(range(1, rule.p1 + 1)), tuple(range(1, rule.p2 + 1))
+    return None
+
+
+def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None) -> float:
+    """The stepsize of `agent` in `subnet` at time k under `rule`; adaptive
+    rules divide by ``readouts[k, agent]``, that subnet's denominators."""
     g = rule.schedule.value(k)
     if isinstance(rule, Homogeneous):
         return g
@@ -135,9 +156,9 @@ def stepsize_for(rule, agent: int, subnet: int, k: int,
         phi = vecs[(k + 1) % rule.period]
         return g / float(phi[agent])
     if isinstance(rule, (AdaptiveCommonEigvec, AdaptivePeriodic)):
-        if learner is None:
-            raise ValueError("adaptive rules need a learner state")
-        denom = learner.readout(agent, k)
+        if readouts is None:
+            raise ValueError("adaptive rules need learner readouts")
+        denom = float(readouts[k, agent])
         if denom <= 0.0:
             raise NashnetError(
                 f"adaptive readout {denom} not positive for agent {agent} at k={k}; "
@@ -147,26 +168,21 @@ def stepsize_for(rule, agent: int, subnet: int, k: int,
 
 
 def reference_run(scenario, K):
-    """K reference steps, with stepsizes and learners advanced alongside.
+    """K reference steps with the stepsizes of each step.
 
     Returns (states, alphas, betas, readouts): the K + 1 states, the
-    stepsizes applied at each step and, for adaptive rules, the learner
-    readouts per step as (subnet 1, subnet 2) pairs.
+    stepsizes applied at each step and, for adaptive rules, the (K, n1) and
+    (K, n2) learner readouts from :func:`phi_readouts` (None otherwise).
     """
     rule, g = scenario.rule, scenario.graph
-    learners = (None, None)
-    if isinstance(rule, AdaptiveCommonEigvec):
-        learners = learner_init_common(g.n1), learner_init_common(g.n2)
-    elif isinstance(rule, AdaptivePeriodic):
-        learners = learner_init_periodic(g.n1, rule.p1), learner_init_periodic(g.n2, rule.p2)
+    r1 = r2 = readouts = None
+    act = activations(rule)
+    if act is not None:
+        r1, r2 = readouts = phi_readouts(g, 1, act[0], K), phi_readouts(g, 2, act[1], K)
     objectives = compiled_objectives(scenario)
-    states, alphas, betas, readouts = [initial_state(scenario)], [], [], []
+    states, alphas, betas = [initial_state(scenario)], [], []
     for k in range(K):
-        alphas.append([stepsize_for(rule, i, 1, k, learners[0]) for i in range(g.n1)])
-        betas.append([stepsize_for(rule, i, 2, k, learners[1]) for i in range(g.n2)])
-        if learners[0] is not None:
-            readouts.append(tuple(lr.readout_vector(k) for lr in learners))
-            for subnet, lr in enumerate(learners, start=1):
-                learner_step(lr, g.mixing(subnet, k), k)
+        alphas.append([stepsize_for(rule, i, 1, k, r1) for i in range(g.n1)])
+        betas.append([stepsize_for(rule, i, 2, k, r2) for i in range(g.n2)])
         states.append(step(states[-1], scenario, alphas[-1], betas[-1], objectives))
     return states, alphas, betas, readouts

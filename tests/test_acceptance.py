@@ -28,9 +28,7 @@ from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
                             unit_weighted, verify_saddle)
 from nashnet.scenario_io import (bundled_scenario, metrics_to_csv,
                                  plotdata_to_csv, trace_to_csv)
-from nashnet.stepsizes import (LearnerState, learner_init_common,
-                               learner_init_periodic, learner_step,
-                               oracle_heterogeneous_build)
+from nashnet.stepsizes import learner_readouts, oracle_heterogeneous_build
 
 BUNDLED = ("example1", "example2", "example3", "perron_weighted", "shared_saddle")
 BOX5 = BoxSet((-5.0,), (5.0,))
@@ -251,17 +249,14 @@ def test_criterion_6e_learner_row_identity():
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period,
             eta=0.0, t1=1, t2=1, t_cross=1)
-        st = learner_init_common(n)
         K = int(rng.integers(2, 12))
-        for k in range(K):
-            learner_step(st, spec.mixing(1, k), k)
-        # bank rows are rows of the backward product from time 0
+        readouts = learner_readouts(mats, (0,), K + 1)
+        # after K steps the learner holds the backward product from time 0
         P = transition_product(spec, 1, K - 1, 0)
-        assert np.abs(st.banks[0] - P).max() < 1e-12
         for agent in range(n):
-            assert abs(st.readout(agent, K) - P[agent, agent]) < 1e-12
+            assert abs(readouts[K, agent] - P[agent, agent]) < 1e-12
             trials += 1
-    print(f"\nPASS criterion 6e: learner-row identity within 1e-12, "
+    print(f"\nPASS criterion 6e: learner readout = Phi(K-1, 0) diagonal within 1e-12, "
           f"{trials} trials")
 
 
@@ -271,14 +266,23 @@ def test_criterion_6f_learner_stochasticity():
     while trials < TRIALS:
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, 4))
-        st = learner_init_periodic(n, p)
-        for k in range(int(rng.integers(p + 1, 15))):
-            learner_step(st, _random_stochastic(rng, n), k)
-        for bank in st.banks:
-            if bank is None:
-                continue
-            assert bank.min() >= 0.0
-            assert np.abs(bank.sum(axis=1) - 1.0).max() < 1e-12
+        K = int(rng.integers(p + 1, 15))
+        mats = [_random_stochastic(rng, n) for _ in range(K)]
+        spec = GraphSequenceSpec(
+            n1=n, n2=1, period=K, a1=tuple(mats), a2=(np.eye(1),) * K,
+            cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K,
+            eta=0.0, t1=1, t2=1, t_cross=1)
+        readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
+        for nu in range(p):
+            # bank nu's last readout within the K steps, at k = nu (mod p)
+            k = nu + (K - nu) // p * p
+            if k <= nu + 1:
+                continue  # not yet past its start time nu + 1
+            P = transition_product(spec, 1, k - 1, nu + 1)
+            assert readouts[k].tobytes() == np.diagonal(P).tobytes()
+            assert P.min() >= 0.0
+            assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+            assert 0.0 < readouts[k].min() and readouts[k].max() <= 1.0 + 1e-12
             trials += 1
     print(f"\nPASS criterion 6f: learner stochasticity preserved, "
           f"{trials} banks checked")

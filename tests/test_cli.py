@@ -186,6 +186,12 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
     ("non-positive weight", 3, "--weights"),
+    ("fractional iterations", 3, "whole numbers"),
+    ("trace path in a missing directory", 3, "missing_dir"),
+    ("metrics path in a missing directory", 3, "missing_dir"),
+    ("oracle report path in a missing directory", 3, "missing_dir"),
+    ("reproduce output directory is a file", 3, "a_file"),
+    ("sweep output directory is a file", 3, "a_file"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
@@ -195,6 +201,9 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
+    missing = tmp_path / "missing_dir"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
     argv = {
         "missing scenario file": ["run", str(tmp_path / "nonexistent.yaml")],
         "sweep values not numbers": ["sweep", shsad, "--values", "a,b", "--out", str(sweep_dir)],
@@ -206,12 +215,23 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "infinite sweep value": ["sweep", shsad, "--param", "iterations", "--values", "1e400",
                                  "--out", str(sweep_dir)],
         "non-positive weight": ["oracle", shsad, "--grid", "41", "--weights", "1,0,1"],
+        "fractional iterations": ["sweep", shsad, "--param", "iterations", "--values", "2.7",
+                                  "--out", str(sweep_dir)],
+        "trace path in a missing directory": ["run", shsad, "--iters", "5",
+                                              "--out", str(missing / "t.csv")],
+        "metrics path in a missing directory": ["run", shsad, "--iters", "5",
+                                                "--metrics", str(missing / "m.csv")],
+        "oracle report path in a missing directory": ["oracle", shsad, "--grid", "41",
+                                                      "--out", str(missing / "r.csv")],
+        "reproduce output directory is a file": ["reproduce", "shared_saddle", "--trust-bundled",
+                                                 "--out", str(a_file)],
+        "sweep output directory is a file": ["sweep", shsad, "--values", "1", "--out", str(a_file)],
     }[case]
     if case == "infinite budget":
         monkeypatch.setenv("NASHNET_BUDGET", "inf")
     assert main(argv) == code
     assert message in capsys.readouterr().err
-    assert not sweep_dir.exists()
+    assert not sweep_dir.exists() and not missing.exists()
 
 
 def test_reproduce_trust_bundled(tmp_path, capsys, monkeypatch):

@@ -106,8 +106,8 @@ def _assert_run_matches_reference(scenario, tr, K):
     _assert_bits_equal(tr.alpha, np.reshape(alphas, (K, scenario.n1)))
     _assert_bits_equal(tr.beta, np.reshape(betas, (K, scenario.n2)))
     if readouts:
-        _assert_bits_equal(tr.readout1, np.reshape([r1 for r1, _ in readouts], (K, scenario.n1)))
-        _assert_bits_equal(tr.readout2, np.reshape([r2 for _, r2 in readouts], (K, scenario.n2)))
+        _assert_bits_equal(tr.readout1, readouts[0])
+        _assert_bits_equal(tr.readout2, readouts[1])
     else:
         assert tr.readout1 is None and tr.readout2 is None
     for k, st in enumerate(states):

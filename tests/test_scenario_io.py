@@ -1,14 +1,20 @@
 """Scenario files, bundled scenarios, and CSV serialization."""
 
+import copy
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashnet.catalog import subnet1_objectives, subnet2_objectives
 from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
-from nashnet.scenario_io import (bundled_scenario, load_scenario,
+from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_scenario,
                                  loads_scenario, metrics_to_csv,
                                  plotdata_to_csv, save_scenario,
                                  scenario_to_doc, trace_to_csv)
@@ -99,6 +105,97 @@ def test_warnings_attached_not_raised():
     assert any("concavity" in w for w in s.warnings)
     assert all("strongly connected" not in w for w in s.warnings)
     assert bundled_scenario("shared_saddle").warnings == ()
+
+
+BUNDLED_DOCS = {name: yaml.safe_load((resources.files("nashnet") / "scenarios"
+                                      / f"{name}.yaml").read_text(encoding="utf-8"))
+                for name in BUNDLED}
+BAD_SCALARS = st.one_of(st.text(max_size=6), st.integers(max_value=-1),
+                        st.floats(max_value=0.0, exclude_max=True, allow_nan=False),
+                        st.none(), st.lists(st.integers(-3, 3), max_size=3))
+
+
+def _nodes(node, path=()):
+    """(path, value) of `node` and of everything below it."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _is_row(path, value):
+    """A matrix row of a graph phase or a row of an initial state."""
+    return (isinstance(value, list) and len(value) > 0 and len(path) >= 3
+            and path[-2] in ("a1", "a2", "x", "y") and path[0] in ("graph", "initial"))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled document with one to three mutations: a dropped key, a
+    scalar replaced by a string, a negative number, None or a list, or a
+    truncated matrix or initial-state row."""
+    doc = copy.deepcopy(BUNDLED_DOCS[draw(st.sampled_from(BUNDLED))])
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        kind = draw(st.sampled_from(("drop", "scalar", "truncate")))
+        if kind == "drop":
+            choices = [p for p, _ in nodes if p and isinstance(_at(doc, p[:-1]), dict)]
+        elif kind == "scalar":
+            choices = [p for p, v in nodes if p and not isinstance(v, (dict, list))]
+        else:
+            choices = [p for p, v in nodes if _is_row(p, v)]
+        if not choices:
+            continue
+        path = draw(st.sampled_from(choices))
+        parent = _at(doc, path[:-1])
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "scalar":
+            parent[path[-1]] = draw(BAD_SCALARS)
+        else:
+            del parent[path[-1]][draw(st.integers(0, len(parent[path[-1]]) - 1)):]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated_documents())
+def test_mutated_bundled_documents_fail_only_with_load_errors(doc):
+    """A damaged scenario document either loads or raises ParseError or
+    ValidationError; nothing else escapes the loader."""
+    try:
+        loads_scenario(yaml.safe_dump(doc, sort_keys=False))
+    except (ParseError, ValidationError):
+        pass
+
+
+def _isolate_agent_0(doc):
+    for ph in doc["graph"]["phases"]:
+        ph["a1"] = [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7], [0.0, 0.4, 0.6]]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([-1, 0, 1.0]), "missing agent"),
+    ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]), "missing agent"),
+    ("example2", lambda d: d["graph"]["windows"].update(t1=0), "windows"),
+    ("example2", _isolate_agent_0, "strongly connected"),
+    ("example3", lambda d: d["stepsize"].update(p1=0), "p1"),
+], ids=["negative cross index", "cross index past the end", "zero window",
+        "oracle rule on a disconnected graph", "zero learner period"])
+def test_loader_rejects_unusable_documents(name, edit, message):
+    """Each of these once loaded into a wrong matrix, spun in the limit-vector
+    search, or crashed a later command; now the load fails, with or without
+    the assumption checks."""
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
+    edit(doc)
+    for check in (True, False):
+        with pytest.raises(ValidationError, match=message):
+            loads_scenario(yaml.safe_dump(doc, sort_keys=False), check_assumptions=check)
 
 
 def test_trace_csv_roundtrip():

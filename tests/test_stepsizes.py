@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from canonical_reference import stepsize_for
+from canonical_reference import phi_readouts, stepsize_for
 from nashnet.digraph import GraphSequenceSpec, transition_product
 from nashnet.errors import ValidationError
-from nashnet.scenario_io import bundled_scenario
+from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
-                               OracleHeterogeneous, learner_init_common,
-                               learner_init_periodic, learner_readouts,
-                               learner_step, oracle_heterogeneous_build,
-                               stepsize_tables, validate_schedule)
+                               OracleHeterogeneous, learner_readouts,
+                               oracle_heterogeneous_build, stepsize_tables,
+                               validate_schedule)
 
 
 def test_schedule_power_law():
@@ -78,51 +77,45 @@ def test_oracle_rule_validation():
         OracleHeterogeneous(schedule=s, period=1, phi1=((0.7, 0.7),), phi2=((1.0,),))
 
 
+def _diag_bytes(spec, subnet, k, s):
+    return np.diagonal(transition_product(spec, subnet, k, s)).tobytes()
+
+
 def test_common_learner_rows_are_product_rows():
+    """Each agent reads its own diagonal entry of the backward product from
+    time 0; the identity it starts from reads 1.0."""
     g = bundled_scenario("perron_weighted").graph
-    st = learner_init_common(g.n1)
-    np.testing.assert_allclose(st.banks[0], np.eye(3))
-    for k in range(6):
-        learner_step(st, g.mixing(1, k), k)
-    np.testing.assert_allclose(st.banks[0], transition_product(g, 1, 5, 0), atol=1e-14)
-    # readout is the own diagonal component
-    assert st.readout(1, 6) == pytest.approx(transition_product(g, 1, 5, 0)[1, 1])
+    r = learner_readouts(g.a1, (0,), 7)
+    assert r.shape == (7, 3) and r[0].tolist() == [1.0] * 3
+    assert r[6].tobytes() == _diag_bytes(g, 1, 5, 0)
 
 
 def test_periodic_learner_activation_and_readout():
     g = bundled_scenario("example2").graph
-    st = learner_init_periodic(g.n1, 2)
-    assert st.banks == [None, None]
-    assert st.readout(0, 0) == 1.0  # fallback before activation
-    learner_step(st, g.mixing(1, 0), 0)  # activates bank 0 at time 1
-    assert st.banks[0] is not None and st.banks[1] is None
-    assert st.readout(1, 1) == 1.0  # bank 1 (k odd) still inactive
-    learner_step(st, g.mixing(1, 1), 1)  # activates bank 1 at time 2
-    assert st.banks[1] is not None
-    # bank 0 at time k holds the product from time 1 to k-1
-    for k in range(2, 9):
-        learner_step(st, g.mixing(1, k), k)
-    np.testing.assert_allclose(st.banks[0], transition_product(g, 1, 8, 1), atol=1e-14)
-    np.testing.assert_allclose(st.banks[1], transition_product(g, 1, 8, 2), atol=1e-14)
+    r = learner_readouts(g.a1, (1, 2), 11)
+    assert r[0].tolist() == [1.0] * 3  # bank 0 starts at time 1
+    assert r[1].tolist() == [1.0] * 3  # bank 1 (k odd) starts at time 2
+    assert r[2].tobytes() == g.a1[1].diagonal().tobytes()  # bank 0 after one factor
+    # bank 0 (even k) holds the product from time 1 to k-1, bank 1 from time 2
+    for k in range(3, 11):
+        assert r[k].tobytes() == _diag_bytes(g, 1, k - 1, 1 + k % 2)
 
 
 def test_periodic_learner_converges_to_oracle_vectors():
     g = bundled_scenario("example2").graph
     oracle = oracle_heterogeneous_build(g, GammaSchedule())
-    st = learner_init_periodic(g.n1, 2)
-    for k in range(200):
-        learner_step(st, g.mixing(1, k), k)
+    r = learner_readouts(g.a1, (1, 2), 202)
     for k in (200, 201):
         target = oracle.phi1[(k + 1) % 2]
-        assert np.abs(st.readout_vector(k) - target).max() < 1e-8
+        assert np.abs(r[k] - target).max() < 1e-8
 
 
 def test_adaptive_dispatch_requires_learner():
     rule = AdaptivePeriodic(GammaSchedule(), p1=2, p2=2)
     with pytest.raises(ValueError):
         stepsize_for(rule, 0, 1, 5)
-    st = learner_init_periodic(3, 2)
-    assert stepsize_for(rule, 0, 1, 0, learner=st) == pytest.approx(
+    r = learner_readouts(bundled_scenario("example2").graph.a1, (1, 2), 1)
+    assert stepsize_for(rule, 0, 1, 0, readouts=r) == pytest.approx(
         GammaSchedule().value(0))  # fallback denominator 1
 
 
@@ -130,14 +123,47 @@ def test_adaptive_common_matches_oracle_on_static_graph():
     g = bundled_scenario("perron_weighted").graph
     sched = GammaSchedule()
     rule = AdaptiveCommonEigvec(sched)
-    st = learner_init_common(g.n1)
-    for k in range(300):
-        learner_step(st, g.mixing(1, k), k)
+    r = learner_readouts(g.a1, (0,), 301)
     oracle = oracle_heterogeneous_build(g, sched)
     for agent in range(3):
-        got = stepsize_for(rule, agent, 1, 300, learner=st)
+        got = stepsize_for(rule, agent, 1, 300, readouts=r)
         want = stepsize_for(oracle, agent, 1, 300)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+ACTIVATIONS = ((0,), (1,), (1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_learner_readouts_are_phi_diagonals(name):
+    """The generated learner equals Phi(k-1, t0)'s diagonal bit for bit, for
+    both subnets and the common and periodic activations."""
+    g = bundled_scenario(name).graph
+    for subnet, mats in ((1, g.a1), (2, g.a2)):
+        for act in ACTIVATIONS:
+            got = learner_readouts(mats, act, 40)
+            assert got.tobytes() == phi_readouts(g, subnet, act, 40).tobytes(), (subnet, act)
+
+
+def _sparse_stochastic(rng, n):
+    """Row-stochastic with self-loops and about a third of the other arcs."""
+    A = np.where(rng.random((n, n)) < 0.35, rng.uniform(0.05, 1.0, (n, n)), 0.0)
+    np.fill_diagonal(A, rng.uniform(0.2, 1.0, n))
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def test_learner_readouts_are_phi_diagonals_on_random_sequences():
+    rng = np.random.default_rng(404)
+    for _ in range(50):
+        n, period = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        mats = tuple(_sparse_stochastic(rng, n) for _ in range(period))
+        spec = GraphSequenceSpec(
+            n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
+            cross1=(np.zeros((n, 1)),) * period, cross2=(np.zeros((1, n)),) * period,
+            eta=0.0, t1=1, t2=1, t_cross=1)
+        act = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
+        K = int(rng.integers(1, 30))
+        assert learner_readouts(mats, act, K).tobytes() == phi_readouts(spec, 1, act, K).tobytes()
 
 
 def test_stepsize_tables_reject_nonpositive_readout():
@@ -145,7 +171,7 @@ def test_stepsize_tables_reject_nonpositive_readout():
     g = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(swap,), a2=(np.eye(1),),
                           cross1=(np.ones((2, 1)),), cross2=(np.full((1, 2), 0.5),),
                           eta=0.5, t1=1, t2=1, t_cross=1)
-    np.testing.assert_array_equal(learner_readouts(learner_init_common(2), g.a1, 3),
+    np.testing.assert_array_equal(learner_readouts(g.a1, (0,), 3),
                                   [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValidationError):
         stepsize_tables(AdaptiveCommonEigvec(GammaSchedule()), g, 3)
