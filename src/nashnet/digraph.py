@@ -202,6 +202,8 @@ class GraphSequenceSpec:
             raise ValidationError("cross layers must cover every phase")
         if min(self.t1, self.t2, self.t_cross) < 1:
             raise ValidationError("connectivity windows t1, t2 and t_cross must be >= 1")
+        if not 0.0 < self.eta <= 1.0:  # also false for NaN
+            raise ValidationError(f"weight floor eta={self.eta} must lie in (0, 1]")
         a1 = tuple(np.asarray(m, dtype=float) for m in self.a1)
         a2 = tuple(np.asarray(m, dtype=float) for m in self.a2)
         c1 = tuple(np.asarray(m, dtype=float) for m in self.cross1)
@@ -407,10 +409,11 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
 
 
 def _constant_spec(A) -> GraphSequenceSpec:
+    """The period-1 sequence of stochastic `A`; its floor is the least
+    positive weight, which lies in (0, 1] because every row sums to one."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    pos = A[A > 0]
-    eta = float(pos.min()) if pos.size else 0.0
+    eta = float(A[A > 0].min())
     return GraphSequenceSpec(n1=n, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
                              cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),),
                              eta=eta, t1=n, t2=1, t_cross=1)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .digraph import GraphSequenceSpec, canonical_mix_code, periodic_code
 from .errors import NumericError, ValidationError
-from .exprs import BoxSet, check_selection, compile_objective
+from .exprs import BoxSet, check_selection, compile_objective, dimensions, format_expr
 from .stepsizes import StepsizeRule, stepsize_tables
 
 
@@ -68,6 +68,9 @@ class Scenario:
         object.__setattr__(self, "y0", y0)
         for e, s in tuple(self.objectives1) + tuple(self.objectives2):
             check_selection(e, s)
+            if any(d > m for d, m in zip(dimensions(e), (self.m1, self.m2))):
+                raise ValidationError(f"objective {format_expr(e)} needs dimensions "
+                                      f"{dimensions(e)} beyond (m1, m2) = ({self.m1}, {self.m2})")
 
     @property
     def n1(self):

@@ -454,6 +454,8 @@ class _CodeGen:
             base = self.tmp(cv) if not cv.startswith("t") else cv
             n = e.exponent
             v = self.tmp(f"{base} ** {n}")
+            if not (self.want_x or self.want_y):
+                return v, cgx, cgy  # value only: no derivative temporaries
             if n == 1:
                 d = "1.0"
             elif n == 2:
@@ -469,6 +471,8 @@ class _CodeGen:
             cv, cgx, cgy = self.emit(e.child)
             base = self.tmp(cv) if not cv.startswith("t") else cv
             v = self.tmp(f"abs({base})")
+            if not (self.want_x or self.want_y):
+                return v, cgx, cgy
             s = self.tmp(f"_sgn({base}, {repr(self.sel[idx])})")
             gx = [g if g == "0.0" else f"({s} * {g})" for g in cgx]
             gy = [g if g == "0.0" else f"({s} * {g})" for g in cgy]
@@ -512,8 +516,8 @@ class BoxSet:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
             raise ValidationError("box lower/upper dimension mismatch")
-        if any(l > u for l, u in zip(lo, hi)):
-            raise ValidationError("box has lower > upper in some dimension")
+        if not all(l <= u for l, u in zip(lo, hi)):  # also false for NaN
+            raise ValidationError("box has lower > upper or a NaN bound in some dimension")
 
     @property
     def dim(self):
@@ -562,37 +566,61 @@ def lipschitz_bound(e: Expr, bx: BoxSet, by: BoxSet, grid: int = 21, sel=None) -
     return best
 
 
+def convexity_points(bx: BoxSet, by: BoxSet, trials: int, seed: int) -> tuple:
+    """The points of :func:`sample_convexity`: six (trials, m) arrays x0,
+    x1, yv, y0, y1, xv, uniform on the boxes.
+
+    One trial's draws are one row of a single ``rng.random`` block, in that
+    order, and each point is ``lo + (hi - lo) * u``: the same numbers, bit
+    for bit, as per-trial ``rng.uniform(lo, hi)`` calls on the same stream.
+    Unbounded box sides are sampled on a wide finite window.
+    """
+    x = (np.clip(bx.lower, -1e6, 1e6), np.clip(bx.upper, -1e6, 1e6))
+    y = (np.clip(by.lower, -1e6, 1e6), np.clip(by.upper, -1e6, 1e6))
+    sides = (x, x, y, y, y, x)
+    edges = np.cumsum([0] + [len(lo) for lo, _ in sides])
+    u = np.random.default_rng(seed).random((trials, int(edges[-1])))
+    return tuple(lo + (hi - lo) * u[:, a:b] for (lo, hi), a, b in zip(sides, edges, edges[1:]))
+
+
+def worst_violations(e: Expr, bx: BoxSet, by: BoxSet, trials: int, seed: int) -> tuple:
+    """(worst_x, worst_y, finite) over the sample of :func:`convexity_points`.
+
+    worst_x is the largest midpoint excess f((x0 + x1)/2, yv) - (f(x0, yv)
+    + f(x1, yv))/2 and worst_y the largest chord excess in y, both at least
+    0.0 and ignoring NaN; `finite` tells whether every sampled value of `e`
+    was finite. All trials go through one vector closure of `e`.
+    """
+    mx, my = dimensions(e)
+    if mx > bx.dim or my > by.dim:
+        raise ValueError(f"expression needs dims >= ({mx},{my}), got ({bx.dim},{by.dim})")
+    x0, x1, yv, y0, y1, xv = convexity_points(bx, by, trials, seed)
+    f = compile_objective(e, None, bx.dim, by.dim, which="value", vector=True)
+    with np.errstate(all="ignore"):
+        values = (f(((x0 + x1) / 2).T, yv.T), f(x0.T, yv.T), f(x1.T, yv.T),
+                  f(xv.T, ((y0 + y1) / 2).T), f(xv.T, y0.T), f(xv.T, y1.T))
+        mid, a, b, midv, c, d = values
+        worst_x = float(np.nanmax(mid - 0.5 * (a + b), initial=0.0))
+        worst_y = float(np.nanmax(0.5 * (c + d) - midv, initial=0.0))
+    return worst_x, worst_y, all(np.isfinite(v).all() for v in values)
+
+
 def sample_convexity(e: Expr, bx: BoxSet, by: BoxSet, trials: int = 1000,
                      seed: int = 0, tol: float = 1e-9) -> list:
     """Midpoint-inequality sampling of convexity in x and concavity in y.
 
     Returns a list of warning strings (empty means no violation found on the
     sample). A warning is evidence against the declared convex-concave flag,
-    never a proof either way.
+    never a proof either way; a non-finite sampled value is a warning too.
     """
-    rng = np.random.default_rng(seed)
-    # unbounded boxes are sampled on a wide finite window
-    lo_x, hi_x = np.clip(bx.lower, -1e6, 1e6), np.clip(bx.upper, -1e6, 1e6)
-    lo_y, hi_y = np.clip(by.lower, -1e6, 1e6), np.clip(by.upper, -1e6, 1e6)
+    worst_x, worst_y, finite = worst_violations(e, bx, by, trials, seed)
     warnings = []
-    worst_x = worst_y = 0.0
-    for _ in range(trials):
-        x0 = rng.uniform(lo_x, hi_x)
-        x1 = rng.uniform(lo_x, hi_x)
-        yv = rng.uniform(lo_y, hi_y)
-        mid = evaluate(e, (x0 + x1) / 2, yv)
-        chord = 0.5 * (evaluate(e, x0, yv) + evaluate(e, x1, yv))
-        worst_x = max(worst_x, mid - chord)
-        y0 = rng.uniform(lo_y, hi_y)
-        y1 = rng.uniform(lo_y, hi_y)
-        xv = rng.uniform(lo_x, hi_x)
-        midv = evaluate(e, xv, (y0 + y1) / 2)
-        chordv = 0.5 * (evaluate(e, xv, y0) + evaluate(e, xv, y1))
-        worst_y = max(worst_y, chordv - midv)
     if worst_x > tol:
         warnings.append(f"convexity in x violated on sample by {worst_x:.3e}")
     if worst_y > tol:
         warnings.append(f"concavity in y violated on sample by {worst_y:.3e}")
+    if not finite:
+        warnings.append("objective not finite on sample")
     return warnings
 
 

@@ -8,15 +8,22 @@ time step at a time; adaptive denominators from :func:`phi_readouts`, the
 diagonals of the paper's backward products ``transition_product``.
 Objectives are the compiled closures the engine calls; ``test_exprs``
 checks those against the interpreter.
+
+The convexity sampler has its oracle here too: :func:`convexity_points`
+draws each trial's points with sequential ``rng.uniform`` calls and
+:func:`worst_violations` evaluates them one trial at a time through the
+recursive interpreter ``exprs.evaluate``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from nashnet.digraph import transition_product
 from nashnet.errors import NashnetError, NumericError
-from nashnet.exprs import compile_objective
+from nashnet.exprs import (Abs, Affine, Const, Neg, Pow, Prod, Scale, Sum, Var,
+                           compile_objective, evaluate)
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                Homogeneous, OracleHeterogeneous)
 
@@ -186,3 +193,57 @@ def reference_run(scenario, K):
         betas.append([stepsize_for(rule, i, 2, k, r2) for i in range(g.n2)])
         states.append(step(states[-1], scenario, alphas[-1], betas[-1], objectives))
     return states, alphas, betas, readouts
+
+
+def convexity_points(bx, by, trials: int, seed: int) -> tuple:
+    """x0, x1, yv, y0, y1, xv of every trial as (trials, m) arrays, drawn
+    per trial in that order with one ``rng.uniform`` call each."""
+    rng = np.random.default_rng(seed)
+    lo_x, hi_x = np.clip(bx.lower, -1e6, 1e6), np.clip(bx.upper, -1e6, 1e6)
+    lo_y, hi_y = np.clip(by.lower, -1e6, 1e6), np.clip(by.upper, -1e6, 1e6)
+    sides = ((lo_x, hi_x), (lo_x, hi_x), (lo_y, hi_y), (lo_y, hi_y), (lo_y, hi_y), (lo_x, hi_x))
+    rows = [[rng.uniform(lo, hi) for lo, hi in sides] for _ in range(trials)]
+    return tuple(np.array([row[j] for row in rows]).reshape(trials, len(lo))
+                 for j, (lo, _) in enumerate(sides))
+
+
+def magnitude(e, x, y) -> float:
+    """`e` at (x, y) with every constant, coordinate and intermediate result
+    replaced by its absolute value: the scale that bounds the rounding error
+    of `e` in any evaluation order."""
+    if isinstance(e, Const):
+        return abs(e.value)
+    if isinstance(e, Var):
+        return abs(float((x if e.side == "x" else y)[e.index]))
+    if isinstance(e, (Neg, Abs)):
+        return magnitude(e.child, x, y)
+    if isinstance(e, Scale):
+        return abs(e.factor) * magnitude(e.child, x, y)
+    if isinstance(e, Sum):
+        return sum(magnitude(c, x, y) for c in e.children)
+    if isinstance(e, Prod):
+        return math.prod(magnitude(c, x, y) for c in e.children)
+    if isinstance(e, Pow):
+        return magnitude(e.child, x, y) ** e.exponent
+    if isinstance(e, Affine):
+        return (sum(abs(c * v) for c, v in zip(e.coeff_x, x))
+                + sum(abs(c * v) for c, v in zip(e.coeff_y, y)) + abs(e.offset))
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def worst_violations(e, bx, by, trials: int, seed: int) -> tuple:
+    """(worst_x, worst_y, scale): the largest midpoint excess in x and chord
+    excess in y over the trials, starting from 0.0, one interpreter call per
+    value; scale is the largest :func:`magnitude` at a sampled point."""
+    worst_x = worst_y = scale = 0.0
+    for x0, x1, yv, y0, y1, xv in zip(*convexity_points(bx, by, trials, seed)):
+        xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+        mid = evaluate(e, xm, yv)
+        chord = 0.5 * (evaluate(e, x0, yv) + evaluate(e, x1, yv))
+        worst_x = max(worst_x, mid - chord)
+        midv = evaluate(e, xv, ym)
+        chordv = 0.5 * (evaluate(e, xv, y0) + evaluate(e, xv, y1))
+        worst_y = max(worst_y, chordv - midv)
+        scale = max(scale, *(magnitude(e, p, q) for p, q in
+                             ((xm, yv), (x0, yv), (x1, yv), (xv, ym), (xv, y0), (xv, y1))))
+    return worst_x, worst_y, scale

@@ -248,7 +248,7 @@ def test_criterion_6e_learner_row_identity():
             n1=n, n2=1, period=period, a1=tuple(mats), a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period,
-            eta=0.0, t1=1, t2=1, t_cross=1)
+            eta=float(min(A[A > 0].min() for A in mats)), t1=1, t2=1, t_cross=1)
         K = int(rng.integers(2, 12))
         readouts = learner_readouts(mats, (0,), K + 1)
         # after K steps the learner holds the backward product from time 0
@@ -271,7 +271,7 @@ def test_criterion_6f_learner_stochasticity():
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=K, a1=tuple(mats), a2=(np.eye(1),) * K,
             cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K,
-            eta=0.0, t1=1, t2=1, t_cross=1)
+            eta=float(min(A[A > 0].min() for A in mats)), t1=1, t2=1, t_cross=1)
         readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
         for nu in range(p):
             # bank nu's last readout within the K steps, at k = nu (mod p)

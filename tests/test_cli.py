@@ -9,7 +9,8 @@ import yaml
 
 import nashnet
 from nashnet.cli import main
-from nashnet.scenario_io import bundled_scenario, save_scenario, scenario_to_doc
+from nashnet.scenario_io import (bundled_scenario, load_scenario, save_scenario,
+                                 scenario_to_doc)
 
 
 @pytest.fixture()
@@ -98,6 +99,21 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     path = tmp_path / "blowup.yaml"
     save_scenario(s, path)
     assert main(["run", str(path)]) == 4
+
+
+def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
+    """x0^60 overflows on a +-1e6 box while sampling convexity: the load
+    warns, prints no numpy RuntimeWarning, and the short run still works."""
+    doc = yaml.safe_load(open(shsad))
+    doc["boxes"]["x"] = {"lower": [-1e6], "upper": [1e6]}
+    doc["agents"]["subnet1"][0]["expr"] = "(sub (pow x0 60) (pow y0 2))"
+    doc["initial"]["x"] = [[0.5], [0.5], [0.5]]
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert load_scenario(path).warnings == ("subnet1[0]: objective not finite on sample",)
+    capsys.readouterr()
+    assert main(["run", str(path), "--iters", "3"]) == 0
+    assert capsys.readouterr().err == "warning: subnet1[0]: objective not finite on sample\n"
 
 
 def test_oracle_default_weights(shsad, tmp_path, capsys):

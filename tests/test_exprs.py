@@ -2,7 +2,9 @@
 serialization, and boxes."""
 
 import math
+import warnings
 
+import canonical_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from nashnet.catalog import CATALOG
 from nashnet.errors import ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Const, Neg, Pow, Prod, Scale,
                            Sum, Var, check_selection, compile_objective,
-                           dimensions, evaluate, format_expr, lipschitz_bound,
-                           parse_expr, project, sample_convexity,
-                           subgradient_x, subgradient_y, x_var, y_var)
+                           convexity_points, dimensions, evaluate, format_expr,
+                           lipschitz_bound, parse_expr, project,
+                           sample_convexity, subgradient_x, subgradient_y,
+                           worst_violations, x_var, y_var)
+from nashnet.scenario_io import BUNDLED, bundled_scenario
 
 
 def test_evaluate_basic_nodes():
@@ -182,6 +186,111 @@ def test_sample_convexity_flags_the_bad_region():
     bound = CATALOG["f1"].y_concavity_x_bound
     inner = BoxSet((-bound,), (bound,))
     assert sample_convexity(CATALOG["f1"].expr, inner, box5) == []
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("m1", [1, 2, 3])
+@pytest.mark.parametrize("m2", [1, 2, 3])
+def test_convexity_points_equal_the_sequential_stream(m1, m2):
+    """One rng.random block reproduces per-trial rng.uniform calls byte for
+    byte, an unbounded side (sampled on [-1e6, 1e6]) included."""
+    bx = BoxSet((-INF,) + (-1.5,) * (m1 - 1), (2.0,) * (m1 - 1) + (INF,))
+    by = BoxSet(tuple(-0.5 * d for d in range(m2)), tuple(1.0 + d for d in range(m2)))
+    for trials, seed in ((1, 0), (37, 0), (200, 9)):
+        batched = convexity_points(bx, by, trials, seed)
+        sequential = ref.convexity_points(bx, by, trials, seed)
+        assert [p.shape for p in batched] == [(trials, m) for m in (m1, m1, m2, m2, m2, m1)]
+        assert [p.tobytes() for p in batched] == [p.tobytes() for p in sequential]
+
+
+def _assert_worst_match(e, bx, by, trials, seed=0):
+    """Batched worst violations equal the per-trial interpreter loop within
+    1e-12 relative to the sample's magnitude: numpy and Python float `**`
+    may differ by an ulp, and the vector code may sum an affine node in
+    another order."""
+    wx, wy, finite = worst_violations(e, bx, by, trials, seed)
+    rx, ry, scale = ref.worst_violations(e, bx, by, trials, seed)
+    assert finite
+    assert wx == pytest.approx(rx, rel=1e-12, abs=1e-12 * scale)
+    assert wy == pytest.approx(ry, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_worst_violations_match_reference_on_bundled_objectives(name):
+    s = bundled_scenario(name)
+    for e, _ in tuple(s.objectives1) + tuple(s.objectives2):
+        _assert_worst_match(e, s.box_x, s.box_y, 200)
+
+
+def _exprs(m1, m2):
+    leaves = st.one_of(
+        st.builds(Var, st.just("x"), st.integers(0, m1 - 1)),
+        st.builds(Var, st.just("y"), st.integers(0, m2 - 1)),
+        st.builds(Const, st.floats(-3, 3)),
+        st.builds(Affine, st.lists(st.floats(-2, 2), min_size=1, max_size=m1).map(tuple),
+                  st.lists(st.floats(-2, 2), min_size=1, max_size=m2).map(tuple),
+                  st.floats(-1, 1)))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Pow, kids, st.integers(2, 6)),
+        st.builds(Neg, kids), st.builds(Abs, kids),
+        st.builds(Scale, st.floats(-2, 2), kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
+        st.lists(kids, min_size=2, max_size=2).map(lambda c: Prod(tuple(c)))),
+        max_leaves=6)
+
+
+@st.composite
+def _sampled_problems(draw):
+    m1, m2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    lo = draw(st.lists(st.floats(-1.5, 0.0), min_size=m1 + m2, max_size=m1 + m2))
+    hi = draw(st.lists(st.floats(0.0, 1.5), min_size=m1 + m2, max_size=m1 + m2))
+    return (draw(_exprs(m1, m2)), BoxSet(lo[:m1], hi[:m1]), BoxSet(lo[m1:], hi[m1:]),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sampled_problems())
+def test_worst_violations_match_reference_on_random_expressions(problem):
+    e, bx, by, seed = problem
+    _assert_worst_match(e, bx, by, 40, seed)
+
+
+def test_sample_convexity_without_trials_or_variables_finds_nothing():
+    box = BoxSet((-5.0,), (5.0,))
+    assert sample_convexity(CATALOG["f1"].expr, box, box, trials=0) == []
+    assert worst_violations(CATALOG["f1"].expr, box, box, 0, 0) == (0.0, 0.0, True)
+    for const in (Const(3.0), Sum((Const(1.0), Scale(2.0, Const(-4.0))))):
+        assert sample_convexity(const, box, box) == []
+
+
+def test_sample_convexity_warns_on_non_finite_values():
+    """x0^60 overflows on a +-1e6 box: the sample reports it, and no numpy
+    RuntimeWarning escapes."""
+    wide, box5 = BoxSet((-1e6,), (1e6,)), BoxSet((-5.0,), (5.0,))
+    concave = parse_expr("(sub (pow x0 60) (pow y0 2))")
+    # y^2 where x0^60 is finite, NaN (inf - inf) where it overflows
+    convex = parse_expr("(add (sub (pow x0 60) (pow x0 60)) (pow y0 2))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_convexity(concave, wide, box5, trials=200) == ["objective not finite on sample"]
+        # a chord sum that overflows while the midpoint value does not is an
+        # excess of inf, as it is for Python floats
+        assert sample_convexity(concave, wide, box5, trials=1000) == [
+            "concavity in y violated on sample by inf", "objective not finite on sample"]
+        # NaN excesses are skipped: the finite trials still show y^2 convex
+        _, worst_y, finite = worst_violations(convex, wide, box5, 200, 0)
+        flagged = sample_convexity(convex, wide, box5, trials=200)
+    assert 0.0 < worst_y <= 25.0 and not finite
+    assert flagged == [f"concavity in y violated on sample by {worst_y:.3e}",
+                       "objective not finite on sample"]
+
+
+def test_sample_convexity_rejects_missing_dimensions():
+    box = BoxSet((-1.0,), (1.0,))
+    with pytest.raises(ValueError, match="needs dims"):
+        sample_convexity(Var("x", 1), box, box)
 
 
 def test_zero_sum_identity():

@@ -9,9 +9,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashnet.catalog import subnet1_objectives, subnet2_objectives
+from nashnet.catalog import CATALOG, subnet1_objectives, subnet2_objectives
+from nashnet.digraph import build_cycle_matrix
 from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
+from nashnet.exprs import format_expr
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
 from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_scenario,
@@ -76,15 +78,27 @@ def test_documents_with_a_metrics_list_still_load():
         bundled_scenario("shared_saddle"))
 
 
-def test_parse_error_carries_location(tmp_path):
+def test_parse_error_carries_location(tmp_path, monkeypatch):
+    """The same location with libyaml's parser and with the pure-Python one."""
     p = tmp_path / "bad.yaml"
-    p.write_text("meta: {name: [unclosed\n")
-    with pytest.raises(ParseError) as exc:
-        load_scenario(p)
-    assert "line" in str(exc.value)
-    p.write_text("- just\n- a list\n")
-    with pytest.raises(ParseError):
-        load_scenario(p)
+    for pure in (False, True):
+        with monkeypatch.context() as m:
+            if pure:
+                m.delattr(yaml, "CSafeLoader", raising=False)
+            p.write_text("meta: {name: [unclosed\n")
+            with pytest.raises(ParseError) as exc:
+                load_scenario(p)
+            assert "scenario parse error at line 2, column 1: " in str(exc.value)
+            p.write_text("- just\n- a list\n")
+            with pytest.raises(ParseError):
+                load_scenario(p)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_libyaml_and_pure_python_loaders_agree(name):
+    text = (resources.files("nashnet") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_weight_rule_violation_cites_clause(tmp_path):
@@ -105,6 +119,56 @@ def test_warnings_attached_not_raised():
     assert any("concavity" in w for w in s.warnings)
     assert all("strongly connected" not in w for w in s.warnings)
     assert bundled_scenario("shared_saddle").warnings == ()
+
+
+CONCAVITY_F1 = "concavity in y violated on sample by 4.088e+01"
+EXAMPLE_WARNINGS = (f"subnet1[0]: {CONCAVITY_F1}",
+                    "subnet2[0]: concavity in y violated on sample by 3.335e+00",
+                    "subnet2[1]: concavity in y violated on sample by 1.149e+01")
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("example1", EXAMPLE_WARNINGS), ("example2", EXAMPLE_WARNINGS),
+    ("example3", EXAMPLE_WARNINGS), ("perron_weighted", ()), ("shared_saddle", ())])
+def test_bundled_warnings_pinned(name, expected):
+    assert bundled_scenario(name).warnings == expected
+
+
+def _many_agents_doc(seed, agents):
+    """Catalog f1, f2, f3 assigned cyclically in both subnetworks on +-5
+    boxes, a seeded cycle matrix then the identity, agent i of each side
+    observing agent i of the other."""
+    rng = np.random.default_rng(seed)
+
+    def cycle():
+        mu = rng.uniform(1.0, 2.0, agents)
+        return build_cycle_matrix(mu / mu.sum()).tolist()
+
+    block = [{"expr": format_expr(CATALOG[f"f{i % 3 + 1}"].expr),
+              "selections": dict(CATALOG[f"f{i % 3 + 1}"].selection)} for i in range(agents)]
+    eye, cross = np.eye(agents).tolist(), [[i, i, 1.0] for i in range(agents)]
+    return {
+        "meta": {"name": f"many_agents_{seed}"}, "dimensions": {"m1": 1, "m2": 1},
+        "boxes": {"x": {"lower": [-5.0], "upper": [5.0]}, "y": {"lower": [-5.0], "upper": [5.0]}},
+        "agents": {"subnet1": block, "subnet2": block},
+        "graph": {"eta": 0.1, "period": 2, "windows": {"t1": 2, "t2": 2, "t_cross": 1},
+                  "phases": [{"a1": cycle(), "a2": cycle(), "cross_to_1": cross, "cross_to_2": cross},
+                             {"a1": eye, "a2": eye, "cross_to_1": cross, "cross_to_2": cross}]},
+        "stepsize": {"variant": "homogeneous", "gamma": {"c": 1.0, "b": 50.0, "eps": 0.5}},
+        "initial": {"x": rng.uniform(-4, 4, (agents, 1)).tolist(),
+                    "y": rng.uniform(-4, 4, (agents, 1)).tolist()},
+        "run": {"iterations": 2000}}
+
+
+def test_many_agents_warnings_pinned():
+    """Every f1 agent (i = 0 mod 3) of the 100 + 100 agent document loses
+    concavity in y on the sample, by the same amount as example1's."""
+    text = yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+                     Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+    s = loads_scenario(text)
+    assert len(s.warnings) == 68
+    assert s.warnings == tuple(f"subnet{side}[{i}]: {CONCAVITY_F1}"
+                               for side in (1, 2) for i in range(0, 100, 3))
 
 
 BUNDLED_DOCS = {name: yaml.safe_load((resources.files("nashnet") / "scenarios"
@@ -185,8 +249,17 @@ def _isolate_agent_0(doc):
     ("example2", lambda d: d["graph"]["windows"].update(t1=0), "windows"),
     ("example2", _isolate_agent_0, "strongly connected"),
     ("example3", lambda d: d["stepsize"].update(p1=0), "p1"),
+    ("example2", lambda d: d["graph"].update(eta=-0.5), r"eta=-0\.5 must lie in \(0, 1\]"),
+    ("example2", lambda d: d["graph"].update(eta=0.0), "eta"),
+    ("example2", lambda d: d["graph"].update(eta=1.5), "eta"),
+    ("example2", lambda d: d["graph"].update(eta=float("nan")), "eta"),
+    ("example1", lambda d: d["agents"]["subnet2"][0].update(expr="(sub x0 (pow y1 2))", selections={}),
+     "dimensions"),
+    ("example1", lambda d: d["boxes"]["y"].update(upper=[float("nan")]), "NaN"),
 ], ids=["negative cross index", "cross index past the end", "zero window",
-        "oracle rule on a disconnected graph", "zero learner period"])
+        "oracle rule on a disconnected graph", "zero learner period",
+        "negative weight floor", "zero weight floor", "weight floor above one",
+        "NaN weight floor", "objective beyond the dimensions", "NaN box bound"])
 def test_loader_rejects_unusable_documents(name, edit, message):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails, with or without

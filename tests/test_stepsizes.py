@@ -160,7 +160,7 @@ def test_learner_readouts_are_phi_diagonals_on_random_sequences():
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period, cross2=(np.zeros((1, n)),) * period,
-            eta=0.0, t1=1, t2=1, t_cross=1)
+            eta=float(min(A[A > 0].min() for A in mats)), t1=1, t2=1, t_cross=1)
         act = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
         K = int(rng.integers(1, 30))
         assert learner_readouts(mats, act, K).tobytes() == phi_readouts(spec, 1, act, K).tobytes()
