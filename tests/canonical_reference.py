@@ -9,6 +9,10 @@ diagonals of the paper's backward products ``transition_product``.
 Objectives are the compiled closures the engine calls; ``test_exprs``
 checks those against the interpreter.
 
+The grid oracle's weighted sum has one as well: :func:`per_term_value`
+evaluates one closure per term and adds them with ``sum``, and
+:func:`whole_table` fills the grid table in a single call.
+
 The convexity sampler has its oracle here too: :func:`convexity_points`
 draws each trial's points with sequential ``rng.uniform`` calls and
 :func:`worst_violations` evaluates them one trial at a time through the
@@ -247,3 +251,24 @@ def worst_violations(e, bx, by, trials: int, seed: int) -> tuple:
         scale = max(scale, *(magnitude(e, p, q) for p, q in
                              ((xm, yv), (x0, yv), (x1, yv), (xv, ym), (xv, y0), (xv, y1))))
     return worst_x, worst_y, scale
+
+
+def per_term_value(w, m1, m2, which="value", vector=False):
+    """``w.compiled(m1, m2, which="value", vector)`` as one closure per term,
+    each weighted and added by ``sum``, so duplicates are evaluated again."""
+    if which != "value":
+        raise ValueError("the per-term oracle covers which='value' only")
+    fns = [(wt, compile_objective(e, s, m1, m2, which="value", vector=vector))
+           for wt, e, s in w.terms]
+
+    def value(x, y):
+        return sum(wt * f(x, y) for wt, f in fns)
+    return value
+
+
+def whole_table(value_fn, xpts, ypts):
+    """``saddle._eval_table`` in one call over the whole (Nx, Ny) product."""
+    xcols = [xpts[:, d][:, None] for d in range(xpts.shape[1])]
+    ycols = [ypts[:, d][None, :] for d in range(ypts.shape[1])]
+    return np.broadcast_to(np.asarray(value_fn(xcols, ycols), dtype=float),
+                           (xpts.shape[0], ypts.shape[0])).copy()
