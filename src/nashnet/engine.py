@@ -14,10 +14,13 @@ the nonzero weights in increasing j, every product and sum rounded
 separately. The stepsizes of all K iterations are tabulated before the
 loop (``stepsizes.stepsize_tables``). :func:`run` then generates one Python
 function per call that keeps states, cross caches and contact times in
-locals, has one branch per phase with the weights as literals, and calls
-each agent's compiled objective. There is no randomness, and no BLAS call
-feeds a state, so a trace follows from IEEE doubles and the platform libm
-``pow`` alone: repeated runs are bit-identical, on any CPU.
+locals, has one branch per phase with the weights as literals, and inlines
+in each agent's step the code of its objective's derivative in the block
+the agent moves (``exprs.objective_code``, the generator behind the
+compiled objectives, so the arithmetic is theirs), with the agent's own
+locals as inputs. There is no randomness, and no BLAS call feeds a state,
+so a trace follows from IEEE doubles and the platform libm ``pow`` alone:
+repeated runs are bit-identical, on any CPU.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import numpy as np
 
 from .digraph import GraphSequenceSpec, canonical_mix_code, periodic_code
 from .errors import NumericError, ValidationError
-from .exprs import BoxSet, check_selection, compile_objective, dimensions, format_expr
+from .exprs import BoxSet, check_selection, dimensions, format_expr
+# the text generator, under the name perfbench/replay.py wraps for its exprs.compile span
+from .exprs import objective_code as compile_objective
 from .stepsizes import StepsizeRule, stepsize_tables
 
 
@@ -101,26 +106,29 @@ class Trace:
 
 
 def _kernel_source(scenario: Scenario, env: dict) -> str:
-    """Source of ``_kernel(K, ia, ib, rx, ry, rc, f0, f1)``: K iterations of
-    the dynamics on scalar locals, one branch per phase.
+    """Source of ``_kernel(K, ia, ib, rx, ry)``: K iterations of the
+    dynamics on scalar locals, one branch per phase.
 
-    ia/ib yield the stepsizes row by row, f0/f1 hold the two subnetworks'
-    compiled objectives, and rx/ry/rc receive the states after each
-    iteration and the contact times used in it. Box bounds are bound in
-    `env` (``repr(inf)`` is not a literal). Names carry the subnetwork s:
-    state x{s}_{i}_{d}, neighbor average u.., cross cache c.., contact time
-    t{s}_{i}, stepsize a{s}_{i}, objective f{s}_{i}.
+    ia/ib yield the stepsizes row by row, and rx/ry receive the states
+    after each iteration. Each agent's step inlines the code of its
+    objective's derivative in the block it moves (``exprs.objective_code``),
+    reading the agent's own neighbor average and cross cache. Box bounds
+    are bound in `env` (``repr(inf)`` is not a literal). Names carry the
+    subnetwork s: state x{s}_{i}_{d}, neighbor average u.., cross cache c..,
+    contact time t{s}_{i}, stepsize a{s}_{i}; the derivative's temporaries
+    are g1, g2, ..., which every agent assigns before it reads them.
     """
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
     mats, cross = (g.a1, g.a2), (g.cross1, g.cross2)
     x0, boxes = (scenario.x0, scenario.y0), (scenario.box_x, scenario.box_y)
+    objectives = (scenario.objectives1, scenario.objectives2)
     sides = (0, 1)
     state = [[[f"x{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
     clock = [[f"t{s}_{i}" for i in range(n[s])] for s in sides]
-    contact = [[C.sum(axis=1) > 0 for C in cross[s]] for s in sides]
+    contact = _contact_pattern(g)
     for s in sides:
         env.update({f"lo{s}_{d}": v for d, v in enumerate(boxes[s].lower)})
         env.update({f"hi{s}_{d}": v for d, v in enumerate(boxes[s].upper)})
@@ -128,13 +136,23 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     def tuple_code(names):
         return "(" + ", ".join(names) + ",)"
 
+    def derivative(s, i):
+        """Agent i's lines and derivative codes, in its own block."""
+        args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
+        e, sel = objectives[s][i]
+        lines, (grad,) = compile_objective(e, sel, m[0], m[1], ("xy"[s],),
+                                           x=args[0], y=args[1], prefix="g")
+        return lines, grad
+
+    grads = [[derivative(s, i) for i in range(n[s])] for s in sides]
+
     def update(s, i, ph):
         """Agent i's projected subgradient step, or its mixing step alone
         before its first cross contact."""
-        args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
-        step = [f"_, q = f{s}_{i}({tuple_code(args[0])}, {tuple_code(args[1])})"]
-        for d, (x, u) in enumerate(zip(state[s][i], mix[s][i])):
-            step += [f"{x} = {u} {'-+'[s]} a{s}_{i} * q[{d}]",
+        lines, grad = grads[s][i]
+        step = list(lines)
+        for d, (x, u, q) in enumerate(zip(state[s][i], mix[s][i], grad)):
+            step += [f"{x} = {u} {'-+'[s]} a{s}_{i} * ({q})",
                      f"if {x} < lo{s}_{d}:", f"    {x} = lo{s}_{d}",
                      f"elif {x} > hi{s}_{d}:", f"    {x} = hi{s}_{d}"]
         hold = [f"{x} = {u}" for x, u in zip(state[s][i], mix[s][i])]
@@ -160,7 +178,6 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
 
     lines = []
     for s in sides:
-        lines.append(", ".join(f"f{s}_{i}" for i in range(n[s])) + f", = f{s}")
         lines += [f"{x} = {float(v)!r}" for row, vals in zip(state[s], x0[s]) for x, v in zip(row, vals)]
         lines += [f"{c} = 0.0" for row in cache[s] for c in row]
         lines += [f"{t} = -1" for t in clock[s]]
@@ -170,9 +187,23 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     body = periodic_code([phase_body(ph) for ph in range(g.period)])
     body += [f"{rec}({tuple_code([x for row in state[s] for x in row])})"
              for rec, s in (("rx", 0), ("ry", 1))]
-    body.append(f"rc({tuple_code(clock[0] + clock[1])})")
     lines += ["    " + ln for ln in body]
-    return "\n".join(["def _kernel(K, ia, ib, rx, ry, rc, f0, f1):"] + ["    " + ln for ln in lines])
+    return "\n".join(["def _kernel(K, ia, ib, rx, ry):"] + ["    " + ln for ln in lines])
+
+
+def _contact_pattern(g: GraphSequenceSpec) -> tuple:
+    """Per subnetwork, a (period, n) bool array: whether the agent has a
+    cross in-neighbor in that phase."""
+    return tuple(np.array([C.sum(axis=1) > 0 for C in cross]) for cross in (g.cross1, g.cross2))
+
+
+def _contact_times(pattern, K: int) -> np.ndarray:
+    """(K, n) contact time used at each step: the last k' <= k whose phase
+    gives the agent a cross contact, -1 before the first. This is the
+    clock t{s}_{i} the kernel keeps."""
+    k = np.arange(K)
+    times = np.where(pattern[k % len(pattern)], k[:, None], -1)
+    return np.maximum.accumulate(times, axis=0, out=times)
 
 
 def run(scenario: Scenario, iterations: int | None = None) -> Trace:
@@ -185,24 +216,23 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
     alpha, beta, r1, r2 = stepsize_tables(scenario.rule, g, K)
-    fx = [compile_objective(e, s, m1, m2, which="x") for e, s in scenario.objectives1]
-    fy = [compile_objective(e, s, m1, m2, which="y") for e, s in scenario.objectives2]
     env = {}
     exec(_kernel_source(scenario, env), env)  # noqa: S102 - source generated here from the scenario
-    xs, ys, cs = array("d", scenario.x0.ravel()), array("d", scenario.y0.ravel()), array("q")
+    xs, ys = array("d", scenario.x0.ravel()), array("d", scenario.y0.ravel())
     try:
         env["_kernel"](K, iter(memoryview(alpha.ravel())), iter(memoryview(beta.ravel())),
-                       xs.extend, ys.extend, cs.extend, fx, fy)
+                       xs.extend, ys.extend)
     except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
-        raise NumericError(f"{type(exc).__name__} at iteration {len(cs) // (n1 + n2)}") from None
+        k = (len(xs) + len(ys)) // (n1 * m1 + n2 * m2) - 1  # rows recorded after x0, y0
+        raise NumericError(f"{type(exc).__name__} at iteration {k}") from None
     x = np.frombuffer(xs, dtype=float).reshape(K + 1, n1, m1)
     y = np.frombuffer(ys, dtype=float).reshape(K + 1, n2, m2)
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
-    contact = np.frombuffer(cs, dtype=np.int64).reshape(K, n1 + n2)
-    return Trace(x=x, y=y, alpha=alpha, beta=beta, contact_x=contact[:, :n1],
-                 contact_y=contact[:, n1:], readout1=r1, readout2=r2)
+    contact_x, contact_y = (_contact_times(p, K) for p in _contact_pattern(g))
+    return Trace(x=x, y=y, alpha=alpha, beta=beta, contact_x=contact_x,
+                 contact_y=contact_y, readout1=r1, readout2=r2)
 
 
 def make_identical_scenario(objectives, a_seq, eta: float, t1: int,

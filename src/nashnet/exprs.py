@@ -9,12 +9,16 @@ valid subgradient whenever the expression is convex (resp. concave) in the
 differentiated block, which the library checks by sampling, not by proof.
 
 Two evaluation paths exist: a recursive reference interpreter and a code
-generator (:func:`compile_objective`) producing plain-Python closures used by
-the hot loops. Tests assert they agree.
+generator. The generator, :func:`objective_code`, emits straight-line code
+for the value and the block derivatives on caller-named inputs; the engine
+inlines its derivative code into the generated run loop, and
+:func:`compile_objective` wraps the same code in a plain-Python closure for
+the oracles and the convexity sampler. Tests assert the paths agree.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +133,11 @@ class Affine(Expr):
     coeff_x: tuple
     coeff_y: tuple
     offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff_x", tuple(float(c) for c in self.coeff_x))
+        object.__setattr__(self, "coeff_y", tuple(float(c) for c in self.coeff_y))
+        object.__setattr__(self, "offset", float(self.offset))
 
 
 def _as_expr(v):
@@ -338,12 +347,12 @@ def subgradient_y(e: Expr, x, y, sel=None) -> np.ndarray:
 # code generation
 # ---------------------------------------------------------------------------
 
-def _sgn_scalar(u, c):
-    return 1.0 if u > 0.0 else (-1.0 if u < 0.0 else c)
-
-
 def _sgn_vector(u, c):
     return np.where(u > 0.0, 1.0, np.where(u < 0.0, -1.0, c))
+
+
+_WHICH = {"value": ("value",), "x": ("value", "x"), "y": ("value", "y"),
+          "both": ("value", "x", "y")}
 
 
 def compile_objective(e: Expr, sel=None, m1: int = 1, m2: int = 1,
@@ -354,46 +363,88 @@ def compile_objective(e: Expr, sel=None, m1: int = 1, m2: int = 1,
     Depending on `which` ("value", "x", "y", "both") the result is the value,
     ``(value, gx)``, ``(value, gy)`` or ``(value, gx, gy)`` with gradients as
     tuples. With ``vector=True`` the emitted code is numpy-broadcast safe and
-    components may be arrays.
+    components may be arrays. The body is :func:`objective_code`.
     """
-    if which not in ("value", "x", "y", "both"):
+    if which not in _WHICH:
         raise ValueError(f"bad which={which!r}")
-    sel = check_selection(e, sel)
-    want_x = which in ("x", "both")
-    want_y = which in ("y", "both")
-    gen = _CodeGen(sel, m1, m2, want_x, want_y)
-    val, gx, gy = gen.emit(e)
-    lines = ["def _compiled(x, y):"]
-    lines += ["    " + ln for ln in gen.lines]
-    ret = [val]
-    if want_x:
-        ret.append("(" + ", ".join(gx) + ("," if m1 == 1 else "") + ")")
-    if want_y:
-        ret.append("(" + ", ".join(gy) + ("," if m2 == 1 else "") + ")")
-    lines.append("    return " + (ret[0] if len(ret) == 1 else ", ".join(ret)))
-    src = "\n".join(lines)
-    env = {"_sgn": _sgn_vector if vector else _sgn_scalar,
-           "abs": np.abs if vector else abs}
+    lines, codes = objective_code(e, sel, m1, m2, _WHICH[which], vector=vector)
+    ret = [codes[0]] + ["(" + ", ".join(g) + ("," if len(g) == 1 else "") + ")"
+                        for g in codes[1:]]
+    src = "\n".join(["def _compiled(x, y):"] + ["    " + ln for ln in lines]
+                    + ["    return " + ", ".join(ret)])
+    env = {"_sgn": _sgn_vector, "abs": np.abs} if vector else {}
     exec(src, env)  # noqa: S102 - source is generated locally from the tree
-    fn = env["_compiled"]
-    fn.__nashnet_source__ = src
-    return fn
+    return env["_compiled"]
+
+
+def objective_code(e: Expr, sel=None, m1: int = 1, m2: int = 1,
+                   outputs=("value", "x", "y"), *, x=None, y=None,
+                   prefix: str = "t", vector: bool = False) -> tuple:
+    """Straight-line Python code for `e` and its formal block derivatives.
+
+    Returns ``(lines, codes)``. `codes` holds one entry per name in
+    `outputs`, in that order: for "value" the code of the value, for "x"
+    and "y" a list with the code of each component of that block's
+    derivative ("0.0" where it is structurally zero). `lines` are the
+    assignments those codes read, to temporaries named `prefix` followed by
+    a number; temporaries no output reads are left out. Component d of the
+    x block is read as ``x[d]``, or as ``x[d]`` of the given sequence of
+    names (likewise y), so the code can run on a caller's locals; no input
+    name may be `prefix` followed by digits. Output codes may be compound
+    expressions: parenthesize them when they become operands.
+
+    Scalar code takes the kink sign of an absolute value as ``1.0 if b >
+    0.0 else (-1.0 if b < 0.0 else c)`` and calls the builtin ``abs``.
+    Vector code (``vector=True``) calls ``_sgn`` and ``abs``, which the
+    caller binds to numpy-broadcast versions.
+    """
+    if not set(outputs) <= {"value", "x", "y"}:
+        raise ValueError(f"bad outputs={outputs!r}")
+    x = [f"x[{d}]" for d in range(m1)] if x is None else list(x)
+    y = [f"y[{d}]" for d in range(m2)] if y is None else list(y)
+    if (len(x), len(y)) != (m1, m2):
+        raise ValueError(f"need {m1} x names and {m2} y names")
+    gen = _CodeGen(check_selection(e, sel), x, y, "x" in outputs, "y" in outputs,
+                   prefix, vector)
+    val, gx, gy = gen.emit(e)
+    codes = [{"value": val, "x": gx, "y": gy}[k] for k in outputs]
+    read = [val] * ("value" in outputs) + gx * ("x" in outputs) + gy * ("y" in outputs)
+    return gen.live(read), codes
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 class _CodeGen:
-    def __init__(self, sel, m1, m2, want_x, want_y):
+    def __init__(self, sel, x, y, want_x, want_y, prefix, vector):
         self.sel = sel
-        self.m1, self.m2 = m1, m2
+        self.x, self.y = x, y
+        self.m1, self.m2 = len(x), len(y)
         self.want_x, self.want_y = want_x, want_y
-        self.lines = []
-        self.n = 0
+        self.prefix = prefix
+        self.vector = vector
+        self.assigns = {}  # temporary name -> code, in emission order
         self.abs_idx = 0
 
     def tmp(self, code):
-        self.n += 1
-        name = f"t{self.n}"
-        self.lines.append(f"{name} = {code}")
+        name = f"{self.prefix}{len(self.assigns) + 1}"
+        self.assigns[name] = code
         return name
+
+    def atom(self, code):
+        """`code` itself if it is a name, else a new temporary holding it."""
+        return code if code.isidentifier() else self.tmp(code)
+
+    def live(self, codes):
+        """Assignments of the temporaries the code strings `codes` read,
+        directly or through other temporaries, in emission order."""
+        need = {n for c in codes for n in _NAME.findall(c)}
+        kept = []
+        for name, code in reversed(self.assigns.items()):
+            if name in need:
+                kept.append(f"{name} = {code}")
+                need.update(_NAME.findall(code))
+        return kept[::-1]
 
     def emit(self, e):
         """Return (value_code, gx_codes, gy_codes); gradient entries are code
@@ -406,10 +457,10 @@ class _CodeGen:
             if e.side == "x":
                 g = list(zx)
                 g[e.index] = "1.0"
-                return f"x[{e.index}]", g, zy
+                return self.x[e.index], g, zy
             g = list(zy)
             g[e.index] = "1.0"
-            return f"y[{e.index}]", zx, g
+            return self.y[e.index], zx, g
         if isinstance(e, Neg):
             v, gx, gy = self.emit(e.child)
             return (f"(-{v})",
@@ -431,7 +482,7 @@ class _CodeGen:
             parts = []
             for c in e.children:
                 cv, cgx, cgy = self.emit(c)
-                parts.append((self.tmp(cv) if not cv.startswith("t") else cv, cgx, cgy))
+                parts.append((self.atom(cv), cgx, cgy))
             v = self.tmp(" * ".join(p[0] for p in parts))
             gx, gy = [], []
             for d in range(self.m1):
@@ -451,7 +502,7 @@ class _CodeGen:
             return v, gx, gy
         if isinstance(e, Pow):
             cv, cgx, cgy = self.emit(e.child)
-            base = self.tmp(cv) if not cv.startswith("t") else cv
+            base = self.atom(cv)
             n = e.exponent
             v = self.tmp(f"{base} ** {n}")
             if not (self.want_x or self.want_y):
@@ -469,17 +520,19 @@ class _CodeGen:
             idx = self.abs_idx
             self.abs_idx += 1
             cv, cgx, cgy = self.emit(e.child)
-            base = self.tmp(cv) if not cv.startswith("t") else cv
+            base = self.atom(cv)
             v = self.tmp(f"abs({base})")
             if not (self.want_x or self.want_y):
                 return v, cgx, cgy
-            s = self.tmp(f"_sgn({base}, {repr(self.sel[idx])})")
+            c = repr(self.sel[idx])
+            s = self.tmp(f"_sgn({base}, {c})" if self.vector
+                         else f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c})")
             gx = [g if g == "0.0" else f"({s} * {g})" for g in cgx]
             gy = [g if g == "0.0" else f"({s} * {g})" for g in cgy]
             return v, gx, gy
         if isinstance(e, Affine):
-            terms = [f"{repr(c)} * x[{d}]" for d, c in enumerate(e.coeff_x) if c != 0.0]
-            terms += [f"{repr(c)} * y[{d}]" for d, c in enumerate(e.coeff_y) if c != 0.0]
+            terms = [f"{c!r} * {self.x[d]}" for d, c in enumerate(e.coeff_x) if c != 0.0]
+            terms += [f"{c!r} * {self.y[d]}" for d, c in enumerate(e.coeff_y) if c != 0.0]
             terms.append(repr(e.offset))
             v = self.tmp(" + ".join(terms))
             gx = [repr(float(c)) if d < len(e.coeff_x) and (c := e.coeff_x[d]) != 0.0 else "0.0"
@@ -657,8 +710,10 @@ def format_expr(e: Expr) -> str:
 
 
 def _fmt_num(v):
+    """Text that parses back to the same double: integral values without a
+    fraction, except -0.0, which keeps its sign."""
     v = float(v)
-    if v == int(v) and abs(v) < 1e15:
+    if v == int(v) and abs(v) < 1e15 and repr(v) != "-0.0":
         return str(int(v))
     return repr(v)
 

@@ -23,13 +23,14 @@ class MetricsSeries:
     step_max: np.ndarray
 
 
-PAIRWISE_CHUNK = 1 << 22  # elements of the (k, n, n, m) difference array held at once
+PAIRWISE_CHUNK = 1 << 18  # elements of the (k, n, n, m) difference array held at once
 
 
 def _pairwise_max(states):
     """(K+1,) max pairwise Euclidean distance across agents per iteration.
 
-    Chunked over k to bound memory; no k's reduction depends on the chunk.
+    Chunked over k to bound memory, squared and rooted in place; no k's
+    reduction depends on the chunk.
     """
     _, n, m = states.shape
     rows = max(1, PAIRWISE_CHUNK // max(1, n * n * m))
@@ -37,7 +38,8 @@ def _pairwise_max(states):
     for start in range(0, len(states), rows):
         part = states[start:start + rows]
         diff = part[:, :, None, :] - part[:, None, :, :]
-        out[start:start + rows] = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
+        dist = np.square(diff, out=diff).sum(axis=-1)
+        out[start:start + rows] = np.sqrt(dist, out=dist).max(axis=(1, 2))
     return out
 
 

@@ -207,9 +207,9 @@ def scenario_to_doc(s: Scenario) -> dict:
         "boxes": {"x": {"lower": list(s.box_x.lower), "upper": list(s.box_x.upper)},
                   "y": {"lower": list(s.box_y.lower), "upper": list(s.box_y.upper)}},
         "agents": {
-            "subnet1": [{"expr": format_expr(e), "selections": {int(k): float(v) for k, v in sel.items() if v != 0.0}}
+            "subnet1": [{"expr": format_expr(e), "selections": _selections_doc(sel)}
                         for e, sel in s.objectives1],
-            "subnet2": [{"expr": format_expr(e), "selections": {int(k): float(v) for k, v in sel.items() if v != 0.0}}
+            "subnet2": [{"expr": format_expr(e), "selections": _selections_doc(sel)}
                         for e, sel in s.objectives2],
         },
         "graph": {"eta": g.eta, "period": g.period,
@@ -225,6 +225,11 @@ def scenario_to_doc(s: Scenario) -> dict:
                                 "y_star": [float(v) for v in s.oracle_y],
                                 "provenance": s.oracle_provenance}
     return doc
+
+
+def _selections_doc(sel):
+    """The selections that differ from the default +0.0, -0.0 included."""
+    return {int(k): float(v) for k, v in sel.items() if v != 0.0 or repr(float(v)) == "-0.0"}
 
 
 def _edges(C):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import nashnet
 from canonical_reference import initial_state, reference_run, step, stepsize_for
 from nashnet.digraph import GraphSequenceSpec
-from nashnet.engine import Scenario, make_identical_scenario, run
+from nashnet.engine import Scenario, _kernel_source, make_identical_scenario, run
 from nashnet.errors import NumericError, ValidationError
-from nashnet.exprs import BoxSet, Neg, Pow, Prod, Scale, Sum, x_var, y_var
+from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
+                           abs_nodes, x_var, y_var)
 from nashnet.scenario_io import bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
@@ -139,14 +140,35 @@ def _random_cross(rng, n_to, n_from, delayed):
     return np.divide(C, sums, out=np.zeros_like(C), where=sums > 0)
 
 
-def _random_objective(rng, m1, m2):
-    """sum_d a_d (x_d - c_d)^2 + b x_0 y_0 - sum_d e_d (y_d - f_d)^2."""
-    terms = [Scale(float(rng.uniform(0.2, 1.0)), Pow(Sum((x_var(d), float(rng.uniform(-2, 2)))), 2))
+def _random_objective(rng, box_x, box_y):
+    """sum_d a_d P(x_d - c_d) + b x_0 y_0 + affine(x, y) + sum_d w_d |x_d - k_d|
+    - sum_d e_d P(y_d - f_d) - sum_d v_d |y_d - l_d|, where each P is t^2,
+    |t|^3 or t^4, each kink k_d, l_d lies on a finite box bound, at 0 or
+    inside the box, and each kink selection is drawn from [-1, 1]."""
+    def power(v, d, c):
+        p = int(rng.integers(2, 5))
+        base = Sum((v(d), c))
+        return Pow(Abs(base), 3) if p == 3 else Pow(base, p)
+
+    def kink(box, d):
+        bounds = [b for b in (box.lower[d], box.upper[d]) if np.isfinite(b)]
+        return float(rng.choice(bounds + [0.0, rng.uniform(-1, 1)]))
+
+    m1, m2 = box_x.dim, box_y.dim
+    terms = [Scale(float(rng.uniform(0.2, 1.0)), power(x_var, d, float(rng.uniform(-2, 2))))
              for d in range(m1)]
     terms.append(Scale(float(rng.uniform(-0.5, 0.5)), Prod((x_var(0), y_var(0)))))
-    terms += [Neg(Scale(float(rng.uniform(0.2, 1.0)), Pow(Sum((y_var(d), float(rng.uniform(-2, 2)))), 2)))
+    terms.append(Affine(tuple(rng.uniform(-1, 1, m1)), tuple(rng.uniform(-1, 1, m2)),
+                        float(rng.uniform(-1, 1))))
+    terms += [Scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((x_var(d), -kink(box_x, d)))))
+              for d in range(m1)]
+    terms += [Neg(Scale(float(rng.uniform(0.2, 1.0)), power(y_var, d, float(rng.uniform(-2, 2)))))
               for d in range(m2)]
-    return Sum(tuple(terms)), {}
+    terms += [Neg(Scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((y_var(d), -kink(box_y, d))))))
+              for d in range(m2)]
+    e = Sum(tuple(terms))
+    n_abs = len(abs_nodes(e))
+    return e, {k: float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) for k in range(n_abs)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,8 +199,8 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
     K = 12
     scenario = Scenario(
         name="random", m1=m1, m2=m2,
-        objectives1=tuple(_random_objective(rng, m1, m2) for _ in range(n1)),
-        objectives2=tuple(_random_objective(rng, m1, m2) for _ in range(n2)),
+        objectives1=tuple(_random_objective(rng, box_x, box_y) for _ in range(n1)),
+        objectives2=tuple(_random_objective(rng, box_x, box_y) for _ in range(n2)),
         graph=graph, box_x=box_x, box_y=box_y, rule=rule,
         x0=rng.uniform(-4, 4, (n1, m1)), y0=rng.uniform(-4, 4, (n2, m2)), iterations=K)
     _assert_run_matches_reference(scenario, run(scenario), K)
@@ -233,6 +255,25 @@ def test_dense_scenario_compiles_and_matches_reference():
         eta=0.001, t1=1, box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
         x0=rng.uniform(-4, 4, (n, 1)), y0=rng.uniform(-4, 4, (n, 1)), iterations=2)
     _assert_run_matches_reference(s, run(s), 2)
+    # the dense mixing sums are about 6.4M characters; each agent's inlined
+    # derivative adds under a hundred
+    assert len(_kernel_source(s, {})) < 6_600_000
+
+
+def test_run_equals_reference_with_a_bare_product_derivative():
+    """d/dx of (y + 0.3) x^2 is the unparenthesized product code
+    ``t * (g * 1.0)``: the step must multiply the stepsize by all of it."""
+    e = Prod((Sum((y_var(0), 0.3)), Pow(x_var(0), 2)))
+    s = dataclasses.replace(toy_identical(iterations=60), objectives1=((e, {}),) * 2)
+    _assert_run_matches_reference(s, run(s), 60)
+
+
+def test_kernel_inlines_every_derivative():
+    """The generated loop calls no objective closure and no sign helper."""
+    source = _kernel_source(bundled_scenario("example1"), {})
+    for name in ("f0_", "f1_", "_sgn("):
+        assert name not in source
+    assert source.startswith("def _kernel(K, ia, ib, rx, ry):")
 
 
 def test_recorded_stepsizes_match_rule():

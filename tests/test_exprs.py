@@ -1,13 +1,14 @@
 """Expression trees: interpretation, code generation, subgradients,
 serialization, and boxes."""
 
+import itertools
 import math
 import warnings
 
 import canonical_reference as ref
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashnet.catalog import CATALOG
@@ -15,7 +16,7 @@ from nashnet.errors import ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Const, Neg, Pow, Prod, Scale,
                            Sum, Var, check_selection, compile_objective,
                            convexity_points, dimensions, evaluate, format_expr,
-                           lipschitz_bound, parse_expr, project,
+                           lipschitz_bound, objective_code, parse_expr, project,
                            sample_convexity, subgradient_x, subgradient_y,
                            worst_violations, x_var, y_var)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
@@ -129,6 +130,100 @@ def test_codegen_multidimensional():
     assert gy == pytest.approx((-6.0,))
 
 
+def _emitted_gradient(e, sel, m1, m2, side):
+    """The derivative code `objective_code` emits for `side`, on scalar
+    arguments named like the engine's locals, as a function of x..., y..."""
+    xs, ys = [f"u{d}" for d in range(m1)], [f"c{d}" for d in range(m2)]
+    lines, (grad,) = objective_code(e, sel, m1, m2, (side,), x=xs, y=ys, prefix="g")
+    src = "\n".join([f"def _grad({', '.join(xs + ys)}):"] + ["    " + ln for ln in lines]
+                    + ["    return (" + "".join(f"({q}), " for q in grad) + ")"])
+    env = {}
+    exec(src, env)  # noqa: S102 - source generated by the code under test
+    return env["_grad"]
+
+
+def _assert_emitted_equals_closure(e, sel, m1, m2, points):
+    """At every (x, y), each block's emitted derivative equals the closure's
+    bit for bit."""
+    for side in ("x", "y"):
+        emitted = _emitted_gradient(e, sel, m1, m2, side)
+        closure = compile_objective(e, sel, m1, m2, which=side)
+        for x, y in points:
+            try:
+                want = closure(x, y)[1]
+            except OverflowError:  # in a value the derivative need not compute
+                continue
+            assert _bits(emitted(*x, *y)) == _bits(want), (format_expr(e), sel, side, x, y)
+
+
+# coordinates and constants drawn from one small set put many abs arguments
+# exactly at their kink (x0 + -1.0 at x0 = 1.0, |y0| at +-0.0)
+KINKY = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_emitted_gradient_equals_closure_on_bundled_objectives(name):
+    s = bundled_scenario(name)
+    rng = np.random.default_rng(11)
+    grid = [list(p) for p in itertools.product(KINKY, repeat=s.m1 + s.m2)]
+    grid += rng.uniform(-5, 5, (200, s.m1 + s.m2)).tolist()
+    points = [(p[:s.m1], p[s.m1:]) for p in grid]
+    for e, sel in tuple(s.objectives1) + tuple(s.objectives2):
+        _assert_emitted_equals_closure(e, sel, s.m1, s.m2, points)
+
+
+def _kinky_exprs(m1, m2):
+    num = st.sampled_from(KINKY)
+    var = st.one_of(st.builds(Var, st.just("x"), st.integers(0, m1 - 1)),
+                    st.builds(Var, st.just("y"), st.integers(0, m2 - 1)))
+    leaves = st.one_of(
+        var, st.builds(Const, num),
+        st.builds(lambda v, c: Sum((v, Const(c))), var, num),
+        st.builds(Affine, st.lists(num, min_size=1, max_size=m1).map(tuple),
+                  st.lists(num, min_size=1, max_size=m2).map(tuple), num))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Pow, kids, st.integers(1, 6)),
+        st.builds(Abs, kids), st.builds(Neg, kids),
+        st.builds(Scale, num, kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: Prod(tuple(c)))),
+        max_leaves=8)
+
+
+@st.composite
+def _kinky_problems(draw):
+    m1, m2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    e = draw(_kinky_exprs(m1, m2))
+    n_abs = len(check_selection(e, None))
+    sel = {k: draw(st.sampled_from((-1.0, -0.5, -0.0, 0.25, 1.0))) for k in range(n_abs)
+           if draw(st.booleans())}
+    coords = st.lists(st.one_of(st.sampled_from(KINKY), st.floats(-3, 3)),
+                      min_size=m1 + m2, max_size=m1 + m2)
+    points = [(p[:m1], p[m1:]) for p in draw(st.lists(coords, min_size=1, max_size=8))]
+    return e, sel, m1, m2, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kinky_problems())
+def test_emitted_gradient_equals_closure_on_random_expressions(problem):
+    _assert_emitted_equals_closure(*problem)
+
+
+def test_objective_code_drops_unread_temporaries():
+    """Only the derivative's own temporaries survive: no value of a power or
+    absolute value the requested block does not read."""
+    f3 = CATALOG["f3"].expr  # (x - 1)^4 - 2 y^2
+    lines, (gx,) = objective_code(f3, None, 1, 1, ("x",), x=["u"], y=["c"], prefix="g")
+    assert lines == ["g1 = u + (-1.0)", "g3 = 4.0 * g1 ** 3"] and gx == ["(g3 * 1.0)"]
+    lines, (gy,) = objective_code(f3, None, 1, 1, ("y",), x=["u"], y=["c"], prefix="g")
+    assert lines == ["g5 = 2.0 * c"] and gy == ["(-(2.0 * (g5 * 1.0)))"]
+    f2 = CATALOG["f2"]
+    lines, (gx,) = objective_code(f2.expr, f2.selection, 1, 1, ("x",), x=["u"], y=["c"])
+    assert lines == ["t1 = u + (-1.0)", "t3 = 1.0 if t1 > 0.0 else (-1.0 if t1 < 0.0 else 1.0)"]
+    with pytest.raises(ValueError):
+        objective_code(f3, None, 1, 1, ("gradient",))
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_prefix_roundtrip_catalog(name):
     ent = CATALOG[name]
@@ -145,13 +240,21 @@ def test_parse_affine_and_errors():
             parse_expr(bad)
 
 
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
+@example(-0.0, 0.0, -0.0)
+@example(0.0, -0.0, -3.0)
 def test_parse_format_numbers(a, b, c):
-    e = Sum((Scale(a, x_var(0)), Scale(b, y_var(0)), Const(c)))
+    """Every number survives format/parse as the same double, -0.0 included."""
+    e = Sum((Scale(a, x_var(0)), Scale(b, y_var(0)), Const(c), Affine((a, c), (b,), c)))
     again = parse_expr(format_expr(e))
-    assert evaluate(again, [1.3], [-0.7]) == pytest.approx(
-        evaluate(e, [1.3], [-0.7]), abs=1e-12)
+    sa, sb, cc, aff = again.children
+    assert _bits([sa.factor, sb.factor, cc.value, *aff.coeff_x, *aff.coeff_y, aff.offset]) == \
+        _bits([a, b, c, a, c, b, c])
 
 
 def test_box_validation_and_projection():

@@ -68,6 +68,22 @@ def test_save_load_roundtrip_lossless(name, tmp_path):
     assert scenario_to_doc(s) == scenario_to_doc(s2)
 
 
+def test_save_load_keeps_negative_zero(tmp_path):
+    """-0.0 in an objective and in a kink selection comes back as -0.0."""
+    import dataclasses
+    from nashnet.exprs import compile_objective, parse_expr
+    s = bundled_scenario("shared_saddle")
+    e = parse_expr("(add (mul x0 -0.0) (neg (abs y0)) (scale -0.0 y0))")
+    s = dataclasses.replace(s, objectives1=((e, {0: -0.0}),) * s.n1,
+                            objectives2=((e, {0: -0.0}),) * s.n2)
+    save_scenario(s, tmp_path / "z.yaml")
+    s2 = load_scenario(tmp_path / "z.yaml")
+    for e2, sel2 in s2.objectives1 + s2.objectives2:
+        assert format_expr(e2) == format_expr(e) and str(sel2[0]) == "-0.0"
+        value = compile_objective(e2, sel2, 1, 1, which="value")([1.0], [0.0])
+        assert str(value) == "-0.0"  # +0.0 constants would give 0.0
+
+
 def test_documents_with_a_metrics_list_still_load():
     """`run.metrics` was dropped from the format; the key is ignored."""
     import yaml
