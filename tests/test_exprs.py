@@ -130,6 +130,10 @@ def test_codegen_multidimensional():
     assert gy == pytest.approx((-6.0,))
 
 
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
 def _emitted_gradient(e, sel, m1, m2, side):
     """The derivative code `objective_code` emits for `side`, on scalar
     arguments named like the engine's locals, as a function of x..., y..."""
@@ -238,10 +242,6 @@ def test_parse_affine_and_errors():
     for bad in ("", "(pow x0 1.5)", "(frob x0)", "(abs x0", "x0 y0", "z3"):
         with pytest.raises(ValidationError):
             parse_expr(bad)
-
-
-def _bits(values):
-    return np.array(values, dtype=float).view(np.int64).tolist()
 
 
 @settings(max_examples=100, deadline=None)
