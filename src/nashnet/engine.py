@@ -18,9 +18,12 @@ locals, has one branch per phase with the weights as literals, and inlines
 in each agent's step the code of its objective's derivative in the block
 the agent moves (``exprs.objective_code``, the generator behind the
 compiled objectives, so the arithmetic is theirs), with the agent's own
-locals as inputs. There is no randomness, and no BLAS call feeds a state,
-so a trace follows from IEEE doubles and the platform libm ``pow`` alone:
-repeated runs are bit-identical, on any CPU.
+locals as inputs. No objective value is computed: where only the value
+overflows (``x ** 4`` at x = 1e80 in a wide box) the run goes on, while an
+overflow in a derivative or a non-finite state raises ``NumericError``.
+There is no randomness, and no BLAS call feeds a state, so a trace follows
+from IEEE doubles and the platform libm ``pow`` alone: repeated runs are
+bit-identical, on any CPU.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     are bound in `env` (``repr(inf)`` is not a literal). Names carry the
     subnetwork s: state x{s}_{i}_{d}, neighbor average u.., cross cache c..,
     contact time t{s}_{i}, stepsize a{s}_{i}; the derivative's temporaries
-    are g1, g2, ..., which every agent assigns before it reads them.
+    are t1, t2, ..., which every agent assigns before it reads them.
     """
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
@@ -141,7 +144,7 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
         args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
         e, sel = objectives[s][i]
         lines, (grad,) = compile_objective(e, sel, m[0], m[1], ("xy"[s],),
-                                           x=args[0], y=args[1], prefix="g")
+                                           x=args[0], y=args[1])
         return lines, grad
 
     grads = [[derivative(s, i) for i in range(n[s])] for s in sides]

@@ -356,20 +356,19 @@ _WHICH = {"value": ("value",), "x": ("value", "x"), "y": ("value", "y"),
 
 
 def compile_objective(e: Expr, sel=None, m1: int = 1, m2: int = 1,
-                      which: str = "both", vector: bool = False):
+                      which="both", vector: bool = False):
     """Generate a closure computing `e` and its formal block derivatives.
 
     Returns ``f(x, y)`` where x, y are indexable sequences of components.
     Depending on `which` ("value", "x", "y", "both") the result is the value,
     ``(value, gx)``, ``(value, gy)`` or ``(value, gx, gy)`` with gradients as
-    tuples. With ``vector=True`` the emitted code is numpy-broadcast safe and
-    components may be arrays. The body is :func:`objective_code`.
+    tuples; a tuple `which` such as ``("x",)`` returns just the outputs it
+    names (see :func:`objective_code`). With ``vector=True`` the emitted code
+    is numpy-broadcast safe and components may be arrays.
     """
-    if which not in _WHICH:
-        raise ValueError(f"bad which={which!r}")
-    lines, codes = objective_code(e, sel, m1, m2, _WHICH[which], vector=vector)
-    ret = [codes[0]] + ["(" + ", ".join(g) + ("," if len(g) == 1 else "") + ")"
-                        for g in codes[1:]]
+    lines, codes = objective_code(e, sel, m1, m2, which, vector=vector)
+    ret = [c if isinstance(c, str) else "(" + ", ".join(c) + ("," if len(c) == 1 else "") + ")"
+           for c in codes]
     src = "\n".join(["def _compiled(x, y):"] + ["    " + ln for ln in lines]
                     + ["    return " + ", ".join(ret)])
     env = {"_sgn": _sgn_vector, "abs": np.abs} if vector else {}
@@ -377,35 +376,36 @@ def compile_objective(e: Expr, sel=None, m1: int = 1, m2: int = 1,
     return env["_compiled"]
 
 
-def objective_code(e: Expr, sel=None, m1: int = 1, m2: int = 1,
-                   outputs=("value", "x", "y"), *, x=None, y=None,
-                   prefix: str = "t", vector: bool = False) -> tuple:
+def objective_code(e: Expr, sel=None, m1: int = 1, m2: int = 1, which="both", *,
+                   x=None, y=None, vector: bool = False) -> tuple:
     """Straight-line Python code for `e` and its formal block derivatives.
 
-    Returns ``(lines, codes)``. `codes` holds one entry per name in
-    `outputs`, in that order: for "value" the code of the value, for "x"
-    and "y" a list with the code of each component of that block's
-    derivative ("0.0" where it is structurally zero). `lines` are the
-    assignments those codes read, to temporaries named `prefix` followed by
-    a number; temporaries no output reads are left out. Component d of the
-    x block is read as ``x[d]``, or as ``x[d]`` of the given sequence of
-    names (likewise y), so the code can run on a caller's locals; no input
-    name may be `prefix` followed by digits. Output codes may be compound
-    expressions: parenthesize them when they become operands.
+    `which` names the outputs: "value", "x", "y" or "both" as in
+    :func:`compile_objective`, or a tuple drawn from "value", "x" and "y",
+    e.g. ``("x",)`` for the x-block derivative alone. Returns ``(lines,
+    codes)``. `codes` holds one entry per output, in that order: for
+    "value" the code of the value, for "x" and "y" a list with the code of
+    each component of that block's derivative ("0.0" where it is
+    structurally zero). `lines` are the assignments those codes read, to
+    temporaries t1, t2, ...; temporaries no output reads are left out, so a
+    derivative alone never computes the value. Component d of the x block
+    is read as ``x[d]``, or as ``x[d]`` of the given sequence of names
+    (likewise y), so the code can run on a caller's locals. Output codes may
+    be compound expressions: parenthesize them when they become operands.
 
     Scalar code takes the kink sign of an absolute value as ``1.0 if b >
     0.0 else (-1.0 if b < 0.0 else c)`` and calls the builtin ``abs``.
     Vector code (``vector=True``) calls ``_sgn`` and ``abs``, which the
     caller binds to numpy-broadcast versions.
     """
-    if not set(outputs) <= {"value", "x", "y"}:
-        raise ValueError(f"bad outputs={outputs!r}")
+    outputs = _WHICH.get(which) if isinstance(which, str) else tuple(which)
+    if not outputs or not set(outputs) <= {"value", "x", "y"}:
+        raise ValueError(f"bad which={which!r}")
     x = [f"x[{d}]" for d in range(m1)] if x is None else list(x)
     y = [f"y[{d}]" for d in range(m2)] if y is None else list(y)
     if (len(x), len(y)) != (m1, m2):
         raise ValueError(f"need {m1} x names and {m2} y names")
-    gen = _CodeGen(check_selection(e, sel), x, y, "x" in outputs, "y" in outputs,
-                   prefix, vector)
+    gen = _CodeGen(check_selection(e, sel), x, y, vector)
     val, gx, gy = gen.emit(e)
     codes = [{"value": val, "x": gx, "y": gy}[k] for k in outputs]
     read = [val] * ("value" in outputs) + gx * ("x" in outputs) + gy * ("y" in outputs)
@@ -416,18 +416,16 @@ _NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 class _CodeGen:
-    def __init__(self, sel, x, y, want_x, want_y, prefix, vector):
+    def __init__(self, sel, x, y, vector):
         self.sel = sel
         self.x, self.y = x, y
         self.m1, self.m2 = len(x), len(y)
-        self.want_x, self.want_y = want_x, want_y
-        self.prefix = prefix
         self.vector = vector
         self.assigns = {}  # temporary name -> code, in emission order
         self.abs_idx = 0
 
     def tmp(self, code):
-        name = f"{self.prefix}{len(self.assigns) + 1}"
+        name = f"t{len(self.assigns) + 1}"
         self.assigns[name] = code
         return name
 
@@ -505,8 +503,6 @@ class _CodeGen:
             base = self.atom(cv)
             n = e.exponent
             v = self.tmp(f"{base} ** {n}")
-            if not (self.want_x or self.want_y):
-                return v, cgx, cgy  # value only: no derivative temporaries
             if n == 1:
                 d = "1.0"
             elif n == 2:
@@ -522,8 +518,6 @@ class _CodeGen:
             cv, cgx, cgy = self.emit(e.child)
             base = self.atom(cv)
             v = self.tmp(f"abs({base})")
-            if not (self.want_x or self.want_y):
-                return v, cgx, cgy
             c = repr(self.sel[idx])
             s = self.tmp(f"_sgn({base}, {c})" if self.vector
                          else f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c})")

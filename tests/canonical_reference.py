@@ -6,8 +6,10 @@ increasing j, each product and sum a separately rounded Python float
 operation. Stepsizes come from :func:`stepsize_for`, one agent and one
 time step at a time; adaptive denominators from :func:`phi_readouts`, the
 diagonals of the paper's backward products ``transition_product``.
-Objectives are the compiled closures the engine calls; ``test_exprs``
-checks those against the interpreter.
+Objectives are compiled closures of each agent's derivative alone, the
+code the engine inlines: neither computes an objective value, so a value
+that overflows stops neither. ``test_exprs`` checks the closures against
+the interpreter.
 
 The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
@@ -87,8 +89,8 @@ def cross_observe(cross_row, other_states, cache_value, cache_time, k):
 
 def compiled_objectives(scenario):
     m1, m2 = scenario.m1, scenario.m2
-    return ([compile_objective(e, s, m1, m2, which="x") for e, s in scenario.objectives1],
-            [compile_objective(e, s, m1, m2, which="y") for e, s in scenario.objectives2])
+    return ([compile_objective(e, s, m1, m2, which=("x",)) for e, s in scenario.objectives1],
+            [compile_objective(e, s, m1, m2, which=("y",)) for e, s in scenario.objectives2])
 
 
 def _project(point, box):
@@ -118,7 +120,7 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
         if tcx[i] < 0:
             continue  # never observed the other side: consensus only
         row = xh[i].tolist()
-        _, q = fx[i](row, breve_x[i].tolist())
+        q = fx[i](row, breve_x[i].tolist())
         a = float(alpha[i])
         new_x[i] = _project([v - a * qd for v, qd in zip(row, q)], scenario.box_x)
     new_y = yh.copy()
@@ -126,7 +128,7 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
         if tcy[i] < 0:
             continue
         row = yh[i].tolist()
-        _, q = fy[i](breve_y[i].tolist(), row)
+        q = fy[i](breve_y[i].tolist(), row)
         b = float(beta[i])
         new_y[i] = _project([v + b * qd for v, qd in zip(row, q)], scenario.box_y)
     if not (np.isfinite(new_x).all() and np.isfinite(new_y).all()):

@@ -20,7 +20,7 @@ from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario, _kernel_source, make_identical_scenario, run
 from nashnet.errors import NumericError, ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
-                           abs_nodes, x_var, y_var)
+                           abs_nodes, evaluate, x_var, y_var)
 from nashnet.scenario_io import bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
@@ -330,6 +330,22 @@ def test_nonfinite_state_raises_numeric_error():
         x0=[[1e100], [1e100]], y0=[[0.0], [0.0]], iterations=50)
     with pytest.raises(NumericError):
         run(s)
+
+
+def test_value_overflow_alone_leaves_the_run_finite():
+    """The engine computes derivatives only: x^4 overflows at the box edge
+    x = 1e81 while its derivative 4e243 does not, so the run, and the
+    reference, go on and agree bit for bit."""
+    e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
+    with pytest.raises(OverflowError):
+        evaluate(e, [1e81], [0.0])
+    box = BoxSet((-1e81,), (1e81,))
+    s = dataclasses.replace(toy_identical(iterations=20), objectives1=((e, {}),) * 2,
+                            objectives2=((e, {}),) * 2, box_x=box, box_y=box,
+                            x0=np.array([[1e80], [1e80]]))
+    tr = run(s)
+    assert (np.abs(tr.x[1:]) == 1e81).all()  # bouncing between the box edges
+    _assert_run_matches_reference(s, tr, 20)
 
 
 def test_identical_scenario_matches_centralized_recursion():

@@ -128,6 +128,8 @@ def test_codegen_multidimensional():
     assert v == pytest.approx(1 + 4 - 9)
     assert gx == pytest.approx((2.0, 4.0))
     assert gy == pytest.approx((-6.0,))
+    assert fn([1.0, 2.0], [3.0])[1:] == compile_objective(e, None, 2, 1, which=("x", "y"))(
+        [1.0, 2.0], [3.0])
 
 
 def _bits(values):
@@ -138,7 +140,7 @@ def _emitted_gradient(e, sel, m1, m2, side):
     """The derivative code `objective_code` emits for `side`, on scalar
     arguments named like the engine's locals, as a function of x..., y..."""
     xs, ys = [f"u{d}" for d in range(m1)], [f"c{d}" for d in range(m2)]
-    lines, (grad,) = objective_code(e, sel, m1, m2, (side,), x=xs, y=ys, prefix="g")
+    lines, (grad,) = objective_code(e, sel, m1, m2, (side,), x=xs, y=ys)
     src = "\n".join([f"def _grad({', '.join(xs + ys)}):"] + ["    " + ln for ln in lines]
                     + ["    return (" + "".join(f"({q}), " for q in grad) + ")"])
     env = {}
@@ -155,7 +157,7 @@ def _assert_emitted_equals_closure(e, sel, m1, m2, points):
         for x, y in points:
             try:
                 want = closure(x, y)[1]
-            except OverflowError:  # in a value the derivative need not compute
+            except OverflowError:  # in the value, which the emitted code leaves out
                 continue
             assert _bits(emitted(*x, *y)) == _bits(want), (format_expr(e), sel, side, x, y)
 
@@ -214,18 +216,23 @@ def test_emitted_gradient_equals_closure_on_random_expressions(problem):
 
 
 def test_objective_code_drops_unread_temporaries():
-    """Only the derivative's own temporaries survive: no value of a power or
-    absolute value the requested block does not read."""
+    """Only the temporaries an output reads survive: a derivative alone
+    computes no value of a power or absolute value, and a value alone no
+    derivative factor or kink sign."""
     f3 = CATALOG["f3"].expr  # (x - 1)^4 - 2 y^2
-    lines, (gx,) = objective_code(f3, None, 1, 1, ("x",), x=["u"], y=["c"], prefix="g")
-    assert lines == ["g1 = u + (-1.0)", "g3 = 4.0 * g1 ** 3"] and gx == ["(g3 * 1.0)"]
-    lines, (gy,) = objective_code(f3, None, 1, 1, ("y",), x=["u"], y=["c"], prefix="g")
-    assert lines == ["g5 = 2.0 * c"] and gy == ["(-(2.0 * (g5 * 1.0)))"]
-    f2 = CATALOG["f2"]
+    lines, (gx,) = objective_code(f3, None, 1, 1, ("x",), x=["u"], y=["c"])
+    assert lines == ["t1 = u + (-1.0)", "t3 = 4.0 * t1 ** 3"] and gx == ["(t3 * 1.0)"]
+    lines, (gy,) = objective_code(f3, None, 1, 1, ("y",), x=["u"], y=["c"])
+    assert lines == ["t5 = 2.0 * c"] and gy == ["(-(2.0 * (t5 * 1.0)))"]
+    f2 = CATALOG["f2"]  # |x - 1| - |y|
     lines, (gx,) = objective_code(f2.expr, f2.selection, 1, 1, ("x",), x=["u"], y=["c"])
     assert lines == ["t1 = u + (-1.0)", "t3 = 1.0 if t1 > 0.0 else (-1.0 if t1 < 0.0 else 1.0)"]
-    with pytest.raises(ValueError):
-        objective_code(f3, None, 1, 1, ("gradient",))
+    lines, (v,) = objective_code(f2.expr, f2.selection, 1, 1, "value", x=["u"], y=["c"])
+    assert lines == ["t1 = u + (-1.0)", "t2 = abs(t1)", "t4 = abs(c)", "t6 = t2 + (-t4)"]
+    assert v == "t6"
+    for bad in ("gradient", ("gradient",), (), "xy"):
+        with pytest.raises(ValueError):
+            objective_code(f3, None, 1, 1, bad)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
