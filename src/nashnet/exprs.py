@@ -18,6 +18,7 @@ the oracles and the convexity sampler. Tests assert the paths agree.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -482,22 +483,20 @@ class _CodeGen:
                 cv, cgx, cgy = self.emit(c)
                 parts.append((self.atom(cv), cgx, cgy))
             v = self.tmp(" * ".join(p[0] for p in parts))
-            gx, gy = [], []
-            for d in range(self.m1):
+
+            def grad(block, d):
+                # each term is parenthesized, so a parent Scale, Neg or Pow
+                # multiplies the whole product, as the interpreter does
                 terms = []
-                for i, (_, cgx, _) in enumerate(parts):
-                    if cgx[d] != "0.0":
-                        rest = [p[0] for j, p in enumerate(parts) if j != i]
-                        terms.append(" * ".join(rest + [cgx[d]]) if rest else cgx[d])
-                gx.append(self._add(terms) if terms else "0.0")
-            for d in range(self.m2):
-                terms = []
-                for i, (_, _, cgy) in enumerate(parts):
-                    if cgy[d] != "0.0":
-                        rest = [p[0] for j, p in enumerate(parts) if j != i]
-                        terms.append(" * ".join(rest + [cgy[d]]) if rest else cgy[d])
-                gy.append(self._add(terms) if terms else "0.0")
-            return v, gx, gy
+                for i, p in enumerate(parts):
+                    if p[block][d] != "0.0":
+                        rest = [q[0] for j, q in enumerate(parts) if j != i]
+                        terms.append("(" + " * ".join(rest + [p[block][d]]) + ")"
+                                     if rest else p[block][d])
+                return self._add(terms)
+
+            return (v, [grad(1, d) for d in range(self.m1)],
+                    [grad(2, d) for d in range(self.m2)])
         if isinstance(e, Pow):
             cv, cgx, cgy = self.emit(e.child)
             base = self.atom(cv)
@@ -742,7 +741,7 @@ def _parse(tokens):
         if op == "affine" and rest[0] == "(":
             # coefficient list literal
             close = rest.index(")")
-            args.append([float(t) for t in rest[1:close]])
+            args.append([_number(t) for t in rest[1:close]])
             rest = rest[close + 1:]
             continue
         a, rest = _parse(rest)
@@ -753,10 +752,19 @@ def _parse(tokens):
 def _parse_atom(tok):
     if tok and tok[0] in "xy" and tok[1:].isdigit():
         return Var(tok[0], int(tok[1:]))
+    return Const(_number(tok))
+
+
+def _number(tok):
+    """A finite number token as a float: inf and nan have no literal in the
+    generated code and no place in an objective."""
     try:
-        return Const(float(tok))
+        v = float(tok)
     except ValueError:
         raise ValidationError(f"bad token {tok!r} in expression") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"non-finite number {tok!r} in expression")
+    return v
 
 
 def _build(op, args):

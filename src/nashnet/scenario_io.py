@@ -271,6 +271,10 @@ def bundled_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 CSV_CHUNK = 8192  # values per `%` call: bounds each chunk's table and text
+# plot data keeps every k up to PLOT_DENSE_K, then steps from k to
+# k + k // PLOT_STEP_DIVISOR (about 1.6% apart on a log axis), ending at K
+PLOT_DENSE_K = 1024
+PLOT_STEP_DIVISOR = 64
 
 
 def _csv(header: str, *parts) -> str:
@@ -321,19 +325,32 @@ def metrics_to_csv(metrics: MetricsSeries) -> str:
                 ("%d" + f",{FLOAT_FMT}" * 4 + "\n", [v[:, None] for v in series]))
 
 
+def plot_grid(iterations: int) -> np.ndarray:
+    """The iterations plot data keeps: every k up to min(K, PLOT_DENSE_K),
+    then each next k is min(K, k + k // PLOT_STEP_DIVISOR), so K comes
+    last. Integer arithmetic only, so the grid is the same everywhere."""
+    ks = list(range(min(iterations, PLOT_DENSE_K) + 1))
+    k = ks[-1]
+    while k < iterations:
+        k = min(iterations, k + k // PLOT_STEP_DIVISOR)
+        ks.append(k)
+    return np.array(ks)
+
+
 def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None) -> str:
-    """Plot-ready long format: k, series, value."""
-    k = np.arange(trace.iterations + 1)[:, None]
+    """Plot-ready long format: k, series, value, for k on
+    :func:`plot_grid`; the trace CSV holds every k."""
+    k = plot_grid(trace.iterations)
     fields, blocks = "", []
     for name, states in (("x", trace.x), ("y", trace.y)):
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
                 tag = f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]"
                 fields += f"%d,{tag},{FLOAT_FMT}\n"
-                blocks += [k, states[:, i, d:d + 1]]
+                blocks += [k[:, None], states[k, i, d:d + 1]]
     if metrics is not None:
         fields += f"%d,nash_error,{FLOAT_FMT}\n"
-        blocks += [k, metrics.nash_error[:, None]]
+        blocks += [k[:, None], metrics.nash_error[k, None]]
     return _csv("k,series,value", (fields, blocks))
 
 

@@ -395,7 +395,9 @@ TRACE_DIGESTS = {
 
 
 # SHA-256 of metrics_to_csv and plotdata_to_csv for the same runs, scored
-# against each scenario's stored saddle reference.
+# against each scenario's stored saddle reference. Plot data keeps only the
+# k on scenario_io.plot_grid; its digests were re-pinned when that grid
+# replaced one row per k, and each new file is the old one's grid rows.
 METRICS_DIGESTS = {
     "example1": "45290e2856e93c94c4e14fb5092af1d27e07094751ad94b01d832eb8977ae4df",
     "example2": "c02b79dd2e1d80301a3d6388c0ab3018faeec4c570c2021f05ad364552503b0a",
@@ -404,11 +406,11 @@ METRICS_DIGESTS = {
     "shared_saddle": "29b494cb9ee9243bf0820397f83e2da7d073fa66aa039d72430cbd30a14d6475",
 }
 PLOTDATA_DIGESTS = {
-    "example1": "34c09584a18cefb148dd50472bf073e3a4b2b863d6569ab495ef6dd2dda9a58e",
-    "example2": "f39a90d5592bc6266af744d3b50ba48a47c7ec921fe71ce089dd832eea93b970",
-    "example3": "1d2e584ee2df1430e07389c050f3e200176dcce090ac466446bad546cd00a4a2",
-    "perron_weighted": "ae6a2ee18f0bbe2936e15a526d145ccbaa26a76f1c8f8e117dda3f76290789d3",
-    "shared_saddle": "b3a61ac719aa3667da8be2c79ed16866abd1bd8a132af307a627c518b5422c87",
+    "example1": "bf465268fea80ebcc28f6f234809ea310c02f718072c4f4a3149d10c172df24a",
+    "example2": "5b6d24491e7c81a299f9659337b80ef2bdba135fc5d430ba34e000ed8aefe36d",
+    "example3": "cce30018e49db2d495ad719a7b82ef25246c2cdf3bd5e7cbf5f4a59892866e11",
+    "perron_weighted": "4d3180f9c0190fdd906682cbb51850fe632022135aa769229ff36f2502a34282",
+    "shared_saddle": "9947214ac0a6d8ecf24ffc7219569a10d5d466c3b988688cf08ae8fd1e1df6a7",
 }
 
 

@@ -199,6 +199,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("grid resolution below 3", 3, "grid resolution"),
     ("infinite budget", 5, "NASHNET_BUDGET"),
     ("dimension not a number", 3, "malformed"),
+    ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
     ("non-positive weight", 3, "--weights"),
@@ -216,6 +217,10 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["dimensions"]["m1"] = "x"
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(open(shsad))
+    doc["agents"]["subnet1"][0]["expr"] = "(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"
+    inf_const = tmp_path / "inf_const.yaml"
+    inf_const.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -226,6 +231,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
         "infinite budget": ["oracle", shsad, "--grid", "41"],
         "dimension not a number": ["run", str(bad)],
+        "infinite objective constant": ["run", str(inf_const)],
         "zero sweep jobs": ["sweep", shsad, "--values", "1", "--out", str(sweep_dir),
                             "--jobs", "0"],
         "infinite sweep value": ["sweep", shsad, "--param", "iterations", "--values", "1e400",

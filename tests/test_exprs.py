@@ -215,6 +215,40 @@ def test_emitted_gradient_equals_closure_on_random_expressions(problem):
     _assert_emitted_equals_closure(*problem)
 
 
+@st.composite
+def _scaled_products(draw):
+    """Products of two to four factors under Scale and Neg, nested, with
+    points to evaluate them at."""
+    m1, m2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    num = st.floats(-3, 3)
+    var = st.one_of(st.builds(Var, st.just("x"), st.integers(0, m1 - 1)),
+                    st.builds(Var, st.just("y"), st.integers(0, m2 - 1)))
+    leaf = st.one_of(var, st.builds(lambda v, c: Sum((v, Const(c))), var, num))
+    e = draw(st.recursive(
+        st.lists(leaf, min_size=2, max_size=4).map(lambda c: Prod(tuple(c))),
+        lambda kids: st.one_of(
+            st.builds(Scale, num, kids), st.builds(Neg, kids),
+            st.lists(st.one_of(kids, leaf), min_size=2, max_size=3).map(
+                lambda c: Prod(tuple(c)))),
+        max_leaves=10))
+    coords = st.lists(num, min_size=m1 + m2, max_size=m1 + m2)
+    points = [(p[:m1], p[m1:]) for p in draw(st.lists(coords, min_size=1, max_size=8))]
+    return e, m1, m2, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scaled_products())
+def test_emitted_derivative_of_scaled_products_equals_interpreter(problem):
+    """A Scale or Neg over a product multiplies the whole derivative term,
+    as the interpreter's `_grad` does: equal values, +0.0 and -0.0 alike."""
+    e, m1, m2, points = problem
+    for side, reference in (("x", subgradient_x), ("y", subgradient_y)):
+        emitted = _emitted_gradient(e, None, m1, m2, side)
+        for x, y in points:
+            assert list(emitted(*x, *y)) == reference(e, x, y).tolist(), \
+                (format_expr(e), side, x, y)
+
+
 def test_objective_code_drops_unread_temporaries():
     """Only the temporaries an output reads survive: a derivative alone
     computes no value of a power or absolute value, and a value alone no

@@ -272,10 +272,18 @@ def _isolate_agent_0(doc):
     ("example1", lambda d: d["agents"]["subnet2"][0].update(expr="(sub x0 (pow y1 2))", selections={}),
      "dimensions"),
     ("example1", lambda d: d["boxes"]["y"].update(upper=[float("nan")]), "NaN"),
+    ("shared_saddle", lambda d: d["agents"]["subnet1"][0].update(
+        expr="(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"), "non-finite number 'inf'"),
+    ("shared_saddle", lambda d: d["agents"]["subnet1"][1].update(
+        expr="(sub (scale -inf (pow (sub x0 1) 2)) (pow (add y0 0.5) 2))"),
+     "non-finite number '-inf'"),
+    ("shared_saddle", lambda d: d["agents"]["subnet2"][0].update(
+        expr="(sub (affine (nan) (0) 1) (pow (add y0 0.5) 2))"), "non-finite number 'nan'"),
 ], ids=["negative cross index", "cross index past the end", "zero window",
         "oracle rule on a disconnected graph", "zero learner period",
         "negative weight floor", "zero weight floor", "weight floor above one",
-        "NaN weight floor", "objective beyond the dimensions", "NaN box bound"])
+        "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
+        "infinite constant", "infinite scale factor", "NaN affine coefficient"])
 def test_loader_rejects_unusable_documents(name, edit, message):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails, with or without
@@ -390,6 +398,32 @@ def test_plotdata_long_format():
     assert lines[0] == "k,series,value"
     series = {ln.split(",")[1] for ln in lines[1:]}
     assert series == {"x1", "x2", "x3", "y1", "y2", "nash_error"}
+
+
+def _documented_grid(iterations):
+    """The plot-data k-grid as the README states it: every k up to 1024,
+    then k + k // 64 while below K, then K."""
+    ks = list(range(min(iterations, 1024) + 1))
+    while ks[-1] < iterations:
+        ks.append(min(iterations, ks[-1] + ks[-1] // 64))
+    return ks
+
+
+@pytest.mark.parametrize("iterations", [0, 1024, 3000])
+def test_plotdata_is_a_view_of_the_run(iterations):
+    """Plot data holds, for each k on the documented grid, the trace's states
+    and the metrics' nash_error at that k, as the same doubles."""
+    s = bundled_scenario("shared_saddle")
+    tr = run(s, iterations=iterations)
+    m = compute_metrics(tr, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
+    rows = [ln.split(",") for ln in plotdata_to_csv(tr, m).splitlines()[1:]]
+    grid = _documented_grid(iterations)
+    series = [("x1", tr.x[:, 0, 0]), ("x2", tr.x[:, 1, 0]), ("x3", tr.x[:, 2, 0]),
+              ("y1", tr.y[:, 0, 0]), ("y2", tr.y[:, 1, 0]), ("nash_error", m.nash_error)]
+    assert [(int(k), name) for k, name, _ in rows] == [(k, name) for k in grid
+                                                      for name, _ in series]
+    want = [values[k] for k in grid for _, values in series]
+    assert np.array([float(v) for _, _, v in rows]).tobytes() == np.array(want).tobytes()
 
 
 def test_metrics_series_contracts():
