@@ -340,17 +340,18 @@ def plot_grid(iterations: int) -> np.ndarray:
 def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None) -> str:
     """Plot-ready long format: k, series, value, for k on
     :func:`plot_grid`; the trace CSV holds every k."""
-    k = plot_grid(trace.iterations)
+    ks = plot_grid(trace.iterations)
+    k = ks[:, None]
     fields, blocks = "", []
     for name, states in (("x", trace.x), ("y", trace.y)):
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
                 tag = f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]"
                 fields += f"%d,{tag},{FLOAT_FMT}\n"
-                blocks += [k[:, None], states[k, i, d:d + 1]]
+                blocks += [k, states[ks, i, d:d + 1]]
     if metrics is not None:
         fields += f"%d,nash_error,{FLOAT_FMT}\n"
-        blocks += [k[:, None], metrics.nash_error[k, None]]
+        blocks += [k, metrics.nash_error[ks, None]]
     return _csv("k,series,value", (fields, blocks))
 
 
