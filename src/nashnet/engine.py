@@ -71,6 +71,11 @@ class Scenario:
         y0 = np.asarray(self.y0, dtype=float).reshape(g.n2, self.m2)
         if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
             raise ValidationError("initial states must be finite")
+        if (self.oracle_x is None) != (self.oracle_y is None):
+            raise ValidationError("a stored saddle reference needs both x_star and y_star")
+        if self.oracle_x is not None:
+            object.__setattr__(self, "oracle_x", _saddle_point(self.oracle_x, "x_star", "m1", self.m1))
+            object.__setattr__(self, "oracle_y", _saddle_point(self.oracle_y, "y_star", "m2", self.m2))
         self.rule.schedule.require_horizon(self.iterations)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
@@ -87,6 +92,18 @@ class Scenario:
     @property
     def n2(self):
         return self.graph.n2
+
+
+def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:
+    """A stored saddle reference block as `dim` finite floats."""
+    try:
+        point = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (dim,) or not np.isfinite(point).all():
+        raise ValidationError(f"saddle reference {name} must hold {dim_name} = {dim} "
+                              f"finite numbers, got {values!r}")
+    return tuple(point.tolist())
 
 
 @dataclass(frozen=True)

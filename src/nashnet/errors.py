@@ -30,6 +30,7 @@ class NumericError(NashnetError):
 
 
 class ResourceError(NashnetError):
-    """A configured budget (grid evaluations, iteration cap) was exceeded."""
+    """A configured budget (grid evaluations, iteration cap) was exceeded,
+    or a forked CSV formatting helper failed."""
 
     exit_code = 5

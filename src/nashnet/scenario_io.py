@@ -12,6 +12,8 @@ summaries) comes from one formatter, with a fixed header and
 from __future__ import annotations
 
 import io
+import multiprocessing
+import os
 from importlib import resources
 
 import numpy as np
@@ -19,7 +21,7 @@ import yaml
 
 from .digraph import GraphSequenceSpec, check_jointly_bipartite, check_ujsc, validate_weight_rule
 from .engine import Scenario, Trace
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceError, ValidationError
 from .exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from .metrics import MetricsSeries
 from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
@@ -285,15 +287,108 @@ def _csv(header: str, *parts) -> str:
     `%` fields. A chunk of at most CSV_CHUNK values is gathered from the
     blocks only when it is formatted, goes through one `%`, and lands in
     the one buffer that holds the whole text.
+
+    Chunks are dealt round-robin to the shares of :func:`_share_count`:
+    share 0 is this process, each other share a forked helper that sends
+    its chunks back through a pipe, so the text is the same for any count.
     """
-    buf = io.StringIO()
-    buf.write(header + "\n")
+    chunks = []
     for template, blocks in parts:
         rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
-        for r in range(0, len(blocks[0]), rows):
-            table = np.concatenate([b[r:r + rows] for b in blocks], axis=1)
-            buf.write((template * len(table)) % tuple(table.ravel().tolist()))
+        chunks += [(template, blocks, r, r + rows) for r in range(0, len(blocks[0]), rows)]
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    helpers = _fork_helpers(chunks, _share_count(len(chunks)))
+    shares = len(helpers) + 1
+    try:
+        for j, chunk in enumerate(chunks):
+            share = j % shares
+            buf.write(_receive(helpers[share - 1]) if share else _format_chunk(*chunk))
+    finally:
+        failed = _reap(helpers)
+    if failed:
+        raise ResourceError(f"CSV formatting helper exited with status {failed[0]}")
     return buf.getvalue()
+
+
+def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
+    table = np.concatenate([b[start:stop] for b in blocks], axis=1)
+    return (template * len(table)) % tuple(table.ravel().tolist())
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_count(chunks: int) -> int:
+    """How many processes format a CSV of `chunks` chunks: one per usable
+    core, but only one in a pool worker (``sweep --jobs N`` already fills
+    the cores) or where the platform cannot fork."""
+    if multiprocessing.parent_process() is not None or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cores(), chunks))
+
+
+def _fork_helpers(chunks, shares: int) -> list:
+    """(pid, pipe reader) of a forked helper for each share but the first;
+    none at all, and the caller formats alone, when a pipe or fork fails.
+
+    A helper formats only its own chunks, ``chunks[share::shares]``, and
+    writes each to its pipe as an 8-byte length and the UTF-8 text. A full
+    pipe blocks it, so it holds at most one chunk the parent has not read.
+    """
+    helpers = []
+    try:
+        for share in range(1, shares):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    for _, reader in helpers:
+                        reader.close()
+                    with os.fdopen(w, "wb") as out:
+                        for chunk in chunks[share::shares]:
+                            data = _format_chunk(*chunk).encode("utf-8")
+                            out.write(len(data).to_bytes(8, "little"))
+                            out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            helpers.append((pid, os.fdopen(r, "rb")))
+    except OSError:
+        _reap(helpers)
+        return []
+    return helpers
+
+
+def _receive(helper) -> str:
+    pid, reader = helper
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise ResourceError(f"CSV formatting helper {pid} stopped before sending its chunk")
+    return data.decode("utf-8")
+
+
+def _reap(helpers) -> list:
+    """Close every helper's pipe, so one still writing stops, and wait for
+    each; the nonzero exit statuses."""
+    for _, reader in helpers:
+        reader.close()
+    statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in helpers]
+    return [s for s in statuses if s != 0]
 
 
 def trace_to_csv(trace: Trace, m1: int, m2: int) -> str:

@@ -200,6 +200,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("infinite budget", 5, "NASHNET_BUDGET"),
     ("dimension not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
+    ("NaN saddle reference", 3, "x_star"),
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
     ("non-positive weight", 3, "--weights"),
@@ -221,6 +222,10 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["agents"]["subnet1"][0]["expr"] = "(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"
     inf_const = tmp_path / "inf_const.yaml"
     inf_const.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(open(shsad))
+    doc["run"]["oracle"]["x_star"] = [float("nan")]
+    nan_ref = tmp_path / "nan_ref.yaml"
+    nan_ref.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -232,6 +237,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "infinite budget": ["oracle", shsad, "--grid", "41"],
         "dimension not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
+        "NaN saddle reference": ["run", str(nan_ref), "--iters", "50"],
         "zero sweep jobs": ["sweep", shsad, "--values", "1", "--out", str(sweep_dir),
                             "--jobs", "0"],
         "infinite sweep value": ["sweep", shsad, "--param", "iterations", "--values", "1e400",
@@ -254,6 +260,30 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not sweep_dir.exists() and not missing.exists()
+
+
+def test_dead_formatting_helper_exits_5(shsad, tmp_path, monkeypatch, capsys):
+    """A CSV formatting helper that dies after sending one chunk ends the
+    run in exit 5, writes no file and leaves no child unreaped."""
+    from nashnet import scenario_io
+    parent, real, calls = os.getpid(), scenario_io._format_chunk, []
+
+    def dying(*chunk):
+        if os.getpid() != parent:
+            calls.append(chunk)
+            if len(calls) == 2:
+                os._exit(3)
+        return real(*chunk)
+
+    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(scenario_io, "_format_chunk", dying)
+    out = tmp_path / "t.csv"
+    assert main(["run", shsad, "--out", str(out)]) == 5
+    assert "CSV formatting helper" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reproduce_trust_bundled(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Scenario files, bundled scenarios, and CSV serialization."""
 
 import copy
+import os
+from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -16,10 +18,12 @@ from nashnet.errors import ParseError, ValidationError
 from nashnet.exprs import format_expr
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
+from nashnet import scenario_io
 from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_scenario,
                                  loads_scenario, metrics_to_csv,
-                                 plotdata_to_csv, save_scenario,
-                                 scenario_to_doc, trace_to_csv)
+                                 plotdata_to_csv, report_to_csv, save_scenario,
+                                 scenario_to_doc, sweep_summary_to_csv,
+                                 trace_to_csv)
 from nashnet.stepsizes import (AdaptivePeriodic, Homogeneous,
                                OracleHeterogeneous)
 
@@ -279,11 +283,18 @@ def _isolate_agent_0(doc):
      "non-finite number '-inf'"),
     ("shared_saddle", lambda d: d["agents"]["subnet2"][0].update(
         expr="(sub (affine (nan) (0) 1) (pow (add y0 0.5) 2))"), "non-finite number 'nan'"),
+    ("shared_saddle", lambda d: d["run"]["oracle"].update(x_star=[0.1, 0.2]),
+     "x_star must hold m1 = 1 finite numbers"),
+    ("shared_saddle", lambda d: d["run"]["oracle"].update(x_star=["a"]), "x_star"),
+    ("shared_saddle", lambda d: d["run"]["oracle"].pop("y_star"), "both x_star and y_star"),
+    ("shared_saddle", lambda d: d["run"]["oracle"].update(x_star=[float("nan")]), "x_star"),
 ], ids=["negative cross index", "cross index past the end", "zero window",
         "oracle rule on a disconnected graph", "zero learner period",
         "negative weight floor", "zero weight floor", "weight floor above one",
         "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
-        "infinite constant", "infinite scale factor", "NaN affine coefficient"])
+        "infinite constant", "infinite scale factor", "NaN affine coefficient",
+        "saddle reference of the wrong length", "saddle reference not a number",
+        "saddle reference without y_star", "NaN saddle reference"])
 def test_loader_rejects_unusable_documents(name, edit, message):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails, with or without
@@ -424,6 +435,87 @@ def test_plotdata_is_a_view_of_the_run(iterations):
                                                       for name, _ in series]
     want = [values[k] for k in grid for _, values in series]
     assert np.array([float(v) for _, _, v in rows]).tobytes() == np.array(want).tobytes()
+
+
+def _shared_saddle_run(iterations):
+    s = bundled_scenario("shared_saddle")
+    tr = run(s, iterations=iterations)
+    m = compute_metrics(tr, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
+    return tr, m, s.m1, s.m2
+
+
+@pytest.mark.parametrize("make, chunk", [
+    (lambda: _shared_saddle_run(0), None),
+    (lambda: _shared_saddle_run(7), 40),
+    (lambda: _shared_saddle_run(3300), None),
+    (lambda: (*_padded_run(), 2, 1), 12),
+], ids=["K = 0", "odd chunk count, two-row chunks", "odd metrics chunk count",
+        "padded layout, one-row chunks"])
+def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
+    """Whether one process formats a CSV or two or three share its chunks,
+    every writer returns the same text. Chunk boundaries fall inside the
+    trace's per-agent templates and before its separate last-row part."""
+    if chunk:
+        monkeypatch.setattr(scenario_io, "CSV_CHUNK", chunk)
+    trace, metrics, m1, m2 = make()
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    texts, forked = {}, {}
+    for shares in (1, 2, 3):
+        monkeypatch.setattr(scenario_io, "_usable_cores", lambda: shares)
+        forks.clear()
+        texts[shares] = (trace_to_csv(trace, m1, m2), metrics_to_csv(metrics),
+                         plotdata_to_csv(trace, metrics))
+        forked[shares] = len(forks)
+    assert texts[2] == texts[1] and texts[3] == texts[1]
+    assert forked[1] == 0
+    assert (forked[2] > 0) == (trace.iterations > 0) and forked[3] >= forked[2]
+
+
+def test_small_and_object_csvs_never_fork(monkeypatch):
+    """The oracle report and the sweep summary are one chunk each."""
+    def no_fork():
+        raise AssertionError("forked for a one-chunk CSV")
+
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = SaddleReport((1.0, 2.0), (-0.5,), 0.25, 1e-9, 2001)
+    assert report_to_csv(report).splitlines()[-1] == "grid_resolution,2001"
+    results = [(0.5 * i, 1e-3 / (i + 1), f"out/m_{i}.csv") for i in range(100)]
+    assert len(sweep_summary_to_csv("gamma.c", results).splitlines()) == 101
+
+
+def test_failed_fork_formats_in_process(monkeypatch):
+    """A fork the system refuses leaves the text as the serial path writes it."""
+    trace, metrics, m1, m2 = _shared_saddle_run(40)
+    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 60)
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 1)
+    serial = trace_to_csv(trace, m1, m2), metrics_to_csv(metrics)
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert (trace_to_csv(trace, m1, m2), metrics_to_csv(metrics)) == serial
+
+
+def test_share_count(monkeypatch):
+    """One share per usable core up to one per chunk; pool workers and
+    platforms without fork format alone."""
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
+    assert [scenario_io._share_count(c) for c in (0, 1, 2, 9)] == [1, 1, 2, 2]
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(scenario_io._share_count, 9).result() == 1
+    monkeypatch.delattr(os, "fork")
+    assert scenario_io._share_count(9) == 1
 
 
 def test_metrics_series_contracts():
