@@ -222,7 +222,8 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["agents"]["subnet1"][0]["expr"] = "(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"
     inf_const = tmp_path / "inf_const.yaml"
     inf_const.write_text(yaml.safe_dump(doc, sort_keys=False))
-    doc = yaml.safe_load(open(shsad))
+    with open(shsad) as fh:
+        doc = yaml.safe_load(fh)
     doc["run"]["oracle"]["x_star"] = [float("nan")]
     nan_ref = tmp_path / "nan_ref.yaml"
     nan_ref.write_text(yaml.safe_dump(doc, sort_keys=False))
