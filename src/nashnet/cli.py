@@ -112,16 +112,23 @@ def _reference_saddle(scenario: Scenario, rederive: bool = False) -> SaddleRepor
     return saddle
 
 
-WRITE_SLICE = 1 << 20  # characters per write: the file layer's copy stays small
+def _write(path, write):
+    """Open `path` for text and let `write` stream the file into it.
 
-
-def _write(path, text: str):
+    A write that fails removes the partial file, if `path` names a regular
+    file, before its error goes on; an OSError is a ValidationError.
+    """
+    opened = False
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), WRITE_SLICE):
-                fh.write(text[start:start + WRITE_SLICE])
-    except OSError as exc:
-        raise ValidationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+            opened = True
+            write(fh)
+    except BaseException as exc:
+        if opened and os.path.isfile(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise ValidationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+        raise
 
 
 def _make_dir(path):
@@ -159,9 +166,9 @@ def cmd_run(args) -> int:
     saddle = _reference_saddle(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
     if args.out:
-        _write(args.out, trace_to_csv(trace, scenario.m1, scenario.m2))
+        _write(args.out, lambda fh: trace_to_csv(trace, scenario.m1, scenario.m2, fh))
     if args.metrics:
-        _write(args.metrics, metrics_to_csv(metrics))
+        _write(args.metrics, lambda fh: metrics_to_csv(metrics, fh))
     print(f"{scenario.name}: {_outcome(trace, metrics)}")
     return 0
 
@@ -183,7 +190,7 @@ def cmd_oracle(args) -> int:
                                     zip(vals, scenario.objectives1)))
     report = grid_minimax(w, scenario.box_x, scenario.box_y, resolution=args.grid)
     if args.out:
-        _write(args.out, report_to_csv(report))
+        _write(args.out, lambda fh: report_to_csv(report, fh))
     xs = ", ".join(f"{v:.6g}" for v in report.x_star)
     ys = ", ".join(f"{v:.6g}" for v in report.y_star)
     print(f"saddle: x*=({xs}), y*=({ys}), value={report.value:.6g}, "
@@ -246,9 +253,9 @@ def cmd_reproduce(args) -> int:
     metrics = compute_metrics(trace, scenario, saddle)
     paths = {ext: os.path.join(args.out, f"{name}_{ext}.csv")
              for ext in ("trace", "metrics", "plotdata")}
-    _write(paths["trace"], trace_to_csv(trace, scenario.m1, scenario.m2))
-    _write(paths["metrics"], metrics_to_csv(metrics))
-    _write(paths["plotdata"], plotdata_to_csv(trace, metrics))
+    _write(paths["trace"], lambda fh: trace_to_csv(trace, scenario.m1, scenario.m2, fh))
+    _write(paths["metrics"], lambda fh: metrics_to_csv(metrics, fh))
+    _write(paths["plotdata"], lambda fh: plotdata_to_csv(trace, metrics, fh))
     print(f"{name}: {_outcome(trace, metrics)}; wrote {', '.join(paths.values())}")
     return 0
 
@@ -274,7 +281,7 @@ def _sweep_worker(job):
     scenario, out = job
     trace = run(scenario)
     metrics = compute_metrics(trace, scenario, _reference_saddle(scenario))
-    _write(out, metrics_to_csv(metrics))
+    _write(out, lambda fh: metrics_to_csv(metrics, fh))
     return float(metrics.nash_error[-1])
 
 
@@ -295,7 +302,7 @@ def cmd_sweep(args) -> int:
         errors = [_sweep_worker(j) for j in jobs]
     results = [(v, err, out) for v, err, (_, out) in zip(values, errors, jobs)]  # job order
     summary = os.path.join(args.out, "sweep_summary.csv")
-    _write(summary, sweep_summary_to_csv(args.param, results))
+    _write(summary, lambda fh: sweep_summary_to_csv(args.param, results, fh))
     for value, err, _ in results:
         print(f"{args.param}={value:g}: final nash_error={err:.6g}")
     print(f"wrote {summary}")

@@ -115,8 +115,6 @@ class Trace:
     y: np.ndarray  # (K+1, n2, m2)
     alpha: np.ndarray  # (K, n1)
     beta: np.ndarray  # (K, n2)
-    contact_x: np.ndarray  # (K, n1) last cross-contact time used at step k, -1 if none yet
-    contact_y: np.ndarray  # (K, n2)
     readout1: np.ndarray | None = None  # (K, n1) adaptive learner readouts
     readout2: np.ndarray | None = None
 
@@ -217,15 +215,6 @@ def _contact_pattern(g: GraphSequenceSpec) -> tuple:
     return tuple(np.array([C.sum(axis=1) > 0 for C in cross]) for cross in (g.cross1, g.cross2))
 
 
-def _contact_times(pattern, K: int) -> np.ndarray:
-    """(K, n) contact time used at each step: the last k' <= k whose phase
-    gives the agent a cross contact, -1 before the first. This is the
-    clock t{s}_{i} the kernel keeps."""
-    k = np.arange(K)
-    times = np.where(pattern[k % len(pattern)], k[:, None], -1)
-    return np.maximum.accumulate(times, axis=0, out=times)
-
-
 def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     """Execute the full dynamics for K iterations and record everything.
 
@@ -250,9 +239,7 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
-    contact_x, contact_y = (_contact_times(p, K) for p in _contact_pattern(g))
-    return Trace(x=x, y=y, alpha=alpha, beta=beta, contact_x=contact_x,
-                 contact_y=contact_y, readout1=r1, readout2=r2)
+    return Trace(x=x, y=y, alpha=alpha, beta=beta, readout1=r1, readout2=r2)
 
 
 def make_identical_scenario(objectives, a_seq, eta: float, t1: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -273,20 +274,36 @@ def bundled_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 CSV_CHUNK = 8192  # values per `%` call: bounds each chunk's table and text
+# the fewest chunks worth a forked helper: below it the fork costs more
+# than the helper's share of the chunks saves
+FORK_MIN_CHUNKS = 8
 # plot_grid: the early transient at every k, the tail about 1.6% apart on
 # a log axis, so a 100k-iteration run keeps 1,323 values of k
 PLOT_DENSE_K = 1024
 PLOT_STEP_DIVISOR = 64
 
 
-def _csv(header: str, *parts) -> str:
+@dataclass(frozen=True)
+class Written:
+    """What a CSV writer given a stream returns: ``len()`` is the number of
+    characters it wrote, the length of the text it returns without one."""
+
+    chars: int
+
+    def __len__(self):
+        return self.chars
+
+
+def _csv(out, header: str, *parts) -> str | Written:
     """The one formatter that turns numbers into CSV text.
 
     Each part is ``(template, blocks)``: `blocks` are 2-D arrays with one
     row per `template`, whose columns, left to right, fill the template's
     `%` fields. A chunk of at most CSV_CHUNK values is gathered from the
-    blocks only when it is formatted, goes through one `%`, and lands in
-    the one buffer that holds the whole text.
+    blocks only when it is formatted, goes through one `%`, and is written
+    to the text stream `out` at once, in chunk order, so the whole text
+    is never held. Without a stream the text goes to a buffer and comes
+    back as a ``str``; with one, a :class:`Written`.
 
     Chunks are dealt round-robin to the shares of :func:`_share_count`:
     share 0 is this process, each other share a forked helper that sends
@@ -296,19 +313,19 @@ def _csv(header: str, *parts) -> str:
     for template, blocks in parts:
         rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
         chunks += [(template, blocks, r, r + rows) for r in range(0, len(blocks[0]), rows)]
-    buf = io.StringIO()
-    buf.write(header + "\n")
+    stream = io.StringIO() if out is None else out
+    chars = stream.write(header + "\n")
     helpers = _fork_helpers(chunks, _share_count(len(chunks)))
     shares = len(helpers) + 1
     try:
         for j, chunk in enumerate(chunks):
             share = j % shares
-            buf.write(_receive(helpers[share - 1]) if share else _format_chunk(*chunk))
+            chars += stream.write(_receive(helpers[share - 1]) if share else _format_chunk(*chunk))
     finally:
         failed = _reap(helpers)
     if failed:
         raise ResourceError(f"CSV formatting helper exited with status {failed[0]}")
-    return buf.getvalue()
+    return stream.getvalue() if out is None else Written(chars)
 
 
 def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
@@ -325,9 +342,11 @@ def _usable_cores() -> int:
 
 def _share_count(chunks: int) -> int:
     """How many processes format a CSV of `chunks` chunks: one per usable
-    core, but only one in a pool worker (``sweep --jobs N`` already fills
-    the cores) or where the platform cannot fork."""
-    if multiprocessing.parent_process() is not None or not hasattr(os, "fork"):
+    core, but only one below FORK_MIN_CHUNKS chunks, in a pool worker
+    (``sweep --jobs N`` already fills the cores) or where the platform
+    cannot fork."""
+    if (chunks < FORK_MIN_CHUNKS or multiprocessing.parent_process() is not None
+            or not hasattr(os, "fork")):
         return 1
     return max(1, min(_usable_cores(), chunks))
 
@@ -391,7 +410,7 @@ def _reap(helpers) -> list:
     return [s for s in statuses if s != 0]
 
 
-def trace_to_csv(trace: Trace, m1: int, m2: int) -> str:
+def trace_to_csv(trace: Trace, m1: int, m2: int, out=None) -> str | Written:
     """Long-format rows (k, agent, subnet, states..., applied stepsize);
     the last iteration's rows leave the stepsize empty."""
     m = max(m1, m2)
@@ -410,13 +429,13 @@ def trace_to_csv(trace: Trace, m1: int, m2: int) -> str:
         return fields, blocks
 
     cols = ["k", "agent", "subnet"] + [f"s{d}" for d in range(m)] + ["stepsize"]
-    return _csv(",".join(cols), part(slice(0, K), False), part(slice(K, K + 1), True))
+    return _csv(out, ",".join(cols), part(slice(0, K), False), part(slice(K, K + 1), True))
 
 
-def metrics_to_csv(metrics: MetricsSeries) -> str:
+def metrics_to_csv(metrics: MetricsSeries, out=None) -> str | Written:
     series = (np.arange(len(metrics.h1)), metrics.h1, metrics.h2, metrics.nash_error,
               metrics.saddle_residual)
-    return _csv("k,h1,h2,nash_error,saddle_residual",
+    return _csv(out, "k,h1,h2,nash_error,saddle_residual",
                 ("%d" + f",{FLOAT_FMT}" * 4 + "\n", [v[:, None] for v in series]))
 
 
@@ -432,7 +451,7 @@ def plot_grid(iterations: int) -> np.ndarray:
     return np.array(ks)
 
 
-def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None) -> str:
+def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None, out=None) -> str | Written:
     """Plot-ready long format: k, series, value, for k on
     :func:`plot_grid`; the trace CSV holds every k."""
     ks = plot_grid(trace.iterations)
@@ -447,20 +466,20 @@ def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None) -> str:
     if metrics is not None:
         fields += f"%d,nash_error,{FLOAT_FMT}\n"
         blocks += [k, metrics.nash_error[ks, None]]
-    return _csv("k,series,value", (fields, blocks))
+    return _csv(out, "k,series,value", (fields, blocks))
 
 
-def report_to_csv(report) -> str:
+def report_to_csv(report, out=None) -> str | Written:
     """Key-value rows of a :class:`~nashnet.saddle.SaddleReport`."""
     keys = ([f"x_star[{d}]" for d in range(len(report.x_star))]
             + [f"y_star[{d}]" for d in range(len(report.y_star))] + ["value", "minimax_gap"])
     row = (*report.x_star, *report.y_star, report.value, report.minimax_gap,
            report.grid_resolution)
     fields = "".join(f"{key},{FLOAT_FMT}\n" for key in keys) + "grid_resolution,%d\n"
-    return _csv("key,value", (fields, [np.array([row], dtype=object)]))
+    return _csv(out, "key,value", (fields, [np.array([row], dtype=object)]))
 
 
-def sweep_summary_to_csv(param: str, results) -> str:
+def sweep_summary_to_csv(param: str, results, out=None) -> str | Written:
     """One row per sweep job: (value, final nash error, metrics file path)."""
-    return _csv(f"{param},final_nash_error,metrics_file",
+    return _csv(out, f"{param},final_nash_error,metrics_file",
                 (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(results, dtype=object)]))

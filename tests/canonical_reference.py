@@ -137,6 +137,16 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
                         breve_y=breve_y, contact_x=tcx, contact_y=tcy)
 
 
+def contact_times(pattern, K: int) -> np.ndarray:
+    """(K, n) contact time used at each step, from the (period, n) contact
+    pattern of ``engine._contact_pattern``: the last k' <= k whose phase
+    gives the agent a cross contact, -1 before the first. This is the clock
+    t{s}_{i} the engine kernel keeps, and ``step`` stamps as contact_x/y."""
+    k = np.arange(K)
+    times = np.where(pattern[k % len(pattern)], k[:, None], -1)
+    return np.maximum.accumulate(times, axis=0, out=times)
+
+
 def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
     """Adaptive denominators at times 0..K-1 straight from the paper: time k
     reads bank nu = k % len(activation), started at t0 = activation[nu], and

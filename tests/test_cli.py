@@ -1,14 +1,24 @@
 """Command-line interface: subcommands, file outputs, and the exit-code
 contract (2 parse, 3 validation, 4 numeric, 5 resource)."""
 
+import dataclasses
+import errno
 import hashlib
 import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 import nashnet
+from nashnet import cli, scenario_io
 from nashnet.cli import main
+from nashnet.engine import run
+from nashnet.errors import ValidationError
+from nashnet.metrics import compute_metrics
 from nashnet.scenario_io import (bundled_scenario, load_scenario, save_scenario,
                                  scenario_to_doc)
 
@@ -54,7 +64,7 @@ def test_run_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_run_validation_error_exit_3_no_trace(shsad, tmp_path, capsys):
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["graph"]["phases"][0]["a1"][0] = [0.7, 0.2, 0.0]  # sums to 0.9
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
@@ -71,7 +81,7 @@ def test_run_validation_error_exit_3_no_trace(shsad, tmp_path, capsys):
     ({"iterations": 2, "table": 2}, ["--iters", "3"], "table of length 2"),
 ])
 def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, argv, message):
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["run"]["iterations"] = run_doc["iterations"]
     if "table" in run_doc:
         doc["stepsize"]["gamma"] = {"table": [0.1] * run_doc["table"]}
@@ -104,7 +114,7 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
 def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
     """x0^60 overflows on a +-1e6 box while sampling convexity: the load
     warns, prints no numpy RuntimeWarning, and the short run still works."""
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["boxes"]["x"] = {"lower": [-1e6], "upper": [1e6]}
     doc["agents"]["subnet1"][0]["expr"] = "(sub (pow x0 60) (pow y0 2))"
     doc["initial"]["x"] = [[0.5], [0.5], [0.5]]
@@ -119,7 +129,7 @@ def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
 def test_oracle_default_weights(shsad, tmp_path, capsys):
     out = str(tmp_path / "saddle.csv")
     assert main(["oracle", shsad, "--grid", "401", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "key,value"
     vals = dict(ln.split(",") for ln in lines[1:])
     assert float(vals["x_star[0]"]) == pytest.approx(1.0, abs=1e-6)
@@ -175,7 +185,7 @@ def test_graph_check_failure_exit_3(tmp_path, capsys):
 def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     """graph-check loads without any check, so a weight-rule violation is
     listed beside the other verdicts; every other command fails at load."""
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["graph"]["phases"][0]["a1"][0] = [0.7, 0.2, 0.0]  # sums to 0.9
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
@@ -214,11 +224,11 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
     """User input errors end in their documented exit code, not a traceback."""
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["dimensions"]["m1"] = "x"
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
-    doc = yaml.safe_load(open(shsad))
+    doc = yaml.safe_load(Path(shsad).read_text())
     doc["agents"]["subnet1"][0]["expr"] = "(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"
     inf_const = tmp_path / "inf_const.yaml"
     inf_const.write_text(yaml.safe_dump(doc, sort_keys=False))
@@ -277,6 +287,7 @@ def test_dead_formatting_helper_exits_5(shsad, tmp_path, monkeypatch, capsys):
         return real(*chunk)
 
     monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
+    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
     monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
     monkeypatch.setattr(scenario_io, "_format_chunk", dying)
     out = tmp_path / "t.csv"
@@ -285,6 +296,129 @@ def test_dead_formatting_helper_exits_5(shsad, tmp_path, monkeypatch, capsys):
     assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_write_removes_the_partial_file(shsad, tmp_path, monkeypatch, capsys):
+    """A write that fails part way, here an OSError after the first chunk,
+    ends in exit 3 and leaves no file at the path, not even the file that
+    was there before."""
+    real, calls = scenario_io._format_chunk, []
+
+    def failing(*chunk):
+        calls.append(chunk)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*chunk)
+
+    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(scenario_io, "_format_chunk", failing)
+    out = tmp_path / "t.csv"
+    out.write_text("an earlier run\n")
+    assert main(["run", shsad, "--out", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_write_removes_only_a_regular_file(tmp_path, monkeypatch):
+    """A failed write to a device such as /dev/null leaves the path alone."""
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+
+    def failing(fh):
+        fh.write("k\n")
+        raise OSError(errno.EIO, "Input/output error")
+
+    for path in (os.devnull, str(tmp_path / "r.csv")):
+        with pytest.raises(ValidationError, match="Input/output error"):
+            cli._write(path, failing)
+    assert removed == [str(tmp_path / "r.csv")]
+
+
+def test_output_files_keep_the_umask_mode(shsad, tmp_path):
+    """Outputs are opened in place, so under umask 022 they are 0644."""
+    paths = [tmp_path / "t.csv", tmp_path / "m.csv"]
+    old = os.umask(0o022)
+    try:
+        assert main(["run", shsad, "--iters", "5", "--out", str(paths[0]),
+                     "--metrics", str(paths[1])]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [0o644, 0o644]
+
+
+_HELPERS_SCRIPT = """
+import os, sys
+from nashnet import cli, scenario_io
+real_fork, forks = os.fork, []
+def counting_fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting_fork
+scenario_io.CSV_CHUNK = 150
+scenario_io.FORK_MIN_CHUNKS = 2
+scenario_io._usable_cores = lambda: 3
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--metrics", sys.argv[3]])
+print("forks", len(forks))
+sys.exit(code)
+"""
+
+
+def _env():
+    src = str(Path(nashnet.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_streaming_through_helpers_leaks_no_file_or_pipe(shsad, tmp_path):
+    """Streamed writes with two forked helpers per CSV close every file and
+    pipe they open: under ``-X dev -W error::ResourceWarning`` the run
+    exits 0 and warns of nothing, and its files match a one-process run."""
+    helped, alone = [str(tmp_path / f) for f in ("t.csv", "m.csv")], \
+        [str(tmp_path / f) for f in ("t1.csv", "m1.csv")]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", _HELPERS_SCRIPT, shsad, *helped],
+                          env=_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "ResourceWarning" not in proc.stderr
+    assert int(proc.stdout.split("forks ")[1]) >= 4  # two helpers for each CSV
+    assert main(["run", shsad, "--out", alone[0], "--metrics", alone[1]]) == 0
+    assert [Path(p).read_bytes() for p in helped] == [Path(p).read_bytes() for p in alone]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.wait4")
+def test_peak_memory_follows_only_the_run_arrays(tmp_path):
+    """Peak RSS of ``run example1.yaml --out --metrics`` grows from 50k to
+    200k iterations by at most twice the extra iterations' share of the
+    Trace and MetricsSeries arrays (``compute_metrics`` builds each series
+    from temporaries of the states' size) plus 4 MB: no CSV text is held
+    whole, and nothing else is kept per iteration."""
+    example1 = str(Path(nashnet.__file__).parent / "scenarios" / "example1.yaml")
+    scenario = load_scenario(example1, check_assumptions=False)
+
+    def array_bytes(iterations):
+        trace = run(scenario, iterations=iterations)
+        metrics = compute_metrics(trace, scenario, cli._reference_saddle(scenario))
+        return sum(getattr(obj, f.name).nbytes for obj in (trace, metrics)
+                   for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None)
+
+    per_iteration = (array_bytes(2000) - array_bytes(1000)) / 1000
+
+    def peak_mb(iterations):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nashnet.cli", "run", example1, "--iters", str(iterations),
+             "--out", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.csv")],
+            env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024  # KiB on Linux
+
+    growth = peak_mb(200_000) - peak_mb(50_000)
+    share = per_iteration * 150_000 / 2**20
+    assert growth <= 2 * share + 4, (growth, share)
 
 
 def test_reproduce_trust_bundled(tmp_path, capsys, monkeypatch):
@@ -310,8 +444,8 @@ def test_sweep_serial_and_parallel_agree(shsad, tmp_path):
                  "--out", d1, "--jobs", "1"]) == 0
     assert main(["sweep", shsad, "--param", "gamma.c", "--values", "0.5,1.0",
                  "--out", d2, "--jobs", "2"]) == 0
-    s1 = open(os.path.join(d1, "sweep_summary.csv")).read()
-    s2 = open(os.path.join(d2, "sweep_summary.csv")).read()
+    s1 = Path(d1, "sweep_summary.csv").read_text()
+    s2 = Path(d2, "sweep_summary.csv").read_text()
     assert s1.replace(d1, "") == s2.replace(d2, "")
     assert len(s1.strip().splitlines()) == 3
 
@@ -322,14 +456,14 @@ def test_sweep_outputs_pinned(shsad, tmp_path):
     d = str(tmp_path / "sw%d 100%")
     assert main(["sweep", shsad, "--param", "gamma.c", "--values", "0.5,1.0,2e-3",
                  "--out", d]) == 0
-    summary = open(os.path.join(d, "sweep_summary.csv")).read()
+    summary = Path(d, "sweep_summary.csv").read_text()
     assert summary == (
         "gamma.c,final_nash_error,metrics_file\n"
         "0.5,2.370336467542939e-08,<DIR>/shared_saddle_gamma_c_0_metrics.csv\n"
         "1,5.7946508526276113e-14,<DIR>/shared_saddle_gamma_c_1_metrics.csv\n"
         "0.002,11.020093754777523,<DIR>/shared_saddle_gamma_c_2_metrics.csv\n"
     ).replace("<DIR>", d)
-    digests = {f: hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+    digests = {f: hashlib.sha256(Path(d, f).read_bytes()).hexdigest()
                for f in sorted(os.listdir(d)) if f != "sweep_summary.csv"}
     assert digests == {
         "shared_saddle_gamma_c_0_metrics.csv":

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
-from canonical_reference import initial_state, reference_run, step, stepsize_for
+from canonical_reference import (contact_times, initial_state, reference_run, step,
+                                 stepsize_for)
 from nashnet.digraph import GraphSequenceSpec
-from nashnet.engine import Scenario, _kernel_source, make_identical_scenario, run
+from nashnet.engine import (Scenario, _contact_pattern, _kernel_source,
+                            make_identical_scenario, run)
 from nashnet.errors import NumericError, ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
                            abs_nodes, evaluate, x_var, y_var)
@@ -104,6 +106,7 @@ def _assert_bits_equal(got, want):
 
 def _assert_run_matches_reference(scenario, tr, K):
     states, alphas, betas, readouts = reference_run(scenario, K)
+    contact_x, contact_y = _contacts(scenario.graph, K)
     _assert_bits_equal(tr.alpha, np.reshape(alphas, (K, scenario.n1)))
     _assert_bits_equal(tr.beta, np.reshape(betas, (K, scenario.n2)))
     if readouts:
@@ -115,8 +118,14 @@ def _assert_run_matches_reference(scenario, tr, K):
         _assert_bits_equal(tr.x[k], st.x)
         _assert_bits_equal(tr.y[k], st.y)
         if k:
-            np.testing.assert_array_equal(st.contact_x, tr.contact_x[k - 1])
-            np.testing.assert_array_equal(st.contact_y, tr.contact_y[k - 1])
+            np.testing.assert_array_equal(st.contact_x, contact_x[k - 1])
+            np.testing.assert_array_equal(st.contact_y, contact_y[k - 1])
+
+
+def _contacts(graph, K):
+    """The (K, n1) and (K, n2) contact clocks the kernel keeps, from the
+    contact pattern the kernel is generated from."""
+    return tuple(contact_times(p, K) for p in _contact_pattern(graph))
 
 
 def _random_mixing(rng, n, eta=0.1):
@@ -301,8 +310,9 @@ def test_consensus_only_before_first_cross_contact():
     # step 0 has no cross arcs: pure averaging, no subgradient move
     np.testing.assert_allclose(tr.x[1][:, 0], [0.5, 0.5])
     np.testing.assert_allclose(tr.y[1][:, 0], [2.0, 2.0])
-    assert (tr.contact_x[0] == -1).all()
-    assert (tr.contact_x[1] == 1).all()
+    contact_x, _ = _contacts(delayed, tr.iterations)
+    assert (contact_x[0] == -1).all()
+    assert (contact_x[1] == 1).all()
 
 
 def test_stale_cross_observations_reused():
@@ -314,8 +324,9 @@ def test_stale_cross_observations_reused():
         cross1=(np.eye(2), np.zeros((2, 2))),
         cross2=(np.eye(2), np.zeros((2, 2))), t_cross=2)
     tr = run(dataclasses.replace(s, graph=intermittent))
-    assert (tr.contact_x[1] == 0).all()  # step 1 still uses the k=0 snapshot
-    assert (tr.contact_x[2] == 2).all()
+    contact_x, _ = _contacts(intermittent, tr.iterations)
+    assert (contact_x[1] == 0).all()  # step 1 still uses the k=0 snapshot
+    assert (contact_x[2] == 2).all()
 
 
 def test_nonfinite_state_raises_numeric_error():

@@ -1,6 +1,7 @@
 """Scenario files, bundled scenarios, and CSV serialization."""
 
 import copy
+import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -338,9 +339,7 @@ def _padded_run():
                   [[np.pi, -np.e], [123456789.125, 0.0]]])
     y = np.array([[[2 / 3]], [[-1e-5]], [[1.7976931348623157e308]]])
     trace = Trace(x=x, y=y, alpha=np.array([[0.02, 0.5], [1 / 51, 0.25]]),
-                  beta=np.array([[1 / 3], [1e-17]]),
-                  contact_x=np.zeros((2, 2), dtype=int),
-                  contact_y=np.zeros((2, 1), dtype=int))
+                  beta=np.array([[1 / 3], [1e-17]]))
     metrics = MetricsSeries(
         h1=np.array([1.5, 0.1, 1e-9]), h2=np.array([0.0, -0.0, 2 / 7]),
         nash_error=np.array([10.0, 1 / 3, 4e-20]),
@@ -453,10 +452,12 @@ def _shared_saddle_run(iterations):
         "padded layout, one-row chunks"])
 def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
     """Whether one process formats a CSV or two or three share its chunks,
-    every writer returns the same text. Chunk boundaries fall inside the
-    trace's per-agent templates and before its separate last-row part."""
+    every writer returns the same text, and streams it into a file object
+    given as `out`. Chunk boundaries fall inside the trace's per-agent
+    templates and before its separate last-row part."""
     if chunk:
         monkeypatch.setattr(scenario_io, "CSV_CHUNK", chunk)
+    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
     trace, metrics, m1, m2 = make()
     real_fork, forks = os.fork, []
 
@@ -473,6 +474,11 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
         forks.clear()
         texts[shares] = (trace_to_csv(trace, m1, m2), metrics_to_csv(metrics),
                          plotdata_to_csv(trace, metrics))
+        streams = [io.StringIO() for _ in texts[shares]]
+        written = (trace_to_csv(trace, m1, m2, streams[0]), metrics_to_csv(metrics, streams[1]),
+                   plotdata_to_csv(trace, metrics, streams[2]))
+        assert tuple(s.getvalue() for s in streams) == texts[shares]
+        assert [len(w) for w in written] == [len(t) for t in texts[shares]]
         forked[shares] = len(forks)
     assert texts[2] == texts[1] and texts[3] == texts[1]
     assert forked[1] == 0
@@ -496,6 +502,7 @@ def test_failed_fork_formats_in_process(monkeypatch):
     """A fork the system refuses leaves the text as the serial path writes it."""
     trace, metrics, m1, m2 = _shared_saddle_run(40)
     monkeypatch.setattr(scenario_io, "CSV_CHUNK", 60)
+    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
     monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 1)
     serial = trace_to_csv(trace, m1, m2), metrics_to_csv(metrics)
 
@@ -508,10 +515,19 @@ def test_failed_fork_formats_in_process(monkeypatch):
 
 
 def test_share_count(monkeypatch):
-    """One share per usable core up to one per chunk; pool workers and
-    platforms without fork format alone."""
+    """One share per usable core up to one per chunk, from FORK_MIN_CHUNKS
+    chunks on; pool workers and platforms without fork format alone."""
+    least = scenario_io.FORK_MIN_CHUNKS
+    assert least >= 2
     monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
-    assert [scenario_io._share_count(c) for c in (0, 1, 2, 9)] == [1, 1, 2, 2]
+    assert ([scenario_io._share_count(c) for c in (0, 1, 2, least - 1, least, 9 * least)]
+            == [1, 1, 1, 1, 2, 2])
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 4)
+    assert ([scenario_io._share_count(c) for c in (least - 1, least, 9 * least)]
+            == [1, min(4, least), 4])
+    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
+    assert [scenario_io._share_count(c) for c in (1, 2, 3)] == [1, 2, 3]
+    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(scenario_io._share_count, 9).result() == 1
     monkeypatch.delattr(os, "fork")
