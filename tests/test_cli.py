@@ -376,8 +376,8 @@ def test_streaming_through_helpers_leaks_no_file_or_pipe(shsad, tmp_path):
     """Streamed writes with two forked helpers per CSV close every file and
     pipe they open: under ``-X dev -W error::ResourceWarning`` the run
     exits 0 and warns of nothing, and its files match a one-process run."""
-    helped, alone = [str(tmp_path / f) for f in ("t.csv", "m.csv")], \
-        [str(tmp_path / f) for f in ("t1.csv", "m1.csv")]
+    helped = [str(tmp_path / f) for f in ("t.csv", "m.csv")]
+    alone = [str(tmp_path / f) for f in ("t1.csv", "m1.csv")]
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
                            "-c", _HELPERS_SCRIPT, shsad, *helped],
                           env=_env(), capture_output=True, text=True, timeout=300)
