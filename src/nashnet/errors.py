@@ -30,7 +30,6 @@ class NumericError(NashnetError):
 
 
 class ResourceError(NashnetError):
-    """A configured budget (grid evaluations, iteration cap) was exceeded,
-    or a forked CSV formatting helper failed."""
+    """A configured budget (grid evaluations, iteration cap) was exceeded."""
 
     exit_code = 5

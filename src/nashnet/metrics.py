@@ -6,6 +6,7 @@ reference really is a saddle point."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,6 +44,18 @@ def _pairwise_max(states):
     return out
 
 
+def _squared_distance(states, ref):
+    """(K+1,) sum over agents and coordinates of (state - ref)**2, chunked
+    over k as :func:`_pairwise_max` is; no k's reduction depends on the chunk."""
+    _, n, m = states.shape
+    rows = max(1, PAIRWISE_CHUNK // max(1, n * m))
+    out = np.empty(len(states))
+    for start in range(0, len(states), rows):
+        diff = states[start:start + rows] - ref
+        out[start:start + rows] = np.square(diff, out=diff).sum(axis=(1, 2))
+    return out
+
+
 def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> MetricsSeries:
     x_star = np.asarray(saddle.x_star, dtype=float)
     y_star = np.asarray(saddle.y_star, dtype=float)
@@ -51,8 +64,7 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
 
     h1 = _pairwise_max(trace.x)
     h2 = _pairwise_max(trace.y)
-    nash = (((trace.x - x_star) ** 2).sum(axis=(1, 2))
-            + ((trace.y - y_star) ** 2).sum(axis=(1, 2)))
+    nash = _squared_distance(trace.x, x_star) + _squared_distance(trace.y, y_star)
 
     u = unit_weighted(scenario.objectives1).compiled(
         scenario.m1, scenario.m2, which="value", vector=True)
@@ -64,10 +76,8 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
                            [ybar[:, d] for d in range(scenario.m2)]), dtype=float).ravel()
     residual = u_left - u_right
 
-    steps = np.concatenate([trace.alpha, trace.beta], axis=1)
-    if steps.shape[0]:
-        step_min, step_max = steps.min(axis=1), steps.max(axis=1)
-    else:
-        step_min = step_max = np.zeros(0)
+    # agent by agent: exact, and much faster than a reduction along a short row
+    steps = [*trace.alpha.T, *trace.beta.T]
+    step_min, step_max = reduce(np.minimum, steps), reduce(np.maximum, steps)
     return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=residual,
                          step_min=step_min, step_max=step_max)

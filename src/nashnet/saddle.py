@@ -5,7 +5,8 @@ The grid oracle is deliberately brute force - for the 1-D / 1-D experiments
 it is the most trustworthy ground truth available - and is followed by a
 local three-level refinement around the winner for ~100x sharper answers.
 It evaluates each distinct objective of a weighted sum once per table, in
-row blocks of at most TABLE_CHUNK cells. Blocks of dimension above two are
+row blocks of at most TABLE_CHUNK cells, and keeps of each block only its
+row maxima and the running column minima, never the whole table. Blocks of dimension above two are
 rejected with a resource error; a scenario with such blocks needs a stored
 reference, ``run.oracle`` with ``x_star`` and ``y_star``, in its document.
 """
@@ -126,21 +127,35 @@ def _mesh(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _eval_table(value_fn, xpts, ypts):
-    """Value of the objective on the product of point sets, shape (Nx, Ny).
+def _row_blocks(value_fn, xpts, ypts):
+    """The value of the objective on the product of point sets, an (Nx, Ny)
+    table, as blocks of whole rows, top to bottom.
 
-    Filled in blocks of whole rows, at most TABLE_CHUNK cells each, so the
-    per-term sums stay in cache; no cell's value depends on the block size.
+    A block has at most TABLE_CHUNK cells, so the per-term sums stay in
+    cache and the table is never held whole; no cell's value depends on
+    the block size.
     """
     nx, ny = xpts.shape[0], ypts.shape[0]
-    table = np.empty((nx, ny))
     ycols = [ypts[:, d][None, :] for d in range(ypts.shape[1])]
     rows = max(1, TABLE_CHUNK // ny)
     for start in range(0, nx, rows):
         block = xpts[start:start + rows]
-        table[start:start + rows] = value_fn([block[:, d][:, None] for d in range(block.shape[1])],
-                                             ycols)
-    return table
+        values = value_fn([block[:, d][:, None] for d in range(block.shape[1])], ycols)
+        yield np.broadcast_to(np.asarray(values, dtype=float), (len(block), ny))
+
+
+def _row_max_col_min(value_fn, xpts, ypts):
+    """The table's row maxima and column minima, as the whole table's
+    ``max(axis=1)`` and ``min(axis=0)`` give them: each row is reduced
+    alone, and the column minima of the blocks are folded top to bottom.
+    Min is exact and keeps its later operand on ties, so even a signed
+    zero comes out as from the whole table."""
+    row_max, col_min = [], None
+    for block in _row_blocks(value_fn, xpts, ypts):
+        row_max.append(block.max(axis=1))
+        low = block.min(axis=0)
+        col_min = low if col_min is None else np.minimum(col_min, low, out=low)
+    return np.concatenate(row_max), col_min
 
 
 def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
@@ -171,9 +186,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     x_axes = _axis_grids(bx, resolution)
     y_axes = _axis_grids(by, resolution)
     xpts, ypts = _mesh(x_axes), _mesh(y_axes)
-    table = _eval_table(value_fn, xpts, ypts)
-    sup_y = table.max(axis=1)
-    inf_x = table.min(axis=0)
+    sup_y, inf_x = _row_max_col_min(value_fn, xpts, ypts)
     ix = int(sup_y.argmin())
     iy = int(inf_x.argmax())
     gap = float(sup_y[ix] - inf_x[iy])
@@ -192,8 +205,8 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
         fxp, fyp = _mesh(fx_axes), _mesh(fy_axes)
         y_all = np.concatenate([ypts, fyp], axis=0)
         x_all = np.concatenate([xpts, fxp], axis=0)
-        x_star = fxp[int(_eval_table(value_fn, fxp, y_all).max(axis=1).argmin())].copy()
-        y_star = fyp[int(_eval_table(value_fn, x_all, fyp).min(axis=0).argmax())].copy()
+        x_star = fxp[int(_row_max_col_min(value_fn, fxp, y_all)[0].argmin())].copy()
+        y_star = fyp[int(_row_max_col_min(value_fn, x_all, fyp)[1].argmax())].copy()
         hx = hx * 2.0 / (fine - 1)
         hy = hy * 2.0 / (fine - 1)
 

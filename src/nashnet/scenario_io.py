@@ -6,23 +6,26 @@ Loading validates structure and the weight rule; connectivity-window checks
 and convexity sampling attach warnings without failing the load. Every CSV
 the package writes (traces, metrics, plot data, oracle reports, sweep
 summaries) comes from one formatter, with a fixed header and
-17-significant-digit floats so reimports are bit-faithful.
+17-significant-digit floats so reimports are bit-faithful. Its bytes are
+those of Python's `%`: numeric chunks are formatted in numpy, each value
+proven to match `%` or handed to it, in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-import multiprocessing
-import os
+import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from .digraph import GraphSequenceSpec, check_jointly_bipartite, check_ujsc, validate_weight_rule
 from .engine import Scenario, Trace
-from .errors import ParseError, ResourceError, ValidationError
+from .errors import ParseError, ValidationError
 from .exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from .metrics import MetricsSeries
 from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
@@ -273,10 +276,7 @@ def bundled_scenario(name: str) -> Scenario:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-CSV_CHUNK = 8192  # values per `%` call: bounds each chunk's table and text
-# the fewest chunks worth a forked helper: below it the fork costs more
-# than the helper's share of the chunks saves
-FORK_MIN_CHUNKS = 8
+CSV_CHUNK = 8192  # values per chunk: bounds each chunk's table and text
 # plot_grid: the early transient at every k, the tail about 1.6% apart on
 # a log axis, so a 100k-iteration run keeps 1,323 values of k
 PLOT_DENSE_K = 1024
@@ -300,114 +300,275 @@ def _csv(out, header: str, *parts) -> str | Written:
     Each part is ``(template, blocks)``: `blocks` are 2-D arrays with one
     row per `template`, whose columns, left to right, fill the template's
     `%` fields. A chunk of at most CSV_CHUNK values is gathered from the
-    blocks only when it is formatted, goes through one `%`, and is written
-    to the text stream `out` at once, in chunk order, so the whole text
-    is never held. Without a stream the text goes to a buffer and comes
-    back as a ``str``; with one, a :class:`Written`.
-
-    Chunks are dealt round-robin to the shares of :func:`_share_count`:
-    share 0 is this process, each other share a forked helper that sends
-    its chunks back through a pipe, so the text is the same for any count.
+    blocks only when it is formatted (:func:`_format_chunk`) and is
+    written to the text stream `out` at once, in chunk order, so the whole
+    text is never held. Without a stream the text goes to a buffer and
+    comes back as a ``str``; with one, a :class:`Written`.
     """
-    chunks = []
-    for template, blocks in parts:
-        rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
-        chunks += [(template, blocks, r, r + rows) for r in range(0, len(blocks[0]), rows)]
     stream = io.StringIO() if out is None else out
     chars = stream.write(header + "\n")
-    helpers = _fork_helpers(chunks, _share_count(len(chunks)))
-    shares = len(helpers) + 1
-    try:
-        for j, chunk in enumerate(chunks):
-            share = j % shares
-            chars += stream.write(_receive(helpers[share - 1]) if share else _format_chunk(*chunk))
-    finally:
-        failed = _reap(helpers)
-    if failed:
-        raise ResourceError(f"CSV formatting helper exited with status {failed[0]}")
+    for template, blocks in parts:
+        rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
+        for start in range(0, len(blocks[0]), rows):
+            chars += stream.write(_format_chunk(template, blocks, start, start + rows))
     return stream.getvalue() if out is None else Written(chars)
 
 
 def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
-    table = np.concatenate([b[start:stop] for b in blocks], axis=1)
-    return (template * len(table)) % tuple(table.ravel().tolist())
+    """``(template * rows) % values`` for rows `start`:`stop` of `blocks`.
 
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _share_count(chunks: int) -> int:
-    """How many processes format a CSV of `chunks` chunks: one per usable
-    core, but only one below FORK_MIN_CHUNKS chunks, in a pool worker
-    (``sweep --jobs N`` already fills the cores) or where the platform
-    cannot fork."""
-    if (chunks < FORK_MIN_CHUNKS or multiprocessing.parent_process() is not None
-            or not hasattr(os, "fork")):
-        return 1
-    return max(1, min(_usable_cores(), chunks))
-
-
-def _fork_helpers(chunks, shares: int) -> list:
-    """(pid, pipe reader) of a forked helper for each share but the first;
-    none at all, and the caller formats alone, when a pipe or fork fails.
-
-    A helper formats only its own chunks, ``chunks[share::shares]``, and
-    writes each to its pipe as an 8-byte length and the UTF-8 text. A full
-    pipe blocks it, so it holds at most one chunk the parent has not read.
+    A float table whose template has only ``%.17g`` and ``%d`` fields is
+    formatted in numpy: every ``%.17g`` cell in one pass (:func:`_format_g`),
+    every ``%d`` cell in another (:func:`_format_d`), each into a slot of a
+    byte table that :func:`_layout` lays out with NUL padding, and one NUL
+    compress makes the text. So the number of numpy calls does not grow
+    with the template. Every other chunk, and one with a ``%d`` value
+    outside the int64 range, goes through `%` whole.
     """
-    helpers = []
-    try:
-        for share in range(1, shares):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    for _, reader in helpers:
-                        reader.close()
-                    with os.fdopen(w, "wb") as out:
-                        for chunk in chunks[share::shares]:
-                            data = _format_chunk(*chunk).encode("utf-8")
-                            out.write(len(data).to_bytes(8, "little"))
-                            out.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            helpers.append((pid, os.fdopen(r, "rb")))
-    except OSError:
-        _reap(helpers)
-        return []
-    return helpers
+    table = np.concatenate([b[start:stop] for b in blocks], axis=1)
+    layout = _layout(template) if table.dtype == np.float64 else None
+    ints = None
+    if layout is not None and len(layout.row) == table.shape[1]:
+        ints = _format_d(table[:, layout.dcols].ravel())
+    if ints is None:
+        return (template * len(table)) % tuple(table.ravel().tolist())
+    floats = _format_g(table[:, layout.gcols].ravel())
+    rows = len(table)
+    text = bytearray(rows * layout.row.size)
+    buf = np.frombuffer(text, np.uint8).reshape(rows, *layout.row.shape)
+    buf[:] = layout.row
+    buf[:, layout.dcols, :_SLOT] = ints.reshape(rows, len(layout.dcols), _SLOT)
+    buf[:, layout.gcols, :_SLOT] = floats.reshape(rows, len(layout.gcols), _SLOT)
+    del buf, floats, ints
+    return bytes(text).translate(None, b"\0").decode("utf-8")
 
 
-def _receive(helper) -> str:
-    pid, reader = helper
-    head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise ResourceError(f"CSV formatting helper {pid} stopped before sending its chunk")
-    return data.decode("utf-8")
+class _Layout(NamedTuple):
+    row: np.ndarray  # (fields, width) bytes of one template row, slots NUL
+    gcols: np.ndarray  # the fields, and so table columns, of %.17g
+    dcols: np.ndarray  # and of %d
 
 
-def _reap(helpers) -> list:
-    """Close every helper's pipe, so one still writing stops, and wait for
-    each; the nonzero exit statuses."""
-    for _, reader in helpers:
-        reader.close()
-    statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in helpers]
-    return [s for s in statuses if s != 0]
+@functools.lru_cache(maxsize=64)
+def _layout(template: str) -> _Layout | None:
+    """The byte layout of one row of `template`, or None if `%` must format it.
+
+    A row is one piece per field, all of one width: the field's slot, then
+    the text up to the next field. A template must begin with a field and
+    hold no field but ``%.17g`` and ``%d``, and no NUL.
+    """
+    parts = re.split(r"(%\.17g|%d)", template)
+    if parts[0] or any("%" in text or "\0" in text for text in parts[2::2]):
+        return None
+    texts = [text.encode("utf-8") for text in parts[2::2]]
+    row = np.zeros((len(texts), _SLOT + max(map(len, texts))), np.uint8)
+    for piece, text in enumerate(texts):
+        row[piece, _SLOT:_SLOT + len(text)] = np.frombuffer(text, np.uint8)
+    row.setflags(write=False)
+    kinds = np.array(parts[1::2])
+    return _Layout(row, np.flatnonzero(kinds == FLOAT_FMT), np.flatnonzero(kinds == "%d"))
+
+
+# A formatted cell is a slot of _SLOT bytes at the start of six 8-byte
+# words, each character at a fixed place and NUL where none is written:
+#   word 0     sign, the "0.000" of fixed notation below 1, digit 0, point
+#   words 1-4  digits 1-16, each followed by the place of a decimal point
+#   word 5     the exponent, "e+05" or "e-308"
+# A %d cell: sign, then 20 digits with NUL for the leading zeros.
+_SLOT = 45
+_DOT_SPILL = 47  # a byte past the slot that takes the dot of a value without one
+_S_MIN, _S_MAX = -292, 340  # 16 - E over the finite nonzero doubles
+# %.17g writes the 17 significant digits D of |x|, correctly rounded with
+# ties to even, and the decimal exponent E of D * 10**(E - 16): fixed
+# notation for -4 <= E <= 16 with the fraction's trailing zeros dropped,
+# else d.dddde+XX. With s = 16 - E, t = |x| * 10**s is computed as p + r in
+# double-double arithmetic (see _format_g), off by at most 16 t 2**-106,
+# below 2**-45 while D < 10**17. D = round(t) is proven when t is farther
+# than PROOF_MARGIN from a half-integer, and E when 10**16 - 0.04 <= t and
+# D < 10**17: from 10**16 - 0.05 up the rounding carry gives the text of E.
+# Every other value goes through `%`.
+PROOF_MARGIN = 2.0 ** -40
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _words(byte_rows) -> np.ndarray:
+    """Rows of bytes as unsigned words of the same width, bytes in memory order."""
+    rows = np.ascontiguousarray(byte_rows, dtype=np.uint8)
+    return rows.view(np.dtype(f"u{rows.shape[1]}")).ravel()
+
+
+def _split(v):
+    """Veltkamp's split: v == hi + lo exactly, each half of 26 bits."""
+    c = v * _SPLIT
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _scaled_pow10(s: int):
+    """(hi, lo, c): 10**s == (hi + lo) * 2**c to about 2**-106, 1 <= hi < 2,
+    hi and lo each correctly rounded."""
+    if s >= 0:
+        num, den = 10 ** s, 1
+        c = num.bit_length() - 1
+        den <<= c
+    else:
+        num, den = 1, 10 ** -s
+        c = -den.bit_length()
+        num <<= -c
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b), c
+
+
+@functools.cache
+def _tables() -> dict:
+    """Lookup tables of the vectorised formatters, built on first use."""
+    s = np.arange(_S_MIN, _S_MAX + 1)
+    hi, lo, scale = (np.array(v) for v in zip(*map(_scaled_pow10, s.tolist())))
+    e = 16 - s
+    fixed = (e >= -4) & (e <= 16)
+    g = np.arange(10000)
+    digits = 48 + g[:, None] // np.array([1000, 100, 10, 1]) % 10
+    width = 1 + (g >= 10) + (g >= 100) + (g >= 1000)
+    lead = np.where(np.arange(4) >= 4 - width[:, None], digits, 0)  # "0" for 0
+    spread = np.zeros((10000, 8), int)
+    spread[:, 0::2] = digits
+    # a group's last nonzero digit, counted from 1; -99 for 0
+    sig = np.where(g % 10, 4, np.where(g % 100, 3, np.where(g % 1000, 2, np.where(g, 1, -99))))
+    # word k keeps digits 4k-3 .. 4k while fewer than `keep` come before
+    keep = np.arange(18)[:, None] - np.arange(1, 17)[None, :] > 0
+    masks = np.zeros((4, 18, 8), int)
+    masks[:, :, 0::2] = 255 * keep.reshape(18, 4, 4).transpose(1, 0, 2)
+    prefix = np.zeros((2, len(s), 8), int)  # unsigned, then with the sign
+    prefix[1, :, 0] = ord("-")
+    for zeros in range(4):
+        prefix[:, e == -1 - zeros, 1:3 + zeros] = list(b"0." + b"0" * zeros)
+    suffix = np.zeros((len(s), 8), int)
+    x = np.abs(e)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    suffix[:, 2:5] = 48 + x[:, None] // np.array([100, 10, 1]) % 10
+    suffix[x < 100, 2] = 0
+    suffix[fixed] = 0
+    # the digit the point follows (fixed notation: the last of the integer
+    # part), and its byte when a kept digit comes after it
+    point = np.where(fixed, np.where(e >= 0, e, 99), 0)
+    place = np.where(np.arange(18)[None, :] > point[:, None] + 1, 7 + 2 * point[:, None],
+                     _DOT_SPILL)
+    zero = np.zeros((2, 8), int)
+    zero[:, 6] = ord("0")
+    zero[1, 0] = ord("-")
+    return {
+        "hi": hi, "lo": lo, "scale": scale, "hi_split": _split(hi),
+        "sig": sig.astype(np.int8),
+        "spread": _words(spread),
+        "masks": [_words(m) for m in masks],
+        "d0": _words(np.pad(np.arange(10)[:, None] + 48, ((0, 0), (6, 1)))),
+        "prefix": _words(prefix.reshape(-1, 8)),
+        "suffix": _words(suffix),
+        # digits kept before the exponent: the integer part in fixed notation
+        "need": np.where(fixed, e + 1, 0).astype(np.int8),
+        "place": place.ravel().astype(np.int16),
+        "zero": _words(zero),
+        "digits": _words(digits), "lead": _words(lead),
+        "minus32": _words([[ord("-"), 0, 0, 0]])[0],
+    }
+
+
+def _format_g(values: np.ndarray) -> np.ndarray:
+    """(N, _SLOT) byte slots of ``'%.17g' % v`` for float64 `values`.
+
+    The values PROOF_MARGIN leaves undecided, and the non-finite ones, are
+    formatted by one batched `%` call.
+    """
+    t = _tables()
+    n = len(values)
+    neg = np.signbit(values)
+    a = np.abs(values)
+    ok = np.isfinite(a) & (a != 0)
+    if not ok.all():
+        a[~ok] = 1.0
+    # E, one too high or low next to a power of ten (the range check below
+    # catches that), and s = 16 - E as an index
+    E = np.floor(np.log10(a)).astype(np.intp)
+    s = 16 - _S_MIN - E
+    # |x| = m * 2**k and 10**s = (hi + lo) * 2**c, so t = m * (hi + lo) * 2**(k + c):
+    # p = fl(m * hi) and its error, exact by Dekker's product, plus m * lo
+    m, k = np.frexp(a)
+    hi = t["hi"][s]
+    p = m * hi
+    mh, ml = _split(m)
+    hh, hl = t["hi_split"][0][s], t["hi_split"][1][s]
+    r = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * t["lo"][s]
+    k += t["scale"][s]
+    p, r = np.ldexp(p, k), np.ldexp(r, k)  # exact: p is an integer near t
+    near = np.rint(r)
+    frac = r - near
+    D = p.astype(np.int64) + near.astype(np.int64)
+    proven = (np.abs(frac) < 0.5 - PROOF_MARGIN) & ((D - 10 ** 16) + frac >= -0.04)
+    proven &= (D < 10 ** 17) & ok
+    del a, m, k, hi, p, mh, ml, hh, hl, r, near, frac
+
+    d0 = D // 10 ** 16
+    rest = D - d0 * 10 ** 16
+    hi8 = rest // 10 ** 8
+    lo8 = rest - hi8 * 10 ** 8
+    g1, g3 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    groups = (g1, hi8 - g1 * 10 ** 4, g3, lo8 - g3 * 10 ** 4)
+    sig = t["sig"]
+    keep = t["need"][s]
+    np.maximum(keep, 1, out=keep)
+    for k, G in enumerate(groups):
+        np.maximum(keep, sig[G] + (4 * k + 1), out=keep)
+    keep = keep.astype(np.intp)
+    out = np.empty((n, 6), np.uint64)
+    np.bitwise_or(t["prefix"][s + len(t["hi"]) * neg], t["d0"][d0], out=out[:, 0])
+    for k, G in enumerate(groups):
+        np.bitwise_and(t["spread"][G], t["masks"][k][keep], out=out[:, k + 1])
+    out[:, 5] = t["suffix"][s]
+    slots = out.view(np.uint8)
+    slots.reshape(-1)[t["place"][s * 18 + keep] + 48 * np.arange(n)] = ord(".")
+
+    zero = values == 0
+    if zero.any():
+        out[zero] = 0
+        out[zero, 0] = t["zero"][neg[zero].astype(np.intp)]
+        proven |= zero
+    if not proven.all():
+        rest = np.flatnonzero(~proven)
+        text = ("%-24.17g" * len(rest)) % tuple(values[rest].tolist())  # padded to 24
+        chars = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(rest), 24)
+        out[rest] = 0
+        slots[rest, :24] = np.where(chars == 32, 0, chars)
+    return slots[:, :_SLOT]
+
+
+def _format_d(values: np.ndarray) -> np.ndarray | None:
+    """(N, _SLOT) byte slots of ``'%d' % v`` for float64 `values`, which
+    `%` truncates toward zero; None if one is not finite or |v| >= 2**63."""
+    a = np.abs(values)
+    if not (a < 2.0 ** 63).all():  # NaN too
+        return None
+    t = _tables()
+    ints = values.astype(np.int64)
+    q = np.abs(ints)
+    groups = []
+    for _ in range(5):
+        q, G = np.divmod(q, 10 ** 4)
+        groups.append(G)
+        if not q.any():
+            break
+    out = np.zeros((len(values), 6), np.uint64)
+    cols = out.view(np.uint32)
+    cols[ints < 0, 0] = t["minus32"]
+    started = np.zeros(len(values), bool)
+    for k, G in enumerate(reversed(groups), 6 - len(groups)):
+        lead = t["lead"][G]
+        if k < 5:
+            lead = np.where(G == 0, 0, lead)
+        cols[:, k] = np.where(started, t["digits"][G], lead)
+        started |= G != 0
+    return out.view(np.uint8)[:, :_SLOT]
 
 
 def trace_to_csv(trace: Trace, m1: int, m2: int, out=None) -> str | Written:

@@ -13,7 +13,9 @@ the interpreter.
 
 The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
-:func:`whole_table` fills the grid table in a single call.
+:func:`whole_table` fills the grid table in a single call, which
+:func:`table_extremes` holds whole to take its row maxima and column
+minima.
 
 The convexity sampler has its oracle here too: :func:`convexity_points`
 draws each trial's points with sequential ``rng.uniform`` calls and
@@ -279,8 +281,15 @@ def per_term_value(w, m1, m2, which="value", vector=False):
 
 
 def whole_table(value_fn, xpts, ypts):
-    """``saddle._eval_table`` in one call over the whole (Nx, Ny) product."""
+    """The blocks of ``saddle._row_blocks`` in one call over the whole
+    (Nx, Ny) product."""
     xcols = [xpts[:, d][:, None] for d in range(xpts.shape[1])]
     ycols = [ypts[:, d][None, :] for d in range(ypts.shape[1])]
     return np.broadcast_to(np.asarray(value_fn(xcols, ycols), dtype=float),
                            (xpts.shape[0], ypts.shape[0])).copy()
+
+
+def table_extremes(value_fn, xpts, ypts):
+    """``saddle._row_max_col_min`` from the whole table, held at once."""
+    table = whole_table(value_fn, xpts, ypts)
+    return table.max(axis=1), table.min(axis=0)

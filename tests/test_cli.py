@@ -273,27 +273,19 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     assert not sweep_dir.exists() and not missing.exists()
 
 
-def test_dead_formatting_helper_exits_5(shsad, tmp_path, monkeypatch, capsys):
-    """A CSV formatting helper that dies after sending one chunk ends the
-    run in exit 5, writes no file and leaves no child unreaped."""
-    from nashnet import scenario_io
-    parent, real, calls = os.getpid(), scenario_io._format_chunk, []
-
-    def dying(*chunk):
-        if os.getpid() != parent:
-            calls.append(chunk)
-            if len(calls) == 2:
-                os._exit(3)
-        return real(*chunk)
+def test_csv_writers_start_no_process(shsad, tmp_path, monkeypatch):
+    """Every CSV is formatted in the calling process: with ``os.fork`` and
+    ``os.pipe`` refused, ``run`` writes its trace and metrics in many
+    chunks, exits 0 and leaves no child behind."""
+    def refused(*args):
+        raise AssertionError("a CSV writer tried to start a process")
 
     monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
-    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(scenario_io, "_format_chunk", dying)
-    out = tmp_path / "t.csv"
-    assert main(["run", shsad, "--out", str(out)]) == 5
-    assert "CSV formatting helper" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, "pipe", refused)
+    paths = [tmp_path / "t.csv", tmp_path / "m.csv"]
+    assert main(["run", shsad, "--out", str(paths[0]), "--metrics", str(paths[1])]) == 0
+    assert all(p.stat().st_size > 0 for p in paths)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -311,7 +303,6 @@ def test_failed_write_removes_the_partial_file(shsad, tmp_path, monkeypatch, cap
         return real(*chunk)
 
     monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 1)
     monkeypatch.setattr(scenario_io, "_format_chunk", failing)
     out = tmp_path / "t.csv"
     out.write_text("an earlier run\n")
@@ -348,21 +339,10 @@ def test_output_files_keep_the_umask_mode(shsad, tmp_path):
 
 
 _HELPERS_SCRIPT = """
-import os, sys
+import sys
 from nashnet import cli, scenario_io
-real_fork, forks = os.fork, []
-def counting_fork():
-    pid = real_fork()
-    if pid:
-        forks.append(pid)
-    return pid
-os.fork = counting_fork
 scenario_io.CSV_CHUNK = 150
-scenario_io.FORK_MIN_CHUNKS = 2
-scenario_io._usable_cores = lambda: 3
-code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--metrics", sys.argv[3]])
-print("forks", len(forks))
-sys.exit(code)
+sys.exit(cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--metrics", sys.argv[3]]))
 """
 
 
@@ -373,19 +353,19 @@ def _env():
 
 
 def test_streaming_through_helpers_leaks_no_file_or_pipe(shsad, tmp_path):
-    """Streamed writes with two forked helpers per CSV close every file and
-    pipe they open: under ``-X dev -W error::ResourceWarning`` the run
-    exits 0 and warns of nothing, and its files match a one-process run."""
-    helped = [str(tmp_path / f) for f in ("t.csv", "m.csv")]
-    alone = [str(tmp_path / f) for f in ("t1.csv", "m1.csv")]
+    """Streamed writes through the vectorised formatting helpers, in chunks
+    of 150 values, close every file they open: under ``-X dev -W
+    error::ResourceWarning`` the run exits 0 and warns of nothing, and its
+    files match a run in default chunks."""
+    chunked = [str(tmp_path / f) for f in ("t.csv", "m.csv")]
+    default = [str(tmp_path / f) for f in ("t1.csv", "m1.csv")]
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-                           "-c", _HELPERS_SCRIPT, shsad, *helped],
+                           "-c", _HELPERS_SCRIPT, shsad, *chunked],
                           env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "ResourceWarning" not in proc.stderr
-    assert int(proc.stdout.split("forks ")[1]) >= 4  # two helpers for each CSV
-    assert main(["run", shsad, "--out", alone[0], "--metrics", alone[1]]) == 0
-    assert [Path(p).read_bytes() for p in helped] == [Path(p).read_bytes() for p in alone]
+    assert main(["run", shsad, "--out", default[0], "--metrics", default[1]]) == 0
+    assert [Path(p).read_bytes() for p in chunked] == [Path(p).read_bytes() for p in default]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.wait4")

@@ -4,7 +4,7 @@ candidate certification."""
 import numpy as np
 import pytest
 import yaml
-from canonical_reference import per_term_value, whole_table
+from canonical_reference import per_term_value, table_extremes, whole_table
 from test_scenario_io import _many_agents_doc
 
 from nashnet import saddle
@@ -129,7 +129,7 @@ def _per_term_report(monkeypatch, w, bx, by, **kwargs):
     """grid_minimax with one closure per term and the table in one call."""
     with monkeypatch.context() as m:
         m.setattr(WeightedObjective, "compiled", per_term_value)
-        m.setattr(saddle, "_eval_table", whole_table)
+        m.setattr(saddle, "_row_blocks", lambda fn, x, y: iter([whole_table(fn, x, y)]))
         return grid_minimax(w, bx, by, **kwargs)
 
 
@@ -151,7 +151,7 @@ def _assert_matches_per_term(monkeypatch, w, bx, by, resolution):
     fn = w.compiled(bx.dim, by.dim, which="value", vector=True)
     xpts = saddle._mesh(saddle._axis_grids(bx, resolution))
     ypts = saddle._mesh(saddle._axis_grids(by, resolution))
-    table = saddle._eval_table(fn, xpts, ypts)
+    table = np.concatenate(list(saddle._row_blocks(fn, xpts, ypts)))
     assert table.tobytes() == whole_table(oracle, xpts, ypts).tobytes()
     assert (grid_minimax(w, bx, by, resolution=resolution)
             == _per_term_report(monkeypatch, w, bx, by, resolution=resolution))
@@ -230,7 +230,7 @@ def test_eval_table_blocks_with_short_last_block(monkeypatch, chunk):
     def counted(x, y):
         calls.append(len(x[0]))
         return fn(x, y)
-    table = saddle._eval_table(counted, xpts, xpts)
+    table = np.concatenate(list(saddle._row_blocks(counted, xpts, xpts)))
     assert table.tobytes() == whole_table(oracle, xpts, xpts).tobytes()
     assert sum(calls) == 41 and calls[-1] == 41 - (len(calls) - 1) * calls[0]
     assert (grid_minimax(w, BOX5, BOX5, resolution=41)
@@ -251,3 +251,45 @@ def test_weighted_sum_scalar_and_series_calls():
     oracle = per_term_value(w, 1, 1, vector=True)
     for x, y in (([series], [np.array([0.88])]), ([np.array([0.61])], [series])):
         assert fn(x, y).tobytes() == np.asarray(oracle(x, y), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "perron_weighted",
+                                  "shared_saddle"])
+def test_grid_minimax_equals_the_whole_table_reference(monkeypatch, name):
+    """Row maxima and running column minima from row blocks give the report
+    the whole held table gives, on every bundled scenario."""
+    s = bundled_scenario(name)
+    w = unit_weighted(s.objectives1)
+    report = grid_minimax(w, s.box_x, s.box_y)
+    with monkeypatch.context() as m:
+        m.setattr(saddle, "_row_max_col_min", table_extremes)
+        assert report == grid_minimax(w, s.box_x, s.box_y)
+
+
+@pytest.mark.parametrize("chunk", [1, 7 * 41, 40 * 41, 100 * 41])
+def test_column_minima_fold_like_the_whole_table(monkeypatch, chunk):
+    """Blocks of 1, 7, 40 and all 41 rows leave the row maxima and column
+    minima as the whole table has them, signed zeros included."""
+    monkeypatch.setattr(saddle, "TABLE_CHUNK", chunk)
+    xpts = saddle._mesh(saddle._axis_grids(BOX5, 41))
+
+    def value(x, y):  # each column's minimum is zero, signed by row, in many rows
+        base = np.maximum(np.abs(x[0] - y[0]) - 2.0, 0.0)
+        return np.where(base == 0, np.where(x[0] * 4 % 2 == 0, -0.0, 0.0), base)
+    got, want = saddle._row_max_col_min(value, xpts, xpts), table_extremes(value, xpts, xpts)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_grid_minimax_never_holds_the_table():
+    """The 2001 x 2001 coarse table (32 MB) is reduced block by block: the
+    traced peak of the example1 oracle stays under 8 MB."""
+    import tracemalloc
+    s = bundled_scenario("example1")
+    w = unit_weighted(s.objectives1)
+    tracemalloc.start()
+    try:
+        grid_minimax(w, s.box_x, s.box_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

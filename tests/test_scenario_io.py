@@ -2,8 +2,6 @@
 
 import copy
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -451,87 +449,160 @@ def _shared_saddle_run(iterations):
 ], ids=["K = 0", "odd chunk count, two-row chunks", "odd metrics chunk count",
         "padded layout, one-row chunks"])
 def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
-    """Whether one process formats a CSV or two or three share its chunks,
-    every writer returns the same text, and streams it into a file object
-    given as `out`. Chunk boundaries fall inside the trace's per-agent
-    templates and before its separate last-row part."""
-    if chunk:
-        monkeypatch.setattr(scenario_io, "CSV_CHUNK", chunk)
-    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
+    """However many chunks share a CSV's values (CSV_CHUNK at the case's
+    size, at 1 and at 7), every writer returns the text one `%` call over
+    the whole template writes, and streams it into a file object given as
+    `out`. Chunk boundaries fall inside the trace's per-agent templates and
+    before its separate last-row part."""
     trace, metrics, m1, m2 = make()
-    real_fork, forks = os.fork, []
 
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    def texts(*streams):
+        return (trace_to_csv(trace, m1, m2, *streams[:1]), metrics_to_csv(metrics, *streams[1:2]),
+                plotdata_to_csv(trace, metrics, *streams[2:]))
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    texts, forked = {}, {}
-    for shares in (1, 2, 3):
-        monkeypatch.setattr(scenario_io, "_usable_cores", lambda: shares)
-        forks.clear()
-        texts[shares] = (trace_to_csv(trace, m1, m2), metrics_to_csv(metrics),
-                         plotdata_to_csv(trace, metrics))
-        streams = [io.StringIO() for _ in texts[shares]]
-        written = (trace_to_csv(trace, m1, m2, streams[0]), metrics_to_csv(metrics, streams[1]),
-                   plotdata_to_csv(trace, metrics, streams[2]))
-        assert tuple(s.getvalue() for s in streams) == texts[shares]
-        assert [len(w) for w in written] == [len(t) for t in texts[shares]]
-        forked[shares] = len(forks)
-    assert texts[2] == texts[1] and texts[3] == texts[1]
-    assert forked[1] == 0
-    assert (forked[2] > 0) == (trace.iterations > 0) and forked[3] >= forked[2]
+    with monkeypatch.context() as m:
+        m.setattr(scenario_io, "_layout", lambda template: None)
+        m.setattr(scenario_io, "CSV_CHUNK", 1 << 40)
+        want = texts()
+    real, calls = scenario_io._format_g, []
+    monkeypatch.setattr(scenario_io, "_format_g", lambda v: calls.append(len(v)) or real(v))
+    for size in (chunk or scenario_io.CSV_CHUNK, 1, 7):
+        monkeypatch.setattr(scenario_io, "CSV_CHUNK", size)
+        assert texts() == want
+        streams = [io.StringIO() for _ in want]
+        written = texts(*streams)
+        assert tuple(s.getvalue() for s in streams) == want
+        assert [len(w) for w in written] == [len(t) for t in want]
+    assert sum(calls) > 0  # the writers' templates take the vectorised path
 
 
-def test_small_and_object_csvs_never_fork(monkeypatch):
-    """The oracle report and the sweep summary are one chunk each."""
-    def no_fork():
-        raise AssertionError("forked for a one-chunk CSV")
+def _from_bits(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
 
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(os, "fork", no_fork)
+
+def _tie(s, q):
+    """(2q + 1) / 2**(s + 1): times 10**s it is an odd multiple of 1/2."""
+    return (2 * q + 1) / 2.0 ** (s + 1)
+
+
+# any 64-bit pattern: subnormals, +-0, +-inf and NaN among them
+_DOUBLES = st.integers(0, 2 ** 64 - 1).map(_from_bits)
+# 18 significant digits ending in 5: the nearest double sits beside a tie
+_NEAR_TIES = st.builds(lambda digits, exp: float(f"{digits}5e{exp}"),
+                       st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-340, 300))
+# exact ties of the 17th digit, (17-digit integer + 1/2) * 10**-s
+_TIES = st.integers(2, 23).flatmap(lambda s: st.integers(
+    10 ** 16 // 5 ** s, min(2 * 10 ** 17 // 5 ** s, 2 ** 53) // 2 - 1).map(lambda q: _tie(s, q)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_DOUBLES, _NEAR_TIES, _TIES), min_size=1, max_size=40))
+def test_format_chunk_matches_percent(values):
+    """Every %.17g cell reads as `%` writes it, byte for byte."""
+    for template in (f"{scenario_io.FLOAT_FMT}\n", f"k,{scenario_io.FLOAT_FMT},\n"):
+        block = np.array(values)[:, None]
+        assert (scenario_io._format_chunk(template, [block], 0, len(values))
+                == (template * len(values)) % tuple(values))
+
+
+def test_format_g_next_to_powers_of_ten():
+    """Powers of ten and their neighbours, where log10 may misplace the
+    exponent, and the ends of the double range, read as `%` writes them."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                             [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    values = np.concatenate([values, -values])
+    template = f"{scenario_io.FLOAT_FMT}\n"
+    assert (scenario_io._format_chunk(template, [values[:, None]], 0, len(values))
+            == (template * len(values)) % tuple(values.tolist()))
+
+
+def test_ties_are_ties():
+    """The tie strategy lands on exact halves of the 17th digit."""
+    from fractions import Fraction
+    for s, q in ((2, 10 ** 16 // 25), (3, 482253082074487), (23, 7)):
+        t = Fraction(_tie(s, q)) * 10 ** s
+        assert t.denominator == 2 and 10 ** 16 <= t < 10 ** 17
+
+
+_INTS = st.one_of(st.integers(-2 ** 63 + 1, 2 ** 63 - 1).map(float),
+                  st.integers(-2 ** 53, 2 ** 53).map(float),
+                  st.integers(2 ** 53, 2 ** 70).map(float),
+                  st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_INTS, _DOUBLES), min_size=1, max_size=30))
+def test_format_chunk_matches_percent_for_ints(rows):
+    """A %d cell arrives as a float64, which `%` truncates toward zero:
+    float-typed, negative, fractional and 2**53-or-larger values read as
+    `%` writes them, and values beyond int64 send the chunk to `%` whole."""
+    template = f"%d,{scenario_io.FLOAT_FMT}\n"
+    block = np.array(rows)
+    assert (scenario_io._format_chunk(template, [block[:, :1], block[:, 1:]], 0, len(rows))
+            == (template * len(rows)) % tuple(block.ravel().tolist()))
+
+
+def test_unproven_values_fall_back_to_percent(monkeypatch):
+    """With PROOF_MARGIN at 1 no %.17g value is proven, so each goes through
+    the chunk's one batched `%` call; the writers' bytes do not move."""
+    cases = [_shared_saddle_run(40), (*_padded_run(), 2, 1)]
+    want = [(trace_to_csv(t, m1, m2), metrics_to_csv(m), plotdata_to_csv(t, m))
+            for t, m, m1, m2 in cases]
+    block = np.random.default_rng(7).normal(size=(1000, 1))
+    text = scenario_io._format_chunk("%.17g\n", [block], 0, 1000)
+    monkeypatch.setattr(scenario_io, "PROOF_MARGIN", 1.0)
+    assert scenario_io._format_chunk("%.17g\n", [block], 0, 1000) == text
+    assert [(trace_to_csv(t, m1, m2), metrics_to_csv(m), plotdata_to_csv(t, m))
+            for t, m, m1, m2 in cases] == want
+
+
+def test_object_blocks_and_other_templates_go_through_percent():
+    """Oracle reports and sweep summaries (object blocks), templates with
+    other fields or text before the first, and tables that do not fill
+    their template are formatted by `%` whole, with its text and its
+    errors; non-ASCII text between the fields takes the vectorised path."""
     report = SaddleReport((1.0, 2.0), (-0.5,), 0.25, 1e-9, 2001)
     assert report_to_csv(report).splitlines()[-1] == "grid_resolution,2001"
     results = [(0.5 * i, 1e-3 / (i + 1), f"out/m_{i}.csv") for i in range(100)]
-    assert len(sweep_summary_to_csv("gamma.c", results).splitlines()) == 101
+    assert sweep_summary_to_csv("gamma.c", results) == (
+        "gamma.c,final_nash_error,metrics_file\n"
+        + "".join("%.17g,%.17g,%s\n" % row for row in results))
+    block = np.array([[1.5, 2.0], [-0.25, 3e7]])
+    for template in ("%.3f,%d\n", "%e %.17g\n", "%.17g%%,%d\n", "k=%.17g;%d\n",
+                     "%.17g \u00b5,%d\n"):
+        assert (scenario_io._format_chunk(template, [block], 0, 2)
+                == (template * 2) % tuple(block.ravel().tolist()))
+    with pytest.raises(TypeError, match="not all arguments converted"):
+        scenario_io._format_chunk("%.17g\n", [block], 0, 2)
+    with pytest.raises(ValueError, match="NaN"):
+        scenario_io._format_chunk("%d\n", [np.array([[np.nan]])], 0, 1)
 
 
-def test_failed_fork_formats_in_process(monkeypatch):
-    """A fork the system refuses leaves the text as the serial path writes it."""
-    trace, metrics, m1, m2 = _shared_saddle_run(40)
-    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 60)
-    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 1)
-    serial = trace_to_csv(trace, m1, m2), metrics_to_csv(metrics)
+def test_one_chunk_stays_under_2_mb():
+    """Formatting one full chunk of a bundled trace CSV peaks below 2 MB of
+    traced allocations, its text included."""
+    import tracemalloc
+    trace, _, m1, m2 = _shared_saddle_run(3000)
+    out = io.StringIO()
+    trace_to_csv(trace, m1, m2, out)  # builds the lookup tables
+    peaks = []
+    real = scenario_io._format_chunk
 
-    def refused():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+    def traced(*chunk):
+        tracemalloc.start()
+        try:
+            return real(*chunk)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
 
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(os, "fork", refused)
-    assert (trace_to_csv(trace, m1, m2), metrics_to_csv(metrics)) == serial
-
-
-def test_share_count(monkeypatch):
-    """One share per usable core up to one per chunk, from FORK_MIN_CHUNKS
-    chunks on; pool workers and platforms without fork format alone."""
-    least = scenario_io.FORK_MIN_CHUNKS
-    assert least >= 2
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
-    assert ([scenario_io._share_count(c) for c in (0, 1, 2, least - 1, least, 9 * least)]
-            == [1, 1, 1, 1, 2, 2])
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 4)
-    assert ([scenario_io._share_count(c) for c in (least - 1, least, 9 * least)]
-            == [1, min(4, least), 4])
-    monkeypatch.setattr(scenario_io, "FORK_MIN_CHUNKS", 2)
-    assert [scenario_io._share_count(c) for c in (1, 2, 3)] == [1, 2, 3]
-    monkeypatch.setattr(scenario_io, "_usable_cores", lambda: 2)
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(scenario_io._share_count, 9).result() == 1
-    monkeypatch.delattr(os, "fork")
-    assert scenario_io._share_count(9) == 1
+    scenario_io._format_chunk = traced
+    try:
+        trace_to_csv(trace, m1, m2, io.StringIO())
+    finally:
+        scenario_io._format_chunk = real
+    assert len(peaks) > 2 and max(peaks) < 2e6
 
 
 def test_metrics_series_contracts():
@@ -556,6 +627,18 @@ def test_pairwise_max_is_chunk_independent(monkeypatch):
     for rows in (1, 3, 11, 20):  # chunks of `rows` iterations, one spans all
         monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 4 * 3)
         assert metrics._pairwise_max(states).tobytes() == whole.tobytes()
+
+
+def test_squared_distance_is_chunk_independent(monkeypatch):
+    """The Nash error's per-k sums, chunked over k, keep every bit of the
+    one-shot ``((states - ref) ** 2).sum(axis=(1, 2))``."""
+    from nashnet import metrics
+    rng = np.random.default_rng(6)
+    states, ref = rng.normal(size=(11, 4, 3)), rng.normal(size=3)
+    whole = ((states - ref) ** 2).sum(axis=(1, 2))
+    for rows in (1, 3, 11, 20):
+        monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 3)
+        assert metrics._squared_distance(states, ref).tobytes() == whole.tobytes()
 
 
 def test_metrics_at_exact_consensus_fixed_point():
