@@ -6,9 +6,10 @@ it is the most trustworthy ground truth available - and is followed by a
 local three-level refinement around the winner for ~100x sharper answers.
 It evaluates each distinct objective of a weighted sum once per table, in
 row blocks of at most TABLE_CHUNK cells, and keeps of each block only its
-row maxima and the running column minima, never the whole table. Blocks of dimension above two are
-rejected with a resource error; a scenario with such blocks needs a stored
-reference, ``run.oracle`` with ``x_star`` and ``y_star``, in its document.
+row maxima and the running column minima, never the whole table. Blocks
+of dimension above two are rejected with a resource error; a scenario with
+such blocks needs a stored reference, ``run.oracle`` with ``x_star`` and
+``y_star``, in its document.
 """
 
 from __future__ import annotations

@@ -485,8 +485,11 @@ def _tie(s, q):
     return (2 * q + 1) / 2.0 ** (s + 1)
 
 
-# any 64-bit pattern: subnormals, +-0, +-inf and NaN among them
-_DOUBLES = st.integers(0, 2 ** 64 - 1).map(_from_bits)
+# any 64-bit pattern, with +-0, +-inf, NaN and the extreme subnormals,
+# which random patterns hardly ever hit, drawn on purpose too
+_DOUBLES = st.one_of(st.integers(0, 2 ** 64 - 1).map(_from_bits),
+                     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                                      2.225073858507201e-308]))
 # 18 significant digits ending in 5: the nearest double sits beside a tie
 _NEAR_TIES = st.builds(lambda digits, exp: float(f"{digits}5e{exp}"),
                        st.integers(10 ** 16, 10 ** 17 - 1), st.integers(-340, 300))
