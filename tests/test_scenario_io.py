@@ -502,7 +502,7 @@ _TIES = st.integers(2, 23).flatmap(lambda s: st.integers(
 @given(st.lists(st.one_of(_DOUBLES, _NEAR_TIES, _TIES), min_size=1, max_size=40))
 def test_format_chunk_matches_percent(values):
     """Every %.17g cell reads as `%` writes it, byte for byte."""
-    for template in (f"{scenario_io.FLOAT_FMT}\n", f"k,{scenario_io.FLOAT_FMT},\n"):
+    for template in (f"{scenario_io.FLOAT_FMT}\n", f"{scenario_io.FLOAT_FMT},k=1,\n"):
         block = np.array(values)[:, None]
         assert (scenario_io._format_chunk(template, [block], 0, len(values))
                 == (template * len(values)) % tuple(values))
