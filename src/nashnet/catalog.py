@@ -58,16 +58,3 @@ def _build():
 
 
 CATALOG = _build()
-
-SUBNET1_NAMES = ("f1", "f2", "f3")
-SUBNET2_NAMES = ("g1", "g2")
-
-
-def subnet1_objectives():
-    """(expr, selection) pairs for the three minimizing agents."""
-    return [(CATALOG[n].expr, CATALOG[n].selection) for n in SUBNET1_NAMES]
-
-
-def subnet2_objectives():
-    """(expr, selection) pairs for the two maximizing agents."""
-    return [(CATALOG[n].expr, CATALOG[n].selection) for n in SUBNET2_NAMES]

@@ -131,34 +131,6 @@ def is_weight_balanced(A, tol=1e-9) -> bool:
     return bool(np.all(np.abs(A.sum(axis=0) - A.sum(axis=1)) <= tol))
 
 
-def ergodicity_coefficient(A) -> float:
-    """Contraction factor of `A` on the max-spread seminorm.
-
-    1 - min over row pairs of the summed entrywise minima; always in [0, 1].
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    worst = 1.0
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            worst = min(worst, float(np.minimum(A[j1], A[j2]).sum()))
-    if n == 1:
-        worst = 1.0
-    return 1.0 - worst
-
-
-def disagreement_span(points) -> float:
-    """Maximum pairwise Euclidean distance of a nonempty point list."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("disagreement_span needs a nonempty list")
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-        # a flat list of scalars arrived as one row
-        pts = pts.T
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
-
-
 def strongly_connected(adj_bool) -> bool:
     """Strong connectivity of a boolean adjacency via reachability closure."""
     R = np.asarray(adj_bool, dtype=bool) | np.eye(len(adj_bool), dtype=bool)

@@ -240,29 +240,3 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     if not finite.all():
         raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
     return Trace(x=x, y=y, alpha=alpha, beta=beta, readout1=r1, readout2=r2)
-
-
-def make_identical_scenario(objectives, a_seq, eta: float, t1: int,
-                            box_x: BoxSet, box_y: BoxSet, rule: StepsizeRule,
-                            x0, y0, name: str = "identical",
-                            iterations: int = 1000, **kwargs) -> Scenario:
-    """Completely identical two-subnetwork scenario.
-
-    Subnet 2 clones subnet 1 (same objectives, same mixing sequence) and the
-    cross layer pairs counterpart agents one-to-one at every step, so the
-    full dynamics coincide with the reduced single-network saddle recursion.
-    """
-    n = len(objectives)
-    a_seq = tuple(np.asarray(a, dtype=float) for a in a_seq)
-    eye = np.eye(n)
-    graph = GraphSequenceSpec(
-        n1=n, n2=n, period=len(a_seq), a1=a_seq, a2=a_seq,
-        cross1=tuple(eye for _ in a_seq), cross2=tuple(eye for _ in a_seq),
-        eta=eta, t1=t1, t2=t1, t_cross=1)
-    m1, m2 = box_x.dim, box_y.dim
-    return Scenario(name=name, m1=m1, m2=m2,
-                    objectives1=tuple(objectives), objectives2=tuple(objectives),
-                    graph=graph, box_x=box_x, box_y=box_y, rule=rule,
-                    x0=np.asarray(x0, dtype=float).reshape(n, m1),
-                    y0=np.asarray(y0, dtype=float).reshape(n, m2),
-                    iterations=iterations, **kwargs)

@@ -8,12 +8,12 @@ selection constant in [-1, 1] instead of sign(0). The formal rules produce a
 valid subgradient whenever the expression is convex (resp. concave) in the
 differentiated block, which the library checks by sampling, not by proof.
 
-Two evaluation paths exist: a recursive reference interpreter and a code
-generator. The generator, :func:`objective_code`, emits straight-line code
-for the value and the block derivatives on caller-named inputs; the engine
-inlines its derivative code into the generated run loop, and
-:func:`compile_objective` wraps the same code in a plain-Python closure for
-the oracles and the convexity sampler. Tests assert the paths agree.
+One code generator evaluates them: :func:`objective_code` emits
+straight-line code for the value and the block derivatives on caller-named
+inputs; the engine inlines its derivative code into the generated run
+loop, and :func:`compile_objective` wraps the same code in a plain-Python
+closure for the grid oracle, the metrics and the convexity sampler. The
+tests hold the generated code to a recursive reference interpreter.
 """
 
 from __future__ import annotations
@@ -222,129 +222,6 @@ def check_selection(e: Expr, sel: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reference interpreter
-# ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, x, y) -> float:
-    """Exact recursive evaluation of `e` at (x, y)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    mx, my = dimensions(e)
-    if len(x) < mx or len(y) < my:
-        raise ValueError(f"expression needs dims >= ({mx},{my}), got ({len(x)},{len(y)})")
-    return _eval(e, x, y)
-
-
-def _eval(e, x, y):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(x[e.index] if e.side == "x" else y[e.index])
-    if isinstance(e, Neg):
-        return -_eval(e.child, x, y)
-    if isinstance(e, Sum):
-        return sum(_eval(c, x, y) for c in e.children)
-    if isinstance(e, Scale):
-        return e.factor * _eval(e.child, x, y)
-    if isinstance(e, Prod):
-        v = 1.0
-        for c in e.children:
-            v *= _eval(c, x, y)
-        return v
-    if isinstance(e, Pow):
-        return _eval(e.child, x, y) ** e.exponent
-    if isinstance(e, Abs):
-        return abs(_eval(e.child, x, y))
-    if isinstance(e, Affine):
-        return (sum(c * x[d] for d, c in enumerate(e.coeff_x))
-                + sum(c * y[d] for d, c in enumerate(e.coeff_y)) + e.offset)
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def _grad(e, x, y, sel, counter):
-    """Forward-mode pass returning (value, dvalue/dx, dvalue/dy)."""
-    if isinstance(e, Const):
-        return e.value, np.zeros(len(x)), np.zeros(len(y))
-    if isinstance(e, Var):
-        gx, gy = np.zeros(len(x)), np.zeros(len(y))
-        if e.side == "x":
-            gx[e.index] = 1.0
-            return float(x[e.index]), gx, gy
-        gy[e.index] = 1.0
-        return float(y[e.index]), gx, gy
-    if isinstance(e, Neg):
-        v, gx, gy = _grad(e.child, x, y, sel, counter)
-        return -v, -gx, -gy
-    if isinstance(e, Scale):
-        v, gx, gy = _grad(e.child, x, y, sel, counter)
-        return e.factor * v, e.factor * gx, e.factor * gy
-    if isinstance(e, Sum):
-        v, gx, gy = 0.0, np.zeros(len(x)), np.zeros(len(y))
-        for c in e.children:
-            cv, cgx, cgy = _grad(c, x, y, sel, counter)
-            v += cv
-            gx += cgx
-            gy += cgy
-        return v, gx, gy
-    if isinstance(e, Prod):
-        parts = [_grad(c, x, y, sel, counter) for c in e.children]
-        v = 1.0
-        for pv, _, _ in parts:
-            v *= pv
-        gx, gy = np.zeros(len(x)), np.zeros(len(y))
-        for i, (_, cgx, cgy) in enumerate(parts):
-            rest = 1.0
-            for j, (pv, _, _) in enumerate(parts):
-                if j != i:
-                    rest *= pv
-            gx += rest * cgx
-            gy += rest * cgy
-        return v, gx, gy
-    if isinstance(e, Pow):
-        cv, cgx, cgy = _grad(e.child, x, y, sel, counter)
-        n = e.exponent
-        d = n * cv ** (n - 1)
-        return cv ** n, d * cgx, d * cgy
-    if isinstance(e, Abs):
-        idx = counter[0]
-        counter[0] += 1
-        cv, cgx, cgy = _grad(e.child, x, y, sel, counter)
-        s = 1.0 if cv > 0 else (-1.0 if cv < 0 else sel[idx])
-        return abs(cv), s * cgx, s * cgy
-    if isinstance(e, Affine):
-        v = _eval(e, x, y)
-        gx, gy = np.zeros(len(x)), np.zeros(len(y))
-        gx[:len(e.coeff_x)] = e.coeff_x
-        gy[:len(e.coeff_y)] = e.coeff_y
-        return v, gx, gy
-    raise TypeError(f"unknown node {type(e).__name__}")
-
-
-def subgradient_x(e: Expr, x, y, sel=None) -> np.ndarray:
-    """Formal derivative of `e` in the x block with kink selections.
-
-    For `e` convex in x this is an element of the convex subdifferential.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    sel = check_selection(e, sel)
-    _, gx, _ = _grad(e, x, y, sel, [0])
-    return gx
-
-
-def subgradient_y(e: Expr, x, y, sel=None) -> np.ndarray:
-    """Formal derivative of `e` in the y block with kink selections.
-
-    For `e` concave in y this is an element of the concave subdifferential.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    sel = check_selection(e, sel)
-    _, _, gy = _grad(e, x, y, sel, [0])
-    return gy
-
-
-# ---------------------------------------------------------------------------
 # code generation
 # ---------------------------------------------------------------------------
 
@@ -486,7 +363,7 @@ class _CodeGen:
 
             def grad(block, d):
                 # each term is parenthesized, so a parent Scale, Neg or Pow
-                # multiplies the whole product, as the interpreter does
+                # multiplies the whole product, as the tests' reference interpreter does
                 terms = []
                 for i, p in enumerate(parts):
                     if p[block][d] != "0.0":
@@ -545,7 +422,7 @@ class _CodeGen:
 
 
 # ---------------------------------------------------------------------------
-# boxes and projection
+# boxes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -569,48 +446,10 @@ class BoxSet:
     def dim(self):
         return len(self.lower)
 
-    def center(self):
-        return np.array([(l + u) / 2.0 for l, u in zip(self.lower, self.upper)])
-
-    def contains(self, p, tol=0.0):
-        p = np.asarray(p, dtype=float).ravel()
-        return bool(np.all(p >= np.array(self.lower) - tol)
-                    and np.all(p <= np.array(self.upper) + tol))
-
-
-def project(p, box: BoxSet) -> np.ndarray:
-    """Euclidean projection onto a box: componentwise clamp."""
-    p = np.asarray(p, dtype=float).ravel()
-    if len(p) != box.dim:
-        raise ValueError(f"point dim {len(p)} != box dim {box.dim}")
-    return np.clip(p, box.lower, box.upper)
-
 
 # ---------------------------------------------------------------------------
-# sampled bounds and convexity diagnostics
+# convexity diagnostics
 # ---------------------------------------------------------------------------
-
-def lipschitz_bound(e: Expr, bx: BoxSet, by: BoxSet, grid: int = 21, sel=None) -> float:
-    """Sampled estimate of the subgradient bound over the box grid.
-
-    The true bound is existential; this maximizes the block-derivative norms
-    on a regular grid and is flagged everywhere as an estimate.
-    """
-    if grid < 2:
-        raise ValueError("grid must be >= 2 per dimension")
-    sel = check_selection(e, sel)
-    axes = [np.linspace(l, u, grid) for l, u in zip(bx.lower, bx.upper)]
-    axes += [np.linspace(l, u, grid) for l, u in zip(by.lower, by.upper)]
-    best = 0.0
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    pts = np.stack([m.ravel() for m in mesh], axis=-1) if mesh else np.zeros((1, 0))
-    m1 = bx.dim
-    for row in pts:
-        x, yv = row[:m1], row[m1:]
-        _, gx, gy = _grad(e, x, yv, sel, [0])
-        best = max(best, float(np.linalg.norm(gx)), float(np.linalg.norm(gy)))
-    return best
-
 
 def convexity_points(bx: BoxSet, by: BoxSet, trials: int, seed: int) -> tuple:
     """The points of :func:`sample_convexity`: six (trials, m) arrays x0,

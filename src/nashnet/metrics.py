@@ -6,7 +6,6 @@ reference really is a saddle point."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -20,8 +19,6 @@ class MetricsSeries:
     h2: np.ndarray
     nash_error: np.ndarray  # (K+1,) sum of squared distances to the reference
     saddle_residual: np.ndarray  # (K+1,)
-    step_min: np.ndarray  # (K,) smallest stepsize applied across both subnets
-    step_max: np.ndarray
 
 
 PAIRWISE_CHUNK = 1 << 18  # elements of the (k, n, n, m) difference array held at once
@@ -66,18 +63,11 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
     h2 = _pairwise_max(trace.y)
     nash = _squared_distance(trace.x, x_star) + _squared_distance(trace.y, y_star)
 
-    u = unit_weighted(scenario.objectives1).compiled(
-        scenario.m1, scenario.m2, which="value", vector=True)
+    u = unit_weighted(scenario.objectives1).compiled(scenario.m1, scenario.m2)
     xbar = trace.x.mean(axis=1)  # (K+1, m1)
     ybar = trace.y.mean(axis=1)
     u_left = np.asarray(u([xbar[:, d] for d in range(scenario.m1)],
                           [np.array([c]) for c in y_star]), dtype=float).ravel()
     u_right = np.asarray(u([np.array([c]) for c in x_star],
                            [ybar[:, d] for d in range(scenario.m2)]), dtype=float).ravel()
-    residual = u_left - u_right
-
-    # agent by agent: exact, and much faster than a reduction along a short row
-    steps = [*trace.alpha.T, *trace.beta.T]
-    step_min, step_max = reduce(np.minimum, steps), reduce(np.maximum, steps)
-    return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=residual,
-                         step_min=step_min, step_max=step_max)
+    return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right)

@@ -1,15 +1,14 @@
-"""Independent saddle-point oracles: exhaustive grid min-max and a
-centralized projected subgradient recursion.
+"""The grid saddle-point oracle: exhaustive min-max over the boxes.
 
 The grid oracle is deliberately brute force - for the 1-D / 1-D experiments
 it is the most trustworthy ground truth available - and is followed by a
-local three-level refinement around the winner for ~100x sharper answers.
-It evaluates each distinct objective of a weighted sum once per table, in
-row blocks of at most TABLE_CHUNK cells, and keeps of each block only its
-row maxima and the running column minima, never the whole table. Blocks
-of dimension above two are rejected with a resource error; a scenario with
-such blocks needs a stored reference, ``run.oracle`` with ``x_star`` and
-``y_star``, in its document.
+local refinement of REFINE_LEVELS levels around the winner for ~100x
+sharper answers. It evaluates each distinct objective of a weighted sum
+once per table, in row blocks of at most TABLE_CHUNK cells, and keeps of
+each block only its row maxima and the running column minima, never the
+whole table. Blocks of dimension above two are rejected with a resource
+error; a scenario with such blocks needs a stored reference,
+``run.oracle`` with ``x_star`` and ``y_star``, in its document.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .exprs import BoxSet, compile_objective, project
+from .exprs import BoxSet, compile_objective
 
 # 2001 grid points per 1-D block must fit, so the cap sits just above 2001^2
 DEFAULT_BUDGET = 4_100_000
 BUDGET_ENV = "NASHNET_BUDGET"
 TABLE_CHUNK = 1 << 16  # cells of the grid table evaluated at once
+REFINE_LEVELS = 3  # local refinements after the coarse grid
 
 
 @dataclass(frozen=True)
@@ -40,31 +40,9 @@ class WeightedObjective:
             raise ValueError("weights must be positive")
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def weight_sum(self):
-        return sum(w for w, _, _ in self.terms)
-
-    def compiled(self, m1, m2, which="both", vector=False):
-        if which == "value":
-            return self._value(m1, m2, vector)
-        fns = [(w, compile_objective(e, s, m1, m2, which=which, vector=vector))
-               for w, e, s in self.terms]
-        if which == "both":
-            def both(x, y):
-                v = 0.0
-                gx = np.zeros(m1)
-                gy = np.zeros(m2)
-                for w, f in fns:
-                    fv, fgx, fgy = f(x, y)
-                    v += w * fv
-                    gx += np.multiply(w, fgx)
-                    gy += np.multiply(w, fgy)
-                return v, gx, gy
-            return both
-        raise ValueError("compiled() supports which='value' or 'both'")
-
-    def _value(self, m1, m2, vector):
-        """The weighted sum, evaluating each distinct expression once per call.
+    def compiled(self, m1, m2):
+        """The weighted sum as one numpy-broadcast closure ``f(x, y)`` of the
+        value, evaluating each distinct expression once per call.
 
         A selection only steers derivatives, so one closure serves every
         term with the same expression. The key is ``repr(e)``, not
@@ -79,12 +57,12 @@ class WeightedObjective:
             key = repr(e)
             if key not in slots:
                 slots[key] = len(fns)
-                fns.append(compile_objective(e, s, m1, m2, which="value", vector=vector))
+                fns.append(compile_objective(e, s, m1, m2, which="value", vector=True))
             order.append((w, slots[key]))
 
         def value(x, y):
             vals = [f(x, y) for f in fns]
-            acc = np.zeros(np.broadcast_shapes(*map(np.shape, (*x, *y)))) if vector else 0.0
+            acc = np.zeros(np.broadcast_shapes(*map(np.shape, (*x, *y))))
             for w, i in order:
                 acc += vals[i] if w == 1.0 else w * vals[i]
             return acc
@@ -160,8 +138,7 @@ def _row_max_col_min(value_fn, xpts, ypts):
 
 
 def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
-                 resolution: int = 2001, budget: int | None = None,
-                 refine_levels: int = 3) -> SaddleReport:
+                 resolution: int = 2001, budget: int | None = None) -> SaddleReport:
     """Brute-force saddle search on a regular grid with local refinement.
 
     x* minimizes the max over the y grid, y* maximizes the min over the x
@@ -183,7 +160,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
             f"grid of {total} evaluations exceeds budget {budget}; "
             f"reduce resolution to at most {need}")
 
-    value_fn = w.compiled(m1, m2, which="value", vector=True)
+    value_fn = w.compiled(m1, m2)
     x_axes = _axis_grids(bx, resolution)
     y_axes = _axis_grids(by, resolution)
     xpts, ypts = _mesh(x_axes), _mesh(y_axes)
@@ -198,7 +175,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     hx = np.array([(u - l) / (resolution - 1) for l, u in zip(bx.lower, bx.upper)])
     hy = np.array([(u - l) / (resolution - 1) for l, u in zip(by.lower, by.upper)])
     fine = min(201, resolution)
-    for _ in range(refine_levels):
+    for _ in range(REFINE_LEVELS):
         fx_axes = [np.linspace(max(l, c - h), min(u, c + h), fine)
                    for c, h, l, u in zip(x_star, hx, bx.lower, bx.upper)]
         fy_axes = [np.linspace(max(l, c - h), min(u, c + h), fine)
@@ -215,54 +192,3 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
                                     [np.array([c]) for c in y_star])).ravel()[0])
     return SaddleReport(x_star=tuple(x_star), y_star=tuple(y_star),
                         value=val, minimax_gap=gap, grid_resolution=resolution)
-
-
-def centralized_saddle(w: WeightedObjective, bx: BoxSet, by: BoxSet,
-                       schedule, iters: int = 100_000) -> SaddleReport:
-    """Projected subgradient descent-ascent from the box center.
-
-    `schedule` is anything with a ``value(k)`` method (see stepsizes module).
-    Used to cross-validate and refine grid answers.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    m1, m2 = bx.dim, by.dim
-    fn = w.compiled(m1, m2, which="both")
-    x = bx.center()
-    y = by.center()
-    for k in range(iters):
-        g = schedule.value(k)
-        _, gx, gy = fn(tuple(x), tuple(y))
-        x = project(x - g * np.asarray(gx), bx)
-        y = project(y + g * np.asarray(gy), by)
-    v, _, _ = fn(tuple(x), tuple(y))
-    return SaddleReport(x_star=tuple(x), y_star=tuple(y), value=float(v),
-                        minimax_gap=float("nan"), grid_resolution=0)
-
-
-def verify_saddle(w: WeightedObjective, candidate, bx: BoxSet, by: BoxSet,
-                  samples: int = 10_000) -> float:
-    """Largest violation of the saddle inequalities on deterministic samples.
-
-    Returns max over sampled x of value(x*,y*) - value(x,y*) and over sampled
-    y of value(x*,y) - value(x*,y*); a value <= tol certifies the candidate
-    on the sample.
-    """
-    x_star, y_star = (np.asarray(candidate[0], dtype=float).ravel(),
-                      np.asarray(candidate[1], dtype=float).ravel())
-    if not (bx.contains(x_star) and by.contains(y_star)):
-        raise ValueError("candidate lies outside the boxes")
-    m1, m2 = bx.dim, by.dim
-    value_fn = w.compiled(m1, m2, which="value", vector=True)
-    per_dim = max(3, int(round(samples ** (1.0 / max(m1, m2)))))
-    x_axes = _axis_grids(bx, per_dim)
-    y_axes = _axis_grids(by, per_dim)
-    xpts, ypts = _mesh(x_axes), _mesh(y_axes)
-    xs_col = [np.array([c]) for c in x_star]
-    ys_col = [np.array([c]) for c in y_star]
-    v_star = float(np.asarray(value_fn(xs_col, ys_col)).ravel()[0])
-    v_x = np.asarray(value_fn([xpts[:, d] for d in range(m1)],
-                              [np.array([c]) for c in y_star])).ravel()
-    v_y = np.asarray(value_fn([np.array([c]) for c in x_star],
-                              [ypts[:, d] for d in range(m2)])).ravel()
-    return float(max((v_star - v_x).max(), (v_y - v_star).max()))

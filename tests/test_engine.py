@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
-from canonical_reference import (contact_times, initial_state, reference_run, step,
-                                 stepsize_for)
+from canonical_reference import (contact_times, evaluate, initial_state,
+                                 make_identical_scenario, project, reference_run,
+                                 step, stepsize_for, subgradient_x, subgradient_y)
 from nashnet.digraph import GraphSequenceSpec
-from nashnet.engine import (Scenario, _contact_pattern, _kernel_source,
-                            make_identical_scenario, run)
+from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
 from nashnet.errors import NumericError, ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
-                           abs_nodes, evaluate, x_var, y_var)
+                           abs_nodes, x_var, y_var)
 from nashnet.scenario_io import bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
@@ -362,7 +362,6 @@ def test_value_overflow_alone_leaves_the_run_finite():
 def test_identical_scenario_matches_centralized_recursion():
     """One-agent subnetworks with identity mixing reduce to the plain
     centralized descent-ascent recursion."""
-    from nashnet.exprs import project, subgradient_x, subgradient_y
     e = Sum((Pow(Sum((x_var(0), Neg(0.7))), 2), Neg(Pow(y_var(0), 2))))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),), eta=1.0, t1=1,

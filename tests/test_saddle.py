@@ -4,17 +4,16 @@ candidate certification."""
 import numpy as np
 import pytest
 import yaml
-from canonical_reference import per_term_value, table_extremes, whole_table
+from canonical_reference import (centralized_saddle, per_term_value, subnet1_objectives,
+                                 table_extremes, verify_saddle, whole_table)
 from test_scenario_io import _many_agents_doc
 
 from nashnet import saddle
-from nashnet.catalog import subnet1_objectives
 from nashnet.errors import ResourceError
 from nashnet.exprs import (Abs, BoxSet, Const, Neg, Pow, Prod, Scale, Sum, Var,
                            compile_objective, parse_expr, x_var, y_var)
 from nashnet.saddle import (BUDGET_ENV, DEFAULT_BUDGET, WeightedObjective,
-                            centralized_saddle, grid_budget, grid_minimax,
-                            unit_weighted, verify_saddle)
+                            grid_budget, grid_minimax, unit_weighted)
 from nashnet.scenario_io import bundled_scenario, loads_scenario
 from nashnet.stepsizes import GammaSchedule
 
@@ -30,10 +29,7 @@ def test_weighted_objective_validation():
     e = Pow(x_var(0), 2)
     with pytest.raises(ValueError):
         WeightedObjective(((0.0, e, {}),))
-    w = WeightedObjective(((2.0, e, {}), (1.0, e, {})))
-    assert w.weight_sum == 3.0
-    fn = w.compiled(1, 1, which="value")
-    assert fn([2.0], [0.0]) == pytest.approx(12.0)
+    WeightedObjective(((2.0, e, {}), (1.0, e, {})))
 
 
 def test_grid_minimax_toy():
@@ -134,7 +130,7 @@ def _per_term_report(monkeypatch, w, bx, by, **kwargs):
 
 
 def _closures(monkeypatch, w, m1, m2):
-    """How many closures ``w.compiled(which="value")`` compiles."""
+    """How many closures ``w.compiled`` compiles."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -142,13 +138,13 @@ def _closures(monkeypatch, w, m1, m2):
         return compile_objective(*args, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(saddle, "compile_objective", counted)
-        w.compiled(m1, m2, which="value", vector=True)
+        w.compiled(m1, m2)
     return len(calls)
 
 
 def _assert_matches_per_term(monkeypatch, w, bx, by, resolution):
-    oracle = per_term_value(w, bx.dim, by.dim, vector=True)
-    fn = w.compiled(bx.dim, by.dim, which="value", vector=True)
+    oracle = per_term_value(w, bx.dim, by.dim)
+    fn = w.compiled(bx.dim, by.dim)
     xpts = saddle._mesh(saddle._axis_grids(bx, resolution))
     ypts = saddle._mesh(saddle._axis_grids(by, resolution))
     table = np.concatenate(list(saddle._row_blocks(fn, xpts, ypts)))
@@ -222,8 +218,8 @@ def test_eval_table_blocks_with_short_last_block(monkeypatch, chunk):
     # below one row still take a whole row
     monkeypatch.setattr(saddle, "TABLE_CHUNK", chunk)
     w = unit_weighted(subnet1_objectives())
-    oracle = per_term_value(w, 1, 1, vector=True)
-    fn = w.compiled(1, 1, which="value", vector=True)
+    oracle = per_term_value(w, 1, 1)
+    fn = w.compiled(1, 1)
     xpts = saddle._mesh(saddle._axis_grids(BOX5, 41))
     calls = []
 
@@ -237,18 +233,13 @@ def test_eval_table_blocks_with_short_last_block(monkeypatch, chunk):
             == _per_term_report(monkeypatch, w, BOX5, BOX5, resolution=41))
 
 
-def test_weighted_sum_scalar_and_series_calls():
-    # scalar closures (the vector=False path) and the metrics' series calls
+def test_weighted_sum_series_calls():
+    # the metrics' series calls
     objectives = bundled_scenario("example1").objectives1
     w = WeightedObjective(tuple((v, e, sel) for v, (e, sel)
                                 in zip((0.2, 1.0, 3.0), objectives)))
-    fn, oracle = w.compiled(1, 1, which="value"), per_term_value(w, 1, 1)
-    for x, y in ((0.0, 0.0), (-0.0, 1.5), (0.61, 0.88), (-5.0, 5.0)):
-        got, want = fn([x], [y]), oracle([x], [y])
-        assert type(got) is float and got == want and np.signbit(got) == np.signbit(want)
     series = np.linspace(-3.0, 4.0, 1001)
-    fn = w.compiled(1, 1, which="value", vector=True)
-    oracle = per_term_value(w, 1, 1, vector=True)
+    fn, oracle = w.compiled(1, 1), per_term_value(w, 1, 1)
     for x, y in (([series], [np.array([0.88])]), ([np.array([0.61])], [series])):
         assert fn(x, y).tobytes() == np.asarray(oracle(x, y), dtype=float).tobytes()
 

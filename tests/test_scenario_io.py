@@ -10,7 +10,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashnet.catalog import CATALOG, subnet1_objectives, subnet2_objectives
+from canonical_reference import subnet1_objectives, subnet2_objectives
+from nashnet.catalog import CATALOG
 from nashnet.digraph import build_cycle_matrix
 from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
@@ -287,13 +288,33 @@ def _isolate_agent_0(doc):
     ("shared_saddle", lambda d: d["run"]["oracle"].update(x_star=["a"]), "x_star"),
     ("shared_saddle", lambda d: d["run"]["oracle"].pop("y_star"), "both x_star and y_star"),
     ("shared_saddle", lambda d: d["run"]["oracle"].update(x_star=[float("nan")]), "x_star"),
+    ("shared_saddle", lambda d: d["run"].update(iterations=2.7),
+     "run.iterations must be a whole number, got 2.7"),
+    ("shared_saddle", lambda d: d["run"].update(iterations=True),
+     "run.iterations must be a whole number, got True"),
+    ("shared_saddle", lambda d: d["dimensions"].update(m1=1.5), "dimensions.m1"),
+    ("shared_saddle", lambda d: d["graph"].update(period=2.9), "graph.period"),
+    ("shared_saddle", lambda d: d["graph"]["windows"].update(t_cross=1.5), "windows.t_cross"),
+    ("shared_saddle", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([0, 0.5, 1.0]),
+     "cross edge target"),
+    ("example3", lambda d: d["stepsize"].update(p1=1.5), "stepsize.p1"),
+    ("example1", lambda d: d["agents"]["subnet1"][1].update(selections={True: 1.0}),
+     "selection key must be a whole number, got True"),
+    ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(c=float("nan")), "finite c > 0"),
+    ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(b=float("inf")), "finite c > 0"),
+    ("shared_saddle", lambda d: (d["stepsize"].update(gamma={"table": [1.0, float("nan")] + [0.5] * 3}),
+                                 d["run"].update(iterations=5)), "positive and finite"),
 ], ids=["negative cross index", "cross index past the end", "zero window",
         "oracle rule on a disconnected graph", "zero learner period",
         "negative weight floor", "zero weight floor", "weight floor above one",
         "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
         "infinite constant", "infinite scale factor", "NaN affine coefficient",
         "saddle reference of the wrong length", "saddle reference not a number",
-        "saddle reference without y_star", "NaN saddle reference"])
+        "saddle reference without y_star", "NaN saddle reference",
+        "fractional iterations", "boolean iterations", "fractional dimension",
+        "fractional period", "fractional window", "fractional cross index",
+        "fractional learner period", "boolean selection key", "NaN gamma c",
+        "infinite gamma b", "NaN schedule table entry"])
 def test_loader_rejects_unusable_documents(name, edit, message):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails, with or without
@@ -303,6 +324,14 @@ def test_loader_rejects_unusable_documents(name, edit, message):
     for check in (True, False):
         with pytest.raises(ValidationError, match=message):
             loads_scenario(yaml.safe_dump(doc, sort_keys=False), check_assumptions=check)
+
+
+def test_loader_takes_integral_floats():
+    doc = copy.deepcopy(BUNDLED_DOCS["shared_saddle"])
+    doc["dimensions"]["m1"], doc["graph"]["period"], doc["run"]["iterations"] = 1.0, 2.0, 1e5
+    doc["graph"]["phases"][0]["cross_to_1"][0] = [0.0, 0.0, 1.0]
+    s = loads_scenario(yaml.safe_dump(doc, sort_keys=False))
+    assert (s.m1, s.graph.period, s.iterations, s.graph.cross1[0][0, 0]) == (1, 2, 100000, 1.0)
 
 
 def test_trace_csv_roundtrip():
@@ -341,8 +370,7 @@ def _padded_run():
     metrics = MetricsSeries(
         h1=np.array([1.5, 0.1, 1e-9]), h2=np.array([0.0, -0.0, 2 / 7]),
         nash_error=np.array([10.0, 1 / 3, 4e-20]),
-        saddle_residual=np.array([0.125, -1e-12, float("inf")]),
-        step_min=np.zeros(2), step_max=np.zeros(2))
+        saddle_residual=np.array([0.125, -1e-12, float("inf")]))
     return trace, metrics
 
 
@@ -614,8 +642,6 @@ def test_metrics_series_contracts():
     ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
     m = compute_metrics(tr, s, ref)
     assert len(m.h1) == len(m.h2) == len(m.nash_error) == 31
-    assert len(m.step_min) == 30
-    assert (m.step_min <= m.step_max).all()
     with pytest.raises(ValueError):
         compute_metrics(tr, s, SaddleReport((0.0, 0.0), s.oracle_y, 0.0, 0.0, 0))
 

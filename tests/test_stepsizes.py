@@ -10,8 +10,7 @@ from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
                                OracleHeterogeneous, learner_readouts,
-                               oracle_heterogeneous_build, stepsize_tables,
-                               validate_schedule)
+                               oracle_heterogeneous_build, stepsize_tables)
 
 
 def test_schedule_power_law():
@@ -29,6 +28,11 @@ def test_schedule_parameter_validation():
         GammaSchedule(eps=0.0)
     with pytest.raises(ValidationError):
         GammaSchedule(eps=0.6)
+    for bad in ({"c": float("nan")}, {"c": float("inf")}, {"b": float("nan")},
+                {"b": float("inf")}, {"table": (1.0, float("nan"), 0.5)},
+                {"table": (float("inf"), 1.0)}):
+        with pytest.raises(ValidationError, match="finite"):
+            GammaSchedule(**bad)
     GammaSchedule(eps=0.5)  # boundary allowed
 
 
@@ -41,14 +45,6 @@ def test_schedule_table():
         GammaSchedule(table=(0.1, 0.2))  # increasing
     with pytest.raises(ValidationError):
         GammaSchedule(table=())
-
-
-def test_validate_schedule_diminishing():
-    assert validate_schedule(GammaSchedule(c=1.0, b=50.0, eps=0.5)) == []
-    assert validate_schedule(GammaSchedule(c=2.0, b=1.0, eps=0.25)) == []
-    # a constant table is square-summable-divergent in the wrong way
-    bad = GammaSchedule(table=(0.1,) * 200)
-    assert validate_schedule(bad, horizon=200)
 
 
 def test_homogeneous_rule():
