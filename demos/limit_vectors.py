@@ -33,13 +33,13 @@ for k in (1, 3, 7, 15):
     print(f"  k={k:>2}: row spread {spread:.2e}")
 
 for start in range(g.period):
-    lv = limiting_stochastic_vector(g, 1, start)
-    print(f"subnet-1 limit vector, start phase {start}: {lv.phi}")
-print(f"subnet-2 limit vector: {limiting_stochastic_vector(g, 2, 0).phi}")
+    phi = limiting_stochastic_vector(g, 1, start)
+    print(f"subnet-1 limit vector, start phase {start}: {phi}")
+print(f"subnet-2 limit vector: {limiting_stochastic_vector(g, 2, 0)}")
 
 # A static graph's limit vector is its Perron left eigenvector.
 A = bundled_scenario("perron_weighted").graph.a1[0]
-mu = perron_vector(A).phi
+mu = perron_vector(A)
 print(f"\nstatic unbalanced graph Perron vector: {mu}  "
       f"(residual {np.abs(mu @ A - mu).max():.1e})")
 print("with homogeneous stepsizes this graph converges to the saddle of the")

@@ -2,8 +2,8 @@
 games over switching directed graphs."""
 
 from .catalog import CATALOG
-from .digraph import (GeometricRateBound, GraphSequenceSpec, LimitVector,
-                      build_cycle_matrix, check_jointly_bipartite, check_ujsc,
+from .digraph import (GeometricRateBound, GraphSequenceSpec, build_cycle_matrix,
+                      check_jointly_bipartite, check_ujsc,
                       geometric_rate_bound, is_weight_balanced,
                       limiting_stochastic_vector, perron_vector,
                       transition_product, validate_weight_rule)

@@ -229,7 +229,7 @@ def cmd_graph_check(args) -> int:
     if not failed:
         for subnet in (1, 2):
             for s in range(g.period):
-                phi = limiting_stochastic_vector(g, subnet, s).phi
+                phi = limiting_stochastic_vector(g, subnet, s)
                 print(f"subnet {subnet} limit vector (start phase {s}): ("
                       + ", ".join(f"{v:.6g}" for v in phi) + ")")
     if failed:
@@ -290,6 +290,9 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     scenario = load_scenario(args.scenario)
+    if os.path.basename(scenario.name) != scenario.name:
+        raise ValidationError(f"scenario name {scenario.name!r} holds a path separator; "
+                              "sweep names its output files after it")
     tag = args.param.replace(".", "_")
     jobs = [(_apply_override(scenario, args.param, v),
              os.path.join(args.out, f"{scenario.name}_{tag}_{i}_metrics.csv"))

@@ -28,44 +28,6 @@ LIMIT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# basic matrix checks
-# ---------------------------------------------------------------------------
-
-def stochastic_violations(A, tol=STOCHASTIC_TOL, eta=None):
-    """Reasons why `A` is not a valid mixing matrix (empty list = valid).
-
-    Checks nonnegativity, unit row sums within `tol`, positive diagonal,
-    and, when `eta` is given, that every positive entry is at least `eta`.
-    """
-    A = np.asarray(A, dtype=float)
-    out = []
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return [f"matrix is not square: shape {A.shape}"]
-    n = A.shape[0]
-    if np.any(A < 0):
-        out.append("negative entries present")
-    bad = np.nonzero(np.abs(A.sum(axis=1) - 1.0) > tol)[0]
-    for i in bad:
-        out.append(f"row {i} sums to {A[i].sum():.17g}, not 1")
-    for i in range(n):
-        if A[i, i] <= 0:
-            out.append(f"diagonal entry ({i},{i}) not positive (no self-loop)")
-    if eta is not None:
-        pos = A[A > 0]
-        if pos.size and pos.min() < eta - 1e-15:
-            out.append(f"positive entry {pos.min():.17g} below eta={eta}")
-    return out
-
-
-def require_stochastic(A, tol=STOCHASTIC_TOL, eta=None):
-    A = np.asarray(A, dtype=float)
-    problems = stochastic_violations(A, tol, eta)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return A
-
-
-# ---------------------------------------------------------------------------
 # canonical products
 # ---------------------------------------------------------------------------
 
@@ -122,13 +84,14 @@ def periodic_code(bodies) -> list:
     return out
 
 
-def is_weight_balanced(A, tol=1e-9) -> bool:
-    """Weighted in-degree equals weighted out-degree at every node.
+def is_weight_balanced(A) -> bool:
+    """Weighted in-degree equals weighted out-degree at every node, within
+    1e-9.
 
     Rows already sum to 1, so this reduces to every column summing to 1.
     """
     A = np.asarray(A, dtype=float)
-    return bool(np.all(np.abs(A.sum(axis=0) - A.sum(axis=1)) <= tol))
+    return bool(np.all(np.abs(A.sum(axis=0) - A.sum(axis=1)) <= 1e-9))
 
 
 def strongly_connected(adj_bool) -> bool:
@@ -322,15 +285,6 @@ def transition_product(spec: GraphSequenceSpec, subnet: int, k: int, s: int) -> 
 
 
 @dataclass(frozen=True)
-class LimitVector:
-    """Common row limit of an infinite backward transition product."""
-
-    phi: np.ndarray
-    start_index: int
-    achieved_spread: float
-
-
-@dataclass(frozen=True)
 class GeometricRateBound:
     """Envelope |Phi(k,s)_ij - phi_j(s)| <= C rho^(k-s) for a UJSC sequence."""
 
@@ -340,40 +294,38 @@ class GeometricRateBound:
 
 
 def geometric_rate_bound(n: int, T: int, eta: float) -> GeometricRateBound:
+    """The envelope for n > 1 agents. Where eta^M is 1 or its inverse
+    overflows, no finite C exists and C is inf."""
     M = (n - 1) * T
-    return GeometricRateBound(
-        C=2.0 * (1.0 + eta ** (-M)) / (1.0 - eta ** M),
-        rho=(1.0 - eta ** M) ** (1.0 / M),
-        M=M,
-    )
+    try:
+        C = 2.0 * (1.0 + eta ** (-M)) / (1.0 - eta ** M)
+    except (OverflowError, ZeroDivisionError):
+        C = math.inf
+    return GeometricRateBound(C=C, rho=(1.0 - eta ** M) ** (1.0 / M), M=M)
 
 
 def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
-                               spread_tol: float = LIMIT_TOL,
-                               max_steps: int | None = None) -> LimitVector:
+                               spread_tol: float = LIMIT_TOL) -> np.ndarray:
     """Extend the backward product from time s until all rows agree.
 
     Convergence is detected by the maximum column spread falling below
-    `spread_tol`; the row average is returned. UJSC of the sequence
-    guarantees termination at a geometric rate.
+    `spread_tol`; the row average, scaled to sum to one, is returned. UJSC
+    of the sequence guarantees termination at a geometric rate, which caps
+    the number of factors; where the bound gives no rate in (0, 1) the cap
+    is a generous one.
     """
     n = spec.subnet_size(subnet)
-    if max_steps is None and n == 1:
-        max_steps = 1  # a 1x1 stochastic product is its own limit; the bound needs n > 1
-    if max_steps is None:
+    max_steps = 1_000_000
+    if n > 1:  # a 1x1 stochastic product is its own limit; the bound needs n > 1
         bound = geometric_rate_bound(n, spec.window(subnet), spec.eta)
-        if bound.rho < 1.0:
+        if 0.0 < bound.rho < 1.0:
             max_steps = int(10 * bound.M * math.log(1.0 / spread_tol)
                             / math.log(1.0 / bound.rho)) + 10
-        else:
-            # eta^M underflowed; the a-priori cap is useless, use a generous one
-            max_steps = 1_000_000
     P = spec.mixing(subnet, s)
     for step in range(max_steps):
-        spread = float((P.max(axis=0) - P.min(axis=0)).max())
-        if spread <= spread_tol:
+        if float((P.max(axis=0) - P.min(axis=0)).max()) <= spread_tol:
             phi = P.mean(axis=0)
-            return LimitVector(phi=phi / phi.sum(), start_index=s, achieved_spread=spread)
+            return phi / phi.sum()
         P = canonical_matmul(spec.mixing(subnet, s + step + 1), P)
     raise NumericError(
         f"transition product of subnet {subnet} starting at {s} did not reach "
@@ -381,8 +333,8 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
 
 
 def _constant_spec(A) -> GraphSequenceSpec:
-    """The period-1 sequence of stochastic `A`; its floor is the least
-    positive weight, which lies in (0, 1] because every row sums to one."""
+    """The period-1 sequence of square `A`, which has a positive weight; its
+    floor is the least positive weight, so clause (i) holds by construction."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     eta = float(A[A > 0].min())
@@ -391,19 +343,27 @@ def _constant_spec(A) -> GraphSequenceSpec:
                              eta=eta, t1=n, t2=1, t_cross=1)
 
 
-def perron_vector(A, tol: float = LIMIT_TOL) -> LimitVector:
+def perron_vector(A) -> np.ndarray:
     """Positive stochastic left eigenvector of `A` for eigenvalue one.
 
-    Computed as the limit of the constant-sequence transition product.
+    `A` must meet weight-rule clauses (i) and (ii) as a period-1 sequence.
+    The vector is the limit of the constant-sequence transition product.
     """
-    A = require_stochastic(A)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not (A > 0).any():
+        raise ValidationError(f"Perron vector needs a square matrix with a positive "
+                              f"weight, got shape {A.shape}")
+    spec = _constant_spec(A)
+    problems = validate_weight_rule(spec, spec.eta)
+    if problems:
+        raise ValidationError("; ".join(map(str, problems)))
     if not strongly_connected(A > 0):
         raise ValidationError("Perron vector requires a strongly connected graph")
-    lv = limiting_stochastic_vector(_constant_spec(A), 1, 0, spread_tol=min(tol, LIMIT_TOL) * 1e-2)
-    resid = float(np.abs(lv.phi @ A - lv.phi).max())
-    if resid > tol:
-        raise NumericError(f"Perron residual {resid:.3e} above tolerance {tol}")
-    return lv
+    phi = limiting_stochastic_vector(spec, 1, 0, spread_tol=LIMIT_TOL * 1e-2)
+    resid = float(np.abs(phi @ A - phi).max())
+    if resid > LIMIT_TOL:
+        raise NumericError(f"Perron residual {resid:.3e} above tolerance {LIMIT_TOL}")
+    return phi
 
 
 def build_cycle_matrix(mu, b11: float = 0.5) -> np.ndarray:

@@ -13,8 +13,9 @@ cross observations are canonical sums (see ``digraph``): left to right over
 the nonzero weights in increasing j, every product and sum rounded
 separately. The stepsizes of all K iterations are tabulated before the
 loop (``stepsizes.stepsize_tables``). :func:`run` then generates one Python
-function per call that keeps states, cross caches and contact times in
-locals, has one branch per phase with the weights as literals, and inlines
+function per call that keeps states and cross caches in locals, has one
+branch per phase with the weights as literals, tests an agent's first
+cross contact against the phase pattern instead of a stored time, and inlines
 in each agent's step the code of its objective's derivative in the block
 the agent moves (``exprs.objective_code``, the generator behind the
 compiled objectives, so the arithmetic is theirs), with the agent's own
@@ -133,8 +134,8 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     reading the agent's own neighbor average and cross cache. Box bounds
     are bound in `env` (``repr(inf)`` is not a literal). Names carry the
     subnetwork s: state x{s}_{i}_{d}, neighbor average u.., cross cache c..,
-    contact time t{s}_{i}, stepsize a{s}_{i}; the derivative's temporaries
-    are t1, t2, ..., which every agent assigns before it reads them.
+    stepsize a{s}_{i}; the derivative's temporaries are t1, t2, ..., which
+    every agent assigns before it reads them.
     """
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
@@ -145,7 +146,6 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     state = [[[f"x{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
-    clock = [[f"t{s}_{i}" for i in range(n[s])] for s in sides]
     contact = _contact_pattern(g)
     for s in sides:
         env.update({f"lo{s}_{d}": v for d, v in enumerate(boxes[s].lower)})
@@ -158,15 +158,16 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
         """Agent i's lines and derivative codes, in its own block."""
         args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
         e, sel = objectives[s][i]
-        lines, (grad,) = compile_objective(e, sel, m[0], m[1], ("xy"[s],),
-                                           x=args[0], y=args[1])
+        lines, grad = compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])
         return lines, grad
 
     grads = [[derivative(s, i) for i in range(n[s])] for s in sides]
 
     def update(s, i, ph):
-        """Agent i's projected subgradient step, or its mixing step alone
-        before its first cross contact."""
+        """Agent i's projected subgradient step in phase ph, or its mixing
+        step alone before its first cross contact. That contact falls at
+        k = first, the first phase with a cross in-neighbor, so in a phase
+        without one the agent steps once k > first."""
         lines, grad = grads[s][i]
         step = list(lines)
         for d, (x, u, q) in enumerate(zip(state[s][i], mix[s][i], grad)):
@@ -176,9 +177,10 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
         hold = [f"{x} = {u}" for x, u in zip(state[s][i], mix[s][i])]
         if contact[s][ph][i]:
             return step
-        if not any(c[i] for c in contact[s]):
+        if not contact[s][:, i].any():
             return hold
-        return ([f"if {clock[s][i]} >= 0:"] + ["    " + ln for ln in step]
+        first = int(np.argmax(contact[s][:, i]))
+        return ([f"if k > {first}:"] + ["    " + ln for ln in step]
                 + ["else:"] + ["    " + ln for ln in hold])
 
     def phase_body(ph):
@@ -188,7 +190,6 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
         for s in sides:
             for i in np.flatnonzero(contact[s][ph]):
                 out += canonical_mix_code(cross[s][ph][i:i + 1], [cache[s][i]], state[1 - s])
-                out.append(f"{clock[s][i]} = k")
         for s in sides:
             for i in range(n[s]):
                 out += update(s, i, ph)
@@ -198,7 +199,6 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     for s in sides:
         lines += [f"{x} = {float(v)!r}" for row, vals in zip(state[s], x0[s]) for x, v in zip(row, vals)]
         lines += [f"{c} = 0.0" for row in cache[s] for c in row]
-        lines += [f"{t} = -1" for t in clock[s]]
     steps = [f"a{s}_{i}" for s in sides for i in range(n[s])]
     streams = ["ia"] * n[0] + ["ib"] * n[1]
     lines.append(f"for k, {', '.join(steps)} in zip(range(K), {', '.join(streams)}):")

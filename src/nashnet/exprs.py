@@ -9,11 +9,12 @@ valid subgradient whenever the expression is convex (resp. concave) in the
 differentiated block, which the library checks by sampling, not by proof.
 
 One code generator evaluates them: :func:`objective_code` emits
-straight-line code for the value and the block derivatives on caller-named
-inputs; the engine inlines its derivative code into the generated run
-loop, and :func:`compile_objective` wraps the same code in a plain-Python
-closure for the grid oracle, the metrics and the convexity sampler. The
-tests hold the generated code to a recursive reference interpreter.
+straight-line code for the value or one block derivative on caller-named
+inputs. The engine inlines its derivative code into the generated run
+loop, and :func:`compile_objective` wraps its value code in a closure for
+the grid oracle, the metrics and the convexity sampler. The tests build
+derivative closures from the same text and hold it to a recursive
+reference interpreter.
 """
 
 from __future__ import annotations
@@ -225,80 +226,58 @@ def check_selection(e: Expr, sel: dict) -> dict:
 # code generation
 # ---------------------------------------------------------------------------
 
-def _sgn_vector(u, c):
-    return np.where(u > 0.0, 1.0, np.where(u < 0.0, -1.0, c))
-
-
-_WHICH = {"value": ("value",), "x": ("value", "x"), "y": ("value", "y"),
-          "both": ("value", "x", "y")}
-
-
-def compile_objective(e: Expr, sel=None, m1: int = 1, m2: int = 1,
-                      which="both", vector: bool = False):
-    """Generate a closure computing `e` and its formal block derivatives.
-
-    Returns ``f(x, y)`` where x, y are indexable sequences of components.
-    Depending on `which` ("value", "x", "y", "both") the result is the value,
-    ``(value, gx)``, ``(value, gy)`` or ``(value, gx, gy)`` with gradients as
-    tuples; a tuple `which` such as ``("x",)`` returns just the outputs it
-    names (see :func:`objective_code`). With ``vector=True`` the emitted code
-    is numpy-broadcast safe and components may be arrays.
+def compile_objective(e: Expr, m1: int, m2: int, vector: bool = False):
+    """A closure ``f(x, y)`` computing the value of `e`, where x and y are
+    indexable sequences of components (see :func:`objective_code`). With
+    ``vector=True`` the code calls numpy's ``abs``, so the components may be
+    arrays that broadcast.
     """
-    lines, codes = objective_code(e, sel, m1, m2, which, vector=vector)
-    ret = [c if isinstance(c, str) else "(" + ", ".join(c) + ("," if len(c) == 1 else "") + ")"
-           for c in codes]
+    lines, value = objective_code(e, None, m1, m2, "value")
     src = "\n".join(["def _compiled(x, y):"] + ["    " + ln for ln in lines]
-                    + ["    return " + ", ".join(ret)])
-    env = {"_sgn": _sgn_vector, "abs": np.abs} if vector else {}
+                    + ["    return " + value])
+    env = {"abs": np.abs} if vector else {}
     exec(src, env)  # noqa: S102 - source is generated locally from the tree
     return env["_compiled"]
 
 
-def objective_code(e: Expr, sel=None, m1: int = 1, m2: int = 1, which="both", *,
-                   x=None, y=None, vector: bool = False) -> tuple:
-    """Straight-line Python code for `e` and its formal block derivatives.
+def objective_code(e: Expr, sel, m1: int, m2: int, output: str, *,
+                   x=None, y=None) -> tuple:
+    """Straight-line Python code for `e` or one of its formal block
+    derivatives.
 
-    `which` names the outputs: "value", "x", "y" or "both" as in
-    :func:`compile_objective`, or a tuple drawn from "value", "x" and "y",
-    e.g. ``("x",)`` for the x-block derivative alone. Returns ``(lines,
-    codes)``. `codes` holds one entry per output, in that order: for
-    "value" the code of the value, for "x" and "y" a list with the code of
+    `output` is "value", "x" or "y". Returns ``(lines, code)``: for "value"
+    `code` is the code of the value, for "x" and "y" a list with the code of
     each component of that block's derivative ("0.0" where it is
-    structurally zero). `lines` are the assignments those codes read, to
-    temporaries t1, t2, ...; temporaries no output reads are left out, so a
-    derivative alone never computes the value. Component d of the x block
-    is read as ``x[d]``, or as ``x[d]`` of the given sequence of names
-    (likewise y), so the code can run on a caller's locals. Output codes may
-    be compound expressions: parenthesize them when they become operands.
+    structurally zero). `lines` are the assignments the code reads, to
+    temporaries t1, t2, ...; temporaries it does not read are left out, so
+    a derivative never computes the value. Component d of the x block is
+    read as ``x[d]``, or as ``x[d]`` of the given sequence of names
+    (likewise y), so the code can run on a caller's locals. Codes may be
+    compound expressions: parenthesize them when they become operands.
 
-    Scalar code takes the kink sign of an absolute value as ``1.0 if b >
-    0.0 else (-1.0 if b < 0.0 else c)`` and calls the builtin ``abs``.
-    Vector code (``vector=True``) calls ``_sgn`` and ``abs``, which the
-    caller binds to numpy-broadcast versions.
+    The value calls ``abs``; a derivative takes the kink sign of an
+    absolute value as ``1.0 if b > 0.0 else (-1.0 if b < 0.0 else c)``.
     """
-    outputs = _WHICH.get(which) if isinstance(which, str) else tuple(which)
-    if not outputs or not set(outputs) <= {"value", "x", "y"}:
-        raise ValueError(f"bad which={which!r}")
+    if output not in ("value", "x", "y"):
+        raise ValueError(f"bad output={output!r}")
     x = [f"x[{d}]" for d in range(m1)] if x is None else list(x)
     y = [f"y[{d}]" for d in range(m2)] if y is None else list(y)
     if (len(x), len(y)) != (m1, m2):
         raise ValueError(f"need {m1} x names and {m2} y names")
-    gen = _CodeGen(check_selection(e, sel), x, y, vector)
+    gen = _CodeGen(check_selection(e, sel), x, y)
     val, gx, gy = gen.emit(e)
-    codes = [{"value": val, "x": gx, "y": gy}[k] for k in outputs]
-    read = [val] * ("value" in outputs) + gx * ("x" in outputs) + gy * ("y" in outputs)
-    return gen.live(read), codes
+    code = {"value": val, "x": gx, "y": gy}[output]
+    return gen.live([val] if output == "value" else code), code
 
 
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 class _CodeGen:
-    def __init__(self, sel, x, y, vector):
+    def __init__(self, sel, x, y):
         self.sel = sel
         self.x, self.y = x, y
         self.m1, self.m2 = len(x), len(y)
-        self.vector = vector
         self.assigns = {}  # temporary name -> code, in emission order
         self.abs_idx = 0
 
@@ -395,8 +374,7 @@ class _CodeGen:
             base = self.atom(cv)
             v = self.tmp(f"abs({base})")
             c = repr(self.sel[idx])
-            s = self.tmp(f"_sgn({base}, {c})" if self.vector
-                         else f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c})")
+            s = self.tmp(f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c})")
             gx = [g if g == "0.0" else f"({s} * {g})" for g in cgx]
             gy = [g if g == "0.0" else f"({s} * {g})" for g in cgy]
             return v, gx, gy
@@ -480,7 +458,7 @@ def worst_violations(e: Expr, bx: BoxSet, by: BoxSet, trials: int, seed: int) ->
     if mx > bx.dim or my > by.dim:
         raise ValueError(f"expression needs dims >= ({mx},{my}), got ({bx.dim},{by.dim})")
     x0, x1, yv, y0, y1, xv = convexity_points(bx, by, trials, seed)
-    f = compile_objective(e, None, bx.dim, by.dim, which="value", vector=True)
+    f = compile_objective(e, bx.dim, by.dim, vector=True)
     with np.errstate(all="ignore"):
         values = (f(((x0 + x1) / 2).T, yv.T), f(x0.T, yv.T), f(x1.T, yv.T),
                   f(xv.T, ((y0 + y1) / 2).T), f(xv.T, y0.T), f(xv.T, y1.T))
@@ -490,15 +468,17 @@ def worst_violations(e: Expr, bx: BoxSet, by: BoxSet, trials: int, seed: int) ->
     return worst_x, worst_y, all(np.isfinite(v).all() for v in values)
 
 
-def sample_convexity(e: Expr, bx: BoxSet, by: BoxSet, trials: int = 1000,
-                     seed: int = 0, tol: float = 1e-9) -> list:
-    """Midpoint-inequality sampling of convexity in x and concavity in y.
+def sample_convexity(e: Expr, bx: BoxSet, by: BoxSet, trials: int = 1000) -> list:
+    """Midpoint-inequality sampling of convexity in x and concavity in y,
+    on the points of seed 0.
 
-    Returns a list of warning strings (empty means no violation found on the
-    sample). A warning is evidence against the declared convex-concave flag,
-    never a proof either way; a non-finite sampled value is a warning too.
+    Returns a list of warning strings (empty means no excess above 1e-9 on
+    the sample). A warning is evidence against the declared convex-concave
+    flag, never a proof either way; a non-finite sampled value is a warning
+    too.
     """
-    worst_x, worst_y, finite = worst_violations(e, bx, by, trials, seed)
+    worst_x, worst_y, finite = worst_violations(e, bx, by, trials, 0)
+    tol = 1e-9
     warnings = []
     if worst_x > tol:
         warnings.append(f"convexity in x violated on sample by {worst_x:.3e}")

@@ -53,11 +53,11 @@ class WeightedObjective:
         skipped.
         """
         slots, fns, order = {}, [], []
-        for w, e, s in self.terms:
+        for w, e, _ in self.terms:
             key = repr(e)
             if key not in slots:
                 slots[key] = len(fns)
-                fns.append(compile_objective(e, s, m1, m2, which="value", vector=True))
+                fns.append(compile_objective(e, m1, m2, vector=True))
             order.append((w, slots[key]))
 
         def value(x, y):
@@ -84,13 +84,18 @@ class SaddleReport:
 
 
 def grid_budget() -> int:
+    """The grid evaluation budget: BUDGET_ENV as a whole number of at least
+    one, or DEFAULT_BUDGET when it is unset."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(float(raw))
+        budget = int(float(raw))
     except (ValueError, OverflowError):
         raise ResourceError(f"{BUDGET_ENV}={raw!r} is not a finite number") from None
+    if budget < 1:
+        raise ResourceError(f"{BUDGET_ENV}={raw!r} is below one evaluation")
+    return budget
 
 
 def _axis_grids(box: BoxSet, resolution: int):
@@ -138,11 +143,12 @@ def _row_max_col_min(value_fn, xpts, ypts):
 
 
 def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
-                 resolution: int = 2001, budget: int | None = None) -> SaddleReport:
+                 resolution: int = 2001) -> SaddleReport:
     """Brute-force saddle search on a regular grid with local refinement.
 
     x* minimizes the max over the y grid, y* maximizes the min over the x
     grid; the reported minimax gap is their difference on the coarse grid.
+    The coarse grid must fit the budget of :func:`grid_budget`.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
@@ -152,7 +158,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
             f"grid oracle limited to blocks of dimension <= 2, got ({m1},{m2}); "
             "store a reference under run.oracle (x_star, y_star) in the scenario "
             "document instead")
-    budget = grid_budget() if budget is None else budget
+    budget = grid_budget()
     total = resolution ** m1 * resolution ** m2
     if total > budget:
         need = int(np.floor(budget ** (1.0 / (m1 + m2))))

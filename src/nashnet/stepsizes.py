@@ -123,8 +123,8 @@ StepsizeRule = Homogeneous | OracleHeterogeneous | AdaptiveCommonEigvec | Adapti
 
 def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule) -> OracleHeterogeneous:
     """Precompute the per-phase limiting vectors of a periodic UJSC spec."""
-    phi1 = tuple(limiting_stochastic_vector(spec, 1, s).phi for s in range(spec.period))
-    phi2 = tuple(limiting_stochastic_vector(spec, 2, s).phi for s in range(spec.period))
+    phi1 = tuple(limiting_stochastic_vector(spec, 1, s) for s in range(spec.period))
+    phi2 = tuple(limiting_stochastic_vector(spec, 2, s) for s in range(spec.period))
     return OracleHeterogeneous(schedule=schedule, period=spec.period, phi1=phi1, phi2=phi2)
 
 

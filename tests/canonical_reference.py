@@ -8,9 +8,10 @@ Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
 and one time step at a time; adaptive denominators from
 :func:`phi_readouts`, the diagonals of the paper's backward products
 ``transition_product``. Objectives are compiled closures of each agent's
-derivative alone, the code the engine inlines, so a value that overflows
-stops neither. ``test_exprs`` checks the closures against the recursive
-interpreter here, :func:`evaluate` and the forward-mode :func:`_grad`.
+derivative alone, built by :func:`emitted_derivative` from the code the
+engine inlines, so a value that overflows stops neither. ``test_exprs``
+checks them against the recursive interpreter here, :func:`evaluate` and
+the forward-mode :func:`_grad`.
 
 The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
@@ -35,7 +36,8 @@ from nashnet.digraph import GraphSequenceSpec, transition_product
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Affine, Const, Neg, Pow, Prod, Scale, Sum, Var,
-                           check_selection, compile_objective, dimensions)
+                           check_selection, compile_objective, dimensions,
+                           objective_code)
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                Homogeneous, OracleHeterogeneous)
 
@@ -93,10 +95,25 @@ def cross_observe(cross_row, other_states, cache_value, cache_time, k):
     return cache_value, cache_time
 
 
+def emitted_derivative(e, sel, m1, m2, side):
+    """The code ``objective_code`` emits for the derivative of `e` in block
+    `side` ("x" or "y"), as a closure ``f(x, y)`` of component sequences
+    that returns the components as a tuple. The code reads scalar locals,
+    u0.. for x and c0.. for y, as the engine kernel's code does."""
+    xs, ys = [f"u{d}" for d in range(m1)], [f"c{d}" for d in range(m2)]
+    lines, grad = objective_code(e, sel, m1, m2, side, x=xs, y=ys)
+    src = "\n".join(["def _derivative(x, y):", f"    {', '.join(xs + ys)}, = *x, *y"]
+                    + ["    " + ln for ln in lines]
+                    + ["    return (" + "".join(f"({q}), " for q in grad) + ")"])
+    env = {}
+    exec(src, env)  # noqa: S102 - source generated by the code under test
+    return env["_derivative"]
+
+
 def compiled_objectives(scenario):
     m1, m2 = scenario.m1, scenario.m2
-    return ([compile_objective(e, s, m1, m2, which=("x",)) for e, s in scenario.objectives1],
-            [compile_objective(e, s, m1, m2, which=("y",)) for e, s in scenario.objectives2])
+    return ([emitted_derivative(e, s, m1, m2, "x") for e, s in scenario.objectives1],
+            [emitted_derivative(e, s, m1, m2, "y") for e, s in scenario.objectives2])
 
 
 def _project(point, box):
@@ -146,8 +163,8 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
 def contact_times(pattern, K: int) -> np.ndarray:
     """(K, n) contact time used at each step, from the (period, n) contact
     pattern of ``engine._contact_pattern``: the last k' <= k whose phase
-    gives the agent a cross contact, -1 before the first. This is the clock
-    t{s}_{i} the engine kernel keeps, and ``step`` stamps as contact_x/y."""
+    gives the agent a cross contact, -1 before the first. ``step`` stamps
+    it as contact_x/y."""
     k = np.arange(K)
     times = np.where(pattern[k % len(pattern)], k[:, None], -1)
     return np.maximum.accumulate(times, axis=0, out=times)
@@ -274,8 +291,7 @@ def worst_violations(e, bx, by, trials: int, seed: int) -> tuple:
 def per_term_value(w, m1, m2):
     """``w.compiled(m1, m2)`` as one closure per term, each weighted and
     added by ``sum``, so duplicates are evaluated again."""
-    fns = [(wt, compile_objective(e, s, m1, m2, which="value", vector=True))
-           for wt, e, s in w.terms]
+    fns = [(wt, compile_objective(e, m1, m2, vector=True)) for wt, e, _ in w.terms]
 
     def value(x, y):
         return sum(wt * f(x, y) for wt, f in fns)
@@ -448,16 +464,16 @@ def project(p, box) -> np.ndarray:
 
 def weighted_gradient(w, m1, m2):
     """Scalar closure of the weighted sum `w` and its block derivatives:
-    ``f(x, y) -> (value, gx, gy)``, one compiled closure per term."""
-    fns = [(wt, compile_objective(e, s, m1, m2, which="both")) for wt, e, s in w.terms]
+    ``f(x, y) -> (value, gx, gy)``, from three closures per term."""
+    fns = [(wt, compile_objective(e, m1, m2), emitted_derivative(e, s, m1, m2, "x"),
+            emitted_derivative(e, s, m1, m2, "y")) for wt, e, s in w.terms]
 
     def both(x, y):
         v, gx, gy = 0.0, np.zeros(m1), np.zeros(m2)
-        for wt, f in fns:
-            fv, fgx, fgy = f(x, y)
-            v += wt * fv
-            gx += np.multiply(wt, fgx)
-            gy += np.multiply(wt, fgy)
+        for wt, f, fx, fy in fns:
+            v += wt * f(x, y)
+            gx += np.multiply(wt, fx(x, y))
+            gy += np.multiply(wt, fy(x, y))
         return v, gx, gy
     return both
 

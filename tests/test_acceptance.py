@@ -118,7 +118,7 @@ def test_criterion_3_adaptive_periodic_learners(scenarios, traces, grid_saddle):
 def test_criterion_4_unbalanced_failure_mode(scenarios, traces):
     s = scenarios["perron_weighted"]
     trace, _ = traces["perron_weighted"]
-    mu = perron_vector(s.graph.a1[0]).phi
+    mu = perron_vector(s.graph.a1[0])
     np.testing.assert_allclose(mu, [2 / 9, 4 / 9, 3 / 9], atol=1e-9)
     weighted = grid_minimax(
         WeightedObjective(tuple((m, e, sel) for m, (e, sel)
@@ -202,7 +202,7 @@ def test_criterion_6c_perron_roundtrip():
         mu = rng.uniform(0.05, 1.0, n)
         mu = mu / mu.sum()
         B = build_cycle_matrix(mu, b11=float(rng.uniform(0.1, 0.9)))
-        back = perron_vector(B).phi
+        back = perron_vector(B)
         assert np.abs(back - mu).max() < 1e-9
     print(f"\nPASS criterion 6c: Perron round-trip within 1e-9, {TRIALS} trials")
 
@@ -225,7 +225,7 @@ def test_criterion_6d_geometric_rate_envelope():
         bound = geometric_rate_bound(n, spec.t1, spec.eta)
         for s in range(period):
             try:
-                phi = limiting_stochastic_vector(spec, 1, s).phi
+                phi = limiting_stochastic_vector(spec, 1, s)
             except Exception:
                 break  # not UJSC for this draw; resample
             for k in (s, s + 3, s + 11, s + 25):

@@ -208,6 +208,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("sweep values not numbers", 3, "--values"),
     ("grid resolution below 3", 3, "grid resolution"),
     ("infinite budget", 5, "NASHNET_BUDGET"),
+    ("negative budget", 5, "NASHNET_BUDGET"),
     ("dimension not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("NaN saddle reference", 3, "x_star"),
@@ -221,6 +222,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("oracle report path in a missing directory", 3, "missing_dir"),
     ("reproduce output directory is a file", 3, "a_file"),
     ("sweep output directory is a file", 3, "a_file"),
+    ("sweep scenario name holds a path separator", 3, "path separator"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
@@ -242,6 +244,10 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["run"]["iterations"] = 2.7
     frac_iters = tmp_path / "frac_iters.yaml"
     frac_iters.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["meta"]["name"] = "../escaped"
+    escaped = tmp_path / "escaped.yaml"
+    escaped.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -251,6 +257,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "sweep values not numbers": ["sweep", shsad, "--values", "a,b", "--out", str(sweep_dir)],
         "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
         "infinite budget": ["oracle", shsad, "--grid", "41"],
+        "negative budget": ["oracle", shsad, "--grid", "101"],
         "dimension not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
         "NaN saddle reference": ["run", str(nan_ref), "--iters", "50"],
@@ -271,9 +278,11 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "reproduce output directory is a file": ["reproduce", "shared_saddle", "--trust-bundled",
                                                  "--out", str(a_file)],
         "sweep output directory is a file": ["sweep", shsad, "--values", "1", "--out", str(a_file)],
+        "sweep scenario name holds a path separator": ["sweep", str(escaped), "--values", "1",
+                                                        "--out", str(sweep_dir)],
     }[case]
-    if case == "infinite budget":
-        monkeypatch.setenv("NASHNET_BUDGET", "inf")
+    if case.endswith("budget"):
+        monkeypatch.setenv("NASHNET_BUDGET", "inf" if case == "infinite budget" else "-1")
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not sweep_dir.exists() and not missing.exists()

@@ -1,17 +1,19 @@
 """Stochastic matrices, graph sequences, transition products and their
 limits."""
 
+import math
+
 import numpy as np
 import pytest
 
 from canonical_reference import (canonical_dot, disagreement_span,
                                  ergodicity_coefficient)
-from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GraphSequenceSpec,
-                             build_cycle_matrix, canonical_matmul,
-                             canonical_mix_code, check_jointly_bipartite,
-                             check_ujsc, geometric_rate_bound, is_weight_balanced,
+from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GeometricRateBound,
+                             GraphSequenceSpec, _constant_spec, build_cycle_matrix,
+                             canonical_matmul, canonical_mix_code,
+                             check_jointly_bipartite, check_ujsc,
+                             geometric_rate_bound, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
-                             require_stochastic, stochastic_violations,
                              strongly_connected, transition_product,
                              validate_weight_rule)
 from nashnet.errors import ValidationError
@@ -27,15 +29,22 @@ A1_EVEN_UNB = np.array([[0.8, 0.2, 0.0], [0.7, 0.3, 0.0], [0.0, 0.6, 0.4]])
 STATIC_UNB = np.array([[0.5, 0.5, 0.0], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
 
 
+def clauses(A, eta=0.0):
+    """Clauses of the weight rule that the period-1 sequence of `A` breaks
+    under floor `eta`, one per violation."""
+    return [v.clause for v in validate_weight_rule(_constant_spec(A), eta)]
+
+
 def test_stochastic_violations():
-    assert stochastic_violations(A1_EVEN_BAL) == []
-    assert stochastic_violations(np.array([[0.5, 0.4], [0.5, 0.5]]))  # bad row
-    assert stochastic_violations(np.array([[0.0, 1.0], [0.5, 0.5]]))  # no loop
-    assert stochastic_violations(np.array([[1.5, -0.5], [0.5, 0.5]]))
-    assert stochastic_violations(A1_EVEN_UNB, eta=0.3)  # 0.2 below floor
-    assert stochastic_violations(A1_EVEN_UNB, eta=0.1) == []
-    with pytest.raises(ValidationError):
-        require_stochastic([[0.9, 0.0], [0.0, 1.0]])
+    assert clauses(A1_EVEN_BAL) == []
+    assert clauses(np.array([[0.5, 0.4], [0.5, 0.5]])) == ["weight-rule (ii)"]  # bad row
+    assert clauses(np.array([[0.0, 1.0], [0.5, 0.5]])) == ["weight-rule (i)"]  # no loop
+    assert "weight-rule (ii)" in clauses(np.array([[1.5, -0.5], [0.5, 0.5]]))
+    assert clauses(A1_EVEN_UNB, eta=0.3) == ["weight-rule (i)"]  # 0.2 below floor
+    assert clauses(A1_EVEN_UNB, eta=0.1) == []
+    for bad in ([[0.9, 0.0], [0.0, 1.0]], np.zeros((2, 2)), np.full((2, 3), 1 / 3), [0.5, 0.5]):
+        with pytest.raises(ValidationError):
+            perron_vector(bad)
 
 
 def test_weight_balance():
@@ -128,7 +137,7 @@ def test_transition_product_is_backward(balanced):
     P = transition_product(balanced, 1, 1, 0)
     np.testing.assert_allclose(P, A1_ODD_BAL @ A1_EVEN_BAL)
     np.testing.assert_allclose(transition_product(balanced, 1, 0, 0), A1_EVEN_BAL)
-    assert stochastic_violations(transition_product(balanced, 1, 9, 2)) == []
+    assert clauses(transition_product(balanced, 1, 9, 2)) == []
     with pytest.raises(ValueError):
         transition_product(balanced, 1, 1, 2)
 
@@ -161,19 +170,19 @@ def test_canonical_mix_code_bounds_statement_length():
 
 def test_limit_vectors_balanced_are_uniform(balanced):
     for start in (0, 1):
-        lv = limiting_stochastic_vector(balanced, 1, start)
-        np.testing.assert_allclose(lv.phi, np.full(3, 1 / 3), atol=1e-8)
-        lv2 = limiting_stochastic_vector(balanced, 2, start)
-        np.testing.assert_allclose(lv2.phi, np.full(2, 1 / 2), atol=1e-8)
+        phi = limiting_stochastic_vector(balanced, 1, start)
+        np.testing.assert_allclose(phi, np.full(3, 1 / 3), atol=1e-8)
+        phi2 = limiting_stochastic_vector(balanced, 2, start)
+        np.testing.assert_allclose(phi2, np.full(2, 1 / 2), atol=1e-8)
 
 
 def test_limit_vectors_unbalanced_known_values(unbalanced):
-    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 0).phi,
+    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 0),
                                [0.5336, 0.3408, 0.1256], atol=1e-4)
-    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 1).phi,
+    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 1),
                                [0.5336, 0.1525, 0.3139], atol=1e-4)
     for start in (0, 1):
-        np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 2, start).phi,
+        np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 2, start),
                                    [0.8889, 0.1111], atol=1e-4)
 
 
@@ -182,7 +191,7 @@ def test_limit_vector_floor(unbalanced):
     floor = unbalanced.eta ** (2 * unbalanced.t1)
     for subnet in (1, 2):
         for start in (0, 1):
-            assert limiting_stochastic_vector(unbalanced, subnet, start).phi.min() >= floor
+            assert limiting_stochastic_vector(unbalanced, subnet, start).min() >= floor
 
 
 def test_geometric_rate_bound_values():
@@ -190,11 +199,23 @@ def test_geometric_rate_bound_values():
     assert b.M == 4
     assert b.rho == pytest.approx((1 - 0.1 ** 4) ** 0.25)
     assert b.C == pytest.approx(2 * (1 + 0.1 ** -4) / (1 - 0.1 ** 4))
+    # no rate in (0, 1): eta^M is 1, or so small that its inverse overflows
+    assert geometric_rate_bound(2, 1, 1.0) == GeometricRateBound(C=math.inf, rho=0.0, M=1)
+    assert geometric_rate_bound(100, 4, 0.1) == GeometricRateBound(C=math.inf, rho=1.0, M=396)
+
+
+def test_limit_vector_without_a_rate_bound():
+    """eta = 1 leaves the bound no rate in (0, 1), so the step cap is the
+    generous one; this product is its own limit from the start."""
+    A = np.array([[0.5, 0.5], [0.5, 0.5]])
+    spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
+                             cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
+                             eta=1.0, t1=1, t2=1, t_cross=1)
+    assert limiting_stochastic_vector(spec, 1, 0).tolist() == [0.5, 0.5]
 
 
 def test_perron_vector_static_unbalanced():
-    lv = perron_vector(STATIC_UNB)
-    np.testing.assert_allclose(lv.phi, [2 / 9, 4 / 9, 3 / 9], atol=1e-9)
+    np.testing.assert_allclose(perron_vector(STATIC_UNB), [2 / 9, 4 / 9, 3 / 9], atol=1e-9)
     with pytest.raises(ValidationError):
         perron_vector(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
@@ -202,7 +223,7 @@ def test_perron_vector_static_unbalanced():
 def test_build_cycle_matrix_roundtrip():
     mu = np.array([0.2, 0.5, 0.3])
     B = build_cycle_matrix(mu, b11=0.5)
-    assert stochastic_violations(B) == []
+    assert clauses(B) == []
     np.testing.assert_allclose(mu @ B, mu, atol=1e-12)
     # cycle + self-loops only
     assert (B > 0).sum() <= 2 * len(mu)

@@ -1,6 +1,7 @@
 """Tooling gates on ``src/nashnet``: no module imports a name it never
-uses, and every top-level function and class is named outside its own body
-by the package, a demo or ``perfbench/``; what only tests use belongs in
+uses, every top-level function and class is named outside its own body
+by the package, a demo or ``perfbench/``, and every parameter default is
+overridden by some call there; what only tests use belongs in
 ``tests/canonical_reference.py``. These are stdlib ``ast`` scans, as the
 project depends on no linter. ``__future__`` imports and the package
 ``__init__`` (whose imports are its public re-exports) are exempt.
@@ -79,3 +80,75 @@ def test_scan_finds_an_unreached_definition():
                "b": "from a import used\nprint(Kept)\n"}
     assert unreached(modules, set()) == ["a: dead"]
     assert unreached(modules, {"dead"}) == []
+
+
+ALLOWED_UNSET = {"build_cycle_matrix.b11"}  # the acceptance property suite draws it
+
+
+def called_names(tree) -> list:
+    """(name, call) for every call in `tree` to a name or an attribute,
+    with a name bound by ``import ... as`` resolved to what it imports."""
+    aliases = {a.asname: a.name.rsplit(".", 1)[-1] for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names if a.asname}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.append((aliases.get(node.func.id, node.func.id), node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            out.append((node.func.attr, node))
+    return out
+
+
+def passes(call, param: str, positional: list) -> bool:
+    """Whether `call` sets `param` by keyword, by position, or through a
+    ``*`` or ``**`` argument; `positional` names the parameters a
+    positional argument binds, in order."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if param not in positional:
+        return False
+    i = positional.index(param)
+    return any(isinstance(a, ast.Starred) or j == i for j, a in enumerate(call.args[:i + 1]))
+
+
+def unset_defaults(modules: dict, callers) -> list:
+    """``function.parameter`` for each parameter with a default, of a
+    function or method in `modules` (name -> source), that no call in
+    `modules` or in the `callers` sources sets. Calls match by the called
+    name, so any method of that name counts."""
+    trees = [ast.parse(source) for source in modules.values()]
+    calls = [c for tree in trees + [ast.parse(s) for s in callers] for c in called_names(tree)]
+    found = []
+    for tree in trees:
+        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            bound = positional[fn in methods:]  # a method's first parameter is bound
+            for param in defaulted:
+                if not any(name == fn.name and passes(call, param, bound) for name, call in calls):
+                    found.append(f"{fn.name}.{param}")
+    return sorted(found)
+
+
+def test_every_default_is_set_by_a_caller():
+    """A default that no call in the package, a demo or ``perfbench/``
+    overrides is a constant: it belongs in the function body."""
+    callers = [p.read_text(encoding="utf-8")
+               for p in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert set(unset_defaults(modules, callers)) == ALLOWED_UNSET
+
+
+def test_scan_finds_an_unset_default():
+    modules = {"a": ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                     "class K:\n    def m(self, p=0, q=0):\n        pass\n\n"
+                     "def g(z=0):\n    pass\n")}
+    callers = ["from a import f as h\nh(0, 1, e=5)\n",
+               "import a\na.f(*args)\nK().m(1)\n"]
+    assert unset_defaults(modules, callers) == ["f.d", "g.z", "m.q"]
+    assert unset_defaults(modules, callers + ["g(**kw)\nK().m(q=1)\nf(d=0)\n"]) == []

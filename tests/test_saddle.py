@@ -61,15 +61,14 @@ def test_grid_minimax_shifted_quadratic():
 
 
 def test_grid_budget_enforced(monkeypatch):
-    with pytest.raises(ResourceError):
-        grid_minimax(bilinear_toy(), BOX5, BOX5, resolution=101, budget=100)
     monkeypatch.setenv(BUDGET_ENV, "100")
     assert grid_budget() == 100
     with pytest.raises(ResourceError):
         grid_minimax(bilinear_toy(), BOX5, BOX5, resolution=101)
-    monkeypatch.setenv(BUDGET_ENV, "junk")
-    with pytest.raises(ResourceError):
-        grid_budget()
+    for raw in ("junk", "0", "-1", "0.5"):
+        monkeypatch.setenv(BUDGET_ENV, raw)
+        with pytest.raises(ResourceError):
+            grid_budget()
     monkeypatch.delenv(BUDGET_ENV)
     assert grid_budget() == DEFAULT_BUDGET
 

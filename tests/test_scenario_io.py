@@ -84,7 +84,7 @@ def test_save_load_keeps_negative_zero(tmp_path):
     s2 = load_scenario(tmp_path / "z.yaml")
     for e2, sel2 in s2.objectives1 + s2.objectives2:
         assert format_expr(e2) == format_expr(e) and str(sel2[0]) == "-0.0"
-        value = compile_objective(e2, sel2, 1, 1, which="value")([1.0], [0.0])
+        value = compile_objective(e2, 1, 1)([1.0], [0.0])
         assert str(value) == "-0.0"  # +0.0 constants would give 0.0
 
 
