@@ -186,8 +186,7 @@ def cmd_oracle(args) -> int:
         if len(vals) != len(scenario.objectives1) or min(vals) <= 0:
             raise ValidationError(f"--weights needs {len(scenario.objectives1)} positive "
                                   f"weights, one per subnet-1 objective; got {args.weights!r}")
-        w = WeightedObjective(tuple((v, e, s) for v, (e, s) in
-                                    zip(vals, scenario.objectives1)))
+        w = WeightedObjective(tuple((v, e) for v, (e, _) in zip(vals, scenario.objectives1)))
     report = grid_minimax(w, scenario.box_x, scenario.box_y, resolution=args.grid)
     if args.out:
         _write(args.out, lambda fh: report_to_csv(report, fh))

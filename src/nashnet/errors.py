@@ -30,6 +30,8 @@ class NumericError(NashnetError):
 
 
 class ResourceError(NashnetError):
-    """A configured budget (grid evaluations, iteration cap) was exceeded."""
+    """The grid oracle cannot search the scenario: ``NASHNET_BUDGET`` is not
+    a finite number of at least one, the grid exceeds that budget, or a
+    block has dimension above 2 or an infinite box bound."""
 
     exit_code = 5

@@ -6,9 +6,9 @@ local refinement of REFINE_LEVELS levels around the winner for ~100x
 sharper answers. It evaluates each distinct objective of a weighted sum
 once per table, in row blocks of at most TABLE_CHUNK cells, and keeps of
 each block only its row maxima and the running column minima, never the
-whole table. Blocks of dimension above two are rejected with a resource
-error; a scenario with such blocks needs a stored reference,
-``run.oracle`` with ``x_star`` and ``y_star``, in its document.
+whole table. Blocks of dimension above two, and boxes with an infinite
+bound, are rejected with a resource error; such a scenario needs a stored
+reference, ``run.oracle`` with ``x_star`` and ``y_star``, in its document.
 """
 
 from __future__ import annotations
@@ -26,17 +26,19 @@ DEFAULT_BUDGET = 4_100_000
 BUDGET_ENV = "NASHNET_BUDGET"
 TABLE_CHUNK = 1 << 16  # cells of the grid table evaluated at once
 REFINE_LEVELS = 3  # local refinements after the coarse grid
+_STORE = ("store a reference under run.oracle (x_star, y_star) in the scenario "
+          "document instead")
 
 
 @dataclass(frozen=True)
 class WeightedObjective:
-    """Positively weighted sum of (expr, selection) objective terms."""
+    """Positively weighted sum of objective expressions."""
 
-    terms: tuple  # of (weight, expr, selection)
+    terms: tuple  # of (weight, expr)
 
     def __post_init__(self):
-        terms = tuple((float(w), e, dict(s or {})) for w, e, s in self.terms)
-        if any(w <= 0 for w, _, _ in terms):
+        terms = tuple((float(w), e) for w, e in self.terms)
+        if any(w <= 0 for w, _ in terms):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "terms", terms)
 
@@ -44,16 +46,15 @@ class WeightedObjective:
         """The weighted sum as one numpy-broadcast closure ``f(x, y)`` of the
         value, evaluating each distinct expression once per call.
 
-        A selection only steers derivatives, so one closure serves every
-        term with the same expression. The key is ``repr(e)``, not
-        ``format_expr(e)``, which prints the constants -0.0 and 0.0 alike.
-        The terms are summed in their own order into an accumulator that
-        starts at 0.0, so the bytes equal those of the per-term sum
-        ``sum(w * f(x, y) for w, f in fns)``; ``1.0 * v`` is exact and
-        skipped.
+        One closure serves every term with the same expression. The key is
+        ``repr(e)``, not ``format_expr(e)``, which prints the constants -0.0
+        and 0.0 alike. The terms are summed in their own order into an
+        accumulator that starts at 0.0, so the bytes equal those of the
+        per-term sum ``sum(w * f(x, y) for w, f in fns)``; ``1.0 * v`` is
+        exact and skipped.
         """
         slots, fns, order = {}, [], []
-        for w, e, _ in self.terms:
+        for w, e in self.terms:
             key = repr(e)
             if key not in slots:
                 slots[key] = len(fns)
@@ -70,8 +71,8 @@ class WeightedObjective:
 
 
 def unit_weighted(objectives) -> WeightedObjective:
-    """Unit-weight sum of (expr, selection) pairs."""
-    return WeightedObjective(tuple((1.0, e, s) for e, s in objectives))
+    """Unit-weight sum of the expressions of (expr, selection) pairs."""
+    return WeightedObjective(tuple((1.0, e) for e, _ in objectives))
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,10 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     m1, m2 = bx.dim, by.dim
     if m1 > 2 or m2 > 2:
         raise ResourceError(
-            f"grid oracle limited to blocks of dimension <= 2, got ({m1},{m2}); "
-            "store a reference under run.oracle (x_star, y_star) in the scenario "
-            "document instead")
+            f"grid oracle limited to blocks of dimension <= 2, got ({m1},{m2}); {_STORE}")
+    bounds = (*bx.lower, *bx.upper, *by.lower, *by.upper)
+    if not np.isfinite(bounds).all():
+        raise ResourceError(f"grid oracle needs finite box bounds, got {bounds}; {_STORE}")
     budget = grid_budget()
     total = resolution ** m1 * resolution ** m2
     if total > budget:

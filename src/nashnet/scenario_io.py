@@ -328,35 +328,33 @@ def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
     """``(template * rows) % values`` for rows `start`:`stop` of `blocks`.
 
     A float table whose template has only ``%.17g`` and ``%d`` fields is
-    formatted in numpy: every ``%.17g`` cell in one pass (:func:`_format_g`),
-    every ``%d`` cell in another (:func:`_format_d`), each into a slot of a
-    byte table that :func:`_layout` lays out with NUL padding, and one NUL
-    compress makes the text. So the number of numpy calls does not grow
-    with the template. Every other chunk, and one with a ``%d`` value
-    outside the int64 range, goes through `%` whole.
+    formatted in numpy, every cell in one pass of :func:`_format_g` into a
+    slot of a byte table that :func:`_layout` lays out with NUL padding,
+    and one NUL compress makes the text. So the number of numpy calls does
+    not grow with the template. A ``%d`` cell is first truncated toward
+    zero, as `%` does, with -0 made 0: below 10**17 in magnitude ``%.17g``
+    writes a whole number as ``%d`` does. Every other chunk, and one with a
+    ``%d`` value of 10**17 or more in magnitude, goes through `%` whole.
     """
     table = np.concatenate([b[start:stop] for b in blocks], axis=1)
     layout = _layout(template) if table.dtype == np.float64 else None
     ints = None
     if layout is not None and len(layout.row) == table.shape[1]:
-        ints = _format_d(table[:, layout.dcols].ravel())
-    if ints is None:
+        ints = np.trunc(table[:, layout.dcols]) + 0.0
+    if ints is None or not (np.abs(ints) < 1e17).all():  # NaN and inf too
         return (template * len(table)) % tuple(table.ravel().tolist())
-    floats = _format_g(table[:, layout.gcols].ravel())
-    rows = len(table)
+    table[:, layout.dcols] = ints
+    rows, fields = table.shape
     text = bytearray(rows * layout.row.size)
     buf = np.frombuffer(text, np.uint8).reshape(rows, *layout.row.shape)
     buf[:] = layout.row
-    buf[:, layout.dcols, :_SLOT] = ints.reshape(rows, len(layout.dcols), _SLOT)
-    buf[:, layout.gcols, :_SLOT] = floats.reshape(rows, len(layout.gcols), _SLOT)
-    del buf, floats, ints
+    buf[:, :, :_SLOT] = _format_g(table.ravel()).reshape(rows, fields, _SLOT)
     return bytes(text).translate(None, b"\0").decode("utf-8")
 
 
 class _Layout(NamedTuple):
     row: np.ndarray  # (fields, width) bytes of one template row, slots NUL
-    gcols: np.ndarray  # the fields, and so table columns, of %.17g
-    dcols: np.ndarray  # and of %d
+    dcols: np.ndarray  # the fields, and so table columns, of %d
 
 
 @functools.lru_cache(maxsize=64)
@@ -375,8 +373,7 @@ def _layout(template: str) -> _Layout | None:
     for piece, text in enumerate(texts):
         row[piece, _SLOT:_SLOT + len(text)] = np.frombuffer(text, np.uint8)
     row.setflags(write=False)
-    kinds = np.array(parts[1::2])
-    return _Layout(row, np.flatnonzero(kinds == FLOAT_FMT), np.flatnonzero(kinds == "%d"))
+    return _Layout(row, np.flatnonzero(np.array(parts[1::2]) == "%d"))
 
 
 # A formatted cell is a slot of _SLOT bytes at the start of six 8-byte
@@ -384,7 +381,6 @@ def _layout(template: str) -> _Layout | None:
 #   word 0     sign, the "0.000" of fixed notation below 1, digit 0, point
 #   words 1-4  digits 1-16, each followed by the place of a decimal point
 #   word 5     the exponent, "e+05" or "e-308"
-# A %d cell: sign, then 20 digits with NUL for the leading zeros.
 _SLOT = 45
 _DOT_SPILL = 47  # a byte past the slot that takes the dot of a value without one
 _S_MIN, _S_MAX = -292, 340  # 16 - E over the finite nonzero doubles
@@ -439,8 +435,6 @@ def _tables() -> dict:
     fixed = (e >= -4) & (e <= 16)
     g = np.arange(10000)
     digits = 48 + g[:, None] // np.array([1000, 100, 10, 1]) % 10
-    width = 1 + (g >= 10) + (g >= 100) + (g >= 1000)
-    lead = np.where(np.arange(4) >= 4 - width[:, None], digits, 0)  # "0" for 0
     spread = np.zeros((10000, 8), int)
     spread[:, 0::2] = digits
     # a group's last nonzero digit, counted from 1; -99 for 0
@@ -480,8 +474,6 @@ def _tables() -> dict:
         "need": np.where(fixed, e + 1, 0).astype(np.int8),
         "place": place.ravel().astype(np.int16),
         "zero": _words(zero),
-        "digits": _words(digits), "lead": _words(lead),
-        "minus32": _words([[ord("-"), 0, 0, 0]])[0],
     }
 
 
@@ -551,34 +543,6 @@ def _format_g(values: np.ndarray) -> np.ndarray:
         out[rest] = 0
         slots[rest, :24] = np.where(chars == 32, 0, chars)
     return slots[:, :_SLOT]
-
-
-def _format_d(values: np.ndarray) -> np.ndarray | None:
-    """(N, _SLOT) byte slots of ``'%d' % v`` for float64 `values`, which
-    `%` truncates toward zero; None if one is not finite or |v| >= 2**63."""
-    a = np.abs(values)
-    if not (a < 2.0 ** 63).all():  # NaN too
-        return None
-    t = _tables()
-    ints = values.astype(np.int64)
-    q = np.abs(ints)
-    groups = []
-    for _ in range(5):
-        q, G = np.divmod(q, 10 ** 4)
-        groups.append(G)
-        if not q.any():
-            break
-    out = np.zeros((len(values), 6), np.uint64)
-    cols = out.view(np.uint32)
-    cols[ints < 0, 0] = t["minus32"]
-    started = np.zeros(len(values), bool)
-    for k, G in enumerate(reversed(groups), 6 - len(groups)):
-        lead = t["lead"][G]
-        if k < 5:
-            lead = np.where(G == 0, 0, lead)
-        cols[:, k] = np.where(started, t["digits"][G], lead)
-        started |= G != 0
-    return out.view(np.uint8)[:, :_SLOT]
 
 
 def trace_to_csv(trace: Trace, m1: int, m2: int, out=None) -> str | Written:
@@ -651,6 +615,10 @@ def report_to_csv(report, out=None) -> str | Written:
 
 
 def sweep_summary_to_csv(param: str, results, out=None) -> str | Written:
-    """One row per sweep job: (value, final nash error, metrics file path)."""
+    """One row per sweep job: (value, final nash error, metrics file path).
+    A path that holds a comma, a quote or a line break is quoted as the csv
+    module quotes it, each quote doubled."""
+    rows = [(v, err, '"' + path.replace('"', '""') + '"' if re.search('[,"\r\n]', path) else path)
+            for v, err, path in results]
     return _csv(out, f"{param},final_nash_error,metrics_file",
-                (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(results, dtype=object)]))
+                (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(rows, dtype=object)]))

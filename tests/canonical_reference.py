@@ -291,7 +291,7 @@ def worst_violations(e, bx, by, trials: int, seed: int) -> tuple:
 def per_term_value(w, m1, m2):
     """``w.compiled(m1, m2)`` as one closure per term, each weighted and
     added by ``sum``, so duplicates are evaluated again."""
-    fns = [(wt, compile_objective(e, m1, m2, vector=True)) for wt, e, _ in w.terms]
+    fns = [(wt, compile_objective(e, m1, m2, vector=True)) for wt, e in w.terms]
 
     def value(x, y):
         return sum(wt * f(x, y) for wt, f in fns)
@@ -462,11 +462,12 @@ def project(p, box) -> np.ndarray:
 # saddle instruments
 # ---------------------------------------------------------------------------
 
-def weighted_gradient(w, m1, m2):
-    """Scalar closure of the weighted sum `w` and its block derivatives:
+def weighted_gradient(objectives, weights, m1, m2):
+    """Scalar closure of the sum of the (expr, selection) `objectives`, each
+    times its weight, and its block derivatives under the selections:
     ``f(x, y) -> (value, gx, gy)``, from three closures per term."""
     fns = [(wt, compile_objective(e, m1, m2), emitted_derivative(e, s, m1, m2, "x"),
-            emitted_derivative(e, s, m1, m2, "y")) for wt, e, s in w.terms]
+            emitted_derivative(e, s, m1, m2, "y")) for wt, (e, s) in zip(weights, objectives)]
 
     def both(x, y):
         v, gx, gy = 0.0, np.zeros(m1), np.zeros(m2)
@@ -478,12 +479,13 @@ def weighted_gradient(w, m1, m2):
     return both
 
 
-def centralized_saddle(w, bx, by, schedule, iters: int = 100_000):
-    """Projected subgradient descent-ascent on `w` from the box center, with
-    the stepsizes of `schedule`; cross-validates the grid oracle."""
+def centralized_saddle(objectives, weights, bx, by, schedule, iters: int = 100_000):
+    """Projected subgradient descent-ascent on the weighted sum of the
+    (expr, selection) `objectives` from the box center, with the stepsizes
+    of `schedule`; cross-validates the grid oracle."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    fn = weighted_gradient(w, bx.dim, by.dim)
+    fn = weighted_gradient(objectives, weights, bx.dim, by.dim)
     x, y = center(bx), center(by)
     for k in range(iters):
         g = schedule.value(k)

@@ -121,8 +121,7 @@ def test_criterion_4_unbalanced_failure_mode(scenarios, traces):
     mu = perron_vector(s.graph.a1[0])
     np.testing.assert_allclose(mu, [2 / 9, 4 / 9, 3 / 9], atol=1e-9)
     weighted = grid_minimax(
-        WeightedObjective(tuple((m, e, sel) for m, (e, sel)
-                                in zip(mu, s.objectives1))),
+        WeightedObjective(tuple((m, e) for m, (e, _) in zip(mu, s.objectives1))),
         s.box_x, s.box_y, resolution=2001)
     unit = grid_minimax(unit_weighted(s.objectives1), s.box_x, s.box_y,
                         resolution=2001)

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, file outputs, and the exit-code
 contract (2 parse, 3 validation, 4 numeric, 5 resource)."""
 
+import csv
 import dataclasses
 import errno
 import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -223,6 +225,8 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("reproduce output directory is a file", 3, "a_file"),
     ("sweep output directory is a file", 3, "a_file"),
     ("sweep scenario name holds a path separator", 3, "path separator"),
+    ("oracle on an unbounded box", 5, "store a reference under run.oracle"),
+    ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
@@ -248,6 +252,11 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["meta"]["name"] = "../escaped"
     escaped = tmp_path / "escaped.yaml"
     escaped.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["boxes"]["x"]["lower"] = [float("-inf")]
+    del doc["run"]["oracle"]
+    unbounded = tmp_path / "unbounded.yaml"
+    unbounded.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -280,12 +289,29 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "sweep output directory is a file": ["sweep", shsad, "--values", "1", "--out", str(a_file)],
         "sweep scenario name holds a path separator": ["sweep", str(escaped), "--values", "1",
                                                         "--out", str(sweep_dir)],
+        "oracle on an unbounded box": ["oracle", str(unbounded), "--grid", "41"],
+        "run on an unbounded box without a stored reference": ["run", str(unbounded),
+                                                               "--iters", "5"],
     }[case]
     if case.endswith("budget"):
         monkeypatch.setenv("NASHNET_BUDGET", "inf" if case == "infinite budget" else "-1")
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not sweep_dir.exists() and not missing.exists()
+
+
+def test_unbounded_box_runs_against_a_stored_reference(shsad, tmp_path, capsys):
+    """Only the grid oracle needs finite box bounds: with a stored reference
+    `run` on a box unbounded below exits 0 with a finite Nash error."""
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["boxes"]["x"]["lower"] = [float("-inf")]
+    path = tmp_path / "unbounded.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    metrics = tmp_path / "m.csv"
+    assert main(["run", str(path), "--iters", "50", "--metrics", str(metrics)]) == 0
+    rows = metrics.read_text().splitlines()[1:]
+    assert len(rows) == 51 and all(math.isfinite(float(r.split(",")[3])) for r in rows)
+    assert "nash_error=nan" not in capsys.readouterr().out
 
 
 def test_csv_writers_start_no_process(shsad, tmp_path, monkeypatch):
@@ -468,6 +494,19 @@ def test_sweep_outputs_pinned(shsad, tmp_path):
         "shared_saddle_gamma_c_2_metrics.csv":
             "01ec97e6ccc709502c543ca46af62efe0ccb3fb8d676d7c29fa0e502e0e297c3",
     }
+
+
+def test_sweep_summary_quotes_a_path_with_a_comma(shsad, tmp_path):
+    """An output directory holding a comma and a quote leaves every summary
+    row three fields under `csv.reader`, the path read back as given."""
+    d = str(tmp_path / 'a,b "c"')
+    assert main(["sweep", shsad, "--param", "gamma.c", "--values", "0.5,1.0", "--out", d]) == 0
+    with open(Path(d, "sweep_summary.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["gamma.c", "final_nash_error", "metrics_file"]
+    assert [len(r) for r in rows] == [3, 3, 3]
+    assert [r[2] for r in rows[1:]] == [
+        os.path.join(d, f"shared_saddle_gamma_c_{i}_metrics.csv") for i in range(2)]
 
 
 def test_sweep_iterations_param(shsad, tmp_path):

@@ -28,8 +28,8 @@ def bilinear_toy():
 def test_weighted_objective_validation():
     e = Pow(x_var(0), 2)
     with pytest.raises(ValueError):
-        WeightedObjective(((0.0, e, {}),))
-    WeightedObjective(((2.0, e, {}), (1.0, e, {})))
+        WeightedObjective(((0.0, e),))
+    WeightedObjective(((2.0, e), (1.0, e)))
 
 
 def test_grid_minimax_toy():
@@ -81,6 +81,14 @@ def test_grid_rejects_high_dimensions():
         grid_minimax(unit_weighted([(e, {})]), box3, BOX5, resolution=11)
 
 
+@pytest.mark.parametrize("bx, by", [(BoxSet((-np.inf,), (5.0,)), BOX5),
+                                     (BOX5, BoxSet((-5.0,), (np.inf,)))])
+def test_grid_rejects_unbounded_boxes(bx, by):
+    with pytest.raises(ResourceError, match=r"finite box bounds.*store a reference under "
+                                            r"run\.oracle"):
+        grid_minimax(bilinear_toy(), bx, by, resolution=11)
+
+
 def test_grid_two_dimensional_blocks():
     # x1^2 + (x2-1)^2 - y1^2 - (y2+1)^2 on [-2,2]^2 blocks
     e = Sum((Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), Neg(1))), 2),
@@ -93,7 +101,8 @@ def test_grid_two_dimensional_blocks():
 
 def test_centralized_saddle_agrees_with_grid():
     sched = GammaSchedule(c=1.0, b=1.0, eps=0.5)
-    report = centralized_saddle(unit_weighted(subnet1_objectives()), BOX5, BOX5,
+    objectives = subnet1_objectives()
+    report = centralized_saddle(objectives, [1.0] * len(objectives), BOX5, BOX5,
                                 sched, iters=20000)
     assert report.x_star[0] == pytest.approx(0.61025310, abs=5e-3)
     assert report.y_star[0] == pytest.approx(0.88440690, abs=5e-3)
@@ -167,7 +176,7 @@ def test_weighted_sum_matches_per_term_with_oracle_weights(monkeypatch):
     # different weights
     objectives = bundled_scenario("example1").objectives1
     weights = (0.1, 2.5, 1.0 / 3.0, 1.0, 7.25, 0.3)
-    w = WeightedObjective(tuple((v, e, sel) for v, (e, sel)
+    w = WeightedObjective(tuple((v, e) for v, (e, _)
                                 in zip(weights, objectives + objectives)))
     _assert_matches_per_term(monkeypatch, w, BOX5, BOX5, 401)
 
@@ -176,25 +185,24 @@ def test_weighted_sum_negative_zero_term(monkeypatch):
     # -(x0^2) is -0.0 on the x = 0 row; the per-term sum starts at integer 0,
     # and 0 + -0.0 is +0.0
     e = parse_expr("(neg (pow x0 2))")
-    w = WeightedObjective(((1.0, e, {}), (2.0, e, {})))
+    w = WeightedObjective(((1.0, e), (2.0, e)))
     table = _assert_matches_per_term(monkeypatch, w, BOX5, BOX5, 11)
     assert not np.signbit(table[5]).any() and _closures(monkeypatch, w, 1, 1) == 1
     # constants that print alike but differ in sign stay distinct closures
-    zeros = WeightedObjective(((1.0, Prod((x_var(0), Const(-0.0))), {}),
-                               (1.0, Prod((x_var(0), Const(0.0))), {})))
+    zeros = WeightedObjective(((1.0, Prod((x_var(0), Const(-0.0)))),
+                               (1.0, Prod((x_var(0), Const(0.0))))))
     _assert_matches_per_term(monkeypatch, zeros, BOX5, BOX5, 11)
     assert _closures(monkeypatch, zeros, 1, 1) == 2
 
 
 def test_weighted_sum_broadcast_shapes(monkeypatch):
     # x-only, y-only and constant-only terms come back as (Nx, 1), (1, Ny)
-    # and a float; the kink term repeats under another selection, which its
-    # value ignores
+    # and a float; the kink term repeats under another weight
     e_x = Pow(Sum((x_var(0), Neg(1.3))), 2)
     e_y = Neg(Pow(Sum((y_var(0), 0.4)), 2))
     e_xy = Sum((Abs(Sum((x_var(0), Neg(y_var(0))))), Scale(0.5, x_var(0))))
-    terms = ((1.0, e_x, {}), (1.5, e_y, {}), (2.0, Const(3.5), {}),
-             (1.0, e_xy, {0: 1.0}), (0.75, e_xy, {0: -1.0}), (1.0, Const(-1.0), {}))
+    terms = ((1.0, e_x), (1.5, e_y), (2.0, Const(3.5)),
+             (1.0, e_xy), (0.75, e_xy), (1.0, Const(-1.0)))
     for k in range(1, len(terms) + 1):
         _assert_matches_per_term(monkeypatch, WeightedObjective(terms[:k]), BOX5, BOX5, 101)
     assert _closures(monkeypatch, WeightedObjective(terms), 1, 1) == 5
@@ -207,7 +215,7 @@ def test_weighted_sum_two_dimensional_blocks(monkeypatch):
     terms = [Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), Neg(1))), 2),
              Neg(Pow(Var("y", 0), 2)), Neg(Pow(Sum((Var("y", 1), 1)), 2)),
              Prod((Var("x", 0), Var("y", 1)))]
-    w = WeightedObjective(tuple((1.0 + 0.5 * i, e, {}) for i, e in enumerate(terms + terms)))
+    w = WeightedObjective(tuple((1.0 + 0.5 * i, e) for i, e in enumerate(terms + terms)))
     _assert_matches_per_term(monkeypatch, w, BOX2, BOX2, 21)
 
 
@@ -235,8 +243,7 @@ def test_eval_table_blocks_with_short_last_block(monkeypatch, chunk):
 def test_weighted_sum_series_calls():
     # the metrics' series calls
     objectives = bundled_scenario("example1").objectives1
-    w = WeightedObjective(tuple((v, e, sel) for v, (e, sel)
-                                in zip((0.2, 1.0, 3.0), objectives)))
+    w = WeightedObjective(tuple((v, e) for v, (e, _) in zip((0.2, 1.0, 3.0), objectives)))
     series = np.linspace(-3.0, 4.0, 1001)
     fn, oracle = w.compiled(1, 1), per_term_value(w, 1, 1)
     for x, y in (([series], [np.array([0.88])]), ([np.array([0.61])], [series])):

@@ -1,6 +1,7 @@
 """Scenario files, bundled scenarios, and CSV serialization."""
 
 import copy
+import csv
 import io
 from importlib import resources
 
@@ -494,14 +495,31 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
         want = texts()
     real, calls = scenario_io._format_g, []
     monkeypatch.setattr(scenario_io, "_format_g", lambda v: calls.append(len(v)) or real(v))
-    for size in (chunk or scenario_io.CSV_CHUNK, 1, 7):
+    format_chunk, chunks = scenario_io._format_chunk, []
+    monkeypatch.setattr(scenario_io, "_format_chunk",
+                        lambda *args: chunks.append(args) or format_chunk(*args))
+    sizes = (chunk or scenario_io.CSV_CHUNK, 1, 7)
+    for size in sizes:
         monkeypatch.setattr(scenario_io, "CSV_CHUNK", size)
         assert texts() == want
         streams = [io.StringIO() for _ in want]
         written = texts(*streams)
         assert tuple(s.getvalue() for s in streams) == want
         assert [len(w) for w in written] == [len(t) for t in want]
-    assert sum(calls) > 0  # the writers' templates take the vectorised path
+    # every numeric cell, k included, takes the vectorised path, twice per
+    # size, in one _format_g call per chunk
+    assert sum(calls) == 2 * len(sizes) * _numeric_cells(trace, metrics)
+    assert len(calls) == len(chunks)
+
+
+def _numeric_cells(trace, metrics):
+    """The numeric cells the trace, metrics and plot-data writers fill:
+    k, states and stepsizes; k and four series; k and a value per series."""
+    agents = trace.x.shape[1] + trace.y.shape[1]
+    states = trace.x[0].size + trace.y[0].size
+    trace_cells = (trace.iterations + 1) * (agents + states) + trace.alpha.size + trace.beta.size
+    plot_cells = 2 * len(scenario_io.plot_grid(trace.iterations)) * (states + 1)
+    return trace_cells + 5 * len(metrics.h1) + plot_cells
 
 
 def _from_bits(bits):
@@ -559,7 +577,10 @@ def test_ties_are_ties():
 _INTS = st.one_of(st.integers(-2 ** 63 + 1, 2 ** 63 - 1).map(float),
                   st.integers(-2 ** 53, 2 ** 53).map(float),
                   st.integers(2 ** 53, 2 ** 70).map(float),
-                  st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+                  st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False),
+                  # -0, the truncations to -0, and the edges of 10**17 and of int64
+                  st.sampled_from([-0.0, 0.5, -0.5, 99999999999999984.0, -99999999999999984.0,
+                                   1e17, -1e17, 2.0 ** 63, -2.0 ** 63]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -567,7 +588,8 @@ _INTS = st.one_of(st.integers(-2 ** 63 + 1, 2 ** 63 - 1).map(float),
 def test_format_chunk_matches_percent_for_ints(rows):
     """A %d cell arrives as a float64, which `%` truncates toward zero:
     float-typed, negative, fractional and 2**53-or-larger values read as
-    `%` writes them, and values beyond int64 send the chunk to `%` whole."""
+    `%` writes them, and values of 10**17 or more in magnitude send the
+    chunk to `%` whole."""
     template = f"%d,{scenario_io.FLOAT_FMT}\n"
     block = np.array(rows)
     assert (scenario_io._format_chunk(template, [block[:, :1], block[:, 1:]], 0, len(rows))
@@ -608,6 +630,24 @@ def test_object_blocks_and_other_templates_go_through_percent():
         scenario_io._format_chunk("%.17g\n", [block], 0, 2)
     with pytest.raises(ValueError, match="NaN"):
         scenario_io._format_chunk("%d\n", [np.array([[np.nan]])], 0, 1)
+
+
+def test_sweep_summary_quotes_paths_as_the_csv_module():
+    """A metrics path holding a comma, a quote or a line break is written as
+    `csv.writer` writes the field; any other path keeps its bytes."""
+    paths = ["out/m_0.csv", "a,b/m.csv", 'say "hi"/m.csv', "two\nlines.csv", "cr\r.csv",
+             "100%d/m.csv"]
+    results = [(0.5 * i, 1e-3 / (i + 1), p) for i, p in enumerate(paths)]
+    text = sweep_summary_to_csv("gamma.c", results)
+    rows = [["gamma.c", "final_nash_error", "metrics_file"]] + [
+        ["%.17g" % v, "%.17g" % err, p] for v, err, p in results]
+
+    def line(row):
+        written = io.StringIO()
+        csv.writer(written).writerow(row)  # the default dialect quotes "\r" and "\n"
+        return written.getvalue().removesuffix("\r\n") + "\n"
+    assert text == "".join(map(line, rows))
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
 
 
 def test_one_chunk_stays_under_2_mb():
