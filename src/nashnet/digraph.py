@@ -57,7 +57,8 @@ def canonical_matmul(A, B) -> np.ndarray:
 def canonical_mix_code(A, targets, sources) -> list:
     """Statements assigning each ``targets[i][d]`` the canonical sum of
     ``A[i, j] * sources[j][d]`` (0.0 without nonzero weights): the source
-    form of ``A @ sources``. Weights become literals, so they must be finite.
+    form of ``A @ sources``. Weights become literals, so they must be finite;
+    a weight of exactly 1.0 leaves its source bare, as ``1.0 * v`` is v.
 
     A long sum is split into statements ``t = t + w * v + ...`` of at most
     SUM_TERMS_PER_STATEMENT terms, which keeps the order and bounds the
@@ -65,9 +66,10 @@ def canonical_mix_code(A, targets, sources) -> list:
     """
     out = []
     for i, row in enumerate(targets):
-        nonzero = np.flatnonzero(A[i])
+        weights = [("" if w == 1.0 else f"{w!r} * ", j)
+                   for j, w in enumerate(A[i].tolist()) if w != 0.0]
         for d, t in enumerate(row):
-            terms = [f"{float(A[i, j])!r} * {sources[j][d]}" for j in nonzero] or ["0.0"]
+            terms = [f"{w}{sources[j][d]}" for w, j in weights] or ["0.0"]
             out += [f"{t} = " + (f"{t} + " if start else "")
                     + " + ".join(terms[start:start + SUM_TERMS_PER_STATEMENT])
                     for start in range(0, len(terms), SUM_TERMS_PER_STATEMENT)]

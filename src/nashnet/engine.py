@@ -14,12 +14,15 @@ the nonzero weights in increasing j, every product and sum rounded
 separately. The stepsizes of all K iterations are tabulated before the
 loop (``stepsizes.stepsize_tables``). :func:`run` then generates one Python
 function per call that keeps states and cross caches in locals, has one
-branch per phase with the weights as literals, tests an agent's first
-cross contact against the phase pattern instead of a stored time, and inlines
-in each agent's step the code of its objective's derivative in the block
-the agent moves (``exprs.objective_code``, the generator behind the
-compiled objectives, so the arithmetic is theirs), with the agent's own
-locals as inputs. No objective value is computed: where only the value
+branch per phase with the weights and finite box bounds as literals, tests
+an agent's first cross contact against the phase pattern instead of a
+stored time, and inlines in each agent's step the code of its objective's
+derivative in the block the agent moves (``exprs.objective_code``, the
+generator behind the compiled objectives, so the arithmetic is theirs),
+with the agent's own locals as inputs. It holds only arithmetic that can
+move a bit (see ``objective_code``), and appends each iteration's states,
+x block then y block, to one buffer that the trace's x and y view. No
+objective value is computed: where only the value
 overflows (``x ** 4`` at x = 1e80 in a wide box) the run goes on, while an
 overflow in a derivative or a non-finite state raises ``NumericError``.
 There is no randomness, and no BLAS call feeds a state, so a trace follows
@@ -29,6 +32,7 @@ bit-identical, on any CPU.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -110,7 +114,8 @@ def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:
 @dataclass(frozen=True)
 class Trace:
     """States and applied stepsizes of a full run; index 0 is the initial
-    state, so arrays have length iterations + 1 (stepsizes: iterations)."""
+    state, so arrays have length iterations + 1 (stepsizes: iterations).
+    :func:`run` returns x and y as views of one buffer of rows (x, y)."""
 
     x: np.ndarray  # (K+1, n1, m1)
     y: np.ndarray  # (K+1, n2, m2)
@@ -124,18 +129,21 @@ class Trace:
         return self.x.shape[0] - 1
 
 
-def _kernel_source(scenario: Scenario, env: dict) -> str:
-    """Source of ``_kernel(K, ia, ib, rx, ry)``: K iterations of the
-    dynamics on scalar locals, one branch per phase.
+def _kernel_source(scenario: Scenario) -> str:
+    """Source of ``_kernel(K, ia, ib, rec)``: K iterations of the dynamics
+    on scalar locals, one branch per phase.
 
-    ia/ib yield the stepsizes row by row, and rx/ry receive the states
-    after each iteration. Each agent's step inlines the code of its
-    objective's derivative in the block it moves (``exprs.objective_code``),
-    reading the agent's own neighbor average and cross cache. Box bounds
-    are bound in `env` (``repr(inf)`` is not a literal). Names carry the
-    subnetwork s: state x{s}_{i}_{d}, neighbor average u.., cross cache c..,
-    stepsize a{s}_{i}; the derivative's temporaries are t1, t2, ..., which
-    every agent assigns before it reads them.
+    ia/ib yield the stepsizes row by row, and rec receives the states of
+    both subnetworks after each iteration as one tuple, x block first. Each
+    agent's step inlines the code of its objective's derivative in the
+    block it moves (``exprs.objective_code``), reading the agent's own
+    neighbor average and cross cache; a derivative that is a negation flips
+    the step's sign instead (``u - a * (-q)`` is ``u + a * q``). Finite box
+    bounds are literals, and an infinite side has no test, as no state
+    passes it. Names carry the subnetwork s: state x{s}_{i}_{d}, neighbor
+    average u.., cross cache c.., stepsize a{s}_{i}; the derivative's
+    temporaries are t1, t2, ..., which every agent assigns before it reads
+    them.
     """
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
@@ -147,21 +155,22 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
     contact = _contact_pattern(g)
-    for s in sides:
-        env.update({f"lo{s}_{d}": v for d, v in enumerate(boxes[s].lower)})
-        env.update({f"hi{s}_{d}": v for d, v in enumerate(boxes[s].upper)})
-
-    def tuple_code(names):
-        return "(" + ", ".join(names) + ",)"
 
     def derivative(s, i):
         """Agent i's lines and derivative codes, in its own block."""
         args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
         e, sel = objectives[s][i]
-        lines, grad = compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])
-        return lines, grad
+        return compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])
 
     grads = [[derivative(s, i) for i in range(n[s])] for s in sides]
+
+    def clamp(x, lo, hi):
+        """The projection of x onto [lo, hi], without the test of an infinite side."""
+        out = []
+        for op, v in (("<", lo), (">", hi)):
+            if math.isfinite(v):
+                out += [f"{'elif' if out else 'if'} {x} {op} {v!r}:", f"    {x} = {v!r}"]
+        return out
 
     def update(s, i, ph):
         """Agent i's projected subgradient step in phase ph, or its mixing
@@ -170,10 +179,10 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
         without one the agent steps once k > first."""
         lines, grad = grads[s][i]
         step = list(lines)
-        for d, (x, u, q) in enumerate(zip(state[s][i], mix[s][i], grad)):
-            step += [f"{x} = {u} {'-+'[s]} a{s}_{i} * ({q})",
-                     f"if {x} < lo{s}_{d}:", f"    {x} = lo{s}_{d}",
-                     f"elif {x} > hi{s}_{d}:", f"    {x} = hi{s}_{d}"]
+        box = boxes[s]
+        for x, u, (neg, q), lo, hi in zip(state[s][i], mix[s][i], grad, box.lower, box.upper):
+            a = f"a{s}_{i}" if q == "1.0" else f"a{s}_{i} * {q}"
+            step += [f"{x} = {u} {'-+'[s ^ neg]} {a}"] + clamp(x, lo, hi)
         hold = [f"{x} = {u}" for x, u in zip(state[s][i], mix[s][i])]
         if contact[s][ph][i]:
             return step
@@ -203,10 +212,9 @@ def _kernel_source(scenario: Scenario, env: dict) -> str:
     streams = ["ia"] * n[0] + ["ib"] * n[1]
     lines.append(f"for k, {', '.join(steps)} in zip(range(K), {', '.join(streams)}):")
     body = periodic_code([phase_body(ph) for ph in range(g.period)])
-    body += [f"{rec}({tuple_code([x for row in state[s] for x in row])})"
-             for rec, s in (("rx", 0), ("ry", 1))]
+    body.append("rec((" + ", ".join(x for s in sides for row in state[s] for x in row) + ",))")
     lines += ["    " + ln for ln in body]
-    return "\n".join(["def _kernel(K, ia, ib, rx, ry):"] + ["    " + ln for ln in lines])
+    return "\n".join(["def _kernel(K, ia, ib, rec):"] + ["    " + ln for ln in lines])
 
 
 def _contact_pattern(g: GraphSequenceSpec) -> tuple:
@@ -226,16 +234,17 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
     alpha, beta, r1, r2 = stepsize_tables(scenario.rule, g, K)
     env = {}
-    exec(_kernel_source(scenario, env), env)  # noqa: S102 - source generated here from the scenario
-    xs, ys = array("d", scenario.x0.ravel()), array("d", scenario.y0.ravel())
+    exec(_kernel_source(scenario), env)  # noqa: S102 - source generated here from the scenario
+    states = array("d", scenario.x0.ravel().tolist() + scenario.y0.ravel().tolist())
     try:
         env["_kernel"](K, iter(memoryview(alpha.ravel())), iter(memoryview(beta.ravel())),
-                       xs.extend, ys.extend)
+                       states.extend)
     except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
-        k = (len(xs) + len(ys)) // (n1 * m1 + n2 * m2) - 1  # rows recorded after x0, y0
+        k = len(states) // (n1 * m1 + n2 * m2) - 1  # rows recorded after x0, y0
         raise NumericError(f"{type(exc).__name__} at iteration {k}") from None
-    x = np.frombuffer(xs, dtype=float).reshape(K + 1, n1, m1)
-    y = np.frombuffer(ys, dtype=float).reshape(K + 1, n2, m2)
+    rows = np.frombuffer(states, dtype=float).reshape(K + 1, -1)  # x block, then y block
+    x = rows[:, :n1 * m1].reshape(K + 1, n1, m1)
+    y = rows[:, n1 * m1:].reshape(K + 1, n2, m2)
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")

@@ -10,11 +10,12 @@ differentiated block, which the library checks by sampling, not by proof.
 
 One code generator evaluates them: :func:`objective_code` emits
 straight-line code for the value or one block derivative on caller-named
-inputs. The engine inlines its derivative code into the generated run
-loop, and :func:`compile_objective` wraps its value code in a closure for
-the grid oracle, the metrics and the convexity sampler. The tests build
-derivative closures from the same text and hold it to a recursive
-reference interpreter.
+inputs, free of arithmetic that cannot change a bit. The engine inlines
+its derivative code into the generated run loop, and
+:func:`compile_objective` wraps its value code in a closure for the grid
+oracle, the metrics and the convexity sampler. The tests build derivative
+closures from the same text and hold it to a recursive reference
+interpreter.
 """
 
 from __future__ import annotations
@@ -246,17 +247,27 @@ def objective_code(e: Expr, sel, m1: int, m2: int, output: str, *,
     derivatives.
 
     `output` is "value", "x" or "y". Returns ``(lines, code)``: for "value"
-    `code` is the code of the value, for "x" and "y" a list with the code of
-    each component of that block's derivative ("0.0" where it is
-    structurally zero). `lines` are the assignments the code reads, to
-    temporaries t1, t2, ...; temporaries it does not read are left out, so
-    a derivative never computes the value. Component d of the x block is
-    read as ``x[d]``, or as ``x[d]`` of the given sequence of names
-    (likewise y), so the code can run on a caller's locals. Codes may be
-    compound expressions: parenthesize them when they become operands.
+    `code` is the code of the value; for "x" and "y" it is a list with one
+    signed code ``(neg, body)`` per component of that block's derivative,
+    whose value is `body`, negated when `neg` (``(False, "0.0")`` where the
+    component is structurally zero). A body is an operand: a name, a
+    literal without sign or a parenthesized expression. `lines` are the
+    assignments the code reads, to temporaries t1, t2, ...; temporaries it
+    does not read are left out, so a derivative never computes the value.
+    Component d of the x block is read as ``x[d]``, or as ``x[d]`` of the
+    given sequence of names (likewise y), so the code can run on a
+    caller's locals.
 
-    The value calls ``abs``; a derivative takes the kink sign of an
-    absolute value as ``1.0 if b > 0.0 else (-1.0 if b < 0.0 else c)``.
+    The code holds only arithmetic that can move a bit; each rewrite below
+    gives the same double as the plain formal rule under round-to-nearest:
+    a factor 1.0 is left out (``1.0 * v`` is v, -0.0 included); signs
+    leave products (``a * (-b)`` is ``-(a * b)``, as rounding is symmetric
+    in sign), cancel in pairs and flip the operator of a sum (``a + (-b)``
+    is ``a - b`` by definition; a negative first term trades places with a
+    positive second, as addition commutes); and each distinct right-hand
+    side is assigned once. The value calls ``abs``; a derivative takes the
+    kink sign of an absolute value as ``1.0 if b > 0.0 else (-1.0 if b <
+    0.0 else c)``, or as one comparison when the selection c is 1.0 or -1.0.
     """
     if output not in ("value", "x", "y"):
         raise ValueError(f"bad output={output!r}")
@@ -266,11 +277,40 @@ def objective_code(e: Expr, sel, m1: int, m2: int, output: str, *,
         raise ValueError(f"need {m1} x names and {m2} y names")
     gen = _CodeGen(check_selection(e, sel), x, y)
     val, gx, gy = gen.emit(e)
-    code = {"value": val, "x": gx, "y": gy}[output]
-    return gen.live([val] if output == "value" else code), code
+    if output == "value":
+        return gen.live([val[1]]), _text(val)
+    code = [(False, "0.0") if g is None else g for g in (gx if output == "x" else gy)]
+    return gen.live([body for _, body in code]), code
 
 
+# A signed code (neg, body) stands for body, negated when neg; body is an
+# operand: a name, a literal without sign or an expression wrapped whole in
+# parentheses. Derivative components that are structurally zero are None.
+_ONE = (False, "1.0")
 _NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def _literal(v: float) -> tuple:
+    """The signed code of the number v: its sign bit and the repr of |v|."""
+    return math.copysign(1.0, v) < 0.0, repr(abs(v))
+
+
+def _negate(code) -> tuple:
+    return not code[0], code[1]
+
+
+def _text(code) -> str:
+    """A signed code as an operand."""
+    neg, body = code
+    return f"(-{body})" if neg else body
+
+
+def _sum_text(terms) -> str:
+    """Text of the left-to-right sum of two or more signed codes."""
+    if terms[0][0] and not terms[1][0]:
+        terms = [terms[1], terms[0], *terms[2:]]
+    (neg, body), rest = terms[0], terms[1:]
+    return ("-" if neg else "") + body + "".join(f" {'-+'[not n]} {b}" for n, b in rest)
 
 
 class _CodeGen:
@@ -278,125 +318,138 @@ class _CodeGen:
         self.sel = sel
         self.x, self.y = x, y
         self.m1, self.m2 = len(x), len(y)
-        self.assigns = {}  # temporary name -> code, in emission order
+        self.names = {}  # right-hand side -> temporary name, in emission order
         self.abs_idx = 0
 
     def tmp(self, code):
-        name = f"t{len(self.assigns) + 1}"
-        self.assigns[name] = code
-        return name
+        """The temporary assigned `code`, a new one for code not seen yet."""
+        if code not in self.names:
+            self.names[code] = f"t{len(self.names) + 1}"
+        return self.names[code]
 
-    def atom(self, code):
-        """`code` itself if it is a name, else a new temporary holding it."""
-        return code if code.isidentifier() else self.tmp(code)
+    def atom(self, body):
+        """`body` itself if it is a name or literal, else a temporary holding it."""
+        if " " not in body:
+            return body
+        return self.tmp(body[1:-1] if body.startswith("(") else body)
+
+    def operand(self, code):
+        """A name or literal holding the signed code's value, sign included."""
+        neg, body = code
+        return self.tmp(f"-{body}") if neg else self.atom(body)
+
+    @staticmethod
+    def mul(factors):
+        """Signed code of the left-to-right product of the signed codes
+        `factors`, as one operand: the signs leave it, factors 1.0 drop out."""
+        neg = sum(n for n, _ in factors) % 2 == 1
+        ops = [b for _, b in factors if b != "1.0"]
+        if len(ops) > 1:
+            return neg, "(" + " * ".join(ops) + ")"
+        return neg, ops[0] if ops else "1.0"
 
     def live(self, codes):
         """Assignments of the temporaries the code strings `codes` read,
         directly or through other temporaries, in emission order."""
         need = {n for c in codes for n in _NAME.findall(c)}
         kept = []
-        for name, code in reversed(self.assigns.items()):
+        for code, name in reversed(self.names.items()):
             if name in need:
                 kept.append(f"{name} = {code}")
                 need.update(_NAME.findall(code))
         return kept[::-1]
 
     def emit(self, e):
-        """Return (value_code, gx_codes, gy_codes); gradient entries are code
-        strings, "0.0" when structurally zero."""
-        zx = ["0.0"] * self.m1
-        zy = ["0.0"] * self.m2
+        """Return (value, gx, gy): the signed code of the value and lists of
+        the signed codes of the derivative components, None where
+        structurally zero."""
+        zx, zy = [None] * self.m1, [None] * self.m2
         if isinstance(e, Const):
-            return repr(e.value), zx, zy
+            return _literal(e.value), zx, zy
         if isinstance(e, Var):
             if e.side == "x":
                 g = list(zx)
-                g[e.index] = "1.0"
-                return self.x[e.index], g, zy
+                g[e.index] = _ONE
+                return (False, self.x[e.index]), g, zy
             g = list(zy)
-            g[e.index] = "1.0"
-            return self.y[e.index], zx, g
+            g[e.index] = _ONE
+            return (False, self.y[e.index]), zx, g
         if isinstance(e, Neg):
             v, gx, gy = self.emit(e.child)
-            return (f"(-{v})",
-                    [g if g == "0.0" else f"(-{g})" for g in gx],
-                    [g if g == "0.0" else f"(-{g})" for g in gy])
+            return _negate(v), [g and _negate(g) for g in gx], [g and _negate(g) for g in gy]
         if isinstance(e, Scale):
             v, gx, gy = self.emit(e.child)
-            c = repr(e.factor)
-            return (f"({c} * {v})",
-                    [g if g == "0.0" else f"({c} * {g})" for g in gx],
-                    [g if g == "0.0" else f"({c} * {g})" for g in gy])
+            c = _literal(e.factor)
+            return (self.mul([c, v]), [g and self.mul([c, g]) for g in gx],
+                    [g and self.mul([c, g]) for g in gy])
         if isinstance(e, Sum):
             parts = [self.emit(c) for c in e.children]
-            v = self.tmp(" + ".join(p[0] for p in parts))
+            values = [p[0] for p in parts]
+            v = values[0] if len(values) == 1 else (False, self.tmp(_sum_text(values)))
             gx = [self._add([p[1][d] for p in parts]) for d in range(self.m1)]
             gy = [self._add([p[2][d] for p in parts]) for d in range(self.m2)]
             return v, gx, gy
         if isinstance(e, Prod):
             parts = []
             for c in e.children:
-                cv, cgx, cgy = self.emit(c)
-                parts.append((self.atom(cv), cgx, cgy))
-            v = self.tmp(" * ".join(p[0] for p in parts))
+                (neg, body), cgx, cgy = self.emit(c)
+                parts.append(((neg, self.atom(body)), cgx, cgy))
+            neg, body = self.mul([p[0] for p in parts])
+            v = neg, self.atom(body)
 
             def grad(block, d):
-                # each term is parenthesized, so a parent Scale, Neg or Pow
+                # each term is one operand, so a parent Scale, Neg or Pow
                 # multiplies the whole product, as the tests' reference interpreter does
-                terms = []
-                for i, p in enumerate(parts):
-                    if p[block][d] != "0.0":
-                        rest = [q[0] for j, q in enumerate(parts) if j != i]
-                        terms.append("(" + " * ".join(rest + [p[block][d]]) + ")"
-                                     if rest else p[block][d])
+                terms = [self.mul([q[0] for j, q in enumerate(parts) if j != i] + [p[block][d]])
+                         for i, p in enumerate(parts) if p[block][d] is not None]
                 return self._add(terms)
 
             return (v, [grad(1, d) for d in range(self.m1)],
                     [grad(2, d) for d in range(self.m2)])
         if isinstance(e, Pow):
             cv, cgx, cgy = self.emit(e.child)
-            base = self.atom(cv)
             n = e.exponent
-            v = self.tmp(f"{base} ** {n}")
-            if n == 1:
-                d = "1.0"
-            elif n == 2:
-                d = self.tmp(f"2.0 * {base}")
-            else:
-                d = self.tmp(f"{n}.0 * {base} ** {n - 1}")
-            gx = [g if g == "0.0" else f"({d} * {g})" for g in cgx]
-            gy = [g if g == "0.0" else f"({d} * {g})" for g in cgy]
-            return v, gx, gy
+            if n == 1:  # b ** 1 is b, and its derivative factor 1.0 drops out
+                return cv, cgx, cgy
+            base = self.operand(cv)
+            v = (False, self.tmp(f"{base} ** {n}"))
+            d = (False, self.tmp(f"2.0 * {base}" if n == 2 else f"{n}.0 * {base} ** {n - 1}"))
+            return v, [g and self.mul([d, g]) for g in cgx], [g and self.mul([d, g]) for g in cgy]
         if isinstance(e, Abs):
             idx = self.abs_idx
             self.abs_idx += 1
             cv, cgx, cgy = self.emit(e.child)
-            base = self.atom(cv)
-            v = self.tmp(f"abs({base})")
-            c = repr(self.sel[idx])
-            s = self.tmp(f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c})")
-            gx = [g if g == "0.0" else f"({s} * {g})" for g in cgx]
-            gy = [g if g == "0.0" else f"({s} * {g})" for g in cgy]
-            return v, gx, gy
+            base = self.operand(cv)
+            v = (False, self.tmp(f"abs({base})"))
+            c = self.sel[idx]
+            if c == 1.0:
+                sign = f"-1.0 if {base} < 0.0 else 1.0"
+            elif c == -1.0:
+                sign = f"1.0 if {base} > 0.0 else -1.0"
+            else:
+                sign = f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c!r})"
+            s = (False, self.tmp(sign))
+            return v, [g and self.mul([s, g]) for g in cgx], [g and self.mul([s, g]) for g in cgy]
         if isinstance(e, Affine):
-            terms = [f"{c!r} * {self.x[d]}" for d, c in enumerate(e.coeff_x) if c != 0.0]
-            terms += [f"{c!r} * {self.y[d]}" for d, c in enumerate(e.coeff_y) if c != 0.0]
-            terms.append(repr(e.offset))
-            v = self.tmp(" + ".join(terms))
-            gx = [repr(float(c)) if d < len(e.coeff_x) and (c := e.coeff_x[d]) != 0.0 else "0.0"
-                  for d in range(self.m1)]
-            gy = [repr(float(c)) if d < len(e.coeff_y) and (c := e.coeff_y[d]) != 0.0 else "0.0"
-                  for d in range(self.m2)]
-            return v, gx, gy
+            terms = [self.mul([_literal(c), (False, name)])
+                     for coeffs, names in ((e.coeff_x, self.x), (e.coeff_y, self.y))
+                     for c, name in zip(coeffs, names) if c != 0.0]
+            terms.append(_literal(e.offset))
+            v = terms[0] if len(terms) == 1 else (False, self.tmp(_sum_text(terms)))
+            for g, coeffs in ((zx, e.coeff_x), (zy, e.coeff_y)):
+                for d, c in enumerate(coeffs):
+                    if c != 0.0:
+                        g[d] = _literal(c)
+            return v, zx, zy
         raise TypeError(f"unknown node {type(e).__name__}")
 
-    def _add(self, terms):
-        terms = [t for t in terms if t != "0.0"]
-        if not terms:
-            return "0.0"
-        if len(terms) == 1:
-            return terms[0]
-        return "(" + " + ".join(terms) + ")"
+    @staticmethod
+    def _add(terms):
+        """Signed code of the sum of the derivative terms that are not None."""
+        terms = [t for t in terms if t is not None]
+        if len(terms) < 2:
+            return terms[0] if terms else None
+        return False, "(" + _sum_text(terms) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +472,9 @@ class BoxSet:
             raise ValidationError("box lower/upper dimension mismatch")
         if not all(l <= u for l, u in zip(lo, hi)):  # also false for NaN
             raise ValidationError("box has lower > upper or a NaN bound in some dimension")
+        if not all(l < math.inf and u > -math.inf for l, u in zip(lo, hi)):
+            raise ValidationError("box holds no finite point: a lower bound is +inf "
+                                  "or an upper bound -inf")
 
     @property
     def dim(self):

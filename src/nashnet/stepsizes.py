@@ -52,6 +52,9 @@ class GammaSchedule:
             raise ValidationError("power-law schedule needs finite c > 0 and b > 0")
         if not 0.0 < self.eps <= 0.5:
             raise ValidationError("power-law exponent eps must lie in (0, 1/2]")
+        if not math.isfinite(self.c / self.b ** (0.5 + self.eps)):  # gamma_k falls with k
+            raise ValidationError(f"power-law gamma_0 = c / b^(1/2 + eps) overflows "
+                                  f"for c = {self.c!r}, b = {self.b!r}")
 
     def require_horizon(self, K: int) -> None:
         """Raise ValidationError unless gamma_0 .. gamma_{K-1} all exist."""
@@ -69,6 +72,14 @@ class GammaSchedule:
                 raise ValueError(f"schedule table of length {len(self.table)} has no entry {k}")
             return self.table[k]
         return self.c / (k + self.b) ** (0.5 + self.eps)
+
+    def values(self, K: int) -> list:
+        """gamma_0 .. gamma_{K-1}: the doubles of value(k), in one pass."""
+        self.require_horizon(K)
+        if self.table is not None:
+            return list(self.table[:K])
+        c, b, p = self.c, self.b, 0.5 + self.eps
+        return [c / (k + b) ** p for k in range(K)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +187,7 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     the readouts are the adaptive learners' denominators, None for the
     other rules.
     """
-    rule.schedule.require_horizon(K)
-    gam = np.array([rule.schedule.value(k) for k in range(K)], dtype=float)[:, None]
+    gam = np.array(rule.schedule.values(K), dtype=float)[:, None]
     if isinstance(rule, Homogeneous):
         return np.repeat(gam, graph.n1, axis=1), np.repeat(gam, graph.n2, axis=1), None, None
     if isinstance(rule, OracleHeterogeneous):

@@ -24,8 +24,10 @@ sequential ``rng.uniform`` calls and evaluates them one at a time through
 the interpreter (:func:`convexity_points`, :func:`worst_violations`).
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +106,7 @@ def emitted_derivative(e, sel, m1, m2, side):
     lines, grad = objective_code(e, sel, m1, m2, side, x=xs, y=ys)
     src = "\n".join(["def _derivative(x, y):", f"    {', '.join(xs + ys)}, = *x, *y"]
                     + ["    " + ln for ln in lines]
-                    + ["    return (" + "".join(f"({q}), " for q in grad) + ")"])
+                    + ["    return (" + "".join(f"({'-' * neg}{q}), " for neg, q in grad) + ")"])
     env = {}
     exec(src, env)  # noqa: S102 - source generated by the code under test
     return env["_derivative"]
@@ -345,8 +347,9 @@ def _eval(e, x, y):
     if isinstance(e, Abs):
         return abs(_eval(e.child, x, y))
     if isinstance(e, Affine):
-        return (sum(c * x[d] for d, c in enumerate(e.coeff_x))
-                + sum(c * y[d] for d, c in enumerate(e.coeff_y)) + e.offset)
+        # one chain, left to right: the x terms, the y terms, the offset
+        terms = [c * v for c, v in zip(e.coeff_x, x)] + [c * v for c, v in zip(e.coeff_y, y)]
+        return functools.reduce(operator.add, terms + [e.offset])
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -216,6 +216,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("NaN saddle reference", 3, "x_star"),
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
+    ("power-law gamma_0 overflows", 3, "gamma_0"),
     ("non-positive weight", 3, "--weights"),
     ("fractional iterations", 3, "whole numbers"),
     ("fractional scenario iterations", 3, "run.iterations must be a whole number, got 2.7"),
@@ -274,6 +275,8 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                             "--jobs", "0"],
         "infinite sweep value": ["sweep", shsad, "--param", "iterations", "--values", "1e400",
                                  "--out", str(sweep_dir)],
+        "power-law gamma_0 overflows": ["sweep", shsad, "--param", "gamma.b", "--values",
+                                        "1e-320", "--out", str(sweep_dir)],
         "non-positive weight": ["oracle", shsad, "--grid", "41", "--weights", "1,0,1"],
         "fractional iterations": ["sweep", shsad, "--param", "iterations", "--values", "2.7",
                                   "--out", str(sweep_dir)],

@@ -4,6 +4,7 @@ and their bit-for-bit equivalence."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
 from nashnet.errors import NumericError, ValidationError
 from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
                            abs_nodes, x_var, y_var)
-from nashnet.scenario_io import bundled_scenario
+from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
                                oracle_heterogeneous_build)
@@ -266,7 +267,7 @@ def test_dense_scenario_compiles_and_matches_reference():
     _assert_run_matches_reference(s, run(s), 2)
     # the dense mixing sums are about 6.4M characters; each agent's inlined
     # derivative adds under a hundred
-    assert len(_kernel_source(s, {})) < 6_600_000
+    assert len(_kernel_source(s)) < 6_600_000
 
 
 def test_run_equals_reference_with_a_bare_product_derivative():
@@ -279,10 +280,45 @@ def test_run_equals_reference_with_a_bare_product_derivative():
 
 def test_kernel_inlines_every_derivative():
     """The generated loop calls no objective closure and no sign helper."""
-    source = _kernel_source(bundled_scenario("example1"), {})
+    source = _kernel_source(bundled_scenario("example1"))
     for name in ("f0_", "f1_", "_sgn("):
         assert name not in source
-    assert source.startswith("def _kernel(K, ia, ib, rx, ry):")
+    assert source.startswith("def _kernel(K, ia, ib, rec):")
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "unbounded"])
+def test_kernel_holds_no_arithmetic_that_cannot_move_a_bit(name):
+    """No factor 1.0, no addition of a negation, no double negation, no
+    box bound by name, no test against an infinite box side and no
+    right-hand side computed twice in one agent's step."""
+    if name == "unbounded":  # x unbounded below, y on both sides
+        s = dataclasses.replace(bundled_scenario("shared_saddle"), box_x=BoxSet((-np.inf,), (5.0,)),
+                                box_y=BoxSet((-np.inf,), (np.inf,)))
+    else:
+        s = bundled_scenario(name)
+    source = _kernel_source(s)
+    for text in ("1.0 * ", "* 1.0", "+ (-", "(-(-", "lo0", "hi0", "lo1", "hi1", "inf"):
+        assert text not in source, text
+    if name == "unbounded":
+        assert re.search(r"x0_\d+_0 <", source) is None
+        assert re.search(r"x1_\d+_0 [<>]", source) is None
+        assert re.search(r"x0_\d+_0 > 5\.0:", source)
+    seen = set()
+    for line in source.splitlines():
+        line = line.strip()
+        if re.match(r"x\d+_\d+_\d+ = ", line):  # an agent's step ends its block
+            seen = set()
+        elif (m := re.match(r"t\d+ = (.*)", line)):
+            assert m.group(1) not in seen, line
+            seen.add(m.group(1))
+
+
+def test_trace_states_are_views_of_one_buffer():
+    s = bundled_scenario("example1")
+    tr = run(s, iterations=30)
+    assert tr.x.base is not None and tr.x.base is tr.y.base
+    assert (tr.y.__array_interface__["data"][0] - tr.x.__array_interface__["data"][0]
+            == s.n1 * s.m1 * tr.x.itemsize)
 
 
 def test_recorded_stepsizes_match_rule():

@@ -36,6 +36,23 @@ def test_schedule_parameter_validation():
     GammaSchedule(eps=0.5)  # boundary allowed
 
 
+def test_schedule_rejects_overflowing_gamma_0():
+    """gamma_0 = c / b^(1/2 + eps) must be finite; gamma_k falls with k,
+    so that covers every k."""
+    for kw in ({"b": 1e-320}, {"c": 1e300, "b": 1e-10, "eps": 0.5}):
+        with pytest.raises(ValidationError, match="gamma_0"):
+            GammaSchedule(**kw)
+    assert GammaSchedule(c=1e300, b=1e-5, eps=0.5).value(0) == pytest.approx(1e305)
+
+
+def test_schedule_values_are_the_values_of_each_k():
+    for s, K in ((GammaSchedule(c=1.3, b=7.0, eps=0.37), 1000),
+                 (GammaSchedule(table=(0.5, 0.25, 0.1)), 2)):
+        assert s.values(K) == [s.value(k) for k in range(K)]
+    with pytest.raises(ValidationError):
+        GammaSchedule(table=(0.5,)).values(2)
+
+
 def test_schedule_table():
     s = GammaSchedule(table=(0.5, 0.25, 0.25, 0.1))
     assert s.value(2) == 0.25
