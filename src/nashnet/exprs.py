@@ -264,8 +264,10 @@ def objective_code(e: Expr, sel, m1: int, m2: int, output: str, *,
     leave products (``a * (-b)`` is ``-(a * b)``, as rounding is symmetric
     in sign), cancel in pairs and flip the operator of a sum (``a + (-b)``
     is ``a - b`` by definition; a negative first term trades places with a
-    positive second, as addition commutes); and each distinct right-hand
-    side is assigned once. The value calls ``abs``; a derivative takes the
+    positive second, as addition commutes; no sign leaves a sum, as ``-a +
+    b`` and ``-(a - b)`` differ in the sign of a zero); ``b ** 1`` is b; and
+    each distinct right-hand side is assigned once. The value calls
+    ``abs``; a derivative takes the
     kink sign of an absolute value as ``1.0 if b > 0.0 else (-1.0 if b <
     0.0 else c)``, or as one comparison when the selection c is 1.0 or -1.0.
     """
