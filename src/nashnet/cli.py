@@ -29,7 +29,6 @@ from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
 from .scenario_io import (BUNDLED, bundled_scenario, load_scenario,
                           metrics_to_csv, plotdata_to_csv, report_to_csv,
                           sweep_summary_to_csv, trace_to_csv)
-from .stepsizes import GammaSchedule
 
 
 def main(argv=None) -> int:
@@ -166,7 +165,7 @@ def cmd_run(args) -> int:
     saddle = _reference_saddle(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
     if args.out:
-        _write(args.out, lambda fh: trace_to_csv(trace, scenario.m1, scenario.m2, fh))
+        _write(args.out, lambda fh: trace_to_csv(trace, fh))
     if args.metrics:
         _write(args.metrics, lambda fh: metrics_to_csv(metrics, fh))
     print(f"{scenario.name}: {_outcome(trace, metrics)}")
@@ -252,7 +251,7 @@ def cmd_reproduce(args) -> int:
     metrics = compute_metrics(trace, scenario, saddle)
     paths = {ext: os.path.join(args.out, f"{name}_{ext}.csv")
              for ext in ("trace", "metrics", "plotdata")}
-    _write(paths["trace"], lambda fh: trace_to_csv(trace, scenario.m1, scenario.m2, fh))
+    _write(paths["trace"], lambda fh: trace_to_csv(trace, fh))
     _write(paths["metrics"], lambda fh: metrics_to_csv(metrics, fh))
     _write(paths["plotdata"], lambda fh: plotdata_to_csv(trace, metrics, fh))
     print(f"{name}: {_outcome(trace, metrics)}; wrote {', '.join(paths.values())}")
@@ -271,9 +270,8 @@ def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
     sched = scenario.rule.schedule
     if sched.table is not None:
         raise ValidationError("cannot sweep a tabulated schedule")
-    kw = {"c": sched.c, "b": sched.b, "eps": sched.eps}
-    kw[param.split(".", 1)[1]] = value
-    return replace(scenario, rule=replace(scenario.rule, schedule=GammaSchedule(**kw)))
+    sched = replace(sched, **{param.split(".", 1)[1]: value})  # validates as the loader does
+    return replace(scenario, rule=replace(scenario.rule, schedule=sched))
 
 
 def _sweep_worker(job):

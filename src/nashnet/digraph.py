@@ -96,13 +96,18 @@ def is_weight_balanced(A) -> bool:
     return bool(np.all(np.abs(A.sum(axis=0) - A.sum(axis=1)) <= 1e-9))
 
 
-def strongly_connected(adj_bool) -> bool:
-    """Strong connectivity of a boolean adjacency via reachability closure."""
+def reachability(adj_bool) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean adjacency: entry (i, j) is
+    true when a path of arcs leads from node j to node i, so i hears j."""
     R = np.asarray(adj_bool, dtype=bool) | np.eye(len(adj_bool), dtype=bool)
-    n = R.shape[0]
-    for _ in range(int(math.ceil(math.log2(max(n, 2)))) + 1):
+    for _ in range(int(math.ceil(math.log2(max(R.shape[0], 2)))) + 1):
         R = R | (R @ R)
-    return bool(R.all())
+    return R
+
+
+def strongly_connected(adj_bool) -> bool:
+    """Strong connectivity of a boolean adjacency: every node hears every node."""
+    return bool(reachability(adj_bool).all())
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +320,24 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     of the sequence guarantees termination at a geometric rate, which caps
     the number of factors; where the bound gives no rate in (0, 1) the cap
     is a generous one.
+
+    Before any product, NumericError when the union graph of one period has
+    no root, a node every agent hears. That is necessary: if the rows agree
+    on phi, some phi_j > 0, so from some time on every row i of the product
+    is positive at j, and an arc of the product is a path of the union, so
+    every i hears j. With positive diagonals it is also sufficient: each
+    factor keeps every arc of the factors before it, so one period's
+    product has the union's reachability, and a stochastic matrix with a
+    positive diagonal and a rooted graph has powers that converge to rank
+    one.
     """
     n = spec.subnet_size(subnet)
+    union = np.zeros((n, n), dtype=bool)
+    for k in range(spec.period):
+        union |= spec.mixing(subnet, k) > 0
+    if not reachability(union).all(axis=0).any():
+        raise NumericError(f"transition product of subnet {subnet} has no limit: the "
+                           "union graph of one period has no node that every agent hears")
     max_steps = 1_000_000
     if n > 1:  # a 1x1 stochastic product is its own limit; the bound needs n > 1
         bound = geometric_rate_bound(n, spec.window(subnet), spec.eta)

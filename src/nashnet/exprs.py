@@ -36,30 +36,6 @@ from .errors import ValidationError
 class Expr:
     """Base class for expression nodes. Immutable after construction."""
 
-    def __add__(self, other):
-        return Sum((self, _as_expr(other)))
-
-    def __radd__(self, other):
-        return Sum((_as_expr(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Neg(_as_expr(other))))
-
-    def __rsub__(self, other):
-        return Sum((_as_expr(other), Neg(self)))
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __mul__(self, other):
-        return Prod((self, _as_expr(other)))
-
-    def __rmul__(self, other):
-        return Prod((_as_expr(other), self))
-
-    def __pow__(self, n):
-        return Pow(self, int(n))
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -650,6 +626,8 @@ def _build(op, args):
             return a.value
         raise ValidationError(f"expected a number argument for {op}")
 
+    if op in ("add", "mul") and not args:
+        raise ValidationError(f"{op} takes at least 1 argument")
     if op == "add":
         return Sum(tuple(args))
     if op == "sub":

@@ -171,9 +171,7 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
     if "table" in gdoc:
         schedule = GammaSchedule(table=tuple(gdoc["table"]))
     else:
-        schedule = GammaSchedule(c=float(gdoc.get("c", 1.0)),
-                                 b=float(gdoc.get("b", 1.0)),
-                                 eps=float(gdoc.get("eps", 0.5)))
+        schedule = GammaSchedule(**{k: float(gdoc[k]) for k in ("c", "b", "eps") if k in gdoc})
     variant = sdoc["variant"]
     if variant == "homogeneous":
         return Homogeneous(schedule)
@@ -545,10 +543,12 @@ def _format_g(values: np.ndarray) -> np.ndarray:
     return slots[:, :_SLOT]
 
 
-def trace_to_csv(trace: Trace, m1: int, m2: int, out=None) -> str | Written:
+def trace_to_csv(trace: Trace, out=None) -> str | Written:
     """Long-format rows (k, agent, subnet, states..., applied stepsize);
-    the last iteration's rows leave the stepsize empty."""
-    m = max(m1, m2)
+    the last iteration's rows leave the stepsize empty. The state columns
+    number max(m1, m2), the block dimensions of ``trace.x`` and ``trace.y``;
+    the smaller block leaves its extra columns empty."""
+    m = max(trace.x.shape[2], trace.y.shape[2])
     K = trace.iterations
     k = np.arange(K + 1)[:, None]
     sides = ((1, trace.x, trace.alpha), (2, trace.y, trace.beta))

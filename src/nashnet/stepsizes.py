@@ -52,7 +52,7 @@ class GammaSchedule:
             raise ValidationError("power-law schedule needs finite c > 0 and b > 0")
         if not 0.0 < self.eps <= 0.5:
             raise ValidationError("power-law exponent eps must lie in (0, 1/2]")
-        if not math.isfinite(self.c / self.b ** (0.5 + self.eps)):  # gamma_k falls with k
+        if not math.isfinite(self.values(1)[0]):  # gamma_k falls with k
             raise ValidationError(f"power-law gamma_0 = c / b^(1/2 + eps) overflows "
                                   f"for c = {self.c!r}, b = {self.b!r}")
 
@@ -64,17 +64,10 @@ class GammaSchedule:
             raise ValidationError(
                 f"schedule table of length {len(self.table)} cannot cover {K} iterations")
 
-    def value(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.table is not None:
-            if k >= len(self.table):
-                raise ValueError(f"schedule table of length {len(self.table)} has no entry {k}")
-            return self.table[k]
-        return self.c / (k + self.b) ** (0.5 + self.eps)
-
     def values(self, K: int) -> list:
-        """gamma_0 .. gamma_{K-1}: the doubles of value(k), in one pass."""
+        """gamma_0 .. gamma_{K-1} in one pass: the table's first K entries,
+        or c / (k + b)^(1/2 + eps) in Python floats, the one place the power
+        law is evaluated. ValidationError unless the schedule covers K."""
         self.require_horizon(K)
         if self.table is not None:
             return list(self.table[:K])

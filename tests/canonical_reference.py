@@ -5,13 +5,13 @@ The dynamics in the canonical arithmetic order are the bit-exact oracle of
 ``engine.run``: every neighbor average summed left to right over the
 nonzero weights in increasing j, each product and sum a separately rounded
 Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
-and one time step at a time; adaptive denominators from
-:func:`phi_readouts`, the diagonals of the paper's backward products
-``transition_product``. Objectives are compiled closures of each agent's
-derivative alone, built by :func:`emitted_derivative` from the code the
-engine inlines, so a value that overflows stops neither. ``test_exprs``
-checks them against the recursive interpreter here, :func:`evaluate` and
-the forward-mode :func:`_grad`.
+and one time step at a time, on gamma_k from :func:`gamma`; adaptive
+denominators from :func:`phi_readouts`, the diagonals of the paper's
+backward products ``transition_product``. Objectives are compiled closures
+of each agent's derivative alone, built by :func:`emitted_derivative` from
+the code the engine inlines, so a value that overflows stops neither.
+``test_exprs`` checks them against the recursive interpreter here,
+:func:`evaluate` and the forward-mode :func:`_grad`.
 
 The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
@@ -193,10 +193,23 @@ def activations(rule):
     return None
 
 
+def gamma(schedule, k: int) -> float:
+    """gamma_k of `schedule`, one k at a time as the paper writes it: the
+    table's entry k, or c / (k + b)^(1/2 + eps). There is no gamma_k for
+    k < 0 or past the table's end."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if schedule.table is not None:
+        if k >= len(schedule.table):
+            raise ValueError(f"schedule table of length {len(schedule.table)} has no entry {k}")
+        return schedule.table[k]
+    return schedule.c / (k + schedule.b) ** (0.5 + schedule.eps)
+
+
 def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None) -> float:
     """The stepsize of `agent` in `subnet` at time k under `rule`; adaptive
     rules divide by ``readouts[k, agent]``, that subnet's denominators."""
-    g = rule.schedule.value(k)
+    g = gamma(rule.schedule, k)
     if isinstance(rule, Homogeneous):
         return g
     if isinstance(rule, OracleHeterogeneous):
@@ -491,7 +504,7 @@ def centralized_saddle(objectives, weights, bx, by, schedule, iters: int = 100_0
     fn = weighted_gradient(objectives, weights, bx.dim, by.dim)
     x, y = center(bx), center(by)
     for k in range(iters):
-        g = schedule.value(k)
+        g = gamma(schedule, k)
         _, gx, gy = fn(tuple(x), tuple(y))
         x = project(x - g * np.asarray(gx), bx)
         y = project(y + g * np.asarray(gy), by)

@@ -22,6 +22,7 @@ from nashnet.digraph import (GraphSequenceSpec, build_cycle_matrix,
                              geometric_rate_bound, limiting_stochastic_vector,
                              perron_vector, transition_product)
 from nashnet.engine import run
+from nashnet.errors import NumericError
 from nashnet.exprs import BoxSet, abs_nodes, check_selection
 from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
@@ -225,7 +226,7 @@ def test_criterion_6d_geometric_rate_envelope():
         for s in range(period):
             try:
                 phi = limiting_stochastic_vector(spec, 1, s)
-            except Exception:
+            except NumericError:
                 break  # not UJSC for this draw; resample
             for k in (s, s + 3, s + 11, s + 25):
                 P = transition_product(spec, 1, k, s)
@@ -420,7 +421,7 @@ def _sha256(text):
 def test_bundled_trace_digests_pinned(scenarios, traces):
     for name in BUNDLED:
         s = scenarios[name]
-        csv = trace_to_csv(traces[name][0], s.m1, s.m2)
+        csv = trace_to_csv(traces[name][0])
         assert _sha256(csv) == TRACE_DIGESTS[name], name
     print("\nPASS trace digests: all five bundled traces match the pinned SHA-256")
 
@@ -442,8 +443,7 @@ def test_criterion_9_byte_identical_determinism(scenarios, traces):
         first, _ = traces[name]
         again = run(s)
         ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
-        assert (trace_to_csv(first, s.m1, s.m2)
-                == trace_to_csv(again, s.m1, s.m2)), name
+        assert trace_to_csv(first) == trace_to_csv(again), name
         assert (metrics_to_csv(compute_metrics(first, s, ref))
                 == metrics_to_csv(compute_metrics(again, s, ref))), name
     print("\nPASS criterion 9: repeated runs of all five bundled scenarios "

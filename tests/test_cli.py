@@ -213,6 +213,7 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("negative budget", 5, "NASHNET_BUDGET"),
     ("dimension not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
+    ("add without an argument", 3, "add takes at least 1 argument"),
     ("NaN saddle reference", 3, "x_star"),
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
@@ -240,6 +241,9 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     doc["agents"]["subnet1"][0]["expr"] = "(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"
     inf_const = tmp_path / "inf_const.yaml"
     inf_const.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc["agents"]["subnet1"][0]["expr"] = "(add)"
+    empty_add = tmp_path / "empty_add.yaml"
+    empty_add.write_text(yaml.safe_dump(doc, sort_keys=False))
     with open(shsad) as fh:
         doc = yaml.safe_load(fh)
     doc["run"]["oracle"]["x_star"] = [float("nan")]
@@ -270,6 +274,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "negative budget": ["oracle", shsad, "--grid", "101"],
         "dimension not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
+        "add without an argument": ["run", str(empty_add)],
         "NaN saddle reference": ["run", str(nan_ref), "--iters", "50"],
         "zero sweep jobs": ["sweep", shsad, "--values", "1", "--out", str(sweep_dir),
                             "--jobs", "0"],

@@ -8,15 +8,16 @@ import pytest
 
 from canonical_reference import (canonical_dot, disagreement_span,
                                  ergodicity_coefficient)
+from nashnet import digraph
 from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GeometricRateBound,
                              GraphSequenceSpec, _constant_spec, build_cycle_matrix,
                              canonical_matmul, canonical_mix_code,
                              check_jointly_bipartite, check_ujsc,
                              geometric_rate_bound, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
-                             strongly_connected, transition_product,
-                             validate_weight_rule)
-from nashnet.errors import ValidationError
+                             reachability, strongly_connected,
+                             transition_product, validate_weight_rule)
+from nashnet.errors import NumericError, ValidationError
 from nashnet.scenario_io import bundled_scenario
 
 
@@ -72,6 +73,10 @@ def test_strongly_connected():
     assert strongly_connected(A1_EVEN_BAL + A1_ODD_BAL > 0)
     assert not strongly_connected(A1_EVEN_BAL > 0)  # node 2 isolated
     assert strongly_connected(STATIC_UNB > 0)
+    # entry (i, j): node i hears node j; node 2 hears 0 and 1, nobody hears 2
+    assert reachability(A1_EVEN_UNB > 0).tolist() == [[True, True, False],
+                                                      [True, True, False],
+                                                      [True, True, True]]
 
 
 # --- graph sequences ---------------------------------------------------------
@@ -212,6 +217,23 @@ def test_limit_vector_without_a_rate_bound():
                              cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
                              eta=1.0, t1=1, t2=1, t_cross=1)
     assert limiting_stochastic_vector(spec, 1, 0).tolist() == [0.5, 0.5]
+
+
+def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
+    """A period whose union graph has no node that every agent hears has no
+    limit, so it raises before the first factor; a rooted union that is not
+    strongly connected still converges to the bytes of the full product."""
+    rootless = _constant_spec(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]))
+    rooted = _constant_spec(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    assert (rootless.eta, rootless.t1, rooted.t1) == (0.3, 3, 2)
+    want = limiting_stochastic_vector(rooted, 1, 0)
+    assert want.tolist() == [1 - 2 ** -31, 2 ** -31]
+
+    def refused(*args):
+        raise AssertionError("a rootless product was multiplied")
+    monkeypatch.setattr(digraph, "canonical_matmul", refused)
+    with pytest.raises(NumericError, match="no node that every agent hears"):
+        limiting_stochastic_vector(rootless, 1, 0)
 
 
 def test_perron_vector_static_unbalanced():

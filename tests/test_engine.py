@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
-from canonical_reference import (contact_times, evaluate, initial_state,
+from canonical_reference import (contact_times, evaluate, gamma, initial_state,
                                  make_identical_scenario, project, reference_run,
                                  step, stepsize_for, subgradient_x, subgradient_y)
 from nashnet.digraph import GraphSequenceSpec
@@ -68,11 +68,11 @@ def test_initial_state_and_trace_shapes():
 def test_single_step_semantics():
     s = toy_identical()
     st = initial_state(s)
-    a = np.full(2, SCHED.value(0))
+    a = np.full(2, gamma(SCHED, 0))
     st1 = step(st, s, a, a)
     # mixing averages both agents to 0.5 (x) and 2.0 (y); cross cache takes
     # the counterpart's time-0 value; then one projected subgradient step
-    g0 = SCHED.value(0)
+    g0 = gamma(SCHED, 0)
     np.testing.assert_allclose(st1.x[:, 0], [0.5 - g0 * 2 * 0.5] * 2)
     # ascent in y: y + g * (-2 y)
     np.testing.assert_allclose(st1.y[:, 0], [2.0 - g0 * 2 * 2.0] * 2)
@@ -232,7 +232,7 @@ from nashnet.scenario_io import BUNDLED, bundled_scenario, trace_to_csv
 digests = {}
 for name in BUNDLED:
     s = bundled_scenario(name)
-    csv = trace_to_csv(run(s, iterations=20000), s.m1, s.m2)
+    csv = trace_to_csv(run(s, iterations=20000))
     digests[name] = hashlib.sha256(csv.encode()).hexdigest()
 print(json.dumps(digests))
 """
@@ -406,7 +406,7 @@ def test_identical_scenario_matches_centralized_recursion():
     tr = run(s)
     x, y = np.array([3.0]), np.array([2.0])
     for k in range(100):
-        g = SCHED.value(k)
+        g = gamma(SCHED, k)
         nx = project(x - g * subgradient_x(e, x, y), BOX5)
         y = project(y + g * subgradient_y(e, x, y), BOX5)
         x = nx

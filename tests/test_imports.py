@@ -1,7 +1,7 @@
 """Tooling gates on ``src/nashnet``: no module imports a name it never
 uses, every top-level function and class is named outside its own body
-by the package, a demo or ``perfbench/``, and every parameter default is
-overridden by some call there; what only tests use belongs in
+by the package, a demo or ``perfbench/``, and every parameter default and
+dataclass field default is overridden by some call there; what only tests use belongs in
 ``tests/canonical_reference.py``. These are stdlib ``ast`` scans, as the
 project depends on no linter. ``__future__`` imports and the package
 ``__init__`` (whose imports are its public re-exports) are exempt.
@@ -111,33 +111,56 @@ def passes(call, param: str, positional: list) -> bool:
     return any(isinstance(a, ast.Starred) or j == i for j, a in enumerate(call.args[:i + 1]))
 
 
+def is_dataclass(cls) -> bool:
+    """Whether `cls` is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for d in cls.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def signatures(tree):
+    """(call name, positional parameters, defaulted parameters) of each
+    function and method in `tree`, a method's bound first parameter left
+    out, and of each dataclass constructor: its call name is the class
+    name and its parameters are the annotated fields, in order."""
+    methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            yield node.name, positional[node in methods:], defaulted
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            fields = [s for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            yield (node.name, [f.target.id for f in fields],
+                   [f.target.id for f in fields if f.value is not None])
+
+
 def unset_defaults(modules: dict, callers) -> list:
-    """``function.parameter`` for each parameter with a default, of a
-    function or method in `modules` (name -> source), that no call in
-    `modules` or in the `callers` sources sets. Calls match by the called
-    name, so any method of that name counts."""
+    """``name.parameter`` for each parameter with a default, of a function,
+    method or dataclass field in `modules` (name -> source), that no call
+    in `modules` or in the `callers` sources sets. Calls match by the
+    called name, so any method of that name counts, and a dataclass field
+    is set by a call to the class."""
     trees = [ast.parse(source) for source in modules.values()]
     calls = [c for tree in trees + [ast.parse(s) for s in callers] for c in called_names(tree)]
     found = []
     for tree in trees:
-        methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a = fn.args
-            positional = [p.arg for p in a.posonlyargs + a.args]
-            defaulted = positional[len(positional) - len(a.defaults):] + [
-                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            bound = positional[fn in methods:]  # a method's first parameter is bound
+        for fn, positional, defaulted in signatures(tree):
             for param in defaulted:
-                if not any(name == fn.name and passes(call, param, bound) for name, call in calls):
-                    found.append(f"{fn.name}.{param}")
+                if not any(name == fn and passes(call, param, positional) for name, call in calls):
+                    found.append(f"{fn}.{param}")
     return sorted(found)
 
 
 def test_every_default_is_set_by_a_caller():
     """A default that no call in the package, a demo or ``perfbench/``
-    overrides is a constant: it belongs in the function body."""
+    overrides is a constant: it belongs in the function body, or for a
+    dataclass field in the code that reads it."""
     callers = [p.read_text(encoding="utf-8")
                for p in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]]
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
@@ -147,8 +170,12 @@ def test_every_default_is_set_by_a_caller():
 def test_scan_finds_an_unset_default():
     modules = {"a": ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
                      "class K:\n    def m(self, p=0, q=0):\n        pass\n\n"
-                     "def g(z=0):\n    pass\n")}
+                     "def g(z=0):\n    pass\n\n"
+                     "@dataclass(frozen=True)\nclass D:\n    u: int\n    v: int = 0\n"
+                     "    w: int = 1\n\n"
+                     "class Plain:\n    r: int = 0\n")}
     callers = ["from a import f as h\nh(0, 1, e=5)\n",
-               "import a\na.f(*args)\nK().m(1)\n"]
-    assert unset_defaults(modules, callers) == ["f.d", "g.z", "m.q"]
-    assert unset_defaults(modules, callers + ["g(**kw)\nK().m(q=1)\nf(d=0)\n"]) == []
+               "import a\na.f(*args)\nK().m(1)\nD(1, 2)\n"]
+    assert unset_defaults(modules, callers) == ["D.w", "f.d", "g.z", "m.q"]
+    assert unset_defaults(modules, callers + ["g(**kw)\nK().m(q=1)\nf(d=0)\n"
+                                              "a.D(0, w=1)\n"]) == []

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import subnet1_objectives, subnet2_objectives
+from canonical_reference import gamma, subnet1_objectives, subnet2_objectives
 from nashnet.catalog import CATALOG
 from nashnet.digraph import build_cycle_matrix
 from nashnet.engine import Trace, run
@@ -25,7 +25,7 @@ from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_scenario,
                                  plotdata_to_csv, report_to_csv, save_scenario,
                                  scenario_to_doc, sweep_summary_to_csv,
                                  trace_to_csv)
-from nashnet.stepsizes import (AdaptivePeriodic, Homogeneous,
+from nashnet.stepsizes import (AdaptivePeriodic, GammaSchedule, Homogeneous,
                                OracleHeterogeneous)
 
 
@@ -37,8 +37,8 @@ def test_bundled_example1_matches_published_setup():
     np.testing.assert_allclose(g.a2[0], [[0.9, 0.1], [0.1, 0.9]])
     assert isinstance(s.rule, Homogeneous)
     # gamma_k = 1 / (k + 50)
-    assert s.rule.schedule.value(0) == pytest.approx(1 / 50)
-    assert s.rule.schedule.value(10) == pytest.approx(1 / 60)
+    assert gamma(s.rule.schedule, 0) == pytest.approx(1 / 50)
+    assert gamma(s.rule.schedule, 10) == pytest.approx(1 / 60)
     np.testing.assert_allclose(s.x0.ravel(), [2.0, -0.5, -1.5])
     np.testing.assert_allclose(s.y0.ravel(), [1.0, 0.5])
     assert [e for e, _ in s.objectives1] == [e for e, _ in subnet1_objectives()]
@@ -335,11 +335,26 @@ def test_loader_takes_integral_floats():
     assert (s.m1, s.graph.period, s.iterations, s.graph.cross1[0][0, 0]) == (1, 2, 100000, 1.0)
 
 
+@pytest.mark.parametrize("gdoc, want", [
+    ({"c": 2.0}, GammaSchedule(c=2.0)),
+    ({"c": 2, "eps": 0.25}, GammaSchedule(c=2.0, eps=0.25)),
+    ({}, GammaSchedule()),
+])
+def test_loader_leaves_missing_gamma_keys_to_the_schedule_defaults(gdoc, want):
+    """A `gamma` key the document leaves out takes GammaSchedule's own
+    default; the loader holds no copy of them."""
+    doc = copy.deepcopy(BUNDLED_DOCS["shared_saddle"])
+    doc["stepsize"]["gamma"] = gdoc
+    schedule = loads_scenario(yaml.safe_dump(doc, sort_keys=False)).rule.schedule
+    assert schedule == want
+    assert all(type(getattr(schedule, f)) is float for f in ("c", "b", "eps"))
+
+
 def test_trace_csv_roundtrip():
     """17 significant digits reimport every state and stepsize exactly."""
     s = bundled_scenario("shared_saddle")
     tr = run(s, iterations=25)
-    lines = trace_to_csv(tr, s.m1, s.m2).splitlines()
+    lines = trace_to_csv(tr).splitlines()
     assert lines[0] == "k,agent,subnet,s0,stepsize"
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == (tr.iterations + 1) * (s.n1 + s.n2)
@@ -379,7 +394,7 @@ def test_padded_layout_csv_texts():
     """Pinned texts of all three writers for a layout no bundled scenario
     has: subnet 2 rows pad the missing state column with an empty field."""
     trace, metrics = _padded_run()
-    assert trace_to_csv(trace, 2, 1) == (
+    assert trace_to_csv(trace) == (
         "k,agent,subnet,s0,s1,stepsize\n"
         "0,1,1,0.10000000000000001,-0.33333333333333331,0.02\n"
         "0,2,1,1e+22,-0,0.5\n"
@@ -467,14 +482,14 @@ def _shared_saddle_run(iterations):
     s = bundled_scenario("shared_saddle")
     tr = run(s, iterations=iterations)
     m = compute_metrics(tr, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
-    return tr, m, s.m1, s.m2
+    return tr, m
 
 
 @pytest.mark.parametrize("make, chunk", [
     (lambda: _shared_saddle_run(0), None),
     (lambda: _shared_saddle_run(7), 40),
     (lambda: _shared_saddle_run(3300), None),
-    (lambda: (*_padded_run(), 2, 1), 12),
+    (_padded_run, 12),
 ], ids=["K = 0", "odd chunk count, two-row chunks", "odd metrics chunk count",
         "padded layout, one-row chunks"])
 def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
@@ -483,10 +498,10 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
     the whole template writes, and streams it into a file object given as
     `out`. Chunk boundaries fall inside the trace's per-agent templates and
     before its separate last-row part."""
-    trace, metrics, m1, m2 = make()
+    trace, metrics = make()
 
     def texts(*streams):
-        return (trace_to_csv(trace, m1, m2, *streams[:1]), metrics_to_csv(metrics, *streams[1:2]),
+        return (trace_to_csv(trace, *streams[:1]), metrics_to_csv(metrics, *streams[1:2]),
                 plotdata_to_csv(trace, metrics, *streams[2:]))
 
     with monkeypatch.context() as m:
@@ -599,15 +614,14 @@ def test_format_chunk_matches_percent_for_ints(rows):
 def test_unproven_values_fall_back_to_percent(monkeypatch):
     """With PROOF_MARGIN at 1 no %.17g value is proven, so each goes through
     the chunk's one batched `%` call; the writers' bytes do not move."""
-    cases = [_shared_saddle_run(40), (*_padded_run(), 2, 1)]
-    want = [(trace_to_csv(t, m1, m2), metrics_to_csv(m), plotdata_to_csv(t, m))
-            for t, m, m1, m2 in cases]
+    cases = [_shared_saddle_run(40), _padded_run()]
+    want = [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m)) for t, m in cases]
     block = np.random.default_rng(7).normal(size=(1000, 1))
     text = scenario_io._format_chunk("%.17g\n", [block], 0, 1000)
     monkeypatch.setattr(scenario_io, "PROOF_MARGIN", 1.0)
     assert scenario_io._format_chunk("%.17g\n", [block], 0, 1000) == text
-    assert [(trace_to_csv(t, m1, m2), metrics_to_csv(m), plotdata_to_csv(t, m))
-            for t, m, m1, m2 in cases] == want
+    assert [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m))
+            for t, m in cases] == want
 
 
 def test_object_blocks_and_other_templates_go_through_percent():
@@ -654,9 +668,9 @@ def test_one_chunk_stays_under_2_mb():
     """Formatting one full chunk of a bundled trace CSV peaks below 2 MB of
     traced allocations, its text included."""
     import tracemalloc
-    trace, _, m1, m2 = _shared_saddle_run(3000)
+    trace, _ = _shared_saddle_run(3000)
     out = io.StringIO()
-    trace_to_csv(trace, m1, m2, out)  # builds the lookup tables
+    trace_to_csv(trace, out)  # builds the lookup tables
     peaks = []
     real = scenario_io._format_chunk
 
@@ -670,7 +684,7 @@ def test_one_chunk_stays_under_2_mb():
 
     scenario_io._format_chunk = traced
     try:
-        trace_to_csv(trace, m1, m2, io.StringIO())
+        trace_to_csv(trace, io.StringIO())
     finally:
         scenario_io._format_chunk = real
     assert len(peaks) > 2 and max(peaks) < 2e6

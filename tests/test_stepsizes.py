@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from canonical_reference import phi_readouts, stepsize_for
+from canonical_reference import gamma, phi_readouts, stepsize_for
 from nashnet.digraph import GraphSequenceSpec, transition_product
 from nashnet.errors import ValidationError
 from nashnet.scenario_io import BUNDLED, bundled_scenario
@@ -15,10 +15,11 @@ from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
 
 def test_schedule_power_law():
     s = GammaSchedule(c=1.0, b=50.0, eps=0.5)
-    assert s.value(0) == pytest.approx(1 / 50)
-    assert s.value(100) == pytest.approx(1 / 150)
-    with pytest.raises(ValueError):
-        s.value(-1)
+    g = s.values(101)
+    assert g[0] == pytest.approx(1 / 50)
+    assert g[100] == pytest.approx(1 / 150)
+    with pytest.raises(ValidationError):
+        s.values(-1)
 
 
 def test_schedule_parameter_validation():
@@ -42,22 +43,22 @@ def test_schedule_rejects_overflowing_gamma_0():
     for kw in ({"b": 1e-320}, {"c": 1e300, "b": 1e-10, "eps": 0.5}):
         with pytest.raises(ValidationError, match="gamma_0"):
             GammaSchedule(**kw)
-    assert GammaSchedule(c=1e300, b=1e-5, eps=0.5).value(0) == pytest.approx(1e305)
+    assert GammaSchedule(c=1e300, b=1e-5, eps=0.5).values(1)[0] == pytest.approx(1e305)
 
 
 def test_schedule_values_are_the_values_of_each_k():
     for s, K in ((GammaSchedule(c=1.3, b=7.0, eps=0.37), 1000),
                  (GammaSchedule(table=(0.5, 0.25, 0.1)), 2)):
-        assert s.values(K) == [s.value(k) for k in range(K)]
+        assert s.values(K) == [gamma(s, k) for k in range(K)]
     with pytest.raises(ValidationError):
         GammaSchedule(table=(0.5,)).values(2)
 
 
 def test_schedule_table():
     s = GammaSchedule(table=(0.5, 0.25, 0.25, 0.1))
-    assert s.value(2) == 0.25
-    with pytest.raises(ValueError):
-        s.value(4)
+    assert s.values(4)[2] == 0.25
+    with pytest.raises(ValidationError):
+        s.values(5)
     with pytest.raises(ValidationError):
         GammaSchedule(table=(0.1, 0.2))  # increasing
     with pytest.raises(ValidationError):
@@ -129,7 +130,7 @@ def test_adaptive_dispatch_requires_learner():
         stepsize_for(rule, 0, 1, 5)
     r = learner_readouts(bundled_scenario("example2").graph.a1, (1, 2), 1)
     assert stepsize_for(rule, 0, 1, 0, readouts=r) == pytest.approx(
-        GammaSchedule().value(0))  # fallback denominator 1
+        GammaSchedule().values(1)[0])  # fallback denominator 1
 
 
 def test_adaptive_common_matches_oracle_on_static_graph():
