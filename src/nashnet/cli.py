@@ -275,9 +275,9 @@ def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def _sweep_worker(job):
-    scenario, out = job
+    scenario, saddle, out = job
     trace = run(scenario)
-    metrics = compute_metrics(trace, scenario, _reference_saddle(scenario))
+    metrics = compute_metrics(trace, scenario, saddle)
     _write(out, lambda fh: metrics_to_csv(metrics, fh))
     return float(metrics.nash_error[-1])
 
@@ -290,8 +290,9 @@ def cmd_sweep(args) -> int:
     if os.path.basename(scenario.name) != scenario.name:
         raise ValidationError(f"scenario name {scenario.name!r} holds a path separator; "
                               "sweep names its output files after it")
+    saddle = _reference_saddle(scenario)  # no override moves an objective or a box
     tag = args.param.replace(".", "_")
-    jobs = [(_apply_override(scenario, args.param, v),
+    jobs = [(_apply_override(scenario, args.param, v), saddle,
              os.path.join(args.out, f"{scenario.name}_{tag}_{i}_metrics.csv"))
             for i, v in enumerate(values)]
     _make_dir(args.out)
@@ -300,7 +301,7 @@ def cmd_sweep(args) -> int:
             errors = list(pool.map(_sweep_worker, jobs))
     else:
         errors = [_sweep_worker(j) for j in jobs]
-    results = [(v, err, out) for v, err, (_, out) in zip(values, errors, jobs)]  # job order
+    results = [(v, err, out) for v, err, (_, _, out) in zip(values, errors, jobs)]  # job order
     summary = os.path.join(args.out, "sweep_summary.csv")
     _write(summary, lambda fh: sweep_summary_to_csv(args.param, results, fh))
     for value, err, _ in results:

@@ -18,7 +18,6 @@ import io
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -177,7 +176,7 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
         return Homogeneous(schedule)
     if variant == "oracle_heterogeneous":
         if "phi1" in sdoc:
-            return OracleHeterogeneous(schedule=schedule, period=graph.period,
+            return OracleHeterogeneous(schedule=schedule,
                                        phi1=tuple(tuple(v) for v in sdoc["phi1"]),
                                        phi2=tuple(tuple(v) for v in sdoc["phi2"]))
         if validate_weight_rule(graph, graph.eta) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
@@ -325,53 +324,44 @@ def _csv(out, header: str, *parts) -> str | Written:
 def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
     """``(template * rows) % values`` for rows `start`:`stop` of `blocks`.
 
-    A float table whose template has only ``%.17g`` and ``%d`` fields is
-    formatted in numpy, every cell in one pass of :func:`_format_g` into a
-    slot of a byte table that :func:`_layout` lays out with NUL padding,
-    and one NUL compress makes the text. So the number of numpy calls does
-    not grow with the template. A ``%d`` cell is first truncated toward
-    zero, as `%` does, with -0 made 0: below 10**17 in magnitude ``%.17g``
-    writes a whole number as ``%d`` does. Every other chunk, and one with a
-    ``%d`` value of 10**17 or more in magnitude, goes through `%` whole.
+    A float table whose template has only ``%.17g`` fields is formatted in
+    numpy, every cell in one pass of :func:`_format_g` into a slot of a byte
+    table that :func:`_layout` lays out with NUL padding, and one NUL
+    compress makes the text. So the number of numpy calls does not grow
+    with the template. The k columns are written this way too: each k is a
+    whole number far below 10**17, which ``%.17g`` writes as ``%d`` does.
+    Every other chunk goes through `%` whole.
     """
     table = np.concatenate([b[start:stop] for b in blocks], axis=1)
-    layout = _layout(template) if table.dtype == np.float64 else None
-    ints = None
-    if layout is not None and len(layout.row) == table.shape[1]:
-        ints = np.trunc(table[:, layout.dcols]) + 0.0
-    if ints is None or not (np.abs(ints) < 1e17).all():  # NaN and inf too
+    row = _layout(template) if table.dtype == np.float64 else None
+    if row is None or len(row) != table.shape[1]:
         return (template * len(table)) % tuple(table.ravel().tolist())
-    table[:, layout.dcols] = ints
     rows, fields = table.shape
-    text = bytearray(rows * layout.row.size)
-    buf = np.frombuffer(text, np.uint8).reshape(rows, *layout.row.shape)
-    buf[:] = layout.row
+    text = bytearray(rows * row.size)
+    buf = np.frombuffer(text, np.uint8).reshape(rows, *row.shape)
+    buf[:] = row
     buf[:, :, :_SLOT] = _format_g(table.ravel()).reshape(rows, fields, _SLOT)
     return bytes(text).translate(None, b"\0").decode("utf-8")
 
 
-class _Layout(NamedTuple):
-    row: np.ndarray  # (fields, width) bytes of one template row, slots NUL
-    dcols: np.ndarray  # the fields, and so table columns, of %d
-
-
 @functools.lru_cache(maxsize=64)
-def _layout(template: str) -> _Layout | None:
-    """The byte layout of one row of `template`, or None if `%` must format it.
+def _layout(template: str) -> np.ndarray | None:
+    """The (fields, width) bytes of one row of `template`, or None if `%`
+    must format it.
 
-    A row is one piece per field, all of one width: the field's slot, then
-    the text up to the next field. A template must begin with a field and
-    hold no field but ``%.17g`` and ``%d``, and no NUL.
+    A row is one piece per field, all of one width: the field's NUL slot,
+    then the text up to the next field. A template must begin with a field
+    and hold no field but ``%.17g``, and no NUL.
     """
-    parts = re.split(r"(%\.17g|%d)", template)
-    if parts[0] or any("%" in text or "\0" in text for text in parts[2::2]):
+    first, *texts = template.split(FLOAT_FMT)
+    if first or any("%" in text or "\0" in text for text in texts):
         return None
-    texts = [text.encode("utf-8") for text in parts[2::2]]
+    texts = [text.encode("utf-8") for text in texts]
     row = np.zeros((len(texts), _SLOT + max(map(len, texts))), np.uint8)
     for piece, text in enumerate(texts):
         row[piece, _SLOT:_SLOT + len(text)] = np.frombuffer(text, np.uint8)
     row.setflags(write=False)
-    return _Layout(row, np.flatnonzero(np.array(parts[1::2]) == "%d"))
+    return row
 
 
 # A formatted cell is a slot of _SLOT bytes at the start of six 8-byte
@@ -558,7 +548,7 @@ def trace_to_csv(trace: Trace, out=None) -> str | Written:
         for subnet, states, steps in sides:
             dim = states.shape[2]
             for i in range(states.shape[1]):
-                fields += (f"%d,{i + 1},{subnet}," + ",".join([FLOAT_FMT] * dim)
+                fields += (f"{FLOAT_FMT},{i + 1},{subnet}," + ",".join([FLOAT_FMT] * dim)
                            + "," * (m - dim) + ("," if last else "," + FLOAT_FMT) + "\n")
                 blocks += [k[rows], states[rows, i]] + ([] if last else [steps[rows, i:i + 1]])
         return fields, blocks
@@ -571,7 +561,7 @@ def metrics_to_csv(metrics: MetricsSeries, out=None) -> str | Written:
     series = (np.arange(len(metrics.h1)), metrics.h1, metrics.h2, metrics.nash_error,
               metrics.saddle_residual)
     return _csv(out, "k,h1,h2,nash_error,saddle_residual",
-                ("%d" + f",{FLOAT_FMT}" * 4 + "\n", [v[:, None] for v in series]))
+                (",".join([FLOAT_FMT] * 5) + "\n", [v[:, None] for v in series]))
 
 
 def plot_grid(iterations: int) -> np.ndarray:
@@ -596,10 +586,10 @@ def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None, out=None) -> st
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
                 tag = f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]"
-                fields += f"%d,{tag},{FLOAT_FMT}\n"
+                fields += f"{FLOAT_FMT},{tag},{FLOAT_FMT}\n"
                 blocks += [k, states[ks, i, d:d + 1]]
     if metrics is not None:
-        fields += f"%d,nash_error,{FLOAT_FMT}\n"
+        fields += f"{FLOAT_FMT},nash_error,{FLOAT_FMT}\n"
         blocks += [k, metrics.nash_error[ks, None]]
     return _csv(out, "k,series,value", (fields, blocks))
 

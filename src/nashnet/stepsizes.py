@@ -87,23 +87,21 @@ class Homogeneous:
 @dataclass(frozen=True)
 class OracleHeterogeneous:
     """Per-phase limiting vectors; at time k divide gamma_k by the component
-    of the vector for start phase (k+1) mod period."""
+    of the vector for start phase (k+1) mod the graph's period. Each vector
+    must be 1-D, positive and stochastic; :func:`stepsize_tables` checks
+    the count and the lengths against the graph."""
 
     schedule: GammaSchedule
-    period: int
     phi1: tuple  # phase -> vector for subnet 1, start index = that phase
     phi2: tuple
 
     def __post_init__(self):
-        for vecs, label in ((self.phi1, "subnet 1"), (self.phi2, "subnet 2")):
-            if len(vecs) != self.period:
-                raise ValidationError(f"{label} needs one limit vector per phase")
+        for side, label in (("phi1", "subnet 1"), ("phi2", "subnet 2")):
+            vecs = tuple(np.asarray(v, dtype=float) for v in getattr(self, side))
             for v in vecs:
-                v = np.asarray(v, dtype=float)
-                if np.any(v <= 0) or abs(v.sum() - 1.0) > 1e-9:
+                if v.ndim != 1 or not (np.all(v > 0) and abs(v.sum() - 1.0) <= 1e-9):  # NaN fails
                     raise ValidationError(f"{label} limit vector not positive stochastic")
-        object.__setattr__(self, "phi1", tuple(np.asarray(v, dtype=float) for v in self.phi1))
-        object.__setattr__(self, "phi2", tuple(np.asarray(v, dtype=float) for v in self.phi2))
+            object.__setattr__(self, side, vecs)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule)
     """Precompute the per-phase limiting vectors of a periodic UJSC spec."""
     phi1 = tuple(limiting_stochastic_vector(spec, 1, s) for s in range(spec.period))
     phi2 = tuple(limiting_stochastic_vector(spec, 2, s) for s in range(spec.period))
-    return OracleHeterogeneous(schedule=schedule, period=spec.period, phi1=phi1, phi2=phi2)
+    return OracleHeterogeneous(schedule=schedule, phi1=phi1, phi2=phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +176,18 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     Returns (alpha, beta, readout1, readout2): alpha (K, n1) and beta
     (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
     the readouts are the adaptive learners' denominators, None for the
-    other rules.
+    other rules. Here an oracle rule meets its graph: ValidationError
+    unless each side holds one vector per phase and one component per agent.
     """
     gam = np.array(rule.schedule.values(K), dtype=float)[:, None]
     if isinstance(rule, Homogeneous):
         return np.repeat(gam, graph.n1, axis=1), np.repeat(gam, graph.n2, axis=1), None, None
     if isinstance(rule, OracleHeterogeneous):
-        if rule.period != graph.period:
-            raise ValidationError("oracle stepsize rule period does not match the graph")
-        nxt = (np.arange(K) + 1) % rule.period
+        for vecs, n, label in ((rule.phi1, graph.n1, "subnet 1"), (rule.phi2, graph.n2, "subnet 2")):
+            if len(vecs) != graph.period or any(len(v) != n for v in vecs):
+                raise ValidationError(f"{label} needs one limit vector per phase of the graph "
+                                      f"({graph.period}), each with one component per agent ({n})")
+        nxt = (np.arange(K) + 1) % graph.period
         return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
     if isinstance(rule, AdaptiveCommonEigvec):
         act1 = act2 = (0,)

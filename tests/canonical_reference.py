@@ -214,7 +214,7 @@ def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None) -> float:
         return g
     if isinstance(rule, OracleHeterogeneous):
         vecs = rule.phi1 if subnet == 1 else rule.phi2
-        phi = vecs[(k + 1) % rule.period]
+        phi = vecs[(k + 1) % len(vecs)]
         return g / float(phi[agent])
     if isinstance(rule, (AdaptiveCommonEigvec, AdaptivePeriodic)):
         if readouts is None:

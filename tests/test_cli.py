@@ -1,19 +1,25 @@
 """Command-line interface: subcommands, file outputs, and the exit-code
 contract (2 parse, 3 validation, 4 numeric, 5 resource)."""
 
+import copy
 import csv
 import dataclasses
 import errno
+import functools
 import hashlib
 import math
+import operator
 import os
 import stat
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nashnet
 from nashnet import cli, scenario_io
@@ -21,8 +27,8 @@ from nashnet.cli import main
 from nashnet.engine import run
 from nashnet.errors import ValidationError
 from nashnet.metrics import compute_metrics
-from nashnet.scenario_io import (bundled_scenario, load_scenario, save_scenario,
-                                 scenario_to_doc)
+from nashnet.scenario_io import (bundled_scenario, load_scenario, metrics_to_csv,
+                                 save_scenario, scenario_to_doc)
 
 
 @pytest.fixture()
@@ -229,6 +235,9 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
     ("sweep scenario name holds a path separator", 3, "path separator"),
     ("oracle on an unbounded box", 5, "store a reference under run.oracle"),
     ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
+    ("stored limit vectors too short", 3, "one component per agent (3)"),
+    ("stored limit vectors ragged", 3, "one component per agent (3)"),
+    ("stored limit vector with a NaN", 3, "not positive stochastic"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
@@ -262,6 +271,16 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     del doc["run"]["oracle"]
     unbounded = tmp_path / "unbounded.yaml"
     unbounded.write_text(yaml.safe_dump(doc, sort_keys=False))
+    phi_mutations = {  # of example2 with its limit vectors stored
+        "stored limit vectors too short": lambda sd: sd.update(phi1=sd["phi2"]),
+        "stored limit vectors ragged": lambda sd: sd["phi1"].__setitem__(0, [0.5, 0.5]),
+        "stored limit vector with a NaN": lambda sd: sd["phi1"][0].__setitem__(0, math.nan),
+    }
+    phi_doc = tmp_path / "phi.yaml"
+    if case in phi_mutations:
+        doc = scenario_to_doc(bundled_scenario("example2"))
+        phi_mutations[case](doc["stepsize"])
+        phi_doc.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -300,6 +319,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "oracle on an unbounded box": ["oracle", str(unbounded), "--grid", "41"],
         "run on an unbounded box without a stored reference": ["run", str(unbounded),
                                                                "--iters", "5"],
+        **{name: ["run", str(phi_doc), "--iters", "20"] for name in phi_mutations},
     }[case]
     if case.endswith("budget"):
         monkeypatch.setenv("NASHNET_BUDGET", "inf" if case == "infinite budget" else "-1")
@@ -320,6 +340,55 @@ def test_unbounded_box_runs_against_a_stored_reference(shsad, tmp_path, capsys):
     rows = metrics.read_text().splitlines()[1:]
     assert len(rows) == 51 and all(math.isfinite(float(r.split(",")[3])) for r in rows)
     assert "nash_error=nan" not in capsys.readouterr().out
+
+
+def _leaf_paths(node, path=()):
+    """The key paths of a document's scalars and empty containers."""
+    if isinstance(node, (dict, list)) and node:
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        return [leaf for key in keys for leaf in _leaf_paths(node[key], path + (key,))]
+    return [path]
+
+
+@functools.cache
+def _fuzz_documents():
+    """Every bundled document, and example2 with its limit vectors stored."""
+    docs = {name: yaml.safe_load(resources.files("nashnet.scenarios")
+                                 .joinpath(f"{name}.yaml").read_text())
+            for name in scenario_io.BUNDLED}
+    docs["example2 with phi"] = scenario_to_doc(bundled_scenario("example2"))
+    return docs
+
+
+# no count above 10: a leaf such as stepsize.p1 bounds the work a run does
+_FUZZ_VALUES = [None, True, "a", -1, 0, 1, 2, 3, 1.5, math.nan, math.inf, [], {}, [[0.5, 0.5]]]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A document name and one or two (leaf path, value) replacements."""
+    docs = _fuzz_documents()
+    name = draw(st.sampled_from(sorted(docs)))
+    leaf = st.tuples(st.sampled_from(_leaf_paths(docs[name])), st.sampled_from(_FUZZ_VALUES))
+    return name, draw(st.lists(leaf, min_size=1, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_documents())
+@example(("example2 with phi", [(("stepsize", "phi1", 0), [0.5, 0.5]),
+                                (("stepsize", "phi1", 1), [0.5, 0.5])]))  # too short
+@example(("example2 with phi", [(("stepsize", "phi1", 0), [0.5, 0.5])]))  # ragged
+@example(("example2 with phi", [(("stepsize", "phi1", 0, 0), math.nan)]))
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, mutated):
+    """Whatever one or two leaves of a scenario hold, `run` returns 0 or a
+    documented failure code, never a traceback."""
+    name, edits = mutated
+    doc = copy.deepcopy(_fuzz_documents()[name])
+    for path, value in edits:
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = copy.deepcopy(value)
+    path = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", str(path), "--iters", "20"]) in {0, 2, 3, 4, 5}
 
 
 def test_csv_writers_start_no_process(shsad, tmp_path, monkeypatch):
@@ -502,6 +571,27 @@ def test_sweep_outputs_pinned(shsad, tmp_path):
         "shared_saddle_gamma_c_2_metrics.csv":
             "01ec97e6ccc709502c543ca46af62efe0ccb3fb8d676d7c29fa0e502e0e297c3",
     }
+
+
+def test_sweep_derives_one_reference(shsad, tmp_path, monkeypatch):
+    """Without a stored reference a sweep runs the grid search once, before
+    its jobs: no override moves an objective or a box, so each metrics file
+    is the one its overridden scenario scored against its own search gives."""
+    doc = yaml.safe_load(Path(shsad).read_text())
+    del doc["run"]["oracle"]
+    path = tmp_path / "no_ref.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    grid, calls = cli.grid_minimax, []
+    monkeypatch.setattr(cli, "grid_minimax", lambda *a, **kw: calls.append(a) or grid(*a, **kw))
+    d = tmp_path / "sw"
+    assert main(["sweep", str(path), "--values", "0.5,1,2", "--out", str(d), "--jobs", "1"]) == 0
+    assert len(calls) == 1
+    s = load_scenario(path)
+    for i, c in enumerate((0.5, 1.0, 2.0)):
+        s_i = dataclasses.replace(s, rule=dataclasses.replace(
+            s.rule, schedule=dataclasses.replace(s.rule.schedule, c=c)))
+        want = metrics_to_csv(compute_metrics(run(s_i), s_i, cli._reference_saddle(s_i)))
+        assert Path(d, f"shared_saddle_gamma_c_{i}_metrics.csv").read_text() == want
 
 
 def test_sweep_summary_quotes_a_path_with_a_comma(shsad, tmp_path):

@@ -85,10 +85,14 @@ def test_oracle_rule_uses_next_start_phase():
 
 def test_oracle_rule_validation():
     s = GammaSchedule()
+    g = bundled_scenario("example2").graph  # period 2, 3 + 2 agents
+    one_phase = OracleHeterogeneous(schedule=s, phi1=((0.2, 0.3, 0.5),), phi2=((0.5, 0.5),) * 2)
+    with pytest.raises(ValidationError, match="one limit vector per phase"):
+        stepsize_tables(one_phase, g, 3)
     with pytest.raises(ValidationError):
-        OracleHeterogeneous(schedule=s, period=2, phi1=((0.5, 0.5),), phi2=((1.0,),) * 2)
+        OracleHeterogeneous(schedule=s, phi1=((0.7, 0.7),), phi2=((1.0,),))
     with pytest.raises(ValidationError):
-        OracleHeterogeneous(schedule=s, period=1, phi1=((0.7, 0.7),), phi2=((1.0,),))
+        OracleHeterogeneous(schedule=s, phi1=((float("nan"), 0.5, 0.5),), phi2=((1.0,),))
 
 
 def _diag_bytes(spec, subnet, k, s):
