@@ -115,7 +115,9 @@ def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:
 class Trace:
     """States and applied stepsizes of a full run; index 0 is the initial
     state, so arrays have length iterations + 1 (stepsizes: iterations).
-    :func:`run` returns x and y as views of one buffer of rows (x, y)."""
+    :func:`run` returns x and y as views of one buffer of rows (x, y).
+    Under a Homogeneous rule alpha and beta are read-only broadcast views
+    of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``)."""
 
     x: np.ndarray  # (K+1, n1, m1)
     y: np.ndarray  # (K+1, n2, m2)

@@ -27,10 +27,24 @@ PAIRWISE_CHUNK = 1 << 18  # elements of the (k, n, n, m) difference array held a
 def _pairwise_max(states):
     """(K+1,) max pairwise Euclidean distance across agents per iteration.
 
-    Chunked over k to bound memory, squared and rooted in place; no k's
+    With blocks of one dimension this is ``sqrt(square(max - min))`` over
+    the agents, O(n) per k, and it equals the maximum over all pairs
+    ``sqrt(square(a - b))`` bit for bit: rounding of a - b is monotone in a
+    and in -b (and symmetric in sign), so no pair rounds to a larger |a - b|
+    than max - min does; ``sqrt(fl(d**2))`` is monotone in |d|; and
+    squaring erases the sign of a zero. Wider blocks compare every pair,
+    chunked over k to bound memory, squared and rooted in place; no k's
     reduction depends on the chunk.
     """
     _, n, m = states.shape
+    if m == 1:
+        hi = states[:, 0, 0].copy()
+        lo = hi.copy()
+        for i in range(1, n):
+            np.maximum(hi, states[:, i, 0], out=hi)
+            np.minimum(lo, states[:, i, 0], out=lo)
+        hi -= lo
+        return np.sqrt(np.square(hi, out=hi), out=hi)
     rows = max(1, PAIRWISE_CHUNK // max(1, n * n * m))
     out = np.empty(len(states))
     for start in range(0, len(states), rows):
@@ -64,10 +78,9 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
     nash = _squared_distance(trace.x, x_star) + _squared_distance(trace.y, y_star)
 
     u = unit_weighted(scenario.objectives1).compiled(scenario.m1, scenario.m2)
-    xbar = trace.x.mean(axis=1)  # (K+1, m1)
-    ybar = trace.y.mean(axis=1)
-    u_left = np.asarray(u([xbar[:, d] for d in range(scenario.m1)],
+    # each block mean, (K+1, m), lives only while its side is evaluated
+    u_left = np.asarray(u(list(trace.x.mean(axis=1).T),
                           [np.array([c]) for c in y_star]), dtype=float).ravel()
     u_right = np.asarray(u([np.array([c]) for c in x_star],
-                           [ybar[:, d] for d in range(scenario.m2)]), dtype=float).ravel()
+                           list(trace.y.mean(axis=1).T)), dtype=float).ravel()
     return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right)

@@ -54,7 +54,9 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
     """Parse and validate a scenario document.
 
     Weight-rule violations fail the load; window and convexity findings are
-    collected on the returned scenario's ``warnings`` attribute. With
+    collected on the returned scenario's ``warnings`` attribute, each
+    distinct objective sampled once and its findings repeated for every
+    agent that holds it. With
     `check_assumptions` false no assumption is checked at all: the caller
     runs every check itself (``nashnet graph-check`` reports them).
     """
@@ -86,11 +88,16 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
             warnings.append(f"subnet 2 not jointly strongly connected within window {g.t2}")
         if not check_jointly_bipartite(g, g.t_cross):
             warnings.append(f"cross layer leaves isolated nodes within window {g.t_cross}")
-        for label, (e, s) in zip(
+        # one sample per distinct objective, keyed by repr(e) as
+        # WeightedObjective.compiled keys it, so -0.0 and 0.0 stay apart
+        found = {}
+        for label, (e, _) in zip(
                 [f"subnet1[{i}]" for i in range(g.n1)] + [f"subnet2[{i}]" for i in range(g.n2)],
                 tuple(scenario.objectives1) + tuple(scenario.objectives2)):
-            for w in sample_convexity(e, scenario.box_x, scenario.box_y, trials=200):
-                warnings.append(f"{label}: {w}")
+            key = repr(e)
+            if key not in found:
+                found[key] = sample_convexity(e, scenario.box_x, scenario.box_y, trials=200)
+            warnings += [f"{label}: {w}" for w in found[key]]
     object.__setattr__(scenario, "warnings", tuple(warnings))
     return scenario
 
@@ -304,44 +311,86 @@ class Written:
 def _csv(out, header: str, *parts) -> str | Written:
     """The one formatter that turns numbers into CSV text.
 
-    Each part is ``(template, blocks)``: `blocks` are 2-D arrays with one
-    row per `template`, whose columns, left to right, fill the template's
-    `%` fields. A chunk of at most CSV_CHUNK values is gathered from the
-    blocks only when it is formatted (:func:`_format_chunk`) and is
-    written to the text stream `out` at once, in chunk order, so the whole
-    text is never held. Without a stream the text goes to a buffer and
-    comes back as a ``str``; with one, a :class:`Written`.
+    Each part is ``(template, blocks, columns)``: `blocks` are 2-D arrays
+    with one row per `template`, and their columns, left to right, are
+    numbered from 0. `columns` is the column index: one entry per `%`
+    field of the template, the column that fills it. A column may fill
+    many fields (k fills one in each row group of a trace, a Homogeneous
+    rule's one stepsize column every agent's), and it is formatted once
+    per row. A chunk of the template's rows, at most CSV_CHUNK fields, is
+    gathered from the blocks only when it is formatted
+    (:func:`_format_chunk`) and is written to the text stream `out` at
+    once, in chunk order, so the whole text is never held. Without a
+    stream the text goes to a buffer and comes back as a ``str``; with
+    one, a :class:`Written`.
     """
     stream = io.StringIO() if out is None else out
     chars = stream.write(header + "\n")
-    for template, blocks in parts:
-        rows = max(1, CSV_CHUNK // sum(b.shape[1] for b in blocks))
+    for template, blocks, columns in parts:
+        rows = max(1, CSV_CHUNK // len(columns))
         for start in range(0, len(blocks[0]), rows):
-            chars += stream.write(_format_chunk(template, blocks, start, start + rows))
+            chars += stream.write(_format_chunk(template, blocks, columns, start, start + rows))
     return stream.getvalue() if out is None else Written(chars)
 
 
-def _format_chunk(template: str, blocks, start: int, stop: int) -> str:
-    """``(template * rows) % values`` for rows `start`:`stop` of `blocks`.
+def _format_chunk(template: str, blocks, columns: tuple, start: int, stop: int) -> str:
+    """``(template * rows) % values`` for rows `start`:`stop` of `blocks`,
+    field f of each row taking column ``columns[f]``.
 
-    A float table whose template has only ``%.17g`` fields is formatted in
-    numpy, every cell in one pass of :func:`_format_g` into a slot of a byte
-    table that :func:`_layout` lays out with NUL padding, and one NUL
-    compress makes the text. So the number of numpy calls does not grow
-    with the template. The k columns are written this way too: each k is a
+    The blocks' rows are gathered with one ``concatenate``. A float table
+    whose template has only ``%.17g`` fields is formatted in numpy: each
+    distinct column in one pass of :func:`_format_g` into byte slots,
+    which :func:`_scatter` copies into the fields of a byte table that
+    :func:`_layout` lays out with NUL padding, and one NUL compress makes
+    the text. So the number of numpy calls grows neither with the template
+    nor with the rows. The k columns are written this way too: each k is a
     whole number far below 10**17, which ``%.17g`` writes as ``%d`` does.
     Every other chunk goes through `%` whole.
     """
     table = np.concatenate([b[start:stop] for b in blocks], axis=1)
     row = _layout(template) if table.dtype == np.float64 else None
-    if row is None or len(row) != table.shape[1]:
-        return (template * len(table)) % tuple(table.ravel().tolist())
-    rows, fields = table.shape
+    if row is None or len(row) != len(columns):
+        return (template * len(table)) % tuple(table[:, columns].ravel().tolist())
+    rows = len(table)
     text = bytearray(rows * row.size)
     buf = np.frombuffer(text, np.uint8).reshape(rows, *row.shape)
     buf[:] = row
-    buf[:, :, :_SLOT] = _format_g(table.ravel()).reshape(rows, fields, _SLOT)
+    slots = _format_g(table.ravel()).reshape(rows, table.shape[1], _SLOT)
+    for fields, cols in _scatter(columns):
+        buf[:, fields, :_SLOT] = slots[:, cols]
     return bytes(text).translate(None, b"\0").decode("utf-8")
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter(columns: tuple) -> tuple:
+    """``(fields, cols)`` pairs that copy a table's slots into the fields
+    `columns` names, each pair one numpy assignment whose right side is a
+    view, so no slot is copied twice.
+
+    A column that fills several fields broadcasts into them. The columns
+    that fill one field each go in runs of consecutive columns, so the
+    identity index is a single assignment. Fields in even steps are a
+    slice, any others an index array.
+    """
+    fields = {}
+    for f, c in enumerate(columns):
+        fields.setdefault(c, []).append(f)
+    pairs = [(fs, slice(c, c + 1)) for c, fs in fields.items() if len(fs) > 1]
+    once = sorted((c, fs[0]) for c, fs in fields.items() if len(fs) == 1)
+    cuts = [0] + [i for i in range(1, len(once)) if once[i][0] != once[i - 1][0] + 1] + [len(once)]
+    pairs += [([f for _, f in once[lo:hi]], slice(once[lo][0], once[hi - 1][0] + 1))
+              for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    return tuple((_index(fs), cols) for fs, cols in pairs)
+
+
+def _index(fields: list):
+    """`fields` as a slice when they increase in even steps, else an array."""
+    steps = {b - a for a, b in zip(fields, fields[1:])} or {1}
+    if len(steps) == 1 and min(steps) > 0:
+        return slice(fields[0], fields[-1] + 1, steps.pop())
+    index = np.array(fields)
+    index.setflags(write=False)
+    return index
 
 
 @functools.lru_cache(maxsize=64)
@@ -537,21 +586,32 @@ def trace_to_csv(trace: Trace, out=None) -> str | Written:
     """Long-format rows (k, agent, subnet, states..., applied stepsize);
     the last iteration's rows leave the stepsize empty. The state columns
     number max(m1, m2), the block dimensions of ``trace.x`` and ``trace.y``;
-    the smaller block leaves its extra columns empty."""
+    the smaller block leaves its extra columns empty.
+
+    The blocks are k, each side's states as one (K+1, n m) table and each
+    side's stepsizes; a stepsize table of agent stride 0 (a Homogeneous
+    rule's) is passed as its one column, so gamma_k is formatted once per
+    iteration and side, as k is once per iteration."""
     m = max(trace.x.shape[2], trace.y.shape[2])
     K = trace.iterations
     k = np.arange(K + 1)[:, None]
-    sides = ((1, trace.x, trace.alpha), (2, trace.y, trace.beta))
+    states = [v.reshape(K + 1, -1) for v in (trace.x, trace.y)]
+    steps = [a[:, :1] if a.strides[1] == 0 else a for a in (trace.alpha, trace.beta)]
 
     def part(rows, last):
-        fields, blocks = "", []
-        for subnet, states, steps in sides:
-            dim = states.shape[2]
-            for i in range(states.shape[1]):
-                fields += (f"{FLOAT_FMT},{i + 1},{subnet}," + ",".join([FLOAT_FMT] * dim)
+        blocks = [k[rows]] + [v[rows] for v in states] + ([] if last else steps)
+        first = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
+        fields, columns = "", []
+        for side, v in enumerate((trace.x, trace.y)):
+            dim = v.shape[2]
+            for i in range(v.shape[1]):
+                fields += (f"{FLOAT_FMT},{i + 1},{side + 1}," + ",".join([FLOAT_FMT] * dim)
                            + "," * (m - dim) + ("," if last else "," + FLOAT_FMT) + "\n")
-                blocks += [k[rows], states[rows, i]] + ([] if last else [steps[rows, i:i + 1]])
-        return fields, blocks
+                state = first[1 + side] + i * dim
+                columns += [0] + list(range(state, state + dim))
+                if not last:
+                    columns.append(first[3 + side] + i % blocks[3 + side].shape[1])
+        return fields, blocks, tuple(columns)
 
     cols = ["k", "agent", "subnet"] + [f"s{d}" for d in range(m)] + ["stepsize"]
     return _csv(out, ",".join(cols), part(slice(0, K), False), part(slice(K, K + 1), True))
@@ -561,7 +621,7 @@ def metrics_to_csv(metrics: MetricsSeries, out=None) -> str | Written:
     series = (np.arange(len(metrics.h1)), metrics.h1, metrics.h2, metrics.nash_error,
               metrics.saddle_residual)
     return _csv(out, "k,h1,h2,nash_error,saddle_residual",
-                (",".join([FLOAT_FMT] * 5) + "\n", [v[:, None] for v in series]))
+                (",".join([FLOAT_FMT] * 5) + "\n", [v[:, None] for v in series], tuple(range(5))))
 
 
 def plot_grid(iterations: int) -> np.ndarray:
@@ -578,20 +638,21 @@ def plot_grid(iterations: int) -> np.ndarray:
 
 def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None, out=None) -> str | Written:
     """Plot-ready long format: k, series, value, for k on
-    :func:`plot_grid`; the trace CSV holds every k."""
+    :func:`plot_grid`; the trace CSV holds every k. The blocks are k and
+    each series as a column, k formatted once per row group."""
     ks = plot_grid(trace.iterations)
-    k = ks[:, None]
-    fields, blocks = "", []
+    blocks = [ks[:, None]] + [v[ks].reshape(len(ks), -1) for v in (trace.x, trace.y)]
+    tags = []
     for name, states in (("x", trace.x), ("y", trace.y)):
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
-                tag = f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]"
-                fields += f"{FLOAT_FMT},{tag},{FLOAT_FMT}\n"
-                blocks += [k, states[ks, i, d:d + 1]]
+                tags.append(f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]")
     if metrics is not None:
-        fields += f"{FLOAT_FMT},nash_error,{FLOAT_FMT}\n"
-        blocks += [k, metrics.nash_error[ks, None]]
-    return _csv(out, "k,series,value", (fields, blocks))
+        tags.append("nash_error")
+        blocks.append(metrics.nash_error[ks, None])
+    fields = "".join(f"{FLOAT_FMT},{tag},{FLOAT_FMT}\n" for tag in tags)
+    columns = tuple(c for series in range(1, len(tags) + 1) for c in (0, series))
+    return _csv(out, "k,series,value", (fields, blocks, columns))
 
 
 def report_to_csv(report, out=None) -> str | Written:
@@ -601,7 +662,8 @@ def report_to_csv(report, out=None) -> str | Written:
     row = (*report.x_star, *report.y_star, report.value, report.minimax_gap,
            report.grid_resolution)
     fields = "".join(f"{key},{FLOAT_FMT}\n" for key in keys) + "grid_resolution,%d\n"
-    return _csv(out, "key,value", (fields, [np.array([row], dtype=object)]))
+    return _csv(out, "key,value",
+                (fields, [np.array([row], dtype=object)], tuple(range(len(row)))))
 
 
 def sweep_summary_to_csv(param: str, results, out=None) -> str | Written:
@@ -611,4 +673,4 @@ def sweep_summary_to_csv(param: str, results, out=None) -> str | Written:
     rows = [(v, err, '"' + path.replace('"', '""') + '"' if re.search('[,"\r\n]', path) else path)
             for v, err, path in results]
     return _csv(out, f"{param},final_nash_error,metrics_file",
-                (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(rows, dtype=object)]))
+                (f"{FLOAT_FMT},{FLOAT_FMT},%s\n", [np.array(rows, dtype=object)], (0, 1, 2)))

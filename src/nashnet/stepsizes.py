@@ -19,7 +19,7 @@ import numpy as np
 
 from .digraph import (GraphSequenceSpec, canonical_mix_code,
                       limiting_stochastic_vector, periodic_code)
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,11 @@ def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule)
 # adaptive learners
 # ---------------------------------------------------------------------------
 
+# bank entries (banks x n x n) a learner may generate: each is a local of
+# the generated loop, and its generation time grows linearly with them
+LEARNER_BANK_CAP = 100_000
+
+
 def learner_readouts(mats, activation, K: int) -> np.ndarray:
     """Adaptive stepsize denominators at times 0..K-1, shape (K, n).
 
@@ -176,12 +181,18 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     Returns (alpha, beta, readout1, readout2): alpha (K, n1) and beta
     (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
     the readouts are the adaptive learners' denominators, None for the
-    other rules. Here an oracle rule meets its graph: ValidationError
-    unless each side holds one vector per phase and one component per agent.
+    other rules. A Homogeneous rule's alpha and beta are read-only
+    ``np.broadcast_to`` views of the one gamma column, agent stride 0.
+    Here a rule meets its graph: an oracle rule is a ValidationError
+    unless each side holds one vector per phase and one component per
+    agent, and an adaptive rule is a ResourceError, before any learner
+    code is generated, when a side's banks would hold more than
+    LEARNER_BANK_CAP entries.
     """
     gam = np.array(rule.schedule.values(K), dtype=float)[:, None]
     if isinstance(rule, Homogeneous):
-        return np.repeat(gam, graph.n1, axis=1), np.repeat(gam, graph.n2, axis=1), None, None
+        return (np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2)),
+                None, None)
     if isinstance(rule, OracleHeterogeneous):
         for vecs, n, label in ((rule.phi1, graph.n1, "subnet 1"), (rule.phi2, graph.n2, "subnet 2")):
             if len(vecs) != graph.period or any(len(v) != n for v in vecs):
@@ -190,12 +201,17 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
         nxt = (np.arange(K) + 1) % graph.period
         return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
     if isinstance(rule, AdaptiveCommonEigvec):
-        act1 = act2 = (0,)
+        first, banks = 0, (1, 1)  # one bank from time 0
     elif isinstance(rule, AdaptivePeriodic):
-        act1, act2 = tuple(range(1, rule.p1 + 1)), tuple(range(1, rule.p2 + 1))
+        first, banks = 1, (rule.p1, rule.p2)  # banks from times 1, ..., p
     else:
         raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
-    r1, r2 = learner_readouts(graph.a1, act1, K), learner_readouts(graph.a2, act2, K)
+    for p, n, label in zip(banks, (graph.n1, graph.n2), ("subnet 1", "subnet 2")):
+        if p * n * n > LEARNER_BANK_CAP:
+            raise ResourceError(f"{label} adaptive learner needs {p} banks of {n}x{n} entries, "
+                                f"{p * n * n} in all, above the cap of {LEARNER_BANK_CAP}")
+    r1, r2 = (learner_readouts(mats, tuple(range(first, first + p)), K)
+              for mats, p in zip((graph.a1, graph.a2), banks))
     if (r1 <= 0).any() or (r2 <= 0).any():
         raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
     return gam / r1, gam / r2, r1, r2

@@ -22,6 +22,9 @@ descent-ascent instead, and :func:`verify_saddle` certifies a candidate on
 samples. The convexity sampler's oracle draws each trial's points with
 sequential ``rng.uniform`` calls and evaluates them one at a time through
 the interpreter (:func:`convexity_points`, :func:`worst_violations`).
+The metrics' disagreement span has :func:`pairwise_disagreement`, every
+agent pair in plain floats, and the trace CSV has :func:`trace_csv_text`,
+one ``%`` per row.
 """
 
 import functools
@@ -554,6 +557,32 @@ def disagreement_span(points) -> float:
         pts = pts.T  # a flat list of scalars arrived as one row
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
+
+
+def pairwise_disagreement(states) -> np.ndarray:
+    """(K+1,) max over all agent pairs of the Euclidean distance, per k, in
+    plain Python floats: each coordinate's difference squared as ``d * d``,
+    summed left to right, rooted with ``math.sqrt``. O(n**2) per k."""
+    return np.array([max(math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
+                         for p in row.tolist() for q in row.tolist())
+                     for row in np.asarray(states, dtype=float)])
+
+
+def trace_csv_text(trace) -> str:
+    """The trace CSV one `%` per row writes: for each k, subnet 1's agents
+    then subnet 2's, ``k,agent,subnet,states...,stepsize`` with empty
+    padding fields and an empty stepsize at k = K."""
+    m = max(trace.x.shape[2], trace.y.shape[2])
+    K = trace.iterations
+    lines = ["k,agent,subnet," + ",".join(f"s{d}" for d in range(m)) + ",stepsize"]
+    for k in range(K + 1):
+        for subnet, states, steps in ((1, trace.x, trace.alpha), (2, trace.y, trace.beta)):
+            for i, state in enumerate(states[k].tolist()):
+                cells = ["%d" % k, "%d" % (i + 1), "%d" % subnet]
+                cells += ["%.17g" % v for v in state] + [""] * (m - len(state))
+                cells.append("%.17g" % steps[k, i] if k < K else "")
+                lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def make_identical_scenario(objectives, a_seq, eta: float, t1: int, box_x, box_y, rule,

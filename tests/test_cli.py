@@ -13,6 +13,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -406,6 +407,29 @@ def test_csv_writers_start_no_process(shsad, tmp_path, monkeypatch):
     assert all(p.stat().st_size > 0 for p in paths)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("p1", [1_000_000, 10 ** 30])
+def test_learner_banks_above_the_cap_exit_5_before_any_code(p1, tmp_path, monkeypatch, capsys):
+    """``stepsize.p1: 1000000`` asks example3's periodic learner for 9
+    million bank entries (3 x 3 per bank): the run exits 5 within a second,
+    naming the cap, and no line of the learner's loop is generated."""
+    from nashnet import stepsizes
+    example3 = resources.files("nashnet.scenarios").joinpath("example3.yaml")
+    doc = yaml.safe_load(example3.read_text())
+    doc["stepsize"]["p1"] = p1
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+
+    def generated(*args):
+        raise AssertionError("learner code generated")
+    monkeypatch.setattr(stepsizes, "canonical_mix_code", generated)
+    monkeypatch.setattr(stepsizes, "periodic_code", generated)
+    start = time.perf_counter()
+    assert main(["run", str(path), "--iters", "50"]) == 5
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"cap of {stepsizes.LEARNER_BANK_CAP}" in err and f"{9 * p1} in all" in err
 
 
 def test_failed_write_removes_the_partial_file(shsad, tmp_path, monkeypatch, capsys):

@@ -11,12 +11,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import gamma, subnet1_objectives, subnet2_objectives
+from canonical_reference import (gamma, make_identical_scenario, pairwise_disagreement,
+                                 subnet1_objectives, subnet2_objectives, trace_csv_text)
 from nashnet.catalog import CATALOG
 from nashnet.digraph import build_cycle_matrix
 from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
-from nashnet.exprs import format_expr
+from nashnet.exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
 from nashnet import scenario_io
@@ -350,6 +351,53 @@ def test_loader_leaves_missing_gamma_keys_to_the_schedule_defaults(gdoc, want):
     assert all(type(getattr(schedule, f)) is float for f in ("c", "b", "eps"))
 
 
+def test_convexity_is_sampled_once_per_distinct_objective(monkeypatch):
+    """Six agents hold two objectives and a pair that differs only in a
+    -0.0 / 0.0 constant: the loader samples each distinct ``repr(e)`` once,
+    four in all, and its warnings are those of sampling every agent."""
+    texts = {"a": "(sub (neg (pow x0 2)) (pow y0 2))", "b": "(add (pow x0 2) (pow y0 2))",
+             "c+": "(add (neg (pow x0 4)) 0.0)", "c-": "(add (neg (pow x0 4)) -0.0)"}
+    sides = (("a", "b", "c+"), ("b", "c-", "a"))
+    box = BoxSet((-2.0,), (2.0,))
+    cycle = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    base = make_identical_scenario(subnet1_objectives(), [cycle], 0.1, 1, box, box,
+                                   Homogeneous(GammaSchedule()), [0.0] * 3, [0.0] * 3)
+    doc = scenario_to_doc(base)
+    for side, names in zip(("subnet1", "subnet2"), sides):
+        doc["agents"][side] = [{"expr": texts[name], "selections": {}} for name in names]
+    text = yaml.safe_dump(doc, sort_keys=False)
+    calls = []
+
+    def counted(e, *args, **kwargs):
+        calls.append(repr(e))
+        return sample_convexity(e, *args, **kwargs)
+    monkeypatch.setattr(scenario_io, "sample_convexity", counted)
+    s = loads_scenario(text)
+    assert sorted(calls) == sorted({repr(parse_expr(t)) for t in texts.values()})
+    assert len(calls) == 4
+    want = [f"subnet{side}[{i}]: {w}"
+            for side, names in enumerate(sides, 1) for i, name in enumerate(names)
+            for w in sample_convexity(parse_expr(texts[name]), box, box, trials=200)]
+    assert want and s.warnings == tuple(want)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_trace_csv_equals_the_row_reference(name):
+    """A homogeneous, an oracle and an adaptive run write the trace CSV
+    that one `%` per row writes. The homogeneous rule's stepsizes are views
+    of agent stride 0 that equal the per-agent table bit for bit."""
+    s = bundled_scenario(name)
+    tr = run(s, iterations=300)
+    got, want = trace_to_csv(tr).splitlines(), trace_csv_text(tr).splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None and len(got) == len(want), (first, len(got), len(want))
+    if isinstance(s.rule, Homogeneous):
+        gam = np.array(s.rule.schedule.values(300))[:, None]
+        for steps, n in ((tr.alpha, s.n1), (tr.beta, s.n2)):
+            assert steps.strides[1] == 0 and not steps.flags.writeable
+            assert steps.tobytes() == np.repeat(gam, n, axis=1).tobytes()
+
+
 def test_trace_csv_roundtrip():
     """17 significant digits reimport every state and stepsize exactly."""
     s = bundled_scenario("shared_saddle")
@@ -521,19 +569,21 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
         written = texts(*streams)
         assert tuple(s.getvalue() for s in streams) == want
         assert [len(w) for w in written] == [len(t) for t in want]
-    # every numeric cell, k included, takes the vectorised path, twice per
-    # size, in one _format_g call per chunk
-    assert sum(calls) == 2 * len(sizes) * _numeric_cells(trace, metrics)
+    # every distinct numeric cell, k included, takes the vectorised path
+    # once, twice per size, in one _format_g call per chunk
+    assert sum(calls) == 2 * len(sizes) * _distinct_cells(trace, metrics)
     assert len(calls) == len(chunks)
 
 
-def _numeric_cells(trace, metrics):
-    """The numeric cells the trace, metrics and plot-data writers fill:
-    k, states and stepsizes; k and four series; k and a value per series."""
-    agents = trace.x.shape[1] + trace.y.shape[1]
+def _distinct_cells(trace, metrics):
+    """The distinct numeric cells the trace, metrics and plot-data writers
+    format: per trace row group k, the states and each side's stepsizes,
+    one per side when the table has agent stride 0; per metrics row k and
+    four series; per plot-data k the k, the states and the nash error."""
     states = trace.x[0].size + trace.y[0].size
-    trace_cells = (trace.iterations + 1) * (agents + states) + trace.alpha.size + trace.beta.size
-    plot_cells = 2 * len(scenario_io.plot_grid(trace.iterations)) * (states + 1)
+    steps = sum(1 if a.strides[1] == 0 else a.shape[1] for a in (trace.alpha, trace.beta))
+    trace_cells = (trace.iterations + 1) * (1 + states) + trace.iterations * steps
+    plot_cells = len(scenario_io.plot_grid(trace.iterations)) * (states + 2)
     return trace_cells + 5 * len(metrics.h1) + plot_cells
 
 
@@ -565,7 +615,7 @@ def test_format_chunk_matches_percent(values):
     """Every %.17g cell reads as `%` writes it, byte for byte."""
     for template in (f"{scenario_io.FLOAT_FMT}\n", f"{scenario_io.FLOAT_FMT},k=1,\n"):
         block = np.array(values)[:, None]
-        assert (scenario_io._format_chunk(template, [block], 0, len(values))
+        assert (scenario_io._format_chunk(template, [block], (0,), 0, len(values))
                 == (template * len(values)) % tuple(values))
 
 
@@ -577,7 +627,7 @@ def test_format_g_next_to_powers_of_ten():
                              [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
     values = np.concatenate([values, -values])
     template = f"{scenario_io.FLOAT_FMT}\n"
-    assert (scenario_io._format_chunk(template, [values[:, None]], 0, len(values))
+    assert (scenario_io._format_chunk(template, [values[:, None]], (0,), 0, len(values))
             == (template * len(values)) % tuple(values.tolist()))
 
 
@@ -607,7 +657,8 @@ def test_format_chunk_matches_percent_for_ints(rows):
     chunk to `%` whole."""
     template = f"%d,{scenario_io.FLOAT_FMT}\n"
     block = np.array(rows)
-    assert (scenario_io._format_chunk(template, [block[:, :1], block[:, 1:]], 0, len(rows))
+    assert (scenario_io._format_chunk(template, [block[:, :1], block[:, 1:]], (0, 1), 0,
+                                     len(rows))
             == (template * len(rows)) % tuple(block.ravel().tolist()))
 
 
@@ -617,9 +668,9 @@ def test_unproven_values_fall_back_to_percent(monkeypatch):
     cases = [_shared_saddle_run(40), _padded_run()]
     want = [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m)) for t, m in cases]
     block = np.random.default_rng(7).normal(size=(1000, 1))
-    text = scenario_io._format_chunk("%.17g\n", [block], 0, 1000)
+    text = scenario_io._format_chunk("%.17g\n", [block], (0,), 0, 1000)
     monkeypatch.setattr(scenario_io, "PROOF_MARGIN", 1.0)
-    assert scenario_io._format_chunk("%.17g\n", [block], 0, 1000) == text
+    assert scenario_io._format_chunk("%.17g\n", [block], (0,), 0, 1000) == text
     assert [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m))
             for t, m in cases] == want
 
@@ -638,12 +689,12 @@ def test_object_blocks_and_other_templates_go_through_percent():
     block = np.array([[1.5, 2.0], [-0.25, 3e7]])
     for template in ("%.3f,%d\n", "%e %.17g\n", "%.17g%%,%d\n", "k=%.17g;%d\n",
                      "%.17g \u00b5,%d\n"):
-        assert (scenario_io._format_chunk(template, [block], 0, 2)
+        assert (scenario_io._format_chunk(template, [block], (0, 1), 0, 2)
                 == (template * 2) % tuple(block.ravel().tolist()))
     with pytest.raises(TypeError, match="not all arguments converted"):
-        scenario_io._format_chunk("%.17g\n", [block], 0, 2)
+        scenario_io._format_chunk("%.17g\n", [block], (0, 1), 0, 2)
     with pytest.raises(ValueError, match="NaN"):
-        scenario_io._format_chunk("%d\n", [np.array([[np.nan]])], 0, 1)
+        scenario_io._format_chunk("%d\n", [np.array([[np.nan]])], (0,), 0, 1)
 
 
 def test_sweep_summary_quotes_paths_as_the_csv_module():
@@ -710,6 +761,26 @@ def test_pairwise_max_is_chunk_independent(monkeypatch):
     for rows in (1, 3, 11, 20):  # chunks of `rows` iterations, one spans all
         monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 4 * 3)
         assert metrics._pairwise_max(states).tobytes() == whole.tobytes()
+
+
+# finite doubles: any bit pattern, plus the signed zeros, the subnormals
+# and the largest magnitudes, whose differences overflow
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1.7976931348623157e308, -1.7976931348623157e308,
+                                     1e308, -1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(_FINITE, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_one_dimensional_disagreement_equals_the_pairwise_reference(rows):
+    """For blocks of one dimension the O(n) max - min span equals, bit for
+    bit, the maximum over all agent pairs of ``sqrt((a - b) * (a - b))``."""
+    from nashnet import metrics
+    states = np.array(rows)[:, :, None]
+    with np.errstate(over="ignore"):  # differences of magnitudes near 1e308
+        assert metrics._pairwise_max(states).tobytes() == pairwise_disagreement(states).tobytes()
 
 
 def test_squared_distance_is_chunk_independent(monkeypatch):
