@@ -12,7 +12,9 @@ The arithmetic order is part of the definition. Neighbor averages and
 cross observations are canonical sums (see ``digraph``): left to right over
 the nonzero weights in increasing j, every product and sum rounded
 separately. The stepsizes of all K iterations are tabulated before the
-loop (``stepsizes.stepsize_tables``). :func:`run` then generates one Python
+loop (``stepsizes.stepsize_tables``), and the kernel reads one stepsize per
+distinct column of a table (``stepsizes.distinct_columns``): one gamma_k
+per side under a Homogeneous rule. :func:`run` then generates one Python
 function per call that keeps states and cross caches in locals, has one
 branch per phase with the weights and finite box bounds as literals, tests
 an agent's first cross contact against the phase pattern instead of a
@@ -43,7 +45,7 @@ from .errors import NumericError, ValidationError
 from .exprs import BoxSet, check_selection, dimensions, format_expr
 # the text generator, under the name perfbench/replay.py wraps for its exprs.compile span
 from .exprs import objective_code as compile_objective
-from .stepsizes import StepsizeRule, stepsize_tables
+from .stepsizes import StepsizeRule, distinct_columns, stepsize_tables
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ class Trace:
     state, so arrays have length iterations + 1 (stepsizes: iterations).
     :func:`run` returns x and y as views of one buffer of rows (x, y).
     Under a Homogeneous rule alpha and beta are read-only broadcast views
-    of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``)."""
+    of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``), whose
+    one distinct column is all the kernel reads."""
 
     x: np.ndarray  # (K+1, n1, m1)
     y: np.ndarray  # (K+1, n2, m2)
@@ -131,11 +134,14 @@ class Trace:
         return self.x.shape[0] - 1
 
 
-def _kernel_source(scenario: Scenario) -> str:
+def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     """Source of ``_kernel(K, ia, ib, rec)``: K iterations of the dynamics
     on scalar locals, one branch per phase.
 
-    ia/ib yield the stepsizes row by row, and rec receives the states of
+    ia/ib yield each side's distinct stepsize columns row by row,
+    ``widths[s]`` per iteration (``stepsizes.distinct_columns``): agent i
+    of side s reads column ``i % widths[s]``, so a Homogeneous rule's
+    kernel unpacks one stepsize per side. rec receives the states of
     both subnetworks after each iteration as one tuple, x block first. Each
     agent's step inlines the code of its objective's derivative in the
     block it moves (``exprs.objective_code``), reading the agent's own
@@ -143,7 +149,7 @@ def _kernel_source(scenario: Scenario) -> str:
     the step's sign instead (``u - a * (-q)`` is ``u + a * q``). Finite box
     bounds are literals, and an infinite side has no test, as no state
     passes it. Names carry the subnetwork s: state x{s}_{i}_{d}, neighbor
-    average u.., cross cache c.., stepsize a{s}_{i}; the derivative's
+    average u.., cross cache c.., stepsize a{s}_{c}; the derivative's
     temporaries are t1, t2, ..., which every agent assigns before it reads
     them.
     """
@@ -181,9 +187,9 @@ def _kernel_source(scenario: Scenario) -> str:
         without one the agent steps once k > first."""
         lines, grad = grads[s][i]
         step = list(lines)
-        box = boxes[s]
+        box, gamma = boxes[s], f"a{s}_{i % widths[s]}"
         for x, u, (neg, q), lo, hi in zip(state[s][i], mix[s][i], grad, box.lower, box.upper):
-            a = f"a{s}_{i}" if q == "1.0" else f"a{s}_{i} * {q}"
+            a = gamma if q == "1.0" else f"{gamma} * {q}"
             step += [f"{x} = {u} {'-+'[s ^ neg]} {a}"] + clamp(x, lo, hi)
         hold = [f"{x} = {u}" for x, u in zip(state[s][i], mix[s][i])]
         if contact[s][ph][i]:
@@ -210,8 +216,8 @@ def _kernel_source(scenario: Scenario) -> str:
     for s in sides:
         lines += [f"{x} = {float(v)!r}" for row, vals in zip(state[s], x0[s]) for x, v in zip(row, vals)]
         lines += [f"{c} = 0.0" for row in cache[s] for c in row]
-    steps = [f"a{s}_{i}" for s in sides for i in range(n[s])]
-    streams = ["ia"] * n[0] + ["ib"] * n[1]
+    steps = [f"a{s}_{c}" for s in sides for c in range(widths[s])]
+    streams = ["ia"] * widths[0] + ["ib"] * widths[1]
     lines.append(f"for k, {', '.join(steps)} in zip(range(K), {', '.join(streams)}):")
     body = periodic_code([phase_body(ph) for ph in range(g.period)])
     body.append("rec((" + ", ".join(x for s in sides for row in state[s] for x in row) + ",))")
@@ -229,18 +235,20 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     """Execute the full dynamics for K iterations and record everything.
 
     Stepsizes are tabulated first; then one function generated for this
-    scenario runs all K iterations (see the module docstring).
+    scenario runs all K iterations on their distinct columns (see the
+    module docstring).
     """
     K = scenario.iterations if iterations is None else int(iterations)
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
     alpha, beta, r1, r2 = stepsize_tables(scenario.rule, g, K)
+    steps = [distinct_columns(a) for a in (alpha, beta)]
     env = {}
-    exec(_kernel_source(scenario), env)  # noqa: S102 - source generated here from the scenario
+    source = _kernel_source(scenario, tuple(a.shape[1] for a in steps))
+    exec(source, env)  # noqa: S102 - source generated here from the scenario
     states = array("d", scenario.x0.ravel().tolist() + scenario.y0.ravel().tolist())
     try:
-        env["_kernel"](K, iter(memoryview(alpha.ravel())), iter(memoryview(beta.ravel())),
-                       states.extend)
+        env["_kernel"](K, *(iter(memoryview(a.ravel())) for a in steps), states.extend)
     except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
         k = len(states) // (n1 * m1 + n2 * m2) - 1  # rows recorded after x0, y0
         raise NumericError(f"{type(exc).__name__} at iteration {k}") from None

@@ -28,7 +28,7 @@ from .errors import ParseError, ValidationError
 from .exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from .metrics import MetricsSeries
 from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
-                        Homogeneous, OracleHeterogeneous)
+                        Homogeneous, OracleHeterogeneous, distinct_columns)
 
 BUNDLED = ("example1", "example2", "example3", "perron_weighted", "shared_saddle")
 
@@ -339,8 +339,8 @@ def _format_chunk(template: str, blocks, columns: tuple, start: int, stop: int) 
 
     The blocks' rows are gathered with one ``concatenate``. A float table
     whose template has only ``%.17g`` fields is formatted in numpy: each
-    distinct column in one pass of :func:`_format_g` into byte slots,
-    which :func:`_scatter` copies into the fields of a byte table that
+    distinct column in one pass of :func:`_format_g` into byte slots, which
+    one gather by `columns` copies into the fields of a byte table that
     :func:`_layout` lays out with NUL padding, and one NUL compress makes
     the text. So the number of numpy calls grows neither with the template
     nor with the rows. The k columns are written this way too: each k is a
@@ -356,41 +356,8 @@ def _format_chunk(template: str, blocks, columns: tuple, start: int, stop: int) 
     buf = np.frombuffer(text, np.uint8).reshape(rows, *row.shape)
     buf[:] = row
     slots = _format_g(table.ravel()).reshape(rows, table.shape[1], _SLOT)
-    for fields, cols in _scatter(columns):
-        buf[:, fields, :_SLOT] = slots[:, cols]
+    buf[:, :, :_SLOT] = slots[:, columns]
     return bytes(text).translate(None, b"\0").decode("utf-8")
-
-
-@functools.lru_cache(maxsize=64)
-def _scatter(columns: tuple) -> tuple:
-    """``(fields, cols)`` pairs that copy a table's slots into the fields
-    `columns` names, each pair one numpy assignment whose right side is a
-    view, so no slot is copied twice.
-
-    A column that fills several fields broadcasts into them. The columns
-    that fill one field each go in runs of consecutive columns, so the
-    identity index is a single assignment. Fields in even steps are a
-    slice, any others an index array.
-    """
-    fields = {}
-    for f, c in enumerate(columns):
-        fields.setdefault(c, []).append(f)
-    pairs = [(fs, slice(c, c + 1)) for c, fs in fields.items() if len(fs) > 1]
-    once = sorted((c, fs[0]) for c, fs in fields.items() if len(fs) == 1)
-    cuts = [0] + [i for i in range(1, len(once)) if once[i][0] != once[i - 1][0] + 1] + [len(once)]
-    pairs += [([f for _, f in once[lo:hi]], slice(once[lo][0], once[hi - 1][0] + 1))
-              for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    return tuple((_index(fs), cols) for fs, cols in pairs)
-
-
-def _index(fields: list):
-    """`fields` as a slice when they increase in even steps, else an array."""
-    steps = {b - a for a, b in zip(fields, fields[1:])} or {1}
-    if len(steps) == 1 and min(steps) > 0:
-        return slice(fields[0], fields[-1] + 1, steps.pop())
-    index = np.array(fields)
-    index.setflags(write=False)
-    return index
 
 
 @functools.lru_cache(maxsize=64)
@@ -589,14 +556,15 @@ def trace_to_csv(trace: Trace, out=None) -> str | Written:
     the smaller block leaves its extra columns empty.
 
     The blocks are k, each side's states as one (K+1, n m) table and each
-    side's stepsizes; a stepsize table of agent stride 0 (a Homogeneous
-    rule's) is passed as its one column, so gamma_k is formatted once per
-    iteration and side, as k is once per iteration."""
+    side's distinct stepsize columns (``stepsizes.distinct_columns``), of
+    which agent i reads column i % width: one under a Homogeneous rule, so
+    gamma_k is formatted once per iteration and side, as k is once per
+    iteration."""
     m = max(trace.x.shape[2], trace.y.shape[2])
     K = trace.iterations
     k = np.arange(K + 1)[:, None]
     states = [v.reshape(K + 1, -1) for v in (trace.x, trace.y)]
-    steps = [a[:, :1] if a.strides[1] == 0 else a for a in (trace.alpha, trace.beta)]
+    steps = [distinct_columns(a) for a in (trace.alpha, trace.beta)]
 
     def part(rows, last):
         blocks = [k[rows]] + [v[rows] for v in states] + ([] if last else steps)

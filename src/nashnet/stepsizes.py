@@ -182,7 +182,8 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
     the readouts are the adaptive learners' denominators, None for the
     other rules. A Homogeneous rule's alpha and beta are read-only
-    ``np.broadcast_to`` views of the one gamma column, agent stride 0.
+    ``np.broadcast_to`` views of the one gamma column, agent stride 0
+    (see :func:`distinct_columns`).
     Here a rule meets its graph: an oracle rule is a ValidationError
     unless each side holds one vector per phase and one component per
     agent, and an adaptive rule is a ResourceError, before any learner
@@ -215,3 +216,10 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     if (r1 <= 0).any() or (r2 <= 0).any():
         raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
     return gam / r1, gam / r2, r1, r2
+
+
+def distinct_columns(table: np.ndarray) -> np.ndarray:
+    """The columns of a per-agent table that differ: the first alone when
+    the table has agent stride 0 (a Homogeneous rule's broadcast view),
+    else all. Of width w, agent i reads column i % w."""
+    return table[:, :1] if table.strides[1] == 0 else table

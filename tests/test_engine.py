@@ -19,6 +19,7 @@ import nashnet
 from canonical_reference import (contact_times, evaluate, gamma, initial_state,
                                  make_identical_scenario, project, reference_run,
                                  step, stepsize_for, subgradient_x, subgradient_y)
+from nashnet import engine
 from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
 from nashnet.errors import NumericError, ValidationError
@@ -26,8 +27,8 @@ from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
                            abs_nodes, x_var, y_var)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
-                               GammaSchedule, Homogeneous,
-                               oracle_heterogeneous_build)
+                               GammaSchedule, Homogeneous, distinct_columns,
+                               oracle_heterogeneous_build, stepsize_tables)
 
 BOX5 = BoxSet((-5.0,), (5.0,))
 SCHED = GammaSchedule(c=1.0, b=1.0, eps=0.5)
@@ -255,6 +256,11 @@ def test_trace_bytes_independent_of_blas_kernel():
     assert digests({}) == digests({"OPENBLAS_CORETYPE": "Prescott"})
 
 
+def _widths(s):
+    """The distinct stepsize columns per side that :func:`run` hands the kernel."""
+    return tuple(distinct_columns(a).shape[1] for a in stepsize_tables(s.rule, s.graph, 1)[:2])
+
+
 def test_dense_scenario_compiles_and_matches_reference():
     n = 300
     e = Sum((Pow(x_var(0), 2), Neg(Pow(y_var(0), 2))))
@@ -267,7 +273,7 @@ def test_dense_scenario_compiles_and_matches_reference():
     _assert_run_matches_reference(s, run(s), 2)
     # the dense mixing sums are about 6.4M characters; each agent's inlined
     # derivative adds under a hundred
-    assert len(_kernel_source(s)) < 6_600_000
+    assert len(_kernel_source(s, _widths(s))) < 6_600_000
 
 
 def test_run_equals_reference_with_a_bare_product_derivative():
@@ -280,7 +286,8 @@ def test_run_equals_reference_with_a_bare_product_derivative():
 
 def test_kernel_inlines_every_derivative():
     """The generated loop calls no objective closure and no sign helper."""
-    source = _kernel_source(bundled_scenario("example1"))
+    s = bundled_scenario("example1")
+    source = _kernel_source(s, _widths(s))
     for name in ("f0_", "f1_", "_sgn("):
         assert name not in source
     assert source.startswith("def _kernel(K, ia, ib, rec):")
@@ -296,7 +303,7 @@ def test_kernel_holds_no_arithmetic_that_cannot_move_a_bit(name):
                                 box_y=BoxSet((-np.inf,), (np.inf,)))
     else:
         s = bundled_scenario(name)
-    source = _kernel_source(s)
+    source = _kernel_source(s, _widths(s))
     for text in ("1.0 * ", "* 1.0", "+ (-", "(-(-", "lo0", "hi0", "lo1", "hi1", "inf"):
         assert text not in source, text
     if name == "unbounded":
@@ -319,6 +326,44 @@ def test_trace_states_are_views_of_one_buffer():
     assert tr.x.base is not None and tr.x.base is tr.y.base
     assert (tr.y.__array_interface__["data"][0] - tr.x.__array_interface__["data"][0]
             == s.n1 * s.m1 * tr.x.itemsize)
+
+
+@pytest.mark.parametrize("name, loop", [
+    ("example1", "for k, a0_0, a1_0 in zip(range(K), ia, ib):"),
+    ("example2", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(K), ia, ia, ia, ib, ib):"),
+    ("example3", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(K), ia, ia, ia, ib, ib):"),
+], ids=["homogeneous", "oracle", "adaptive"])
+def test_kernel_unpacks_one_stepsize_per_distinct_column(name, loop, monkeypatch):
+    """The kernel :func:`run` generates unpacks one stepsize per side under
+    a Homogeneous rule, which every agent's step reads, and one per agent
+    under an oracle or adaptive rule."""
+    sources, real = [], engine._kernel_source
+    monkeypatch.setattr(engine, "_kernel_source", lambda *args: sources.append(real(*args)) or sources[-1])
+    run(bundled_scenario(name), iterations=5)
+    lines = [ln.strip() for ln in sources[0].splitlines()]
+    assert [ln for ln in lines if ln.startswith("for k,")] == [loop]
+    steps = set(re.findall(r"\ba[01]_\d+\b", loop))
+    assert {a for ln in lines if re.match(r"x[01]_\d+_\d+ = ", ln)
+            for a in re.findall(r"\ba[01]_\d+\b", ln)} == steps
+
+
+def test_run_peak_memory_is_the_states_it_returns():
+    """A Homogeneous run reads its broadcast stepsize views without a K x n
+    copy: engine.run on example1 peaks below 1.6 times the bytes of the
+    states it returns, where two such copies would add 1.0. From 20k
+    iterations on the ratio hardly moves (1.40 there, 1.36 at 100k, which
+    tracemalloc makes five times slower to run)."""
+    import tracemalloc
+    s = bundled_scenario("example1")
+    run(s, iterations=10)  # first-call caches
+    tracemalloc.start()
+    try:
+        tr = run(s, iterations=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = tr.x.nbytes + tr.y.nbytes
+    assert peak < 1.6 * states, (peak, states)
 
 
 def test_recorded_stepsizes_match_rule():

@@ -381,6 +381,17 @@ def test_convexity_is_sampled_once_per_distinct_objective(monkeypatch):
     assert want and s.warnings == tuple(want)
 
 
+def _first_difference(got, want):
+    """None if two texts are equal, else the first line where they differ
+    and the line counts; a failing ``==`` would make pytest diff whole
+    multi-megabyte texts."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    if len(got) == len(want) == first:
+        return None
+    return first, got[first:first + 1], want[first:first + 1], len(got), len(want)
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_trace_csv_equals_the_row_reference(name):
     """A homogeneous, an oracle and an adaptive run write the trace CSV
@@ -388,9 +399,7 @@ def test_trace_csv_equals_the_row_reference(name):
     of agent stride 0 that equal the per-agent table bit for bit."""
     s = bundled_scenario(name)
     tr = run(s, iterations=300)
-    got, want = trace_to_csv(tr).splitlines(), trace_csv_text(tr).splitlines()
-    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
-    assert first is None and len(got) == len(want), (first, len(got), len(want))
+    assert _first_difference(trace_to_csv(tr), trace_csv_text(tr)) is None
     if isinstance(s.rule, Homogeneous):
         gam = np.array(s.rule.schedule.values(300))[:, None]
         for steps, n in ((tr.alpha, s.n1), (tr.beta, s.n2)):
@@ -564,10 +573,11 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
     sizes = (chunk or scenario_io.CSV_CHUNK, 1, 7)
     for size in sizes:
         monkeypatch.setattr(scenario_io, "CSV_CHUNK", size)
-        assert texts() == want
+        assert [_first_difference(got, text) for got, text in zip(texts(), want)] == [None] * 3
         streams = [io.StringIO() for _ in want]
         written = texts(*streams)
-        assert tuple(s.getvalue() for s in streams) == want
+        assert ([_first_difference(s.getvalue(), text) for s, text in zip(streams, want)]
+                == [None] * 3)
         assert [len(w) for w in written] == [len(t) for t in want]
     # every distinct numeric cell, k included, takes the vectorised path
     # once, twice per size, in one _format_g call per chunk
@@ -617,6 +627,32 @@ def test_format_chunk_matches_percent(values):
         block = np.array(values)[:, None]
         assert (scenario_io._format_chunk(template, [block], (0,), 0, len(values))
                 == (template * len(values)) % tuple(values))
+
+
+@st.composite
+def _gather_cases(draw):
+    """A table of 1-6 columns, split into blocks at one cut, and a column
+    index that repeats, permutes, leaves out or outnumbers its columns."""
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.one_of(_DOUBLES, _NEAR_TIES, _TIES),
+                                  min_size=width, max_size=width), min_size=1, max_size=6))
+    columns = draw(st.one_of(st.permutations(range(width)),
+                             st.lists(st.integers(0, width - 1), min_size=1, max_size=3 * width)))
+    return rows, draw(st.integers(0, width)), tuple(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gather_cases())
+def test_format_chunk_gathers_any_column_index(case):
+    """Field f of each row reads as `%` writes the value of column
+    ``columns[f]``, whatever the index: the one gather of formatted slots
+    places each column's text in every field that names it."""
+    rows, cut, columns = case
+    table = np.array(rows)
+    template = ",".join([scenario_io.FLOAT_FMT] * len(columns)) + "\n"
+    want = (template * len(rows)) % tuple(row[c] for row in rows for c in columns)
+    assert scenario_io._format_chunk(template, [table[:, :cut], table[:, cut:]], columns,
+                                     0, len(rows)) == want
 
 
 def test_format_g_next_to_powers_of_ten():
