@@ -26,7 +26,7 @@ from .errors import NashnetError, ValidationError
 from .metrics import compute_metrics
 from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
                      unit_weighted)
-from .scenario_io import (BUNDLED, bundled_scenario, load_scenario,
+from .scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
                           metrics_to_csv, plotdata_to_csv, report_to_csv,
                           sweep_summary_to_csv, trace_to_csv)
 
@@ -201,8 +201,7 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_graph_check(args) -> int:
-    scenario = load_scenario(args.scenario, check_assumptions=False)
-    g = scenario.graph
+    g = load_graph(args.scenario)
     failed = []
 
     def verdict(claim, ok, name):

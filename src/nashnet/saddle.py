@@ -1,14 +1,18 @@
-"""The grid saddle-point oracle: exhaustive min-max over the boxes.
+"""The grid saddle-point oracle: exact min-max over the boxes.
 
-The grid oracle is deliberately brute force - for the 1-D / 1-D experiments
-it is the most trustworthy ground truth available - and is followed by a
+The grid oracle is the exact min-max of a regular grid - for the 1-D / 1-D
+experiments the most trustworthy ground truth available - followed by a
 local refinement of REFINE_LEVELS levels around the winner for ~100x
-sharper answers. It evaluates each distinct objective of a weighted sum
-once per table, in row blocks of at most TABLE_CHUNK cells, and keeps of
-each block only its row maxima and the running column minima, never the
-whole table. Blocks of dimension above two, and boxes with an infinite
-bound, are rejected with a resource error; such a scenario needs a stored
-reference, ``run.oracle`` with ``x_star`` and ``y_star``, in its document.
+sharper answers. Its report is byte for byte that of a scan of every cell,
+but it evaluates in full only the rows and columns that can still win
+(:func:`_best_line`). The cells of the others are never evaluated, so the
+oracle is defined for tables without NaN: a NaN in any cell it evaluates
+is a NumericError. Each distinct objective of a weighted sum is evaluated
+once per call, on windows of TABLE_CHUNK cells' worth of lines, so the
+table is never held whole. Blocks of dimension above two, and boxes with
+an infinite bound, are rejected with a resource error; such a scenario,
+like one whose table holds NaN, needs a stored reference, ``run.oracle``
+with ``x_star`` and ``y_star``, in its document.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
+from .errors import NumericError, ResourceError, ValidationError
 from .exprs import BoxSet, compile_objective
 
 # 2001 grid points per 1-D block must fit, so the cap sits just above 2001^2
 DEFAULT_BUDGET = 4_100_000
 BUDGET_ENV = "NASHNET_BUDGET"
 TABLE_CHUNK = 1 << 16  # cells of the grid table evaluated at once
+SAMPLE_STRIDE = 16  # every 16th opposing point bounds a line's extreme
 REFINE_LEVELS = 3  # local refinements after the coarse grid
 _STORE = ("store a reference under run.oracle (x_star, y_star) in the scenario "
           "document instead")
@@ -112,44 +117,81 @@ def _mesh(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _row_blocks(value_fn, xpts, ypts):
-    """The value of the objective on the product of point sets, an (Nx, Ny)
-    table, as blocks of whole rows, top to bottom.
+def _cells(value_fn, xpts, ypts):
+    """The objective on the product of two point sets, an (Nx, Ny) table
+    (a broadcast view where no term reads one side). Cells are elementwise,
+    so no cell's value depends on which other points share the call."""
+    values = value_fn([xpts[:, d][:, None] for d in range(xpts.shape[1])],
+                      [ypts[:, d][None, :] for d in range(ypts.shape[1])])
+    return np.broadcast_to(np.asarray(values, dtype=float), (len(xpts), len(ypts)))
 
-    A block has at most TABLE_CHUNK cells, so the per-term sums stay in
-    cache and the table is never held whole; no cell's value depends on
-    the block size.
+
+def _extremes(value_fn, lines, cross, side):
+    """Each line's extreme over all of `cross`: on side 0 the lines are rows
+    and this is their ``max(axis=1)``, on side 1 they are columns and this
+    is their ``min(axis=0)``. NumericError if any cell is NaN."""
+    if side == 0:
+        ext = _cells(value_fn, lines, cross).max(axis=1)
+    else:
+        ext = _cells(value_fn, cross, lines).min(axis=0)
+    if np.isnan(ext).any():  # max and min propagate a NaN cell
+        raise NumericError(f"grid oracle table holds NaN; {_STORE}")
+    return ext
+
+
+def _batches(index, width):
+    """`index` in windows of TABLE_CHUNK // width lines, at least two, or all
+    of a shorter index. The last window ends at the last line and may
+    overlap the one before, so every window has the same size: the same
+    allocation each time, and never a one-column table, whose
+    ``min(axis=0)`` is a contiguous reduction that can sign a zero unlike
+    the whole table's."""
+    size, n = max(2, TABLE_CHUNK // width), len(index)
+    return (index[max(0, min(i, n - size)):i + size] for i in range(0, n, size))
+
+
+def _best_line(value_fn, xpts, ypts, side):
+    """The winning line of the (Nx, Ny) table and its extreme: on side 0 the
+    row of least maximum, on side 1 the column of greatest minimum, ties to
+    the lowest index, as ``max(axis=1).argmin()`` and
+    ``min(axis=0).argmax()`` of the whole table pick them.
+
+    The lines' extremes over every SAMPLE_STRIDE-th opposing point bound
+    their full extremes (below for rows, above for columns). Lines are then
+    reduced in full in order of their bounds, best first, stable on index,
+    until the next line's bound is strictly worse than the best full
+    extreme found: no line left can then win or tie. The cells of the lines
+    left are never evaluated.
     """
-    nx, ny = xpts.shape[0], ypts.shape[0]
-    ycols = [ypts[:, d][None, :] for d in range(ypts.shape[1])]
-    rows = max(1, TABLE_CHUNK // ny)
-    for start in range(0, nx, rows):
-        block = xpts[start:start + rows]
-        values = value_fn([block[:, d][:, None] for d in range(block.shape[1])], ycols)
-        yield np.broadcast_to(np.asarray(values, dtype=float), (len(block), ny))
-
-
-def _row_max_col_min(value_fn, xpts, ypts):
-    """The table's row maxima and column minima, as the whole table's
-    ``max(axis=1)`` and ``min(axis=0)`` give them: each row is reduced
-    alone, and the column minima of the blocks are folded top to bottom.
-    Min is exact and keeps its later operand on ties, so even a signed
-    zero comes out as from the whole table."""
-    row_max, col_min = [], None
-    for block in _row_blocks(value_fn, xpts, ypts):
-        row_max.append(block.max(axis=1))
-        low = block.min(axis=0)
-        col_min = low if col_min is None else np.minimum(col_min, low, out=low)
-    return np.concatenate(row_max), col_min
+    lines, cross = (xpts, ypts) if side == 0 else (ypts, xpts)
+    sign = 1.0 if side == 0 else -1.0  # the winner has the least key
+    sample, bound = cross[::SAMPLE_STRIDE], np.empty(len(lines))
+    for b in _batches(np.arange(len(lines)), len(sample)):
+        bound[b] = sign * _extremes(value_fn, lines[b], sample, side)
+    order = np.argsort(bound, kind="stable")
+    best, seen, found = np.inf, [], []
+    for batch in _batches(order, len(cross)):
+        if bound[batch[0]] > best:
+            break
+        ext = _extremes(value_fn, lines[batch], cross, side)
+        seen.append(batch)
+        found.append(ext)
+        best = min(best, (sign * ext).min())
+    seen, found = np.concatenate(seen), np.concatenate(found)
+    ties = np.flatnonzero(sign * found == best)
+    win = ties[seen[ties].argmin()]
+    return int(seen[win]), found[win]
 
 
 def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
                  resolution: int = 2001) -> SaddleReport:
-    """Brute-force saddle search on a regular grid with local refinement.
+    """Exact saddle search on a regular grid with local refinement.
 
     x* minimizes the max over the y grid, y* maximizes the min over the x
     grid; the reported minimax gap is their difference on the coarse grid.
-    The coarse grid must fit the budget of :func:`grid_budget`.
+    The coarse grid must fit the budget of :func:`grid_budget`, which
+    counts its cells, evaluated or not. NumericError if a cell the search
+    evaluates is NaN.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
@@ -172,10 +214,9 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     x_axes = _axis_grids(bx, resolution)
     y_axes = _axis_grids(by, resolution)
     xpts, ypts = _mesh(x_axes), _mesh(y_axes)
-    sup_y, inf_x = _row_max_col_min(value_fn, xpts, ypts)
-    ix = int(sup_y.argmin())
-    iy = int(inf_x.argmax())
-    gap = float(sup_y[ix] - inf_x[iy])
+    ix, sup_y = _best_line(value_fn, xpts, ypts, 0)
+    iy, inf_x = _best_line(value_fn, xpts, ypts, 1)
+    gap = float(sup_y - inf_x)
     x_star, y_star = xpts[ix].copy(), ypts[iy].copy()
 
     # local refinement: shrink a window of one coarse cell around the winner,
@@ -191,8 +232,8 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
         fxp, fyp = _mesh(fx_axes), _mesh(fy_axes)
         y_all = np.concatenate([ypts, fyp], axis=0)
         x_all = np.concatenate([xpts, fxp], axis=0)
-        x_star = fxp[int(_row_max_col_min(value_fn, fxp, y_all)[0].argmin())].copy()
-        y_star = fyp[int(_row_max_col_min(value_fn, x_all, fyp)[1].argmax())].copy()
+        x_star = fxp[_best_line(value_fn, fxp, y_all, 0)[0]].copy()
+        y_star = fyp[_best_line(value_fn, x_all, fyp, 1)[0]].copy()
         hx = hx * 2.0 / (fine - 1)
         hy = hy * 2.0 / (fine - 1)
 

@@ -39,27 +39,28 @@ FLOAT_FMT = "%.17g"
 # loading
 # ---------------------------------------------------------------------------
 
-def load_scenario(path, check_assumptions: bool = True) -> Scenario:
-    """Parse and validate a scenario file (see :func:`loads_scenario`)."""
+def _read(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ParseError(f"cannot read scenario file {str(path)!r}: {reason}") from None
-    return loads_scenario(text, check_assumptions=check_assumptions)
 
 
-def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
-    """Parse and validate a scenario document.
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file (see :func:`loads_scenario`)."""
+    return loads_scenario(_read(path))
 
-    Weight-rule violations fail the load; window and convexity findings are
-    collected on the returned scenario's ``warnings`` attribute, each
-    distinct objective sampled once and its findings repeated for every
-    agent that holds it. With
-    `check_assumptions` false no assumption is checked at all: the caller
-    runs every check itself (``nashnet graph-check`` reports them).
-    """
+
+def load_graph(path) -> GraphSequenceSpec:
+    """The switching graph of a scenario file alone: no other section is
+    read, no assumption is checked and no limit vector is derived, so
+    ``nashnet graph-check`` can report every verdict itself."""
+    return _from_doc(_graph_from_doc, _document(_read(path)))
+
+
+def _document(text: str) -> dict:
     try:
         # libyaml's parser when pyyaml was built with it: the same safe
         # resolver and constructor, so the same document, several times faster
@@ -70,34 +71,48 @@ def loads_scenario(text: str, check_assumptions: bool = True) -> Scenario:
         raise ParseError(f"scenario parse error{where}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
+    return doc
+
+
+def _from_doc(build, doc: dict):
+    """`build(doc)`, a document of the wrong shape a ValidationError."""
     try:
-        scenario = _scenario_from_doc(doc)
+        return build(doc)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"scenario document malformed: {exc!r}") from None
 
+
+def loads_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document.
+
+    Weight-rule violations fail the load; window and convexity findings are
+    collected on the returned scenario's ``warnings`` attribute, each
+    distinct objective sampled once and its findings repeated for every
+    agent that holds it.
+    """
+    scenario = _from_doc(_scenario_from_doc, _document(text))
+    g = scenario.graph
+    problems = validate_weight_rule(g, g.eta)
+    if problems:
+        raise ValidationError(
+            "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
     warnings = []
-    if check_assumptions:
-        g = scenario.graph
-        problems = validate_weight_rule(g, g.eta)
-        if problems:
-            raise ValidationError(
-                "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
-        if not check_ujsc(g, 1, g.t1):
-            warnings.append(f"subnet 1 not jointly strongly connected within window {g.t1}")
-        if not check_ujsc(g, 2, g.t2):
-            warnings.append(f"subnet 2 not jointly strongly connected within window {g.t2}")
-        if not check_jointly_bipartite(g, g.t_cross):
-            warnings.append(f"cross layer leaves isolated nodes within window {g.t_cross}")
-        # one sample per distinct objective, keyed by repr(e) as
-        # WeightedObjective.compiled keys it, so -0.0 and 0.0 stay apart
-        found = {}
-        for label, (e, _) in zip(
-                [f"subnet1[{i}]" for i in range(g.n1)] + [f"subnet2[{i}]" for i in range(g.n2)],
-                tuple(scenario.objectives1) + tuple(scenario.objectives2)):
-            key = repr(e)
-            if key not in found:
-                found[key] = sample_convexity(e, scenario.box_x, scenario.box_y, trials=200)
-            warnings += [f"{label}: {w}" for w in found[key]]
+    if not check_ujsc(g, 1, g.t1):
+        warnings.append(f"subnet 1 not jointly strongly connected within window {g.t1}")
+    if not check_ujsc(g, 2, g.t2):
+        warnings.append(f"subnet 2 not jointly strongly connected within window {g.t2}")
+    if not check_jointly_bipartite(g, g.t_cross):
+        warnings.append(f"cross layer leaves isolated nodes within window {g.t_cross}")
+    # one sample per distinct objective, keyed by repr(e) as
+    # WeightedObjective.compiled keys it, so -0.0 and 0.0 stay apart
+    found = {}
+    for label, (e, _) in zip(
+            [f"subnet1[{i}]" for i in range(g.n1)] + [f"subnet2[{i}]" for i in range(g.n2)],
+            tuple(scenario.objectives1) + tuple(scenario.objectives2)):
+        key = repr(e)
+        if key not in found:
+            found[key] = sample_convexity(e, scenario.box_x, scenario.box_y, trials=200)
+        warnings += [f"{label}: {w}" for w in found[key]]
     object.__setattr__(scenario, "warnings", tuple(warnings))
     return scenario
 
@@ -120,24 +135,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
     obj1 = agents(doc["agents"]["subnet1"])
     obj2 = agents(doc["agents"]["subnet2"])
-
-    gdoc = doc["graph"]
-    phases = gdoc["phases"]
-    n1, n2 = len(obj1), len(obj2)
-    a1, a2, c1, c2 = [], [], [], []
-    for ph in phases:
-        a1.append(np.asarray(ph["a1"], dtype=float))
-        a2.append(np.asarray(ph["a2"], dtype=float))
-        c1.append(_cross_matrix(ph.get("cross_to_1", []), n1, n2))
-        c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
-    windows = gdoc.get("windows", {})
-    t1, t2, t_cross = (_integer(windows.get(t, 1), f"windows.{t}") for t in ("t1", "t2", "t_cross"))
-    graph = GraphSequenceSpec(
-        n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
-        a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2),
-        eta=float(gdoc["eta"]),
-        t1=t1, t2=t2, t_cross=t_cross)
-
+    graph = _graph_from_doc(doc)
     rule = _rule_from_doc(doc["stepsize"], graph)
     run_doc = doc.get("run", {})
     oracle = run_doc.get("oracle") or {}
@@ -151,6 +149,25 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         oracle_x=tuple(oracle["x_star"]) if "x_star" in oracle else None,
         oracle_y=tuple(oracle["y_star"]) if "y_star" in oracle else None,
         oracle_provenance=str(oracle.get("provenance", "")))
+
+
+def _graph_from_doc(doc: dict) -> GraphSequenceSpec:
+    gdoc = doc["graph"]
+    phases = gdoc["phases"]
+    n1, n2 = len(doc["agents"]["subnet1"]), len(doc["agents"]["subnet2"])
+    a1, a2, c1, c2 = [], [], [], []
+    for ph in phases:
+        a1.append(np.asarray(ph["a1"], dtype=float))
+        a2.append(np.asarray(ph["a2"], dtype=float))
+        c1.append(_cross_matrix(ph.get("cross_to_1", []), n1, n2))
+        c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
+    windows = gdoc.get("windows", {})
+    t1, t2, t_cross = (_integer(windows.get(t, 1), f"windows.{t}") for t in ("t1", "t2", "t_cross"))
+    return GraphSequenceSpec(
+        n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
+        a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2),
+        eta=float(gdoc["eta"]),
+        t1=t1, t2=t2, t_cross=t_cross)
 
 
 def _cross_matrix(edges, n_to, n_from) -> np.ndarray:

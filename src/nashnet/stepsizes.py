@@ -64,15 +64,16 @@ class GammaSchedule:
             raise ValidationError(
                 f"schedule table of length {len(self.table)} cannot cover {K} iterations")
 
-    def values(self, K: int) -> list:
-        """gamma_0 .. gamma_{K-1} in one pass: the table's first K entries,
-        or c / (k + b)^(1/2 + eps) in Python floats, the one place the power
-        law is evaluated. ValidationError unless the schedule covers K."""
+    def values(self, K: int) -> np.ndarray:
+        """gamma_0 .. gamma_{K-1} in one pass, as a float64 array: the table's
+        first K entries, or c / (k + b)^(1/2 + eps) in Python floats, the one
+        place the power law is evaluated. ValidationError unless the schedule
+        covers K."""
         self.require_horizon(K)
         if self.table is not None:
-            return list(self.table[:K])
+            return np.array(self.table[:K], dtype=float)
         c, b, p = self.c, self.b, 0.5 + self.eps
-        return [c / (k + b) ** p for k in range(K)]
+        return np.fromiter((c / (k + b) ** p for k in range(K)), dtype=float, count=K)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     code is generated, when a side's banks would hold more than
     LEARNER_BANK_CAP entries.
     """
-    gam = np.array(rule.schedule.values(K), dtype=float)[:, None]
+    gam = rule.schedule.values(K)[:, None]
     if isinstance(rule, Homogeneous):
         return (np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2)),
                 None, None)

@@ -17,7 +17,8 @@ The grid oracle's weighted sum has one as well: :func:`per_term_value`
 evaluates one closure per term and adds them with ``sum``, and
 :func:`whole_table` fills the grid table in a single call, which
 :func:`table_extremes` holds whole to take its row maxima and column
-minima. :func:`centralized_saddle` finds the saddle by projected
+minima. :func:`grid_minimax` is the oracle's search as a scan of every
+cell of every table it reads. :func:`centralized_saddle` finds the saddle by projected
 descent-ascent instead, and :func:`verify_saddle` certifies a candidate on
 samples. The convexity sampler's oracle draws each trial's points with
 sequential ``rng.uniform`` calls and evaluates them one at a time through
@@ -317,8 +318,8 @@ def per_term_value(w, m1, m2):
 
 
 def whole_table(value_fn, xpts, ypts):
-    """The blocks of ``saddle._row_blocks`` in one call over the whole
-    (Nx, Ny) product."""
+    """The (Nx, Ny) grid table of ``value_fn`` on the product of two point
+    sets, in one call, held whole."""
     xcols = [xpts[:, d][:, None] for d in range(xpts.shape[1])]
     ycols = [ypts[:, d][None, :] for d in range(ypts.shape[1])]
     return np.broadcast_to(np.asarray(value_fn(xcols, ycols), dtype=float),
@@ -326,9 +327,43 @@ def whole_table(value_fn, xpts, ypts):
 
 
 def table_extremes(value_fn, xpts, ypts):
-    """``saddle._row_max_col_min`` from the whole table, held at once."""
+    """The row maxima and column minima of the whole table, held at once."""
     table = whole_table(value_fn, xpts, ypts)
     return table.max(axis=1), table.min(axis=0)
+
+
+def grid_minimax(w, bx, by, resolution: int = 2001, per_term: bool = False):
+    """``saddle.grid_minimax`` as the whole-table scan: the coarse table and
+    both tables of each refinement level are evaluated in every cell and
+    held whole, x* is their ``max(axis=1).argmin()`` row and y* their
+    ``min(axis=0).argmax()`` column. The sum is ``w.compiled``, or with
+    `per_term` :func:`per_term_value`. No budget, dimension or NaN check."""
+    m1, m2 = bx.dim, by.dim
+    fn = per_term_value(w, m1, m2) if per_term else w.compiled(m1, m2)
+    xpts = saddle._mesh(saddle._axis_grids(bx, resolution))
+    ypts = saddle._mesh(saddle._axis_grids(by, resolution))
+    sup_y, inf_x = table_extremes(fn, xpts, ypts)
+    ix, iy = int(sup_y.argmin()), int(inf_x.argmax())
+    gap = float(sup_y[ix] - inf_x[iy])
+    x_star, y_star = xpts[ix].copy(), ypts[iy].copy()
+    hx = np.array([(u - l) / (resolution - 1) for l, u in zip(bx.lower, bx.upper)])
+    hy = np.array([(u - l) / (resolution - 1) for l, u in zip(by.lower, by.upper)])
+    fine = min(201, resolution)
+    for _ in range(saddle.REFINE_LEVELS):
+        fxp = saddle._mesh([np.linspace(max(l, c - h), min(u, c + h), fine)
+                            for c, h, l, u in zip(x_star, hx, bx.lower, bx.upper)])
+        fyp = saddle._mesh([np.linspace(max(l, c - h), min(u, c + h), fine)
+                            for c, h, l, u in zip(y_star, hy, by.lower, by.upper)])
+        y_all = np.concatenate([ypts, fyp], axis=0)
+        x_all = np.concatenate([xpts, fxp], axis=0)
+        x_star = fxp[int(table_extremes(fn, fxp, y_all)[0].argmin())].copy()
+        y_star = fyp[int(table_extremes(fn, x_all, fyp)[1].argmax())].copy()
+        hx = hx * 2.0 / (fine - 1)
+        hy = hy * 2.0 / (fine - 1)
+    val = float(np.asarray(fn([np.array([c]) for c in x_star],
+                              [np.array([c]) for c in y_star])).ravel()[0])
+    return saddle.SaddleReport(x_star=tuple(x_star), y_star=tuple(y_star), value=val,
+                               minimax_gap=gap, grid_resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -104,7 +105,6 @@ def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, arg
 
 def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
-    import numpy as np
     from canonical_reference import make_identical_scenario
     from nashnet.exprs import BoxSet, Neg, Pow, Sum, x_var, y_var
     from nashnet.stepsizes import GammaSchedule, Homogeneous
@@ -170,6 +170,22 @@ def test_oracle_budget_exit_5(shsad, monkeypatch, capsys):
     assert main(["oracle", shsad, "--grid", "401"]) == 5
 
 
+def test_oracle_nan_table_exit_4(shsad, tmp_path, capsys):
+    """x0^400 - y0^400 is inf - inf at the corners of [-6, 6]^2: the oracle
+    exits 4, points to a stored reference and writes no report."""
+    doc = yaml.safe_load(Path(shsad).read_text())
+    for entry in doc["agents"]["subnet1"]:
+        entry.update(expr="(sub (pow x0 400) (pow y0 400))", selections={})
+    doc["boxes"] = {side: {"lower": [-6.0], "upper": [6.0]} for side in ("x", "y")}
+    path, out = tmp_path / "nan.yaml", tmp_path / "report.csv"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["oracle", str(path), "--grid", "101", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "NaN" in err and "run.oracle" in err
+    assert not out.exists()
+
+
 def test_graph_check_pass(shsad, capsys):
     assert main(["graph-check", shsad]) == 0
     out = capsys.readouterr().out
@@ -210,6 +226,27 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
                  ["sweep", str(bad), "--values", "1", "--out", str(tmp_path / "sw")]):
         assert main(argv) == 3
         assert "weight rule violated" in capsys.readouterr().err
+
+
+def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
+    """An oracle_heterogeneous rule without stored phi1/phi2 derives them at
+    load, which needs the weight rule; graph-check reads the graph alone,
+    so it prints the failing verdict and exits 3, and run keeps the load's
+    message."""
+    doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
+                         .read_text(encoding="utf-8"))
+    assert doc["stepsize"]["variant"] == "oracle_heterogeneous" and "phi1" not in doc["stepsize"]
+    doc["graph"]["phases"][0]["a1"][0] = [0.8, 0.1, 0.0]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["graph-check", str(bad)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"weight rule (eta={doc['graph']['eta']}): FAIL"
+    assert any(ln.startswith("cross layer covers every node") for ln in lines)
+    assert "assumptions failed: weight rule" in captured.err
+    assert main(["run", str(bad)]) == 3
+    assert "oracle limit vectors exist only on" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, code, message", [
@@ -518,7 +555,7 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
     from temporaries of the states' size) plus 4 MB: no CSV text is held
     whole, and nothing else is kept per iteration."""
     example1 = str(Path(nashnet.__file__).parent / "scenarios" / "example1.yaml")
-    scenario = load_scenario(example1, check_assumptions=False)
+    scenario = load_scenario(example1)
 
     def array_bytes(iterations):
         trace = run(scenario, iterations=iterations)

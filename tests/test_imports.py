@@ -8,9 +8,14 @@ project depends on no linter. ``__future__`` imports and the package
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
+from test_scenario_io import _many_agents_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nashnet"
@@ -179,3 +184,34 @@ def test_scan_finds_an_unset_default():
     assert unset_defaults(modules, callers) == ["D.w", "f.d", "g.z", "m.q"]
     assert unset_defaults(modules, callers + ["g(**kw)\nK().m(q=1)\nf(d=0)\n"
                                               "a.D(0, w=1)\n"]) == []
+
+
+_COMMANDS_SCRIPT = """
+import os, sys
+from nashnet import cli
+scenarios, out = cli.__file__.replace("cli.py", "scenarios"), sys.argv[2]
+example1, shsad = (os.path.join(scenarios, f"{n}.yaml") for n in ("example1", "shared_saddle"))
+for argv in (["reproduce", "1", "--out", out],
+             ["run", sys.argv[1], "--out", os.path.join(out, "t.csv"),
+              "--metrics", os.path.join(out, "m.csv")],
+             ["oracle", shsad, "--out", os.path.join(out, "r.csv")],
+             ["sweep", example1, "--param", "iterations", "--values", "500,1000",
+              "--out", out]):
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    """``reproduce``, ``run`` on a 100 + 100 agent document, ``oracle`` and
+    ``sweep``, in one interpreter, never import ``numpy.ma``: numpy imports
+    it lazily, from ``np.unique`` for one, and it costs about 5 MB of RSS."""
+    doc = tmp_path / "many.yaml"
+    doc.write_text(yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+                             Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT, str(doc), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"

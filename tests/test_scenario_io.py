@@ -21,7 +21,7 @@ from nashnet.exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
 from nashnet import scenario_io
-from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_scenario,
+from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
                                  loads_scenario, metrics_to_csv,
                                  plotdata_to_csv, report_to_csv, save_scenario,
                                  scenario_to_doc, sweep_summary_to_csv,
@@ -317,15 +317,21 @@ def _isolate_agent_0(doc):
         "fractional period", "fractional window", "fractional cross index",
         "fractional learner period", "boolean selection key", "NaN gamma c",
         "infinite gamma b", "NaN schedule table entry"])
-def test_loader_rejects_unusable_documents(name, edit, message):
+def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
-    search, or crashed a later command; now the load fails, with or without
-    the assumption checks."""
+    search, or crashed a later command; now the load fails. An edit to the
+    graph fails graph-check's graph-only load as well, except the one whose
+    graph has no limit vectors: graph-check reports that graph's verdicts."""
     doc = copy.deepcopy(BUNDLED_DOCS[name])
     edit(doc)
-    for check in (True, False):
+    text = yaml.safe_dump(doc, sort_keys=False)
+    with pytest.raises(ValidationError, match=message):
+        loads_scenario(text)
+    if doc["graph"] != BUNDLED_DOCS[name]["graph"] and edit is not _isolate_agent_0:
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
         with pytest.raises(ValidationError, match=message):
-            loads_scenario(yaml.safe_dump(doc, sort_keys=False), check_assumptions=check)
+            load_graph(path)
 
 
 def test_loader_takes_integral_floats():

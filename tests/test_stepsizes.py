@@ -49,7 +49,7 @@ def test_schedule_rejects_overflowing_gamma_0():
 def test_schedule_values_are_the_values_of_each_k():
     for s, K in ((GammaSchedule(c=1.3, b=7.0, eps=0.37), 1000),
                  (GammaSchedule(table=(0.5, 0.25, 0.1)), 2)):
-        assert s.values(K) == [gamma(s, k) for k in range(K)]
+        assert s.values(K).tolist() == [gamma(s, k) for k in range(K)]
     with pytest.raises(ValidationError):
         GammaSchedule(table=(0.5,)).values(2)
 
