@@ -78,9 +78,10 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
     nash = _squared_distance(trace.x, x_star) + _squared_distance(trace.y, y_star)
 
     u = unit_weighted(scenario.objectives1).compiled(scenario.m1, scenario.m2)
-    # each block mean, (K+1, m), lives only while its side is evaluated
-    u_left = np.asarray(u(list(trace.x.mean(axis=1).T),
-                          [np.array([c]) for c in y_star]), dtype=float).ravel()
-    u_right = np.asarray(u([np.array([c]) for c in x_star],
-                           list(trace.y.mean(axis=1).T)), dtype=float).ravel()
-    return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each block mean, (K+1, m), lives only while its side is evaluated
+        u_left = np.asarray(u(list(trace.x.mean(axis=1).T),
+                              [np.array([c]) for c in y_star]), dtype=float).ravel()
+        u_right = np.asarray(u([np.array([c]) for c in x_star],
+                               list(trace.y.mean(axis=1).T)), dtype=float).ravel()
+        return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right)

@@ -183,6 +183,7 @@ def _best_line(value_fn, xpts, ypts, side):
     return int(seen[win]), found[win]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
                  resolution: int = 2001) -> SaddleReport:
     """Exact saddle search on a regular grid with local refinement.
@@ -191,7 +192,7 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     grid; the reported minimax gap is their difference on the coarse grid.
     The coarse grid must fit the budget of :func:`grid_budget`, which
     counts its cells, evaluated or not. NumericError if a cell the search
-    evaluates is NaN.
+    evaluates is NaN; a cell or value that overflows does not warn.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")

@@ -7,7 +7,9 @@ nonzero weights in increasing j, each product and sum a separately rounded
 Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
 and one time step at a time, on gamma_k from :func:`gamma`; adaptive
 denominators from :func:`phi_readouts`, the diagonals of the paper's
-backward products ``transition_product``. Objectives are compiled closures
+backward products, each a chain of :func:`canonical_matmul`
+(:func:`backward_product`), the reference of ``digraph.transition_product``
+and ``digraph.limiting_stochastic_vector``. Objectives are compiled closures
 of each agent's derivative alone, built by :func:`emitted_derivative` from
 the code the engine inlines, so a value that overflows stops neither.
 ``test_exprs`` checks them against the recursive interpreter here,
@@ -38,7 +40,7 @@ import numpy as np
 
 from nashnet import saddle
 from nashnet.catalog import CATALOG
-from nashnet.digraph import GraphSequenceSpec, transition_product
+from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Affine, Const, Neg, Pow, Prod, Scale, Sum, Var,
@@ -89,6 +91,35 @@ def mix_within(states, A) -> np.ndarray:
                      for row in np.asarray(A, dtype=float).tolist()])
 
 
+def canonical_matmul(A, B) -> np.ndarray:
+    """A @ B in the canonical order (see the ``digraph`` module docstring).
+
+    Vectorized over rows: pass t adds the t-th nonzero term of every row
+    that has one. A row without nonzero weights yields 0.0.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    B2 = B.reshape(B.shape[0], -1)
+    out = np.zeros((A.shape[0], B2.shape[1]))
+    rows, cols = np.nonzero(A)  # row-major, so j increases within a row
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    for t in range(int(rank.max(initial=-1)) + 1):
+        sel = rank == t
+        r, c = rows[sel], cols[sel]
+        term = A[r, c][:, None] * B2[c]
+        out[r] = term if t == 0 else out[r] + term
+    return out.reshape((A.shape[0],) + B.shape[1:])
+
+
+def backward_product(mats, k: int, s: int) -> np.ndarray:
+    """Phi(k, s) = A(k) ... A(s) of the periodic phase list `mats`, one
+    :func:`canonical_matmul` per factor."""
+    P = mats[s % len(mats)]
+    for t in range(s + 1, k + 1):
+        P = canonical_matmul(mats[t % len(mats)], P)
+    return P
+
+
 def cross_observe(cross_row, other_states, cache_value, cache_time, k):
     """Refresh one agent's cross cache if it has cross in-neighbors now.
 
@@ -132,9 +163,10 @@ def step(state: NetworkState, scenario, alpha, beta, objectives=None) -> Network
     fx, fy = objectives or compiled_objectives(scenario)
     g = scenario.graph
     k = state.k
-    xh = mix_within(state.x, g.mixing(1, k))
-    yh = mix_within(state.y, g.mixing(2, k))
-    c1, c2 = g.cross_into(1, k), g.cross_into(2, k)
+    ph = k % g.period
+    xh = mix_within(state.x, g.a1[ph])
+    yh = mix_within(state.y, g.a2[ph])
+    c1, c2 = g.cross1[ph], g.cross2[ph]
     breve_x = state.breve_x.copy()
     breve_y = state.breve_y.copy()
     tcx = state.contact_x.copy()
@@ -180,11 +212,12 @@ def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
     """Adaptive denominators at times 0..K-1 straight from the paper: time k
     reads bank nu = k % len(activation), started at t0 = activation[nu], and
     agent i's denominator is Phi(k-1, t0)[i, i], or 1.0 while k <= t0."""
-    out = np.ones((K, spec.subnet_size(subnet)))
+    mats = spec.a1 if subnet == 1 else spec.a2
+    out = np.ones((K, len(mats[0])))
     for k in range(K):
         t0 = activation[k % len(activation)]
         if k > t0:
-            out[k] = np.diagonal(transition_product(spec, subnet, k - 1, t0))
+            out[k] = np.diagonal(backward_product(mats, k - 1, t0))
     return out
 
 

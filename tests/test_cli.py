@@ -186,6 +186,41 @@ def test_oracle_nan_table_exit_4(shsad, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_values_leak_no_numpy_warning(shsad, tmp_path):
+    """The NaN oracle table above, and a run whose saddle residual is
+    inf - inf (x0 pinned at 1e80, so x0^4 overflows, against a stored
+    reference there), write to stderr no numpy RuntimeWarning: the oracle
+    only its error line, and the run nothing while its metrics hold nan."""
+    doc = yaml.safe_load(Path(shsad).read_text())
+    for entry in doc["agents"]["subnet1"]:
+        entry.update(expr="(sub (pow x0 400) (pow y0 400))", selections={})
+    doc["boxes"] = {side: {"lower": [-6.0], "upper": [6.0]} for side in ("x", "y")}
+    nan_table = tmp_path / "nan.yaml"
+    nan_table.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(Path(shsad).read_text())
+    for side in ("subnet1", "subnet2"):
+        for entry in doc["agents"][side]:
+            entry.update(expr="(sub (pow x0 4) (pow y0 2))", selections={})
+    doc["boxes"]["x"] = {"lower": [1e80], "upper": [1e80]}
+    doc["initial"]["x"] = [[1e80]] * 3
+    doc["run"].update(iterations=20, oracle={"x_star": [1e80], "y_star": [0.0]})
+    overflow = tmp_path / "overflow.yaml"
+    overflow.write_text(yaml.safe_dump(doc, sort_keys=False))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-W", "always::RuntimeWarning",
+                               "-m", "nashnet.cli", *argv],
+                              env=_env(), capture_output=True, text=True, timeout=300)
+    proc = cli("oracle", str(nan_table), "--grid", "101")
+    assert (proc.returncode, proc.stderr) == (4, "error: grid oracle table holds NaN; "
+                                              "store a reference under run.oracle (x_star, "
+                                              "y_star) in the scenario document instead\n")
+    metrics = tmp_path / "m.csv"
+    proc = cli("run", str(overflow), "--out", str(tmp_path / "t.csv"), "--metrics", str(metrics))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert metrics.read_text().splitlines()[-1].endswith(",nan")
+
+
 def test_graph_check_pass(shsad, capsys):
     assert main(["graph-check", shsad]) == 0
     out = capsys.readouterr().out

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canonical_reference import (canonical_dot, disagreement_span,
-                                 ergodicity_coefficient)
+from canonical_reference import (backward_product, canonical_dot, canonical_matmul,
+                                 disagreement_span, ergodicity_coefficient)
 from nashnet import digraph
 from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GeometricRateBound,
                              GraphSequenceSpec, _constant_spec, build_cycle_matrix,
-                             canonical_matmul, canonical_mix_code,
+                             canonical_mix_code,
                              check_jointly_bipartite, check_ujsc,
                              geometric_rate_bound, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
@@ -158,6 +160,62 @@ def test_canonical_matmul_is_the_canonical_sum():
         assert canonical_matmul(A, B[:, 0]).tobytes() == np.array(want)[:, 0].tobytes()
 
 
+@st.composite
+def _phase_lists(draw):
+    """1-3 sparse stochastic n x n phases, n 1-8: rows of small whole
+    weights, normalized, with positive diagonals. Phase 0 holds a tree of
+    arcs from node 0, so every agent hears node 0 and the products have a
+    limit."""
+    n, period = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    mats = []
+    for ph in range(period):
+        W = np.array(draw(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]),
+                                            min_size=n, max_size=n),
+                                   min_size=n, max_size=n)), dtype=float)
+        np.fill_diagonal(W, np.diag(W) + 1.0)
+        if ph == 0:
+            for i in range(1, n):
+                W[i, draw(st.integers(0, i - 1))] += 1.0
+        mats.append(W / W.sum(axis=1, keepdims=True))
+    return mats
+
+
+def _spec_of(mats) -> GraphSequenceSpec:
+    n, period = len(mats[0]), len(mats)
+    return GraphSequenceSpec(n1=n, n2=1, period=period, a1=tuple(mats),
+                             a2=(np.eye(1),) * period, cross1=(np.zeros((n, 1)),) * period,
+                             cross2=(np.zeros((1, n)),) * period,
+                             eta=min(float(A[A > 0].min()) for A in mats),
+                             t1=period, t2=1, t_cross=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phase_lists(), st.integers(0, 4), st.integers(0, 12))
+def test_planned_products_are_the_reference_products(mats, extra, steps):
+    """transition_product, started at or beyond one period, is a chain of
+    the reference canonical_matmul byte for byte, and the limit vector is
+    the one read off that chain at the first spread within LIMIT_TOL."""
+    spec, s = _spec_of(mats), len(mats) + extra
+    want = backward_product(mats, s + steps, s)
+    assert transition_product(spec, 1, s + steps, s).tobytes() == want.tobytes()
+    P, k = mats[s % len(mats)], s
+    while float((P.max(axis=0) - P.min(axis=0)).max()) > digraph.LIMIT_TOL:
+        k += 1
+        P = canonical_matmul(mats[k % len(mats)], P)
+    phi = P.mean(axis=0)
+    assert limiting_stochastic_vector(spec, 1, s).tobytes() == (phi / phi.sum()).tobytes()
+
+
+def test_planned_product_of_an_empty_row_is_zero():
+    """A factor row without weights comes out as 0.0, as the reference
+    gives it, and the other rows as the reference's canonical sums."""
+    B = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.3, 0.7]])
+    A = np.array([[0.2, 0.0, 0.8], [0.0, 0.0, 0.0], [0.1, 0.6, 0.3]])
+    P = transition_product(_spec_of([B, A]), 1, 1, 0)
+    assert P.tobytes() == canonical_matmul(A, B).tobytes()
+    assert P[1].tobytes() == np.zeros(3).tobytes()
+
+
 def test_canonical_mix_code_bounds_statement_length():
     """A sum far longer than the compiler's nesting limit compiles, in
     statements of bounded length, to the same canonical sum."""
@@ -231,7 +289,9 @@ def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
 
     def refused(*args):
         raise AssertionError("a rootless product was multiplied")
-    monkeypatch.setattr(digraph, "canonical_matmul", refused)
+    monkeypatch.setattr(digraph, "_product_plan", refused)
+    with pytest.raises(AssertionError, match="multiplied"):
+        limiting_stochastic_vector(rooted, 1, 0)  # the refusal is on the factor path
     with pytest.raises(NumericError, match="no node that every agent hears"):
         limiting_stochastic_vector(rootless, 1, 0)
 

@@ -2,7 +2,8 @@
 uses, every top-level function and class is named outside its own body
 by the package, a demo or ``perfbench/``, and every parameter default and
 dataclass field default is overridden by some call there; what only tests use belongs in
-``tests/canonical_reference.py``. These are stdlib ``ast`` scans, as the
+``tests/canonical_reference.py``; and no matrix product but two admitted
+ones can hand a result to the BLAS. These are stdlib ``ast`` scans, as the
 project depends on no linter. ``__future__`` imports and the package
 ``__init__`` (whose imports are its public re-exports) are exempt.
 """
@@ -47,6 +48,51 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
     assert unused_imports("from a import (b, c as d)\nd()\n") == ["b (line 1)"]
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+ALLOWED_PRODUCTS = {"digraph.py: reachability: R @ R", "digraph.py: perron_vector: phi @ A"}
+
+
+def matrix_products(modules: dict) -> list:
+    """``module: function: expression`` for each ``@``, ``@=`` and call to
+    a name or attribute in MATRIX_PRODUCTS in `modules` (name -> source),
+    the function being the innermost one around it."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or getattr(func, "attr", getattr(func, "id", None)) in MATRIX_PRODUCTS):
+            found.append(f"{module}: {where}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for name, source in modules.items():
+        visit(ast.parse(source), name, "<module>")
+    return sorted(found)
+
+
+def test_only_two_matrix_products():
+    """No BLAS call feeds a state or a stepsize: src's matrix products are
+    the boolean closure in ``reachability`` and the residual check in
+    ``perron_vector``; every product of weights and values goes through
+    the canonical order of ``digraph``."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert matrix_products(modules) == sorted(ALLOWED_PRODUCTS)
+
+
+def test_scan_finds_a_matrix_product():
+    modules = {"a": ("import numpy as np\nfrom numpy import einsum\n"
+                     "def f(A, x):\n    y = A @ x\n    y @= A\n    return np.dot(A, x)\n"
+                     "z = x.dot(A) + einsum('ij,j', A, x) + np.tensordot(A, x, 1)\n"
+                     "def g(A):\n    return np.inner(A, A) * A.T + np.matmul(A, A)\n")}
+    assert matrix_products(modules) == [
+        "a: <module>: einsum('ij,j', A, x)", "a: <module>: np.tensordot(A, x, 1)",
+        "a: <module>: x.dot(A)", "a: f: A @ x", "a: f: np.dot(A, x)", "a: f: y @= A",
+        "a: g: np.inner(A, A)", "a: g: np.matmul(A, A)"]
 
 
 def names_used(tree) -> set:
