@@ -301,8 +301,10 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     the number of factors; where the bound gives no rate in (0, 1) the cap
     is a generous one.
 
-    Before any product, NumericError when the union graph of one period has
-    no root, a node every agent hears. That is necessary: if the rows agree
+    Before any product, ValidationError when a phase has a negative weight
+    or a row that does not sum to one within STOCHASTIC_TOL, and
+    NumericError when the union graph of one period has no root, a node
+    every agent hears. That is necessary: if the rows agree
     on phi, some phi_j > 0, so from some time on every row i of the product
     is positive at j, and an arc of the product is a path of the union, so
     every i hears j. With positive diagonals it is also sufficient: each
@@ -312,6 +314,10 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     one.
     """
     mats = spec.a1 if subnet == 1 else spec.a2
+    for phase, A in enumerate(mats):
+        if (A < 0).any() or (np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL).any():
+            raise ValidationError(f"subnet {subnet} phase {phase} is not row-stochastic: a weight "
+                                  "is negative or a row does not sum to one")
     union = next(_window_unions(mats, len(mats), lambda A: A > 0))
     if not reachability(union).all(axis=0).any():
         raise NumericError(f"transition product of subnet {subnet} has no limit: the "

@@ -111,8 +111,6 @@ def _axis_grids(box: BoxSet, resolution: int):
 def _mesh(axes):
     """Flatten a per-axis grid list into an (N, dim) point array, C order so
     np.argmin ties resolve to the lexicographically smallest index."""
-    if len(axes) == 1:
-        return axes[0][:, None]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 

@@ -211,9 +211,7 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
     if variant == "adaptive_common":
         return AdaptiveCommonEigvec(schedule)
     if variant == "adaptive_periodic":
-        return AdaptivePeriodic(schedule,
-                                p1=_integer(sdoc.get("p1", graph.period), "stepsize.p1"),
-                                p2=_integer(sdoc.get("p2", graph.period), "stepsize.p2"))
+        return AdaptivePeriodic(schedule)
     raise ValidationError(f"unknown stepsize variant {variant!r}")
 
 
@@ -235,8 +233,6 @@ def scenario_to_doc(s: Scenario) -> dict:
     if isinstance(s.rule, OracleHeterogeneous):
         sdoc["phi1"] = [[float(v) for v in vec] for vec in s.rule.phi1]
         sdoc["phi2"] = [[float(v) for v in vec] for vec in s.rule.phi2]
-    if isinstance(s.rule, AdaptivePeriodic):
-        sdoc["p1"], sdoc["p2"] = s.rule.p1, s.rule.p2
     doc = {
         "meta": {"name": s.name,
                  "determinism": "runs are seed-free and bit-identical"},

@@ -112,13 +112,10 @@ class AdaptiveCommonEigvec:
 
 @dataclass(frozen=True)
 class AdaptivePeriodic:
-    schedule: GammaSchedule
-    p1: int
-    p2: int
+    """One learner bank per phase of the graph's period, started at times
+    1, ..., period on both sides."""
 
-    def __post_init__(self):
-        if self.p1 < 1 or self.p2 < 1:
-            raise ValidationError("adaptive periodic rule needs p1 >= 1 and p2 >= 1")
+    schedule: GammaSchedule
 
 
 StepsizeRule = Homogeneous | OracleHeterogeneous | AdaptiveCommonEigvec | AdaptivePeriodic
@@ -147,7 +144,7 @@ def learner_readouts(mats, activation, K: int) -> np.ndarray:
     mats[k % len(mats)] at time k. Time k reads bank k % len(activation):
     agent i reads entry (i, i) of the backward product Phi(k-1, t0) from that
     bank's start t0, or 1.0 while k <= t0. ``(0,)`` is the common-eigenvector
-    learner, ``(1, ..., p)`` the periodic one. One generated loop, canonical order.
+    learner, ``(1, ..., period)`` the periodic one. One generated loop, canonical order.
     """
     n, nb = len(mats[0]), len(activation)
     bank = [[f"b{i}_{c}" for c in range(nb * n)] for i in range(n)]
@@ -203,17 +200,17 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
         nxt = (np.arange(K) + 1) % graph.period
         return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
     if isinstance(rule, AdaptiveCommonEigvec):
-        first, banks = 0, (1, 1)  # one bank from time 0
+        activation = (0,)  # one bank from time 0
     elif isinstance(rule, AdaptivePeriodic):
-        first, banks = 1, (rule.p1, rule.p2)  # banks from times 1, ..., p
+        activation = tuple(range(1, graph.period + 1))  # one bank per phase
     else:
         raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
-    for p, n, label in zip(banks, (graph.n1, graph.n2), ("subnet 1", "subnet 2")):
+    p = len(activation)
+    for n, label in ((graph.n1, "subnet 1"), (graph.n2, "subnet 2")):
         if p * n * n > LEARNER_BANK_CAP:
             raise ResourceError(f"{label} adaptive learner needs {p} banks of {n}x{n} entries, "
                                 f"{p * n * n} in all, above the cap of {LEARNER_BANK_CAP}")
-    r1, r2 = (learner_readouts(mats, tuple(range(first, first + p)), K)
-              for mats, p in zip((graph.a1, graph.a2), banks))
+    r1, r2 = (learner_readouts(mats, activation, K) for mats in (graph.a1, graph.a2))
     if (r1 <= 0).any() or (r2 <= 0).any():
         raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
     return gam / r1, gam / r2, r1, r2

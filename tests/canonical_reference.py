@@ -221,12 +221,14 @@ def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
     return out
 
 
-def activations(rule):
-    """Bank start times of an adaptive rule per subnet; None otherwise."""
+def activations(rule, period: int):
+    """Bank start times of an adaptive rule on a graph of `period` phases:
+    one bank from time 0, or one per phase from times 1..period; None for
+    the other rules."""
     if isinstance(rule, AdaptiveCommonEigvec):
-        return (0,), (0,)
+        return (0,)
     if isinstance(rule, AdaptivePeriodic):
-        return tuple(range(1, rule.p1 + 1)), tuple(range(1, rule.p2 + 1))
+        return tuple(range(1, period + 1))
     return None
 
 
@@ -274,9 +276,9 @@ def reference_run(scenario, K):
     """
     rule, g = scenario.rule, scenario.graph
     r1 = r2 = readouts = None
-    act = activations(rule)
+    act = activations(rule, g.period)
     if act is not None:
-        r1, r2 = readouts = phi_readouts(g, 1, act[0], K), phi_readouts(g, 2, act[1], K)
+        r1, r2 = readouts = phi_readouts(g, 1, act, K), phi_readouts(g, 2, act, K)
     objectives = compiled_objectives(scenario)
     states, alphas, betas = [initial_state(scenario)], [], []
     for k in range(K):

@@ -10,9 +10,11 @@ pass line with the measured numbers.
 
 import hashlib
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from canonical_reference import (disagreement_span, ergodicity_coefficient,
                                  evaluate, lipschitz_bound, project,
@@ -27,7 +29,7 @@ from nashnet.exprs import BoxSet, abs_nodes, check_selection
 from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
                             unit_weighted)
-from nashnet.scenario_io import (bundled_scenario, metrics_to_csv,
+from nashnet.scenario_io import (bundled_scenario, loads_scenario, metrics_to_csv,
                                  plotdata_to_csv, trace_to_csv)
 from nashnet.stepsizes import learner_readouts, oracle_heterogeneous_build
 
@@ -424,6 +426,17 @@ def test_bundled_trace_digests_pinned(scenarios, traces):
         csv = trace_to_csv(traces[name][0])
         assert _sha256(csv) == TRACE_DIGESTS[name], name
     print("\nPASS trace digests: all five bundled traces match the pinned SHA-256")
+
+
+def test_stale_learner_bank_counts_run_the_bundled_learner():
+    """example3 with the bank counts ``stepsize.p1: 1, p2: 3``, which once
+    chose learners that miss the equilibrium, runs one bank per phase of
+    the graph's period and writes the pinned example3 trace."""
+    text = resources.files("nashnet.scenarios").joinpath("example3.yaml").read_text()
+    doc = yaml.safe_load(text)
+    doc["stepsize"].update(p1=1, p2=3)
+    trace = run(loads_scenario(yaml.safe_dump(doc, sort_keys=False)))
+    assert _sha256(trace_to_csv(trace)) == TRACE_DIGESTS["example3"]
 
 
 def test_bundled_metrics_and_plotdata_digests_pinned(scenarios, traces):

@@ -2,6 +2,7 @@
 limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,41 @@ def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
         limiting_stochastic_vector(rooted, 1, 0)  # the refusal is on the factor path
     with pytest.raises(NumericError, match="no node that every agent hears"):
         limiting_stochastic_vector(rootless, 1, 0)
+
+
+def _sequence_spec(mats):
+    """Subnet 1 runs the phases `mats`; subnet 2 is one agent."""
+    n, p = len(mats[0]), len(mats)
+    return GraphSequenceSpec(n1=n, n2=1, period=p, a1=tuple(mats), a2=(np.eye(1),) * p,
+                             cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p,
+                             eta=0.1, t1=p, t2=1, t_cross=1)
+
+
+GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
+
+
+@pytest.mark.parametrize("mats, phase", [
+    ([[[0.0]]], 0),
+    ([GOOD3, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4]]], 1),
+    ([GOOD3, [[1.2, -0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]], 1),
+], ids=["1x1 zero", "all-zero row", "negative weight"])
+def test_limit_vector_of_a_non_stochastic_phase_is_a_validation_error(mats, phase, monkeypatch):
+    """A phase with a row that does not sum to one, such as a 1x1 zero or
+    an all-zero row whose products decay to zero though the union graph
+    has a root, or with a negative weight, has no limit vector: from every
+    start, ValidationError naming the subnet and the phase, before any
+    product and without a numpy warning."""
+    spec = _sequence_spec([np.array(A) for A in mats])
+
+    def refused(*args):
+        raise AssertionError("a non-stochastic product was multiplied")
+    monkeypatch.setattr(digraph, "_product_plan", refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(spec.period):
+            with pytest.raises(ValidationError,
+                               match=f"subnet 1 phase {phase} is not row-stochastic"):
+                limiting_stochastic_vector(spec, 1, s)
 
 
 def test_perron_vector_static_unbalanced():

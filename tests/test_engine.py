@@ -205,8 +205,7 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
     rule = {"homogeneous": lambda: Homogeneous(schedule),
             "oracle": lambda: oracle_heterogeneous_build(graph, schedule),
             "common": lambda: AdaptiveCommonEigvec(schedule),
-            "periodic": lambda: AdaptivePeriodic(schedule, p1=int(rng.integers(1, 4)),
-                                                 p2=int(rng.integers(1, 4)))}[variant]()
+            "periodic": lambda: AdaptivePeriodic(schedule)}[variant]()
     K = 12
     scenario = Scenario(
         name="random", m1=m1, m2=m2,

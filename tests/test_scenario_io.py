@@ -49,7 +49,7 @@ def test_bundled_example1_matches_published_setup():
 def test_bundled_rules():
     assert isinstance(bundled_scenario("example2").rule, OracleHeterogeneous)
     r3 = bundled_scenario("example3").rule
-    assert isinstance(r3, AdaptivePeriodic) and r3.p1 == 2 and r3.p2 == 2
+    assert isinstance(r3, AdaptivePeriodic)
     with pytest.raises(ValidationError):
         bundled_scenario("example9")
 
@@ -270,7 +270,6 @@ def _isolate_agent_0(doc):
     ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]), "missing agent"),
     ("example2", lambda d: d["graph"]["windows"].update(t1=0), "windows"),
     ("example2", _isolate_agent_0, "strongly connected"),
-    ("example3", lambda d: d["stepsize"].update(p1=0), "p1"),
     ("example2", lambda d: d["graph"].update(eta=-0.5), r"eta=-0\.5 must lie in \(0, 1\]"),
     ("example2", lambda d: d["graph"].update(eta=0.0), "eta"),
     ("example2", lambda d: d["graph"].update(eta=1.5), "eta"),
@@ -299,7 +298,6 @@ def _isolate_agent_0(doc):
     ("shared_saddle", lambda d: d["graph"]["windows"].update(t_cross=1.5), "windows.t_cross"),
     ("shared_saddle", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([0, 0.5, 1.0]),
      "cross edge target"),
-    ("example3", lambda d: d["stepsize"].update(p1=1.5), "stepsize.p1"),
     ("example1", lambda d: d["agents"]["subnet1"][1].update(selections={True: 1.0}),
      "selection key must be a whole number, got True"),
     ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(c=float("nan")), "finite c > 0"),
@@ -307,7 +305,7 @@ def _isolate_agent_0(doc):
     ("shared_saddle", lambda d: (d["stepsize"].update(gamma={"table": [1.0, float("nan")] + [0.5] * 3}),
                                  d["run"].update(iterations=5)), "positive and finite"),
 ], ids=["negative cross index", "cross index past the end", "zero window",
-        "oracle rule on a disconnected graph", "zero learner period",
+        "oracle rule on a disconnected graph",
         "negative weight floor", "zero weight floor", "weight floor above one",
         "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
         "infinite constant", "infinite scale factor", "NaN affine coefficient",
@@ -315,7 +313,7 @@ def _isolate_agent_0(doc):
         "saddle reference without y_star", "NaN saddle reference",
         "fractional iterations", "boolean iterations", "fractional dimension",
         "fractional period", "fractional window", "fractional cross index",
-        "fractional learner period", "boolean selection key", "NaN gamma c",
+        "boolean selection key", "NaN gamma c",
         "infinite gamma b", "NaN schedule table entry"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector

@@ -129,7 +129,7 @@ def test_periodic_learner_converges_to_oracle_vectors():
 
 
 def test_adaptive_dispatch_requires_learner():
-    rule = AdaptivePeriodic(GammaSchedule(), p1=2, p2=2)
+    rule = AdaptivePeriodic(GammaSchedule())
     with pytest.raises(ValueError):
         stepsize_for(rule, 0, 1, 5)
     r = learner_readouts(bundled_scenario("example2").graph.a1, (1, 2), 1)
