@@ -107,8 +107,8 @@ class GraphSequenceSpec:
     a1/a2: per-phase mixing matrices of the two subnetworks.
     cross1: per-phase (n1, n2) weights agents of subnet 1 place on subnet 2
     (an all-zero row means no cross in-neighbor that phase); cross2 likewise
-    with shape (n2, n1). eta is the declared weight floor; t1/t2/t_cross the
-    claimed connectivity windows.
+    with shape (n2, n1). eta is the declared weight floor. No connectivity
+    window is declared: one period's union contains every shorter window's.
     """
 
     n1: int
@@ -119,17 +119,12 @@ class GraphSequenceSpec:
     cross1: tuple
     cross2: tuple
     eta: float
-    t1: int
-    t2: int
-    t_cross: int
 
     def __post_init__(self):
         if self.period < 1 or len(self.a1) != self.period or len(self.a2) != self.period:
             raise ValidationError("phase count must equal the declared period")
         if len(self.cross1) != self.period or len(self.cross2) != self.period:
             raise ValidationError("cross layers must cover every phase")
-        if min(self.t1, self.t2, self.t_cross) < 1:
-            raise ValidationError("connectivity windows t1, t2 and t_cross must be >= 1")
         if not 0.0 < self.eta <= 1.0:  # also false for NaN
             raise ValidationError(f"weight floor eta={self.eta} must lie in (0, 1]")
         a1 = tuple(np.asarray(m, dtype=float) for m in self.a1)
@@ -298,26 +293,31 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     Convergence is detected by the maximum column spread falling below
     `spread_tol`; the row average, scaled to sum to one, is returned. UJSC
     of the sequence guarantees termination at a geometric rate, which caps
-    the number of factors; where the bound gives no rate in (0, 1) the cap
-    is a generous one.
+    the number of factors, with the period as the window (one period's union
+    contains every shorter window's); where the bound gives no rate in
+    (0, 1) the cap is a generous one.
 
-    Before any product, ValidationError when a phase has a negative weight
-    or a row that does not sum to one within STOCHASTIC_TOL, and
-    NumericError when the union graph of one period has no root, a node
-    every agent hears. That is necessary: if the rows agree
-    on phi, some phi_j > 0, so from some time on every row i of the product
-    is positive at j, and an arc of the product is a path of the union, so
-    every i hears j. With positive diagonals it is also sufficient: each
-    factor keeps every arc of the factors before it, so one period's
-    product has the union's reachability, and a stochastic matrix with a
-    positive diagonal and a rooted graph has powers that converge to rank
-    one.
+    Before any product, ValidationError when a phase has a negative weight,
+    a row that does not sum to one within STOCHASTIC_TOL or a diagonal entry
+    that is not positive, and NumericError when the union graph of one
+    period has no root, a node every agent hears. A root is necessary: if
+    the rows agree on phi, some phi_j > 0, so from some time on every row i
+    of the product is positive at j, and an arc of the product is a path of
+    the union, so every i hears j. With positive diagonals it is also
+    sufficient: each factor keeps every arc of the factors before it, so one
+    period's product has the union's reachability, and a stochastic matrix
+    with a positive diagonal and a rooted graph has powers that converge to
+    rank one. So the limit is computed only under positive diagonals: the
+    swap [[0, 1], [1, 0]] cycles forever, and [[0, 1], [0, 1]], which has a
+    limit, is refused too.
     """
     mats = spec.a1 if subnet == 1 else spec.a2
     for phase, A in enumerate(mats):
-        if (A < 0).any() or (np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL).any():
-            raise ValidationError(f"subnet {subnet} phase {phase} is not row-stochastic: a weight "
-                                  "is negative or a row does not sum to one")
+        if ((A < 0).any() or (np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL).any()
+                or (np.diagonal(A) <= 0).any()):
+            raise ValidationError(f"subnet {subnet} phase {phase} is not row-stochastic with a "
+                                  "positive diagonal: a weight is negative, a row does not sum "
+                                  "to one or a diagonal entry is not positive")
     union = next(_window_unions(mats, len(mats), lambda A: A > 0))
     if not reachability(union).all(axis=0).any():
         raise NumericError(f"transition product of subnet {subnet} has no limit: the "
@@ -325,7 +325,7 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     max_steps = 1_000_000
     n = len(union)
     if n > 1:  # a 1x1 stochastic product is its own limit; the bound needs n > 1
-        bound = geometric_rate_bound(n, spec.t1 if subnet == 1 else spec.t2, spec.eta)
+        bound = geometric_rate_bound(n, len(mats), spec.eta)
         if 0.0 < bound.rho < 1.0:
             max_steps = int(10 * bound.M * math.log(1.0 / spread_tol)
                             / math.log(1.0 / bound.rho)) + 10
@@ -347,7 +347,7 @@ def _constant_spec(A) -> GraphSequenceSpec:
     eta = float(A[A > 0].min())
     return GraphSequenceSpec(n1=n, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
                              cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),),
-                             eta=eta, t1=n, t2=1, t_cross=1)
+                             eta=eta)
 
 
 def perron_vector(A) -> np.ndarray:

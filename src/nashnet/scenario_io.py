@@ -2,10 +2,10 @@
 
 Scenario documents are YAML: nested key-value sections with matrix literals
 as lists of lists and objectives in prefix notation (see ``exprs.parse_expr``).
-Loading validates structure and the weight rule; connectivity-window checks
-and convexity sampling attach warnings without failing the load. Every CSV
-the package writes (traces, metrics, plot data, oracle reports, sweep
-summaries) comes from one formatter, with a fixed header and
+Loading validates structure and the weight rule; connectivity checks over
+one period and convexity sampling attach warnings without failing the load.
+Every CSV the package writes (traces, metrics, plot data, oracle reports,
+sweep summaries) comes from one formatter, with a fixed header and
 17-significant-digit floats so reimports are bit-faithful. Its bytes are
 those of Python's `%`: numeric chunks are formatted in numpy, each value
 proven to match `%` or handed to it, in the calling process.
@@ -85,10 +85,10 @@ def _from_doc(build, doc: dict):
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Weight-rule violations fail the load; window and convexity findings are
-    collected on the returned scenario's ``warnings`` attribute, each
-    distinct objective sampled once and its findings repeated for every
-    agent that holds it.
+    Weight-rule violations fail the load; connectivity findings over one
+    period and convexity findings are collected on the returned scenario's
+    ``warnings`` attribute, each distinct objective sampled once and its
+    findings repeated for every agent that holds it.
     """
     scenario = _from_doc(_scenario_from_doc, _document(text))
     g = scenario.graph
@@ -96,13 +96,10 @@ def loads_scenario(text: str) -> Scenario:
     if problems:
         raise ValidationError(
             "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
-    warnings = []
-    if not check_ujsc(g, 1, g.t1):
-        warnings.append(f"subnet 1 not jointly strongly connected within window {g.t1}")
-    if not check_ujsc(g, 2, g.t2):
-        warnings.append(f"subnet 2 not jointly strongly connected within window {g.t2}")
-    if not check_jointly_bipartite(g, g.t_cross):
-        warnings.append(f"cross layer leaves isolated nodes within window {g.t_cross}")
+    warnings = [f"subnet {subnet} not jointly strongly connected within one period"
+                for subnet in (1, 2) if not check_ujsc(g, subnet, g.period)]
+    if not check_jointly_bipartite(g, g.period):
+        warnings.append("cross layer leaves isolated nodes within one period")
     # one sample per distinct objective, keyed by repr(e) as
     # WeightedObjective.compiled keys it, so -0.0 and 0.0 stay apart
     found = {}
@@ -161,13 +158,10 @@ def _graph_from_doc(doc: dict) -> GraphSequenceSpec:
         a2.append(np.asarray(ph["a2"], dtype=float))
         c1.append(_cross_matrix(ph.get("cross_to_1", []), n1, n2))
         c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
-    windows = gdoc.get("windows", {})
-    t1, t2, t_cross = (_integer(windows.get(t, 1), f"windows.{t}") for t in ("t1", "t2", "t_cross"))
     return GraphSequenceSpec(
         n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
         a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2),
-        eta=float(gdoc["eta"]),
-        t1=t1, t2=t2, t_cross=t_cross)
+        eta=float(gdoc["eta"]))
 
 
 def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
@@ -245,9 +239,7 @@ def scenario_to_doc(s: Scenario) -> dict:
             "subnet2": [{"expr": format_expr(e), "selections": _selections_doc(sel)}
                         for e, sel in s.objectives2],
         },
-        "graph": {"eta": g.eta, "period": g.period,
-                  "windows": {"t1": g.t1, "t2": g.t2, "t_cross": g.t_cross},
-                  "phases": phases},
+        "graph": {"eta": g.eta, "period": g.period, "phases": phases},
         "stepsize": sdoc,
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},

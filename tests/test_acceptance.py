@@ -222,9 +222,8 @@ def test_criterion_6d_geometric_rate_envelope():
             n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period,
-            eta=float(min(A[A > 0].min() for A in mats)),
-            t1=n * period, t2=1, t_cross=1)
-        bound = geometric_rate_bound(n, spec.t1, spec.eta)
+            eta=float(min(A[A > 0].min() for A in mats)))
+        bound = geometric_rate_bound(n, n * period, spec.eta)
         for s in range(period):
             try:
                 phi = limiting_stochastic_vector(spec, 1, s)
@@ -250,7 +249,7 @@ def test_criterion_6e_learner_row_identity():
             n1=n, n2=1, period=period, a1=tuple(mats), a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period,
-            eta=float(min(A[A > 0].min() for A in mats)), t1=1, t2=1, t_cross=1)
+            eta=float(min(A[A > 0].min() for A in mats)))
         K = int(rng.integers(2, 12))
         readouts = learner_readouts(mats, (0,), K + 1)
         # after K steps the learner holds the backward product from time 0
@@ -273,7 +272,7 @@ def test_criterion_6f_learner_stochasticity():
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=K, a1=tuple(mats), a2=(np.eye(1),) * K,
             cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K,
-            eta=float(min(A[A > 0].min() for A in mats)), t1=1, t2=1, t_cross=1)
+            eta=float(min(A[A > 0].min() for A in mats)))
         readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
         for nu in range(p):
             # bank nu's last readout within the K steps, at k = nu (mod p)
@@ -351,8 +350,8 @@ def test_criterion_7_disagreement_recursion(scenarios, traces):
         ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
         m = compute_metrics(trace, s, ref)
         for subnet, (h, n, T, lam) in enumerate((
-                (m.h1, s.n1, s.graph.t1, trace.alpha.max(axis=1)),
-                (m.h2, s.n2, s.graph.t2, trace.beta.max(axis=1))), 1):
+                (m.h1, s.n1, s.graph.period, trace.alpha.max(axis=1)),
+                (m.h2, s.n2, s.graph.period, trace.beta.max(axis=1))), 1):
             Tl = (n * (n - 2) + 1) * T
             objs = s.objectives1 if subnet == 1 else s.objectives2
             L = max(lipschitz_bound(e, s.box_x, s.box_y, sel=sel)
@@ -437,6 +436,18 @@ def test_stale_learner_bank_counts_run_the_bundled_learner():
     doc["stepsize"].update(p1=1, p2=3)
     trace = run(loads_scenario(yaml.safe_dump(doc, sort_keys=False)))
     assert _sha256(trace_to_csv(trace)) == TRACE_DIGESTS["example3"]
+
+
+def test_stale_connectivity_windows_run_the_bundled_graph():
+    """example1 with ``graph.windows: {t1: 1, t2: 1, t_cross: 2}``, whose
+    t1 and t2 claims are false, loads with no connectivity warning, as the
+    checks take one period, and writes the pinned example1 trace."""
+    text = resources.files("nashnet.scenarios").joinpath("example1.yaml").read_text()
+    doc = yaml.safe_load(text)
+    doc["graph"]["windows"] = {"t1": 1, "t2": 1, "t_cross": 2}
+    s = loads_scenario(yaml.safe_dump(doc, sort_keys=False))
+    assert s.warnings == bundled_scenario("example1").warnings
+    assert _sha256(trace_to_csv(run(s))) == TRACE_DIGESTS["example1"]
 
 
 def test_bundled_metrics_and_plotdata_digests_pinned(scenarios, traces):

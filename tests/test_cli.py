@@ -111,7 +111,7 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
     box = BoxSet((-float("inf"),), (float("inf"),))
     s = make_identical_scenario(
-        objectives=[(e, {})], a_seq=(np.eye(1),), eta=1.0, t1=1,
+        objectives=[(e, {})], a_seq=(np.eye(1),), eta=1.0,
         box_x=box, box_y=box,
         rule=Homogeneous(GammaSchedule(table=(1e200,) * 20)),
         x0=[[1e100]], y0=[[0.0]], iterations=20)
@@ -239,7 +239,35 @@ def test_graph_check_failure_exit_3(tmp_path, capsys):
     bad = tmp_path / "disc.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
     assert main(["graph-check", str(bad)]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == ["subnet 1 jointly strongly connected within T=1..2: FAIL",
+                          "subnet 2 jointly strongly connected within T=2: pass",
+                          "cross layer covers every node within T=1: pass"]
+
+
+@pytest.mark.parametrize("name, windows", [
+    ("example1", (2, 2, 1)), ("example2", (2, 2, 1)), ("example3", (2, 2, 1)),
+    ("shared_saddle", (2, 2, 1)), ("perron_weighted", (1, 1, 1))])
+def test_graph_check_prints_the_least_window(name, windows, capsys):
+    """Each connectivity verdict names the least window that passes."""
+    path = resources.files("nashnet") / "scenarios" / f"{name}.yaml"
+    assert main(["graph-check", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == [f"subnet 1 jointly strongly connected within T={windows[0]}: pass",
+                          f"subnet 2 jointly strongly connected within T={windows[1]}: pass",
+                          f"cross layer covers every node within T={windows[2]}: pass"]
+
+
+def test_an_unread_window_key_is_ignored(tmp_path, capsys):
+    """``graph.windows: {t1: 0}``, once a validation error, is a key the
+    loader does not read: the scenario runs."""
+    doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
+                         .read_text(encoding="utf-8"))
+    doc["graph"]["windows"] = {"t1": 0}
+    path = tmp_path / "zero_window.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", str(path), "--iters", "50"]) == 0
+    assert "50 iterations" in capsys.readouterr().out
 
 
 def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):

@@ -98,11 +98,11 @@ def test_spec_shape_validation():
     with pytest.raises(ValidationError):
         GraphSequenceSpec(n1=2, n2=1, period=2, a1=(np.eye(2),), a2=(np.eye(1),) * 2,
                           cross1=(np.ones((2, 1)),) * 2, cross2=(np.ones((1, 2)) / 2,) * 2,
-                          eta=0.1, t1=1, t2=1, t_cross=1)
+                          eta=0.1)
     with pytest.raises(ValidationError):
         GraphSequenceSpec(n1=2, n2=1, period=1, a1=(np.eye(3),), a2=(np.eye(1),),
                           cross1=(np.ones((2, 1)),), cross2=(np.ones((1, 2)) / 2,),
-                          eta=0.1, t1=1, t2=1, t_cross=1)
+                          eta=0.1)
 
 
 def test_weight_rule_clean_graphs(balanced, unbalanced):
@@ -115,7 +115,7 @@ def test_weight_rule_violations(balanced):
     bad_a1[0] = np.array([[0.5, 0.4, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]])
     spec = GraphSequenceSpec(n1=3, n2=2, period=2, a1=tuple(bad_a1), a2=balanced.a2,
                              cross1=balanced.cross1, cross2=balanced.cross2,
-                             eta=0.1, t1=2, t2=2, t_cross=1)
+                             eta=0.1)
     problems = validate_weight_rule(spec, 0.1)
     assert any(v.clause == "weight-rule (ii)" and v.phase == 0 and v.node == 0
                for v in problems)
@@ -135,7 +135,7 @@ def test_ujsc_never_connected_node():
     A = np.array([[1.0, 0.0], [0.5, 0.5]])  # node 0 never listens to node 1
     spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
                              cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
-                             eta=0.5, t1=1, t2=1, t_cross=1)
+                             eta=0.5)
     assert not check_ujsc(spec, 1, 1)
     assert not check_ujsc(spec, 1, 7)
     assert not check_jointly_bipartite(spec, 3)
@@ -186,8 +186,7 @@ def _spec_of(mats) -> GraphSequenceSpec:
     return GraphSequenceSpec(n1=n, n2=1, period=period, a1=tuple(mats),
                              a2=(np.eye(1),) * period, cross1=(np.zeros((n, 1)),) * period,
                              cross2=(np.zeros((1, n)),) * period,
-                             eta=min(float(A[A > 0].min()) for A in mats),
-                             t1=period, t2=1, t_cross=1)
+                             eta=min(float(A[A > 0].min()) for A in mats))
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,7 +251,7 @@ def test_limit_vectors_unbalanced_known_values(unbalanced):
 
 def test_limit_vector_floor(unbalanced):
     # every component is at least eta^((n-1) T)
-    floor = unbalanced.eta ** (2 * unbalanced.t1)
+    floor = unbalanced.eta ** (2 * unbalanced.period)
     for subnet in (1, 2):
         for start in (0, 1):
             assert limiting_stochastic_vector(unbalanced, subnet, start).min() >= floor
@@ -274,7 +273,7 @@ def test_limit_vector_without_a_rate_bound():
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
                              cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
-                             eta=1.0, t1=1, t2=1, t_cross=1)
+                             eta=1.0)
     assert limiting_stochastic_vector(spec, 1, 0).tolist() == [0.5, 0.5]
 
 
@@ -284,7 +283,7 @@ def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
     strongly connected still converges to the bytes of the full product."""
     rootless = _constant_spec(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]))
     rooted = _constant_spec(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    assert (rootless.eta, rootless.t1, rooted.t1) == (0.3, 3, 2)
+    assert rootless.eta == 0.3
     want = limiting_stochastic_vector(rooted, 1, 0)
     assert want.tolist() == [1 - 2 ** -31, 2 ** -31]
 
@@ -302,7 +301,7 @@ def _sequence_spec(mats):
     n, p = len(mats[0]), len(mats)
     return GraphSequenceSpec(n1=n, n2=1, period=p, a1=tuple(mats), a2=(np.eye(1),) * p,
                              cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p,
-                             eta=0.1, t1=p, t2=1, t_cross=1)
+                             eta=0.1)
 
 
 GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
@@ -312,13 +311,15 @@ GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
     ([[[0.0]]], 0),
     ([GOOD3, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4]]], 1),
     ([GOOD3, [[1.2, -0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]], 1),
-], ids=["1x1 zero", "all-zero row", "negative weight"])
+    ([[[0.0, 1.0], [1.0, 0.0]]], 0),
+], ids=["1x1 zero", "all-zero row", "negative weight", "swap"])
 def test_limit_vector_of_a_non_stochastic_phase_is_a_validation_error(mats, phase, monkeypatch):
     """A phase with a row that does not sum to one, such as a 1x1 zero or
     an all-zero row whose products decay to zero though the union graph
-    has a root, or with a negative weight, has no limit vector: from every
-    start, ValidationError naming the subnet and the phase, before any
-    product and without a numpy warning."""
+    has a root, with a negative weight, or with a zero diagonal entry, such
+    as the swap whose products alternate forever, has no limit vector
+    computed: from every start, ValidationError naming the subnet and the
+    phase, before any product and without a numpy warning."""
     spec = _sequence_spec([np.array(A) for A in mats])
 
     def refused(*args):

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_graph, load_sce
                                  trace_to_csv)
 from nashnet.stepsizes import (AdaptivePeriodic, GammaSchedule, Homogeneous,
                                OracleHeterogeneous)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_bundled_example1_matches_published_setup():
@@ -268,7 +271,6 @@ def _isolate_agent_0(doc):
 @pytest.mark.parametrize("name, edit, message", [
     ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([-1, 0, 1.0]), "missing agent"),
     ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]), "missing agent"),
-    ("example2", lambda d: d["graph"]["windows"].update(t1=0), "windows"),
     ("example2", _isolate_agent_0, "strongly connected"),
     ("example2", lambda d: d["graph"].update(eta=-0.5), r"eta=-0\.5 must lie in \(0, 1\]"),
     ("example2", lambda d: d["graph"].update(eta=0.0), "eta"),
@@ -295,7 +297,6 @@ def _isolate_agent_0(doc):
      "run.iterations must be a whole number, got True"),
     ("shared_saddle", lambda d: d["dimensions"].update(m1=1.5), "dimensions.m1"),
     ("shared_saddle", lambda d: d["graph"].update(period=2.9), "graph.period"),
-    ("shared_saddle", lambda d: d["graph"]["windows"].update(t_cross=1.5), "windows.t_cross"),
     ("shared_saddle", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([0, 0.5, 1.0]),
      "cross edge target"),
     ("example1", lambda d: d["agents"]["subnet1"][1].update(selections={True: 1.0}),
@@ -304,7 +305,7 @@ def _isolate_agent_0(doc):
     ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(b=float("inf")), "finite c > 0"),
     ("shared_saddle", lambda d: (d["stepsize"].update(gamma={"table": [1.0, float("nan")] + [0.5] * 3}),
                                  d["run"].update(iterations=5)), "positive and finite"),
-], ids=["negative cross index", "cross index past the end", "zero window",
+], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
         "negative weight floor", "zero weight floor", "weight floor above one",
         "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
@@ -312,7 +313,7 @@ def _isolate_agent_0(doc):
         "saddle reference of the wrong length", "saddle reference not a number",
         "saddle reference without y_star", "NaN saddle reference",
         "fractional iterations", "boolean iterations", "fractional dimension",
-        "fractional period", "fractional window", "fractional cross index",
+        "fractional period", "fractional cross index",
         "boolean selection key", "NaN gamma c",
         "infinite gamma b", "NaN schedule table entry"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
@@ -340,6 +341,57 @@ def test_loader_takes_integral_floats():
     assert (s.m1, s.graph.period, s.iterations, s.graph.cross1[0][0, 0]) == (1, 2, 100000, 1.0)
 
 
+def test_connectivity_is_checked_over_one_period():
+    """A subnet-1 union over one period that is not strongly connected
+    warns, and only it."""
+    doc = copy.deepcopy(BUNDLED_DOCS["example1"])
+    _isolate_agent_0(doc)
+    warned = loads_scenario(yaml.safe_dump(doc, sort_keys=False)).warnings
+    assert warned == ("subnet 1 not jointly strongly connected within one period",
+                      *EXAMPLE_WARNINGS)
+
+
+def _unwritten_keys(doc, written, path=()):
+    """The paths of keys in `doc` that `written` has no key for at the same
+    place, through mappings and lists paired by index (the phase list, the
+    agent lists)."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if not isinstance(written, dict) or key not in written:
+                yield path + (key,)
+            else:
+                yield from _unwritten_keys(value, written[key], path + (key,))
+    elif isinstance(doc, list) and isinstance(written, list):
+        for i, (item, w) in enumerate(zip(doc, written)):
+            yield from _unwritten_keys(item, w, path + (i,))
+
+
+def test_unwritten_keys_flags_a_planted_key():
+    doc = copy.deepcopy(BUNDLED_DOCS["example3"])
+    doc["graph"]["windows"] = {"t1": 2}
+    doc["graph"]["phases"][1]["cross_to_3"] = []
+    doc["agents"]["subnet2"][0]["weight"] = 1.0
+    written = scenario_to_doc(bundled_scenario("example3"))
+    assert set(_unwritten_keys(doc, written)) == {
+        ("graph", "windows"), ("graph", "phases", 1, "cross_to_3"),
+        ("agents", "subnet2", 0, "weight")}
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("README",))
+def test_documented_keys_are_written_keys(name):
+    """Tooling gate: every key of a bundled scenario document, and of the
+    README's scenario example, is one that scenario_to_doc writes at the
+    same place, so a key the loader stops reading cannot linger in them."""
+    if name == "README":
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario file format", 1)[1]
+        text = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        doc, scenario = yaml.safe_load(text), loads_scenario(text)
+    else:
+        doc, scenario = BUNDLED_DOCS[name], bundled_scenario(name)
+    assert list(_unwritten_keys(doc, scenario_to_doc(scenario))) == []
+
+
 @pytest.mark.parametrize("gdoc, want", [
     ({"c": 2.0}, GammaSchedule(c=2.0)),
     ({"c": 2, "eps": 0.25}, GammaSchedule(c=2.0, eps=0.25)),
@@ -364,7 +416,7 @@ def test_convexity_is_sampled_once_per_distinct_objective(monkeypatch):
     sides = (("a", "b", "c+"), ("b", "c-", "a"))
     box = BoxSet((-2.0,), (2.0,))
     cycle = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-    base = make_identical_scenario(subnet1_objectives(), [cycle], 0.1, 1, box, box,
+    base = make_identical_scenario(subnet1_objectives(), [cycle], 0.1, box, box,
                                    Homogeneous(GammaSchedule()), [0.0] * 3, [0.0] * 3)
     doc = scenario_to_doc(base)
     for side, names in zip(("subnet1", "subnet2"), sides):
