@@ -209,7 +209,7 @@ def cmd_graph_check(args) -> int:
         if not ok:
             failed.append(name)
 
-    problems = validate_weight_rule(g, g.eta)
+    problems = validate_weight_rule(g)
     verdict(f"weight rule (eta={g.eta})", not problems, "weight rule")
     for v in problems:
         print(f"  {v}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,8 +107,10 @@ class GraphSequenceSpec:
     a1/a2: per-phase mixing matrices of the two subnetworks.
     cross1: per-phase (n1, n2) weights agents of subnet 1 place on subnet 2
     (an all-zero row means no cross in-neighbor that phase); cross2 likewise
-    with shape (n2, n1). eta is the declared weight floor. No connectivity
-    window is declared: one period's union contains every shorter window's.
+    with shape (n2, n1). Neither a weight floor nor a connectivity window is
+    declared: the floor eta is the least positive weight of all four layers
+    over every phase (1.0 without one), and one period's union contains
+    every shorter window's.
     """
 
     n1: int
@@ -118,15 +120,13 @@ class GraphSequenceSpec:
     a2: tuple
     cross1: tuple
     cross2: tuple
-    eta: float
+    eta: float = field(init=False)
 
     def __post_init__(self):
         if self.period < 1 or len(self.a1) != self.period or len(self.a2) != self.period:
             raise ValidationError("phase count must equal the declared period")
         if len(self.cross1) != self.period or len(self.cross2) != self.period:
             raise ValidationError("cross layers must cover every phase")
-        if not 0.0 < self.eta <= 1.0:  # also false for NaN
-            raise ValidationError(f"weight floor eta={self.eta} must lie in (0, 1]")
         a1 = tuple(np.asarray(m, dtype=float) for m in self.a1)
         a2 = tuple(np.asarray(m, dtype=float) for m in self.a2)
         c1 = tuple(np.asarray(m, dtype=float) for m in self.cross1)
@@ -149,6 +149,9 @@ class GraphSequenceSpec:
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "cross1", c1)
         object.__setattr__(self, "cross2", c2)
+        positive = [m[m > 0] for m in a1 + a2 + c1 + c2]
+        object.__setattr__(self, "eta", min((float(p.min()) for p in positive if p.size),
+                                            default=1.0))
 
 
 @dataclass(frozen=True)
@@ -162,30 +165,33 @@ class Violation:
         return f"[{self.clause}] phase {self.phase}, node {self.node}: {self.message}"
 
 
-def validate_weight_rule(spec: GraphSequenceSpec, eta: float) -> list:
-    """Check the weight rule clauses against a declared floor `eta`.
+def _row_faults(A) -> np.ndarray:
+    """(n, 3) flags per row of square `A`: a negative weight, a sum off one
+    by more than STOCHASTIC_TOL, a diagonal entry that is not positive."""
+    return np.column_stack(((A < 0).any(axis=1), np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL,
+                            np.diagonal(A) <= 0))
 
-    (i) positive arc weights are at least eta; (ii) within-subnet rows sum to
-    one with positive diagonals; (iii) nonempty cross rows sum to one with
-    entries at least eta. Violations are returned as data, never raised.
+
+def validate_weight_rule(spec: GraphSequenceSpec) -> list:
+    """Check the weight rule clauses, under the floor spec.eta, which holds
+    by derivation: (i) every node keeps a self-loop; (ii) within-subnet rows
+    are nonnegative and sum to one; (iii) nonempty cross rows are
+    nonnegative and sum to one. Violations are returned as data, never raised.
     """
     out = []
     for phase in range(spec.period):
         for subnet, mats in ((1, spec.a1), (2, spec.a2)):
-            for i, row in enumerate(mats[phase]):
-                if np.any(row < 0):
+            A = mats[phase]
+            for i, (negative, off, loopless) in enumerate(_row_faults(A).tolist()):
+                if negative:
                     out.append(Violation("weight-rule (ii)", phase, i,
                                          f"subnet {subnet} has negative weights"))
-                if abs(row.sum() - 1.0) > STOCHASTIC_TOL:
+                if off:
                     out.append(Violation("weight-rule (ii)", phase, i,
-                                         f"subnet {subnet} row sums to {row.sum():.17g}"))
-                if row[i] <= 0:
+                                         f"subnet {subnet} row sums to {A[i].sum():.17g}"))
+                if loopless:
                     out.append(Violation("weight-rule (i)", phase, i,
                                          f"subnet {subnet} missing self-loop"))
-                pos = row[row > 0]
-                if pos.size and pos.min() < eta - 1e-15:
-                    out.append(Violation("weight-rule (i)", phase, i,
-                                         f"subnet {subnet} weight {pos.min():.17g} below eta={eta}"))
         for subnet, mats in ((1, spec.cross1), (2, spec.cross2)):
             for i, row in enumerate(mats[phase]):
                 if np.any(row < 0):
@@ -193,15 +199,9 @@ def validate_weight_rule(spec: GraphSequenceSpec, eta: float) -> list:
                                          f"subnet {subnet} cross weights negative"))
                     continue
                 s = row.sum()
-                if s == 0.0:
-                    continue  # no cross in-neighbors this phase
-                if abs(s - 1.0) > STOCHASTIC_TOL:
+                if s != 0.0 and abs(s - 1.0) > STOCHASTIC_TOL:  # 0: no cross in-neighbors
                     out.append(Violation("weight-rule (iii)", phase, i,
                                          f"subnet {subnet} cross row sums to {s:.17g}"))
-                pos = row[row > 0]
-                if pos.size and pos.min() < eta - 1e-15:
-                    out.append(Violation("weight-rule (iii)", phase, i,
-                                         f"subnet {subnet} cross weight {pos.min():.17g} below eta={eta}"))
     return out
 
 
@@ -313,8 +313,7 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
     """
     mats = spec.a1 if subnet == 1 else spec.a2
     for phase, A in enumerate(mats):
-        if ((A < 0).any() or (np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL).any()
-                or (np.diagonal(A) <= 0).any()):
+        if _row_faults(A).any():
             raise ValidationError(f"subnet {subnet} phase {phase} is not row-stochastic with a "
                                   "positive diagonal: a weight is negative, a row does not sum "
                                   "to one or a diagonal entry is not positive")
@@ -340,14 +339,11 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
 
 
 def _constant_spec(A) -> GraphSequenceSpec:
-    """The period-1 sequence of square `A`, which has a positive weight; its
-    floor is the least positive weight, so clause (i) holds by construction."""
+    """The period-1 sequence of square `A` in subnet 1, one agent in subnet 2."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    eta = float(A[A > 0].min())
     return GraphSequenceSpec(n1=n, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
-                             cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),),
-                             eta=eta)
+                             cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),))
 
 
 def perron_vector(A) -> np.ndarray:
@@ -361,7 +357,7 @@ def perron_vector(A) -> np.ndarray:
         raise ValidationError(f"Perron vector needs a square matrix with a positive "
                               f"weight, got shape {A.shape}")
     spec = _constant_spec(A)
-    problems = validate_weight_rule(spec, spec.eta)
+    problems = validate_weight_rule(spec)
     if problems:
         raise ValidationError("; ".join(map(str, problems)))
     if not strongly_connected(A > 0):

@@ -92,7 +92,7 @@ def loads_scenario(text: str) -> Scenario:
     """
     scenario = _from_doc(_scenario_from_doc, _document(text))
     g = scenario.graph
-    problems = validate_weight_rule(g, g.eta)
+    problems = validate_weight_rule(g)
     if problems:
         raise ValidationError(
             "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
@@ -160,8 +160,7 @@ def _graph_from_doc(doc: dict) -> GraphSequenceSpec:
         c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
     return GraphSequenceSpec(
         n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
-        a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2),
-        eta=float(gdoc["eta"]))
+        a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2))
 
 
 def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
@@ -197,7 +196,7 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
             return OracleHeterogeneous(schedule=schedule,
                                        phi1=tuple(tuple(v) for v in sdoc["phi1"]),
                                        phi2=tuple(tuple(v) for v in sdoc["phi2"]))
-        if validate_weight_rule(graph, graph.eta) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
+        if validate_weight_rule(graph) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
             raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
                                   "graph that meets the weight rule; store phi1 and phi2 otherwise")
         from .stepsizes import oracle_heterogeneous_build
@@ -239,7 +238,7 @@ def scenario_to_doc(s: Scenario) -> dict:
             "subnet2": [{"expr": format_expr(e), "selections": _selections_doc(sel)}
                         for e, sel in s.objectives2],
         },
-        "graph": {"eta": g.eta, "period": g.period, "phases": phases},
+        "graph": {"period": g.period, "phases": phases},
         "stepsize": sdoc,
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},

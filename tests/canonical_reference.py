@@ -655,7 +655,7 @@ def trace_csv_text(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def make_identical_scenario(objectives, a_seq, eta: float, box_x, box_y, rule,
+def make_identical_scenario(objectives, a_seq, box_x, box_y, rule,
                             x0, y0, name: str = "identical", iterations: int = 1000,
                             **kwargs) -> Scenario:
     """Completely identical two-subnetwork scenario: subnet 2 clones subnet
@@ -667,8 +667,7 @@ def make_identical_scenario(objectives, a_seq, eta: float, box_x, box_y, rule,
     eye = np.eye(n)
     graph = GraphSequenceSpec(
         n1=n, n2=n, period=len(a_seq), a1=a_seq, a2=a_seq,
-        cross1=tuple(eye for _ in a_seq), cross2=tuple(eye for _ in a_seq),
-        eta=eta)
+        cross1=tuple(eye for _ in a_seq), cross2=tuple(eye for _ in a_seq))
     m1, m2 = box_x.dim, box_y.dim
     return Scenario(name=name, m1=m1, m2=m2,
                     objectives1=tuple(objectives), objectives2=tuple(objectives),

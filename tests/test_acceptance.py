@@ -221,8 +221,7 @@ def test_criterion_6d_geometric_rate_envelope():
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
-            cross2=(np.zeros((1, n)),) * period,
-            eta=float(min(A[A > 0].min() for A in mats)))
+            cross2=(np.zeros((1, n)),) * period)
         bound = geometric_rate_bound(n, n * period, spec.eta)
         for s in range(period):
             try:
@@ -248,8 +247,7 @@ def test_criterion_6e_learner_row_identity():
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=period, a1=tuple(mats), a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
-            cross2=(np.zeros((1, n)),) * period,
-            eta=float(min(A[A > 0].min() for A in mats)))
+            cross2=(np.zeros((1, n)),) * period)
         K = int(rng.integers(2, 12))
         readouts = learner_readouts(mats, (0,), K + 1)
         # after K steps the learner holds the backward product from time 0
@@ -271,8 +269,7 @@ def test_criterion_6f_learner_stochasticity():
         mats = [_random_stochastic(rng, n) for _ in range(K)]
         spec = GraphSequenceSpec(
             n1=n, n2=1, period=K, a1=tuple(mats), a2=(np.eye(1),) * K,
-            cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K,
-            eta=float(min(A[A > 0].min() for A in mats)))
+            cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K)
         readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
         for nu in range(p):
             # bank nu's last readout within the K steps, at k = nu (mod p)

@@ -111,7 +111,7 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
     box = BoxSet((-float("inf"),), (float("inf"),))
     s = make_identical_scenario(
-        objectives=[(e, {})], a_seq=(np.eye(1),), eta=1.0,
+        objectives=[(e, {})], a_seq=(np.eye(1),),
         box_x=box, box_y=box,
         rule=Homogeneous(GammaSchedule(table=(1e200,) * 20)),
         x0=[[1e100]], y0=[[0.0]], iterations=20)
@@ -289,6 +289,14 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
                  ["sweep", str(bad), "--values", "1", "--out", str(tmp_path / "sw")]):
         assert main(argv) == 3
         assert "weight rule violated" in capsys.readouterr().err
+    # with no positive weight the derived floor is 1.0 and every node lacks a self-loop
+    for ph in doc["graph"]["phases"]:
+        ph.update(a1=[[0.0] * 3] * 3, a2=[[0.0] * 2] * 2, cross_to_1=[], cross_to_2=[])
+    bad.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["graph-check", str(bad)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "weight rule (eta=1.0): FAIL"
+    assert "  [weight-rule (i)] phase 0, node 0: subnet 1 missing self-loop" in lines
 
 
 def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
@@ -305,7 +313,7 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     assert main(["graph-check", str(bad)]) == 3
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
-    assert lines[0] == f"weight rule (eta={doc['graph']['eta']}): FAIL"
+    assert lines[0] == "weight rule (eta=0.1): FAIL"
     assert any(ln.startswith("cross layer covers every node") for ln in lines)
     assert "assumptions failed: weight rule" in captured.err
     assert main(["run", str(bad)]) == 3

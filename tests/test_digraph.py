@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canonical_reference import (backward_product, canonical_dot, canonical_matmul,
@@ -33,10 +33,10 @@ A1_EVEN_UNB = np.array([[0.8, 0.2, 0.0], [0.7, 0.3, 0.0], [0.0, 0.6, 0.4]])
 STATIC_UNB = np.array([[0.5, 0.5, 0.0], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
 
 
-def clauses(A, eta=0.0):
-    """Clauses of the weight rule that the period-1 sequence of `A` breaks
-    under floor `eta`, one per violation."""
-    return [v.clause for v in validate_weight_rule(_constant_spec(A), eta)]
+def clauses(A):
+    """Clauses of the weight rule that the period-1 sequence of `A` breaks,
+    one per violation."""
+    return [v.clause for v in validate_weight_rule(_constant_spec(A))]
 
 
 def test_stochastic_violations():
@@ -44,8 +44,7 @@ def test_stochastic_violations():
     assert clauses(np.array([[0.5, 0.4], [0.5, 0.5]])) == ["weight-rule (ii)"]  # bad row
     assert clauses(np.array([[0.0, 1.0], [0.5, 0.5]])) == ["weight-rule (i)"]  # no loop
     assert "weight-rule (ii)" in clauses(np.array([[1.5, -0.5], [0.5, 0.5]]))
-    assert clauses(A1_EVEN_UNB, eta=0.3) == ["weight-rule (i)"]  # 0.2 below floor
-    assert clauses(A1_EVEN_UNB, eta=0.1) == []
+    assert clauses(A1_EVEN_UNB) == []
     for bad in ([[0.9, 0.0], [0.0, 1.0]], np.zeros((2, 2)), np.full((2, 3), 1 / 3), [0.5, 0.5]):
         with pytest.raises(ValidationError):
             perron_vector(bad)
@@ -97,31 +96,54 @@ def unbalanced():
 def test_spec_shape_validation():
     with pytest.raises(ValidationError):
         GraphSequenceSpec(n1=2, n2=1, period=2, a1=(np.eye(2),), a2=(np.eye(1),) * 2,
-                          cross1=(np.ones((2, 1)),) * 2, cross2=(np.ones((1, 2)) / 2,) * 2,
-                          eta=0.1)
+                          cross1=(np.ones((2, 1)),) * 2, cross2=(np.ones((1, 2)) / 2,) * 2)
     with pytest.raises(ValidationError):
         GraphSequenceSpec(n1=2, n2=1, period=1, a1=(np.eye(3),), a2=(np.eye(1),),
-                          cross1=(np.ones((2, 1)),), cross2=(np.ones((1, 2)) / 2,),
-                          eta=0.1)
+                          cross1=(np.ones((2, 1)),), cross2=(np.ones((1, 2)) / 2,))
+
+
+@st.composite
+def _weight_specs(draw):
+    """GraphSequenceSpecs of 1-3 agents a side and 1-3 phases whose weights
+    mix zeros, negatives, subnormals and ordinary floats in all four layers,
+    with no row condition imposed."""
+    n1, n2, period = (draw(st.integers(1, 3)) for _ in range(3))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300]),
+                       st.floats(-2.0, 2.0))
+
+    def layer(rows, cols):
+        return tuple(np.array(draw(st.lists(weight, min_size=rows * cols, max_size=rows * cols)))
+                     .reshape(rows, cols) for _ in range(period))
+    return GraphSequenceSpec(n1=n1, n2=n2, period=period, a1=layer(n1, n1), a2=layer(n2, n2),
+                             cross1=layer(n1, n2), cross2=layer(n2, n1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_specs())
+@example(GraphSequenceSpec(n1=2, n2=1, period=1, a1=(np.zeros((2, 2)),), a2=(-np.eye(1),),
+                           cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),)))
+def test_eta_is_the_least_positive_weight_of_all_layers(spec):
+    """The floor is derived over every phase of a1, a2, cross1 and cross2;
+    a spec without a positive weight still constructs, with floor 1.0."""
+    weights = np.concatenate([m.ravel() for m in spec.a1 + spec.a2 + spec.cross1 + spec.cross2])
+    positive = weights[weights > 0]
+    assert spec.eta == (positive.min() if positive.size else 1.0)
 
 
 def test_weight_rule_clean_graphs(balanced, unbalanced):
-    assert validate_weight_rule(balanced, 0.1) == []
-    assert validate_weight_rule(unbalanced, 0.1) == []
+    assert validate_weight_rule(balanced) == []
+    assert validate_weight_rule(unbalanced) == []
+    assert balanced.eta == unbalanced.eta == 0.1
 
 
 def test_weight_rule_violations(balanced):
     bad_a1 = list(balanced.a1)
     bad_a1[0] = np.array([[0.5, 0.4, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]])
     spec = GraphSequenceSpec(n1=3, n2=2, period=2, a1=tuple(bad_a1), a2=balanced.a2,
-                             cross1=balanced.cross1, cross2=balanced.cross2,
-                             eta=0.1)
-    problems = validate_weight_rule(spec, 0.1)
+                             cross1=balanced.cross1, cross2=balanced.cross2)
+    problems = validate_weight_rule(spec)
     assert any(v.clause == "weight-rule (ii)" and v.phase == 0 and v.node == 0
                for v in problems)
-    # floor violation reported under clause (i)
-    problems = validate_weight_rule(balanced, 0.5)
-    assert any(v.clause == "weight-rule (i)" for v in problems)
 
 
 def test_ujsc_windows(balanced):
@@ -134,8 +156,7 @@ def test_ujsc_windows(balanced):
 def test_ujsc_never_connected_node():
     A = np.array([[1.0, 0.0], [0.5, 0.5]])  # node 0 never listens to node 1
     spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
-                             cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
-                             eta=0.5)
+                             cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),))
     assert not check_ujsc(spec, 1, 1)
     assert not check_ujsc(spec, 1, 7)
     assert not check_jointly_bipartite(spec, 3)
@@ -185,8 +206,7 @@ def _spec_of(mats) -> GraphSequenceSpec:
     n, period = len(mats[0]), len(mats)
     return GraphSequenceSpec(n1=n, n2=1, period=period, a1=tuple(mats),
                              a2=(np.eye(1),) * period, cross1=(np.zeros((n, 1)),) * period,
-                             cross2=(np.zeros((1, n)),) * period,
-                             eta=min(float(A[A > 0].min()) for A in mats))
+                             cross2=(np.zeros((1, n)),) * period)
 
 
 @settings(max_examples=150, deadline=None)
@@ -268,13 +288,13 @@ def test_geometric_rate_bound_values():
 
 
 def test_limit_vector_without_a_rate_bound():
-    """eta = 1 leaves the bound no rate in (0, 1), so the step cap is the
-    generous one; this product is its own limit from the start."""
-    A = np.array([[0.5, 0.5], [0.5, 0.5]])
-    spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
-                             cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),),
-                             eta=1.0)
-    assert limiting_stochastic_vector(spec, 1, 0).tolist() == [0.5, 0.5]
+    """A floor so small that 1 - eta^M rounds to 1 leaves the bound no rate
+    in (0, 1), so the step cap is the generous one; the product still
+    converges, to the node that every agent hears."""
+    spec = _constant_spec(np.array([[1.0, 1e-17], [0.5, 0.5]]))
+    assert spec.eta == 1e-17
+    assert geometric_rate_bound(2, 1, spec.eta) == GeometricRateBound(C=2e17, rho=1.0, M=1)
+    np.testing.assert_allclose(limiting_stochastic_vector(spec, 1, 0), [1.0, 0.0], atol=1e-9)
 
 
 def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
@@ -300,8 +320,7 @@ def _sequence_spec(mats):
     """Subnet 1 runs the phases `mats`; subnet 2 is one agent."""
     n, p = len(mats[0]), len(mats)
     return GraphSequenceSpec(n1=n, n2=1, period=p, a1=tuple(mats), a2=(np.eye(1),) * p,
-                             cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p,
-                             eta=0.1)
+                             cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p)
 
 
 GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]

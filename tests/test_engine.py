@@ -38,7 +38,7 @@ def toy_identical(iterations=50):
     e = Sum((Pow(x_var(0), 2), Neg(Pow(y_var(0), 2))))
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     return make_identical_scenario(
-        objectives=[(e, {}), (e, {})], a_seq=(A,), eta=0.5,
+        objectives=[(e, {}), (e, {})], a_seq=(A,),
         box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
         x0=[[2.0], [-1.0]], y0=[[1.0], [3.0]], iterations=iterations)
 
@@ -195,7 +195,7 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
     c1 = tuple(_random_cross(rng, n1, n2, ph == 0 and period > 1) for ph in range(period))
     c2 = tuple(_random_cross(rng, n2, n1, ph == 0 and period > 1) for ph in range(period))
     graph = GraphSequenceSpec(n1=n1, n2=n2, period=period, a1=a1, a2=a2, cross1=c1,
-                              cross2=c2, eta=0.1)
+                              cross2=c2)
     lo_x = rng.uniform(-3, -1, m1)
     if infinite_side:
         lo_x[0] = -np.inf
@@ -267,7 +267,7 @@ def test_dense_scenario_compiles_and_matches_reference():
     A = rng.uniform(0.5, 1.0, (n, n))
     s = make_identical_scenario(
         objectives=[(e, {})] * n, a_seq=(A / A.sum(axis=1, keepdims=True),),
-        eta=0.001, box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
+        box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
         x0=rng.uniform(-4, 4, (n, 1)), y0=rng.uniform(-4, 4, (n, 1)), iterations=2)
     _assert_run_matches_reference(s, run(s), 2)
     # the dense mixing sums are about 6.4M characters; each agent's inlined
@@ -416,7 +416,7 @@ def test_nonfinite_state_raises_numeric_error():
     box = BoxSet((-np.inf,), (np.inf,))
     s = make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(np.full((2, 2), 0.5),),
-        eta=0.5, box_x=box, box_y=box,
+        box_x=box, box_y=box,
         rule=Homogeneous(GammaSchedule(table=(1e200,) * 50)),
         x0=[[1e100], [1e100]], y0=[[0.0], [0.0]], iterations=50)
     with pytest.raises(NumericError):
@@ -444,7 +444,7 @@ def test_identical_scenario_matches_centralized_recursion():
     centralized descent-ascent recursion."""
     e = Sum((Pow(Sum((x_var(0), Neg(0.7))), 2), Neg(Pow(y_var(0), 2))))
     s = make_identical_scenario(
-        objectives=[(e, {})], a_seq=(np.eye(1),), eta=1.0,
+        objectives=[(e, {})], a_seq=(np.eye(1),),
         box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
         x0=[[3.0]], y0=[[2.0]], iterations=100)
     tr = run(s)

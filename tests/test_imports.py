@@ -171,11 +171,20 @@ def is_dataclass(cls) -> bool:
     return False
 
 
+def is_init_field(stmt) -> bool:
+    """Whether the dataclass field `stmt` is a constructor parameter, which
+    a field declared ``field(init=False)`` is not."""
+    v = stmt.value
+    return not (isinstance(v, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in v.keywords))
+
+
 def signatures(tree):
     """(call name, positional parameters, defaulted parameters) of each
     function and method in `tree`, a method's bound first parameter left
     out, and of each dataclass constructor: its call name is the class
-    name and its parameters are the annotated fields, in order."""
+    name and its parameters are the annotated fields it takes, in order."""
     methods = {f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -185,8 +194,8 @@ def signatures(tree):
                 p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             yield node.name, positional[node in methods:], defaulted
         elif isinstance(node, ast.ClassDef) and is_dataclass(node):
-            fields = [s for s in node.body
-                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name) and is_init_field(s)]
             yield (node.name, [f.target.id for f in fields],
                    [f.target.id for f in fields if f.value is not None])
 
@@ -223,7 +232,7 @@ def test_scan_finds_an_unset_default():
                      "class K:\n    def m(self, p=0, q=0):\n        pass\n\n"
                      "def g(z=0):\n    pass\n\n"
                      "@dataclass(frozen=True)\nclass D:\n    u: int\n    v: int = 0\n"
-                     "    w: int = 1\n\n"
+                     "    w: int = 1\n    x: int = field(init=False)\n\n"
                      "class Plain:\n    r: int = 0\n")}
     callers = ["from a import f as h\nh(0, 1, e=5)\n",
                "import a\na.f(*args)\nK().m(1)\nD(1, 2)\n"]

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 from importlib import resources
 from pathlib import Path
@@ -22,6 +23,7 @@ from nashnet.exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
 from nashnet import scenario_io
+from nashnet.cli import main
 from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
                                  loads_scenario, metrics_to_csv,
                                  plotdata_to_csv, report_to_csv, save_scenario,
@@ -272,10 +274,6 @@ def _isolate_agent_0(doc):
     ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([-1, 0, 1.0]), "missing agent"),
     ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]), "missing agent"),
     ("example2", _isolate_agent_0, "strongly connected"),
-    ("example2", lambda d: d["graph"].update(eta=-0.5), r"eta=-0\.5 must lie in \(0, 1\]"),
-    ("example2", lambda d: d["graph"].update(eta=0.0), "eta"),
-    ("example2", lambda d: d["graph"].update(eta=1.5), "eta"),
-    ("example2", lambda d: d["graph"].update(eta=float("nan")), "eta"),
     ("example1", lambda d: d["agents"]["subnet2"][0].update(expr="(sub x0 (pow y1 2))", selections={}),
      "dimensions"),
     ("example1", lambda d: d["boxes"]["y"].update(upper=[float("nan")]), "NaN"),
@@ -307,8 +305,7 @@ def _isolate_agent_0(doc):
                                  d["run"].update(iterations=5)), "positive and finite"),
 ], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
-        "negative weight floor", "zero weight floor", "weight floor above one",
-        "NaN weight floor", "objective beyond the dimensions", "NaN box bound",
+        "objective beyond the dimensions", "NaN box bound",
         "infinite constant", "infinite scale factor", "NaN affine coefficient",
         "saddle reference of the wrong length", "saddle reference not a number",
         "saddle reference without y_star", "NaN saddle reference",
@@ -331,6 +328,29 @@ def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
         path.write_text(text)
         with pytest.raises(ValidationError, match=message):
             load_graph(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g.update(eta=-0.5),
+    lambda g: g.update(eta=0.0),
+    lambda g: g.update(eta=1.5),
+    lambda g: g.update(eta=float("nan")),
+    lambda g: g.pop("eta", None),
+], ids=["negative weight floor", "zero weight floor", "weight floor above one",
+        "NaN weight floor", "no weight floor"])
+def test_a_declared_weight_floor_is_ignored(edit, tmp_path):
+    """``graph.eta``, once a declared floor checked against the weights, is
+    a key the loader does not read: the floor is the graph's least positive
+    weight, and the run writes example2's pinned trace bytes."""
+    from test_acceptance import TRACE_DIGESTS
+    doc = copy.deepcopy(BUNDLED_DOCS["example2"])
+    edit(doc["graph"])
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert load_scenario(path).graph.eta == 0.1
+    out = tmp_path / "trace.csv"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_DIGESTS["example2"]
 
 
 def test_loader_takes_integral_floats():
@@ -416,7 +436,7 @@ def test_convexity_is_sampled_once_per_distinct_objective(monkeypatch):
     sides = (("a", "b", "c+"), ("b", "c-", "a"))
     box = BoxSet((-2.0,), (2.0,))
     cycle = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-    base = make_identical_scenario(subnet1_objectives(), [cycle], 0.1, box, box,
+    base = make_identical_scenario(subnet1_objectives(), [cycle], box, box,
                                    Homogeneous(GammaSchedule()), [0.0] * 3, [0.0] * 3)
     doc = scenario_to_doc(base)
     for side, names in zip(("subnet1", "subnet2"), sides):
