@@ -7,7 +7,7 @@ and ``sweep`` (one scenario under a list of parameter overrides, optionally
 in parallel worker processes).
 
 Failure classes map to fixed exit codes: 2 parse, 3 validation, 4 numeric,
-5 resource, 1 anything else.
+5 resource, 141 stdout closed early (as a shell shows SIGPIPE), 1 other.
 """
 
 from __future__ import annotations
@@ -35,10 +35,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NashnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        try:
+            return args.func(args)
+        except NashnetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        finally:
+            sys.stdout.flush()  # a reader that left early shows here, not at exit
+    except BrokenPipeError:  # Python's signal-docs recipe: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # the status a shell shows for SIGPIPE
 
 
 def _build_parser():

@@ -1,7 +1,7 @@
 """Convex-concave objectives as expression trees with explicit kink choices.
 
 Objectives are built from a small set of node types (constants, variables,
-sums, products, integer powers, absolute values, affine forms). Subgradients
+sums, products, integer powers, absolute values). Subgradients
 are obtained by formal forward-mode differentiation; at a kink of an
 absolute-value node the derivative is taken from an explicit per-node
 selection constant in [-1, 1] instead of sign(0). The formal rules produce a
@@ -107,18 +107,6 @@ class Abs(Expr):
         object.__setattr__(self, "child", _as_expr(self.child))
 
 
-@dataclass(frozen=True)
-class Affine(Expr):
-    coeff_x: tuple
-    coeff_y: tuple
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff_x", tuple(float(c) for c in self.coeff_x))
-        object.__setattr__(self, "coeff_y", tuple(float(c) for c in self.coeff_y))
-        object.__setattr__(self, "offset", float(self.offset))
-
-
 def _as_expr(v):
     if isinstance(v, Expr):
         return v
@@ -135,45 +123,27 @@ def y_var(index: int = 0) -> Var:
     return Var("y", index)
 
 
+def _preorder(node):
+    """The nodes of a tree, each before its children, children left to right."""
+    yield node
+    if isinstance(node, (Neg, Scale, Pow, Abs)):
+        yield from _preorder(node.child)
+    elif isinstance(node, (Sum, Prod)):
+        for c in node.children:
+            yield from _preorder(c)
+
+
 def abs_nodes(e: Expr) -> list:
     """Absolute-value nodes of `e` in preorder. Selection keys refer to
     positions in this list."""
-    found = []
-
-    def walk(node):
-        if isinstance(node, Abs):
-            found.append(node)
-        for c in _children(node):
-            walk(c)
-
-    walk(e)
-    return found
-
-
-def _children(node):
-    if isinstance(node, (Neg, Scale, Pow, Abs)):
-        return (node.child,)
-    if isinstance(node, (Sum, Prod)):
-        return node.children
-    return ()
+    return [node for node in _preorder(e) if isinstance(node, Abs)]
 
 
 def dimensions(e: Expr) -> tuple:
     """(m1, m2) implied by the highest variable indices appearing in `e`."""
-    mx, my = 0, 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node.side == "x":
-                mx = max(mx, node.index + 1)
-            else:
-                my = max(my, node.index + 1)
-        elif isinstance(node, Affine):
-            mx = max(mx, len(node.coeff_x))
-            my = max(my, len(node.coeff_y))
-        stack.extend(_children(node))
-    return mx, my
+    found = [node for node in _preorder(e) if isinstance(node, Var)]
+    return tuple(max((v.index + 1 for v in found if v.side == side), default=0)
+                 for side in "xy")
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +378,6 @@ class _CodeGen:
                 sign = f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c!r})"
             s = (False, self.tmp(sign))
             return v, [g and self.mul([s, g]) for g in cgx], [g and self.mul([s, g]) for g in cgy]
-        if isinstance(e, Affine):
-            terms = [self.mul([_literal(c), (False, name)])
-                     for coeffs, names in ((e.coeff_x, self.x), (e.coeff_y, self.y))
-                     for c, name in zip(coeffs, names) if c != 0.0]
-            terms.append(_literal(e.offset))
-            v = terms[0] if len(terms) == 1 else (False, self.tmp(_sum_text(terms)))
-            for g, coeffs in ((zx, e.coeff_x), (zy, e.coeff_y)):
-                for d, c in enumerate(coeffs):
-                    if c != 0.0:
-                        g[d] = _literal(c)
-            return v, zx, zy
         raise TypeError(f"unknown node {type(e).__name__}")
 
     @staticmethod
@@ -548,10 +507,6 @@ def format_expr(e: Expr) -> str:
         return f"(pow {format_expr(e.child)} {e.exponent})"
     if isinstance(e, Abs):
         return f"(abs {format_expr(e.child)})"
-    if isinstance(e, Affine):
-        return ("(affine (" + " ".join(_fmt_num(c) for c in e.coeff_x) + ") ("
-                + " ".join(_fmt_num(c) for c in e.coeff_y) + ") "
-                + _fmt_num(e.offset) + ")")
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -593,6 +548,8 @@ def _parse(tokens):
             break
         if op == "affine" and rest[0] == "(":
             # coefficient list literal
+            if ")" not in rest:
+                raise ValidationError("unterminated '('")
             close = rest.index(")")
             args.append([_number(t) for t in rest[1:close]])
             rest = rest[close + 1:]
@@ -656,7 +613,10 @@ def _build(op, args):
             raise ValidationError("abs takes exactly 1 argument")
         return Abs(args[0])
     if op == "affine":
+        # (add (scale cx0 x0) ... (scale cy0 y0) ... offset), zero terms left out
         if len(args) != 3 or not isinstance(args[0], list) or not isinstance(args[1], list):
             raise ValidationError("affine takes (cx...) (cy...) offset")
-        return Affine(tuple(args[0]), tuple(args[1]), num(args[2]))
+        terms = [Scale(c, Var(side, d)) for side, coeffs in (("x", args[0]), ("y", args[1]))
+                 for d, c in enumerate(coeffs) if c != 0.0]
+        return Sum((*terms, Const(num(args[2]))))
     raise ValidationError(f"unknown operator {op!r}")

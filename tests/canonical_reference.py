@@ -30,10 +30,8 @@ agent pair in plain floats, and the trace CSV has :func:`trace_csv_text`,
 one ``%`` per row.
 """
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +41,9 @@ from nashnet.catalog import CATALOG
 from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
-from nashnet.exprs import (Abs, Affine, Const, Neg, Pow, Prod, Scale, Sum, Var,
+from nashnet.exprs import (Abs, Const, Neg, Pow, Prod, Scale, Sum, Var,
                            check_selection, compile_objective, dimensions,
-                           objective_code)
+                           objective_code, parse_expr)
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                Homogeneous, OracleHeterogeneous)
 
@@ -318,9 +316,6 @@ def magnitude(e, x, y) -> float:
         return math.prod(magnitude(c, x, y) for c in e.children)
     if isinstance(e, Pow):
         return magnitude(e.child, x, y) ** e.exponent
-    if isinstance(e, Affine):
-        return (sum(abs(c * v) for c, v in zip(e.coeff_x, x))
-                + sum(abs(c * v) for c, v in zip(e.coeff_y, y)) + abs(e.offset))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -405,6 +400,14 @@ def grid_minimax(w, bx, by, resolution: int = 2001, per_term: bool = False):
 # expression interpreter
 # ---------------------------------------------------------------------------
 
+def affine(coeff_x, coeff_y, offset):
+    """The tree :func:`parse_expr` builds for ``(affine (coeff_x ...)
+    (coeff_y ...) offset)``, each number written as the repr of its float."""
+    def text(values):
+        return " ".join(repr(float(v)) for v in values)
+    return parse_expr(f"(affine ({text(coeff_x)}) ({text(coeff_y)}) {float(offset)!r})")
+
+
 def evaluate(e, x, y) -> float:
     """Exact recursive evaluation of `e` at (x, y)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -432,10 +435,6 @@ def _eval(e, x, y):
         return _eval(e.child, x, y) ** e.exponent
     if isinstance(e, Abs):
         return abs(_eval(e.child, x, y))
-    if isinstance(e, Affine):
-        # one chain, left to right: the x terms, the y terms, the offset
-        terms = [c * v for c, v in zip(e.coeff_x, x)] + [c * v for c, v in zip(e.coeff_y, y)]
-        return functools.reduce(operator.add, terms + [e.offset])
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -481,12 +480,6 @@ def _grad(e, x, y, sel, counter):
         cv, cgx, cgy = _grad(e.child, x, y, sel, counter)
         s = 1.0 if cv > 0 else (-1.0 if cv < 0 else sel[idx])
         return abs(cv), s * cgx, s * cgy
-    if isinstance(e, Affine):
-        v = _eval(e, x, y)
-        gx, gy = np.zeros(len(x)), np.zeros(len(y))
-        gx[:len(e.coeff_x)] = e.coeff_x
-        gy[:len(e.coeff_y)] = e.coeff_y
-        return v, gx, gy
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -245,6 +245,57 @@ def test_graph_check_failure_exit_3(tmp_path, capsys):
                           "cross layer covers every node within T=1: pass"]
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("disconnect", [False, True], ids=["passing graph", "failing graph"])
+def test_graph_check_into_a_closed_pipe_exits_141(disconnect, buffered, tmp_path):
+    """A reader that closed stdout before the first line ends graph-check
+    with the documented status 141 and no traceback, whether the graph
+    passes or fails its checks and whether the first print or the final
+    flush meets the closed pipe; a failure raised before that flush is
+    still reported on stderr."""
+    doc = scenario_to_doc(bundled_scenario("example2"))
+    if disconnect:  # node 0 of subnet 1 hears only itself
+        for ph in doc["graph"]["phases"]:
+            ph["a1"][0] = [1.0] + [0.0] * (len(ph["a1"]) - 1)
+    path = tmp_path / "g.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nashnet.cli", "graph-check", str(path)],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    if buffered:
+        assert ("error: assumptions failed" in proc.stderr) == disconnect
+
+
+@pytest.mark.parametrize("coeff_x, code, message", [
+    ("1 0", 0, "50 iterations"),
+    ("1 -0.0", 0, "50 iterations"),
+    ("1 2", 3, "needs dimensions (2, 1)"),
+])
+def test_a_zero_affine_coefficient_reads_no_coordinate(coeff_x, code, message, shsad,
+                                                       tmp_path, capsys):
+    """On an m1 = 1 scenario an affine term with a zero coefficient for x1
+    loads and runs, since that term is left out of the sum; a nonzero one
+    still needs m1 = 2."""
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["agents"]["subnet1"][0]["expr"] = f"(sub (affine ({coeff_x}) (1) 0) (pow y0 2))"
+    path = tmp_path / "affine.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", str(path), "--iters", "50"]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)
+
+
 @pytest.mark.parametrize("name, windows", [
     ("example1", (2, 2, 1)), ("example2", (2, 2, 1)), ("example3", (2, 2, 1)),
     ("shared_saddle", (2, 2, 1)), ("perron_weighted", (1, 1, 1))])

@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
-from canonical_reference import (contact_times, evaluate, gamma, initial_state,
+from canonical_reference import (affine, contact_times, evaluate, gamma, initial_state,
                                  make_identical_scenario, project, reference_run,
                                  step, stepsize_for, subgradient_x, subgradient_y)
 from nashnet import engine
 from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
 from nashnet.errors import NumericError, ValidationError
-from nashnet.exprs import (Abs, Affine, BoxSet, Neg, Pow, Prod, Scale, Sum,
-                           abs_nodes, x_var, y_var)
+from nashnet.exprs import (Abs, BoxSet, Neg, Pow, Prod, Scale, Sum, abs_nodes,
+                           x_var, y_var)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous, distinct_columns,
@@ -169,8 +169,7 @@ def _random_objective(rng, box_x, box_y):
     terms = [Scale(float(rng.uniform(0.2, 1.0)), power(x_var, d, float(rng.uniform(-2, 2))))
              for d in range(m1)]
     terms.append(Scale(float(rng.uniform(-0.5, 0.5)), Prod((x_var(0), y_var(0)))))
-    terms.append(Affine(tuple(rng.uniform(-1, 1, m1)), tuple(rng.uniform(-1, 1, m2)),
-                        float(rng.uniform(-1, 1))))
+    terms.append(affine(rng.uniform(-1, 1, m1), rng.uniform(-1, 1, m2), rng.uniform(-1, 1)))
     terms += [Scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((x_var(d), -kink(box_x, d)))))
               for d in range(m1)]
     terms += [Neg(Scale(float(rng.uniform(0.2, 1.0)), power(y_var, d, float(rng.uniform(-2, 2)))))

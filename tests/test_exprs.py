@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from nashnet.catalog import CATALOG
 from nashnet.errors import ValidationError
-from nashnet.exprs import (Abs, Affine, BoxSet, Const, Neg, Pow, Prod, Scale,
-                           Sum, Var, check_selection, compile_objective,
+from nashnet.exprs import (Abs, BoxSet, Const, Neg, Pow, Prod, Scale, Sum,
+                           Var, check_selection, compile_objective,
                            convexity_points, dimensions, format_expr,
                            objective_code, parse_expr, sample_convexity,
                            worst_violations, x_var, y_var)
@@ -32,7 +32,7 @@ def test_evaluate_basic_nodes():
     assert evaluate(Prod((x, y)), [3], [4]) == 12.0
     assert evaluate(Pow(x, 3), [2], [0]) == 8.0
     assert evaluate(Abs(y), [0], [-6]) == 6.0
-    assert evaluate(Affine((2.0,), (-1.0,), 0.5), [3], [4]) == 2.5
+    assert evaluate(ref.affine((2.0,), (-1.0,), 0.5), [3], [4]) == 2.5
 
 
 def test_constructors_coerce_numbers():
@@ -160,8 +160,8 @@ def _kinky_exprs(m1, m2):
     leaves = st.one_of(
         var, st.builds(Const, num),
         st.builds(lambda v, c: Sum((v, Const(c))), var, num),
-        st.builds(Affine, st.lists(num, min_size=1, max_size=m1).map(tuple),
-                  st.lists(num, min_size=1, max_size=m2).map(tuple), num))
+        st.builds(ref.affine, st.lists(num, min_size=1, max_size=m1),
+                  st.lists(num, min_size=1, max_size=m2), num))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(1, 6)),
         st.builds(Abs, kids), st.builds(Neg, kids),
@@ -187,7 +187,7 @@ def _kinky_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(_kinky_problems())
 # (-2.0 + 1.0) opens with "(-" but is no negation as a whole: its negation is 1.0
-@example((Neg(Sum((Affine((-2.0,), (-2.0,), -2.0), x_var(0)))), {}, 1, 1, [([-2.0], [-2.0])]))
+@example((Neg(Sum((ref.affine((-2.0,), (-2.0,), -2.0), x_var(0)))), {}, 1, 1, [([-2.0], [-2.0])]))
 def test_emitted_gradient_equals_closure_on_random_expressions(problem):
     _assert_emitted_equals_interpreter(*problem)
 
@@ -255,11 +255,46 @@ def test_prefix_roundtrip_catalog(name):
 
 
 def test_parse_affine_and_errors():
-    e = parse_expr("(affine (2 0.5) (-1) 3)")
-    assert e == Affine((2.0, 0.5), (-1.0,), 3.0)
-    for bad in ("", "(pow x0 1.5)", "(frob x0)", "(abs x0", "x0 y0", "z3"):
+    # the kept terms sum left to right into one temporary; a derivative is
+    # the coefficient itself, 0.0 where the coefficient is zero
+    e = parse_expr("(affine (2.5 0 -1) (-0.0 1) -3)")
+    assert objective_code(e, None, 3, 2, "value") == (
+        ["t1 = (2.5 * x[0]) - x[2] + y[1] - 3.0"], "t1")
+    assert objective_code(e, None, 3, 2, "x") == (
+        [], [(False, "2.5"), (False, "0.0"), (True, "1.0")])
+    assert objective_code(e, None, 3, 2, "y") == ([], [(False, "0.0"), (False, "1.0")])
+    for bad in ("", "(pow x0 1.5)", "(frob x0)", "(abs x0", "x0 y0", "z3", "(affine (1 2",
+                "(affine (1 2) (3) 4", "(affine (1) (2))", "(affine (1) (2) (3))"):
         with pytest.raises(ValidationError):
             parse_expr(bad)
+    with pytest.raises(ValidationError, match="unterminated"):
+        parse_expr("(affine (1 2")
+
+
+AFFINE_COEFFS = (0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(AFFINE_COEFFS), max_size=3),
+       st.lists(st.sampled_from(AFFINE_COEFFS), max_size=3),
+       st.sampled_from(AFFINE_COEFFS),
+       st.sampled_from(("{}", "(add x0 {} y0)", "(scale -2.5 {})")))
+def test_affine_emits_the_code_of_its_sum(cx, cy, offset, place):
+    """``(affine (cx ...) (cy ...) c)`` emits, for the value and both
+    derivative blocks, the code of the spelled-out ``(add (scale cx0 x0)
+    ... (scale cy0 y0) ... c)`` without the terms of zero coefficients,
+    -0.0 included: bare, in a sum and under a scale."""
+    def nums(values):
+        return " ".join(map(repr, values))
+
+    terms = [f"(scale {c!r} {side}{d})" for side, coeffs in (("x", cx), ("y", cy))
+             for d, c in enumerate(coeffs) if c != 0.0]
+    short = parse_expr(place.format(f"(affine ({nums(cx)}) ({nums(cy)}) {offset!r})"))
+    spelled = parse_expr(place.format("(add " + " ".join(terms + [repr(offset)]) + ")"))
+    m1, m2 = max(1, len(cx)), max(1, len(cy))
+    for output in ("value", "x", "y"):
+        assert objective_code(short, None, m1, m2, output) == \
+            objective_code(spelled, None, m1, m2, output)
 
 
 def test_parse_rejects_empty_sum_and_product():
@@ -280,11 +315,13 @@ def test_parse_rejects_empty_sum_and_product():
 @example(0.0, -0.0, -3.0)
 def test_parse_format_numbers(a, b, c):
     """Every number survives format/parse as the same double, -0.0 included."""
-    e = Sum((Scale(a, x_var(0)), Scale(b, y_var(0)), Const(c), Affine((a, c), (b,), c)))
+    e = Sum((Scale(a, x_var(0)), Scale(b, y_var(0)), Const(c), ref.affine((a, c), (b,), c)))
     again = parse_expr(format_expr(e))
+    assert again == e
     sa, sb, cc, aff = again.children
-    assert _bits([sa.factor, sb.factor, cc.value, *aff.coeff_x, *aff.coeff_y, aff.offset]) == \
-        _bits([a, b, c, a, c, b, c])
+    *terms, offset = aff.children
+    assert _bits([sa.factor, sb.factor, cc.value, offset.value]) == _bits([a, b, c, c])
+    assert _bits([t.factor for t in terms]) == _bits([v for v in (a, c, b) if v != 0.0])
 
 
 def test_box_validation_and_projection():
@@ -345,8 +382,7 @@ def test_convexity_points_equal_the_sequential_stream(m1, m2):
 def _assert_worst_match(e, bx, by, trials, seed=0):
     """Batched worst violations equal the per-trial interpreter loop within
     1e-12 relative to the sample's magnitude: numpy and Python float `**`
-    may differ by an ulp, and the vector code may sum an affine node in
-    another order."""
+    may differ by an ulp."""
     wx, wy, finite = worst_violations(e, bx, by, trials, seed)
     rx, ry, scale = ref.worst_violations(e, bx, by, trials, seed)
     assert finite
@@ -366,9 +402,8 @@ def _exprs(m1, m2):
         st.builds(Var, st.just("x"), st.integers(0, m1 - 1)),
         st.builds(Var, st.just("y"), st.integers(0, m2 - 1)),
         st.builds(Const, st.floats(-3, 3)),
-        st.builds(Affine, st.lists(st.floats(-2, 2), min_size=1, max_size=m1).map(tuple),
-                  st.lists(st.floats(-2, 2), min_size=1, max_size=m2).map(tuple),
-                  st.floats(-1, 1)))
+        st.builds(ref.affine, st.lists(st.floats(-2, 2), min_size=1, max_size=m1),
+                  st.lists(st.floats(-2, 2), min_size=1, max_size=m2), st.floats(-1, 1)))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(2, 6)),
         st.builds(Neg, kids), st.builds(Abs, kids),
