@@ -7,7 +7,8 @@ and ``sweep`` (one scenario under a list of parameter overrides, optionally
 in parallel worker processes).
 
 Failure classes map to fixed exit codes: 2 parse, 3 validation, 4 numeric,
-5 resource, 141 stdout closed early (as a shell shows SIGPIPE), 1 other.
+5 resource (an allocation that fails included), 141 stdout closed early (as
+a shell shows SIGPIPE), 1 other.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import replace
 from .digraph import (check_jointly_bipartite, check_ujsc, is_weight_balanced,
                       limiting_stochastic_vector, validate_weight_rule)
 from .engine import Scenario, run
-from .errors import NashnetError, ValidationError
+from .errors import NashnetError, ResourceError, ValidationError
 from .metrics import compute_metrics
 from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
                      unit_weighted)
@@ -40,6 +41,9 @@ def main(argv=None) -> int:
         except NashnetError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code
+        except MemoryError as exc:  # a table too large for this machine
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return ResourceError.exit_code
         finally:
             sys.stdout.flush()  # a reader that left early shows here, not at exit
     except BrokenPipeError:  # Python's signal-docs recipe: devnull takes the flush at exit
@@ -304,8 +308,9 @@ def cmd_sweep(args) -> int:
              os.path.join(args.out, f"{scenario.name}_{tag}_{i}_metrics.csv"))
             for i, v in enumerate(values)]
     _make_dir(args.out)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(_sweep_worker, jobs))
     else:
         errors = [_sweep_worker(j) for j in jobs]

@@ -107,51 +107,43 @@ class GraphSequenceSpec:
     a1/a2: per-phase mixing matrices of the two subnetworks.
     cross1: per-phase (n1, n2) weights agents of subnet 1 place on subnet 2
     (an all-zero row means no cross in-neighbor that phase); cross2 likewise
-    with shape (n2, n1). Neither a weight floor nor a connectivity window is
-    declared: the floor eta is the least positive weight of all four layers
+    with shape (n2, n1). Nothing else is declared: the agent counts n1 and
+    n2 are the row counts of the cross layers, the period is the number of
+    phases, the floor eta is the least positive weight of all four layers
     over every phase (1.0 without one), and one period's union contains
     every shorter window's.
     """
 
-    n1: int
-    n2: int
-    period: int
     a1: tuple
     a2: tuple
     cross1: tuple
     cross2: tuple
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+    period: int = field(init=False)
     eta: float = field(init=False)
 
     def __post_init__(self):
-        if self.period < 1 or len(self.a1) != self.period or len(self.a2) != self.period:
-            raise ValidationError("phase count must equal the declared period")
-        if len(self.cross1) != self.period or len(self.cross2) != self.period:
-            raise ValidationError("cross layers must cover every phase")
-        a1 = tuple(np.asarray(m, dtype=float) for m in self.a1)
-        a2 = tuple(np.asarray(m, dtype=float) for m in self.a2)
-        c1 = tuple(np.asarray(m, dtype=float) for m in self.cross1)
-        c2 = tuple(np.asarray(m, dtype=float) for m in self.cross2)
-        for m in a1:
-            if m.shape != (self.n1, self.n1):
-                raise ValidationError(f"subnet-1 matrix shape {m.shape} != ({self.n1},{self.n1})")
-        for m in a2:
-            if m.shape != (self.n2, self.n2):
-                raise ValidationError(f"subnet-2 matrix shape {m.shape} != ({self.n2},{self.n2})")
-        for m in c1:
-            if m.shape != (self.n1, self.n2):
-                raise ValidationError("cross-to-1 layer has wrong shape")
-        for m in c2:
-            if m.shape != (self.n2, self.n1):
-                raise ValidationError("cross-to-2 layer has wrong shape")
-        if not all(np.isfinite(m).all() for m in a1 + a2 + c1 + c2):
+        names = ("a1", "a2", "cross1", "cross2")
+        layers = [tuple(np.asarray(m, dtype=float) for m in getattr(self, name)) for name in names]
+        if not layers[0]:
+            raise ValidationError("a graph sequence needs at least one phase")
+        n1, n2 = (len(mats[0]) if mats and mats[0].ndim else 0 for mats in layers[2:])
+        labels = ("subnet-1 matrix", "subnet-2 matrix", "cross-to-1 layer", "cross-to-2 layer")
+        for label, mats, shape in zip(labels, layers, ((n1, n1), (n2, n2), (n1, n2), (n2, n1))):
+            if len(mats) != len(layers[0]):
+                raise ValidationError(f"{label} has {len(mats)} phases, a1 {len(layers[0])}")
+            for m in mats:
+                if m.shape != shape:
+                    raise ValidationError(f"{label} shape {m.shape} != {shape}")
+        weights = sum(layers, ())
+        if not all(np.isfinite(m).all() for m in weights):
             raise ValidationError("graph weights must be finite")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "cross1", c1)
-        object.__setattr__(self, "cross2", c2)
-        positive = [m[m > 0] for m in a1 + a2 + c1 + c2]
-        object.__setattr__(self, "eta", min((float(p.min()) for p in positive if p.size),
-                                            default=1.0))
+        positive = [m[m > 0] for m in weights]
+        eta = min((float(p.min()) for p in positive if p.size), default=1.0)
+        for name, value in zip(names + ("n1", "n2", "period", "eta"),
+                               layers + [n1, n2, len(layers[0]), eta]):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -342,8 +334,8 @@ def _constant_spec(A) -> GraphSequenceSpec:
     """The period-1 sequence of square `A` in subnet 1, one agent in subnet 2."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    return GraphSequenceSpec(n1=n, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
-                             cross1=(np.zeros((n, 1)),), cross2=(np.zeros((1, n)),))
+    return GraphSequenceSpec(a1=(A,), a2=(np.eye(1),), cross1=(np.zeros((n, 1)),),
+                             cross2=(np.zeros((1, n)),))
 
 
 def perron_vector(A) -> np.ndarray:

@@ -53,8 +53,6 @@ class Scenario:
     """Everything needed for one reproducible run."""
 
     name: str
-    m1: int
-    m2: int
     objectives1: tuple  # (expr, selection) per subnet-1 agent
     objectives2: tuple
     graph: GraphSequenceSpec
@@ -72,10 +70,12 @@ class Scenario:
         g = self.graph
         if len(self.objectives1) != g.n1 or len(self.objectives2) != g.n2:
             raise ValidationError("agent count does not match the graph spec")
-        if self.box_x.dim != self.m1 or self.box_y.dim != self.m2:
-            raise ValidationError("box dimensions do not match (m1, m2)")
-        x0 = np.asarray(self.x0, dtype=float).reshape(g.n1, self.m1)
-        y0 = np.asarray(self.y0, dtype=float).reshape(g.n2, self.m2)
+        try:
+            x0 = np.asarray(self.x0, dtype=float).reshape(g.n1, self.m1)
+            y0 = np.asarray(self.y0, dtype=float).reshape(g.n2, self.m2)
+        except ValueError:
+            raise ValidationError("initial states must be n1 x m1 and n2 x m2 numbers, "
+                                  "m1 and m2 the box dimensions") from None
         if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
             raise ValidationError("initial states must be finite")
         if (self.oracle_x is None) != (self.oracle_y is None):
@@ -92,13 +92,11 @@ class Scenario:
                 raise ValidationError(f"objective {format_expr(e)} needs dimensions "
                                       f"{dimensions(e)} beyond (m1, m2) = ({self.m1}, {self.m2})")
 
-    @property
-    def n1(self):
-        return self.graph.n1
-
-    @property
-    def n2(self):
-        return self.graph.n2
+    # agent counts and block dimensions, read off the graph and the boxes
+    n1 = property(lambda self: self.graph.n1)
+    n2 = property(lambda self: self.graph.n2)
+    m1 = property(lambda self: self.box_x.dim)
+    m2 = property(lambda self: self.box_y.dim)
 
 
 def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:

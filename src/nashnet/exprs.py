@@ -407,6 +407,8 @@ class BoxSet:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
             raise ValidationError("box lower/upper dimension mismatch")
+        if not lo:
+            raise ValidationError("a box needs at least one dimension")
         if not all(l <= u for l, u in zip(lo, hi)):  # also false for NaN
             raise ValidationError("box has lower > upper or a NaN bound in some dimension")
         if not all(l < math.inf and u > -math.inf for l, u in zip(lo, hi)):

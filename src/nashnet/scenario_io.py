@@ -116,8 +116,6 @@ def loads_scenario(text: str) -> Scenario:
 
 def _scenario_from_doc(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
-    dims = doc["dimensions"]
-    m1, m2 = _integer(dims["m1"], "dimensions.m1"), _integer(dims["m2"], "dimensions.m2")
     box_x = BoxSet(tuple(doc["boxes"]["x"]["lower"]), tuple(doc["boxes"]["x"]["upper"]))
     box_y = BoxSet(tuple(doc["boxes"]["y"]["lower"]), tuple(doc["boxes"]["y"]["upper"]))
 
@@ -137,8 +135,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     run_doc = doc.get("run", {})
     oracle = run_doc.get("oracle") or {}
     return Scenario(
-        name=str(meta.get("name", "unnamed")), m1=m1, m2=m2,
-        objectives1=obj1, objectives2=obj2, graph=graph,
+        name=str(meta.get("name", "unnamed")), objectives1=obj1, objectives2=obj2, graph=graph,
         box_x=box_x, box_y=box_y, rule=rule,
         x0=np.asarray(doc["initial"]["x"], dtype=float),
         y0=np.asarray(doc["initial"]["y"], dtype=float),
@@ -149,18 +146,14 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
 
 def _graph_from_doc(doc: dict) -> GraphSequenceSpec:
-    gdoc = doc["graph"]
-    phases = gdoc["phases"]
+    """The graph, its cross layers sized by the agent lists."""
+    phases = doc["graph"]["phases"]
     n1, n2 = len(doc["agents"]["subnet1"]), len(doc["agents"]["subnet2"])
-    a1, a2, c1, c2 = [], [], [], []
-    for ph in phases:
-        a1.append(np.asarray(ph["a1"], dtype=float))
-        a2.append(np.asarray(ph["a2"], dtype=float))
-        c1.append(_cross_matrix(ph.get("cross_to_1", []), n1, n2))
-        c2.append(_cross_matrix(ph.get("cross_to_2", []), n2, n1))
     return GraphSequenceSpec(
-        n1=n1, n2=n2, period=_integer(gdoc["period"], "graph.period"),
-        a1=tuple(a1), a2=tuple(a2), cross1=tuple(c1), cross2=tuple(c2))
+        a1=tuple(np.asarray(ph["a1"], dtype=float) for ph in phases),
+        a2=tuple(np.asarray(ph["a2"], dtype=float) for ph in phases),
+        cross1=tuple(_cross_matrix(ph.get("cross_to_1", []), n1, n2) for ph in phases),
+        cross2=tuple(_cross_matrix(ph.get("cross_to_2", []), n2, n1) for ph in phases))
 
 
 def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
@@ -192,13 +185,9 @@ def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
     if variant == "homogeneous":
         return Homogeneous(schedule)
     if variant == "oracle_heterogeneous":
-        if "phi1" in sdoc:
-            return OracleHeterogeneous(schedule=schedule,
-                                       phi1=tuple(tuple(v) for v in sdoc["phi1"]),
-                                       phi2=tuple(tuple(v) for v in sdoc["phi2"]))
         if validate_weight_rule(graph) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
             raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
-                                  "graph that meets the weight rule; store phi1 and phi2 otherwise")
+                                  "graph that meets the weight rule")
         from .stepsizes import oracle_heterogeneous_build
         return oracle_heterogeneous_build(graph, schedule)
     if variant == "adaptive_common":
@@ -222,14 +211,8 @@ def scenario_to_doc(s: Scenario) -> dict:
             "cross_to_1": _edges(g.cross1[ph]),
             "cross_to_2": _edges(g.cross2[ph]),
         })
-    sdoc = {"variant": _variant_name(s.rule), "gamma": _gamma_doc(s.rule.schedule)}
-    if isinstance(s.rule, OracleHeterogeneous):
-        sdoc["phi1"] = [[float(v) for v in vec] for vec in s.rule.phi1]
-        sdoc["phi2"] = [[float(v) for v in vec] for vec in s.rule.phi2]
     doc = {
-        "meta": {"name": s.name,
-                 "determinism": "runs are seed-free and bit-identical"},
-        "dimensions": {"m1": s.m1, "m2": s.m2},
+        "meta": {"name": s.name},
         "boxes": {"x": {"lower": list(s.box_x.lower), "upper": list(s.box_x.upper)},
                   "y": {"lower": list(s.box_y.lower), "upper": list(s.box_y.upper)}},
         "agents": {
@@ -238,8 +221,8 @@ def scenario_to_doc(s: Scenario) -> dict:
             "subnet2": [{"expr": format_expr(e), "selections": _selections_doc(sel)}
                         for e, sel in s.objectives2],
         },
-        "graph": {"period": g.period, "phases": phases},
-        "stepsize": sdoc,
+        "graph": {"phases": phases},
+        "stepsize": {"variant": _variant_name(s.rule), "gamma": _gamma_doc(s.rule.schedule)},
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},
         "run": {"iterations": s.iterations},

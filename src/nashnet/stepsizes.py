@@ -12,6 +12,7 @@ bank per phase for periodically switching matrices.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -57,9 +58,13 @@ class GammaSchedule:
                                   f"for c = {self.c!r}, b = {self.b!r}")
 
     def require_horizon(self, K: int) -> None:
-        """Raise ValidationError unless gamma_0 .. gamma_{K-1} all exist."""
+        """Raise ValidationError unless gamma_0 .. gamma_{K-1} all exist, and
+        ResourceError when K float64 values exceed what an array can hold."""
         if K < 0:
             raise ValidationError(f"iterations must be >= 0, got {K}")
+        if K > sys.maxsize // 8:
+            raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
+                                f"{sys.maxsize // 8} float64 values")
         if self.table is not None and K > len(self.table):
             raise ValidationError(
                 f"schedule table of length {len(self.table)} cannot cover {K} iterations")

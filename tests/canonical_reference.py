@@ -658,15 +658,12 @@ def make_identical_scenario(objectives, a_seq, box_x, box_y, rule,
     n = len(objectives)
     a_seq = tuple(np.asarray(a, dtype=float) for a in a_seq)
     eye = np.eye(n)
-    graph = GraphSequenceSpec(
-        n1=n, n2=n, period=len(a_seq), a1=a_seq, a2=a_seq,
-        cross1=tuple(eye for _ in a_seq), cross2=tuple(eye for _ in a_seq))
-    m1, m2 = box_x.dim, box_y.dim
-    return Scenario(name=name, m1=m1, m2=m2,
-                    objectives1=tuple(objectives), objectives2=tuple(objectives),
+    graph = GraphSequenceSpec(a1=a_seq, a2=a_seq, cross1=tuple(eye for _ in a_seq),
+                              cross2=tuple(eye for _ in a_seq))
+    return Scenario(name=name, objectives1=tuple(objectives), objectives2=tuple(objectives),
                     graph=graph, box_x=box_x, box_y=box_y, rule=rule,
-                    x0=np.asarray(x0, dtype=float).reshape(n, m1),
-                    y0=np.asarray(y0, dtype=float).reshape(n, m2),
+                    x0=np.asarray(x0, dtype=float).reshape(n, box_x.dim),
+                    y0=np.asarray(y0, dtype=float).reshape(n, box_y.dim),
                     iterations=iterations, **kwargs)
 
 

@@ -30,7 +30,7 @@ from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
                             unit_weighted)
 from nashnet.scenario_io import (bundled_scenario, loads_scenario, metrics_to_csv,
-                                 plotdata_to_csv, trace_to_csv)
+                                 plotdata_to_csv, scenario_to_doc, trace_to_csv)
 from nashnet.stepsizes import learner_readouts, oracle_heterogeneous_build
 
 BUNDLED = ("example1", "example2", "example3", "perron_weighted", "shared_saddle")
@@ -219,7 +219,7 @@ def test_criterion_6d_geometric_rate_envelope():
         # every matrix here has full support floor via the diagonal; use T
         # equal to the window in which the union is complete
         spec = GraphSequenceSpec(
-            n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
+            a1=mats, a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period)
         bound = geometric_rate_bound(n, n * period, spec.eta)
@@ -245,7 +245,7 @@ def test_criterion_6e_learner_row_identity():
         period = int(rng.integers(1, 4))
         mats = [_random_stochastic(rng, n) for _ in range(period)]
         spec = GraphSequenceSpec(
-            n1=n, n2=1, period=period, a1=tuple(mats), a2=(np.eye(1),) * period,
+            a1=tuple(mats), a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period,
             cross2=(np.zeros((1, n)),) * period)
         K = int(rng.integers(2, 12))
@@ -268,7 +268,7 @@ def test_criterion_6f_learner_stochasticity():
         K = int(rng.integers(p + 1, 15))
         mats = [_random_stochastic(rng, n) for _ in range(K)]
         spec = GraphSequenceSpec(
-            n1=n, n2=1, period=K, a1=tuple(mats), a2=(np.eye(1),) * K,
+            a1=tuple(mats), a2=(np.eye(1),) * K,
             cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K)
         readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
         for nu in range(p):
@@ -445,6 +445,40 @@ def test_stale_connectivity_windows_run_the_bundled_graph():
     s = loads_scenario(yaml.safe_dump(doc, sort_keys=False))
     assert s.warnings == bundled_scenario("example1").warnings
     assert _sha256(trace_to_csv(run(s))) == TRACE_DIGESTS["example1"]
+
+
+def _stale_document(name: str, variant: str) -> dict:
+    """A bundled document with the keys the loader once read, and now
+    derives, put back: ``meta.determinism``, ``dimensions`` and
+    ``graph.period``. "contradicting" declares sizes the data does not
+    have. "phi" is the document as the old ``save_scenario`` wrote it, with
+    the limit vectors ``stepsize.phi1`` and ``phi2`` stored; "uniform phi"
+    replaces phi1 by uniform vectors."""
+    s = bundled_scenario(name)
+    doc = (scenario_to_doc(s) if variant.endswith("phi") else
+           yaml.safe_load(resources.files("nashnet.scenarios").joinpath(f"{name}.yaml").read_text()))
+    declared = (s.m1 + 1, s.m2 + 2, s.graph.period + 1) if variant == "contradicting" else (
+        s.m1, s.m2, s.graph.period)
+    doc["meta"]["determinism"] = "runs are seed-free and bit-identical"
+    doc["dimensions"] = {"m1": declared[0], "m2": declared[1]}
+    doc["graph"] = {"period": declared[2], **doc["graph"]}
+    if variant.endswith("phi"):
+        doc["stepsize"]["phi1"] = [v.tolist() for v in s.rule.phi1]
+        doc["stepsize"]["phi2"] = [v.tolist() for v in s.rule.phi2]
+    if variant == "uniform phi":
+        doc["stepsize"]["phi1"] = [[1.0 / s.n1] * s.n1] * s.graph.period
+    return doc
+
+
+@pytest.mark.parametrize("name, variant", [(name, "declared") for name in BUNDLED] + [
+    ("example1", "contradicting"), ("example2", "phi"), ("example2", "uniform phi")])
+def test_declared_sizes_and_limit_vectors_are_ignored(name, variant):
+    """The block dimensions, the period and the limit vectors follow from
+    the boxes and the graph: a document that still declares them, truly or
+    not, loads the bundled scenario and writes its pinned trace."""
+    doc = _stale_document(name, variant)
+    trace = run(loads_scenario(yaml.safe_dump(doc, sort_keys=False)))
+    assert _sha256(trace_to_csv(trace)) == TRACE_DIGESTS[name]
 
 
 def test_bundled_metrics_and_plotdata_digests_pinned(scenarios, traces):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
@@ -351,10 +351,9 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
 
 
 def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
-    """An oracle_heterogeneous rule without stored phi1/phi2 derives them at
-    load, which needs the weight rule; graph-check reads the graph alone,
-    so it prints the failing verdict and exits 3, and run keeps the load's
-    message."""
+    """An oracle_heterogeneous rule derives its limit vectors at load, which
+    needs the weight rule; graph-check reads the graph alone, so it prints
+    the failing verdict and exits 3, and run keeps the load's message."""
     doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
                          .read_text(encoding="utf-8"))
     assert doc["stepsize"]["variant"] == "oracle_heterogeneous" and "phi1" not in doc["stepsize"]
@@ -377,7 +376,7 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     ("grid resolution below 3", 3, "grid resolution"),
     ("infinite budget", 5, "NASHNET_BUDGET"),
     ("negative budget", 5, "NASHNET_BUDGET"),
-    ("dimension not a number", 3, "malformed"),
+    ("box bound not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("add without an argument", 3, "add takes at least 1 argument"),
     ("NaN saddle reference", 3, "x_star"),
@@ -395,15 +394,12 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     ("sweep scenario name holds a path separator", 3, "path separator"),
     ("oracle on an unbounded box", 5, "store a reference under run.oracle"),
     ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
-    ("stored limit vectors too short", 3, "one component per agent (3)"),
-    ("stored limit vectors ragged", 3, "one component per agent (3)"),
-    ("stored limit vector with a NaN", 3, "not positive stochastic"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
                                        monkeypatch, capsys):
     """User input errors end in their documented exit code, not a traceback."""
     doc = yaml.safe_load(Path(shsad).read_text())
-    doc["dimensions"]["m1"] = "x"
+    doc["boxes"]["x"]["lower"] = ["x"]
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
     doc = yaml.safe_load(Path(shsad).read_text())
@@ -431,16 +427,6 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
     del doc["run"]["oracle"]
     unbounded = tmp_path / "unbounded.yaml"
     unbounded.write_text(yaml.safe_dump(doc, sort_keys=False))
-    phi_mutations = {  # of example2 with its limit vectors stored
-        "stored limit vectors too short": lambda sd: sd.update(phi1=sd["phi2"]),
-        "stored limit vectors ragged": lambda sd: sd["phi1"].__setitem__(0, [0.5, 0.5]),
-        "stored limit vector with a NaN": lambda sd: sd["phi1"][0].__setitem__(0, math.nan),
-    }
-    phi_doc = tmp_path / "phi.yaml"
-    if case in phi_mutations:
-        doc = scenario_to_doc(bundled_scenario("example2"))
-        phi_mutations[case](doc["stepsize"])
-        phi_doc.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -451,7 +437,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
         "infinite budget": ["oracle", shsad, "--grid", "41"],
         "negative budget": ["oracle", shsad, "--grid", "101"],
-        "dimension not a number": ["run", str(bad)],
+        "box bound not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
         "add without an argument": ["run", str(empty_add)],
         "NaN saddle reference": ["run", str(nan_ref), "--iters", "50"],
@@ -479,7 +465,6 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "oracle on an unbounded box": ["oracle", str(unbounded), "--grid", "41"],
         "run on an unbounded box without a stored reference": ["run", str(unbounded),
                                                                "--iters", "5"],
-        **{name: ["run", str(phi_doc), "--iters", "20"] for name in phi_mutations},
     }[case]
     if case.endswith("budget"):
         monkeypatch.setenv("NASHNET_BUDGET", "inf" if case == "infinite budget" else "-1")
@@ -512,16 +497,14 @@ def _leaf_paths(node, path=()):
 
 @functools.cache
 def _fuzz_documents():
-    """Every bundled document, and example2 with its limit vectors stored."""
-    docs = {name: yaml.safe_load(resources.files("nashnet.scenarios")
+    """Every bundled document."""
+    return {name: yaml.safe_load(resources.files("nashnet.scenarios")
                                  .joinpath(f"{name}.yaml").read_text())
             for name in scenario_io.BUNDLED}
-    docs["example2 with phi"] = scenario_to_doc(bundled_scenario("example2"))
-    return docs
 
 
-# no count above 10, so no mutated count (a dimension, a window, a cross
-# index) makes a run slow
+# no count above 10, so no mutated count (a cross index, a selection
+# key) makes a run slow
 _FUZZ_VALUES = [None, True, "a", -1, 0, 1, 2, 3, 1.5, math.nan, math.inf, [], {}, [[0.5, 0.5]]]
 
 
@@ -536,10 +519,6 @@ def _mutated_documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_mutated_documents())
-@example(("example2 with phi", [(("stepsize", "phi1", 0), [0.5, 0.5]),
-                                (("stepsize", "phi1", 1), [0.5, 0.5])]))  # too short
-@example(("example2 with phi", [(("stepsize", "phi1", 0), [0.5, 0.5])]))  # ragged
-@example(("example2 with phi", [(("stepsize", "phi1", 0, 0), math.nan)]))
 def test_mutated_documents_keep_the_exit_code_contract(tmp_path_factory, mutated):
     """Whatever one or two leaves of a scenario hold, `run` returns 0 or a
     documented failure code, never a traceback."""
@@ -793,3 +772,87 @@ def test_sweep_iterations_param(shsad, tmp_path):
     assert main(["sweep", shsad, "--param", "iterations",
                  "--values", "10,20", "--out", d]) == 0
     assert os.path.exists(os.path.join(d, "sweep_summary.csv"))
+
+
+@pytest.mark.parametrize("values, jobs, pools", [
+    ("0.5,1,2", "2", [2]),
+    ("0.5,1", "100000000000000000000", [2]),
+    ("1", "3000", []),
+], ids=["fewer workers than jobs", "huge worker count", "one job"])
+def test_sweep_starts_at_most_one_worker_per_job(values, jobs, pools, shsad, tmp_path,
+                                                  monkeypatch):
+    """A pool starts all its workers at once, so a sweep asks for no more
+    than it has jobs, and runs a single job in this process. The stand-in
+    pool records its worker count and starts no process."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert main(["sweep", shsad, "--values", values, "--out", str(tmp_path / "sw"),
+                 "--jobs", jobs]) == 0
+    assert made == pools
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--iters", str(10 ** 28)],
+    ["run", "--iters", str(2 ** 60)],
+    ["sweep", "--param", "iterations", "--values", "1e30"],
+], ids=["10**28 iterations", "2**60 iterations", "sweep to 1e30 iterations"])
+def test_iteration_counts_that_cannot_be_tabulated_exit_5(command, shsad, tmp_path, capsys):
+    """More float64 stepsizes than an array can hold is a resource error,
+    raised before any table is allocated."""
+    sweep_dir = tmp_path / "sw"
+    argv = command[:1] + [shsad] + command[1:] + (["--out", str(sweep_dir)]
+                                                  if command[0] == "sweep" else [])
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "iterations cannot be tabulated" in err and "Traceback" not in err
+    assert not sweep_dir.exists()
+
+
+def test_an_allocation_that_fails_exits_5(shsad, monkeypatch, capsys):
+    """A table too large for the machine, such as 10**12 iterations (7.28
+    TiB of stepsizes), ends in exit 5 with numpy's message; the stand-in
+    allocation raises at once."""
+    def refuse(*_):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(nashnet.engine, "stepsize_tables", refuse)
+    assert main(["run", shsad, "--iters", "1000000000000"]) == 5
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 7.28 TiB for "
+                                       "an array with shape (1000000000000,) and data type "
+                                       "float64\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["agents"]["subnet1"].append(dict(d["agents"]["subnet1"][0])),
+     "subnet-1 matrix shape (3, 3) != (4, 4)"),
+    (lambda d: d["agents"]["subnet2"].append(dict(d["agents"]["subnet2"][0])),
+     "subnet-2 matrix shape (2, 2) != (3, 3)"),
+    (lambda d: d["graph"].update(phases=[]), "a graph sequence needs at least one phase"),
+], ids=["subnet 1 agent count", "subnet 2 agent count", "no phase"])
+def test_graphs_that_disagree_with_the_agent_lists_exit_3(edit, message, tmp_path, capsys):
+    """The agent lists size the cross layers, and with them the graph: a
+    subnetwork whose matrices are of another size fails run and graph-check
+    with a message naming it, as does an empty phase list."""
+    doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
+                         .read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    for command in ("run", "graph-check"):
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Stochastic matrices, graph sequences, transition products and their
 limits."""
 
+import inspect
 import math
 import warnings
 
@@ -94,12 +95,22 @@ def unbalanced():
 
 
 def test_spec_shape_validation():
-    with pytest.raises(ValidationError):
-        GraphSequenceSpec(n1=2, n2=1, period=2, a1=(np.eye(2),), a2=(np.eye(1),) * 2,
+    """The four layers are the whole constructor: the agent counts are the
+    cross layers' row counts and the period the phase count, and a layer
+    that disagrees with them, or an empty phase list, is refused."""
+    assert list(inspect.signature(GraphSequenceSpec).parameters) == ["a1", "a2", "cross1",
+                                                                     "cross2"]
+    spec = GraphSequenceSpec(a1=(np.eye(2),) * 3, a2=(np.eye(1),) * 3,
+                             cross1=(np.ones((2, 1)),) * 3, cross2=(np.ones((1, 2)) / 2,) * 3)
+    assert (spec.n1, spec.n2, spec.period) == (2, 1, 3)
+    with pytest.raises(ValidationError, match="subnet-2 matrix has 2 phases, a1 1"):
+        GraphSequenceSpec(a1=(np.eye(2),), a2=(np.eye(1),) * 2,
                           cross1=(np.ones((2, 1)),) * 2, cross2=(np.ones((1, 2)) / 2,) * 2)
-    with pytest.raises(ValidationError):
-        GraphSequenceSpec(n1=2, n2=1, period=1, a1=(np.eye(3),), a2=(np.eye(1),),
+    with pytest.raises(ValidationError, match=r"subnet-1 matrix shape \(3, 3\) != \(2, 2\)"):
+        GraphSequenceSpec(a1=(np.eye(3),), a2=(np.eye(1),),
                           cross1=(np.ones((2, 1)),), cross2=(np.ones((1, 2)) / 2,))
+    with pytest.raises(ValidationError, match="at least one phase"):
+        GraphSequenceSpec(a1=(), a2=(), cross1=(), cross2=())
 
 
 @st.composite
@@ -114,13 +125,13 @@ def _weight_specs(draw):
     def layer(rows, cols):
         return tuple(np.array(draw(st.lists(weight, min_size=rows * cols, max_size=rows * cols)))
                      .reshape(rows, cols) for _ in range(period))
-    return GraphSequenceSpec(n1=n1, n2=n2, period=period, a1=layer(n1, n1), a2=layer(n2, n2),
-                             cross1=layer(n1, n2), cross2=layer(n2, n1))
+    return GraphSequenceSpec(a1=layer(n1, n1), a2=layer(n2, n2), cross1=layer(n1, n2),
+                             cross2=layer(n2, n1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_weight_specs())
-@example(GraphSequenceSpec(n1=2, n2=1, period=1, a1=(np.zeros((2, 2)),), a2=(-np.eye(1),),
+@example(GraphSequenceSpec(a1=(np.zeros((2, 2)),), a2=(-np.eye(1),),
                            cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),)))
 def test_eta_is_the_least_positive_weight_of_all_layers(spec):
     """The floor is derived over every phase of a1, a2, cross1 and cross2;
@@ -139,7 +150,7 @@ def test_weight_rule_clean_graphs(balanced, unbalanced):
 def test_weight_rule_violations(balanced):
     bad_a1 = list(balanced.a1)
     bad_a1[0] = np.array([[0.5, 0.4, 0.0], [0.4, 0.6, 0.0], [0.0, 0.0, 1.0]])
-    spec = GraphSequenceSpec(n1=3, n2=2, period=2, a1=tuple(bad_a1), a2=balanced.a2,
+    spec = GraphSequenceSpec(a1=tuple(bad_a1), a2=balanced.a2,
                              cross1=balanced.cross1, cross2=balanced.cross2)
     problems = validate_weight_rule(spec)
     assert any(v.clause == "weight-rule (ii)" and v.phase == 0 and v.node == 0
@@ -155,7 +166,7 @@ def test_ujsc_windows(balanced):
 
 def test_ujsc_never_connected_node():
     A = np.array([[1.0, 0.0], [0.5, 0.5]])  # node 0 never listens to node 1
-    spec = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(A,), a2=(np.eye(1),),
+    spec = GraphSequenceSpec(a1=(A,), a2=(np.eye(1),),
                              cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),))
     assert not check_ujsc(spec, 1, 1)
     assert not check_ujsc(spec, 1, 7)
@@ -204,8 +215,8 @@ def _phase_lists(draw):
 
 def _spec_of(mats) -> GraphSequenceSpec:
     n, period = len(mats[0]), len(mats)
-    return GraphSequenceSpec(n1=n, n2=1, period=period, a1=tuple(mats),
-                             a2=(np.eye(1),) * period, cross1=(np.zeros((n, 1)),) * period,
+    return GraphSequenceSpec(a1=tuple(mats), a2=(np.eye(1),) * period,
+                             cross1=(np.zeros((n, 1)),) * period,
                              cross2=(np.zeros((1, n)),) * period)
 
 
@@ -319,7 +330,7 @@ def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
 def _sequence_spec(mats):
     """Subnet 1 runs the phases `mats`; subnet 2 is one agent."""
     n, p = len(mats[0]), len(mats)
-    return GraphSequenceSpec(n1=n, n2=1, period=p, a1=tuple(mats), a2=(np.eye(1),) * p,
+    return GraphSequenceSpec(a1=tuple(mats), a2=(np.eye(1),) * p,
                              cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p)
 
 

@@ -47,8 +47,11 @@ def test_scenario_validation():
     s = toy_identical()
     with pytest.raises(ValidationError):
         dataclasses.replace(s, objectives1=s.objectives1[:1])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="initial states must be n1 x m1"):
         dataclasses.replace(s, box_x=BoxSet((-1.0, -1.0), (1.0, 1.0)))
+    # the block dimensions are the boxes', never declared beside them
+    assert not {"m1", "m2"} & {f.name for f in dataclasses.fields(Scenario)}
+    assert (s.m1, s.m2) == (s.box_x.dim, s.box_y.dim) == (1, 1)
     with pytest.raises(ValidationError):
         dataclasses.replace(s, x0=np.array([[np.inf], [0.0]]))
 
@@ -193,8 +196,7 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
     # the first phase has no cross arcs when there is more than one
     c1 = tuple(_random_cross(rng, n1, n2, ph == 0 and period > 1) for ph in range(period))
     c2 = tuple(_random_cross(rng, n2, n1, ph == 0 and period > 1) for ph in range(period))
-    graph = GraphSequenceSpec(n1=n1, n2=n2, period=period, a1=a1, a2=a2, cross1=c1,
-                              cross2=c2)
+    graph = GraphSequenceSpec(a1=a1, a2=a2, cross1=c1, cross2=c2)
     lo_x = rng.uniform(-3, -1, m1)
     if infinite_side:
         lo_x[0] = -np.inf
@@ -207,8 +209,7 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
             "periodic": lambda: AdaptivePeriodic(schedule)}[variant]()
     K = 12
     scenario = Scenario(
-        name="random", m1=m1, m2=m2,
-        objectives1=tuple(_random_objective(rng, box_x, box_y) for _ in range(n1)),
+        name="random", objectives1=tuple(_random_objective(rng, box_x, box_y) for _ in range(n1)),
         objectives2=tuple(_random_objective(rng, box_x, box_y) for _ in range(n2)),
         graph=graph, box_x=box_x, box_y=box_y, rule=rule,
         x0=rng.uniform(-4, 4, (n1, m1)), y0=rng.uniform(-4, 4, (n2, m2)), iterations=K)
@@ -381,7 +382,7 @@ def test_consensus_only_before_first_cross_contact():
     g = s.graph
     # push the cross layer to phase 1 of a period-2 sequence
     delayed = dataclasses.replace(
-        g, period=2, a1=g.a1 * 2, a2=g.a2 * 2,
+        g, a1=g.a1 * 2, a2=g.a2 * 2,
         cross1=(np.zeros((2, 2)), np.eye(2)),
         cross2=(np.zeros((2, 2)), np.eye(2)))
     s2 = dataclasses.replace(s, graph=delayed)
@@ -399,7 +400,7 @@ def test_stale_cross_observations_reused():
     s = toy_identical(iterations=6)
     g = s.graph
     intermittent = dataclasses.replace(
-        g, period=2, a1=g.a1 * 2, a2=g.a2 * 2,
+        g, a1=g.a1 * 2, a2=g.a2 * 2,
         cross1=(np.eye(2), np.zeros((2, 2))),
         cross2=(np.eye(2), np.zeros((2, 2))))
     tr = run(dataclasses.replace(s, graph=intermittent))

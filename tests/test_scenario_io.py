@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 from importlib import resources
@@ -81,7 +82,6 @@ def test_save_load_roundtrip_lossless(name, tmp_path):
 
 def test_save_load_keeps_negative_zero(tmp_path):
     """-0.0 in an objective and in a kink selection comes back as -0.0."""
-    import dataclasses
     from nashnet.exprs import compile_objective, parse_expr
     s = bundled_scenario("shared_saddle")
     e = parse_expr("(add (mul x0 -0.0) (neg (abs y0)) (scale -0.0 y0))")
@@ -277,6 +277,7 @@ def _isolate_agent_0(doc):
     ("example1", lambda d: d["agents"]["subnet2"][0].update(expr="(sub x0 (pow y1 2))", selections={}),
      "dimensions"),
     ("example1", lambda d: d["boxes"]["y"].update(upper=[float("nan")]), "NaN"),
+    ("example1", lambda d: d["boxes"]["x"].update(lower=[], upper=[]), "at least one dimension"),
     ("shared_saddle", lambda d: d["agents"]["subnet1"][0].update(
         expr="(sub (pow (sub x0 inf) 2) (pow (add y0 0.5) 2))"), "non-finite number 'inf'"),
     ("shared_saddle", lambda d: d["agents"]["subnet1"][1].update(
@@ -293,8 +294,6 @@ def _isolate_agent_0(doc):
      "run.iterations must be a whole number, got 2.7"),
     ("shared_saddle", lambda d: d["run"].update(iterations=True),
      "run.iterations must be a whole number, got True"),
-    ("shared_saddle", lambda d: d["dimensions"].update(m1=1.5), "dimensions.m1"),
-    ("shared_saddle", lambda d: d["graph"].update(period=2.9), "graph.period"),
     ("shared_saddle", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([0, 0.5, 1.0]),
      "cross edge target"),
     ("example1", lambda d: d["agents"]["subnet1"][1].update(selections={True: 1.0}),
@@ -305,12 +304,11 @@ def _isolate_agent_0(doc):
                                  d["run"].update(iterations=5)), "positive and finite"),
 ], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
-        "objective beyond the dimensions", "NaN box bound",
+        "objective beyond the dimensions", "NaN box bound", "box without a dimension",
         "infinite constant", "infinite scale factor", "NaN affine coefficient",
         "saddle reference of the wrong length", "saddle reference not a number",
         "saddle reference without y_star", "NaN saddle reference",
-        "fractional iterations", "boolean iterations", "fractional dimension",
-        "fractional period", "fractional cross index",
+        "fractional iterations", "boolean iterations", "fractional cross index",
         "boolean selection key", "NaN gamma c",
         "infinite gamma b", "NaN schedule table entry"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
@@ -355,7 +353,7 @@ def test_a_declared_weight_floor_is_ignored(edit, tmp_path):
 
 def test_loader_takes_integral_floats():
     doc = copy.deepcopy(BUNDLED_DOCS["shared_saddle"])
-    doc["dimensions"]["m1"], doc["graph"]["period"], doc["run"]["iterations"] = 1.0, 2.0, 1e5
+    doc["run"]["iterations"] = 1e5
     doc["graph"]["phases"][0]["cross_to_1"][0] = [0.0, 0.0, 1.0]
     s = loads_scenario(yaml.safe_dump(doc, sort_keys=False))
     assert (s.m1, s.graph.period, s.iterations, s.graph.cross1[0][0, 0]) == (1, 2, 100000, 1.0)
@@ -410,6 +408,87 @@ def test_documented_keys_are_written_keys(name):
     else:
         doc, scenario = BUNDLED_DOCS[name], bundled_scenario(name)
     assert list(_unwritten_keys(doc, scenario_to_doc(scenario))) == []
+
+
+class _ReadLog(dict):
+    """A document mapping that records in `log` the key paths the loader
+    reads: by ``[]``, ``get`` or ``in``, and every path below a map it
+    iterates (the selections), which counts as read in full."""
+
+    def __init__(self, doc, log, path=()):
+        super().__init__((k, _logged(v, log, path + (k,))) for k, v in doc.items())
+        self.log, self.path = log, path
+
+    def __getitem__(self, key):
+        self.log.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.add(self.path + (key,))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.log.add(self.path + (key,))
+        return super().__contains__(key)
+
+    def _read_in_full(self):
+        self.log.update(self.path + p for p in _key_paths(dict(super().items())))
+
+    def __iter__(self):
+        self._read_in_full()
+        return super().__iter__()
+
+    def items(self):
+        self._read_in_full()
+        return super().items()
+
+
+def _logged(node, log, path):
+    if isinstance(node, dict):
+        return _ReadLog(node, log, path)
+    if isinstance(node, list):
+        return [_logged(v, log, path + (i,)) for i, v in enumerate(node)]
+    return node
+
+
+def _key_paths(node, path=()):
+    """The paths of every mapping key in `node`, through lists by index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(node, dict):
+            yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _unread_keys(doc) -> set:
+    """The key paths of `doc` that loading it never reads."""
+    log = set()
+    scenario_io._scenario_from_doc(_logged(doc, log, ()))
+    return set(_key_paths(doc)) - log
+
+
+def test_unread_keys_flags_a_planted_key():
+    doc = scenario_to_doc(bundled_scenario("example2"))
+    doc["meta"]["determinism"] = "runs are seed-free and bit-identical"
+    doc["graph"]["period"] = 2
+    doc["stepsize"]["phi1"] = [[0.5, 0.25, 0.25]] * 2
+    assert _unread_keys(doc) == {("meta", "determinism"), ("graph", "period"),
+                                 ("stepsize", "phi1")}
+
+
+def _tabulated_shared_saddle():
+    s = bundled_scenario("shared_saddle")
+    return dataclasses.replace(s, iterations=5,
+                               rule=Homogeneous(GammaSchedule(table=(1.0, 0.5, 0.5, 0.25, 0.25))))
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("tabulated",))
+def test_written_keys_are_read_keys(name):
+    """Tooling gate, the companion of the one below: every key that
+    scenario_to_doc writes is one the loader reads, so the writer cannot
+    keep emitting a key that nothing reads."""
+    s = _tabulated_shared_saddle() if name == "tabulated" else bundled_scenario(name)
+    assert _unread_keys(scenario_to_doc(s)) == set()
 
 
 @pytest.mark.parametrize("gdoc, want", [
@@ -909,7 +988,6 @@ def test_squared_distance_is_chunk_independent(monkeypatch):
 
 def test_metrics_at_exact_consensus_fixed_point():
     """A trace sitting at consensus on the reference saddle scores zero."""
-    import dataclasses
     s = bundled_scenario("shared_saddle")
     tr = run(s, iterations=3)
     x = np.full_like(tr.x, 1.0)

@@ -176,7 +176,7 @@ def test_learner_readouts_are_phi_diagonals_on_random_sequences():
         n, period = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         mats = tuple(_sparse_stochastic(rng, n) for _ in range(period))
         spec = GraphSequenceSpec(
-            n1=n, n2=1, period=period, a1=mats, a2=(np.eye(1),) * period,
+            a1=mats, a2=(np.eye(1),) * period,
             cross1=(np.zeros((n, 1)),) * period, cross2=(np.zeros((1, n)),) * period)
         act = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
         K = int(rng.integers(1, 30))
@@ -185,7 +185,7 @@ def test_learner_readouts_are_phi_diagonals_on_random_sequences():
 
 def test_stepsize_tables_reject_nonpositive_readout():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # no self-loops: the readout hits 0
-    g = GraphSequenceSpec(n1=2, n2=1, period=1, a1=(swap,), a2=(np.eye(1),),
+    g = GraphSequenceSpec(a1=(swap,), a2=(np.eye(1),),
                           cross1=(np.ones((2, 1)),), cross2=(np.full((1, 2), 0.5),))
     np.testing.assert_array_equal(learner_readouts(g.a1, (0,), 3),
                                   [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
