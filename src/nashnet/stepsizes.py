@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,28 +151,63 @@ def learner_readouts(mats, activation, K: int) -> np.ndarray:
     agent i reads entry (i, i) of the backward product Phi(k-1, t0) from that
     bank's start t0, or 1.0 while k <= t0. ``(0,)`` is the common-eigenvector
     learner, ``(1, ..., period)`` the periodic one. One generated loop, canonical order.
+
+    Past the last start, the next bank state depends on the state and on
+    k mod L alone, L = lcm(len(activation), len(mats)). So the loop runs to
+    checkpoints c, 2c, 4c, ... (c the least multiple of L >= every start)
+    and stops at the first whose state equals, byte for byte, that of an
+    earlier one: from there every row repeats, and the rest are read by index.
     """
+    if not (isinstance(activation, Sequence) and activation
+            and all(isinstance(t, (int, np.integer)) and t >= 0 for t in activation)):
+        raise ValidationError(f"activation must be a non-empty sequence of integers >= 0, "
+                              f"got {activation!r}")
+    if K < 0:
+        raise ValidationError(f"iterations must be >= 0, got {K}")
+    nb = len(activation)
+    rows, start = _bank_rows(mats, activation, K)
+    k = np.arange(K)
+    idx = k if start is None else np.where(k < start, k, start + (k - start) % (len(rows) - start))
+    out = rows[idx, k % nb]
+    out[k < np.asarray(activation)[k % nb]] = 1.0
+    return out
+
+
+def _bank_rows(mats, activation, K: int):
+    """(rows, start): the banks' diagonals at times 0..b-1, shape (b, nb, n),
+    and the checkpoint a whose bank state checkpoint b repeats, so rows from
+    a on repeat with period b - a; None when the loop ran all K iterations
+    (b = K) without a repeat."""
     n, nb = len(mats[0]), len(activation)
     bank = [[f"b{i}_{c}" for c in range(nb * n)] for i in range(n)]
     new = [[f"n{i}_{c}" for c in range(nb * n)] for i in range(n)]
-    init = np.hstack([np.eye(n) if t0 == 0 else np.zeros((n, n)) for t0 in activation])
-    lines = [f"{b} = {float(v)!r}" for row, vals in zip(bank, init) for b, v in zip(row, vals)]
+    names = ", ".join(sum(bank, []))
     body = ["record((" + ", ".join(bank[i][nu * n + i] for nu in range(nb) for i in range(n)) + ",))"]
-    swap = ", ".join(sum(bank, [])) + " = " + ", ".join(sum(new, []))
-    body += periodic_code([canonical_mix_code(A, new, bank) + [swap] for A in mats])
-    for nu, t0 in enumerate(activation):
-        if t0 > 0:
-            body += [f"if k == {t0 - 1}:"] + [f"    {bank[i][nu * n + c]} = {float(i == c)!r}"
-                                              for i in range(n) for c in range(n)]
-    source = ["def _replay(K, record):"] + ["    " + ln for ln in lines] + ["    for k in range(K):"]
+    body += periodic_code([canonical_mix_code(A, new, bank) + [f"{names} = " + ", ".join(sum(new, []))]
+                           for A in mats])
+    source = ["def _replay(k0, k1, state, record):", f"    {names}, = state",
+              "    for k in range(k0, k1):"] + ["        " + ln for ln in body] + [f"    return {names},"]
     env = {}
-    exec("\n".join(source + ["        " + ln for ln in body]), env)  # noqa: S102
-    diag = array("d")
-    env["_replay"](K, diag.extend)
-    k = np.arange(K)
-    out = np.frombuffer(diag, dtype=float).reshape(K, nb, n)[k, k % nb]
-    out[k < np.asarray(activation)[k % nb]] = 1.0
-    return out
+    exec("\n".join(source), env)  # noqa: S102
+    replay, diag = env["_replay"], array("d")
+    k, banks = 0, np.zeros((n, nb, n))  # entry (i, nu, c) is the local b{i}_{nu * n + c}
+    for t0 in sorted(set(activation)):  # run to each start, then set its banks to the identity
+        banks = np.reshape(replay(k, min(t0, K), banks.ravel().tolist(), diag.extend), (n, nb, n))
+        banks[:, np.asarray(activation) == t0] = np.eye(n)[:, None]
+        k = min(t0, K)
+    state = banks.ravel().tolist()
+    L = math.lcm(nb, len(mats))  # checkpoints: c, 2c, 4c, ... with c the least multiple >= starts
+    stop, seen, start = L * max(1, -(-max(activation) // L)), {}, None
+    while k < K:
+        state, k = replay(k, min(stop, K), state, diag.extend), min(stop, K)
+        if k == K:
+            break
+        key = array("d", state).tobytes()  # bytes, not ==: -0.0 == 0.0 and nan != nan
+        if key in seen:
+            start = seen[key]
+            break
+        seen[key], stop = k, 2 * stop
+    return np.frombuffer(diag, dtype=float).reshape(k, nb, n), start
 
 
 # ---------------------------------------------------------------------------

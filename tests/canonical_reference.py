@@ -9,7 +9,10 @@ and one time step at a time, on gamma_k from :func:`gamma`; adaptive
 denominators from :func:`phi_readouts`, the diagonals of the paper's
 backward products, each a chain of :func:`canonical_matmul`
 (:func:`backward_product`), the reference of ``digraph.transition_product``
-and ``digraph.limiting_stochastic_vector``. Objectives are compiled closures
+and ``digraph.limiting_stochastic_vector``; at long K, where that chain is
+O(K^2), the learner's stop at a repeated bank state has
+:func:`uncut_learner_readouts`, its generated loop run through all K
+iterations. Objectives are compiled closures
 of each agent's derivative alone, built by :func:`emitted_derivative` from
 the code the engine inlines, so a value that overflows stops neither.
 ``test_exprs`` checks them against the recursive interpreter here,
@@ -32,13 +35,15 @@ one ``%`` per row.
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from nashnet import saddle
 from nashnet.catalog import CATALOG
-from nashnet.digraph import GraphSequenceSpec
+from nashnet.digraph import (GraphSequenceSpec, canonical_mix_code,
+                             periodic_code)
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Const, Neg, Pow, Prod, Scale, Sum, Var,
@@ -216,6 +221,42 @@ def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
         t0 = activation[k % len(activation)]
         if k > t0:
             out[k] = np.diagonal(backward_product(mats, k - 1, t0))
+    return out
+
+
+def uncut_learner_readouts(mats, activation, K: int) -> np.ndarray:
+    """Adaptive stepsize denominators at times 0..K-1, shape (K, n).
+
+    Bank nu starts as the identity at time ``activation[nu]`` and mixes with
+    mats[k % len(mats)] at time k. Time k reads bank k % len(activation):
+    agent i reads entry (i, i) of the backward product Phi(k-1, t0) from that
+    bank's start t0, or 1.0 while k <= t0. ``(0,)`` is the common-eigenvector
+    learner, ``(1, ..., period)`` the periodic one. One generated loop, canonical order.
+
+    ``stepsizes.learner_readouts`` before it stopped at a repeated bank
+    state: every one of the K iterations runs, with the bank starts as
+    branches in the loop.
+    """
+    n, nb = len(mats[0]), len(activation)
+    bank = [[f"b{i}_{c}" for c in range(nb * n)] for i in range(n)]
+    new = [[f"n{i}_{c}" for c in range(nb * n)] for i in range(n)]
+    init = np.hstack([np.eye(n) if t0 == 0 else np.zeros((n, n)) for t0 in activation])
+    lines = [f"{b} = {float(v)!r}" for row, vals in zip(bank, init) for b, v in zip(row, vals)]
+    body = ["record((" + ", ".join(bank[i][nu * n + i] for nu in range(nb) for i in range(n)) + ",))"]
+    swap = ", ".join(sum(bank, [])) + " = " + ", ".join(sum(new, []))
+    body += periodic_code([canonical_mix_code(A, new, bank) + [swap] for A in mats])
+    for nu, t0 in enumerate(activation):
+        if t0 > 0:
+            body += [f"if k == {t0 - 1}:"] + [f"    {bank[i][nu * n + c]} = {float(i == c)!r}"
+                                              for i in range(n) for c in range(n)]
+    source = ["def _replay(K, record):"] + ["    " + ln for ln in lines] + ["    for k in range(K):"]
+    env = {}
+    exec("\n".join(source + ["        " + ln for ln in body]), env)  # noqa: S102
+    diag = array("d")
+    env["_replay"](K, diag.extend)
+    k = np.arange(K)
+    out = np.frombuffer(diag, dtype=float).reshape(K, nb, n)[k, k % nb]
+    out[k < np.asarray(activation)[k % nb]] = 1.0
     return out
 
 

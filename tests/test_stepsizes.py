@@ -1,16 +1,22 @@
 """Schedules, stepsize rules, and the adaptive learners."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canonical_reference import gamma, phi_readouts, stepsize_for
+from canonical_reference import gamma, phi_readouts, stepsize_for, uncut_learner_readouts
 from nashnet.digraph import GraphSequenceSpec, transition_product
 from nashnet.errors import ValidationError
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
                                GammaSchedule, Homogeneous,
-                               OracleHeterogeneous, learner_readouts,
-                               oracle_heterogeneous_build, stepsize_tables)
+                               OracleHeterogeneous, _bank_rows,
+                               learner_readouts, oracle_heterogeneous_build,
+                               stepsize_tables)
 
 
 def test_schedule_power_law():
@@ -155,12 +161,20 @@ ACTIVATIONS = ((0,), (1,), (1, 2), (1, 2, 3))
 @pytest.mark.parametrize("name", BUNDLED)
 def test_learner_readouts_are_phi_diagonals(name):
     """The generated learner equals Phi(k-1, t0)'s diagonal bit for bit, for
-    both subnets and the common and periodic activations."""
+    both subnets and the common and periodic activations. At long K, where
+    it stops at a repeated bank state, it equals the uncut loop instead, as
+    ``phi_readouts`` costs O(K^2); a row of the uncut loop does not depend
+    on K, so one table of 100,000 rows serves every K."""
     g = bundled_scenario(name).graph
     for subnet, mats in ((1, g.a1), (2, g.a2)):
         for act in ACTIVATIONS:
             got = learner_readouts(mats, act, 40)
             assert got.tobytes() == phi_readouts(g, subnet, act, 40).tobytes(), (subnet, act)
+        for act in ((0,), tuple(range(1, g.period + 1))):
+            want = uncut_learner_readouts(mats, act, 100_000)
+            for K in (150, 333, 99_999, 100_000):
+                got = learner_readouts(mats, act, K)
+                assert got.tobytes() == want[:K].tobytes(), (subnet, act, K)
 
 
 def _sparse_stochastic(rng, n):
@@ -181,6 +195,70 @@ def test_learner_readouts_are_phi_diagonals_on_random_sequences():
         act = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
         K = int(rng.integers(1, 30))
         assert learner_readouts(mats, act, K).tobytes() == phi_readouts(spec, 1, act, K).tobytes()
+
+
+@st.composite
+def _learner_phases(draw):
+    """Row-stochastic phases with positive diagonals and some absent arcs,
+    n 1-5, period 1-4, and one of ACTIVATIONS."""
+    n, period = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    mats = []
+    for _ in range(period):
+        A = np.array([[draw(st.floats(0.05, 1.0) if i == j else weight) for j in range(n)]
+                      for i in range(n)])
+        mats.append(A / A.sum(axis=1, keepdims=True))
+    return tuple(mats), draw(st.sampled_from(ACTIVATIONS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_learner_phases(), st.integers(1, 10**6))
+def test_learner_readouts_equal_the_uncut_loop(case, offset):
+    """Byte for byte the uncut loop's readouts at K = 0, below the first
+    checkpoint, at the checkpoint a where the repeated state was first seen,
+    at the checkpoint b that repeats it, and past b but off the multiples of
+    L = lcm(banks, period), where the checkpoints fall."""
+    mats, act = case
+    L = math.lcm(len(act), len(mats))
+    first = L * max(1, -(-max(act) // L))
+    rows, start = _bank_rows(mats, act, 8192)
+    b = len(rows)
+    past = b + 1 + offset % (2 * b)
+    if past % L == 0:
+        past += 1
+    Ks = (0, first - 1, b, past) if start is None else (0, first - 1, start, b, past)
+    want = uncut_learner_readouts(mats, act, max(Ks))
+    for K in Ks:
+        assert learner_readouts(mats, act, K).tobytes() == want[:K].tobytes(), (K, start, b)
+
+
+def test_learner_readouts_without_a_repeat_keep_the_uncut_loops_speed():
+    """Phases that mix too slowly for the bank state to repeat within
+    100,000 iterations run the loop to K, with O(log K) snapshots: the same
+    bytes as the uncut loop, in at most 1.25 times its time (best of 3)."""
+    mats = (np.array([[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]]),
+            np.array([[1 - 2e-6, 2e-6], [3e-6, 1 - 3e-6]]))
+    act, K = (1, 2), 100_000
+    assert _bank_rows(mats, act, K)[1] is None
+    assert learner_readouts(mats, act, K).tobytes() == uncut_learner_readouts(mats, act, K).tobytes()
+    best = {}
+    for _ in range(3):
+        for fn in (uncut_learner_readouts, learner_readouts):
+            start = time.perf_counter()
+            fn(mats, act, K)
+            best[fn] = min(best.get(fn, math.inf), time.perf_counter() - start)
+    assert best[learner_readouts] <= 1.25 * best[uncut_learner_readouts], best
+
+
+def test_learner_readouts_refuse_a_bad_activation_or_horizon():
+    """An empty activation (no bank), a negative start time or a negative K
+    is a ValidationError, not a numpy error or a table of zeros."""
+    mats = bundled_scenario("example2").graph.a1
+    for act in ((), (-3,), (1, -1), (0.5,)):
+        with pytest.raises(ValidationError, match="activation"):
+            learner_readouts(mats, act, 5)
+    with pytest.raises(ValidationError, match="iterations"):
+        learner_readouts(mats, (1, 2), -2)
 
 
 def test_stepsize_tables_reject_nonpositive_readout():
