@@ -280,8 +280,6 @@ def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
             raise ValidationError(f"--values for iterations must be whole numbers, got {value!r}")
         return replace(scenario, iterations=int(value))
     sched = scenario.rule.schedule
-    if sched.table is not None:
-        raise ValidationError("cannot sweep a tabulated schedule")
     sched = replace(sched, **{param.split(".", 1)[1]: value})  # validates as the loader does
     return replace(scenario, rule=replace(scenario.rule, schedule=sched))
 

@@ -30,10 +30,10 @@ class NumericError(NashnetError):
 
 
 class ResourceError(NashnetError):
-    """The grid oracle cannot search the scenario: ``NASHNET_BUDGET`` is not
-    a finite number of at least one, the grid exceeds that budget, or a
-    block has dimension above 2 or an infinite box bound. Or an adaptive
-    learner's banks exceed ``stepsizes.LEARNER_BANK_CAP`` entries, or an
-    iteration count is too large to tabulate."""
+    """The grid oracle cannot search the scenario: the grid holds more than
+    ``saddle.GRID_BUDGET`` cells, or a block has dimension above 2 or an
+    infinite box bound. Or an adaptive learner's banks exceed
+    ``stepsizes.LEARNER_BANK_CAP`` entries, or an iteration count is too
+    large to tabulate."""
 
     exit_code = 5

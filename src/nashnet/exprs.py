@@ -521,44 +521,64 @@ def _fmt_num(v):
     return repr(v)
 
 
+MAX_DEPTH = 100  # operators nested in one objective
+MAX_OPERANDS = 1000  # operands of all the operators of one objective
+
+
 def parse_expr(text: str) -> Expr:
-    """Parse prefix notation, e.g. ``(sub (pow (sub x0 1) 4) (mul 2 (pow y0 2)))``."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    """Parse prefix notation, e.g. ``(sub (pow (sub x0 1) 4) (mul 2 (pow y0 2)))``.
+
+    Operators nest at most MAX_DEPTH deep and take at most MAX_OPERANDS
+    operands in all, each `affine` coefficient one: the code generated for
+    a deeper or larger objective may not compile.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]  # next token last
     if not tokens:
         raise ValidationError("empty expression")
-    expr, rest = _parse(tokens)
-    if rest:
-        raise ValidationError(f"trailing tokens in expression: {' '.join(rest)}")
+    room = [MAX_OPERANDS]
+    expr = _parse(tokens, 0, room)
+    if tokens:
+        raise ValidationError(f"trailing tokens in expression: {' '.join(tokens[::-1])}")
     return expr
 
 
-def _parse(tokens):
-    tok, rest = tokens[0], tokens[1:]
+def _parse(tokens, depth, room):
+    """Pop the expression off the end of `tokens`: it sits in `depth`
+    operators, and room[0] more operands may follow."""
+    tok = tokens.pop()
     if tok == ")":
         raise ValidationError("unexpected ')'")
     if tok != "(":
-        return _parse_atom(tok), rest
-    if not rest:
+        return _parse_atom(tok)
+    if depth == MAX_DEPTH:
+        raise ValidationError(f"expression nests operators more than {MAX_DEPTH} deep")
+    if not tokens:
         raise ValidationError("unterminated '('")
-    op, rest = rest[0], rest[1:]
+    op = tokens.pop()
     args = []
     while True:
-        if not rest:
+        if not tokens:
             raise ValidationError("unterminated '('")
-        if rest[0] == ")":
-            rest = rest[1:]
+        if tokens[-1] == ")":
+            tokens.pop()
             break
-        if op == "affine" and rest[0] == "(":
+        if op == "affine" and tokens[-1] == "(":
             # coefficient list literal
-            if ")" not in rest:
+            tokens.pop()
+            coeffs = []
+            while tokens and tokens[-1] != ")":
+                coeffs.append(tokens.pop())
+            if not tokens:
                 raise ValidationError("unterminated '('")
-            close = rest.index(")")
-            args.append([_number(t) for t in rest[1:close]])
-            rest = rest[close + 1:]
-            continue
-        a, rest = _parse(rest)
-        args.append(a)
-    return _build(op, args), rest
+            tokens.pop()
+            args.append([_number(t) for t in coeffs])
+            room[0] -= len(coeffs)
+        else:
+            args.append(_parse(tokens, depth + 1, room))
+            room[0] -= 1
+        if room[0] < 0:
+            raise ValidationError(f"expression takes more than {MAX_OPERANDS} operands")
+    return _build(op, args)
 
 
 def _parse_atom(tok):

@@ -17,7 +17,6 @@ with ``x_star`` and ``y_star``, in its document.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,9 @@ import numpy as np
 from .errors import NumericError, ResourceError, ValidationError
 from .exprs import BoxSet, compile_objective
 
-# 2001 grid points per 1-D block must fit, so the cap sits just above 2001^2
-DEFAULT_BUDGET = 4_100_000
-BUDGET_ENV = "NASHNET_BUDGET"
+# cells of the coarse grid: 2001 points per 1-D block must fit, so the cap
+# sits just above 2001^2
+GRID_BUDGET = 4_100_000
 TABLE_CHUNK = 1 << 16  # cells of the grid table evaluated at once
 SAMPLE_STRIDE = 16  # every 16th opposing point bounds a line's extreme
 REFINE_LEVELS = 3  # local refinements after the coarse grid
@@ -87,21 +86,6 @@ class SaddleReport:
     value: float
     minimax_gap: float
     grid_resolution: int
-
-
-def grid_budget() -> int:
-    """The grid evaluation budget: BUDGET_ENV as a whole number of at least
-    one, or DEFAULT_BUDGET when it is unset."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(float(raw))
-    except (ValueError, OverflowError):
-        raise ResourceError(f"{BUDGET_ENV}={raw!r} is not a finite number") from None
-    if budget < 1:
-        raise ResourceError(f"{BUDGET_ENV}={raw!r} is below one evaluation")
-    return budget
 
 
 def _axis_grids(box: BoxSet, resolution: int):
@@ -188,9 +172,9 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
 
     x* minimizes the max over the y grid, y* maximizes the min over the x
     grid; the reported minimax gap is their difference on the coarse grid.
-    The coarse grid must fit the budget of :func:`grid_budget`, which
-    counts its cells, evaluated or not. NumericError if a cell the search
-    evaluates is NaN; a cell or value that overflows does not warn.
+    The coarse grid must fit GRID_BUDGET, which counts its cells,
+    evaluated or not. NumericError if a cell the search evaluates is NaN;
+    a cell or value that overflows does not warn.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
@@ -201,12 +185,11 @@ def grid_minimax(w: WeightedObjective, bx: BoxSet, by: BoxSet,
     bounds = (*bx.lower, *bx.upper, *by.lower, *by.upper)
     if not np.isfinite(bounds).all():
         raise ResourceError(f"grid oracle needs finite box bounds, got {bounds}; {_STORE}")
-    budget = grid_budget()
     total = resolution ** m1 * resolution ** m2
-    if total > budget:
-        need = int(np.floor(budget ** (1.0 / (m1 + m2))))
+    if total > GRID_BUDGET:
+        need = int(np.floor(GRID_BUDGET ** (1.0 / (m1 + m2))))
         raise ResourceError(
-            f"grid of {total} evaluations exceeds budget {budget}; "
+            f"grid of {total} evaluations exceeds budget {GRID_BUDGET}; "
             f"reduce resolution to at most {need}")
 
     value_fn = w.compiled(m1, m2)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -177,10 +177,11 @@ def _integer(value, what: str) -> int:
 
 def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
     gdoc = sdoc.get("gamma", {})
-    if "table" in gdoc:
-        schedule = GammaSchedule(table=tuple(gdoc["table"]))
-    else:
-        schedule = GammaSchedule(**{k: float(gdoc[k]) for k in ("c", "b", "eps") if k in gdoc})
+    for key in gdoc:  # refused, not ignored: the run would take the default in its place
+        if key not in ("c", "b", "eps"):
+            raise ValidationError(f"stepsize.gamma.{key} is not a parameter of the schedule "
+                                  "c / (k + b)^(1/2 + eps)")
+    schedule = GammaSchedule(**{k: float(v) for k, v in gdoc.items()})
     variant = sdoc["variant"]
     if variant == "homogeneous":
         return Homogeneous(schedule)
@@ -222,7 +223,7 @@ def scenario_to_doc(s: Scenario) -> dict:
                         for e, sel in s.objectives2],
         },
         "graph": {"phases": phases},
-        "stepsize": {"variant": _variant_name(s.rule), "gamma": _gamma_doc(s.rule.schedule)},
+        "stepsize": {"variant": _variant_name(s.rule), "gamma": asdict(s.rule.schedule)},
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},
         "run": {"iterations": s.iterations},
@@ -252,12 +253,6 @@ def _variant_name(rule):
     return {Homogeneous: "homogeneous", OracleHeterogeneous: "oracle_heterogeneous",
             AdaptiveCommonEigvec: "adaptive_common",
             AdaptivePeriodic: "adaptive_periodic"}[type(rule)]
-
-
-def _gamma_doc(schedule: GammaSchedule):
-    if schedule.table is not None:
-        return {"table": list(schedule.table)}
-    return {"c": schedule.c, "b": schedule.b, "eps": schedule.eps}
 
 
 def save_scenario(s: Scenario, path):

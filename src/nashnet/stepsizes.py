@@ -30,26 +30,17 @@ from .errors import ResourceError, ValidationError
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """gamma_k = c / (k + b)^(1/2 + eps), or an explicit table.
+    """gamma_k = c / (k + b)^(1/2 + eps).
 
-    The power-law exponent range eps in (0, 1/2] keeps the sequence
-    square-summable but not summable, with gamma_k * sum_{s<k} gamma_s -> 0.
+    The exponent range eps in (0, 1/2] keeps the sequence square-summable
+    but not summable, with gamma_k * sum_{s<k} gamma_s -> 0.
     """
 
     c: float = 1.0
     b: float = 1.0
     eps: float = 0.5
-    table: tuple | None = None
 
     def __post_init__(self):
-        if self.table is not None:
-            tab = tuple(float(v) for v in self.table)
-            if not tab or not all(0 < v < math.inf for v in tab):  # also false for NaN
-                raise ValidationError("schedule table must be nonempty, positive and finite")
-            if any(tab[i + 1] > tab[i] for i in range(len(tab) - 1)):
-                raise ValidationError("schedule table must be non-increasing")
-            object.__setattr__(self, "table", tab)
-            return
         if not (0 < self.c < math.inf and 0 < self.b < math.inf):  # also false for NaN
             raise ValidationError("power-law schedule needs finite c > 0 and b > 0")
         if not 0.0 < self.eps <= 0.5:
@@ -59,25 +50,19 @@ class GammaSchedule:
                                   f"for c = {self.c!r}, b = {self.b!r}")
 
     def require_horizon(self, K: int) -> None:
-        """Raise ValidationError unless gamma_0 .. gamma_{K-1} all exist, and
-        ResourceError when K float64 values exceed what an array can hold."""
+        """Raise ValidationError when K < 0, and ResourceError when K float64
+        values exceed what an array can hold."""
         if K < 0:
             raise ValidationError(f"iterations must be >= 0, got {K}")
         if K > sys.maxsize // 8:
             raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
                                 f"{sys.maxsize // 8} float64 values")
-        if self.table is not None and K > len(self.table):
-            raise ValidationError(
-                f"schedule table of length {len(self.table)} cannot cover {K} iterations")
 
     def values(self, K: int) -> np.ndarray:
-        """gamma_0 .. gamma_{K-1} in one pass, as a float64 array: the table's
-        first K entries, or c / (k + b)^(1/2 + eps) in Python floats, the one
-        place the power law is evaluated. ValidationError unless the schedule
-        covers K."""
+        """gamma_0 .. gamma_{K-1} in one pass, as a float64 array: c / (k +
+        b)^(1/2 + eps) in Python floats, the one place the power law is
+        evaluated. Errors as :meth:`require_horizon`."""
         self.require_horizon(K)
-        if self.table is not None:
-            return np.array(self.table[:K], dtype=float)
         c, b, p = self.c, self.b, 0.5 + self.eps
         return np.fromiter((c / (k + b) ** p for k in range(K)), dtype=float, count=K)
 

@@ -272,15 +272,10 @@ def activations(rule, period: int):
 
 
 def gamma(schedule, k: int) -> float:
-    """gamma_k of `schedule`, one k at a time as the paper writes it: the
-    table's entry k, or c / (k + b)^(1/2 + eps). There is no gamma_k for
-    k < 0 or past the table's end."""
+    """gamma_k of `schedule`, one k at a time as the paper writes it:
+    c / (k + b)^(1/2 + eps). There is no gamma_k for k < 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if schedule.table is not None:
-        if k >= len(schedule.table):
-            raise ValueError(f"schedule table of length {len(schedule.table)} has no entry {k}")
-        return schedule.table[k]
     return schedule.c / (k + schedule.b) ** (0.5 + schedule.eps)
 
 

@@ -28,6 +28,7 @@ from nashnet import cli, scenario_io
 from nashnet.cli import main
 from nashnet.engine import run
 from nashnet.errors import ValidationError
+from nashnet.exprs import MAX_DEPTH, MAX_OPERANDS
 from nashnet.metrics import compute_metrics
 from nashnet.scenario_io import (bundled_scenario, load_scenario, metrics_to_csv,
                                  save_scenario, scenario_to_doc)
@@ -87,14 +88,10 @@ def test_run_validation_error_exit_3_no_trace(shsad, tmp_path, capsys):
 @pytest.mark.parametrize("run_doc, argv, message", [
     ({"iterations": -3}, [], "iterations must be >= 0"),
     ({"iterations": 500}, ["--iters", "-1"], "iterations must be >= 0"),
-    ({"iterations": 3, "table": 2}, [], "table of length 2"),
-    ({"iterations": 2, "table": 2}, ["--iters", "3"], "table of length 2"),
 ])
 def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, argv, message):
     doc = yaml.safe_load(Path(shsad).read_text())
     doc["run"]["iterations"] = run_doc["iterations"]
-    if "table" in run_doc:
-        doc["stepsize"]["gamma"] = {"table": [0.1] * run_doc["table"]}
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc, sort_keys=False))
     trace = tmp_path / "never.csv"
@@ -113,7 +110,7 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
         box_x=box, box_y=box,
-        rule=Homogeneous(GammaSchedule(table=(1e200,) * 20)),
+        rule=Homogeneous(GammaSchedule(c=1e200)),
         x0=[[1e100]], y0=[[0.0]], iterations=20)
     path = tmp_path / "blowup.yaml"
     save_scenario(s, path)
@@ -133,6 +130,43 @@ def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(path), "--iters", "3"]) == 0
     assert capsys.readouterr().err == "warning: subnet1[0]: objective not finite on sample\n"
+
+
+NESTED = {"add": "(add x0 {})", "sub": "(sub x0 {})", "neg": "(neg {})", "mul": "(mul x0 {})",
+          "scale": "(scale 2 {})", "pow": "(pow {} 1)", "abs": "(abs {})"}
+
+
+def _objective(shape, op, size):
+    """`size` operators `op` nested around x0 (deep), or one `op` of
+    `size` operands (wide), an affine form's coefficients and offset each
+    one."""
+    if shape == "deep":
+        expr = "x0"
+        for _ in range(size):
+            expr = NESTED[op].format(expr)
+        return expr
+    if op == "affine":
+        return f"(affine (1{' 0' * (size - 3)}) (0) 0)"
+    return f"({op}{' x0' * size})"
+
+
+@pytest.mark.parametrize("shape, op", [*(("deep", op) for op in NESTED),
+                                       ("wide", "add"), ("wide", "mul"), ("wide", "affine")],
+                         ids=lambda v: v)
+def test_objective_size_bounds_exit_3(shape, op, shsad, tmp_path, capsys):
+    """An objective runs with MAX_DEPTH nested operators and MAX_OPERANDS
+    operands. One past either bound, the code generated for it could fail
+    to compile (too many nested parentheses, or the compiler's recursion
+    limit), so the load exits 3 and names the bound."""
+    bound = MAX_DEPTH if shape == "deep" else MAX_OPERANDS
+    doc = yaml.safe_load(Path(shsad).read_text())
+    path = tmp_path / "big.yaml"
+    for size, code in ((bound, 0), (bound + 1, 3)):
+        doc["agents"]["subnet1"][0]["expr"] = _objective(shape, op, size)
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["run", str(path), "--iters", "3"]) == code
+    err = capsys.readouterr().err
+    assert f"more than {bound} " in err and "Traceback" not in err
 
 
 def test_oracle_default_weights(shsad, tmp_path, capsys):
@@ -165,9 +199,12 @@ def test_oracle_weights_flag(shsad, capsys):
     assert main(["oracle", shsad, "--grid", "201", "--weights", "1,2"]) == 3
 
 
-def test_oracle_budget_exit_5(shsad, monkeypatch, capsys):
-    monkeypatch.setenv("NASHNET_BUDGET", "1000")
-    assert main(["oracle", shsad, "--grid", "401"]) == 5
+def test_oracle_budget_exit_5(shsad, capsys):
+    """2025^2 cells exceed saddle.GRID_BUDGET; the refusal comes before
+    any cell is evaluated."""
+    assert main(["oracle", shsad, "--grid", "2025"]) == 5
+    assert capsys.readouterr().err == ("error: grid of 4100625 evaluations exceeds budget "
+                                       "4100000; reduce resolution to at most 2024\n")
 
 
 def test_oracle_nan_table_exit_4(shsad, tmp_path, capsys):
@@ -374,8 +411,6 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     ("missing scenario file", 2, "nonexistent.yaml"),
     ("sweep values not numbers", 3, "--values"),
     ("grid resolution below 3", 3, "grid resolution"),
-    ("infinite budget", 5, "NASHNET_BUDGET"),
-    ("negative budget", 5, "NASHNET_BUDGET"),
     ("box bound not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("add without an argument", 3, "add takes at least 1 argument"),
@@ -395,8 +430,7 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     ("oracle on an unbounded box", 5, "store a reference under run.oracle"),
     ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
 ])
-def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
-                                       monkeypatch, capsys):
+def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, capsys):
     """User input errors end in their documented exit code, not a traceback."""
     doc = yaml.safe_load(Path(shsad).read_text())
     doc["boxes"]["x"]["lower"] = ["x"]
@@ -435,8 +469,6 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "missing scenario file": ["run", str(tmp_path / "nonexistent.yaml")],
         "sweep values not numbers": ["sweep", shsad, "--values", "a,b", "--out", str(sweep_dir)],
         "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
-        "infinite budget": ["oracle", shsad, "--grid", "41"],
-        "negative budget": ["oracle", shsad, "--grid", "101"],
         "box bound not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
         "add without an argument": ["run", str(empty_add)],
@@ -466,8 +498,6 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path,
         "run on an unbounded box without a stored reference": ["run", str(unbounded),
                                                                "--iters", "5"],
     }[case]
-    if case.endswith("budget"):
-        monkeypatch.setenv("NASHNET_BUDGET", "inf" if case == "infinite budget" else "-1")
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not sweep_dir.exists() and not missing.exists()

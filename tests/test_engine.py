@@ -417,7 +417,7 @@ def test_nonfinite_state_raises_numeric_error():
     s = make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(np.full((2, 2), 0.5),),
         box_x=box, box_y=box,
-        rule=Homogeneous(GammaSchedule(table=(1e200,) * 50)),
+        rule=Homogeneous(GammaSchedule(c=1e200)),
         x0=[[1e100], [1e100]], y0=[[0.0], [0.0]], iterations=50)
     with pytest.raises(NumericError):
         run(s)
@@ -471,9 +471,3 @@ def test_iteration_count_validated():
         run(s, iterations=-1)
     with pytest.raises(ValidationError):
         dataclasses.replace(s, iterations=-1)
-    table = dataclasses.replace(s, rule=Homogeneous(GammaSchedule(table=(0.1,) * 4)))
-    assert run(table).iterations == 4
-    with pytest.raises(ValidationError):
-        run(table, iterations=5)
-    with pytest.raises(ValidationError):
-        dataclasses.replace(table, iterations=5)

@@ -2,10 +2,11 @@
 uses, every top-level function and class is named outside its own body
 by the package, a demo or ``perfbench/``, and every parameter default and
 dataclass field default is overridden by some call there; what only tests use belongs in
-``tests/canonical_reference.py``; and no matrix product but two admitted
-ones can hand a result to the BLAS. These are stdlib ``ast`` scans, as the
-project depends on no linter. ``__future__`` imports and the package
-``__init__`` (whose imports are its public re-exports) are exempt.
+``tests/canonical_reference.py``; no module reads the environment; and no
+matrix product but two admitted ones can hand a result to the BLAS. These
+are stdlib ``ast`` scans, as the project depends on no linter.
+``__future__`` imports and the package ``__init__`` (whose imports are its
+public re-exports) are exempt.
 """
 
 import ast
@@ -48,6 +49,36 @@ def test_no_unused_imports(path):
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
     assert unused_imports("from a import (b, c as d)\nd()\n") == ["b (line 1)"]
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(modules: dict) -> list:
+    """``module: line N: name`` for each attribute, name or import in
+    `modules` (name -> source) that is one of ENVIRONMENT_READS."""
+    found = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ENVIRONMENT_READS:
+                found.append(f"{module}: line {node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_no_environment_reads():
+    """A run is set by its scenario and its command line alone: no module
+    reads an environment variable."""
+    assert environment_reads({p.name: p.read_text(encoding="utf-8") for p in MODULES}) == []
+
+
+def test_scan_finds_an_environment_read():
+    modules = {"a": ("import os\nfrom os import getenv as g\nB = os.environ.get('B')\n"
+                     "def f():\n    return os.getenvb(b'C'), environ['D']\n")}
+    assert environment_reads(modules) == ["a: line 2: getenv", "a: line 3: environ",
+                                          "a: line 5: environ", "a: line 5: getenvb"]
 
 
 MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot"}

@@ -18,8 +18,7 @@ from nashnet import saddle
 from nashnet.errors import NumericError, ResourceError
 from nashnet.exprs import (Abs, BoxSet, Const, Neg, Pow, Prod, Scale, Sum, Var,
                            compile_objective, parse_expr, x_var, y_var)
-from nashnet.saddle import (BUDGET_ENV, DEFAULT_BUDGET, WeightedObjective,
-                            grid_budget, grid_minimax, unit_weighted)
+from nashnet.saddle import GRID_BUDGET, WeightedObjective, grid_minimax, unit_weighted
 from nashnet.scenario_io import bundled_scenario, loads_scenario
 from nashnet.stepsizes import GammaSchedule
 
@@ -66,17 +65,10 @@ def test_grid_minimax_shifted_quadratic():
     assert report.y_star[0] == pytest.approx(-0.4, abs=1e-6)
 
 
-def test_grid_budget_enforced(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "100")
-    assert grid_budget() == 100
-    with pytest.raises(ResourceError):
-        grid_minimax(bilinear_toy(), BOX5, BOX5, resolution=101)
-    for raw in ("junk", "0", "-1", "0.5"):
-        monkeypatch.setenv(BUDGET_ENV, raw)
-        with pytest.raises(ResourceError):
-            grid_budget()
-    monkeypatch.delenv(BUDGET_ENV)
-    assert grid_budget() == DEFAULT_BUDGET
+def test_grid_budget_enforced():
+    assert 2024 ** 2 <= GRID_BUDGET < 2025 ** 2
+    with pytest.raises(ResourceError, match="reduce resolution to at most 2024$"):
+        grid_minimax(bilinear_toy(), BOX5, BOX5, resolution=2025)
 
 
 def test_grid_rejects_high_dimensions():

@@ -300,8 +300,11 @@ def _isolate_agent_0(doc):
      "selection key must be a whole number, got True"),
     ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(c=float("nan")), "finite c > 0"),
     ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(b=float("inf")), "finite c > 0"),
-    ("shared_saddle", lambda d: (d["stepsize"].update(gamma={"table": [1.0, float("nan")] + [0.5] * 3}),
-                                 d["run"].update(iterations=5)), "positive and finite"),
+    # an ignored gamma key would run the schedule on the defaults
+    ("shared_saddle", lambda d: d["stepsize"].update(gamma={"table": [1.0, float("nan"), 0.5]}),
+     r"^stepsize\.gamma\.table is not a parameter"),
+    ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(epsilon=0.25),
+     r"^stepsize\.gamma\.epsilon is not a parameter"),
 ], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
         "objective beyond the dimensions", "NaN box bound", "box without a dimension",
@@ -310,7 +313,7 @@ def _isolate_agent_0(doc):
         "saddle reference without y_star", "NaN saddle reference",
         "fractional iterations", "boolean iterations", "fractional cross index",
         "boolean selection key", "NaN gamma c",
-        "infinite gamma b", "NaN schedule table entry"])
+        "infinite gamma b", "tabulated gamma", "misspelled gamma key"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails. An edit to the
@@ -476,19 +479,12 @@ def test_unread_keys_flags_a_planted_key():
                                  ("stepsize", "phi1")}
 
 
-def _tabulated_shared_saddle():
-    s = bundled_scenario("shared_saddle")
-    return dataclasses.replace(s, iterations=5,
-                               rule=Homogeneous(GammaSchedule(table=(1.0, 0.5, 0.5, 0.25, 0.25))))
-
-
-@pytest.mark.parametrize("name", BUNDLED + ("tabulated",))
+@pytest.mark.parametrize("name", BUNDLED)
 def test_written_keys_are_read_keys(name):
     """Tooling gate, the companion of the one below: every key that
     scenario_to_doc writes is one the loader reads, so the writer cannot
     keep emitting a key that nothing reads."""
-    s = _tabulated_shared_saddle() if name == "tabulated" else bundled_scenario(name)
-    assert _unread_keys(scenario_to_doc(s)) == set()
+    assert _unread_keys(scenario_to_doc(bundled_scenario(name))) == set()
 
 
 @pytest.mark.parametrize("gdoc, want", [

@@ -36,8 +36,7 @@ def test_schedule_parameter_validation():
     with pytest.raises(ValidationError):
         GammaSchedule(eps=0.6)
     for bad in ({"c": float("nan")}, {"c": float("inf")}, {"b": float("nan")},
-                {"b": float("inf")}, {"table": (1.0, float("nan"), 0.5)},
-                {"table": (float("inf"), 1.0)}):
+                {"b": float("inf")}):
         with pytest.raises(ValidationError, match="finite"):
             GammaSchedule(**bad)
     GammaSchedule(eps=0.5)  # boundary allowed
@@ -53,22 +52,8 @@ def test_schedule_rejects_overflowing_gamma_0():
 
 
 def test_schedule_values_are_the_values_of_each_k():
-    for s, K in ((GammaSchedule(c=1.3, b=7.0, eps=0.37), 1000),
-                 (GammaSchedule(table=(0.5, 0.25, 0.1)), 2)):
-        assert s.values(K).tolist() == [gamma(s, k) for k in range(K)]
-    with pytest.raises(ValidationError):
-        GammaSchedule(table=(0.5,)).values(2)
-
-
-def test_schedule_table():
-    s = GammaSchedule(table=(0.5, 0.25, 0.25, 0.1))
-    assert s.values(4)[2] == 0.25
-    with pytest.raises(ValidationError):
-        s.values(5)
-    with pytest.raises(ValidationError):
-        GammaSchedule(table=(0.1, 0.2))  # increasing
-    with pytest.raises(ValidationError):
-        GammaSchedule(table=())
+    s = GammaSchedule(c=1.3, b=7.0, eps=0.37)
+    assert s.values(1000).tolist() == [gamma(s, k) for k in range(1000)]
 
 
 def test_homogeneous_rule():
