@@ -15,13 +15,13 @@ from nashnet.scenario_io import bundled_scenario
 
 scenario = bundled_scenario("example3")
 g = scenario.graph
-oracle = oracle_heterogeneous_build(g, scenario.rule.schedule)
+phi1, _ = oracle_heterogeneous_build(g)
 
 # bank nu starts from the basis at time nu + 1, one bank per phase
 readouts = learner_readouts(g.a1, tuple(range(1, g.period + 1)), 400)
 print("subnet-1 readout error vs the oracle limit vectors:")
 for k in (1, 5, 10, 25, 50, 100, 200, 399):
-    target = oracle.phi1[(k + 1) % g.period]
+    target = phi1[(k + 1) % g.period]
     err = np.abs(readouts[k] - target).max()
     print(f"  k={k:>3}: max error {err:.3e}")
 

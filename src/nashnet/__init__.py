@@ -18,8 +18,7 @@ from .saddle import SaddleReport, WeightedObjective, grid_minimax, unit_weighted
 from .scenario_io import (bundled_scenario, load_scenario, loads_scenario,
                           metrics_to_csv, plotdata_to_csv, save_scenario,
                           trace_to_csv)
-from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
-                        Homogeneous, OracleHeterogeneous, learner_readouts,
+from .stepsizes import (GammaSchedule, StepsizeRule, learner_readouts,
                         oracle_heterogeneous_build)
 
 __version__ = "1.0.0"

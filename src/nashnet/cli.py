@@ -20,8 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .digraph import (check_jointly_bipartite, check_ujsc, is_weight_balanced,
-                      limiting_stochastic_vector, validate_weight_rule)
+from .digraph import check_jointly_bipartite, check_ujsc, is_weight_balanced, validate_weight_rule
 from .engine import Scenario, run
 from .errors import NashnetError, ResourceError, ValidationError
 from .metrics import compute_metrics
@@ -30,6 +29,7 @@ from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
 from .scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
                           metrics_to_csv, plotdata_to_csv, report_to_csv,
                           sweep_summary_to_csv, trace_to_csv)
+from .stepsizes import oracle_heterogeneous_build
 
 
 def main(argv=None) -> int:
@@ -237,9 +237,8 @@ def cmd_graph_check(args) -> int:
         print(f"subnet {subnet} weight-balanced per phase: "
               + ", ".join(str(f).lower() for f in flags))
     if not failed:
-        for subnet in (1, 2):
-            for s in range(g.period):
-                phi = limiting_stochastic_vector(g, subnet, s)
+        for subnet, vecs in zip((1, 2), oracle_heterogeneous_build(g)):
+            for s, phi in enumerate(vecs):
                 print(f"subnet {subnet} limit vector (start phase {s}): ("
                       + ", ".join(f"{v:.6g}" for v in phi) + ")")
     if failed:

@@ -14,7 +14,7 @@ the nonzero weights in increasing j, every product and sum rounded
 separately. The stepsizes of all K iterations are tabulated before the
 loop (``stepsizes.stepsize_tables``), and the kernel reads one stepsize per
 distinct column of a table (``stepsizes.distinct_columns``): one gamma_k
-per side under a Homogeneous rule. :func:`run` then generates one Python
+per side under a homogeneous rule. :func:`run` then generates one Python
 function per call that keeps states and cross caches in locals, has one
 branch per phase with the weights and finite box bounds as literals, tests
 an agent's first cross contact against the phase pattern instead of a
@@ -116,7 +116,7 @@ class Trace:
     """States and applied stepsizes of a full run; index 0 is the initial
     state, so arrays have length iterations + 1 (stepsizes: iterations).
     :func:`run` returns x and y as views of one buffer of rows (x, y).
-    Under a Homogeneous rule alpha and beta are read-only broadcast views
+    Under a homogeneous rule alpha and beta are read-only broadcast views
     of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``), whose
     one distinct column is all the kernel reads."""
 
@@ -138,7 +138,7 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
 
     ia/ib yield each side's distinct stepsize columns row by row,
     ``widths[s]`` per iteration (``stepsizes.distinct_columns``): agent i
-    of side s reads column ``i % widths[s]``, so a Homogeneous rule's
+    of side s reads column ``i % widths[s]``, so a homogeneous rule's
     kernel unpacks one stepsize per side. rec receives the states of
     both subnetworks after each iteration as one tuple, x block first. Each
     agent's step inlines the code of its objective's derivative in the

@@ -27,8 +27,7 @@ from .engine import Scenario, Trace
 from .errors import ParseError, ValidationError
 from .exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from .metrics import MetricsSeries
-from .stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic, GammaSchedule,
-                        Homogeneous, OracleHeterogeneous, distinct_columns)
+from .stepsizes import GammaSchedule, StepsizeRule, distinct_columns
 
 BUNDLED = ("example1", "example2", "example3", "perron_weighted", "shared_saddle")
 
@@ -85,19 +84,25 @@ def _from_doc(build, doc: dict):
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
-    Weight-rule violations fail the load; connectivity findings over one
-    period and convexity findings are collected on the returned scenario's
+    Weight-rule violations fail the load, and so does an
+    ``oracle_heterogeneous`` rule on a graph that has no limit vectors (they
+    are derived at run); connectivity findings over one period and
+    convexity findings are collected on the returned scenario's
     ``warnings`` attribute, each distinct objective sampled once and its
     findings repeated for every agent that holds it.
     """
     scenario = _from_doc(_scenario_from_doc, _document(text))
     g = scenario.graph
     problems = validate_weight_rule(g)
+    connected = [check_ujsc(g, subnet, g.period) for subnet in (1, 2)]
+    if scenario.rule.variant == "oracle_heterogeneous" and (problems or not all(connected)):
+        raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
+                              "graph that meets the weight rule")
     if problems:
         raise ValidationError(
             "weight rule violated: " + "; ".join(str(v) for v in problems[:10]))
     warnings = [f"subnet {subnet} not jointly strongly connected within one period"
-                for subnet in (1, 2) if not check_ujsc(g, subnet, g.period)]
+                for subnet, ok in zip((1, 2), connected) if not ok]
     if not check_jointly_bipartite(g, g.period):
         warnings.append("cross layer leaves isolated nodes within one period")
     # one sample per distinct objective, keyed by repr(e) as
@@ -131,7 +136,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     obj1 = agents(doc["agents"]["subnet1"])
     obj2 = agents(doc["agents"]["subnet2"])
     graph = _graph_from_doc(doc)
-    rule = _rule_from_doc(doc["stepsize"], graph)
+    rule = _rule_from_doc(doc["stepsize"])
     run_doc = doc.get("run", {})
     oracle = run_doc.get("oracle") or {}
     return Scenario(
@@ -175,27 +180,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _rule_from_doc(sdoc: dict, graph: GraphSequenceSpec):
+def _rule_from_doc(sdoc: dict) -> StepsizeRule:
     gdoc = sdoc.get("gamma", {})
     for key in gdoc:  # refused, not ignored: the run would take the default in its place
         if key not in ("c", "b", "eps"):
             raise ValidationError(f"stepsize.gamma.{key} is not a parameter of the schedule "
                                   "c / (k + b)^(1/2 + eps)")
-    schedule = GammaSchedule(**{k: float(v) for k, v in gdoc.items()})
-    variant = sdoc["variant"]
-    if variant == "homogeneous":
-        return Homogeneous(schedule)
-    if variant == "oracle_heterogeneous":
-        if validate_weight_rule(graph) or not all(check_ujsc(graph, s, graph.period) for s in (1, 2)):
-            raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
-                                  "graph that meets the weight rule")
-        from .stepsizes import oracle_heterogeneous_build
-        return oracle_heterogeneous_build(graph, schedule)
-    if variant == "adaptive_common":
-        return AdaptiveCommonEigvec(schedule)
-    if variant == "adaptive_periodic":
-        return AdaptivePeriodic(schedule)
-    raise ValidationError(f"unknown stepsize variant {variant!r}")
+    return StepsizeRule(sdoc["variant"], GammaSchedule(**{k: float(v) for k, v in gdoc.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +214,7 @@ def scenario_to_doc(s: Scenario) -> dict:
                         for e, sel in s.objectives2],
         },
         "graph": {"phases": phases},
-        "stepsize": {"variant": _variant_name(s.rule), "gamma": asdict(s.rule.schedule)},
+        "stepsize": {"variant": s.rule.variant, "gamma": asdict(s.rule.schedule)},
         "initial": {"x": [[float(v) for v in row] for row in s.x0],
                     "y": [[float(v) for v in row] for row in s.y0]},
         "run": {"iterations": s.iterations},
@@ -247,12 +238,6 @@ def _edges(C):
             if C[dst, src] > 0:
                 out.append([int(src), int(dst), float(C[dst, src])])
     return out
-
-
-def _variant_name(rule):
-    return {Homogeneous: "homogeneous", OracleHeterogeneous: "oracle_heterogeneous",
-            AdaptiveCommonEigvec: "adaptive_common",
-            AdaptivePeriodic: "adaptive_periodic"}[type(rule)]
 
 
 def save_scenario(s: Scenario, path):
@@ -297,7 +282,7 @@ def _csv(out, header: str, *parts) -> str | Written:
     with one row per `template`, and their columns, left to right, are
     numbered from 0. `columns` is the column index: one entry per `%`
     field of the template, the column that fills it. A column may fill
-    many fields (k fills one in each row group of a trace, a Homogeneous
+    many fields (k fills one in each row group of a trace, a homogeneous
     rule's one stepsize column every agent's), and it is formatted once
     per row. A chunk of the template's rows, at most CSV_CHUNK fields, is
     gathered from the blocks only when it is formatted
@@ -539,7 +524,7 @@ def trace_to_csv(trace: Trace, out=None) -> str | Written:
 
     The blocks are k, each side's states as one (K+1, n m) table and each
     side's distinct stepsize columns (``stepsizes.distinct_columns``), of
-    which agent i reads column i % width: one under a Homogeneous rule, so
+    which agent i reads column i % width: one under a homogeneous rule, so
     gamma_k is formatted once per iteration and side, as k is once per
     iteration."""
     m = max(trace.x.shape[2], trace.y.shape[2])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import (GraphSequenceSpec, canonical_mix_code,
+from .digraph import (GraphSequenceSpec, canonical_mix_code, check_ujsc,
                       limiting_stochastic_vector, periodic_code)
 from .errors import ResourceError, ValidationError
 
@@ -72,51 +72,34 @@ class GammaSchedule:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Homogeneous:
+class StepsizeRule:
+    """gamma_k of `schedule` divided per agent by a denominator that
+    `variant` names and the graph determines (see :func:`stepsize_tables`):
+    1 ("homogeneous"); the agent's component of the limit vector for start
+    phase (k+1) mod the period ("oracle_heterogeneous"); or a learner's
+    readout, from one bank started at time 0 ("adaptive_common") or one
+    bank per phase started at times 1, ..., period ("adaptive_periodic")."""
+
+    variant: str
     schedule: GammaSchedule
-
-
-@dataclass(frozen=True)
-class OracleHeterogeneous:
-    """Per-phase limiting vectors; at time k divide gamma_k by the component
-    of the vector for start phase (k+1) mod the graph's period. Each vector
-    must be 1-D, positive and stochastic; :func:`stepsize_tables` checks
-    the count and the lengths against the graph."""
-
-    schedule: GammaSchedule
-    phi1: tuple  # phase -> vector for subnet 1, start index = that phase
-    phi2: tuple
 
     def __post_init__(self):
-        for side, label in (("phi1", "subnet 1"), ("phi2", "subnet 2")):
-            vecs = tuple(np.asarray(v, dtype=float) for v in getattr(self, side))
-            for v in vecs:
-                if v.ndim != 1 or not (np.all(v > 0) and abs(v.sum() - 1.0) <= 1e-9):  # NaN fails
-                    raise ValidationError(f"{label} limit vector not positive stochastic")
-            object.__setattr__(self, side, vecs)
+        if self.variant not in ("homogeneous", "oracle_heterogeneous", "adaptive_common",
+                                "adaptive_periodic"):
+            raise ValidationError(f"unknown stepsize variant {self.variant!r}")
 
 
-@dataclass(frozen=True)
-class AdaptiveCommonEigvec:
-    schedule: GammaSchedule
-
-
-@dataclass(frozen=True)
-class AdaptivePeriodic:
-    """One learner bank per phase of the graph's period, started at times
-    1, ..., period on both sides."""
-
-    schedule: GammaSchedule
-
-
-StepsizeRule = Homogeneous | OracleHeterogeneous | AdaptiveCommonEigvec | AdaptivePeriodic
-
-
-def oracle_heterogeneous_build(spec: GraphSequenceSpec, schedule: GammaSchedule) -> OracleHeterogeneous:
-    """Precompute the per-phase limiting vectors of a periodic UJSC spec."""
-    phi1 = tuple(limiting_stochastic_vector(spec, 1, s) for s in range(spec.period))
-    phi2 = tuple(limiting_stochastic_vector(spec, 2, s) for s in range(spec.period))
-    return OracleHeterogeneous(schedule=schedule, phi1=phi1, phi2=phi2)
+# named as perfbench/replay.py wraps it for its stepsizes.limit_vectors span
+def oracle_heterogeneous_build(spec: GraphSequenceSpec) -> tuple:
+    """(phi1, phi2): per start phase, the limiting vectors of each
+    subnetwork of a periodic spec; ValidationError unless both subnetworks
+    are jointly strongly connected within one period."""
+    for subnet in (1, 2):
+        if not check_ujsc(spec, subnet, spec.period):
+            raise ValidationError(f"oracle limit vectors exist only on a jointly strongly "
+                                  f"connected graph; subnet {subnet} is not within one period")
+    return tuple(tuple(limiting_stochastic_vector(spec, subnet, s) for s in range(spec.period))
+                 for subnet in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +188,25 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     Returns (alpha, beta, readout1, readout2): alpha (K, n1) and beta
     (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
     the readouts are the adaptive learners' denominators, None for the
-    other rules. A Homogeneous rule's alpha and beta are read-only
+    other rules. A homogeneous rule's alpha and beta are read-only
     ``np.broadcast_to`` views of the one gamma column, agent stride 0
     (see :func:`distinct_columns`).
-    Here a rule meets its graph: an oracle rule is a ValidationError
-    unless each side holds one vector per phase and one component per
-    agent, and an adaptive rule is a ResourceError, before any learner
-    code is generated, when a side's banks would hold more than
-    LEARNER_BANK_CAP entries.
+    Here a rule meets its graph: the oracle's limit vectors and the
+    learners' banks are derived from it. An oracle rule is a
+    ValidationError on a graph without limit vectors, and an adaptive rule
+    is a ResourceError, before any learner code is generated, when a
+    side's banks would hold more than LEARNER_BANK_CAP entries.
     """
     gam = rule.schedule.values(K)[:, None]
-    if isinstance(rule, Homogeneous):
+    if rule.variant == "homogeneous":
         return (np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2)),
                 None, None)
-    if isinstance(rule, OracleHeterogeneous):
-        for vecs, n, label in ((rule.phi1, graph.n1, "subnet 1"), (rule.phi2, graph.n2, "subnet 2")):
-            if len(vecs) != graph.period or any(len(v) != n for v in vecs):
-                raise ValidationError(f"{label} needs one limit vector per phase of the graph "
-                                      f"({graph.period}), each with one component per agent ({n})")
+    if rule.variant == "oracle_heterogeneous":
+        phi1, phi2 = oracle_heterogeneous_build(graph)
         nxt = (np.arange(K) + 1) % graph.period
-        return gam / np.array(rule.phi1)[nxt], gam / np.array(rule.phi2)[nxt], None, None
-    if isinstance(rule, AdaptiveCommonEigvec):
-        activation = (0,)  # one bank from time 0
-    elif isinstance(rule, AdaptivePeriodic):
-        activation = tuple(range(1, graph.period + 1))  # one bank per phase
-    else:
-        raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
+        return gam / np.array(phi1)[nxt], gam / np.array(phi2)[nxt], None, None
+    # adaptive: one bank from time 0, or one per phase from times 1..period
+    activation = (0,) if rule.variant == "adaptive_common" else tuple(range(1, graph.period + 1))
     p = len(activation)
     for n, label in ((graph.n1, "subnet 1"), (graph.n2, "subnet 2")):
         if p * n * n > LEARNER_BANK_CAP:
@@ -244,6 +220,6 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:
     """The columns of a per-agent table that differ: the first alone when
-    the table has agent stride 0 (a Homogeneous rule's broadcast view),
+    the table has agent stride 0 (a homogeneous rule's broadcast view),
     else all. Of width w, agent i reads column i % w."""
     return table[:, :1] if table.strides[1] == 0 else table

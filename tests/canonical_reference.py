@@ -5,8 +5,9 @@ The dynamics in the canonical arithmetic order are the bit-exact oracle of
 ``engine.run``: every neighbor average summed left to right over the
 nonzero weights in increasing j, each product and sum a separately rounded
 Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
-and one time step at a time, on gamma_k from :func:`gamma`; adaptive
-denominators from :func:`phi_readouts`, the diagonals of the paper's
+and one time step at a time, on gamma_k from :func:`gamma`; oracle
+denominators from ``digraph.limiting_stochastic_vector`` and adaptive
+ones from :func:`phi_readouts`, the diagonals of the paper's
 backward products, each a chain of :func:`canonical_matmul`
 (:func:`backward_product`), the reference of ``digraph.transition_product``
 and ``digraph.limiting_stochastic_vector``; at long K, where that chain is
@@ -43,14 +44,12 @@ import numpy as np
 from nashnet import saddle
 from nashnet.catalog import CATALOG
 from nashnet.digraph import (GraphSequenceSpec, canonical_mix_code,
-                             periodic_code)
+                             limiting_stochastic_vector, periodic_code)
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Const, Neg, Pow, Prod, Scale, Sum, Var,
                            check_selection, compile_objective, dimensions,
                            objective_code, parse_expr)
-from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
-                               Homogeneous, OracleHeterogeneous)
 
 
 @dataclass(frozen=True)
@@ -264,9 +263,9 @@ def activations(rule, period: int):
     """Bank start times of an adaptive rule on a graph of `period` phases:
     one bank from time 0, or one per phase from times 1..period; None for
     the other rules."""
-    if isinstance(rule, AdaptiveCommonEigvec):
+    if rule.variant == "adaptive_common":
         return (0,)
-    if isinstance(rule, AdaptivePeriodic):
+    if rule.variant == "adaptive_periodic":
         return tuple(range(1, period + 1))
     return None
 
@@ -279,26 +278,27 @@ def gamma(schedule, k: int) -> float:
     return schedule.c / (k + schedule.b) ** (0.5 + schedule.eps)
 
 
-def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None) -> float:
-    """The stepsize of `agent` in `subnet` at time k under `rule`; adaptive
-    rules divide by ``readouts[k, agent]``, that subnet's denominators."""
+def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None, graph=None) -> float:
+    """The stepsize of `agent` in `subnet` at time k under `rule`; the oracle
+    rule divides by the agent's component of `graph`'s limit vector for
+    start phase (k+1) mod the period, adaptive rules by
+    ``readouts[k, agent]``, that subnet's denominators."""
     g = gamma(rule.schedule, k)
-    if isinstance(rule, Homogeneous):
+    if rule.variant == "homogeneous":
         return g
-    if isinstance(rule, OracleHeterogeneous):
-        vecs = rule.phi1 if subnet == 1 else rule.phi2
-        phi = vecs[(k + 1) % len(vecs)]
+    if rule.variant == "oracle_heterogeneous":
+        if graph is None:
+            raise ValueError("the oracle rule needs the graph")
+        phi = limiting_stochastic_vector(graph, subnet, (k + 1) % graph.period)
         return g / float(phi[agent])
-    if isinstance(rule, (AdaptiveCommonEigvec, AdaptivePeriodic)):
-        if readouts is None:
-            raise ValueError("adaptive rules need learner readouts")
-        denom = float(readouts[k, agent])
-        if denom <= 0.0:
-            raise NashnetError(
-                f"adaptive readout {denom} not positive for agent {agent} at k={k}; "
-                "weight-rule floor violated upstream")
-        return g / denom
-    raise TypeError(f"unknown stepsize rule {type(rule).__name__}")
+    if readouts is None:
+        raise ValueError("adaptive rules need learner readouts")
+    denom = float(readouts[k, agent])
+    if denom <= 0.0:
+        raise NashnetError(
+            f"adaptive readout {denom} not positive for agent {agent} at k={k}; "
+            "weight-rule floor violated upstream")
+    return g / denom
 
 
 def reference_run(scenario, K):
@@ -316,8 +316,8 @@ def reference_run(scenario, K):
     objectives = compiled_objectives(scenario)
     states, alphas, betas = [initial_state(scenario)], [], []
     for k in range(K):
-        alphas.append([stepsize_for(rule, i, 1, k, r1) for i in range(g.n1)])
-        betas.append([stepsize_for(rule, i, 2, k, r2) for i in range(g.n2)])
+        alphas.append([stepsize_for(rule, i, 1, k, r1, g) for i in range(g.n1)])
+        betas.append([stepsize_for(rule, i, 2, k, r2, g) for i in range(g.n2)])
         states.append(step(states[-1], scenario, alphas[-1], betas[-1], objectives))
     return states, alphas, betas, readouts
 

@@ -104,13 +104,13 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
     from canonical_reference import make_identical_scenario
     from nashnet.exprs import BoxSet, Neg, Pow, Sum, x_var, y_var
-    from nashnet.stepsizes import GammaSchedule, Homogeneous
+    from nashnet.stepsizes import GammaSchedule, StepsizeRule
     e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
     box = BoxSet((-float("inf"),), (float("inf"),))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
         box_x=box, box_y=box,
-        rule=Homogeneous(GammaSchedule(c=1e200)),
+        rule=StepsizeRule("homogeneous", GammaSchedule(c=1e200)),
         x0=[[1e100]], y0=[[0.0]], iterations=20)
     path = tmp_path / "blowup.yaml"
     save_scenario(s, path)
@@ -388,9 +388,10 @@ def test_graph_check_lists_weight_rule_violations(shsad, tmp_path, capsys):
 
 
 def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
-    """An oracle_heterogeneous rule derives its limit vectors at load, which
-    needs the weight rule; graph-check reads the graph alone, so it prints
-    the failing verdict and exits 3, and run keeps the load's message."""
+    """An oracle_heterogeneous rule derives its limit vectors at run, which
+    needs the weight rule, and the load refuses a graph that breaks it;
+    graph-check reads the graph alone, so it prints the failing verdict and
+    exits 3, and run keeps the load's message."""
     doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
                          .read_text(encoding="utf-8"))
     assert doc["stepsize"]["variant"] == "oracle_heterogeneous" and "phi1" not in doc["stepsize"]
@@ -407,8 +408,32 @@ def test_graph_check_reports_a_graph_without_limit_vectors(tmp_path, capsys):
     assert "oracle limit vectors exist only on" in capsys.readouterr().err
 
 
+def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
+    """example2 with every subnet-1 phase the identity meets the weight rule,
+    but subnet 1 is not jointly strongly connected: the oracle rule has no
+    limit vectors, so run exits 3 with the load's message, while the same
+    document under a homogeneous rule loads with the subnet-1 warning
+    before example2's own."""
+    doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
+                         .read_text(encoding="utf-8"))
+    for ph in doc["graph"]["phases"]:
+        ph["a1"] = np.eye(3).tolist()
+    path = tmp_path / "identity.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", str(path)]) == 3
+    assert "oracle limit vectors exist only on" in capsys.readouterr().err
+    doc["stepsize"]["variant"] = "homogeneous"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert load_scenario(path).warnings == (
+        ("subnet 1 not jointly strongly connected within one period",)
+        + bundled_scenario("example2").warnings)
+    assert main(["run", str(path), "--iters", "5"]) == 0
+    assert "warning: subnet 1 not jointly strongly connected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case, code, message", [
     ("missing scenario file", 2, "nonexistent.yaml"),
+    ("unknown stepsize variant", 3, "unknown stepsize variant 'heterogeneous'"),
     ("sweep values not numbers", 3, "--values"),
     ("grid resolution below 3", 3, "grid resolution"),
     ("box bound not a number", 3, "malformed"),
@@ -461,12 +486,17 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
     del doc["run"]["oracle"]
     unbounded = tmp_path / "unbounded.yaml"
     unbounded.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc = yaml.safe_load(Path(shsad).read_text())
+    doc["stepsize"]["variant"] = "heterogeneous"
+    unknown_variant = tmp_path / "unknown_variant.yaml"
+    unknown_variant.write_text(yaml.safe_dump(doc, sort_keys=False))
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     argv = {
         "missing scenario file": ["run", str(tmp_path / "nonexistent.yaml")],
+        "unknown stepsize variant": ["run", str(unknown_variant)],
         "sweep values not numbers": ["sweep", shsad, "--values", "a,b", "--out", str(sweep_dir)],
         "grid resolution below 3": ["oracle", shsad, "--grid", "2"],
         "box bound not a number": ["run", str(bad)],

@@ -26,9 +26,8 @@ from nashnet.errors import NumericError, ValidationError
 from nashnet.exprs import (Abs, BoxSet, Neg, Pow, Prod, Scale, Sum, abs_nodes,
                            x_var, y_var)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
-from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
-                               GammaSchedule, Homogeneous, distinct_columns,
-                               oracle_heterogeneous_build, stepsize_tables)
+from nashnet.stepsizes import (GammaSchedule, StepsizeRule, distinct_columns,
+                               stepsize_tables)
 
 BOX5 = BoxSet((-5.0,), (5.0,))
 SCHED = GammaSchedule(c=1.0, b=1.0, eps=0.5)
@@ -39,7 +38,7 @@ def toy_identical(iterations=50):
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     return make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(A,),
-        box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
+        box_x=BOX5, box_y=BOX5, rule=StepsizeRule("homogeneous", SCHED),
         x0=[[2.0], [-1.0]], y0=[[1.0], [3.0]], iterations=iterations)
 
 
@@ -87,7 +86,7 @@ def test_single_step_semantics():
 def test_projection_keeps_states_in_box():
     s = toy_identical(iterations=200)
     big = dataclasses.replace(
-        s, rule=Homogeneous(GammaSchedule(c=50.0, b=1.0, eps=0.5)))
+        s, rule=StepsizeRule("homogeneous", GammaSchedule(c=50.0, b=1.0, eps=0.5)))
     tr = run(big)
     assert tr.x.min() >= -5.0 and tr.x.max() <= 5.0
     assert tr.y.min() >= -5.0 and tr.y.max() <= 5.0
@@ -186,7 +185,8 @@ def _random_objective(rng, box_x, box_y):
 
 @settings(max_examples=40, deadline=None)
 @given(n1=st.integers(1, 3), n2=st.integers(1, 3), m1=st.integers(1, 3), m2=st.integers(1, 3),
-       period=st.integers(1, 3), variant=st.sampled_from(["homogeneous", "oracle", "common", "periodic"]),
+       period=st.integers(1, 3), variant=st.sampled_from(
+           ["homogeneous", "oracle_heterogeneous", "adaptive_common", "adaptive_periodic"]),
        infinite_side=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, variant,
                                                    infinite_side, seed):
@@ -203,10 +203,7 @@ def test_run_equals_reference_on_random_scenarios(n1, n2, m1, m2, period, varian
     box_x = BoxSet(tuple(lo_x), tuple(rng.uniform(1, 3, m1)))
     box_y = BoxSet(tuple(rng.uniform(-3, -1, m2)), tuple(rng.uniform(1, 3, m2)))
     schedule = GammaSchedule(c=float(rng.uniform(0.05, 0.3)), b=10.0, eps=0.5)
-    rule = {"homogeneous": lambda: Homogeneous(schedule),
-            "oracle": lambda: oracle_heterogeneous_build(graph, schedule),
-            "common": lambda: AdaptiveCommonEigvec(schedule),
-            "periodic": lambda: AdaptivePeriodic(schedule)}[variant]()
+    rule = StepsizeRule(variant, schedule)
     K = 12
     scenario = Scenario(
         name="random", objectives1=tuple(_random_objective(rng, box_x, box_y) for _ in range(n1)),
@@ -267,7 +264,7 @@ def test_dense_scenario_compiles_and_matches_reference():
     A = rng.uniform(0.5, 1.0, (n, n))
     s = make_identical_scenario(
         objectives=[(e, {})] * n, a_seq=(A / A.sum(axis=1, keepdims=True),),
-        box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
+        box_x=BOX5, box_y=BOX5, rule=StepsizeRule("homogeneous", SCHED),
         x0=rng.uniform(-4, 4, (n, 1)), y0=rng.uniform(-4, 4, (n, 1)), iterations=2)
     _assert_run_matches_reference(s, run(s), 2)
     # the dense mixing sums are about 6.4M characters; each agent's inlined
@@ -334,7 +331,7 @@ def test_trace_states_are_views_of_one_buffer():
 ], ids=["homogeneous", "oracle", "adaptive"])
 def test_kernel_unpacks_one_stepsize_per_distinct_column(name, loop, monkeypatch):
     """The kernel :func:`run` generates unpacks one stepsize per side under
-    a Homogeneous rule, which every agent's step reads, and one per agent
+    a homogeneous rule, which every agent's step reads, and one per agent
     under an oracle or adaptive rule."""
     sources, real = [], engine._kernel_source
     monkeypatch.setattr(engine, "_kernel_source", lambda *args: sources.append(real(*args)) or sources[-1])
@@ -347,7 +344,7 @@ def test_kernel_unpacks_one_stepsize_per_distinct_column(name, loop, monkeypatch
 
 
 def test_run_peak_memory_is_the_states_it_returns():
-    """A Homogeneous run reads its broadcast stepsize views without a K x n
+    """A homogeneous run reads its broadcast stepsize views without a K x n
     copy: engine.run on example1 peaks below 1.6 times the bytes of the
     states it returns, where two such copies would add 1.0. From 20k
     iterations on the ratio hardly moves (1.40 there, 1.36 at 100k, which
@@ -371,10 +368,10 @@ def test_recorded_stepsizes_match_rule():
     for k in (0, 1, 7, 19):
         for i in range(scenario.n1):
             assert tr.alpha[k, i] == pytest.approx(
-                stepsize_for(scenario.rule, i, 1, k), rel=1e-12)
+                stepsize_for(scenario.rule, i, 1, k, graph=scenario.graph), rel=1e-12)
         for i in range(scenario.n2):
             assert tr.beta[k, i] == pytest.approx(
-                stepsize_for(scenario.rule, i, 2, k), rel=1e-12)
+                stepsize_for(scenario.rule, i, 2, k, graph=scenario.graph), rel=1e-12)
 
 
 def test_consensus_only_before_first_cross_contact():
@@ -417,7 +414,7 @@ def test_nonfinite_state_raises_numeric_error():
     s = make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(np.full((2, 2), 0.5),),
         box_x=box, box_y=box,
-        rule=Homogeneous(GammaSchedule(c=1e200)),
+        rule=StepsizeRule("homogeneous", GammaSchedule(c=1e200)),
         x0=[[1e100], [1e100]], y0=[[0.0], [0.0]], iterations=50)
     with pytest.raises(NumericError):
         run(s)
@@ -445,7 +442,7 @@ def test_identical_scenario_matches_centralized_recursion():
     e = Sum((Pow(Sum((x_var(0), Neg(0.7))), 2), Neg(Pow(y_var(0), 2))))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
-        box_x=BOX5, box_y=BOX5, rule=Homogeneous(SCHED),
+        box_x=BOX5, box_y=BOX5, rule=StepsizeRule("homogeneous", SCHED),
         x0=[[3.0]], y0=[[2.0]], iterations=100)
     tr = run(s)
     x, y = np.array([3.0]), np.array([2.0])

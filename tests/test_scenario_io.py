@@ -30,8 +30,7 @@ from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_graph, load_sce
                                  plotdata_to_csv, report_to_csv, save_scenario,
                                  scenario_to_doc, sweep_summary_to_csv,
                                  trace_to_csv)
-from nashnet.stepsizes import (AdaptivePeriodic, GammaSchedule, Homogeneous,
-                               OracleHeterogeneous)
+from nashnet.stepsizes import GammaSchedule, StepsizeRule, oracle_heterogeneous_build
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,7 +41,7 @@ def test_bundled_example1_matches_published_setup():
     np.testing.assert_allclose(g.a1[0], [[0.6, 0.4, 0], [0.4, 0.6, 0], [0, 0, 1]])
     np.testing.assert_allclose(g.a1[1], [[1, 0, 0], [0, 0.7, 0.3], [0, 0.3, 0.7]])
     np.testing.assert_allclose(g.a2[0], [[0.9, 0.1], [0.1, 0.9]])
-    assert isinstance(s.rule, Homogeneous)
+    assert s.rule.variant == "homogeneous"
     # gamma_k = 1 / (k + 50)
     assert gamma(s.rule.schedule, 0) == pytest.approx(1 / 50)
     assert gamma(s.rule.schedule, 10) == pytest.approx(1 / 60)
@@ -53,18 +52,17 @@ def test_bundled_example1_matches_published_setup():
 
 
 def test_bundled_rules():
-    assert isinstance(bundled_scenario("example2").rule, OracleHeterogeneous)
-    r3 = bundled_scenario("example3").rule
-    assert isinstance(r3, AdaptivePeriodic)
+    assert bundled_scenario("example2").rule.variant == "oracle_heterogeneous"
+    assert bundled_scenario("example3").rule.variant == "adaptive_periodic"
     with pytest.raises(ValidationError):
         bundled_scenario("example9")
 
 
 def test_example2_rule_carries_published_limit_vectors():
-    r = bundled_scenario("example2").rule
-    np.testing.assert_allclose(r.phi1[0], [0.5336, 0.3408, 0.1256], atol=1e-4)
-    np.testing.assert_allclose(r.phi1[1], [0.5336, 0.1525, 0.3139], atol=1e-4)
-    np.testing.assert_allclose(r.phi2[0], [0.8889, 0.1111], atol=1e-4)
+    phi1, phi2 = oracle_heterogeneous_build(bundled_scenario("example2").graph)
+    np.testing.assert_allclose(phi1[0], [0.5336, 0.3408, 0.1256], atol=1e-4)
+    np.testing.assert_allclose(phi1[1], [0.5336, 0.1525, 0.3139], atol=1e-4)
+    np.testing.assert_allclose(phi2[0], [0.8889, 0.1111], atol=1e-4)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3",
@@ -512,7 +510,7 @@ def test_convexity_is_sampled_once_per_distinct_objective(monkeypatch):
     box = BoxSet((-2.0,), (2.0,))
     cycle = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
     base = make_identical_scenario(subnet1_objectives(), [cycle], box, box,
-                                   Homogeneous(GammaSchedule()), [0.0] * 3, [0.0] * 3)
+                                   StepsizeRule("homogeneous", GammaSchedule()), [0.0] * 3, [0.0] * 3)
     doc = scenario_to_doc(base)
     for side, names in zip(("subnet1", "subnet2"), sides):
         doc["agents"][side] = [{"expr": texts[name], "selections": {}} for name in names]
@@ -551,7 +549,7 @@ def test_trace_csv_equals_the_row_reference(name):
     s = bundled_scenario(name)
     tr = run(s, iterations=300)
     assert _first_difference(trace_to_csv(tr), trace_csv_text(tr)) is None
-    if isinstance(s.rule, Homogeneous):
+    if s.rule.variant == "homogeneous":
         gam = np.array(s.rule.schedule.values(300))[:, None]
         for steps, n in ((tr.alpha, s.n1), (tr.beta, s.n2)):
             assert steps.strides[1] == 0 and not steps.flags.writeable

@@ -1,5 +1,6 @@
 """Schedules, stepsize rules, and the adaptive learners."""
 
+import dataclasses
 import math
 import time
 
@@ -9,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical_reference import gamma, phi_readouts, stepsize_for, uncut_learner_readouts
-from nashnet.digraph import GraphSequenceSpec, transition_product
+from nashnet.digraph import GraphSequenceSpec, limiting_stochastic_vector, transition_product
+from nashnet.engine import run
 from nashnet.errors import ValidationError
 from nashnet.scenario_io import BUNDLED, bundled_scenario
-from nashnet.stepsizes import (AdaptiveCommonEigvec, AdaptivePeriodic,
-                               GammaSchedule, Homogeneous,
-                               OracleHeterogeneous, _bank_rows,
+from nashnet.stepsizes import (GammaSchedule, StepsizeRule, _bank_rows,
                                learner_readouts, oracle_heterogeneous_build,
                                stepsize_tables)
 
@@ -57,33 +57,45 @@ def test_schedule_values_are_the_values_of_each_k():
 
 
 def test_homogeneous_rule():
-    rule = Homogeneous(GammaSchedule(c=1.0, b=50.0, eps=0.5))
+    rule = StepsizeRule("homogeneous", GammaSchedule(c=1.0, b=50.0, eps=0.5))
     for agent in range(3):
         assert stepsize_for(rule, agent, 1, 10) == pytest.approx(1 / 60)
 
 
 def test_oracle_rule_uses_next_start_phase():
     g = bundled_scenario("example2").graph
-    rule = oracle_heterogeneous_build(g, GammaSchedule(c=1.0, b=50.0, eps=0.5))
+    rule = StepsizeRule("oracle_heterogeneous", GammaSchedule(c=1.0, b=50.0, eps=0.5))
     # even k: divide by the odd-start vector (0.5336, 0.1525, 0.3139)
-    a0 = stepsize_for(rule, 1, 1, 0)
+    a0 = stepsize_for(rule, 1, 1, 0, graph=g)
     assert a0 == pytest.approx((1 / 50) / 0.15247, rel=1e-3)
-    a1 = stepsize_for(rule, 1, 1, 1)
+    a1 = stepsize_for(rule, 1, 1, 1, graph=g)
     assert a1 == pytest.approx((1 / 51) / 0.34081, rel=1e-3)
-    b0 = stepsize_for(rule, 1, 2, 0)
+    b0 = stepsize_for(rule, 1, 2, 0, graph=g)
     assert b0 == pytest.approx((1 / 50) / (1 / 9), rel=1e-3)
 
 
-def test_oracle_rule_validation():
-    s = GammaSchedule()
-    g = bundled_scenario("example2").graph  # period 2, 3 + 2 agents
-    one_phase = OracleHeterogeneous(schedule=s, phi1=((0.2, 0.3, 0.5),), phi2=((0.5, 0.5),) * 2)
-    with pytest.raises(ValidationError, match="one limit vector per phase"):
-        stepsize_tables(one_phase, g, 3)
-    with pytest.raises(ValidationError):
-        OracleHeterogeneous(schedule=s, phi1=((0.7, 0.7),), phi2=((1.0,),))
-    with pytest.raises(ValidationError):
-        OracleHeterogeneous(schedule=s, phi1=((float("nan"), 0.5, 0.5),), phi2=((1.0,),))
+def test_unknown_variant_is_refused():
+    with pytest.raises(ValidationError, match="unknown stepsize variant 'oracle'"):
+        StepsizeRule("oracle", GammaSchedule())
+    rule = StepsizeRule("adaptive_common", GammaSchedule())
+    with pytest.raises(ValidationError, match="unknown stepsize variant"):
+        dataclasses.replace(rule, variant="periodic")
+
+
+def test_oracle_run_refuses_a_graph_that_is_only_rooted():
+    """Subnet 1 of example1 made [[1, 0, 0], [.5, .5, 0], [.5, 0, .5]] in
+    every phase: agent 0 is a root, so the limit vector exists, but it is
+    (1, ~0, ~0), and dividing by it gave stepsizes near 1e8. A library run
+    under the oracle rule is a ValidationError, as the loader's refusal is."""
+    s = bundled_scenario("example1")
+    rooted = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
+    g = dataclasses.replace(s.graph, a1=(rooted,) * s.graph.period)
+    assert limiting_stochastic_vector(g, 1, 0)[1:].max() < 1e-6
+    s = dataclasses.replace(s, graph=g, rule=StepsizeRule("oracle_heterogeneous", s.rule.schedule))
+    for call in (lambda: oracle_heterogeneous_build(g), lambda: run(s, iterations=10)):
+        with pytest.raises(ValidationError, match="oracle limit vectors exist only on .* "
+                                                  "subnet 1 is not within one period"):
+            call()
 
 
 def _diag_bytes(spec, subnet, k, s):
@@ -112,15 +124,15 @@ def test_periodic_learner_activation_and_readout():
 
 def test_periodic_learner_converges_to_oracle_vectors():
     g = bundled_scenario("example2").graph
-    oracle = oracle_heterogeneous_build(g, GammaSchedule())
+    phi1, _ = oracle_heterogeneous_build(g)
     r = learner_readouts(g.a1, (1, 2), 202)
     for k in (200, 201):
-        target = oracle.phi1[(k + 1) % 2]
+        target = phi1[(k + 1) % 2]
         assert np.abs(r[k] - target).max() < 1e-8
 
 
 def test_adaptive_dispatch_requires_learner():
-    rule = AdaptivePeriodic(GammaSchedule())
+    rule = StepsizeRule("adaptive_periodic", GammaSchedule())
     with pytest.raises(ValueError):
         stepsize_for(rule, 0, 1, 5)
     r = learner_readouts(bundled_scenario("example2").graph.a1, (1, 2), 1)
@@ -131,12 +143,12 @@ def test_adaptive_dispatch_requires_learner():
 def test_adaptive_common_matches_oracle_on_static_graph():
     g = bundled_scenario("perron_weighted").graph
     sched = GammaSchedule()
-    rule = AdaptiveCommonEigvec(sched)
+    rule = StepsizeRule("adaptive_common", sched)
     r = learner_readouts(g.a1, (0,), 301)
-    oracle = oracle_heterogeneous_build(g, sched)
+    oracle = StepsizeRule("oracle_heterogeneous", sched)
     for agent in range(3):
         got = stepsize_for(rule, agent, 1, 300, readouts=r)
-        want = stepsize_for(oracle, agent, 1, 300)
+        want = stepsize_for(oracle, agent, 1, 300, graph=g)
         assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -253,4 +265,4 @@ def test_stepsize_tables_reject_nonpositive_readout():
     np.testing.assert_array_equal(learner_readouts(g.a1, (0,), 3),
                                   [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValidationError):
-        stepsize_tables(AdaptiveCommonEigvec(GammaSchedule()), g, 3)
+        stepsize_tables(StepsizeRule("adaptive_common", GammaSchedule()), g, 3)
