@@ -10,7 +10,7 @@ from .digraph import (GeometricRateBound, GraphSequenceSpec, build_cycle_matrix,
 from .engine import Scenario, Trace, run
 from .errors import (NashnetError, NumericError, ParseError, ResourceError,
                      ValidationError)
-from .exprs import (Abs, BoxSet, Const, Expr, Neg, Pow, Prod, Scale, Sum, Var,
+from .exprs import (Abs, BoxSet, Const, Expr, Pow, Prod, Scale, Sum, Var,
                     compile_objective, format_expr, parse_expr, sample_convexity,
                     x_var, y_var)
 from .metrics import MetricsSeries, compute_metrics

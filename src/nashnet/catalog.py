@@ -21,7 +21,7 @@ concave-subgradient properties are only meaningful inside it.
 from dataclasses import dataclass
 from math import sqrt
 
-from .exprs import Abs, Expr, Neg, Pow, Prod, Scale, Sum, x_var, y_var
+from .exprs import Abs, Expr, Pow, Prod, Scale, Sum, x_var, y_var
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,15 @@ class CatalogEntry:
 
 def _build():
     x, y = x_var(0), y_var(0)
-    coupling = Prod((Sum((20, Neg(Pow(x, 2)))), Pow(Sum((y, Neg(1))), 2)))  # (20-x^2)(y-1)^2
-
-    f1 = Sum((Pow(x, 2), Neg(coupling)))
-    f2 = Sum((Abs(Sum((x, Neg(1)))), Neg(Abs(y))))
-    f3 = Sum((Pow(Sum((x, Neg(1))), 4), Neg(Scale(2.0, Pow(y, 2)))))
-    g1 = Sum((Pow(Sum((x, Neg(1))), 4), Neg(Abs(y)),
-              Neg(Scale(1.25, Pow(y, 2))), Neg(Scale(0.5, coupling))))
-    g2 = Sum((Pow(x, 2), Abs(Sum((x, Neg(1)))),
-              Neg(Scale(0.75, Pow(y, 2))), Neg(Scale(0.5, coupling))))
+    # (20-x^2)(y-1)^2
+    coupling = Prod((Sum((20, Scale(-1.0, Pow(x, 2)))), Pow(Sum((y, Scale(-1.0, 1))), 2)))
+    f1 = Sum((Pow(x, 2), Scale(-1.0, coupling)))
+    f2 = Sum((Abs(Sum((x, Scale(-1.0, 1)))), Scale(-1.0, Abs(y))))
+    f3 = Sum((Pow(Sum((x, Scale(-1.0, 1))), 4), Scale(-1.0, Scale(2.0, Pow(y, 2)))))
+    g1 = Sum((Pow(Sum((x, Scale(-1.0, 1))), 4), Scale(-1.0, Abs(y)),
+              Scale(-1.0, Scale(1.25, Pow(y, 2))), Scale(-1.0, Scale(0.5, coupling))))
+    g2 = Sum((Pow(x, 2), Abs(Sum((x, Scale(-1.0, 1)))),
+              Scale(-1.0, Scale(0.75, Pow(y, 2))), Scale(-1.0, Scale(0.5, coupling))))
 
     return {
         # f1_yy = -2(20 - x^2): concave in y iff x^2 <= 20

@@ -163,14 +163,15 @@ def _outcome(trace, metrics) -> str:
             f"h1={metrics.h1[-1]:.6g}, h2={metrics.h2[-1]:.6g}")
 
 
-def _print_warnings(scenario):
-    for w in getattr(scenario, "warnings", ()):
+def _loaded(scenario):
+    """`scenario`, once its load warnings are printed to stderr."""
+    for w in scenario.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    return scenario
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _print_warnings(scenario)
+    scenario = _loaded(load_scenario(args.scenario))
     trace = run(scenario, iterations=args.iters)
     saddle = _reference_saddle(scenario)
     metrics = compute_metrics(trace, scenario, saddle)
@@ -187,7 +188,7 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _loaded(load_scenario(args.scenario))
     if args.weights is None:
         w = unit_weighted(scenario.objectives1)
     else:
@@ -254,8 +255,7 @@ def cmd_reproduce(args) -> int:
     name = f"example{args.example}" if args.example in ("1", "2", "3") else args.example
     if name not in BUNDLED:
         raise ValidationError(f"unknown bundled experiment {args.example!r}")
-    scenario = bundled_scenario(name)
-    _print_warnings(scenario)
+    scenario = _loaded(bundled_scenario(name))
     _make_dir(args.out)
     saddle = _reference_saddle(scenario, rederive=not args.trust_bundled)
     trace = run(scenario)
@@ -295,7 +295,7 @@ def cmd_sweep(args) -> int:
     values = _numbers(args.values, "--values")
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
-    scenario = load_scenario(args.scenario)
+    scenario = _loaded(load_scenario(args.scenario))
     if os.path.basename(scenario.name) != scenario.name:
         raise ValidationError(f"scenario name {scenario.name!r} holds a path separator; "
                               "sweep names its output files after it")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class Scenario:
     oracle_x: tuple | None = None  # precomputed saddle reference, if any
     oracle_y: tuple | None = None
     oracle_provenance: str = ""
+    warnings: tuple = field(default=(), init=False, compare=False)  # the loader's findings
 
     def __post_init__(self):
         g = self.graph

@@ -1,7 +1,7 @@
 """Convex-concave objectives as expression trees with explicit kink choices.
 
-Objectives are built from a small set of node types (constants, variables,
-sums, products, integer powers, absolute values). Subgradients
+Objectives are built from seven node types: constants, variables, sums,
+scalings, products, integer powers and absolute values. Subgradients
 are obtained by formal forward-mode differentiation; at a kink of an
 absolute-value node the derivative is taken from an explicit per-node
 selection constant in [-1, 1] instead of sign(0). The formal rules produce a
@@ -52,14 +52,6 @@ class Var(Expr):
             raise ValueError(f"variable side must be 'x' or 'y', got {self.side!r}")
         if self.index < 0:
             raise ValueError("variable index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    child: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "child", _as_expr(self.child))
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ def y_var(index: int = 0) -> Var:
 def _preorder(node):
     """The nodes of a tree, each before its children, children left to right."""
     yield node
-    if isinstance(node, (Neg, Scale, Pow, Abs)):
+    if isinstance(node, (Scale, Pow, Abs)):
         yield from _preorder(node.child)
     elif isinstance(node, (Sum, Prod)):
         for c in node.children:
@@ -243,10 +235,6 @@ def _literal(v: float) -> tuple:
     return math.copysign(1.0, v) < 0.0, repr(abs(v))
 
 
-def _negate(code) -> tuple:
-    return not code[0], code[1]
-
-
 def _text(code) -> str:
     """A signed code as an operand."""
     neg, body = code
@@ -322,9 +310,6 @@ class _CodeGen:
             g = list(zy)
             g[e.index] = _ONE
             return (False, self.y[e.index]), zx, g
-        if isinstance(e, Neg):
-            v, gx, gy = self.emit(e.child)
-            return _negate(v), [g and _negate(g) for g in gx], [g and _negate(g) for g in gy]
         if isinstance(e, Scale):
             v, gx, gy = self.emit(e.child)
             c = _literal(e.factor)
@@ -346,7 +331,7 @@ class _CodeGen:
             v = neg, self.atom(body)
 
             def grad(block, d):
-                # each term is one operand, so a parent Scale, Neg or Pow
+                # each term is one operand, so a parent Scale or Pow
                 # multiplies the whole product, as the tests' reference interpreter does
                 terms = [self.mul([q[0] for j, q in enumerate(parts) if j != i] + [p[block][d]])
                          for i, p in enumerate(parts) if p[block][d] is not None]
@@ -494,13 +479,13 @@ def format_expr(e: Expr) -> str:
         return _fmt_num(e.value)
     if isinstance(e, Var):
         return f"{e.side}{e.index}"
-    if isinstance(e, Neg):
-        return f"(neg {format_expr(e.child)})"
     if isinstance(e, Sum):
         # (sub a b) round-trips as written; general sums use add
-        if len(e.children) == 2 and isinstance(e.children[1], Neg):
+        if len(e.children) == 2 and _is_neg(e.children[1]):
             return f"(sub {format_expr(e.children[0])} {format_expr(e.children[1].child)})"
         return "(add " + " ".join(format_expr(c) for c in e.children) + ")"
+    if _is_neg(e):
+        return f"(neg {format_expr(e.child)})"
     if isinstance(e, Scale):
         return f"(scale {_fmt_num(e.factor)} {format_expr(e.child)})"
     if isinstance(e, Prod):
@@ -510,6 +495,10 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Abs):
         return f"(abs {format_expr(e.child)})"
     raise TypeError(f"unknown node {type(e).__name__}")
+
+
+def _is_neg(e):  # the tree (neg a) parses to
+    return isinstance(e, Scale) and e.factor == -1.0
 
 
 def _fmt_num(v):
@@ -612,11 +601,11 @@ def _build(op, args):
     if op == "sub":
         if len(args) != 2:
             raise ValidationError("sub takes exactly 2 arguments")
-        return Sum((args[0], Neg(args[1])))
+        return Sum((args[0], Scale(-1.0, args[1])))
     if op == "neg":
         if len(args) != 1:
             raise ValidationError("neg takes exactly 1 argument")
-        return Neg(args[0])
+        return Scale(-1.0, args[0])
     if op == "mul":
         return Prod(tuple(args))
     if op == "scale":

@@ -87,8 +87,8 @@ def loads_scenario(text: str) -> Scenario:
     Weight-rule violations fail the load, and so does an
     ``oracle_heterogeneous`` rule on a graph that has no limit vectors (they
     are derived at run); connectivity findings over one period and
-    convexity findings are collected on the returned scenario's
-    ``warnings`` attribute, each distinct objective sampled once and its
+    convexity findings are collected in the returned scenario's
+    ``warnings`` field, each distinct objective sampled once and its
     findings repeated for every agent that holds it.
     """
     scenario = _from_doc(_scenario_from_doc, _document(text))

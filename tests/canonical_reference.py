@@ -47,7 +47,7 @@ from nashnet.digraph import (GraphSequenceSpec, canonical_mix_code,
                              limiting_stochastic_vector, periodic_code)
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
-from nashnet.exprs import (Abs, Const, Neg, Pow, Prod, Scale, Sum, Var,
+from nashnet.exprs import (Abs, Const, Pow, Prod, Scale, Sum, Var,
                            check_selection, compile_objective, dimensions,
                            objective_code, parse_expr)
 
@@ -342,7 +342,7 @@ def magnitude(e, x, y) -> float:
         return abs(e.value)
     if isinstance(e, Var):
         return abs(float((x if e.side == "x" else y)[e.index]))
-    if isinstance(e, (Neg, Abs)):
+    if isinstance(e, Abs):
         return magnitude(e.child, x, y)
     if isinstance(e, Scale):
         return abs(e.factor) * magnitude(e.child, x, y)
@@ -444,6 +444,11 @@ def affine(coeff_x, coeff_y, offset):
     return parse_expr(f"(affine ({text(coeff_x)}) ({text(coeff_y)}) {float(offset)!r})")
 
 
+def neg(e):
+    """The tree :func:`parse_expr` builds for ``(neg e)``."""
+    return Scale(-1.0, e)
+
+
 def evaluate(e, x, y) -> float:
     """Exact recursive evaluation of `e` at (x, y)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -459,8 +464,6 @@ def _eval(e, x, y):
         return e.value
     if isinstance(e, Var):
         return float(x[e.index] if e.side == "x" else y[e.index])
-    if isinstance(e, Neg):
-        return -_eval(e.child, x, y)
     if isinstance(e, Sum):
         return sum(_eval(c, x, y) for c in e.children)
     if isinstance(e, Scale):
@@ -482,9 +485,6 @@ def _grad(e, x, y, sel, counter):
         gx, gy = np.zeros(len(x)), np.zeros(len(y))
         (gx if e.side == "x" else gy)[e.index] = 1.0
         return float((x if e.side == "x" else y)[e.index]), gx, gy
-    if isinstance(e, Neg):
-        v, gx, gy = _grad(e.child, x, y, sel, counter)
-        return -v, -gx, -gy
     if isinstance(e, Scale):
         v, gx, gy = _grad(e.child, x, y, sel, counter)
         return e.factor * v, e.factor * gx, e.factor * gy

@@ -102,10 +102,10 @@ def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, arg
 
 def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
-    from canonical_reference import make_identical_scenario
-    from nashnet.exprs import BoxSet, Neg, Pow, Sum, x_var, y_var
+    from canonical_reference import make_identical_scenario, neg
+    from nashnet.exprs import BoxSet, Pow, Sum, x_var, y_var
     from nashnet.stepsizes import GammaSchedule, StepsizeRule
-    e = Sum((Pow(x_var(0), 4), Neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(x_var(0), 4), neg(Pow(y_var(0), 2))))
     box = BoxSet((-float("inf"),), (float("inf"),))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
@@ -130,6 +130,21 @@ def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(path), "--iters", "3"]) == 0
     assert capsys.readouterr().err == "warning: subnet1[0]: objective not finite on sample\n"
+
+
+def test_every_command_that_loads_a_scenario_prints_its_warnings(tmp_path, capsys):
+    """example1's objectives are not concave in y on the whole box: `run`,
+    `oracle` and `sweep` print the same load warnings."""
+    s = bundled_scenario("example1")
+    assert s.warnings
+    path = tmp_path / "example1.yaml"
+    save_scenario(dataclasses.replace(s, iterations=5), path)
+    want = "".join(f"warning: {w}\n" for w in s.warnings)
+    for argv in (["run", str(path)], ["oracle", str(path), "--grid", "11"],
+                 ["sweep", str(path), "--param", "iterations", "--values", "5",
+                  "--out", str(tmp_path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == want, argv
 
 
 NESTED = {"add": "(add x0 {})", "sub": "(sub x0 {})", "neg": "(neg {})", "mul": "(mul x0 {})",
@@ -227,7 +242,8 @@ def test_overflowing_values_leak_no_numpy_warning(shsad, tmp_path):
     """The NaN oracle table above, and a run whose saddle residual is
     inf - inf (x0 pinned at 1e80, so x0^4 overflows, against a stored
     reference there), write to stderr no numpy RuntimeWarning: the oracle
-    only its error line, and the run nothing while its metrics hold nan."""
+    only its load warnings and its error line, and the run nothing while
+    its metrics hold nan."""
     doc = yaml.safe_load(Path(shsad).read_text())
     for entry in doc["agents"]["subnet1"]:
         entry.update(expr="(sub (pow x0 400) (pow y0 400))", selections={})
@@ -249,7 +265,8 @@ def test_overflowing_values_leak_no_numpy_warning(shsad, tmp_path):
                                "-m", "nashnet.cli", *argv],
                               env=_env(), capture_output=True, text=True, timeout=300)
     proc = cli("oracle", str(nan_table), "--grid", "101")
-    assert (proc.returncode, proc.stderr) == (4, "error: grid oracle table holds NaN; "
+    warned = "".join(f"warning: {w}\n" for w in load_scenario(nan_table).warnings)
+    assert (proc.returncode, proc.stderr) == (4, warned + "error: grid oracle table holds NaN; "
                                               "store a reference under run.oracle (x_star, "
                                               "y_star) in the scenario document instead\n")
     metrics = tmp_path / "m.csv"

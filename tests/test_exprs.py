@@ -6,7 +6,7 @@ import math
 import warnings
 
 import canonical_reference as ref
-from canonical_reference import (evaluate, lipschitz_bound, project,
+from canonical_reference import (evaluate, lipschitz_bound, neg, project,
                                  subgradient_x, subgradient_y)
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from nashnet.catalog import CATALOG
 from nashnet.errors import ValidationError
-from nashnet.exprs import (Abs, BoxSet, Const, Neg, Pow, Prod, Scale, Sum,
+from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Scale, Sum,
                            Var, check_selection, compile_objective,
                            convexity_points, dimensions, format_expr,
                            objective_code, parse_expr, sample_convexity,
@@ -27,7 +27,7 @@ def test_evaluate_basic_nodes():
     x, y = x_var(0), y_var(0)
     assert evaluate(Const(3.0), [0], [0]) == 3.0
     assert evaluate(Sum((x, y)), [2], [5]) == 7.0
-    assert evaluate(Sum((x, Neg(1))), [2], [0]) == 1.0
+    assert evaluate(Sum((x, neg(1))), [2], [0]) == 1.0
     assert evaluate(Scale(2.5, x), [4], [0]) == 10.0
     assert evaluate(Prod((x, y)), [3], [4]) == 12.0
     assert evaluate(Pow(x, 3), [2], [0]) == 8.0
@@ -36,7 +36,7 @@ def test_evaluate_basic_nodes():
 
 
 def test_constructors_coerce_numbers():
-    e = Sum((20, Neg(Pow(x_var(0), 2))))
+    e = Sum((20, neg(Pow(x_var(0), 2))))
     assert evaluate(e, [2.0], [0.0]) == 16.0
 
 
@@ -57,7 +57,7 @@ def test_selection_validation():
 
 
 def test_kink_selection_used_at_zero():
-    e = Abs(Sum((x_var(0), Neg(1))))  # |x - 1|
+    e = Abs(Sum((x_var(0), neg(1))))  # |x - 1|
     assert subgradient_x(e, [1.0], [0.0], {0: 1.0})[0] == 1.0
     assert subgradient_x(e, [1.0], [0.0], {0: -0.25})[0] == -0.25
     assert subgradient_x(e, [2.0], [0.0], {0: -1.0})[0] == 1.0
@@ -110,7 +110,7 @@ def test_codegen_vector_mode():
 
 
 def test_codegen_multidimensional():
-    e = Sum((Pow(Var("x", 0), 2), Pow(Var("x", 1), 2), Neg(Pow(Var("y", 0), 2))))
+    e = Sum((Pow(Var("x", 0), 2), Pow(Var("x", 1), 2), neg(Pow(Var("y", 0), 2))))
     assert compile_objective(e, 2, 1)([1.0, 2.0], [3.0]) == pytest.approx(1 + 4 - 9)
     assert ref.emitted_derivative(e, None, 2, 1, "x")([1.0, 2.0], [3.0]) == pytest.approx((2.0, 4.0))
     assert ref.emitted_derivative(e, None, 2, 1, "y")([1.0, 2.0], [3.0]) == pytest.approx((-6.0,))
@@ -164,7 +164,7 @@ def _kinky_exprs(m1, m2):
                   st.lists(num, min_size=1, max_size=m2), num))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(1, 6)),
-        st.builds(Abs, kids), st.builds(Neg, kids),
+        st.builds(Abs, kids), st.builds(neg, kids),
         st.builds(Scale, num, kids),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Prod(tuple(c)))),
@@ -187,15 +187,15 @@ def _kinky_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(_kinky_problems())
 # (-2.0 + 1.0) opens with "(-" but is no negation as a whole: its negation is 1.0
-@example((Neg(Sum((ref.affine((-2.0,), (-2.0,), -2.0), x_var(0)))), {}, 1, 1, [([-2.0], [-2.0])]))
+@example((neg(Sum((ref.affine((-2.0,), (-2.0,), -2.0), x_var(0)))), {}, 1, 1, [([-2.0], [-2.0])]))
 def test_emitted_gradient_equals_closure_on_random_expressions(problem):
     _assert_emitted_equals_interpreter(*problem)
 
 
 @st.composite
 def _scaled_products(draw):
-    """Products of two to four factors under Scale and Neg, nested, with
-    points to evaluate them at."""
+    """Products of two to four factors under scalings, -1.0 among them,
+    nested, with points to evaluate them at."""
     m1, m2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     num = st.floats(-3, 3)
     var = st.one_of(st.builds(Var, st.just("x"), st.integers(0, m1 - 1)),
@@ -204,7 +204,7 @@ def _scaled_products(draw):
     e = draw(st.recursive(
         st.lists(leaf, min_size=2, max_size=4).map(lambda c: Prod(tuple(c))),
         lambda kids: st.one_of(
-            st.builds(Scale, num, kids), st.builds(Neg, kids),
+            st.builds(Scale, num, kids), st.builds(neg, kids),
             st.lists(st.one_of(kids, leaf), min_size=2, max_size=3).map(
                 lambda c: Prod(tuple(c)))),
         max_leaves=10))
@@ -216,7 +216,7 @@ def _scaled_products(draw):
 @settings(max_examples=200, deadline=None)
 @given(_scaled_products())
 def test_emitted_derivative_of_scaled_products_equals_interpreter(problem):
-    """A Scale or Neg over a product multiplies the whole derivative term,
+    """A Scale over a product multiplies the whole derivative term,
     as the interpreter's `_grad` does: equal values, +0.0 and -0.0 alike."""
     e, m1, m2, points = problem
     for side, reference in (("x", subgradient_x), ("y", subgradient_y)):
@@ -252,6 +252,15 @@ def test_prefix_roundtrip_catalog(name):
     text = format_expr(ent.expr)
     assert parse_expr(text) == ent.expr
     assert format_expr(parse_expr(text)) == text
+    # the catalog prints with neg and sub, sugar for a scaling by -1.0 that
+    # prints back as written; so does a written scale by -1
+    x0, y1 = Var("x", 0), Abs(Var("y", 1))
+    assert parse_expr("(neg x0)") == Scale(-1.0, x0)
+    assert parse_expr("(sub x0 (abs y1))") == Sum((x0, Scale(-1.0, y1)))
+    for written, printed in (("(neg x0)", "(neg x0)"),
+                             ("(sub x0 (abs y1))", "(sub x0 (abs y1))"),
+                             ("(scale -1 x0)", "(neg x0)")):
+        assert format_expr(parse_expr(written)) == printed
 
 
 def test_parse_affine_and_errors():
@@ -352,7 +361,7 @@ def test_lipschitz_bound_quadratic():
 def test_sample_convexity_flags_the_bad_region():
     box5 = BoxSet((-5.0,), (5.0,))
     # x^2 - y^2 is fine everywhere
-    assert sample_convexity(Sum((Pow(x_var(0), 2), Neg(Pow(y_var(0), 2)))),
+    assert sample_convexity(Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2)))),
                             box5, box5) == []
     # f1 loses concavity in y for |x| > sqrt(20)
     flagged = sample_convexity(CATALOG["f1"].expr, box5, box5)
@@ -406,7 +415,7 @@ def _exprs(m1, m2):
                   st.lists(st.floats(-2, 2), min_size=1, max_size=m2), st.floats(-1, 1)))
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(2, 6)),
-        st.builds(Neg, kids), st.builds(Abs, kids),
+        st.builds(neg, kids), st.builds(Abs, kids),
         st.builds(Scale, st.floats(-2, 2), kids),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
         st.lists(kids, min_size=2, max_size=2).map(lambda c: Prod(tuple(c)))),

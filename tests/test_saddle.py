@@ -9,14 +9,14 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import canonical_reference as reference
-from canonical_reference import (centralized_saddle, per_term_value, subnet1_objectives,
+from canonical_reference import (centralized_saddle, neg, per_term_value, subnet1_objectives,
                                  subnet2_objectives, table_extremes, verify_saddle,
                                  whole_table)
 from test_scenario_io import _many_agents_doc
 
 from nashnet import saddle
 from nashnet.errors import NumericError, ResourceError
-from nashnet.exprs import (Abs, BoxSet, Const, Neg, Pow, Prod, Scale, Sum, Var,
+from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Scale, Sum, Var,
                            compile_objective, parse_expr, x_var, y_var)
 from nashnet.saddle import GRID_BUDGET, WeightedObjective, grid_minimax, unit_weighted
 from nashnet.scenario_io import bundled_scenario, loads_scenario
@@ -27,7 +27,7 @@ BOX5 = BoxSet((-5.0,), (5.0,))
 
 def bilinear_toy():
     # x^2 - y^2, saddle exactly at the origin
-    return unit_weighted([(Sum((Pow(x_var(0), 2), Neg(Pow(y_var(0), 2)))), {})])
+    return unit_weighted([(Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2)))), {})])
 
 
 def test_weighted_objective_validation():
@@ -56,9 +56,9 @@ def test_grid_minimax_catalog_sum():
 def test_grid_minimax_shifted_quadratic():
     # 2 (x - 1.3)^2 - (y + 0.4)^2: refinement must beat the coarse spacing
     e = Sum((
-        Pow(Sum((x_var(0), Neg(1.3))), 2),
-        Pow(Sum((x_var(0), Neg(1.3))), 2),
-        Neg(Pow(Sum((y_var(0), 0.4)), 2)),
+        Pow(Sum((x_var(0), neg(1.3))), 2),
+        Pow(Sum((x_var(0), neg(1.3))), 2),
+        neg(Pow(Sum((y_var(0), 0.4)), 2)),
     ))
     report = grid_minimax(unit_weighted([(e, {})]), BOX5, BOX5, resolution=501)
     assert report.x_star[0] == pytest.approx(1.3, abs=1e-6)
@@ -73,7 +73,7 @@ def test_grid_budget_enforced():
 
 def test_grid_rejects_high_dimensions():
     box3 = BoxSet((-1.0,) * 3, (1.0,) * 3)
-    e = Sum(tuple(Pow(Var("x", d), 2) for d in range(3)) + (Neg(Pow(y_var(0), 2)),))
+    e = Sum(tuple(Pow(Var("x", d), 2) for d in range(3)) + (neg(Pow(y_var(0), 2)),))
     with pytest.raises(ResourceError, match=r"store a reference under run\.oracle "
                                             r"\(x_star, y_star\) in the scenario document"):
         grid_minimax(unit_weighted([(e, {})]), box3, BOX5, resolution=11)
@@ -89,8 +89,8 @@ def test_grid_rejects_unbounded_boxes(bx, by):
 
 def test_grid_two_dimensional_blocks():
     # x1^2 + (x2-1)^2 - y1^2 - (y2+1)^2 on [-2,2]^2 blocks
-    e = Sum((Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), Neg(1))), 2),
-             Neg(Pow(Var("y", 0), 2)), Neg(Pow(Sum((Var("y", 1), 1)), 2))))
+    e = Sum((Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), neg(1))), 2),
+             neg(Pow(Var("y", 0), 2)), neg(Pow(Sum((Var("y", 1), 1)), 2))))
     box = BoxSet((-2.0, -2.0), (2.0, 2.0))
     report = grid_minimax(unit_weighted([(e, {})]), box, box, resolution=41)
     np.testing.assert_allclose(report.x_star, [0.0, 1.0], atol=1e-6)
@@ -209,9 +209,9 @@ def test_weighted_sum_negative_zero_term(monkeypatch):
 def test_weighted_sum_broadcast_shapes(monkeypatch):
     # x-only, y-only and constant-only terms come back as (Nx, 1), (1, Ny)
     # and a float; the kink term repeats under another weight
-    e_x = Pow(Sum((x_var(0), Neg(1.3))), 2)
-    e_y = Neg(Pow(Sum((y_var(0), 0.4)), 2))
-    e_xy = Sum((Abs(Sum((x_var(0), Neg(y_var(0))))), Scale(0.5, x_var(0))))
+    e_x = Pow(Sum((x_var(0), neg(1.3))), 2)
+    e_y = neg(Pow(Sum((y_var(0), 0.4)), 2))
+    e_xy = Sum((Abs(Sum((x_var(0), neg(y_var(0))))), Scale(0.5, x_var(0))))
     terms = ((1.0, e_x), (1.5, e_y), (2.0, Const(3.5)),
              (1.0, e_xy), (0.75, e_xy), (1.0, Const(-1.0)))
     for k in range(1, len(terms) + 1):
@@ -223,8 +223,8 @@ def test_weighted_sum_broadcast_shapes(monkeypatch):
 
 
 def test_weighted_sum_two_dimensional_blocks():
-    terms = [Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), Neg(1))), 2),
-             Neg(Pow(Var("y", 0), 2)), Neg(Pow(Sum((Var("y", 1), 1)), 2)),
+    terms = [Pow(Var("x", 0), 2), Pow(Sum((Var("x", 1), neg(1))), 2),
+             neg(Pow(Var("y", 0), 2)), neg(Pow(Sum((Var("y", 1), 1)), 2)),
              Prod((Var("x", 0), Var("y", 1)))]
     w = WeightedObjective(tuple((1.0 + 0.5 * i, e) for i, e in enumerate(terms + terms)))
     _assert_matches_per_term(w, BOX2, BOX2, 21)
@@ -327,11 +327,11 @@ _X, _Y, _X1, _Y1 = x_var(0), y_var(0), Var("x", 1), Var("y", 1)
 # catalog sums plus tie makers: constants, x-only and y-only terms, a kink
 # on the diagonal, -x^2, a bilinear term, and rows of signed zeros
 _POOL = ([e for e, _ in subnet1_objectives() + subnet2_objectives()]
-         + [Const(3.5), Const(0.0), Const(-0.0), Pow(Sum((_X, Neg(1.5))), 2),
-            Neg(Pow(Sum((_Y, 0.5)), 2)), Abs(Sum((_X, Neg(_Y)))), Neg(Pow(_X, 2)),
+         + [Const(3.5), Const(0.0), Const(-0.0), Pow(Sum((_X, neg(1.5))), 2),
+            neg(Pow(Sum((_Y, 0.5)), 2)), Abs(Sum((_X, neg(_Y)))), neg(Pow(_X, 2)),
             Prod((_X, _Y)), Prod((_X, Const(-0.0))), Prod((_Y, Const(-0.0)))])
-_POOL_2D = [(Pow(_X1, 2), (2, 1)), (Neg(Pow(Sum((_Y1, 1)), 2)), (1, 2)),
-            (Prod((_X1, _Y)), (2, 1)), (Abs(Sum((_X1, Neg(_Y1)))), (2, 2)),
+_POOL_2D = [(Pow(_X1, 2), (2, 1)), (neg(Pow(Sum((_Y1, 1)), 2)), (1, 2)),
+            (Prod((_X1, _Y)), (2, 1)), (Abs(Sum((_X1, neg(_Y1)))), (2, 2)),
             (Prod((_X, _Y1)), (1, 2))]
 
 
@@ -357,9 +357,9 @@ _CHUNKS = st.sampled_from([saddle.TABLE_CHUNK, 4096, 1])  # 1: windows of two li
 @given(_grid_cases(), _CHUNKS)
 @example((WeightedObjective(((1.0, Const(2.0)),)), BOX5, BOX5, 3), 1)
 @example((WeightedObjective(((1.0, Prod((_X, Const(-0.0)))),)), BOX5, BOX5, 11), 1)
-@example((WeightedObjective(((1.0, Pow(_X, 2)), (2.0, Neg(Pow(_Y, 2))))), BOX5, BOX5, 401),
+@example((WeightedObjective(((1.0, Pow(_X, 2)), (2.0, neg(Pow(_Y, 2))))), BOX5, BOX5, 401),
          saddle.TABLE_CHUNK)
-@example((WeightedObjective(((1.0, Abs(Sum((_X, Neg(_Y))))),)), BOX5, BOX5, 101), 1)
+@example((WeightedObjective(((1.0, Abs(Sum((_X, neg(_Y))))),)), BOX5, BOX5, 101), 1)
 def test_pruned_search_equals_the_whole_table_scan(case, chunk):
     """Byte for byte, on x*, y*, the value and the minimax gap, whatever the
     ties, signed zeros, boxes, resolutions, block dimensions and windows."""
