@@ -348,13 +348,9 @@ def perron_vector(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not (A > 0).any():
         raise ValidationError(f"Perron vector needs a square matrix with a positive "
                               f"weight, got shape {A.shape}")
-    spec = _constant_spec(A)
-    problems = validate_weight_rule(spec)
-    if problems:
-        raise ValidationError("; ".join(map(str, problems)))
     if not strongly_connected(A > 0):
         raise ValidationError("Perron vector requires a strongly connected graph")
-    phi = limiting_stochastic_vector(spec, 1, 0, spread_tol=LIMIT_TOL * 1e-2)
+    phi = limiting_stochastic_vector(_constant_spec(A), 1, 0, spread_tol=LIMIT_TOL * 1e-2)
     resid = float(np.abs(phi @ A - phi).max())
     if resid > LIMIT_TOL:
         raise NumericError(f"Perron residual {resid:.3e} above tolerance {LIMIT_TOL}")

@@ -114,8 +114,9 @@ def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:
 
 @dataclass(frozen=True)
 class Trace:
-    """States and applied stepsizes of a full run; index 0 is the initial
-    state, so arrays have length iterations + 1 (stepsizes: iterations).
+    """States x, y and applied stepsizes alpha, beta of a full run; index 0
+    is the initial state, so states have length iterations + 1 (stepsizes:
+    iterations).
     :func:`run` returns x and y as views of one buffer of rows (x, y).
     Under a homogeneous rule alpha and beta are read-only broadcast views
     of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``), whose
@@ -125,8 +126,6 @@ class Trace:
     y: np.ndarray  # (K+1, n2, m2)
     alpha: np.ndarray  # (K, n1)
     beta: np.ndarray  # (K, n2)
-    readout1: np.ndarray | None = None  # (K, n1) adaptive learner readouts
-    readout2: np.ndarray | None = None
 
     @property
     def iterations(self):
@@ -240,7 +239,7 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     K = scenario.iterations if iterations is None else int(iterations)
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
-    alpha, beta, r1, r2 = stepsize_tables(scenario.rule, g, K)
+    alpha, beta = stepsize_tables(scenario.rule, g, K)
     steps = [distinct_columns(a) for a in (alpha, beta)]
     env = {}
     source = _kernel_source(scenario, tuple(a.shape[1] for a in steps))
@@ -257,4 +256,4 @@ def run(scenario: Scenario, iterations: int | None = None) -> Trace:
     finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
-    return Trace(x=x, y=y, alpha=alpha, beta=beta, readout1=r1, readout2=r2)
+    return Trace(x=x, y=y, alpha=alpha, beta=beta)

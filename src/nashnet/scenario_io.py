@@ -571,7 +571,7 @@ def plot_grid(iterations: int) -> np.ndarray:
     return np.array(ks)
 
 
-def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None, out=None) -> str | Written:
+def plotdata_to_csv(trace: Trace, metrics: MetricsSeries, out=None) -> str | Written:
     """Plot-ready long format: k, series, value, for k on
     :func:`plot_grid`; the trace CSV holds every k. The blocks are k and
     each series as a column, k formatted once per row group."""
@@ -582,9 +582,8 @@ def plotdata_to_csv(trace: Trace, metrics: MetricsSeries | None, out=None) -> st
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
                 tags.append(f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]")
-    if metrics is not None:
-        tags.append("nash_error")
-        blocks.append(metrics.nash_error[ks, None])
+    tags.append("nash_error")
+    blocks.append(metrics.nash_error[ks, None])
     fields = "".join(f"{FLOAT_FMT},{tag},{FLOAT_FMT}\n" for tag in tags)
     columns = tuple(c for series in range(1, len(tags) + 1) for c in (0, series))
     return _csv(out, "k,series,value", (fields, blocks, columns))

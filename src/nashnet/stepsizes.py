@@ -185,10 +185,10 @@ def _bank_rows(mats, activation, K: int):
 def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     """Per-agent stepsizes of iterations 0..K-1, computed before a run.
 
-    Returns (alpha, beta, readout1, readout2): alpha (K, n1) and beta
-    (K, n2) hold gamma_k divided by each agent's denominator under `rule`;
-    the readouts are the adaptive learners' denominators, None for the
-    other rules. A homogeneous rule's alpha and beta are read-only
+    Returns (alpha, beta): alpha (K, n1) and beta (K, n2) hold gamma_k
+    divided by each agent's denominator under `rule`, for an adaptive rule
+    its learner readout (:func:`learner_readouts`), which is not kept.
+    A homogeneous rule's alpha and beta are read-only
     ``np.broadcast_to`` views of the one gamma column, agent stride 0
     (see :func:`distinct_columns`).
     Here a rule meets its graph: the oracle's limit vectors and the
@@ -199,12 +199,11 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     """
     gam = rule.schedule.values(K)[:, None]
     if rule.variant == "homogeneous":
-        return (np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2)),
-                None, None)
+        return np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2))
     if rule.variant == "oracle_heterogeneous":
         phi1, phi2 = oracle_heterogeneous_build(graph)
         nxt = (np.arange(K) + 1) % graph.period
-        return gam / np.array(phi1)[nxt], gam / np.array(phi2)[nxt], None, None
+        return gam / np.array(phi1)[nxt], gam / np.array(phi2)[nxt]
     # adaptive: one bank from time 0, or one per phase from times 1..period
     activation = (0,) if rule.variant == "adaptive_common" else tuple(range(1, graph.period + 1))
     p = len(activation)
@@ -215,7 +214,7 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     r1, r2 = (learner_readouts(mats, activation, K) for mats in (graph.a1, graph.a2))
     if (r1 <= 0).any() or (r2 <= 0).any():
         raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
-    return gam / r1, gam / r2, r1, r2
+    return gam / r1, gam / r2
 
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:

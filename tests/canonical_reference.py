@@ -304,22 +304,22 @@ def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None, graph=Non
 def reference_run(scenario, K):
     """K reference steps with the stepsizes of each step.
 
-    Returns (states, alphas, betas, readouts): the K + 1 states, the
-    stepsizes applied at each step and, for adaptive rules, the (K, n1) and
-    (K, n2) learner readouts from :func:`phi_readouts` (None otherwise).
+    Returns (states, alphas, betas): the K + 1 states and the stepsizes
+    applied at each step, an adaptive rule's divided by the learner
+    readouts of :func:`phi_readouts`.
     """
     rule, g = scenario.rule, scenario.graph
-    r1 = r2 = readouts = None
+    r1 = r2 = None
     act = activations(rule, g.period)
     if act is not None:
-        r1, r2 = readouts = phi_readouts(g, 1, act, K), phi_readouts(g, 2, act, K)
+        r1, r2 = phi_readouts(g, 1, act, K), phi_readouts(g, 2, act, K)
     objectives = compiled_objectives(scenario)
     states, alphas, betas = [initial_state(scenario)], [], []
     for k in range(K):
         alphas.append([stepsize_for(rule, i, 1, k, r1, g) for i in range(g.n1)])
         betas.append([stepsize_for(rule, i, 2, k, r2, g) for i in range(g.n2)])
         states.append(step(states[-1], scenario, alphas[-1], betas[-1], objectives))
-    return states, alphas, betas, readouts
+    return states, alphas, betas
 
 
 def convexity_points(bx, by, trials: int, seed: int) -> tuple:

@@ -737,7 +737,7 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
         trace = run(scenario, iterations=iterations)
         metrics = compute_metrics(trace, scenario, cli._reference_saddle(scenario))
         return sum(getattr(obj, f.name).nbytes for obj in (trace, metrics)
-                   for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None)
+                   for f in dataclasses.fields(obj))
 
     per_iteration = (array_bytes(2000) - array_bytes(1000)) / 1000
 

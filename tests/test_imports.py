@@ -1,7 +1,8 @@
 """Tooling gates on ``src/nashnet``: no module imports a name it never
 uses, every top-level function and class is named outside its own body
-by the package, a demo or ``perfbench/``, and every parameter default and
-dataclass field default is overridden by some call there; what only tests use belongs in
+by the package, a demo or ``perfbench/``, every parameter default and
+dataclass field default is overridden by some call there, and every
+dataclass field is read there as an attribute; what only tests use belongs in
 ``tests/canonical_reference.py``; no module reads the environment; and no
 matrix product but two admitted ones can hand a result to the BLAS. These
 are stdlib ``ast`` scans, as the project depends on no linter.
@@ -270,6 +271,45 @@ def test_scan_finds_an_unset_default():
     assert unset_defaults(modules, callers) == ["D.w", "f.d", "g.z", "m.q"]
     assert unset_defaults(modules, callers + ["g(**kw)\nK().m(q=1)\nf(d=0)\n"
                                               "a.D(0, w=1)\n"]) == []
+
+
+ALLOWED_UNREAD = {
+    "GeometricRateBound.C": "the paper's envelope constant, which criterion 6d checks",
+    "CatalogEntry.y_concavity_x_bound": "it leaves src with the catalog (ROADMAP item 4)",
+}
+
+
+def unread_fields(modules: dict, readers) -> list:
+    """``Class.field`` for each annotated field of a dataclass in `modules`
+    (name -> source) that no module there or in the `readers` sources
+    reads as an attribute. Reads match by the attribute name, so a read of
+    that name on any object counts; a store does not."""
+    trees = [ast.parse(source) for source in modules.values()]
+    read = {n.attr for tree in trees + [ast.parse(s) for s in readers] for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{c.name}.{f.target.id}" for tree in trees for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) and is_dataclass(c) for f in c.body
+                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                  and f.target.id not in read)
+
+
+def test_every_field_is_read():
+    """A dataclass field that nothing in the package, a demo or
+    ``perfbench/`` reads is carried for no one: it goes, or its reason
+    is in ALLOWED_UNREAD."""
+    readers = [p.read_text(encoding="utf-8")
+               for p in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]]
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert set(unread_fields(modules, readers)) == set(ALLOWED_UNREAD)
+
+
+def test_scan_finds_an_unread_field():
+    modules = {"a": ("@dataclass(frozen=True)\nclass D:\n    u: int\n    v: int = 0\n"
+                     "    w: int = field(init=False)\n\n"
+                     "class Plain:\n    r: int = 0\n\n"
+                     "def f(d):\n    d.w = d.u\n")}
+    assert unread_fields(modules, []) == ["D.v", "D.w"]
+    assert unread_fields(modules, ["print(x.v + y.w)\n"]) == []
 
 
 _COMMANDS_SCRIPT = """

@@ -627,7 +627,6 @@ def test_padded_layout_csv_texts():
     errors = ["0,nash_error,10\n", "1,nash_error,0.33333333333333331\n",
               "2,nash_error,3.9999999999999998e-20\n"]
     header = "k,series,value\n"
-    assert plotdata_to_csv(trace, None) == header + "".join(states)
     assert plotdata_to_csv(trace, metrics) == header + "".join(
         s + e for s, e in zip(states, errors))
 
