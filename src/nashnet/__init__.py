@@ -10,9 +10,8 @@ from .digraph import (GeometricRateBound, GraphSequenceSpec, build_cycle_matrix,
 from .engine import Scenario, Trace, run
 from .errors import (NashnetError, NumericError, ParseError, ResourceError,
                      ValidationError)
-from .exprs import (Abs, BoxSet, Const, Expr, Pow, Prod, Scale, Sum, Var,
-                    compile_objective, format_expr, parse_expr, sample_convexity,
-                    x_var, y_var)
+from .exprs import (Abs, BoxSet, Const, Expr, Pow, Prod, Sum, Var,
+                    compile_objective, format_expr, parse_expr, sample_convexity)
 from .metrics import MetricsSeries, compute_metrics
 from .saddle import SaddleReport, WeightedObjective, grid_minimax, unit_weighted
 from .scenario_io import (bundled_scenario, load_scenario, loads_scenario,

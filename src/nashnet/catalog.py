@@ -21,40 +21,31 @@ concave-subgradient properties are only meaningful inside it.
 from dataclasses import dataclass
 from math import sqrt
 
-from .exprs import Abs, Expr, Pow, Prod, Scale, Sum, x_var, y_var
+from .exprs import parse_expr
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    expr: Expr
+    expr: object  # the tree parse_expr builds from the entry's prefix text
     selection: dict
     # |x| bound inside which the entry is concave in y (inf if global)
     y_concavity_x_bound: float
 
 
-def _build():
-    x, y = x_var(0), y_var(0)
-    # (20-x^2)(y-1)^2
-    coupling = Prod((Sum((20, Scale(-1.0, Pow(x, 2)))), Pow(Sum((y, Scale(-1.0, 1))), 2)))
-    f1 = Sum((Pow(x, 2), Scale(-1.0, coupling)))
-    f2 = Sum((Abs(Sum((x, Scale(-1.0, 1)))), Scale(-1.0, Abs(y))))
-    f3 = Sum((Pow(Sum((x, Scale(-1.0, 1))), 4), Scale(-1.0, Scale(2.0, Pow(y, 2)))))
-    g1 = Sum((Pow(Sum((x, Scale(-1.0, 1))), 4), Scale(-1.0, Abs(y)),
-              Scale(-1.0, Scale(1.25, Pow(y, 2))), Scale(-1.0, Scale(0.5, coupling))))
-    g2 = Sum((Pow(x, 2), Abs(Sum((x, Scale(-1.0, 1)))),
-              Scale(-1.0, Scale(0.75, Pow(y, 2))), Scale(-1.0, Scale(0.5, coupling))))
+# (name, prefix text, kink selection, y-concavity bound): the texts and
+# selections of example1's agents, subnet 1 first
+_ENTRIES = (
+    # f1_yy = -2(20 - x^2): concave in y iff x^2 <= 20
+    ("f1", "(sub (pow x0 2) (mul (sub 20 (pow x0 2)) (pow (sub y0 1) 2)))", {}, sqrt(20.0)),
+    ("f2", "(sub (abs (sub x0 1)) (abs y0))", {0: 1.0}, float("inf")),
+    ("f3", "(sub (pow (sub x0 1) 4) (scale 2 (pow y0 2)))", {}, float("inf")),
+    # g1_yy = -5/2 - (20 - x^2): concave in y iff x^2 <= 22.5
+    ("g1", "(add (pow (sub x0 1) 4) (neg (abs y0)) (neg (scale 1.25 (pow y0 2))) "
+           "(neg (scale 0.5 (mul (sub 20 (pow x0 2)) (pow (sub y0 1) 2)))))", {0: 1.0}, sqrt(22.5)),
+    # g2_yy = -3/2 - (20 - x^2): concave in y iff x^2 <= 21.5
+    ("g2", "(add (pow x0 2) (abs (sub x0 1)) (neg (scale 0.75 (pow y0 2))) "
+           "(neg (scale 0.5 (mul (sub 20 (pow x0 2)) (pow (sub y0 1) 2)))))", {}, sqrt(21.5)),
+)
 
-    return {
-        # f1_yy = -2(20 - x^2): concave in y iff x^2 <= 20
-        "f1": CatalogEntry("f1", f1, {}, sqrt(20.0)),
-        "f2": CatalogEntry("f2", f2, {0: 1.0}, float("inf")),
-        "f3": CatalogEntry("f3", f3, {}, float("inf")),
-        # g1_yy = -5/2 - (20 - x^2): concave in y iff x^2 <= 22.5
-        "g1": CatalogEntry("g1", g1, {0: 1.0}, sqrt(22.5)),
-        # g2_yy = -3/2 - (20 - x^2): concave in y iff x^2 <= 21.5
-        "g2": CatalogEntry("g2", g2, {}, sqrt(21.5)),
-    }
-
-
-CATALOG = _build()
+CATALOG = {name: CatalogEntry(parse_expr(text), selection, bound)
+           for name, text, selection, bound in _ENTRIES}

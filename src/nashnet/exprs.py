@@ -1,7 +1,8 @@
 """Convex-concave objectives as expression trees with explicit kink choices.
 
-Objectives are built from seven node types: constants, variables, sums,
-scalings, products, integer powers and absolute values. Subgradients
+Objectives are built from six node types: constants, variables, sums,
+products, integer powers and absolute values; a scaling is a two-factor
+product whose first factor is a constant. Subgradients
 are obtained by formal forward-mode differentiation; at a kink of an
 absolute-value node the derivative is taken from an explicit per-node
 selection constant in [-1, 1] instead of sign(0). The formal rules produce a
@@ -63,16 +64,6 @@ class Sum(Expr):
 
 
 @dataclass(frozen=True)
-class Scale(Expr):
-    factor: float
-    child: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", float(self.factor))
-        object.__setattr__(self, "child", _as_expr(self.child))
-
-
-@dataclass(frozen=True)
 class Prod(Expr):
     children: tuple
 
@@ -107,18 +98,10 @@ def _as_expr(v):
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
 
-def x_var(index: int = 0) -> Var:
-    return Var("x", index)
-
-
-def y_var(index: int = 0) -> Var:
-    return Var("y", index)
-
-
 def _preorder(node):
     """The nodes of a tree, each before its children, children left to right."""
     yield node
-    if isinstance(node, (Scale, Pow, Abs)):
+    if isinstance(node, (Pow, Abs)):
         yield from _preorder(node.child)
     elif isinstance(node, (Sum, Prod)):
         for c in node.children:
@@ -310,11 +293,6 @@ class _CodeGen:
             g = list(zy)
             g[e.index] = _ONE
             return (False, self.y[e.index]), zx, g
-        if isinstance(e, Scale):
-            v, gx, gy = self.emit(e.child)
-            c = _literal(e.factor)
-            return (self.mul([c, v]), [g and self.mul([c, g]) for g in gx],
-                    [g and self.mul([c, g]) for g in gy])
         if isinstance(e, Sum):
             parts = [self.emit(c) for c in e.children]
             values = [p[0] for p in parts]
@@ -331,8 +309,9 @@ class _CodeGen:
             v = neg, self.atom(body)
 
             def grad(block, d):
-                # each term is one operand, so a parent Scale or Pow
-                # multiplies the whole product, as the tests' reference interpreter does
+                # each term is one operand, so a parent product (a scaling
+                # included) or Pow multiplies the whole product, as the
+                # tests' reference interpreter does
                 terms = [self.mul([q[0] for j, q in enumerate(parts) if j != i] + [p[block][d]])
                          for i, p in enumerate(parts) if p[block][d] is not None]
                 return self._add(terms)
@@ -481,15 +460,15 @@ def format_expr(e: Expr) -> str:
         return f"{e.side}{e.index}"
     if isinstance(e, Sum):
         # (sub a b) round-trips as written; general sums use add
-        if len(e.children) == 2 and _is_neg(e.children[1]):
-            return f"(sub {format_expr(e.children[0])} {format_expr(e.children[1].child)})"
+        if len(e.children) == 2 and _scaling(e.children[1]) == -1.0:
+            return f"(sub {format_expr(e.children[0])} {format_expr(e.children[1].children[1])})"
         return "(add " + " ".join(format_expr(c) for c in e.children) + ")"
-    if _is_neg(e):
-        return f"(neg {format_expr(e.child)})"
-    if isinstance(e, Scale):
-        return f"(scale {_fmt_num(e.factor)} {format_expr(e.child)})"
     if isinstance(e, Prod):
-        return "(mul " + " ".join(format_expr(c) for c in e.children) + ")"
+        c = _scaling(e)
+        if c is None:
+            return "(mul " + " ".join(format_expr(f) for f in e.children) + ")"
+        child = format_expr(e.children[1])
+        return f"(neg {child})" if c == -1.0 else f"(scale {_fmt_num(c)} {child})"
     if isinstance(e, Pow):
         return f"(pow {format_expr(e.child)} {e.exponent})"
     if isinstance(e, Abs):
@@ -497,8 +476,12 @@ def format_expr(e: Expr) -> str:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _is_neg(e):  # the tree (neg a) parses to
-    return isinstance(e, Scale) and e.factor == -1.0
+def _scaling(e):
+    """The constant c of a scaling, the two-factor product (c, a) that
+    (scale c a) parses to, else None."""
+    if isinstance(e, Prod) and len(e.children) == 2 and isinstance(e.children[0], Const):
+        return e.children[0].value
+    return None
 
 
 def _fmt_num(v):
@@ -601,23 +584,23 @@ def _build(op, args):
     if op == "sub":
         if len(args) != 2:
             raise ValidationError("sub takes exactly 2 arguments")
-        return Sum((args[0], Scale(-1.0, args[1])))
+        return Sum((args[0], Prod((Const(-1.0), args[1]))))
     if op == "neg":
         if len(args) != 1:
             raise ValidationError("neg takes exactly 1 argument")
-        return Scale(-1.0, args[0])
+        return Prod((Const(-1.0), args[0]))
     if op == "mul":
         return Prod(tuple(args))
     if op == "scale":
         if len(args) != 2:
             raise ValidationError("scale takes a constant and a child")
-        return Scale(num(args[0]), args[1])
+        return Prod((Const(num(args[0])), args[1]))
     if op == "pow":
         if len(args) != 2:
             raise ValidationError("pow takes a child and an integer exponent")
         n = num(args[1])
-        if n != int(n):
-            raise ValidationError("pow exponent must be an integer")
+        if n != int(n) or n < 1:
+            raise ValidationError(f"pow exponent must be an integer >= 1, got {_fmt_num(n)}")
         return Pow(args[0], int(n))
     if op == "abs":
         if len(args) != 1:
@@ -627,7 +610,7 @@ def _build(op, args):
         # (add (scale cx0 x0) ... (scale cy0 y0) ... offset), zero terms left out
         if len(args) != 3 or not isinstance(args[0], list) or not isinstance(args[1], list):
             raise ValidationError("affine takes (cx...) (cy...) offset")
-        terms = [Scale(c, Var(side, d)) for side, coeffs in (("x", args[0]), ("y", args[1]))
+        terms = [Prod((Const(c), Var(side, d))) for side, coeffs in (("x", args[0]), ("y", args[1]))
                  for d, c in enumerate(coeffs) if c != 0.0]
         return Sum((*terms, Const(num(args[2]))))
     raise ValidationError(f"unknown operator {op!r}")

@@ -47,7 +47,7 @@ from nashnet.digraph import (GraphSequenceSpec, canonical_mix_code,
                              limiting_stochastic_vector, periodic_code)
 from nashnet.engine import Scenario
 from nashnet.errors import NashnetError, NumericError
-from nashnet.exprs import (Abs, Const, Pow, Prod, Scale, Sum, Var,
+from nashnet.exprs import (Abs, Const, Pow, Prod, Sum, Var,
                            check_selection, compile_objective, dimensions,
                            objective_code, parse_expr)
 
@@ -344,8 +344,6 @@ def magnitude(e, x, y) -> float:
         return abs(float((x if e.side == "x" else y)[e.index]))
     if isinstance(e, Abs):
         return magnitude(e.child, x, y)
-    if isinstance(e, Scale):
-        return abs(e.factor) * magnitude(e.child, x, y)
     if isinstance(e, Sum):
         return sum(magnitude(c, x, y) for c in e.children)
     if isinstance(e, Prod):
@@ -444,9 +442,15 @@ def affine(coeff_x, coeff_y, offset):
     return parse_expr(f"(affine ({text(coeff_x)}) ({text(coeff_y)}) {float(offset)!r})")
 
 
+def scale(c, e):
+    """The tree :func:`parse_expr` builds for ``(scale c e)``: the product
+    of the constant c, as a float, and e."""
+    return Prod((Const(float(c)), e))
+
+
 def neg(e):
     """The tree :func:`parse_expr` builds for ``(neg e)``."""
-    return Scale(-1.0, e)
+    return scale(-1.0, e)
 
 
 def evaluate(e, x, y) -> float:
@@ -466,8 +470,6 @@ def _eval(e, x, y):
         return float(x[e.index] if e.side == "x" else y[e.index])
     if isinstance(e, Sum):
         return sum(_eval(c, x, y) for c in e.children)
-    if isinstance(e, Scale):
-        return e.factor * _eval(e.child, x, y)
     if isinstance(e, Prod):
         return math.prod((_eval(c, x, y) for c in e.children), start=1.0)
     if isinstance(e, Pow):
@@ -485,9 +487,6 @@ def _grad(e, x, y, sel, counter):
         gx, gy = np.zeros(len(x)), np.zeros(len(y))
         (gx if e.side == "x" else gy)[e.index] = 1.0
         return float((x if e.side == "x" else y)[e.index]), gx, gy
-    if isinstance(e, Scale):
-        v, gx, gy = _grad(e.child, x, y, sel, counter)
-        return e.factor * v, e.factor * gx, e.factor * gy
     if isinstance(e, Sum):
         v, gx, gy = 0.0, np.zeros(len(x)), np.zeros(len(y))
         for c in e.children:

@@ -103,9 +103,9 @@ def test_run_iteration_count_errors_exit_3(shsad, tmp_path, capsys, run_doc, arg
 def test_run_numeric_error_exit_4(tmp_path, capsys):
     import dataclasses
     from canonical_reference import make_identical_scenario, neg
-    from nashnet.exprs import BoxSet, Pow, Sum, x_var, y_var
+    from nashnet.exprs import BoxSet, Pow, Sum, Var
     from nashnet.stepsizes import GammaSchedule, StepsizeRule
-    e = Sum((Pow(x_var(0), 4), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Var("x", 0), 4), neg(Pow(Var("y", 0), 2))))
     box = BoxSet((-float("inf"),), (float("inf"),))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
@@ -456,6 +456,7 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     ("box bound not a number", 3, "malformed"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("add without an argument", 3, "add takes at least 1 argument"),
+    ("pow exponent below 1", 3, "pow exponent must be an integer >= 1, got 0"),
     ("NaN saddle reference", 3, "x_star"),
     ("zero sweep jobs", 3, "--jobs"),
     ("infinite sweep value", 3, "--values"),
@@ -473,7 +474,9 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, capsys):
-    """User input errors end in their documented exit code, not a traceback."""
+    """User input errors end in their documented exit code, not a
+    traceback; only the catch-all for a malformed document quotes the
+    exception it caught."""
     doc = yaml.safe_load(Path(shsad).read_text())
     doc["boxes"]["x"]["lower"] = ["x"]
     bad = tmp_path / "bad.yaml"
@@ -485,6 +488,9 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
     doc["agents"]["subnet1"][0]["expr"] = "(add)"
     empty_add = tmp_path / "empty_add.yaml"
     empty_add.write_text(yaml.safe_dump(doc, sort_keys=False))
+    doc["agents"]["subnet1"][0]["expr"] = "(sub (pow x0 0) (pow y0 2))"
+    pow_zero = tmp_path / "pow_zero.yaml"
+    pow_zero.write_text(yaml.safe_dump(doc, sort_keys=False))
     with open(shsad) as fh:
         doc = yaml.safe_load(fh)
     doc["run"]["oracle"]["x_star"] = [float("nan")]
@@ -519,6 +525,7 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
         "box bound not a number": ["run", str(bad)],
         "infinite objective constant": ["run", str(inf_const)],
         "add without an argument": ["run", str(empty_add)],
+        "pow exponent below 1": ["run", str(pow_zero)],
         "NaN saddle reference": ["run", str(nan_ref), "--iters", "50"],
         "zero sweep jobs": ["sweep", shsad, "--values", "1", "--out", str(sweep_dir),
                             "--jobs", "0"],
@@ -546,7 +553,8 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
                                                                "--iters", "5"],
     }[case]
     assert main(argv) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and ("ValueError(" not in err or message == "malformed")
     assert not sweep_dir.exists() and not missing.exists()
 
 

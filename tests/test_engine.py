@@ -18,13 +18,12 @@ from hypothesis import strategies as st
 import nashnet
 from canonical_reference import (affine, contact_times, evaluate, gamma, initial_state,
                                  make_identical_scenario, neg, project, reference_run,
-                                 step, stepsize_for, subgradient_x, subgradient_y)
+                                 scale, step, stepsize_for, subgradient_x, subgradient_y)
 from nashnet import engine
 from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
 from nashnet.errors import NumericError, ValidationError
-from nashnet.exprs import (Abs, BoxSet, Pow, Prod, Scale, Sum, abs_nodes,
-                           x_var, y_var)
+from nashnet.exprs import Abs, BoxSet, Pow, Prod, Sum, Var, abs_nodes
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 from nashnet.stepsizes import (GammaSchedule, StepsizeRule, distinct_columns,
                                stepsize_tables)
@@ -34,7 +33,7 @@ SCHED = GammaSchedule(c=1.0, b=1.0, eps=0.5)
 
 
 def toy_identical(iterations=50):
-    e = Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Var("x", 0), 2), neg(Pow(Var("y", 0), 2))))
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     return make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(A,),
@@ -153,9 +152,9 @@ def _random_objective(rng, box_x, box_y):
     - sum_d e_d P(y_d - f_d) - sum_d v_d |y_d - l_d|, where each P is t^2,
     |t|^3 or t^4, each kink k_d, l_d lies on a finite box bound, at 0 or
     inside the box, and each kink selection is drawn from [-1, 1]."""
-    def power(v, d, c):
+    def power(side, d, c):
         p = int(rng.integers(2, 5))
-        base = Sum((v(d), c))
+        base = Sum((Var(side, d), c))
         return Pow(Abs(base), 3) if p == 3 else Pow(base, p)
 
     def kink(box, d):
@@ -163,15 +162,15 @@ def _random_objective(rng, box_x, box_y):
         return float(rng.choice(bounds + [0.0, rng.uniform(-1, 1)]))
 
     m1, m2 = box_x.dim, box_y.dim
-    terms = [Scale(float(rng.uniform(0.2, 1.0)), power(x_var, d, float(rng.uniform(-2, 2))))
+    terms = [scale(float(rng.uniform(0.2, 1.0)), power("x", d, float(rng.uniform(-2, 2))))
              for d in range(m1)]
-    terms.append(Scale(float(rng.uniform(-0.5, 0.5)), Prod((x_var(0), y_var(0)))))
+    terms.append(scale(float(rng.uniform(-0.5, 0.5)), Prod((Var("x", 0), Var("y", 0)))))
     terms.append(affine(rng.uniform(-1, 1, m1), rng.uniform(-1, 1, m2), rng.uniform(-1, 1)))
-    terms += [Scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((x_var(d), -kink(box_x, d)))))
+    terms += [scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((Var("x", d), -kink(box_x, d)))))
               for d in range(m1)]
-    terms += [neg(Scale(float(rng.uniform(0.2, 1.0)), power(y_var, d, float(rng.uniform(-2, 2)))))
+    terms += [neg(scale(float(rng.uniform(0.2, 1.0)), power("y", d, float(rng.uniform(-2, 2)))))
               for d in range(m2)]
-    terms += [neg(Scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((y_var(d), -kink(box_y, d))))))
+    terms += [neg(scale(float(rng.uniform(0.2, 1.0)), Abs(Sum((Var("y", d), -kink(box_y, d))))))
               for d in range(m2)]
     e = Sum(tuple(terms))
     n_abs = len(abs_nodes(e))
@@ -254,7 +253,7 @@ def _widths(s):
 
 def test_dense_scenario_compiles_and_matches_reference():
     n = 300
-    e = Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Var("x", 0), 2), neg(Pow(Var("y", 0), 2))))
     rng = np.random.default_rng(9)
     A = rng.uniform(0.5, 1.0, (n, n))
     s = make_identical_scenario(
@@ -270,7 +269,7 @@ def test_dense_scenario_compiles_and_matches_reference():
 def test_run_equals_reference_with_a_bare_product_derivative():
     """d/dx of (y + 0.3) x^2 is the unparenthesized product code
     ``t * (g * 1.0)``: the step must multiply the stepsize by all of it."""
-    e = Prod((Sum((y_var(0), 0.3)), Pow(x_var(0), 2)))
+    e = Prod((Sum((Var("y", 0), 0.3)), Pow(Var("x", 0), 2)))
     s = dataclasses.replace(toy_identical(iterations=60), objectives1=((e, {}),) * 2)
     _assert_run_matches_reference(s, run(s), 60)
 
@@ -410,7 +409,7 @@ def test_stale_cross_observations_reused():
 def test_nonfinite_state_raises_numeric_error():
     # an unprojected blow-up: gigantic constant stepsizes on a cubic-growth
     # gradient cannot overflow inside a box, so widen the box to infinity
-    e = Sum((Pow(x_var(0), 4), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Var("x", 0), 4), neg(Pow(Var("y", 0), 2))))
     box = BoxSet((-np.inf,), (np.inf,))
     s = make_identical_scenario(
         objectives=[(e, {}), (e, {})], a_seq=(np.full((2, 2), 0.5),),
@@ -425,7 +424,7 @@ def test_value_overflow_alone_leaves_the_run_finite():
     """The engine computes derivatives only: x^4 overflows at the box edge
     x = 1e81 while its derivative 4e243 does not, so the run, and the
     reference, go on and agree bit for bit."""
-    e = Sum((Pow(x_var(0), 4), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Var("x", 0), 4), neg(Pow(Var("y", 0), 2))))
     with pytest.raises(OverflowError):
         evaluate(e, [1e81], [0.0])
     box = BoxSet((-1e81,), (1e81,))
@@ -440,7 +439,7 @@ def test_value_overflow_alone_leaves_the_run_finite():
 def test_identical_scenario_matches_centralized_recursion():
     """One-agent subnetworks with identity mixing reduce to the plain
     centralized descent-ascent recursion."""
-    e = Sum((Pow(Sum((x_var(0), neg(0.7))), 2), neg(Pow(y_var(0), 2))))
+    e = Sum((Pow(Sum((Var("x", 0), neg(0.7))), 2), neg(Pow(Var("y", 0), 2))))
     s = make_identical_scenario(
         objectives=[(e, {})], a_seq=(np.eye(1),),
         box_x=BOX5, box_y=BOX5, rule=StepsizeRule("homogeneous", SCHED),

@@ -4,31 +4,33 @@ serialization, and boxes."""
 import itertools
 import math
 import warnings
+from importlib import resources
 
 import canonical_reference as ref
-from canonical_reference import (evaluate, lipschitz_bound, neg, project,
+from canonical_reference import (evaluate, lipschitz_bound, neg, project, scale,
                                  subgradient_x, subgradient_y)
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashnet.catalog import CATALOG
 from nashnet.errors import ValidationError
-from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Scale, Sum,
+from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Sum,
                            Var, check_selection, compile_objective,
                            convexity_points, dimensions, format_expr,
                            objective_code, parse_expr, sample_convexity,
-                           worst_violations, x_var, y_var)
+                           worst_violations)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 
 
 def test_evaluate_basic_nodes():
-    x, y = x_var(0), y_var(0)
+    x, y = Var("x", 0), Var("y", 0)
     assert evaluate(Const(3.0), [0], [0]) == 3.0
     assert evaluate(Sum((x, y)), [2], [5]) == 7.0
     assert evaluate(Sum((x, neg(1))), [2], [0]) == 1.0
-    assert evaluate(Scale(2.5, x), [4], [0]) == 10.0
+    assert evaluate(scale(2.5, x), [4], [0]) == 10.0
     assert evaluate(Prod((x, y)), [3], [4]) == 12.0
     assert evaluate(Pow(x, 3), [2], [0]) == 8.0
     assert evaluate(Abs(y), [0], [-6]) == 6.0
@@ -36,7 +38,7 @@ def test_evaluate_basic_nodes():
 
 
 def test_constructors_coerce_numbers():
-    e = Sum((20, neg(Pow(x_var(0), 2))))
+    e = Sum((20, neg(Pow(Var("x", 0), 2))))
     assert evaluate(e, [2.0], [0.0]) == 16.0
 
 
@@ -47,7 +49,7 @@ def test_dimensions():
 
 
 def test_selection_validation():
-    e = Abs(x_var(0))
+    e = Abs(Var("x", 0))
     assert check_selection(e, {0: 0.5}) == {0: 0.5}
     assert check_selection(e, None) == {0: 0.0}
     with pytest.raises(ValidationError):
@@ -57,7 +59,7 @@ def test_selection_validation():
 
 
 def test_kink_selection_used_at_zero():
-    e = Abs(Sum((x_var(0), neg(1))))  # |x - 1|
+    e = Abs(Sum((Var("x", 0), neg(1))))  # |x - 1|
     assert subgradient_x(e, [1.0], [0.0], {0: 1.0})[0] == 1.0
     assert subgradient_x(e, [1.0], [0.0], {0: -0.25})[0] == -0.25
     assert subgradient_x(e, [2.0], [0.0], {0: -1.0})[0] == 1.0
@@ -165,7 +167,7 @@ def _kinky_exprs(m1, m2):
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(1, 6)),
         st.builds(Abs, kids), st.builds(neg, kids),
-        st.builds(Scale, num, kids),
+        st.builds(scale, num, kids),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Prod(tuple(c)))),
         max_leaves=8)
@@ -187,7 +189,7 @@ def _kinky_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(_kinky_problems())
 # (-2.0 + 1.0) opens with "(-" but is no negation as a whole: its negation is 1.0
-@example((neg(Sum((ref.affine((-2.0,), (-2.0,), -2.0), x_var(0)))), {}, 1, 1, [([-2.0], [-2.0])]))
+@example((neg(Sum((ref.affine((-2.0,), (-2.0,), -2.0), Var("x", 0)))), {}, 1, 1, [([-2.0], [-2.0])]))
 def test_emitted_gradient_equals_closure_on_random_expressions(problem):
     _assert_emitted_equals_interpreter(*problem)
 
@@ -204,7 +206,7 @@ def _scaled_products(draw):
     e = draw(st.recursive(
         st.lists(leaf, min_size=2, max_size=4).map(lambda c: Prod(tuple(c))),
         lambda kids: st.one_of(
-            st.builds(Scale, num, kids), st.builds(neg, kids),
+            st.builds(scale, num, kids), st.builds(neg, kids),
             st.lists(st.one_of(kids, leaf), min_size=2, max_size=3).map(
                 lambda c: Prod(tuple(c)))),
         max_leaves=10))
@@ -216,7 +218,7 @@ def _scaled_products(draw):
 @settings(max_examples=200, deadline=None)
 @given(_scaled_products())
 def test_emitted_derivative_of_scaled_products_equals_interpreter(problem):
-    """A Scale over a product multiplies the whole derivative term,
+    """A scaling over a product multiplies the whole derivative term,
     as the interpreter's `_grad` does: equal values, +0.0 and -0.0 alike."""
     e, m1, m2, points = problem
     for side, reference in (("x", subgradient_x), ("y", subgradient_y)):
@@ -252,23 +254,42 @@ def test_prefix_roundtrip_catalog(name):
     text = format_expr(ent.expr)
     assert parse_expr(text) == ent.expr
     assert format_expr(parse_expr(text)) == text
-    # the catalog prints with neg and sub, sugar for a scaling by -1.0 that
-    # prints back as written; so does a written scale by -1
+    # the catalog prints with neg, sub and scale, sugar for a two-factor
+    # product with a constant first factor that prints back as written; so
+    # does a written product of that shape, and other products print as mul
     x0, y1 = Var("x", 0), Abs(Var("y", 1))
-    assert parse_expr("(neg x0)") == Scale(-1.0, x0)
-    assert parse_expr("(sub x0 (abs y1))") == Sum((x0, Scale(-1.0, y1)))
+    assert parse_expr("(neg x0)") == Prod((Const(-1.0), x0))
+    assert parse_expr("(sub x0 (abs y1))") == Sum((x0, Prod((Const(-1.0), y1))))
+    assert parse_expr("(scale 2 x0)") == parse_expr("(mul 2 x0)") == Prod((Const(2.0), x0))
     for written, printed in (("(neg x0)", "(neg x0)"),
                              ("(sub x0 (abs y1))", "(sub x0 (abs y1))"),
-                             ("(scale -1 x0)", "(neg x0)")):
+                             ("(scale -1 x0)", "(neg x0)"),
+                             ("(mul 2 x0)", "(scale 2 x0)"),
+                             ("(mul -1 x0)", "(neg x0)"),
+                             ("(mul x0 2)", "(mul x0 2)"),
+                             ("(mul 2 x0 y0)", "(mul 2 x0 y0)"),
+                             ("(scale 2 (scale 3 x0))", "(scale 2 (scale 3 x0))")):
         assert format_expr(parse_expr(written)) == printed
+        assert parse_expr(printed) == parse_expr(written)
+
+
+def test_catalog_is_example1s_agents():
+    """The catalog holds example1's five agents in order, subnet 1 first:
+    the same prefix texts and kink selections."""
+    doc = yaml.safe_load(resources.files("nashnet.scenarios").joinpath("example1.yaml")
+                         .read_text(encoding="utf-8"))
+    agents = doc["agents"]["subnet1"] + doc["agents"]["subnet2"]
+    assert [(format_expr(ent.expr), ent.selection) for ent in CATALOG.values()] == \
+        [(a["expr"], a["selections"]) for a in agents]
 
 
 def test_parse_affine_and_errors():
-    # the kept terms sum left to right into one temporary; a derivative is
-    # the coefficient itself, 0.0 where the coefficient is zero
+    # each kept term is a product, so a scaled one is a temporary, and the
+    # terms sum left to right into one more; a derivative is the
+    # coefficient itself, 0.0 where the coefficient is zero
     e = parse_expr("(affine (2.5 0 -1) (-0.0 1) -3)")
     assert objective_code(e, None, 3, 2, "value") == (
-        ["t1 = (2.5 * x[0]) - x[2] + y[1] - 3.0"], "t1")
+        ["t1 = 2.5 * x[0]", "t2 = t1 - x[2] + y[1] - 3.0"], "t2")
     assert objective_code(e, None, 3, 2, "x") == (
         [], [(False, "2.5"), (False, "0.0"), (True, "1.0")])
     assert objective_code(e, None, 3, 2, "y") == ([], [(False, "0.0"), (False, "1.0")])
@@ -278,6 +299,9 @@ def test_parse_affine_and_errors():
             parse_expr(bad)
     with pytest.raises(ValidationError, match="unterminated"):
         parse_expr("(affine (1 2")
+    for bad in ("(pow x0 0)", "(pow x0 -2)"):  # not the ValueError of Pow itself
+        with pytest.raises(ValidationError, match="pow exponent must be an integer >= 1"):
+            parse_expr(bad)
 
 
 AFFINE_COEFFS = (0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300)
@@ -315,7 +339,7 @@ def test_parse_rejects_empty_sum_and_product():
             parse_expr(f"({op})")
         with pytest.raises(ValidationError, match=f"{op} takes at least 1 argument"):
             parse_expr(f"(sub x0 ({op}))")
-        assert parse_expr(f"({op} x0)") == (Sum if op == "add" else Prod)((x_var(0),))
+        assert parse_expr(f"({op} x0)") == (Sum if op == "add" else Prod)((Var("x", 0),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,13 +348,16 @@ def test_parse_rejects_empty_sum_and_product():
 @example(0.0, -0.0, -3.0)
 def test_parse_format_numbers(a, b, c):
     """Every number survives format/parse as the same double, -0.0 included."""
-    e = Sum((Scale(a, x_var(0)), Scale(b, y_var(0)), Const(c), ref.affine((a, c), (b,), c)))
+    e = Sum((scale(a, Var("x", 0)), scale(b, Var("y", 0)), Const(c), ref.affine((a, c), (b,), c)))
     again = parse_expr(format_expr(e))
     assert again == e
     sa, sb, cc, aff = again.children
     *terms, offset = aff.children
-    assert _bits([sa.factor, sb.factor, cc.value, offset.value]) == _bits([a, b, c, c])
-    assert _bits([t.factor for t in terms]) == _bits([v for v in (a, c, b) if v != 0.0])
+    def factor(t):
+        return t.children[0].value
+
+    assert _bits([factor(sa), factor(sb), cc.value, offset.value]) == _bits([a, b, c, c])
+    assert _bits([factor(t) for t in terms]) == _bits([v for v in (a, c, b) if v != 0.0])
 
 
 def test_box_validation_and_projection():
@@ -353,7 +380,7 @@ def test_box_validation_and_projection():
 
 def test_lipschitz_bound_quadratic():
     # |d/dx x^2| on [-5, 5] peaks at 10
-    e = Pow(x_var(0), 2)
+    e = Pow(Var("x", 0), 2)
     box = BoxSet((-5.0,), (5.0,))
     assert lipschitz_bound(e, box, box) == pytest.approx(10.0)
 
@@ -361,7 +388,7 @@ def test_lipschitz_bound_quadratic():
 def test_sample_convexity_flags_the_bad_region():
     box5 = BoxSet((-5.0,), (5.0,))
     # x^2 - y^2 is fine everywhere
-    assert sample_convexity(Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2)))),
+    assert sample_convexity(Sum((Pow(Var("x", 0), 2), neg(Pow(Var("y", 0), 2)))),
                             box5, box5) == []
     # f1 loses concavity in y for |x| > sqrt(20)
     flagged = sample_convexity(CATALOG["f1"].expr, box5, box5)
@@ -416,7 +443,7 @@ def _exprs(m1, m2):
     return st.recursive(leaves, lambda kids: st.one_of(
         st.builds(Pow, kids, st.integers(2, 6)),
         st.builds(neg, kids), st.builds(Abs, kids),
-        st.builds(Scale, st.floats(-2, 2), kids),
+        st.builds(scale, st.floats(-2, 2), kids),
         st.lists(kids, min_size=2, max_size=3).map(lambda c: Sum(tuple(c))),
         st.lists(kids, min_size=2, max_size=2).map(lambda c: Prod(tuple(c)))),
         max_leaves=6)
@@ -442,7 +469,7 @@ def test_sample_convexity_without_trials_or_variables_finds_nothing():
     box = BoxSet((-5.0,), (5.0,))
     assert sample_convexity(CATALOG["f1"].expr, box, box, trials=0) == []
     assert worst_violations(CATALOG["f1"].expr, box, box, 0, 0) == (0.0, 0.0, True)
-    for const in (Const(3.0), Sum((Const(1.0), Scale(2.0, Const(-4.0))))):
+    for const in (Const(3.0), Sum((Const(1.0), scale(2.0, Const(-4.0))))):
         assert sample_convexity(const, box, box) == []
 
 

@@ -3,8 +3,9 @@ uses, every top-level function and class is named outside its own body
 by the package, a demo or ``perfbench/``, every parameter default and
 dataclass field default is overridden by some call there, and every
 dataclass field is read there as an attribute; what only tests use belongs in
-``tests/canonical_reference.py``; no module reads the environment; and no
-matrix product but two admitted ones can hand a result to the BLAS. These
+``tests/canonical_reference.py``; no module reads the environment; no
+module but ``exprs`` names an expression node class; and no matrix product
+but two admitted ones can hand a result to the BLAS. These
 are stdlib ``ast`` scans, as the project depends on no linter.
 ``__future__`` imports and the package ``__init__`` (whose imports are its
 public re-exports) are exempt.
@@ -163,6 +164,31 @@ def test_scan_finds_an_unreached_definition():
                "b": "from a import used\nprint(Kept)\n"}
     assert unreached(modules, set()) == ["a: dead"]
     assert unreached(modules, {"dead"}) == []
+
+
+NODE_CLASSES = {"Expr", "Const", "Var", "Sum", "Prod", "Pow", "Abs"}
+
+
+def node_class_names(modules: dict) -> list:
+    """``module: name`` for each node class of ``exprs`` that a module in
+    `modules` (file name -> source) other than ``exprs.py`` names."""
+    return sorted(f"{module}: {name}" for module, source in modules.items()
+                  if module != "exprs.py" for name in names_used(ast.parse(source)) & NODE_CLASSES)
+
+
+def test_node_classes_stay_in_exprs():
+    """Only ``exprs`` builds, tests or annotates expression nodes: the other
+    modules take trees from ``parse_expr`` and hand them to ``exprs``
+    functions, so which node types there are is decided in one module."""
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert node_class_names(modules) == []
+
+
+def test_scan_finds_a_node_class_name():
+    modules = {"a.py": ("from .exprs import Sum, parse_expr\nfrom . import exprs\n"
+                        "def f(e: Expr):\n    return isinstance(e, exprs.Abs) or Sum((e,))\n"),
+               "exprs.py": "class Var(Expr):\n    pass\n"}
+    assert node_class_names(modules) == ["a.py: Abs", "a.py: Expr", "a.py: Sum"]
 
 
 ALLOWED_UNSET = {"build_cycle_matrix.b11"}  # the acceptance property suite draws it

@@ -9,15 +9,15 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import canonical_reference as reference
-from canonical_reference import (centralized_saddle, neg, per_term_value, subnet1_objectives,
-                                 subnet2_objectives, table_extremes, verify_saddle,
-                                 whole_table)
+from canonical_reference import (centralized_saddle, neg, per_term_value, scale,
+                                 subnet1_objectives, subnet2_objectives, table_extremes,
+                                 verify_saddle, whole_table)
 from test_scenario_io import _many_agents_doc
 
 from nashnet import saddle
 from nashnet.errors import NumericError, ResourceError
-from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Scale, Sum, Var,
-                           compile_objective, parse_expr, x_var, y_var)
+from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Sum, Var, compile_objective,
+                           parse_expr)
 from nashnet.saddle import GRID_BUDGET, WeightedObjective, grid_minimax, unit_weighted
 from nashnet.scenario_io import bundled_scenario, loads_scenario
 from nashnet.stepsizes import GammaSchedule
@@ -27,11 +27,11 @@ BOX5 = BoxSet((-5.0,), (5.0,))
 
 def bilinear_toy():
     # x^2 - y^2, saddle exactly at the origin
-    return unit_weighted([(Sum((Pow(x_var(0), 2), neg(Pow(y_var(0), 2)))), {})])
+    return unit_weighted([(Sum((Pow(Var("x", 0), 2), neg(Pow(Var("y", 0), 2)))), {})])
 
 
 def test_weighted_objective_validation():
-    e = Pow(x_var(0), 2)
+    e = Pow(Var("x", 0), 2)
     with pytest.raises(ValueError):
         WeightedObjective(((0.0, e),))
     WeightedObjective(((2.0, e), (1.0, e)))
@@ -56,9 +56,9 @@ def test_grid_minimax_catalog_sum():
 def test_grid_minimax_shifted_quadratic():
     # 2 (x - 1.3)^2 - (y + 0.4)^2: refinement must beat the coarse spacing
     e = Sum((
-        Pow(Sum((x_var(0), neg(1.3))), 2),
-        Pow(Sum((x_var(0), neg(1.3))), 2),
-        neg(Pow(Sum((y_var(0), 0.4)), 2)),
+        Pow(Sum((Var("x", 0), neg(1.3))), 2),
+        Pow(Sum((Var("x", 0), neg(1.3))), 2),
+        neg(Pow(Sum((Var("y", 0), 0.4)), 2)),
     ))
     report = grid_minimax(unit_weighted([(e, {})]), BOX5, BOX5, resolution=501)
     assert report.x_star[0] == pytest.approx(1.3, abs=1e-6)
@@ -73,7 +73,7 @@ def test_grid_budget_enforced():
 
 def test_grid_rejects_high_dimensions():
     box3 = BoxSet((-1.0,) * 3, (1.0,) * 3)
-    e = Sum(tuple(Pow(Var("x", d), 2) for d in range(3)) + (neg(Pow(y_var(0), 2)),))
+    e = Sum(tuple(Pow(Var("x", d), 2) for d in range(3)) + (neg(Pow(Var("y", 0), 2)),))
     with pytest.raises(ResourceError, match=r"store a reference under run\.oracle "
                                             r"\(x_star, y_star\) in the scenario document"):
         grid_minimax(unit_weighted([(e, {})]), box3, BOX5, resolution=11)
@@ -200,8 +200,8 @@ def test_weighted_sum_negative_zero_term(monkeypatch):
     table = _assert_matches_per_term(w, BOX5, BOX5, 11)
     assert not np.signbit(table[5]).any() and _closures(monkeypatch, w, 1, 1) == 1
     # constants that print alike but differ in sign stay distinct closures
-    zeros = WeightedObjective(((1.0, Prod((x_var(0), Const(-0.0)))),
-                               (1.0, Prod((x_var(0), Const(0.0))))))
+    zeros = WeightedObjective(((1.0, Prod((Var("x", 0), Const(-0.0)))),
+                               (1.0, Prod((Var("x", 0), Const(0.0))))))
     _assert_matches_per_term(zeros, BOX5, BOX5, 11)
     assert _closures(monkeypatch, zeros, 1, 1) == 2
 
@@ -209,9 +209,9 @@ def test_weighted_sum_negative_zero_term(monkeypatch):
 def test_weighted_sum_broadcast_shapes(monkeypatch):
     # x-only, y-only and constant-only terms come back as (Nx, 1), (1, Ny)
     # and a float; the kink term repeats under another weight
-    e_x = Pow(Sum((x_var(0), neg(1.3))), 2)
-    e_y = neg(Pow(Sum((y_var(0), 0.4)), 2))
-    e_xy = Sum((Abs(Sum((x_var(0), neg(y_var(0))))), Scale(0.5, x_var(0))))
+    e_x = Pow(Sum((Var("x", 0), neg(1.3))), 2)
+    e_y = neg(Pow(Sum((Var("y", 0), 0.4)), 2))
+    e_xy = Sum((Abs(Sum((Var("x", 0), neg(Var("y", 0))))), scale(0.5, Var("x", 0))))
     terms = ((1.0, e_x), (1.5, e_y), (2.0, Const(3.5)),
              (1.0, e_xy), (0.75, e_xy), (1.0, Const(-1.0)))
     for k in range(1, len(terms) + 1):
@@ -323,7 +323,7 @@ def test_grid_minimax_never_holds_the_table():
 
 # The pruned search against the whole-table scan
 
-_X, _Y, _X1, _Y1 = x_var(0), y_var(0), Var("x", 1), Var("y", 1)
+_X, _Y, _X1, _Y1 = Var("x", 0), Var("y", 0), Var("x", 1), Var("y", 1)
 # catalog sums plus tie makers: constants, x-only and y-only terms, a kink
 # on the diagonal, -x^2, a bilinear term, and rows of signed zeros
 _POOL = ([e for e, _ in subnet1_objectives() + subnet2_objectives()]
