@@ -14,6 +14,7 @@ a shell shows SIGPIPE), 1 other.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -122,21 +123,41 @@ def _reference_saddle(scenario: Scenario, rederive: bool = False) -> SaddleRepor
 
 
 def _write(path, write):
-    """Open `path` for text and let `write` stream the file into it.
+    """Open `path` for text and let `write` stream the file into it (see
+    :func:`_writing`)."""
+    with _writing({path: write}) as put:
+        put()
 
-    A write that fails removes the partial file, if `path` names a regular
-    file, before its error goes on; an OSError is a ValidationError.
+
+@contextlib.contextmanager
+def _writing(writers):
+    """Open each path of `writers`, a dict path -> write(fh, *args), for
+    text, and yield ``put(*args)``, which calls each writer with its
+    stream and the args; a command streams its files in one or many puts.
+
+    If the body fails, or a write or a close, every file opened is removed,
+    if its path names a regular file, before the error goes on; an OSError
+    is a ValidationError naming the path it met.
     """
-    opened = False
+    opened, at = [], [None]  # the files opened; at[0], the path in hand
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            opened = True
-            write(fh)
+        with contextlib.ExitStack() as stack:
+            for path, write in writers.items():
+                at[0] = path
+                opened.append((path, write, stack.enter_context(open(path, "w", encoding="utf-8"))))
+                stack.callback(at.__setitem__, 0, path)  # names the file as it closes
+
+            def put(*args):
+                for path, write, fh in opened:
+                    at[0] = path
+                    write(fh, *args)
+            yield put
     except BaseException as exc:
-        if opened and os.path.isfile(path):
-            os.remove(path)
+        for path, _, _ in opened:
+            if os.path.isfile(path):
+                os.remove(path)
         if isinstance(exc, OSError):
-            raise ValidationError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+            raise ValidationError(f"cannot write {str(at[0])!r}: {exc.strerror or exc}") from None
         raise
 
 
@@ -170,15 +191,44 @@ def _loaded(scenario):
     return scenario
 
 
+# the writers :func:`_stream` hands each segment and its metrics to, by output
+_WRITERS = {
+    "trace": lambda fh, trace, _: trace_to_csv(trace, fh),
+    "metrics": lambda fh, _, metrics: metrics_to_csv(metrics, fh),
+    "plotdata": lambda fh, trace, metrics: plotdata_to_csv(trace, metrics, fh),
+}
+
+
+def _stream(scenario: Scenario, saddle: SaddleReport | None, writers, iterations=None):
+    """Run `scenario` and score it against `saddle` segment by segment
+    (``engine.run``'s consumer): each segment and its metrics go to each
+    of `writers`, a dict path -> writer of :data:`_WRITERS`, in k order and
+    are then dropped, so no command holds a whole run. The files are
+    opened, and removed on failure, as :func:`_writing` says. A `saddle`
+    of None is the scenario's own reference (:func:`_reference_saddle`),
+    derived once the first segment has run, so a run that fails there
+    reports that failure, not the oracle's. Returns the final segment and
+    its metrics."""
+    metrics = None
+    with _writing(writers) as put:
+        def consume(segment):
+            nonlocal saddle, metrics
+            if saddle is None:
+                saddle = _reference_saddle(scenario)
+            metrics = compute_metrics(segment, scenario, saddle)
+            put(segment, metrics)
+        trace = run(scenario, iterations, consume)
+    return trace, metrics
+
+
 def cmd_run(args) -> int:
+    if args.out and args.metrics and os.path.realpath(args.out) == os.path.realpath(args.metrics):
+        raise ValidationError(f"--out and --metrics name the same file {args.out!r}; "
+                              "both are written as the run goes")
     scenario = _loaded(load_scenario(args.scenario))
-    trace = run(scenario, iterations=args.iters)
-    saddle = _reference_saddle(scenario)
-    metrics = compute_metrics(trace, scenario, saddle)
-    if args.out:
-        _write(args.out, lambda fh: trace_to_csv(trace, fh))
-    if args.metrics:
-        _write(args.metrics, lambda fh: metrics_to_csv(metrics, fh))
+    writers = {path: _WRITERS[ext] for path, ext in ((args.out, "trace"), (args.metrics, "metrics"))
+               if path}
+    trace, metrics = _stream(scenario, None, writers, args.iters)
     print(f"{scenario.name}: {_outcome(trace, metrics)}")
     return 0
 
@@ -258,14 +308,9 @@ def cmd_reproduce(args) -> int:
     scenario = _loaded(bundled_scenario(name))
     _make_dir(args.out)
     saddle = _reference_saddle(scenario, rederive=not args.trust_bundled)
-    trace = run(scenario)
-    metrics = compute_metrics(trace, scenario, saddle)
-    paths = {ext: os.path.join(args.out, f"{name}_{ext}.csv")
-             for ext in ("trace", "metrics", "plotdata")}
-    _write(paths["trace"], lambda fh: trace_to_csv(trace, fh))
-    _write(paths["metrics"], lambda fh: metrics_to_csv(metrics, fh))
-    _write(paths["plotdata"], lambda fh: plotdata_to_csv(trace, metrics, fh))
-    print(f"{name}: {_outcome(trace, metrics)}; wrote {', '.join(paths.values())}")
+    writers = {os.path.join(args.out, f"{name}_{ext}.csv"): write for ext, write in _WRITERS.items()}
+    trace, metrics = _stream(scenario, saddle, writers)
+    print(f"{name}: {_outcome(trace, metrics)}; wrote {', '.join(writers)}")
     return 0
 
 
@@ -285,9 +330,7 @@ def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
 
 def _sweep_worker(job):
     scenario, saddle, out = job
-    trace = run(scenario)
-    metrics = compute_metrics(trace, scenario, saddle)
-    _write(out, lambda fh: metrics_to_csv(metrics, fh))
+    _, metrics = _stream(scenario, saddle, {out: _WRITERS["metrics"]})
     return float(metrics.nash_error[-1])
 
 

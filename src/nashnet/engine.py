@@ -11,25 +11,32 @@ have not yet had any cross contact perform the mixing step only.
 The arithmetic order is part of the definition. Neighbor averages and
 cross observations are canonical sums (see ``digraph``): left to right over
 the nonzero weights in increasing j, every product and sum rounded
-separately. The stepsizes of all K iterations are tabulated before the
-loop (``stepsizes.stepsize_tables``), and the kernel reads one stepsize per
-distinct column of a table (``stepsizes.distinct_columns``): one gamma_k
-per side under a homogeneous rule. :func:`run` then generates one Python
-function per call that keeps states and cross caches in locals, has one
-branch per phase with the weights and finite box bounds as literals, tests
-an agent's first cross contact against the phase pattern instead of a
-stored time, and inlines in each agent's step the code of its objective's
-derivative in the block the agent moves (``exprs.objective_code``, the
-generator behind the compiled objectives, so the arithmetic is theirs),
-with the agent's own locals as inputs. It holds only arithmetic that can
-move a bit (see ``objective_code``), and appends each iteration's states,
-x block then y block, to one buffer that the trace's x and y view. No
-objective value is computed: where only the value
+separately. :func:`run` generates one Python function per call that keeps
+states and cross caches in locals, has one branch per phase with the
+weights and finite box bounds as literals, tests an agent's first cross
+contact against the phase pattern instead of a stored time, and inlines
+in each agent's step the code of its objective's derivative in the block
+the agent moves (``exprs.objective_code``, the generator behind the
+compiled objectives, so the arithmetic is theirs), with the agent's own
+locals as inputs. It holds only arithmetic that can move a bit (see
+``objective_code``). No objective value is computed: where only the value
 overflows (``x ** 4`` at x = 1e80 in a wide box) the run goes on, while an
 overflow in a derivative or a non-finite state raises ``NumericError``.
-There is no randomness, and no BLAS call feeds a state, so a trace follows
-from IEEE doubles and the platform libm ``pow`` alone: repeated runs are
-bit-identical, on any CPU.
+
+The run goes in segments of k. The function takes its locals and the first
+k of a segment as arguments and returns the locals, so every phase branch
+sees the absolute k. Each segment's stepsizes are tabulated before it runs
+(``stepsizes.stepsize_tables``, each entry a function of k alone), and the
+kernel reads one stepsize per distinct column of a table
+(``stepsizes.distinct_columns``): one gamma_k per side under a homogeneous
+rule. It appends each iteration's states, x block then y block, to the
+segment's buffer, which the segment's x and y view. The library call is
+one segment holding the whole run; a consumer (the CLI's writers) gets
+segments of at most SEGMENT_VALUES state values in k order, so its memory
+does not grow with K. Splitting a run moves no bit: the kernel's
+arithmetic does not see the segment bounds. There is no randomness, and
+no BLAS call feeds a state, so a trace follows from IEEE doubles and the
+platform libm ``pow`` alone: repeated runs are bit-identical, on any CPU.
 """
 
 from __future__ import annotations
@@ -112,35 +119,53 @@ def _saddle_point(values, name: str, dim_name: str, dim: int) -> tuple:
     return tuple(point.tolist())
 
 
+# state values, iterations x (n1 m1 + n2 m2), of one segment of a run
+# handed to a consumer (see :func:`run`)
+SEGMENT_VALUES = 1 << 16
+
+
 @dataclass(frozen=True)
 class Trace:
-    """States x, y and applied stepsizes alpha, beta of a full run; index 0
-    is the initial state, so states have length iterations + 1 (stepsizes:
-    iterations).
+    """States x, y and applied stepsizes alpha, beta of a run, or of one
+    segment of it: row r holds iteration start + r, and the stepsizes of
+    row r moved the states of row r to those of the next iteration.
+
+    A whole run has start 0, K + 1 states and K stepsizes: index 0 is the
+    initial state, and the last row, at k = K, applies no stepsize. A
+    segment of a longer run (see :func:`run`) holds as many states as
+    stepsizes, except the final segment, which ends with the row at k = K.
     :func:`run` returns x and y as views of one buffer of rows (x, y).
     Under a homogeneous rule alpha and beta are read-only broadcast views
     of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``), whose
     one distinct column is all the kernel reads."""
 
-    x: np.ndarray  # (K+1, n1, m1)
-    y: np.ndarray  # (K+1, n2, m2)
-    alpha: np.ndarray  # (K, n1)
-    beta: np.ndarray  # (K, n2)
+    x: np.ndarray  # (rows, n1, m1)
+    y: np.ndarray  # (rows, n2, m2)
+    alpha: np.ndarray  # (steps, n1), steps = rows, or rows - 1 where the last row is k = K
+    beta: np.ndarray  # (steps, n2)
+    start: int = 0  # the k of row 0
 
     @property
     def iterations(self):
-        return self.x.shape[0] - 1
+        """The iterations run up to the end of this trace: K for a whole run
+        or its final segment."""
+        return self.start + len(self.alpha)
 
 
 def _kernel_source(scenario: Scenario, widths: tuple) -> str:
-    """Source of ``_kernel(K, ia, ib, rec)``: K iterations of the dynamics
-    on scalar locals, one branch per phase.
+    """Source of ``_kernel(k0, k1, state, ia, ib, rec)``: iterations k0 to
+    k1 - 1 of the dynamics on scalar locals, one branch per phase, each
+    seeing the absolute k.
 
-    ia/ib yield each side's distinct stepsize columns row by row,
-    ``widths[s]`` per iteration (``stepsizes.distinct_columns``): agent i
-    of side s reads column ``i % widths[s]``, so a homogeneous rule's
-    kernel unpacks one stepsize per side. rec receives the states of
-    both subnetworks after each iteration as one tuple, x block first. Each
+    state holds the locals the next iteration reads, the states of both
+    subnetworks (x block first) and then their cross caches, agent by
+    agent; the kernel unpacks it first and returns the same locals after
+    iteration k1 - 1, so a run can go on from there. ia/ib yield each
+    side's distinct stepsize columns row by row, ``widths[s]`` per
+    iteration (``stepsizes.distinct_columns``): agent i of side s reads
+    column ``i % widths[s]``, so a homogeneous rule's kernel unpacks one
+    stepsize per side. rec receives the states of both subnetworks after
+    each iteration as one tuple, x block first. Each
     agent's step inlines the code of its objective's derivative in the
     block it moves (``exprs.objective_code``), reading the agent's own
     neighbor average and cross cache; a derivative that is a negation flips
@@ -154,7 +179,7 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
     mats, cross = (g.a1, g.a2), (g.cross1, g.cross2)
-    x0, boxes = (scenario.x0, scenario.y0), (scenario.box_x, scenario.box_y)
+    boxes = (scenario.box_x, scenario.box_y)
     objectives = (scenario.objectives1, scenario.objectives2)
     sides = (0, 1)
     state = [[[f"x{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
@@ -210,17 +235,16 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
                 out += update(s, i, ph)
         return out
 
-    lines = []
-    for s in sides:
-        lines += [f"{x} = {float(v)!r}" for row, vals in zip(state[s], x0[s]) for x, v in zip(row, vals)]
-        lines += [f"{c} = 0.0" for row in cache[s] for c in row]
+    carried = [v for names in (state, cache) for s in sides for row in names[s] for v in row]
     steps = [f"a{s}_{c}" for s in sides for c in range(widths[s])]
     streams = ["ia"] * widths[0] + ["ib"] * widths[1]
-    lines.append(f"for k, {', '.join(steps)} in zip(range(K), {', '.join(streams)}):")
+    lines = [f"{', '.join(carried)}, = state",
+             f"for k, {', '.join(steps)} in zip(range(k0, k1), {', '.join(streams)}):"]
     body = periodic_code([phase_body(ph) for ph in range(g.period)])
     body.append("rec((" + ", ".join(x for s in sides for row in state[s] for x in row) + ",))")
     lines += ["    " + ln for ln in body]
-    return "\n".join(["def _kernel(K, ia, ib, rec):"] + ["    " + ln for ln in lines])
+    lines.append(f"return {', '.join(carried)},")
+    return "\n".join(["def _kernel(k0, k1, state, ia, ib, rec):"] + ["    " + ln for ln in lines])
 
 
 def _contact_pattern(g: GraphSequenceSpec) -> tuple:
@@ -229,31 +253,53 @@ def _contact_pattern(g: GraphSequenceSpec) -> tuple:
     return tuple(np.array([C.sum(axis=1) > 0 for C in cross]) for cross in (g.cross1, g.cross2))
 
 
-def run(scenario: Scenario, iterations: int | None = None) -> Trace:
-    """Execute the full dynamics for K iterations and record everything.
+def run(scenario: Scenario, iterations: int | None = None, consumer=None) -> Trace:
+    """Execute the dynamics for K iterations.
 
-    Stepsizes are tabulated first; then one function generated for this
-    scenario runs all K iterations on their distinct columns (see the
-    module docstring).
+    The stepsize tables are set up and one function is generated for this
+    scenario (see the module docstring); the run then goes in segments,
+    each a :class:`Trace` of its own range of k. Without a consumer the
+    whole run is one segment, which is returned. With one, each segment of
+    at most ``max(1, SEGMENT_VALUES // (n1 m1 + n2 m2))`` iterations goes
+    to ``consumer(segment)`` in k order and is then dropped, so the memory
+    a run holds does not grow with K; the final segment, whose
+    ``iterations`` is K, is returned. A segment is checked for non-finite
+    states before it is handed on.
     """
     K = scenario.iterations if iterations is None else int(iterations)
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
-    alpha, beta = stepsize_tables(scenario.rule, g, K)
-    steps = [distinct_columns(a) for a in (alpha, beta)]
-    env = {}
-    source = _kernel_source(scenario, tuple(a.shape[1] for a in steps))
-    exec(source, env)  # noqa: S102 - source generated here from the scenario
-    states = array("d", scenario.x0.ravel().tolist() + scenario.y0.ravel().tolist())
-    try:
-        env["_kernel"](K, *(iter(memoryview(a.ravel())) for a in steps), states.extend)
-    except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
-        k = len(states) // (n1 * m1 + n2 * m2) - 1  # rows recorded after x0, y0
-        raise NumericError(f"{type(exc).__name__} at iteration {k}") from None
-    rows = np.frombuffer(states, dtype=float).reshape(K + 1, -1)  # x block, then y block
-    x = rows[:, :n1 * m1].reshape(K + 1, n1, m1)
-    y = rows[:, n1 * m1:].reshape(K + 1, n2, m2)
-    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericError(f"non-finite state produced at iteration {np.argmin(finite) - 1}")
-    return Trace(x=x, y=y, alpha=alpha, beta=beta)
+    w1, w = n1 * m1, n1 * m1 + n2 * m2
+    tables = stepsize_tables(scenario.rule, g, K)
+    length = K if consumer is None else max(1, SEGMENT_VALUES // w)
+    state = scenario.x0.ravel().tolist() + scenario.y0.ravel().tolist()
+    state += [0.0] * (n1 * m2 + n2 * m1)  # the cross caches
+    states, kernel, k0 = array("d", state[:w]), None, 0  # a segment's rows, from the states at k0
+    while True:
+        k1 = min(K, k0 + length)
+        alpha, beta = tables(k0, k1)
+        steps = [distinct_columns(a) for a in (alpha, beta)]
+        if kernel is None:
+            env = {}
+            source = _kernel_source(scenario, tuple(a.shape[1] for a in steps))
+            exec(source, env)  # noqa: S102 - source generated here from the scenario
+            kernel = env["_kernel"]
+        try:
+            state = kernel(k0, k1, state, *(iter(memoryview(a.ravel())) for a in steps),
+                           states.extend)
+        except ArithmeticError as exc:  # float ** overflow, division by zero in an objective
+            k = k0 + len(states) // w - 1  # rows recorded after the states at k0
+            raise NumericError(f"{type(exc).__name__} at iteration {k}") from None
+        rows = np.frombuffer(states, dtype=float).reshape(-1, w)  # x block, then y block
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite state produced at iteration {k0 + np.argmin(finite) - 1}")
+        if k1 < K:  # the states at k1 begin the next segment
+            rows, states = rows[:-1], states[-w:]
+        segment = Trace(x=rows[:, :w1].reshape(-1, n1, m1), y=rows[:, w1:].reshape(-1, n2, m2),
+                        alpha=alpha, beta=beta, start=k0)
+        if consumer is not None:
+            consumer(segment)
+        if k1 == K:
+            return segment
+        k0 = k1

@@ -1,7 +1,14 @@
 """Derived per-iteration metrics of a run: disagreements within each
 subnetwork, squared Nash error against a reference saddle, and the saddle
 residual U(xbar, y*) - U(x*, ybar), which is nonnegative whenever the
-reference really is a saddle point."""
+reference really is a saddle point.
+
+Each value is a function of its own iteration's states alone, so the
+series of a run split into segments (``engine.run`` with a consumer) are
+those of the whole trace, byte for byte: the reductions over agents and
+coordinates run per k in an order the number of rows does not change
+(``tests/test_metrics.py`` checks it on split traces, numpy's pairwise
+sum in the block means included)."""
 
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ class MetricsSeries:
     h2: np.ndarray
     nash_error: np.ndarray  # (K+1,) sum of squared distances to the reference
     saddle_residual: np.ndarray  # (K+1,)
+    start: int = 0  # the k of row 0, that of the trace the series score
 
 
 PAIRWISE_CHUNK = 1 << 18  # elements of the (k, n, n, m) difference array held at once
@@ -84,4 +92,5 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
                               [np.array([c]) for c in y_star]), dtype=float).ravel()
         u_right = np.asarray(u([np.array([c]) for c in x_star],
                                list(trace.y.mean(axis=1).T)), dtype=float).ravel()
-        return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right)
+        return MetricsSeries(h1=h1, h2=h2, nash_error=nash, saddle_residual=u_left - u_right,
+                             start=trace.start)

@@ -121,8 +121,8 @@ def loads_scenario(text: str) -> Scenario:
 
 def _scenario_from_doc(doc: dict) -> Scenario:
     meta = doc.get("meta", {})
-    box_x = BoxSet(tuple(doc["boxes"]["x"]["lower"]), tuple(doc["boxes"]["x"]["upper"]))
-    box_y = BoxSet(tuple(doc["boxes"]["y"]["lower"]), tuple(doc["boxes"]["y"]["upper"]))
+    box_x, box_y = (BoxSet(*(tuple(_floats(doc["boxes"][side][end], f"boxes.{side}.{end}"))
+                             for end in ("lower", "upper"))) for side in "xy")
 
     def agents(section):
         out = []
@@ -142,8 +142,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     return Scenario(
         name=str(meta.get("name", "unnamed")), objectives1=obj1, objectives2=obj2, graph=graph,
         box_x=box_x, box_y=box_y, rule=rule,
-        x0=np.asarray(doc["initial"]["x"], dtype=float),
-        y0=np.asarray(doc["initial"]["y"], dtype=float),
+        x0=_floats(doc["initial"]["x"], "initial.x"),
+        y0=_floats(doc["initial"]["y"], "initial.y"),
         iterations=_integer(run_doc.get("iterations", 1000), "run.iterations"),
         oracle_x=tuple(oracle["x_star"]) if "x_star" in oracle else None,
         oracle_y=tuple(oracle["y_star"]) if "y_star" in oracle else None,
@@ -154,22 +154,43 @@ def _graph_from_doc(doc: dict) -> GraphSequenceSpec:
     """The graph, its cross layers sized by the agent lists."""
     phases = doc["graph"]["phases"]
     n1, n2 = len(doc["agents"]["subnet1"]), len(doc["agents"]["subnet2"])
+    keys = [f"graph.phases[{p}]" for p in range(len(phases))]
     return GraphSequenceSpec(
-        a1=tuple(np.asarray(ph["a1"], dtype=float) for ph in phases),
-        a2=tuple(np.asarray(ph["a2"], dtype=float) for ph in phases),
-        cross1=tuple(_cross_matrix(ph.get("cross_to_1", []), n1, n2) for ph in phases),
-        cross2=tuple(_cross_matrix(ph.get("cross_to_2", []), n2, n1) for ph in phases))
+        a1=tuple(_floats(ph["a1"], f"{key}.a1") for ph, key in zip(phases, keys)),
+        a2=tuple(_floats(ph["a2"], f"{key}.a2") for ph, key in zip(phases, keys)),
+        cross1=tuple(_cross_matrix(ph.get("cross_to_1", []), n1, n2, f"{key}.cross_to_1")
+                     for ph, key in zip(phases, keys)),
+        cross2=tuple(_cross_matrix(ph.get("cross_to_2", []), n2, n1, f"{key}.cross_to_2")
+                     for ph, key in zip(phases, keys)))
 
 
-def _cross_matrix(edges, n_to, n_from) -> np.ndarray:
-    """Edge list [source, target, weight] -> (n_to, n_from) weight matrix."""
+def _cross_matrix(edges, n_to, n_from, key: str) -> np.ndarray:
+    """Edge list [source, target, weight] -> (n_to, n_from) weight matrix;
+    `key` names the list in error messages."""
     C = np.zeros((n_to, n_from))
-    for src, dst, w in edges:
+    for e, (src, dst, w) in enumerate(edges):
         src, dst = _integer(src, "cross edge source"), _integer(dst, "cross edge target")
         if not (0 <= dst < n_to and 0 <= src < n_from):
             raise ValidationError(f"cross edge {[src, dst, w]} names a missing agent")
-        C[dst, src] = float(w)
+        try:
+            C[dst, src] = float(w)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{key}[{e}][2] must be a number, got {w!r}") from None
     return C
+
+
+def _floats(value, key: str) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``; an entry that is not a number is a
+    ValidationError naming its key, such as ``boxes.x.lower[0]``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        if isinstance(value, list):
+            for i, v in enumerate(value):
+                _floats(v, f"{key}[{i}]")
+        else:
+            raise ValidationError(f"{key} must be a number, got {value!r}") from None
+        raise  # every entry is a number: the lists are ragged
 
 
 def _integer(value, what: str) -> int:
@@ -257,7 +278,11 @@ def bundled_scenario(name: str) -> Scenario:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-CSV_CHUNK = 8192  # values per chunk: bounds each chunk's table and text
+# values per chunk: bounds each chunk's table and text. A chunk's
+# temporaries, about 0.75 MB here, stay below what glibc keeps on the heap
+# between the chunks of a streamed run; at 8192 values reproduce 1 took
+# three times the page faults (2-core x86-64 host, glibc malloc defaults)
+CSV_CHUNK = 4096
 # plot_grid: the early transient at every k, the tail about 1.6% apart on
 # a log axis, so a 100k-iteration run keeps 1,323 values of k
 PLOT_DENSE_K = 1024
@@ -275,8 +300,9 @@ class Written:
         return self.chars
 
 
-def _csv(out, header: str, *parts) -> str | Written:
-    """The one formatter that turns numbers into CSV text.
+def _csv(out, header: str | None, *parts) -> str | Written:
+    """The one formatter that turns numbers into CSV text: the header line,
+    unless `header` is None, then the parts.
 
     Each part is ``(template, blocks, columns)``: `blocks` are 2-D arrays
     with one row per `template`, and their columns, left to right, are
@@ -292,7 +318,7 @@ def _csv(out, header: str, *parts) -> str | Written:
     one, a :class:`Written`.
     """
     stream = io.StringIO() if out is None else out
-    chars = stream.write(header + "\n")
+    chars = 0 if header is None else stream.write(header + "\n")
     for template, blocks, columns in parts:
         rows = max(1, CSV_CHUNK // len(columns))
         for start in range(0, len(blocks[0]), rows):
@@ -516,25 +542,34 @@ def _format_g(values: np.ndarray) -> np.ndarray:
     return slots[:, :_SLOT]
 
 
+def _header(data, names) -> str | None:
+    """The header line of a CSV whose rows `data` (a trace or metrics
+    series) holds: None for a segment after the first, so that a run's
+    segments written in k order make the file of the whole run."""
+    return names if data.start == 0 else None
+
+
 def trace_to_csv(trace: Trace, out=None) -> str | Written:
     """Long-format rows (k, agent, subnet, states..., applied stepsize);
-    the last iteration's rows leave the stepsize empty. The state columns
+    the rows at k = K leave the stepsize empty. The state columns
     number max(m1, m2), the block dimensions of ``trace.x`` and ``trace.y``;
-    the smaller block leaves its extra columns empty.
+    the smaller block leaves its extra columns empty. A segment of a run
+    (``engine.run``) gives its own rows, the header only when it starts at
+    k = 0.
 
-    The blocks are k, each side's states as one (K+1, n m) table and each
+    The blocks are k, each side's states as one (rows, n m) table and each
     side's distinct stepsize columns (``stepsizes.distinct_columns``), of
     which agent i reads column i % width: one under a homogeneous rule, so
     gamma_k is formatted once per iteration and side, as k is once per
     iteration."""
     m = max(trace.x.shape[2], trace.y.shape[2])
-    K = trace.iterations
-    k = np.arange(K + 1)[:, None]
-    states = [v.reshape(K + 1, -1) for v in (trace.x, trace.y)]
-    steps = [distinct_columns(a) for a in (trace.alpha, trace.beta)]
+    rows, steps = len(trace.x), len(trace.alpha)
+    k = np.arange(trace.start, trace.start + rows)[:, None]
+    states = [v.reshape(rows, -1) for v in (trace.x, trace.y)]
+    tables = [distinct_columns(a) for a in (trace.alpha, trace.beta)]
 
-    def part(rows, last):
-        blocks = [k[rows]] + [v[rows] for v in states] + ([] if last else steps)
+    def part(span, last):
+        blocks = [k[span]] + [v[span] for v in states] + ([] if last else tables)
         first = np.cumsum([0] + [b.shape[1] for b in blocks]).tolist()
         fields, columns = "", []
         for side, v in enumerate((trace.x, trace.y)):
@@ -549,20 +584,25 @@ def trace_to_csv(trace: Trace, out=None) -> str | Written:
         return fields, blocks, tuple(columns)
 
     cols = ["k", "agent", "subnet"] + [f"s{d}" for d in range(m)] + ["stepsize"]
-    return _csv(out, ",".join(cols), part(slice(0, K), False), part(slice(K, K + 1), True))
+    return _csv(out, _header(trace, ",".join(cols)),
+                part(slice(0, steps), False), part(slice(steps, rows), True))
 
 
 def metrics_to_csv(metrics: MetricsSeries, out=None) -> str | Written:
-    series = (np.arange(len(metrics.h1)), metrics.h1, metrics.h2, metrics.nash_error,
-              metrics.saddle_residual)
-    return _csv(out, "k,h1,h2,nash_error,saddle_residual",
+    """One row per k of the series, a segment's header only at k = 0 (see
+    :func:`trace_to_csv`)."""
+    k = np.arange(metrics.start, metrics.start + len(metrics.h1))
+    series = (k, metrics.h1, metrics.h2, metrics.nash_error, metrics.saddle_residual)
+    return _csv(out, _header(metrics, "k,h1,h2,nash_error,saddle_residual"),
                 (",".join([FLOAT_FMT] * 5) + "\n", [v[:, None] for v in series], tuple(range(5))))
 
 
 def plot_grid(iterations: int) -> np.ndarray:
     """The iterations plot data keeps: every k up to min(K, PLOT_DENSE_K),
     then each next k is min(K, k + k // PLOT_STEP_DIVISOR), so K comes
-    last. Integer arithmetic only, so the grid is the same everywhere."""
+    last. Integer arithmetic only, so the grid is the same everywhere.
+    Every k but K is a point of the same sequence for any K, so the grid
+    of a longer run only adds points past K."""
     ks = list(range(min(iterations, PLOT_DENSE_K) + 1))
     k = ks[-1]
     while k < iterations:
@@ -573,20 +613,26 @@ def plot_grid(iterations: int) -> np.ndarray:
 
 def plotdata_to_csv(trace: Trace, metrics: MetricsSeries, out=None) -> str | Written:
     """Plot-ready long format: k, series, value, for k on
-    :func:`plot_grid`; the trace CSV holds every k. The blocks are k and
-    each series as a column, k formatted once per row group."""
+    :func:`plot_grid`; the trace CSV holds every k. A segment of a run
+    gives the grid's points among its rows, so the segments written in k
+    order make the file of the whole run: ``plot_grid(trace.iterations)``
+    agrees with the run's grid below the segment's end and holds K only
+    for the final segment. The blocks are k and each series as a column,
+    k formatted once per row group."""
     ks = plot_grid(trace.iterations)
-    blocks = [ks[:, None]] + [v[ks].reshape(len(ks), -1) for v in (trace.x, trace.y)]
+    ks = ks[(ks >= trace.start) & (ks < trace.start + len(trace.x))]
+    rows = ks - trace.start
+    blocks = [ks[:, None]] + [v[rows].reshape(len(ks), v[0].size) for v in (trace.x, trace.y)]
     tags = []
     for name, states in (("x", trace.x), ("y", trace.y)):
         for i in range(states.shape[1]):
             for d in range(states.shape[2]):
                 tags.append(f"{name}{i + 1}" if states.shape[2] == 1 else f"{name}{i + 1}[{d}]")
     tags.append("nash_error")
-    blocks.append(metrics.nash_error[ks, None])
+    blocks.append(metrics.nash_error[rows, None])
     fields = "".join(f"{FLOAT_FMT},{tag},{FLOAT_FMT}\n" for tag in tags)
     columns = tuple(c for series in range(1, len(tags) + 1) for c in (0, series))
-    return _csv(out, "k,series,value", (fields, blocks, columns))
+    return _csv(out, _header(trace, "k,series,value"), (fields, blocks, columns))
 
 
 def report_to_csv(report, out=None) -> str | Written:

@@ -58,13 +58,15 @@ class GammaSchedule:
             raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
                                 f"{sys.maxsize // 8} float64 values")
 
-    def values(self, K: int) -> np.ndarray:
-        """gamma_0 .. gamma_{K-1} in one pass, as a float64 array: c / (k +
-        b)^(1/2 + eps) in Python floats, the one place the power law is
-        evaluated. Errors as :meth:`require_horizon`."""
+    def values(self, K: int, start: int = 0) -> np.ndarray:
+        """gamma_start .. gamma_{K-1} in one pass, as a float64 array: c / (k
+        + b)^(1/2 + eps) in Python floats, the one place the power law is
+        evaluated, so a value does not depend on the range it is computed
+        in. Errors as :meth:`require_horizon`."""
         self.require_horizon(K)
         c, b, p = self.c, self.b, 0.5 + self.eps
-        return np.fromiter((c / (k + b) ** p for k in range(K)), dtype=float, count=K)
+        return np.fromiter((c / (k + b) ** p for k in range(start, K)), dtype=float,
+                           count=K - start)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +128,30 @@ def learner_readouts(mats, activation, K: int) -> np.ndarray:
     and stops at the first whose state equals, byte for byte, that of an
     earlier one: from there every row repeats, and the rest are read by index.
     """
+    return _readouts(mats, activation, K)[0](0, K)
+
+
+def _readouts(mats, activation, K: int):
+    """(read, b): read(k0, k1) gives the readouts of :func:`learner_readouts`
+    at times k0..k1-1, gathered by index from the rows :func:`_bank_rows`
+    ran once, so they do not depend on the range asked for; every time
+    from b on reads the value of a time below b."""
     if not (isinstance(activation, Sequence) and activation
             and all(isinstance(t, (int, np.integer)) and t >= 0 for t in activation)):
         raise ValidationError(f"activation must be a non-empty sequence of integers >= 0, "
                               f"got {activation!r}")
     if K < 0:
         raise ValidationError(f"iterations must be >= 0, got {K}")
-    nb = len(activation)
+    nb, act = len(activation), np.asarray(activation)
     rows, start = _bank_rows(mats, activation, K)
-    k = np.arange(K)
-    idx = k if start is None else np.where(k < start, k, start + (k - start) % (len(rows) - start))
-    out = rows[idx, k % nb]
-    out[k < np.asarray(activation)[k % nb]] = 1.0
-    return out
+
+    def read(k0: int, k1: int) -> np.ndarray:
+        k = np.arange(k0, k1)
+        idx = k if start is None else np.where(k < start, k, start + (k - start) % (len(rows) - start))
+        out = rows[idx, k % nb]
+        out[k < act[k % nb]] = 1.0
+        return out
+    return read, len(rows)
 
 
 def _bank_rows(mats, activation, K: int):
@@ -183,38 +196,57 @@ def _bank_rows(mats, activation, K: int):
 # ---------------------------------------------------------------------------
 
 def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
-    """Per-agent stepsizes of iterations 0..K-1, computed before a run.
+    """Per-agent stepsizes of a run of K iterations, handed out by k range.
 
-    Returns (alpha, beta): alpha (K, n1) and beta (K, n2) hold gamma_k
-    divided by each agent's denominator under `rule`, for an adaptive rule
-    its learner readout (:func:`learner_readouts`), which is not kept.
-    A homogeneous rule's alpha and beta are read-only
+    Returns ``tables(k0, k1) -> (alpha, beta)``: alpha (k1 - k0, n1) and
+    beta (k1 - k0, n2) hold gamma_k for k0 <= k < k1 divided by each
+    agent's denominator under `rule`, for an adaptive rule its learner
+    readout (:func:`learner_readouts`), which is not kept. Each entry is
+    computed from k alone, so a run's tables are the same in one range or
+    in many. A homogeneous rule's alpha and beta are read-only
     ``np.broadcast_to`` views of the one gamma column, agent stride 0
     (see :func:`distinct_columns`).
-    Here a rule meets its graph: the oracle's limit vectors and the
-    learners' banks are derived from it. An oracle rule is a
+    Here a rule meets its graph, once per run: the oracle's limit vectors
+    and the learners' banks are derived from it. K is checked first (see
+    ``GammaSchedule.require_horizon``). An oracle rule is a
     ValidationError on a graph without limit vectors, and an adaptive rule
     is a ResourceError, before any learner code is generated, when a
-    side's banks would hold more than LEARNER_BANK_CAP entries.
+    side's banks would hold more than LEARNER_BANK_CAP entries, and a
+    ValidationError when a readout is not positive.
     """
-    gam = rule.schedule.values(K)[:, None]
+    schedule = rule.schedule
+    schedule.require_horizon(K)
+    n1, n2 = graph.n1, graph.n2
     if rule.variant == "homogeneous":
-        return np.broadcast_to(gam, (K, graph.n1)), np.broadcast_to(gam, (K, graph.n2))
+        def tables(k0: int, k1: int):
+            gam = schedule.values(k1, k0)[:, None]
+            return np.broadcast_to(gam, (k1 - k0, n1)), np.broadcast_to(gam, (k1 - k0, n2))
+        return tables
     if rule.variant == "oracle_heterogeneous":
-        phi1, phi2 = oracle_heterogeneous_build(graph)
-        nxt = (np.arange(K) + 1) % graph.period
-        return gam / np.array(phi1)[nxt], gam / np.array(phi2)[nxt]
-    # adaptive: one bank from time 0, or one per phase from times 1..period
-    activation = (0,) if rule.variant == "adaptive_common" else tuple(range(1, graph.period + 1))
-    p = len(activation)
-    for n, label in ((graph.n1, "subnet 1"), (graph.n2, "subnet 2")):
-        if p * n * n > LEARNER_BANK_CAP:
-            raise ResourceError(f"{label} adaptive learner needs {p} banks of {n}x{n} entries, "
-                                f"{p * n * n} in all, above the cap of {LEARNER_BANK_CAP}")
-    r1, r2 = (learner_readouts(mats, activation, K) for mats in (graph.a1, graph.a2))
-    if (r1 <= 0).any() or (r2 <= 0).any():
-        raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
-    return gam / r1, gam / r2
+        phi1, phi2 = (np.array(phi) for phi in oracle_heterogeneous_build(graph))
+
+        def denominators(k0: int, k1: int):
+            nxt = (np.arange(k0, k1) + 1) % graph.period
+            return phi1[nxt], phi2[nxt]
+    else:  # adaptive: one bank from time 0, or one per phase from times 1..period
+        activation = (0,) if rule.variant == "adaptive_common" else tuple(range(1, graph.period + 1))
+        p = len(activation)
+        for n, label in ((n1, "subnet 1"), (n2, "subnet 2")):
+            if p * n * n > LEARNER_BANK_CAP:
+                raise ResourceError(f"{label} adaptive learner needs {p} banks of {n}x{n} entries, "
+                                    f"{p * n * n} in all, above the cap of {LEARNER_BANK_CAP}")
+        readers = [_readouts(mats, activation, K) for mats in (graph.a1, graph.a2)]
+        if any((read(0, b) <= 0).any() for read, b in readers):
+            raise ValidationError("adaptive readout not positive; weight-rule floor violated upstream")
+
+        def denominators(k0: int, k1: int):
+            return tuple(read(k0, k1) for read, _ in readers)
+
+    def tables(k0: int, k1: int):
+        gam = schedule.values(k1, k0)[:, None]
+        d1, d2 = denominators(k0, k1)
+        return gam / d1, gam / d2
+    return tables
 
 
 def distinct_columns(table: np.ndarray) -> np.ndarray:

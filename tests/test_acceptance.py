@@ -494,6 +494,21 @@ def test_bundled_metrics_and_plotdata_digests_pinned(scenarios, traces):
           "the pinned SHA-256")
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_streamed_reproduce_files_match_the_pinned_digests(name, tmp_path, monkeypatch):
+    """``nashnet reproduce --trust-bundled`` streams each run to its three
+    files in segments, here of 997 or 831 iterations (5 or 6 agents): the
+    files are the pinned ones of the whole run, byte for byte."""
+    from nashnet import engine
+    from nashnet.cli import main
+    monkeypatch.setattr(engine, "SEGMENT_VALUES", 4987)
+    assert main(["reproduce", name, "--trust-bundled", "--out", str(tmp_path)]) == 0
+    for kind, digests in (("trace", TRACE_DIGESTS), ("metrics", METRICS_DIGESTS),
+                          ("plotdata", PLOTDATA_DIGESTS)):
+        text = (tmp_path / f"{name}_{kind}.csv").read_text(encoding="utf-8")
+        assert _sha256(text) == digests[name], kind
+
+
 def test_criterion_9_byte_identical_determinism(scenarios, traces):
     for name in BUNDLED:
         s = scenarios[name]

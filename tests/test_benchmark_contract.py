@@ -4,7 +4,11 @@
 CLI looks up at call time (loaders, writers, ``_reference_saddle``,
 ``_sweep_worker``, ...) wrapped as spans. A CLI refactor that renames or
 bypasses one of them breaks the benchmark; this runs the replay on small
-commands so such a break fails here too.
+commands so such a break fails here too. The spans must also still count
+what the benchmark divides by: ``engine.us_per_iter`` is the engine's self
+time over the iterations of the ``engine.run`` spans, so those must add up
+to each command's K however the run is segmented, and the kernel's code
+must be generated once per run, not once per segment.
 """
 
 import json
@@ -44,3 +48,30 @@ def test_replay_records_the_cli_spans(tmp_path):
         "shared_saddle_gamma_c_0_metrics.csv", "shared_saddle_gamma_c_1_metrics.csv",
         "shared_saddle_metrics.csv", "shared_saddle_plotdata.csv",
         "shared_saddle_trace.csv", "sweep_summary.csv"]
+
+
+def test_engine_spans_count_each_run_once(tmp_path):
+    """Each command's ``engine.run`` spans add up to its K, and each run
+    generates its kernel's code once, while its writers take it in
+    segments."""
+    commands = [
+        ["run", SHARED_SADDLE, "--iters", "50"],
+        ["reproduce", "shared_saddle", "--trust-bundled", "--out", "out"],
+        ["sweep", SHARED_SADDLE, "--values", "1,2", "--out", "out"],
+        ["run", EXAMPLE2, "--iters", "40000", "--metrics", "m.csv"],
+    ]
+    (tmp_path / "commands.json").write_text(json.dumps(commands), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "replay.py"), "commands.json", "spans.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    runs = [s for s in spans if s["name"] == "engine.run"]
+    # per command, the iterations of its runs: the sweep runs two jobs
+    assert {r: sum(s["iterations"] for s in runs if s["run"] == r) for r in range(4)} == {
+        0: 50, 1: 20000, 2: 40000, 3: 40000}
+    for s in runs:  # 3 + 2 agents, each agent's derivative code made once per run
+        assert sum(c["name"] == "exprs.compile" and c["parent"] == s["id"] for c in spans) == 5
+    for r, name in ((1, "scenario_io.trace_csv"), (3, "scenario_io.metrics_csv")):
+        assert sum(s["name"] == name and s["run"] == r for s in spans) > 1

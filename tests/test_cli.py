@@ -117,6 +117,36 @@ def test_run_numeric_error_exit_4(tmp_path, capsys):
     assert main(["run", str(path)]) == 4
 
 
+def test_a_late_numeric_error_removes_the_files_begun(tmp_path, monkeypatch, capsys):
+    """x' = -2x unprojected, under a huge gamma: the state at k = 4 is inf.
+    With segments of two iterations the trace and metrics files have
+    taken the first segment when the second fails; `run --out --metrics`
+    exits 4 with the error and no traceback, and leaves neither file."""
+    import dataclasses
+    from canonical_reference import make_identical_scenario, neg
+    from nashnet import engine
+    from nashnet.exprs import BoxSet, Pow, Sum, Var
+    from nashnet.stepsizes import GammaSchedule, StepsizeRule
+    e = Sum((neg(Pow(Var("x", 0), 2)), neg(Pow(Var("y", 0), 2))))
+    box = BoxSet((-float("inf"),), (float("inf"),))
+    s = make_identical_scenario(
+        objectives=[(e, {})], a_seq=(np.eye(1),), box_x=box, box_y=box,
+        rule=StepsizeRule("homogeneous", GammaSchedule(c=1e100)),
+        x0=[[1.0]], y0=[[0.0]], iterations=20)
+    path = tmp_path / "late.yaml"
+    save_scenario(dataclasses.replace(s, oracle_x=(0.0,), oracle_y=(0.0,)), path)
+    monkeypatch.setattr(engine, "SEGMENT_VALUES", 2 * (s.n1 + s.n2))
+    written, real = [], cli.compute_metrics
+    monkeypatch.setattr(cli, "compute_metrics",
+                        lambda trace, *args: written.append(trace.start) or real(trace, *args))
+    paths = [tmp_path / "t.csv", tmp_path / "m.csv"]
+    assert main(["run", str(path), "--out", str(paths[0]), "--metrics", str(paths[1])]) == 4
+    assert written == [0]
+    err = capsys.readouterr().err
+    assert err.endswith("\nerror: non-finite state produced at iteration 3\n") and "Traceback" not in err
+    assert not any(p.exists() for p in paths)
+
+
 def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
     """x0^60 overflows on a +-1e6 box while sampling convexity: the load
     warns, prints no numpy RuntimeWarning, and the short run still works."""
@@ -453,7 +483,7 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     ("unknown stepsize variant", 3, "unknown stepsize variant 'heterogeneous'"),
     ("sweep values not numbers", 3, "--values"),
     ("grid resolution below 3", 3, "grid resolution"),
-    ("box bound not a number", 3, "malformed"),
+    ("box bound not a number", 3, "boxes.x.lower[0] must be a number, got 'x'"),
     ("infinite objective constant", 3, "non-finite number 'inf'"),
     ("add without an argument", 3, "add takes at least 1 argument"),
     ("pow exponent below 1", 3, "pow exponent must be an integer >= 1, got 0"),
@@ -472,11 +502,11 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     ("sweep scenario name holds a path separator", 3, "path separator"),
     ("oracle on an unbounded box", 5, "store a reference under run.oracle"),
     ("run on an unbounded box without a stored reference", 5, "finite box bounds"),
+    ("trace and metrics paths name one file", 3, "--out and --metrics name the same file"),
 ])
 def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, capsys):
     """User input errors end in their documented exit code, not a
-    traceback; only the catch-all for a malformed document quotes the
-    exception it caught."""
+    traceback, and no message quotes an exception it caught."""
     doc = yaml.safe_load(Path(shsad).read_text())
     doc["boxes"]["x"]["lower"] = ["x"]
     bad = tmp_path / "bad.yaml"
@@ -551,10 +581,13 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
         "oracle on an unbounded box": ["oracle", str(unbounded), "--grid", "41"],
         "run on an unbounded box without a stored reference": ["run", str(unbounded),
                                                                "--iters", "5"],
+        "trace and metrics paths name one file": ["run", shsad, "--iters", "5", "--out",
+                                                  str(tmp_path / "a.csv"), "--metrics",
+                                                  f"{tmp_path}/./a.csv"],
     }[case]
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert message in err and ("ValueError(" not in err or message == "malformed")
+    assert message in err and "ValueError(" not in err
     assert not sweep_dir.exists() and not missing.exists()
 
 
@@ -737,7 +770,9 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
     200k iterations by at most twice the extra iterations' share of the
     Trace and MetricsSeries arrays (``compute_metrics`` builds each series
     from temporaries of the states' size) plus 4 MB: no CSV text is held
-    whole, and nothing else is kept per iteration."""
+    whole, and nothing else is kept per iteration. And by at most 2 MB:
+    the CLI streams the run in segments of a fixed size, so it never holds
+    those arrays whole either (about 17 MB of growth before it did)."""
     example1 = str(Path(nashnet.__file__).parent / "scenarios" / "example1.yaml")
     scenario = load_scenario(example1)
 
@@ -745,7 +780,7 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
         trace = run(scenario, iterations=iterations)
         metrics = compute_metrics(trace, scenario, cli._reference_saddle(scenario))
         return sum(getattr(obj, f.name).nbytes for obj in (trace, metrics)
-                   for f in dataclasses.fields(obj))
+                   for f in dataclasses.fields(obj) if f.name != "start")
 
     per_iteration = (array_bytes(2000) - array_bytes(1000)) / 1000
 
@@ -762,6 +797,7 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
     growth = peak_mb(200_000) - peak_mb(50_000)
     share = per_iteration * 150_000 / 2**20
     assert growth <= 2 * share + 4, (growth, share)
+    assert growth <= 2.0, growth
 
 
 def test_reproduce_trust_bundled(tmp_path, capsys, monkeypatch):

@@ -248,7 +248,7 @@ def test_trace_bytes_independent_of_blas_kernel():
 
 def _widths(s):
     """The distinct stepsize columns per side that :func:`run` hands the kernel."""
-    return tuple(distinct_columns(a).shape[1] for a in stepsize_tables(s.rule, s.graph, 1))
+    return tuple(distinct_columns(a).shape[1] for a in stepsize_tables(s.rule, s.graph, 1)(0, 1))
 
 
 def test_dense_scenario_compiles_and_matches_reference():
@@ -280,7 +280,7 @@ def test_kernel_inlines_every_derivative():
     source = _kernel_source(s, _widths(s))
     for name in ("f0_", "f1_", "_sgn("):
         assert name not in source
-    assert source.startswith("def _kernel(K, ia, ib, rec):")
+    assert source.startswith("def _kernel(k0, k1, state, ia, ib, rec):")
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, "unbounded"])
@@ -318,10 +318,41 @@ def test_trace_states_are_views_of_one_buffer():
             == s.n1 * s.m1 * tr.x.itemsize)
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("values", [1, 7 * 5, 1000])
+def test_segments_make_the_whole_run(name, values, monkeypatch):
+    """A run handed to a consumer in segments of any length, one iteration
+    included, holds the states and stepsizes of the one-segment library
+    run byte for byte, in k order; the kernel is generated once, and the
+    final segment it returns ends at k = K."""
+    s = bundled_scenario(name)
+    K = 700
+    whole = run(s, iterations=K)
+    sources, real = [], engine._kernel_source
+    monkeypatch.setattr(engine, "_kernel_source", lambda *args: sources.append(real(*args)) or sources[-1])
+    monkeypatch.setattr(engine, "SEGMENT_VALUES", values)
+    segments = []
+    final = run(s, iterations=K, consumer=segments.append)
+    rows = max(1, values // (s.n1 * s.m1 + s.n2 * s.m2))
+    assert len(sources) == 1 and final is segments[-1] and final.iterations == K
+    assert [g.start for g in segments] == list(range(0, K, rows))
+    assert all(len(g.x) == len(g.alpha) for g in segments[:-1]) and len(final.x) == len(final.alpha) + 1
+    for field in ("x", "y", "alpha", "beta"):
+        joined = np.concatenate([getattr(g, field) for g in segments])
+        assert joined.tobytes() == getattr(whole, field).tobytes(), field
+
+
+def test_zero_iterations_are_one_segment():
+    segments = []
+    final = run(bundled_scenario("example2"), iterations=0, consumer=segments.append)
+    assert len(segments) == 1 and segments[0] is final
+    assert final.iterations == 0 and len(final.x) == 1
+
+
 @pytest.mark.parametrize("name, loop", [
-    ("example1", "for k, a0_0, a1_0 in zip(range(K), ia, ib):"),
-    ("example2", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(K), ia, ia, ia, ib, ib):"),
-    ("example3", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(K), ia, ia, ia, ib, ib):"),
+    ("example1", "for k, a0_0, a1_0 in zip(range(k0, k1), ia, ib):"),
+    ("example2", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(k0, k1), ia, ia, ia, ib, ib):"),
+    ("example3", "for k, a0_0, a0_1, a0_2, a1_0, a1_1 in zip(range(k0, k1), ia, ia, ia, ib, ib):"),
 ], ids=["homogeneous", "oracle", "adaptive"])
 def test_kernel_unpacks_one_stepsize_per_distinct_column(name, loop, monkeypatch):
     """The kernel :func:`run` generates unpacks one stepsize per side under

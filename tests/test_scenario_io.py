@@ -303,6 +303,14 @@ def _isolate_agent_0(doc):
      r"^stepsize\.gamma\.table is not a parameter"),
     ("shared_saddle", lambda d: d["stepsize"]["gamma"].update(epsilon=0.25),
      r"^stepsize\.gamma\.epsilon is not a parameter"),
+    ("example1", lambda d: d["boxes"]["y"]["upper"].__setitem__(0, "five"),
+     r"^boxes\.y\.upper\[0\] must be a number, got 'five'$"),
+    ("example2", lambda d: d["initial"]["y"][1].__setitem__(0, {}),
+     r"^initial\.y\[1\]\[0\] must be a number, got \{\}$"),
+    ("example2", lambda d: d["graph"]["phases"][1]["a2"][0].__setitem__(1, "0.5x"),
+     r"^graph\.phases\[1\]\.a2\[0\]\[1\] must be a number, got '0\.5x'$"),
+    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"][0].__setitem__(2, [1.0]),
+     r"^graph\.phases\[0\]\.cross_to_1\[0\]\[2\] must be a number, got \[1\.0\]$"),
 ], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
         "objective beyond the dimensions", "NaN box bound", "box without a dimension",
@@ -311,7 +319,9 @@ def _isolate_agent_0(doc):
         "saddle reference without y_star", "NaN saddle reference",
         "fractional iterations", "boolean iterations", "fractional cross index",
         "boolean selection key", "NaN gamma c",
-        "infinite gamma b", "tabulated gamma", "misspelled gamma key"])
+        "infinite gamma b", "tabulated gamma", "misspelled gamma key",
+        "box bound not a number", "initial state not a number", "matrix weight not a number",
+        "cross weight not a number"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails. An edit to the
