@@ -1,7 +1,6 @@
 """Distributed Nash equilibrium computation for two-subnetwork zero-sum
 games over switching directed graphs."""
 
-from .catalog import CATALOG
 from .digraph import (GeometricRateBound, GraphSequenceSpec, build_cycle_matrix,
                       check_jointly_bipartite, check_ujsc,
                       geometric_rate_bound, is_weight_balanced,

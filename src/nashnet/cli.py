@@ -7,8 +7,8 @@ and ``sweep`` (one scenario under a list of parameter overrides, optionally
 in parallel worker processes).
 
 Failure classes map to fixed exit codes: 2 parse, 3 validation, 4 numeric,
-5 resource (an allocation that fails included), 141 stdout closed early (as
-a shell shows SIGPIPE), 1 other.
+5 resource (an allocation that fails and a sweep worker that dies
+included), 141 stdout closed early (as a shell shows SIGPIPE), 1 other.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .digraph import check_jointly_bipartite, check_ujsc, is_weight_balanced, validate_weight_rule
 from .engine import Scenario, run
 from .errors import NashnetError, ResourceError, ValidationError
-from .metrics import compute_metrics
+from .metrics import compute_metrics, sum_objective
 from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
                      unit_weighted)
 from .scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
@@ -207,15 +208,18 @@ def _stream(scenario: Scenario, saddle: SaddleReport | None, writers, iterations
     opened, and removed on failure, as :func:`_writing` says. A `saddle`
     of None is the scenario's own reference (:func:`_reference_saddle`),
     derived once the first segment has run, so a run that fails there
-    reports that failure, not the oracle's. Returns the final segment and
-    its metrics."""
-    metrics = None
+    reports that failure, not the oracle's; the residual's sum objective is
+    compiled then too, once per run. Returns the final segment and its
+    metrics."""
+    metrics = u = None
     with _writing(writers) as put:
         def consume(segment):
-            nonlocal saddle, metrics
-            if saddle is None:
-                saddle = _reference_saddle(scenario)
-            metrics = compute_metrics(segment, scenario, saddle)
+            nonlocal saddle, metrics, u
+            if u is None:  # the first segment
+                if saddle is None:
+                    saddle = _reference_saddle(scenario)
+                u = sum_objective(scenario)
+            metrics = compute_metrics(segment, scenario, saddle, u)
             put(segment, metrics)
         trace = run(scenario, iterations, consume)
     return trace, metrics
@@ -350,8 +354,16 @@ def cmd_sweep(args) -> int:
     _make_dir(args.out)
     workers = min(args.jobs, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(_sweep_worker, jobs))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                errors = list(pool.map(_sweep_worker, jobs))
+        except BrokenProcessPool:  # a worker killed, by the OOM killer for one
+            for _, _, out in jobs:  # a dead worker's own cleanup never ran
+                if os.path.isfile(out):
+                    os.remove(out)
+            raise ResourceError(f"sweep of {args.param} over {scenario.name}: a worker process "
+                                "died before its jobs ended; its metrics files are removed "
+                                "and no summary is written") from None
     else:
         errors = [_sweep_worker(j) for j in jobs]
     results = [(v, err, out) for v, err, (_, _, out) in zip(values, errors, jobs)]  # job order

@@ -75,7 +75,17 @@ def _squared_distance(states, ref):
     return out
 
 
-def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> MetricsSeries:
+def sum_objective(scenario: Scenario):
+    """U, the unit-weight sum of the subnet-1 objectives, as the compiled
+    numpy closure the saddle residual evaluates."""
+    return unit_weighted(scenario.objectives1).compiled(scenario.m1, scenario.m2)
+
+
+def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport,
+                    u=None) -> MetricsSeries:
+    """The metrics of `trace`. `u` is :func:`sum_objective` of `scenario`,
+    compiled here when not given; a run scored segment by segment passes
+    it, so it compiles once."""
     x_star = np.asarray(saddle.x_star, dtype=float)
     y_star = np.asarray(saddle.y_star, dtype=float)
     if len(x_star) != scenario.m1 or len(y_star) != scenario.m2:
@@ -85,7 +95,8 @@ def compute_metrics(trace: Trace, scenario: Scenario, saddle: SaddleReport) -> M
     h2 = _pairwise_max(trace.y)
     nash = _squared_distance(trace.x, x_star) + _squared_distance(trace.y, y_star)
 
-    u = unit_weighted(scenario.objectives1).compiled(scenario.m1, scenario.m2)
+    if u is None:
+        u = sum_objective(scenario)
     with np.errstate(over="ignore", invalid="ignore"):
         # each block mean, (K+1, m), lives only while its side is evaluated
         u_left = np.asarray(u(list(trace.x.mean(axis=1).T),

@@ -32,17 +32,23 @@ the interpreter (:func:`convexity_points`, :func:`worst_violations`).
 The metrics' disagreement span has :func:`pairwise_disagreement`, every
 agent pair in plain floats, and the trace CSV has :func:`trace_csv_text`,
 one ``%`` per row.
+
+The suite's objectives are example1's game as the bundled scenario loads
+it: :data:`CATALOG` names its five agents and records where each is
+concave in y. :func:`many_agents_doc` is the benchmark's many-agents
+document, drawn by the benchmark's own generator.
 """
 
+import importlib.util
 import itertools
 import math
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from nashnet import saddle
-from nashnet.catalog import CATALOG
 from nashnet.digraph import (GraphSequenceSpec, canonical_mix_code,
                              limiting_stochastic_vector, periodic_code)
 from nashnet.engine import Scenario
@@ -50,6 +56,7 @@ from nashnet.errors import NashnetError, NumericError
 from nashnet.exprs import (Abs, Const, Pow, Prod, Sum, Var,
                            check_selection, compile_objective, dimensions,
                            objective_code, parse_expr)
+from nashnet.scenario_io import bundled_scenario
 
 
 @dataclass(frozen=True)
@@ -702,11 +709,58 @@ def make_identical_scenario(objectives, a_seq, box_x, box_y, rule,
                     iterations=iterations, **kwargs)
 
 
+# example1's game: three minimizing agents against two maximizing ones on
+# [-5, 5] x [-5, 5], whose sum objective has the unique saddle point near
+# (0.6102, 0.8844):
+#
+#     f1 = x^2 - (20 - x^2) (y - 1)^2
+#     f2 = |x - 1| - |y|
+#     f3 = (x - 1)^4 - 2 y^2
+#     g1 = (x - 1)^4 - |y| - 5/4 y^2 - 1/2 (20 - x^2) (y - 1)^2
+#     g2 = x^2 + |x - 1| - 3/4 y^2 - 1/2 (20 - x^2) (y - 1)^2
+#
+# with f1 + f2 + f3 == g1 + g2 identically. Kink choices: the |x - 1| kink
+# of f2 takes derivative +1, the |y| kink of g1 takes derivative +1 (so the
+# y subgradient of g1 at y = 0 is -1 + (20 - x^2)).
+#
+# Outside a bound on |x| the y-curvature of the coupling term flips sign,
+# so concave-subgradient properties hold only inside it:
+#     f1_yy = -2 (20 - x^2):      concave in y iff x^2 <= 20
+#     g1_yy = -5/2 - (20 - x^2):  concave in y iff x^2 <= 22.5
+#     g2_yy = -3/2 - (20 - x^2):  concave in y iff x^2 <= 21.5
+Y_CONCAVITY_X_BOUNDS = {"f1": math.sqrt(20.0), "f2": math.inf, "f3": math.inf,
+                        "g1": math.sqrt(22.5), "g2": math.sqrt(21.5)}
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    expr: object
+    selection: dict
+    y_concavity_x_bound: float  # |x| bound inside which the entry is concave in y
+
+
+_EXAMPLE1 = bundled_scenario("example1")
+# example1's agents by name, subnet 1 first, as the bundled scenario loads them
+CATALOG = {name: CatalogEntry(e, sel, Y_CONCAVITY_X_BOUNDS[name]) for name, (e, sel)
+           in zip(Y_CONCAVITY_X_BOUNDS, _EXAMPLE1.objectives1 + _EXAMPLE1.objectives2)}
+
+
 def subnet1_objectives():
-    """(expr, selection) pairs of the catalog's three minimizing agents."""
-    return [(CATALOG[n].expr, CATALOG[n].selection) for n in ("f1", "f2", "f3")]
+    """(expr, selection) pairs of example1's three minimizing agents."""
+    return list(_EXAMPLE1.objectives1)
 
 
 def subnet2_objectives():
-    """(expr, selection) pairs of the catalog's two maximizing agents."""
-    return [(CATALOG[n].expr, CATALOG[n].selection) for n in ("g1", "g2")]
+    """(expr, selection) pairs of example1's two maximizing agents."""
+    return list(_EXAMPLE1.objectives2)
+
+
+def many_agents_doc(seed):
+    """The benchmark's many-agents document for `seed`: 100 + 100 agents,
+    2000 iterations, +-5 boxes, from ``perfbench/gen_scenario.py`` itself,
+    loaded from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_scenario.py"
+    spec = importlib.util.spec_from_file_location("gen_scenario", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scenario_doc(seed, 100, 2000, 5.0)

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 import yaml
 
-from canonical_reference import (disagreement_span, ergodicity_coefficient,
+from canonical_reference import (CATALOG, disagreement_span, ergodicity_coefficient,
                                  evaluate, lipschitz_bound, project,
                                  subgradient_x, subgradient_y, verify_saddle)
-from nashnet.catalog import CATALOG
 from nashnet.digraph import (GraphSequenceSpec, build_cycle_matrix,
                              geometric_rate_bound, limiting_stochastic_vector,
                              perron_vector, transition_product)

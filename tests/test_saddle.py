@@ -9,10 +9,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import canonical_reference as reference
-from canonical_reference import (centralized_saddle, neg, per_term_value, scale,
-                                 subnet1_objectives, subnet2_objectives, table_extremes,
-                                 verify_saddle, whole_table)
-from test_scenario_io import _many_agents_doc
+from canonical_reference import (centralized_saddle, many_agents_doc, neg, per_term_value,
+                                 scale, subnet1_objectives, subnet2_objectives,
+                                 table_extremes, verify_saddle, whole_table)
 
 from nashnet import saddle
 from nashnet.errors import NumericError, ResourceError
@@ -174,7 +173,7 @@ def _assert_matches_per_term(w, bx, by, resolution):
 
 
 def test_weighted_sum_matches_per_term_on_many_agents(monkeypatch):
-    text = yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+    text = yaml.dump(many_agents_doc(1), sort_keys=False,
                      Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
     s = loads_scenario(text)
     w = unit_weighted(s.objectives1)
@@ -394,7 +393,7 @@ def test_pruned_search_evaluates_a_quarter_of_the_cells(monkeypatch):
     """On the 100-term many-agents sum the search evaluates at most a
     quarter of the cells of the whole-table scan: 2001^2 coarse cells and
     201 x 2202 cells per sweep, two sweeps per refinement level."""
-    text = yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+    text = yaml.dump(many_agents_doc(1), sort_keys=False,
                      Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
     s = loads_scenario(text)
     full = 2001 ** 2 + 2 * saddle.REFINE_LEVELS * 201 * 2202

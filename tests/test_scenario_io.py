@@ -14,10 +14,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import (gamma, make_identical_scenario, pairwise_disagreement,
-                                 subnet1_objectives, subnet2_objectives, trace_csv_text)
-from nashnet.catalog import CATALOG
-from nashnet.digraph import build_cycle_matrix
+from canonical_reference import (gamma, make_identical_scenario, many_agents_doc,
+                                 pairwise_disagreement, subnet1_objectives,
+                                 subnet2_objectives, trace_csv_text)
 from nashnet.engine import Trace, run
 from nashnet.errors import ParseError, ValidationError
 from nashnet.exprs import BoxSet, format_expr, parse_expr, sample_convexity
@@ -159,36 +158,10 @@ def test_bundled_warnings_pinned(name, expected):
     assert bundled_scenario(name).warnings == expected
 
 
-def _many_agents_doc(seed, agents):
-    """Catalog f1, f2, f3 assigned cyclically in both subnetworks on +-5
-    boxes, a seeded cycle matrix then the identity, agent i of each side
-    observing agent i of the other."""
-    rng = np.random.default_rng(seed)
-
-    def cycle():
-        mu = rng.uniform(1.0, 2.0, agents)
-        return build_cycle_matrix(mu / mu.sum()).tolist()
-
-    block = [{"expr": format_expr(CATALOG[f"f{i % 3 + 1}"].expr),
-              "selections": dict(CATALOG[f"f{i % 3 + 1}"].selection)} for i in range(agents)]
-    eye, cross = np.eye(agents).tolist(), [[i, i, 1.0] for i in range(agents)]
-    return {
-        "meta": {"name": f"many_agents_{seed}"}, "dimensions": {"m1": 1, "m2": 1},
-        "boxes": {"x": {"lower": [-5.0], "upper": [5.0]}, "y": {"lower": [-5.0], "upper": [5.0]}},
-        "agents": {"subnet1": block, "subnet2": block},
-        "graph": {"eta": 0.1, "period": 2, "windows": {"t1": 2, "t2": 2, "t_cross": 1},
-                  "phases": [{"a1": cycle(), "a2": cycle(), "cross_to_1": cross, "cross_to_2": cross},
-                             {"a1": eye, "a2": eye, "cross_to_1": cross, "cross_to_2": cross}]},
-        "stepsize": {"variant": "homogeneous", "gamma": {"c": 1.0, "b": 50.0, "eps": 0.5}},
-        "initial": {"x": rng.uniform(-4, 4, (agents, 1)).tolist(),
-                    "y": rng.uniform(-4, 4, (agents, 1)).tolist()},
-        "run": {"iterations": 2000}}
-
-
 def test_many_agents_warnings_pinned():
     """Every f1 agent (i = 0 mod 3) of the 100 + 100 agent document loses
     concavity in y on the sample, by the same amount as example1's."""
-    text = yaml.dump(_many_agents_doc(1, 100), sort_keys=False,
+    text = yaml.dump(many_agents_doc(1), sort_keys=False,
                      Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
     s = loads_scenario(text)
     assert len(s.warnings) == 68
