@@ -18,8 +18,6 @@ import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from .digraph import check_jointly_bipartite, check_ujsc, is_weight_balanced, validate_weight_rule
@@ -354,6 +352,10 @@ def cmd_sweep(args) -> int:
     _make_dir(args.out)
     workers = min(args.jobs, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
+        # imported here alone: the pool pulls in multiprocessing, logging,
+        # socket and subprocess, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 errors = list(pool.map(_sweep_worker, jobs))

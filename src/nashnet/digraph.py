@@ -63,13 +63,15 @@ def canonical_mix_code(A, targets, sources) -> list:
 
 
 def periodic_code(bodies) -> list:
-    """Statements running ``bodies[k % len(bodies)]``, one branch per phase."""
+    """Statements running ``bodies[k % len(bodies)]``, one branch per phase
+    that holds a statement: none if no phase does."""
     if len(bodies) == 1:
         return list(bodies[0])
-    out = [f"ph = k % {len(bodies)}"]
+    out = []
     for ph, body in enumerate(bodies):
-        out += [f"{'elif' if ph else 'if'} ph == {ph}:"] + ["    " + ln for ln in body]
-    return out
+        if body:
+            out += [f"{'elif' if out else 'if'} ph == {ph}:"] + ["    " + ln for ln in body]
+    return [f"ph = k % {len(bodies)}"] + out if out else []
 
 
 def is_weight_balanced(A) -> bool:

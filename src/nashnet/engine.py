@@ -12,16 +12,20 @@ The arithmetic order is part of the definition. Neighbor averages and
 cross observations are canonical sums (see ``digraph``): left to right over
 the nonzero weights in increasing j, every product and sum rounded
 separately. :func:`run` generates one Python function per call that keeps
-states and cross caches in locals, has one branch per phase with the
-weights and finite box bounds as literals, tests an agent's first cross
-contact against the phase pattern instead of a stored time, and inlines
-in each agent's step the code of its objective's derivative in the block
-the agent moves (``exprs.objective_code``, the generator behind the
-compiled objectives, so the arithmetic is theirs), with the agent's own
-locals as inputs. It holds only arithmetic that can move a bit (see
-``objective_code``). No objective value is computed: where only the value
-overflows (``x ** 4`` at x = 1e80 in a wide box) the run goes on, while an
-overflow in a derivative or a non-finite state raises ``NumericError``.
+states and cross caches in locals, with the weights and finite box bounds
+as literals. A statement the same in every phase is written once, outside
+the phase branch: a neighbor-average row or cross-cache line before the
+``k % period`` dispatch, an agent's update after it; the others stay in
+their phase's branch. An agent's first cross contact is tested against
+the phase pattern instead of a stored time. Each agent's step inlines
+the code of its objective's derivative in the block the agent moves
+(``exprs.objective_code``, the generator behind the compiled objectives,
+so the arithmetic is theirs), made once per distinct (objective,
+selection, block) and given each agent's own locals as inputs. It holds
+only arithmetic that can move a bit (see ``objective_code``). No objective
+value is computed: where only the value overflows (``x ** 4`` at x = 1e80
+in a wide box) the run goes on, while an overflow in a derivative or a
+non-finite state raises ``NumericError``.
 
 The run goes in segments of k. The function takes its locals and the first
 k of a segment as arguments and returns the locals, so every phase branch
@@ -42,6 +46,7 @@ platform libm ``pow`` alone: repeated runs are bit-identical, on any CPU.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 
@@ -49,7 +54,7 @@ import numpy as np
 
 from .digraph import GraphSequenceSpec, canonical_mix_code, periodic_code
 from .errors import NumericError, ValidationError
-from .exprs import BoxSet, check_selection, dimensions, format_expr
+from .exprs import BoxSet, check_selection, dimensions, expr_keys, format_expr
 # the text generator, under the name perfbench/replay.py wraps for its exprs.compile span
 from .exprs import objective_code as compile_objective
 from .stepsizes import StepsizeRule, distinct_columns, stepsize_tables
@@ -94,7 +99,12 @@ class Scenario:
         self.rule.schedule.require_horizon(self.iterations)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
+        checked = set()  # once per distinct (objective object, selection)
         for e, s in tuple(self.objectives1) + tuple(self.objectives2):
+            key = id(e), repr(s)
+            if key in checked:
+                continue
+            checked.add(key)
             check_selection(e, s)
             if any(d > m for d, m in zip(dimensions(e), (self.m1, self.m2))):
                 raise ValidationError(f"objective {format_expr(e)} needs dimensions "
@@ -152,10 +162,13 @@ class Trace:
         return self.start + len(self.alpha)
 
 
+# a whole identifier of generated code, never a letter inside a number such as 1e-05
+_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+
+
 def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     """Source of ``_kernel(k0, k1, state, ia, ib, rec)``: iterations k0 to
-    k1 - 1 of the dynamics on scalar locals, one branch per phase, each
-    seeing the absolute k.
+    k1 - 1 of the dynamics on scalar locals, each seeing the absolute k.
 
     state holds the locals the next iteration reads, the states of both
     subnetworks (x block first) and then their cross caches, agent by
@@ -165,16 +178,27 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     iteration (``stepsizes.distinct_columns``): agent i of side s reads
     column ``i % widths[s]``, so a homogeneous rule's kernel unpacks one
     stepsize per side. rec receives the states of both subnetworks after
-    each iteration as one tuple, x block first. Each
-    agent's step inlines the code of its objective's derivative in the
-    block it moves (``exprs.objective_code``), reading the agent's own
-    neighbor average and cross cache; a derivative that is a negation flips
-    the step's sign instead (``u - a * (-q)`` is ``u + a * q``). Finite box
+    each iteration as one tuple, x block first.
+
+    An iteration's statements are units: a neighbor-average row and a
+    cross-cache line per agent, the reads of the time-k snapshot, and then
+    each agent's update. A unit the same in every phase is emitted once,
+    outside the phase branch: a read before the ``ph = k % period``
+    dispatch, an update after it. Every other unit stays in the branch of
+    its phase, reads before updates. So every read of the snapshot comes
+    before its first write, and under period 1 there is no branch.
+
+    Each agent's step inlines the code of its objective's derivative in
+    the block it moves (``exprs.objective_code``), made once per distinct
+    (objective, selection, block) on the first holder's locals; every other
+    holder gets that code with its own neighbor average and cross cache put
+    in, as whole identifiers. A derivative that is a negation flips the
+    step's sign instead (``u - a * (-q)`` is ``u + a * q``). Finite box
     bounds are literals, and an infinite side has no test, as no state
     passes it. Names carry the subnetwork s: state x{s}_{i}_{d}, neighbor
     average u.., cross cache c.., stepsize a{s}_{c}; the derivative's
     temporaries are t1, t2, ..., which every agent assigns before it reads
-    them.
+    them, so moving an agent's update moves no bit.
     """
     g = scenario.graph
     n, m = (g.n1, g.n2), (scenario.m1, scenario.m2)
@@ -186,12 +210,25 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
     contact = _contact_pattern(g)
+    keys = expr_keys(e for side in objectives for e, _ in side)
+    keys = (keys[:n[0]], keys[n[0]:])
+    made = {}  # (objective key, selection, side) -> (first holder, its lines and codes)
 
     def derivative(s, i):
         """Agent i's lines and derivative codes, in its own block."""
-        args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
         e, sel = objectives[s][i]
-        return compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])
+        key = keys[s][i], repr(sel), s
+        if key not in made:
+            args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
+            made[key] = i, compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])
+        first, (lines, grad) = made[key]
+        if first == i:
+            return lines, grad
+        names = dict(zip(mix[s][first] + cache[s][first], mix[s][i] + cache[s][i]))
+
+        def put(code):
+            return _IDENTIFIER.sub(lambda w: names.get(w.group(), w.group()), code)
+        return [put(ln) for ln in lines], [(neg, put(q)) for neg, q in grad]
 
     grads = [[derivative(s, i) for i in range(n[s])] for s in sides]
 
@@ -223,24 +260,30 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
         return ([f"if k > {first}:"] + ["    " + ln for ln in step]
                 + ["else:"] + ["    " + ln for ln in hold])
 
-    def phase_body(ph):
-        out = []
-        for s in sides:  # all reads of the time-k snapshot come first
-            out += canonical_mix_code(mats[s][ph], mix[s], state[s])
-        for s in sides:
-            for i in np.flatnonzero(contact[s][ph]):
-                out += canonical_mix_code(cross[s][ph][i:i + 1], [cache[s][i]], state[1 - s])
-        for s in sides:
-            for i in range(n[s]):
-                out += update(s, i, ph)
-        return out
+    def units(ph):
+        """Phase ph's reads and updates, each a dict unit -> statements in
+        the order they run."""
+        reads = {("mix", s, i): canonical_mix_code(mats[s][ph][i:i + 1], [mix[s][i]], state[s])
+                 for s in sides for i in range(n[s])}
+        reads.update({("cross", s, i): canonical_mix_code(cross[s][ph][i:i + 1], [cache[s][i]],
+                                                          state[1 - s])
+                      for s in sides for i in np.flatnonzero(contact[s][ph]).tolist()})
+        return reads, {(s, i): update(s, i, ph) for s in sides for i in range(n[s])}
 
+    phases = [units(ph) for ph in range(g.period)]
+    # per part, reads and updates, the units the same in every phase
+    shared = [{u for u, code in phases[0][part].items()
+               if all(phase[part].get(u) == code for phase in phases[1:])} for part in (0, 1)]
+    before, after = ([ln for u, code in phases[0][part].items() if u in shared[part] for ln in code]
+                     for part in (0, 1))
     carried = [v for names in (state, cache) for s in sides for row in names[s] for v in row]
     steps = [f"a{s}_{c}" for s in sides for c in range(widths[s])]
     streams = ["ia"] * widths[0] + ["ib"] * widths[1]
     lines = [f"{', '.join(carried)}, = state",
              f"for k, {', '.join(steps)} in zip(range(k0, k1), {', '.join(streams)}):"]
-    body = periodic_code([phase_body(ph) for ph in range(g.period)])
+    body = before + periodic_code([[ln for part in (0, 1) for u, code in phase[part].items()
+                                    if u not in shared[part] for ln in code] for phase in phases])
+    body += after
     body.append("rec((" + ", ".join(x for s in sides for row in state[s] for x in row) + ",))")
     lines += ["    " + ln for ln in body]
     lines.append(f"return {', '.join(carried)},")

@@ -114,6 +114,18 @@ def abs_nodes(e: Expr) -> list:
     return [node for node in _preorder(e) if isinstance(node, Abs)]
 
 
+def expr_keys(exprs) -> list:
+    """``repr(e)`` of each expression of `exprs`, made once per distinct
+    object: the key under which equal objectives share their work. Unlike
+    ``format_expr`` and ``==`` it tells the constants -0.0 and 0.0 apart."""
+    exprs = list(exprs)
+    made = {}
+    for e in exprs:
+        if id(e) not in made:
+            made[id(e)] = repr(e)
+    return [made[id(e)] for e in exprs]
+
+
 def dimensions(e: Expr) -> tuple:
     """(m1, m2) implied by the highest variable indices appearing in `e`."""
     found = [node for node in _preorder(e) if isinstance(node, Var)]

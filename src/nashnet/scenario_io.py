@@ -25,7 +25,7 @@ import yaml
 from .digraph import GraphSequenceSpec, check_jointly_bipartite, check_ujsc, validate_weight_rule
 from .engine import Scenario, Trace
 from .errors import ParseError, ValidationError
-from .exprs import BoxSet, format_expr, parse_expr, sample_convexity
+from .exprs import BoxSet, expr_keys, format_expr, parse_expr, sample_convexity
 from .metrics import MetricsSeries
 from .stepsizes import GammaSchedule, StepsizeRule, distinct_columns
 
@@ -105,13 +105,12 @@ def loads_scenario(text: str) -> Scenario:
                 for subnet, ok in zip((1, 2), connected) if not ok]
     if not check_jointly_bipartite(g, g.period):
         warnings.append("cross layer leaves isolated nodes within one period")
-    # one sample per distinct objective, keyed by repr(e) as
-    # WeightedObjective.compiled keys it, so -0.0 and 0.0 stay apart
+    # one sample per distinct objective, keyed as WeightedObjective.compiled
+    # keys it (exprs.expr_keys), so -0.0 and 0.0 stay apart
+    exprs = [e for e, _ in tuple(scenario.objectives1) + tuple(scenario.objectives2)]
+    labels = [f"subnet1[{i}]" for i in range(g.n1)] + [f"subnet2[{i}]" for i in range(g.n2)]
     found = {}
-    for label, (e, _) in zip(
-            [f"subnet1[{i}]" for i in range(g.n1)] + [f"subnet2[{i}]" for i in range(g.n2)],
-            tuple(scenario.objectives1) + tuple(scenario.objectives2)):
-        key = repr(e)
+    for label, e, key in zip(labels, exprs, expr_keys(exprs)):
         if key not in found:
             found[key] = sample_convexity(e, scenario.box_x, scenario.box_y, trials=200)
         warnings += [f"{label}: {w}" for w in found[key]]
@@ -124,13 +123,17 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     box_x, box_y = (BoxSet(*(tuple(_floats(doc["boxes"][side][end], f"boxes.{side}.{end}"))
                              for end in ("lower", "upper"))) for side in "xy")
 
+    trees = {}  # expr text -> its tree, which every agent holding the text shares
+
     def agents(section):
         out = []
         for entry in section:
-            e = parse_expr(entry["expr"])
+            text = entry["expr"]
+            if text not in trees:
+                trees[text] = parse_expr(text)
             sel = {_integer(k, "selection key"): float(v)
                    for k, v in (entry.get("selections") or {}).items()}
-            out.append((e, sel))
+            out.append((trees[text], sel))
         return tuple(out)
 
     obj1 = agents(doc["agents"]["subnet1"])
@@ -171,7 +174,7 @@ def _cross_matrix(edges, n_to, n_from, key: str) -> np.ndarray:
     for e, (src, dst, w) in enumerate(edges):
         src, dst = _integer(src, "cross edge source"), _integer(dst, "cross edge target")
         if not (0 <= dst < n_to and 0 <= src < n_from):
-            raise ValidationError(f"cross edge {[src, dst, w]} names a missing agent")
+            raise ValidationError(f"{key}[{e}]: cross edge {[src, dst, w]} names a missing agent")
         try:
             C[dst, src] = float(w)
         except (TypeError, ValueError):

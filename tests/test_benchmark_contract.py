@@ -79,7 +79,8 @@ def test_engine_spans_count_each_run_once(tmp_path):
     # per command, the iterations of its runs: the sweep runs two jobs
     assert {r: sum(s["iterations"] for s in runs if s["run"] == r) for r in range(4)} == {
         0: 50, 1: 20000, 2: 40000, 3: 40000}
-    for s in runs:  # 3 + 2 agents, each agent's derivative code made once per run
+    for s in runs:  # derivative code made once per distinct (objective, selection, block):
+        # shared_saddle and example2 hold 5 each
         assert sum(c["name"] == "exprs.compile" and c["parent"] == s["id"] for c in spans) == 5
     for r, name in ((1, "scenario_io.trace_csv"), (3, "scenario_io.metrics_csv")):
         assert sum(s["name"] == name and s["run"] == r for s in spans) > 1

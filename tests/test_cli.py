@@ -965,7 +965,7 @@ def test_sweep_starts_at_most_one_worker_per_job(values, jobs, pools, shsad, tmp
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     assert main(["sweep", shsad, "--values", values, "--out", str(tmp_path / "sw"),
                  "--jobs", jobs]) == 0
     assert made == pools

@@ -8,8 +8,9 @@ module but ``exprs`` names an expression node class; and no matrix product
 but two admitted ones can hand a result to the BLAS. These
 are stdlib ``ast`` scans, as the project depends on no linter.
 ``__future__`` imports and the package ``__init__`` (whose imports are its
-public re-exports) are exempt. Two subprocess gates check what the
-commands import: never ``numpy.ma``, and never ``nashnet.catalog``.
+public re-exports) are exempt. Three subprocess gates check what the
+commands import: never ``numpy.ma``, never ``nashnet.catalog``, and the
+process pool only in a parallel ``sweep``.
 """
 
 import ast
@@ -383,3 +384,33 @@ def test_the_cli_never_imports_the_catalog():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "False\n"
+
+
+_POOL_SCRIPT = """
+import os, sys
+from nashnet import cli
+
+def pool():
+    return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+
+out = sys.argv[1]
+shsad = os.path.join(os.path.dirname(cli.__file__), "scenarios", "shared_saddle.yaml")
+print(pool())
+assert cli.main(["reproduce", "shared_saddle", "--trust-bundled", "--out", out]) == 0
+print(pool())
+assert cli.main(["sweep", shsad, "--param", "iterations", "--values", "50,100",
+                 "--out", out, "--jobs", "2"]) == 0
+print(pool())
+"""
+
+
+def test_only_a_parallel_sweep_imports_the_process_pool(tmp_path):
+    """``concurrent.futures`` pulls in ``multiprocessing``, ``logging``,
+    ``socket`` and ``subprocess``: about 20 ms and 1.6 MB. Importing the
+    CLI and running ``reproduce --trust-bundled`` import neither it nor
+    ``multiprocessing``; a sweep with two jobs imports both and runs."""
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT, str(tmp_path)],
+                          env=_src_on_path(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("[")] == [
+        "[]", "[]", "['concurrent.futures', 'multiprocessing']"]

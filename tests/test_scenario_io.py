@@ -169,6 +169,29 @@ def test_many_agents_warnings_pinned():
                                for side in (1, 2) for i in range(0, 100, 3))
 
 
+def test_agents_with_one_expr_text_share_its_tree():
+    """The loader parses each distinct expr text once: the 200 agents of
+    the many-agents document hold three trees, one per text. Texts that
+    differ only in a 0.0 / -0.0 constant keep a tree each."""
+    doc = many_agents_doc(1)
+
+    def trees(doc):
+        s = loads_scenario(yaml.safe_dump(doc, sort_keys=False))
+        held = {}  # text -> the tree of its first holder
+        for side in ("subnet1", "subnet2"):
+            for agent, (e, _) in zip(doc["agents"][side], getattr(s, f"objectives{side[-1]}")):
+                assert held.setdefault(agent["expr"], e) is e
+        assert len({id(e) for e in held.values()}) == len(held)
+        return held
+
+    assert len(trees(doc)) == 3
+    for i, zero in enumerate(("0.0", "-0.0")):
+        doc["agents"]["subnet1"][i] = {"expr": f"(sub (pow x0 2) (pow (add y0 {zero}) 2))",
+                                       "selections": {}}
+    held = trees(doc)
+    assert len(held) == 5 and len({repr(e) for e in held.values()}) == 5
+
+
 BUNDLED_DOCS = {name: yaml.safe_load((resources.files("nashnet") / "scenarios"
                                       / f"{name}.yaml").read_text(encoding="utf-8"))
                 for name in BUNDLED}
@@ -242,8 +265,10 @@ def _isolate_agent_0(doc):
 
 
 @pytest.mark.parametrize("name, edit, message", [
-    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([-1, 0, 1.0]), "missing agent"),
-    ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]), "missing agent"),
+    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([-1, 0, 1.0]),
+     r"^graph\.phases\[0\]\.cross_to_1\[4\]: cross edge \[-1, 0, 1\.0\] names a missing agent$"),
+    ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"].append([0, 5, 1.0]),
+     r"^graph\.phases\[1\]\.cross_to_2\[6\]: cross edge \[0, 5, 1\.0\] names a missing agent$"),
     ("example2", _isolate_agent_0, "strongly connected"),
     ("example1", lambda d: d["agents"]["subnet2"][0].update(expr="(sub x0 (pow y1 2))", selections={}),
      "dimensions"),
