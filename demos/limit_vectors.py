@@ -28,14 +28,14 @@ for phase in range(g.period):
 # Watch the rows of the backward product collapse onto one vector.
 print("\nsubnet-1 product rows collapsing (start phase 0):")
 for k in (1, 3, 7, 15):
-    P = transition_product(g, 1, k, 0)
+    P = transition_product(g.a1, k, 0)
     spread = (P.max(axis=0) - P.min(axis=0)).max()
     print(f"  k={k:>2}: row spread {spread:.2e}")
 
 for start in range(g.period):
-    phi = limiting_stochastic_vector(g, 1, start)
+    phi = limiting_stochastic_vector(g.a1, start)
     print(f"subnet-1 limit vector, start phase {start}: {phi}")
-print(f"subnet-2 limit vector: {limiting_stochastic_vector(g, 2, 0)}")
+print(f"subnet-2 limit vector: {limiting_stochastic_vector(g.a2, 0)}")
 
 # A static graph's limit vector is its Perron left eigenvector.
 A = bundled_scenario("perron_weighted").graph.a1[0]

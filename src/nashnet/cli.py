@@ -277,7 +277,7 @@ def cmd_graph_check(args) -> int:
     for v in problems:
         print(f"  {v}")
     checks = [(f"subnet {s} jointly strongly connected", f"subnet {s} connectivity",
-               lambda T, s=s: check_ujsc(g, s, T)) for s in (1, 2)]
+               lambda T, mats=mats: check_ujsc(mats, T)) for s, mats in ((1, g.a1), (2, g.a2))]
     checks.append(("cross layer covers every node", "cross coverage",
                    lambda T: check_jointly_bipartite(g, T)))
     for claim, name, check in checks:

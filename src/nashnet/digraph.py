@@ -131,6 +131,8 @@ class GraphSequenceSpec:
         if not layers[0]:
             raise ValidationError("a graph sequence needs at least one phase")
         n1, n2 = (len(mats[0]) if mats and mats[0].ndim else 0 for mats in layers[2:])
+        if not (n1 and n2):
+            raise ValidationError(f"subnet {2 if n1 else 1} has no agents")
         labels = ("subnet-1 matrix", "subnet-2 matrix", "cross-to-1 layer", "cross-to-2 layer")
         for label, mats, shape in zip(labels, layers, ((n1, n1), (n2, n2), (n1, n2), (n2, n1))):
             if len(mats) != len(layers[0]):
@@ -160,9 +162,9 @@ class Violation:
 
 
 def _row_faults(A) -> np.ndarray:
-    """(n, 3) flags per row of square `A`: a negative weight, a sum off one
-    by more than STOCHASTIC_TOL, a diagonal entry that is not positive."""
-    return np.column_stack(((A < 0).any(axis=1), np.abs(A.sum(axis=1) - 1.0) > STOCHASTIC_TOL,
+    """(n, 3) flags per row of square `A`: a negative weight, a sum not within
+    STOCHASTIC_TOL of one (a NaN sum included), a diagonal entry not positive."""
+    return np.column_stack(((A < 0).any(axis=1), ~(np.abs(A.sum(axis=1) - 1.0) <= STOCHASTIC_TOL),
                             np.diagonal(A) <= 0))
 
 
@@ -211,9 +213,8 @@ def _window_unions(mats, T: int, covered):
                                                for k in range(start, start + min(T, p))))
 
 
-def check_ujsc(spec: GraphSequenceSpec, subnet: int, T: int) -> bool:
-    """Every length-T window's union graph is strongly connected."""
-    mats = spec.a1 if subnet == 1 else spec.a2
+def check_ujsc(mats, T: int) -> bool:
+    """Every length-T window's union graph of phase list `mats` is strongly connected."""
     return all(strongly_connected(u) for u in _window_unions(mats, T, lambda A: A > 0))
 
 
@@ -252,12 +253,11 @@ def _backward_products(mats, s: int):
         P = out
 
 
-def transition_product(spec: GraphSequenceSpec, subnet: int, k: int, s: int) -> np.ndarray:
-    """Backward product A(k) A(k-1) ... A(s); row-stochastic."""
+def transition_product(mats, k: int, s: int) -> np.ndarray:
+    """Backward product A(k) A(k-1) ... A(s) of phase list `mats`; row-stochastic."""
     if not 0 <= s <= k:
         raise ValueError(f"need k >= s >= 0, got k={k}, s={s}")
-    products = _backward_products(spec.a1 if subnet == 1 else spec.a2, s)
-    return next(itertools.islice(products, k - s, None))
+    return next(itertools.islice(_backward_products(mats, s), k - s, None))
 
 
 @dataclass(frozen=True)
@@ -280,45 +280,44 @@ def geometric_rate_bound(n: int, T: int, eta: float) -> GeometricRateBound:
     return GeometricRateBound(C=C, rho=(1.0 - eta ** M) ** (1.0 / M), M=M)
 
 
-def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
-                               spread_tol: float = LIMIT_TOL) -> np.ndarray:
-    """Extend the backward product from time s until all rows agree.
+def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> np.ndarray:
+    """Extend the backward product of phase list `mats` from time s until all rows agree.
 
     Convergence is detected by the maximum column spread falling below
     `spread_tol`; the row average, scaled to sum to one, is returned. UJSC
     of the sequence guarantees termination at a geometric rate, which caps
     the number of factors, with the period as the window (one period's union
-    contains every shorter window's); where the bound gives no rate in
-    (0, 1) the cap is a generous one.
+    contains every shorter window's) and the least positive weight of `mats`
+    as the floor; where the bound gives no rate in (0, 1) the cap is generous.
 
     Before any product, ValidationError when a phase has a negative weight,
-    a row that does not sum to one within STOCHASTIC_TOL or a diagonal entry
-    that is not positive, and NumericError when the union graph of one
-    period has no root, a node every agent hears. A root is necessary: if
-    the rows agree on phi, some phi_j > 0, so from some time on every row i
-    of the product is positive at j, and an arc of the product is a path of
-    the union, so every i hears j. With positive diagonals it is also
-    sufficient: each factor keeps every arc of the factors before it, so one
-    period's product has the union's reachability, and a stochastic matrix
-    with a positive diagonal and a rooted graph has powers that converge to
-    rank one. So the limit is computed only under positive diagonals: the
-    swap [[0, 1], [1, 0]] cycles forever, and [[0, 1], [0, 1]], which has a
-    limit, is refused too.
+    a row whose sum is not within STOCHASTIC_TOL of one (a NaN weight too)
+    or a diagonal entry that is not positive, and NumericError when the
+    union graph of one period has no root, a node every agent hears. A root
+    is necessary: if the rows agree on phi, some phi_j > 0, so from some
+    time on every row i of the product is positive at j, and an arc of the
+    product is a path of the union, so every i hears j. With positive
+    diagonals it is also sufficient: each factor keeps every arc of the
+    factors before it, so one period's product has the union's reachability,
+    and a stochastic matrix with a positive diagonal and a rooted graph has
+    powers that converge to rank one. So the limit is computed only under
+    positive diagonals: the swap [[0, 1], [1, 0]] cycles forever, and
+    [[0, 1], [0, 1]], which has a limit, is refused too.
     """
-    mats = spec.a1 if subnet == 1 else spec.a2
     for phase, A in enumerate(mats):
         if _row_faults(A).any():
-            raise ValidationError(f"subnet {subnet} phase {phase} is not row-stochastic with a "
-                                  "positive diagonal: a weight is negative, a row does not sum "
-                                  "to one or a diagonal entry is not positive")
+            raise ValidationError(f"phase {phase} is not row-stochastic with a positive "
+                                  "diagonal: a weight is negative, a row does not sum to one "
+                                  "or a diagonal entry is not positive")
     union = next(_window_unions(mats, len(mats), lambda A: A > 0))
     if not reachability(union).all(axis=0).any():
-        raise NumericError(f"transition product of subnet {subnet} has no limit: the "
-                           "union graph of one period has no node that every agent hears")
+        raise NumericError("transition product has no limit: the union graph of one "
+                           "period has no node that every agent hears")
     max_steps = 1_000_000
     n = len(union)
     if n > 1:  # a 1x1 stochastic product is its own limit; the bound needs n > 1
-        bound = geometric_rate_bound(n, len(mats), spec.eta)
+        eta = min(float(A[A > 0].min()) for A in mats)  # each diagonal is positive
+        bound = geometric_rate_bound(n, len(mats), eta)
         if 0.0 < bound.rho < 1.0:
             max_steps = int(10 * bound.M * math.log(1.0 / spread_tol)
                             / math.log(1.0 / bound.rho)) + 10
@@ -327,17 +326,8 @@ def limiting_stochastic_vector(spec: GraphSequenceSpec, subnet: int, s: int,
         if float((P.max(axis=0) - P.min(axis=0)).max()) <= spread_tol:
             phi = P.mean(axis=0)
             return phi / phi.sum()
-    raise NumericError(
-        f"transition product of subnet {subnet} starting at {s} did not reach "
-        f"spread {spread_tol} within {max_steps} factors")
-
-
-def _constant_spec(A) -> GraphSequenceSpec:
-    """The period-1 sequence of square `A` in subnet 1, one agent in subnet 2."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    return GraphSequenceSpec(a1=(A,), a2=(np.eye(1),), cross1=(np.zeros((n, 1)),),
-                             cross2=(np.zeros((1, n)),))
+    raise NumericError(f"transition product starting at {s} did not reach spread "
+                       f"{spread_tol} within {max_steps} factors")
 
 
 def perron_vector(A) -> np.ndarray:
@@ -352,7 +342,7 @@ def perron_vector(A) -> np.ndarray:
                               f"weight, got shape {A.shape}")
     if not strongly_connected(A > 0):
         raise ValidationError("Perron vector requires a strongly connected graph")
-    phi = limiting_stochastic_vector(_constant_spec(A), 1, 0, spread_tol=LIMIT_TOL * 1e-2)
+    phi = limiting_stochastic_vector((A,), 0, spread_tol=LIMIT_TOL * 1e-2)
     resid = float(np.abs(phi @ A - phi).max())
     if resid > LIMIT_TOL:
         raise NumericError(f"Perron residual {resid:.3e} above tolerance {LIMIT_TOL}")

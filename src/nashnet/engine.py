@@ -145,7 +145,7 @@ class Trace:
     segment of a longer run (see :func:`run`) holds as many states as
     stepsizes, except the final segment, which ends with the row at k = K.
     :func:`run` returns x and y as views of one buffer of rows (x, y).
-    Under a homogeneous rule alpha and beta are read-only broadcast views
+    alpha and beta are read-only broadcast views; a homogeneous rule's are
     of gamma_k, agent stride 0 (see ``stepsizes.stepsize_tables``), whose
     one distinct column is all the kernel reads."""
 

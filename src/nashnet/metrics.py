@@ -29,9 +29,6 @@ class MetricsSeries:
     start: int = 0  # the k of row 0, that of the trace the series score
 
 
-PAIRWISE_CHUNK = 1 << 18  # elements of the (k, n, n, m) difference array held at once
-
-
 def _pairwise_max(states):
     """(K+1,) max pairwise Euclidean distance across agents per iteration.
 
@@ -40,9 +37,9 @@ def _pairwise_max(states):
     ``sqrt(square(a - b))`` bit for bit: rounding of a - b is monotone in a
     and in -b (and symmetric in sign), so no pair rounds to a larger |a - b|
     than max - min does; ``sqrt(fl(d**2))`` is monotone in |d|; and
-    squaring erases the sign of a zero. Wider blocks compare every pair,
-    chunked over k to bound memory, squared and rooted in place; no k's
-    reduction depends on the chunk.
+    squaring erases the sign of a zero. Wider blocks compare agent i with
+    agents i+1.. one agent at a time, squared and rooted in place, so each
+    unordered pair is taken once and no temporary outgrows `states`.
     """
     _, n, m = states.shape
     if m == 1:
@@ -53,26 +50,18 @@ def _pairwise_max(states):
             np.minimum(lo, states[:, i, 0], out=lo)
         hi -= lo
         return np.sqrt(np.square(hi, out=hi), out=hi)
-    rows = max(1, PAIRWISE_CHUNK // max(1, n * n * m))
-    out = np.empty(len(states))
-    for start in range(0, len(states), rows):
-        part = states[start:start + rows]
-        diff = part[:, :, None, :] - part[:, None, :, :]
+    out = np.zeros(len(states))
+    for i in range(n - 1):
+        diff = states[:, i + 1:] - states[:, i:i + 1]
         dist = np.square(diff, out=diff).sum(axis=-1)
-        out[start:start + rows] = np.sqrt(dist, out=dist).max(axis=(1, 2))
+        np.maximum(out, np.sqrt(dist, out=dist).max(axis=1), out=out)
     return out
 
 
 def _squared_distance(states, ref):
-    """(K+1,) sum over agents and coordinates of (state - ref)**2, chunked
-    over k as :func:`_pairwise_max` is; no k's reduction depends on the chunk."""
-    _, n, m = states.shape
-    rows = max(1, PAIRWISE_CHUNK // max(1, n * m))
-    out = np.empty(len(states))
-    for start in range(0, len(states), rows):
-        diff = states[start:start + rows] - ref
-        out[start:start + rows] = np.square(diff, out=diff).sum(axis=(1, 2))
-    return out
+    """(K+1,) sum over agents and coordinates of (state - ref)**2."""
+    diff = states - ref
+    return np.square(diff, out=diff).sum(axis=(1, 2))
 
 
 def sum_objective(scenario: Scenario):

@@ -94,7 +94,7 @@ def loads_scenario(text: str) -> Scenario:
     scenario = _from_doc(_scenario_from_doc, _document(text))
     g = scenario.graph
     problems = validate_weight_rule(g)
-    connected = [check_ujsc(g, subnet, g.period) for subnet in (1, 2)]
+    connected = [check_ujsc(mats, g.period) for mats in (g.a1, g.a2)]
     if scenario.rule.variant == "oracle_heterogeneous" and (problems or not all(connected)):
         raise ValidationError("oracle limit vectors exist only on a jointly strongly connected "
                               "graph that meets the weight rule")

@@ -96,12 +96,12 @@ def oracle_heterogeneous_build(spec: GraphSequenceSpec) -> tuple:
     """(phi1, phi2): per start phase, the limiting vectors of each
     subnetwork of a periodic spec; ValidationError unless both subnetworks
     are jointly strongly connected within one period."""
-    for subnet in (1, 2):
-        if not check_ujsc(spec, subnet, spec.period):
+    for subnet, mats in ((1, spec.a1), (2, spec.a2)):
+        if not check_ujsc(mats, spec.period):
             raise ValidationError(f"oracle limit vectors exist only on a jointly strongly "
                                   f"connected graph; subnet {subnet} is not within one period")
-    return tuple(tuple(limiting_stochastic_vector(spec, subnet, s) for s in range(spec.period))
-                 for subnet in (1, 2))
+    return tuple(tuple(limiting_stochastic_vector(mats, s) for s in range(spec.period))
+                 for mats in (spec.a1, spec.a2))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +203,9 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     agent's denominator under `rule`, for an adaptive rule its learner
     readout (:func:`learner_readouts`), which is not kept. Each entry is
     computed from k alone, so a run's tables are the same in one range or
-    in many. A homogeneous rule's alpha and beta are read-only
-    ``np.broadcast_to`` views of the one gamma column, agent stride 0
-    (see :func:`distinct_columns`).
+    in many. Both are read-only ``np.broadcast_to`` views; a homogeneous
+    rule's denominators are 1.0, so its views hold the one gamma column,
+    agent stride 0 (see :func:`distinct_columns`).
     Here a rule meets its graph, once per run: the oracle's limit vectors
     and the learners' banks are derived from it. K is checked first (see
     ``GammaSchedule.require_horizon``). An oracle rule is a
@@ -218,11 +218,9 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     schedule.require_horizon(K)
     n1, n2 = graph.n1, graph.n2
     if rule.variant == "homogeneous":
-        def tables(k0: int, k1: int):
-            gam = schedule.values(k1, k0)[:, None]
-            return np.broadcast_to(gam, (k1 - k0, n1)), np.broadcast_to(gam, (k1 - k0, n2))
-        return tables
-    if rule.variant == "oracle_heterogeneous":
+        def denominators(k0: int, k1: int):
+            return 1.0, 1.0
+    elif rule.variant == "oracle_heterogeneous":
         phi1, phi2 = (np.array(phi) for phi in oracle_heterogeneous_build(graph))
 
         def denominators(k0: int, k1: int):
@@ -245,7 +243,7 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     def tables(k0: int, k1: int):
         gam = schedule.values(k1, k0)[:, None]
         d1, d2 = denominators(k0, k1)
-        return gam / d1, gam / d2
+        return np.broadcast_to(gam / d1, (k1 - k0, n1)), np.broadcast_to(gam / d2, (k1 - k0, n2))
     return tables
 
 

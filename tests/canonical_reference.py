@@ -217,11 +217,11 @@ def contact_times(pattern, K: int) -> np.ndarray:
     return np.maximum.accumulate(times, axis=0, out=times)
 
 
-def phi_readouts(spec, subnet: int, activation, K: int) -> np.ndarray:
-    """Adaptive denominators at times 0..K-1 straight from the paper: time k
-    reads bank nu = k % len(activation), started at t0 = activation[nu], and
-    agent i's denominator is Phi(k-1, t0)[i, i], or 1.0 while k <= t0."""
-    mats = spec.a1 if subnet == 1 else spec.a2
+def phi_readouts(mats, activation, K: int) -> np.ndarray:
+    """Adaptive denominators at times 0..K-1 of the periodic phase list
+    `mats` straight from the paper: time k reads bank nu = k %
+    len(activation), started at t0 = activation[nu], and agent i's
+    denominator is Phi(k-1, t0)[i, i], or 1.0 while k <= t0."""
     out = np.ones((K, len(mats[0])))
     for k in range(K):
         t0 = activation[k % len(activation)]
@@ -296,7 +296,8 @@ def stepsize_for(rule, agent: int, subnet: int, k: int, readouts=None, graph=Non
     if rule.variant == "oracle_heterogeneous":
         if graph is None:
             raise ValueError("the oracle rule needs the graph")
-        phi = limiting_stochastic_vector(graph, subnet, (k + 1) % graph.period)
+        phi = limiting_stochastic_vector(graph.a1 if subnet == 1 else graph.a2,
+                                         (k + 1) % graph.period)
         return g / float(phi[agent])
     if readouts is None:
         raise ValueError("adaptive rules need learner readouts")
@@ -319,7 +320,7 @@ def reference_run(scenario, K):
     r1 = r2 = None
     act = activations(rule, g.period)
     if act is not None:
-        r1, r2 = phi_readouts(g, 1, act, K), phi_readouts(g, 2, act, K)
+        r1, r2 = phi_readouts(g.a1, act, K), phi_readouts(g.a2, act, K)
     objectives = compiled_objectives(scenario)
     states, alphas, betas = [initial_state(scenario)], [], []
     for k in range(K):

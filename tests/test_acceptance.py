@@ -19,9 +19,8 @@ import yaml
 from canonical_reference import (CATALOG, disagreement_span, ergodicity_coefficient,
                                  evaluate, lipschitz_bound, project,
                                  subgradient_x, subgradient_y, verify_saddle)
-from nashnet.digraph import (GraphSequenceSpec, build_cycle_matrix,
-                             geometric_rate_bound, limiting_stochastic_vector,
-                             perron_vector, transition_product)
+from nashnet.digraph import (build_cycle_matrix, geometric_rate_bound,
+                             limiting_stochastic_vector, perron_vector, transition_product)
 from nashnet.engine import run
 from nashnet.errors import NumericError
 from nashnet.exprs import BoxSet, abs_nodes, check_selection
@@ -218,18 +217,15 @@ def test_criterion_6d_geometric_rate_envelope():
         mats = tuple(_random_stochastic(rng, n, eta=0.1) for _ in range(period))
         # every matrix here has full support floor via the diagonal; use T
         # equal to the window in which the union is complete
-        spec = GraphSequenceSpec(
-            a1=mats, a2=(np.eye(1),) * period,
-            cross1=(np.zeros((n, 1)),) * period,
-            cross2=(np.zeros((1, n)),) * period)
-        bound = geometric_rate_bound(n, n * period, spec.eta)
+        eta = min(float(A[A > 0].min()) for A in mats)
+        bound = geometric_rate_bound(n, n * period, eta)
         for s in range(period):
             try:
-                phi = limiting_stochastic_vector(spec, 1, s)
+                phi = limiting_stochastic_vector(mats, s)
             except NumericError:
                 break  # not UJSC for this draw; resample
             for k in (s, s + 3, s + 11, s + 25):
-                P = transition_product(spec, 1, k, s)
+                P = transition_product(mats, k, s)
                 envelope = bound.C * bound.rho ** (k - s)
                 assert np.abs(P - phi).max() <= envelope + 1e-9
                 checked += 1
@@ -244,14 +240,10 @@ def test_criterion_6e_learner_row_identity():
         n = int(rng.integers(2, 5))
         period = int(rng.integers(1, 4))
         mats = [_random_stochastic(rng, n) for _ in range(period)]
-        spec = GraphSequenceSpec(
-            a1=tuple(mats), a2=(np.eye(1),) * period,
-            cross1=(np.zeros((n, 1)),) * period,
-            cross2=(np.zeros((1, n)),) * period)
         K = int(rng.integers(2, 12))
         readouts = learner_readouts(mats, (0,), K + 1)
         # after K steps the learner holds the backward product from time 0
-        P = transition_product(spec, 1, K - 1, 0)
+        P = transition_product(mats, K - 1, 0)
         for agent in range(n):
             assert abs(readouts[K, agent] - P[agent, agent]) < 1e-12
             trials += 1
@@ -267,16 +259,13 @@ def test_criterion_6f_learner_stochasticity():
         p = int(rng.integers(1, 4))
         K = int(rng.integers(p + 1, 15))
         mats = [_random_stochastic(rng, n) for _ in range(K)]
-        spec = GraphSequenceSpec(
-            a1=tuple(mats), a2=(np.eye(1),) * K,
-            cross1=(np.zeros((n, 1)),) * K, cross2=(np.zeros((1, n)),) * K)
         readouts = learner_readouts(mats, tuple(range(1, p + 1)), K + 1)
         for nu in range(p):
             # bank nu's last readout within the K steps, at k = nu (mod p)
             k = nu + (K - nu) // p * p
             if k <= nu + 1:
                 continue  # not yet past its start time nu + 1
-            P = transition_product(spec, 1, k - 1, nu + 1)
+            P = transition_product(mats, k - 1, nu + 1)
             assert readouts[k].tobytes() == np.diagonal(P).tobytes()
             assert P.min() >= 0.0
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12

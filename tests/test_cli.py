@@ -410,6 +410,26 @@ def test_graph_check_prints_the_least_window(name, windows, capsys):
                           f"cross layer covers every node within T={windows[2]}: pass"]
 
 
+GRAPH_CHECK_STDOUT_SHA256 = {
+    "example1": "608a6788f71899889db7f98b5ecfef3f7bca98e8ed0b6be1c8e433bbe9c3483a",
+    "example2": "a339db021f34f9ce590a8fc88cc8e51fb1a221beb25c006539be4350c49d7b50",
+    "example3": "a339db021f34f9ce590a8fc88cc8e51fb1a221beb25c006539be4350c49d7b50",
+    "perron_weighted": "6f27232a8233c9efa1bfca791be2d878850c5939aa889de5f2e0b99ccb8131ce",
+    "shared_saddle": "a339db021f34f9ce590a8fc88cc8e51fb1a221beb25c006539be4350c49d7b50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_CHECK_STDOUT_SHA256))
+def test_graph_check_stdout_is_pinned(name, capsys):
+    """Every verdict, balance flag and limit vector graph-check prints for a
+    bundled scenario, byte for byte; examples 2 and 3 and shared_saddle run
+    one graph."""
+    path = resources.files("nashnet") / "scenarios" / f"{name}.yaml"
+    assert main(["graph-check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_CHECK_STDOUT_SHA256[name], out
+
+
 def test_an_unread_window_key_is_ignored(tmp_path, capsys):
     """``graph.windows: {t1: 0}``, once a validation error, is a key the
     loader does not read: the scenario runs."""
@@ -1010,11 +1030,15 @@ def test_an_allocation_that_fails_exits_5(shsad, monkeypatch, capsys):
     (lambda d: d["agents"]["subnet2"].append(dict(d["agents"]["subnet2"][0])),
      "subnet-2 matrix shape (2, 2) != (3, 3)"),
     (lambda d: d["graph"].update(phases=[]), "a graph sequence needs at least one phase"),
-], ids=["subnet 1 agent count", "subnet 2 agent count", "no phase"])
+    (lambda d: [d["agents"].update(subnet2=[])] + [ph.pop(key) for ph in d["graph"]["phases"]
+                                                   for key in ("cross_to_1", "cross_to_2")],
+     "subnet 2 has no agents"),
+], ids=["subnet 1 agent count", "subnet 2 agent count", "no phase", "empty subnet 2"])
 def test_graphs_that_disagree_with_the_agent_lists_exit_3(edit, message, tmp_path, capsys):
     """The agent lists size the cross layers, and with them the graph: a
     subnetwork whose matrices are of another size fails run and graph-check
-    with a message naming it, as does an empty phase list."""
+    with a message naming it, as do an empty phase list and a subnetwork
+    without agents."""
     doc = yaml.safe_load((resources.files("nashnet") / "scenarios" / "example2.yaml")
                          .read_text(encoding="utf-8"))
     edit(doc)

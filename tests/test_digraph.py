@@ -14,7 +14,7 @@ from canonical_reference import (backward_product, canonical_dot, canonical_matm
                                  disagreement_span, ergodicity_coefficient)
 from nashnet import digraph
 from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GeometricRateBound,
-                             GraphSequenceSpec, _constant_spec, build_cycle_matrix,
+                             GraphSequenceSpec, build_cycle_matrix,
                              canonical_mix_code,
                              check_jointly_bipartite, check_ujsc,
                              geometric_rate_bound, is_weight_balanced,
@@ -34,10 +34,18 @@ A1_EVEN_UNB = np.array([[0.8, 0.2, 0.0], [0.7, 0.3, 0.0], [0.0, 0.6, 0.4]])
 STATIC_UNB = np.array([[0.5, 0.5, 0.0], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
 
 
+def _spec_of(mats) -> GraphSequenceSpec:
+    """Subnet 1 runs the phases `mats`; subnet 2 is one agent."""
+    n, period = len(mats[0]), len(mats)
+    return GraphSequenceSpec(a1=tuple(mats), a2=(np.eye(1),) * period,
+                             cross1=(np.zeros((n, 1)),) * period,
+                             cross2=(np.zeros((1, n)),) * period)
+
+
 def clauses(A):
     """Clauses of the weight rule that the period-1 sequence of `A` breaks,
     one per violation."""
-    return [v.clause for v in validate_weight_rule(_constant_spec(A))]
+    return [v.clause for v in validate_weight_rule(_spec_of([A]))]
 
 
 def test_stochastic_violations():
@@ -46,7 +54,10 @@ def test_stochastic_violations():
     assert clauses(np.array([[0.0, 1.0], [0.5, 0.5]])) == ["weight-rule (i)"]  # no loop
     assert "weight-rule (ii)" in clauses(np.array([[1.5, -0.5], [0.5, 0.5]]))
     assert clauses(A1_EVEN_UNB) == []
-    for bad in ([[0.9, 0.0], [0.0, 1.0]], np.zeros((2, 2)), np.full((2, 3), 1 / 3), [0.5, 0.5]):
+    # a NaN weight in a strongly connected pattern: its row's sum is NaN
+    nan_row = [[0.4, 0.3, 0.3], [math.nan, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    for bad in ([[0.9, 0.0], [0.0, 1.0]], np.zeros((2, 2)), np.full((2, 3), 1 / 3), [0.5, 0.5],
+                nan_row):
         with pytest.raises(ValidationError):
             perron_vector(bad)
 
@@ -97,7 +108,8 @@ def unbalanced():
 def test_spec_shape_validation():
     """The four layers are the whole constructor: the agent counts are the
     cross layers' row counts and the period the phase count, and a layer
-    that disagrees with them, or an empty phase list, is refused."""
+    that disagrees with them, an empty phase list or an agent count of
+    zero is refused."""
     assert list(inspect.signature(GraphSequenceSpec).parameters) == ["a1", "a2", "cross1",
                                                                      "cross2"]
     spec = GraphSequenceSpec(a1=(np.eye(2),) * 3, a2=(np.eye(1),) * 3,
@@ -111,6 +123,13 @@ def test_spec_shape_validation():
                           cross1=(np.ones((2, 1)),), cross2=(np.ones((1, 2)) / 2,))
     with pytest.raises(ValidationError, match="at least one phase"):
         GraphSequenceSpec(a1=(), a2=(), cross1=(), cross2=())
+    # a subnetwork without agents, whose cross layer has no rows, is named
+    # before the shape checks, whatever its matrices
+    for n1, n2, a2, empty in ((2, 0, np.zeros((0, 0)), 2), (2, 0, np.eye(2), 2),
+                              (0, 2, np.eye(2), 1), (0, 0, np.eye(1), 1)):
+        with pytest.raises(ValidationError, match=f"^subnet {empty} has no agents$"):
+            GraphSequenceSpec(a1=(np.eye(n1),), a2=(a2,), cross1=(np.zeros((n1, n2)),),
+                              cross2=(np.zeros((n2, n1)),))
 
 
 @st.composite
@@ -158,28 +177,27 @@ def test_weight_rule_violations(balanced):
 
 
 def test_ujsc_windows(balanced):
-    assert check_ujsc(balanced, 1, 2)
-    assert not check_ujsc(balanced, 1, 1)  # single phases are disconnected
-    assert check_ujsc(balanced, 2, 2)
+    assert check_ujsc(balanced.a1, 2)
+    assert not check_ujsc(balanced.a1, 1)  # single phases are disconnected
+    assert check_ujsc(balanced.a2, 2)
     assert check_jointly_bipartite(balanced, 1)
 
 
 def test_ujsc_never_connected_node():
     A = np.array([[1.0, 0.0], [0.5, 0.5]])  # node 0 never listens to node 1
-    spec = GraphSequenceSpec(a1=(A,), a2=(np.eye(1),),
-                             cross1=(np.zeros((2, 1)),), cross2=(np.zeros((1, 2)),))
-    assert not check_ujsc(spec, 1, 1)
-    assert not check_ujsc(spec, 1, 7)
+    spec = _spec_of([A])
+    assert not check_ujsc(spec.a1, 1)
+    assert not check_ujsc(spec.a1, 7)
     assert not check_jointly_bipartite(spec, 3)
 
 
 def test_transition_product_is_backward(balanced):
-    P = transition_product(balanced, 1, 1, 0)
+    P = transition_product(balanced.a1, 1, 0)
     np.testing.assert_allclose(P, A1_ODD_BAL @ A1_EVEN_BAL)
-    np.testing.assert_allclose(transition_product(balanced, 1, 0, 0), A1_EVEN_BAL)
-    assert clauses(transition_product(balanced, 1, 9, 2)) == []
+    np.testing.assert_allclose(transition_product(balanced.a1, 0, 0), A1_EVEN_BAL)
+    assert clauses(transition_product(balanced.a1, 9, 2)) == []
     with pytest.raises(ValueError):
-        transition_product(balanced, 1, 1, 2)
+        transition_product(balanced.a1, 1, 2)
 
 
 def test_canonical_matmul_is_the_canonical_sum():
@@ -213,28 +231,21 @@ def _phase_lists(draw):
     return mats
 
 
-def _spec_of(mats) -> GraphSequenceSpec:
-    n, period = len(mats[0]), len(mats)
-    return GraphSequenceSpec(a1=tuple(mats), a2=(np.eye(1),) * period,
-                             cross1=(np.zeros((n, 1)),) * period,
-                             cross2=(np.zeros((1, n)),) * period)
-
-
 @settings(max_examples=150, deadline=None)
 @given(_phase_lists(), st.integers(0, 4), st.integers(0, 12))
 def test_planned_products_are_the_reference_products(mats, extra, steps):
     """transition_product, started at or beyond one period, is a chain of
     the reference canonical_matmul byte for byte, and the limit vector is
     the one read off that chain at the first spread within LIMIT_TOL."""
-    spec, s = _spec_of(mats), len(mats) + extra
+    s = len(mats) + extra
     want = backward_product(mats, s + steps, s)
-    assert transition_product(spec, 1, s + steps, s).tobytes() == want.tobytes()
+    assert transition_product(mats, s + steps, s).tobytes() == want.tobytes()
     P, k = mats[s % len(mats)], s
     while float((P.max(axis=0) - P.min(axis=0)).max()) > digraph.LIMIT_TOL:
         k += 1
         P = canonical_matmul(mats[k % len(mats)], P)
     phi = P.mean(axis=0)
-    assert limiting_stochastic_vector(spec, 1, s).tobytes() == (phi / phi.sum()).tobytes()
+    assert limiting_stochastic_vector(mats, s).tobytes() == (phi / phi.sum()).tobytes()
 
 
 def test_planned_product_of_an_empty_row_is_zero():
@@ -242,7 +253,7 @@ def test_planned_product_of_an_empty_row_is_zero():
     gives it, and the other rows as the reference's canonical sums."""
     B = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.3, 0.7]])
     A = np.array([[0.2, 0.0, 0.8], [0.0, 0.0, 0.0], [0.1, 0.6, 0.3]])
-    P = transition_product(_spec_of([B, A]), 1, 1, 0)
+    P = transition_product([B, A], 1, 0)
     assert P.tobytes() == canonical_matmul(A, B).tobytes()
     assert P[1].tobytes() == np.zeros(3).tobytes()
 
@@ -264,28 +275,28 @@ def test_canonical_mix_code_bounds_statement_length():
 
 def test_limit_vectors_balanced_are_uniform(balanced):
     for start in (0, 1):
-        phi = limiting_stochastic_vector(balanced, 1, start)
+        phi = limiting_stochastic_vector(balanced.a1, start)
         np.testing.assert_allclose(phi, np.full(3, 1 / 3), atol=1e-8)
-        phi2 = limiting_stochastic_vector(balanced, 2, start)
+        phi2 = limiting_stochastic_vector(balanced.a2, start)
         np.testing.assert_allclose(phi2, np.full(2, 1 / 2), atol=1e-8)
 
 
 def test_limit_vectors_unbalanced_known_values(unbalanced):
-    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 0),
+    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced.a1, 0),
                                [0.5336, 0.3408, 0.1256], atol=1e-4)
-    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 1, 1),
+    np.testing.assert_allclose(limiting_stochastic_vector(unbalanced.a1, 1),
                                [0.5336, 0.1525, 0.3139], atol=1e-4)
     for start in (0, 1):
-        np.testing.assert_allclose(limiting_stochastic_vector(unbalanced, 2, start),
+        np.testing.assert_allclose(limiting_stochastic_vector(unbalanced.a2, start),
                                    [0.8889, 0.1111], atol=1e-4)
 
 
 def test_limit_vector_floor(unbalanced):
     # every component is at least eta^((n-1) T)
     floor = unbalanced.eta ** (2 * unbalanced.period)
-    for subnet in (1, 2):
+    for mats in (unbalanced.a1, unbalanced.a2):
         for start in (0, 1):
-            assert limiting_stochastic_vector(unbalanced, subnet, start).min() >= floor
+            assert limiting_stochastic_vector(mats, start).min() >= floor
 
 
 def test_geometric_rate_bound_values():
@@ -302,36 +313,27 @@ def test_limit_vector_without_a_rate_bound():
     """A floor so small that 1 - eta^M rounds to 1 leaves the bound no rate
     in (0, 1), so the step cap is the generous one; the product still
     converges, to the node that every agent hears."""
-    spec = _constant_spec(np.array([[1.0, 1e-17], [0.5, 0.5]]))
-    assert spec.eta == 1e-17
-    assert geometric_rate_bound(2, 1, spec.eta) == GeometricRateBound(C=2e17, rho=1.0, M=1)
-    np.testing.assert_allclose(limiting_stochastic_vector(spec, 1, 0), [1.0, 0.0], atol=1e-9)
+    assert geometric_rate_bound(2, 1, 1e-17) == GeometricRateBound(C=2e17, rho=1.0, M=1)
+    np.testing.assert_allclose(limiting_stochastic_vector((np.array([[1.0, 1e-17], [0.5, 0.5]]),), 0),
+                               [1.0, 0.0], atol=1e-9)
 
 
 def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
     """A period whose union graph has no node that every agent hears has no
     limit, so it raises before the first factor; a rooted union that is not
     strongly connected still converges to the bytes of the full product."""
-    rootless = _constant_spec(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]))
-    rooted = _constant_spec(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    assert rootless.eta == 0.3
-    want = limiting_stochastic_vector(rooted, 1, 0)
+    rootless = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]),)
+    rooted = (np.array([[1.0, 0.0], [0.5, 0.5]]),)
+    want = limiting_stochastic_vector(rooted, 0)
     assert want.tolist() == [1 - 2 ** -31, 2 ** -31]
 
     def refused(*args):
         raise AssertionError("a rootless product was multiplied")
     monkeypatch.setattr(digraph, "_product_plan", refused)
     with pytest.raises(AssertionError, match="multiplied"):
-        limiting_stochastic_vector(rooted, 1, 0)  # the refusal is on the factor path
+        limiting_stochastic_vector(rooted, 0)  # the refusal is on the factor path
     with pytest.raises(NumericError, match="no node that every agent hears"):
-        limiting_stochastic_vector(rootless, 1, 0)
-
-
-def _sequence_spec(mats):
-    """Subnet 1 runs the phases `mats`; subnet 2 is one agent."""
-    n, p = len(mats[0]), len(mats)
-    return GraphSequenceSpec(a1=tuple(mats), a2=(np.eye(1),) * p,
-                             cross1=(np.zeros((n, 1)),) * p, cross2=(np.zeros((1, n)),) * p)
+        limiting_stochastic_vector(rootless, 0)
 
 
 GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
@@ -342,25 +344,25 @@ GOOD3 = [[0.5, 0.5, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]
     ([GOOD3, [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4]]], 1),
     ([GOOD3, [[1.2, -0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]], 1),
     ([[[0.0, 1.0], [1.0, 0.0]]], 0),
-], ids=["1x1 zero", "all-zero row", "negative weight", "swap"])
+    ([GOOD3, [[0.5, 0.5, 0.0], [math.nan, 0.5, 0.5], [0.3, 0.3, 0.4]]], 1),
+], ids=["1x1 zero", "all-zero row", "negative weight", "swap", "nan weight"])
 def test_limit_vector_of_a_non_stochastic_phase_is_a_validation_error(mats, phase, monkeypatch):
     """A phase with a row that does not sum to one, such as a 1x1 zero or
     an all-zero row whose products decay to zero though the union graph
-    has a root, with a negative weight, or with a zero diagonal entry, such
-    as the swap whose products alternate forever, has no limit vector
-    computed: from every start, ValidationError naming the subnet and the
+    has a root, or a NaN weight, with a negative weight, or with a zero
+    diagonal entry, such as the swap whose products alternate forever, has
+    no limit vector computed: from every start, ValidationError naming the
     phase, before any product and without a numpy warning."""
-    spec = _sequence_spec([np.array(A) for A in mats])
+    mats = [np.array(A) for A in mats]
 
     def refused(*args):
         raise AssertionError("a non-stochastic product was multiplied")
     monkeypatch.setattr(digraph, "_product_plan", refused)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in range(spec.period):
-            with pytest.raises(ValidationError,
-                               match=f"subnet 1 phase {phase} is not row-stochastic"):
-                limiting_stochastic_vector(spec, 1, s)
+        for s in range(len(mats)):
+            with pytest.raises(ValidationError, match=f"^phase {phase} is not row-stochastic"):
+                limiting_stochastic_vector(mats, s)
 
 
 def test_perron_vector_static_unbalanced():

@@ -943,16 +943,15 @@ def test_metrics_series_contracts():
         compute_metrics(tr, s, SaddleReport((0.0, 0.0), s.oracle_y, 0.0, 0.0, 0))
 
 
-def test_pairwise_max_is_chunk_independent(monkeypatch):
-    """Chunking over k leaves every per-k reduction, and so every bit, as
-    the one-shot computation has it."""
+def test_pairwise_max_is_the_all_pairs_maximum():
+    """Comparing each agent with the agents after it, each unordered pair
+    once, keeps every bit of the maximum over the whole (k, n, n) array of
+    pair distances."""
     from nashnet import metrics
     states = np.random.default_rng(5).normal(size=(11, 4, 3))
     diff = states[:, :, None, :] - states[:, None, :, :]
     whole = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=(1, 2))
-    for rows in (1, 3, 11, 20):  # chunks of `rows` iterations, one spans all
-        monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 4 * 3)
-        assert metrics._pairwise_max(states).tobytes() == whole.tobytes()
+    assert metrics._pairwise_max(states).tobytes() == whole.tobytes()
 
 
 # finite doubles: any bit pattern, plus the signed zeros, the subnormals
@@ -975,16 +974,28 @@ def test_one_dimensional_disagreement_equals_the_pairwise_reference(rows):
         assert metrics._pairwise_max(states).tobytes() == pairwise_disagreement(states).tobytes()
 
 
-def test_squared_distance_is_chunk_independent(monkeypatch):
-    """The Nash error's per-k sums, chunked over k, keep every bit of the
-    one-shot ``((states - ref) ** 2).sum(axis=(1, 2))``."""
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(2, 3)).flatmap(lambda nm: st.lists(
+    st.lists(st.lists(_FINITE, min_size=nm[1], max_size=nm[1]), min_size=nm[0], max_size=nm[0]),
+    min_size=1, max_size=4)))
+def test_wide_block_disagreement_equals_the_pairwise_reference(rows):
+    """For blocks of two and three dimensions, one agent among them or
+    several, the pair comparison equals, bit for bit, the maximum over all
+    agent pairs of the coordinate squares summed left to right and rooted."""
+    from nashnet import metrics
+    states = np.array(rows)
+    with np.errstate(over="ignore"):  # differences, squares and sums past 1e308
+        assert metrics._pairwise_max(states).tobytes() == pairwise_disagreement(states).tobytes()
+
+
+def test_squared_distance_is_the_reference_sum():
+    """The Nash error's per-k sums, squared in place, keep every bit of
+    ``((states - ref) ** 2).sum(axis=(1, 2))``."""
     from nashnet import metrics
     rng = np.random.default_rng(6)
     states, ref = rng.normal(size=(11, 4, 3)), rng.normal(size=3)
     whole = ((states - ref) ** 2).sum(axis=(1, 2))
-    for rows in (1, 3, 11, 20):
-        monkeypatch.setattr(metrics, "PAIRWISE_CHUNK", rows * 4 * 3)
-        assert metrics._squared_distance(states, ref).tobytes() == whole.tobytes()
+    assert metrics._squared_distance(states, ref).tobytes() == whole.tobytes()
 
 
 def test_metrics_at_exact_consensus_fixed_point():

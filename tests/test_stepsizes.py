@@ -90,7 +90,7 @@ def test_oracle_run_refuses_a_graph_that_is_only_rooted():
     s = bundled_scenario("example1")
     rooted = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
     g = dataclasses.replace(s.graph, a1=(rooted,) * s.graph.period)
-    assert limiting_stochastic_vector(g, 1, 0)[1:].max() < 1e-6
+    assert limiting_stochastic_vector(g.a1, 0)[1:].max() < 1e-6
     s = dataclasses.replace(s, graph=g, rule=StepsizeRule("oracle_heterogeneous", s.rule.schedule))
     for call in (lambda: oracle_heterogeneous_build(g), lambda: run(s, iterations=10)):
         with pytest.raises(ValidationError, match="oracle limit vectors exist only on .* "
@@ -98,8 +98,8 @@ def test_oracle_run_refuses_a_graph_that_is_only_rooted():
             call()
 
 
-def _diag_bytes(spec, subnet, k, s):
-    return np.diagonal(transition_product(spec, subnet, k, s)).tobytes()
+def _diag_bytes(mats, k, s):
+    return np.diagonal(transition_product(mats, k, s)).tobytes()
 
 
 def test_common_learner_rows_are_product_rows():
@@ -108,7 +108,7 @@ def test_common_learner_rows_are_product_rows():
     g = bundled_scenario("perron_weighted").graph
     r = learner_readouts(g.a1, (0,), 7)
     assert r.shape == (7, 3) and r[0].tolist() == [1.0] * 3
-    assert r[6].tobytes() == _diag_bytes(g, 1, 5, 0)
+    assert r[6].tobytes() == _diag_bytes(g.a1, 5, 0)
 
 
 def test_periodic_learner_activation_and_readout():
@@ -119,7 +119,7 @@ def test_periodic_learner_activation_and_readout():
     assert r[2].tobytes() == g.a1[1].diagonal().tobytes()  # bank 0 after one factor
     # bank 0 (even k) holds the product from time 1 to k-1, bank 1 from time 2
     for k in range(3, 11):
-        assert r[k].tobytes() == _diag_bytes(g, 1, k - 1, 1 + k % 2)
+        assert r[k].tobytes() == _diag_bytes(g.a1, k - 1, 1 + k % 2)
 
 
 def test_periodic_learner_converges_to_oracle_vectors():
@@ -166,7 +166,7 @@ def test_learner_readouts_are_phi_diagonals(name):
     for subnet, mats in ((1, g.a1), (2, g.a2)):
         for act in ACTIVATIONS:
             got = learner_readouts(mats, act, 40)
-            assert got.tobytes() == phi_readouts(g, subnet, act, 40).tobytes(), (subnet, act)
+            assert got.tobytes() == phi_readouts(mats, act, 40).tobytes(), (subnet, act)
         for act in ((0,), tuple(range(1, g.period + 1))):
             want = uncut_learner_readouts(mats, act, 100_000)
             for K in (150, 333, 99_999, 100_000):
@@ -186,12 +186,9 @@ def test_learner_readouts_are_phi_diagonals_on_random_sequences():
     for _ in range(50):
         n, period = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         mats = tuple(_sparse_stochastic(rng, n) for _ in range(period))
-        spec = GraphSequenceSpec(
-            a1=mats, a2=(np.eye(1),) * period,
-            cross1=(np.zeros((n, 1)),) * period, cross2=(np.zeros((1, n)),) * period)
         act = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))]
         K = int(rng.integers(1, 30))
-        assert learner_readouts(mats, act, K).tobytes() == phi_readouts(spec, 1, act, K).tobytes()
+        assert learner_readouts(mats, act, K).tobytes() == phi_readouts(mats, act, K).tobytes()
 
 
 @st.composite
