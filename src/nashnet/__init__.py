@@ -1,9 +1,8 @@
 """Distributed Nash equilibrium computation for two-subnetwork zero-sum
 games over switching directed graphs."""
 
-from .digraph import (GeometricRateBound, GraphSequenceSpec, build_cycle_matrix,
-                      check_jointly_bipartite, check_ujsc,
-                      geometric_rate_bound, is_weight_balanced,
+from .digraph import (GraphSequenceSpec, build_cycle_matrix,
+                      check_jointly_bipartite, check_ujsc, is_weight_balanced,
                       limiting_stochastic_vector, perron_vector,
                       transition_product, validate_weight_rule)
 from .engine import Scenario, Trace, run

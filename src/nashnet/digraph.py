@@ -12,16 +12,17 @@ the nonzero A[i, j] in increasing j, A[i, j0] x[j0] + A[i, j1] x[j1] + ...,
 every product and every sum rounded separately (0.0 for a row without
 weights), so results follow from IEEE doubles and not from the BLAS. The
 tests pin its two forms to ``canonical_reference.canonical_matmul``: the
-arrays of :func:`_product_plan`, for limit vectors at n up to hundreds, and
-the scalar source of :func:`canonical_mix_code`, for the loops the engine
-and the learner generate at small n (at n = 100 it took 390 us per factor
-of a limit vector, against 152 us for numpy arrays).
+arrays of :func:`_product_plan`, for backward products at n up to
+hundreds, and the scalar source of :func:`canonical_mix_code`, for the
+loops the engine and the learner generate at small n (at n = 100 it took
+390 us per factor of a backward product, against 152 us for numpy arrays).
+A limit vector phi(s) is read off one period's backward product and its
+repeated squares, each square such a product too.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -239,56 +240,39 @@ def _product_plan(A) -> list:
             for sel in (rank == t for t in range(int(rank.max(initial=-1)) + 1))]
 
 
-def _backward_products(mats, s: int):
-    """Phi(s, s), Phi(s+1, s), ... of the periodic phase list `mats`, each
-    factor applied in the canonical order through its phase's plan."""
-    plans = [_product_plan(A) for A in mats]
-    P = mats[s % len(mats)]
-    while True:
-        yield P
-        s += 1
-        out = np.zeros(P.shape)
-        for t, (r, c, w) in enumerate(plans[s % len(mats)]):
-            out[r] = w * P[c] if t == 0 else out[r] + w * P[c]
-        P = out
+def _planned_product(plan, P) -> np.ndarray:
+    """``A @ P`` in the canonical order, for `plan` = ``_product_plan(A)``."""
+    out = np.zeros(P.shape)
+    for t, (r, c, w) in enumerate(plan):
+        out[r] = w * P[c] if t == 0 else out[r] + w * P[c]
+    return out
 
 
 def transition_product(mats, k: int, s: int) -> np.ndarray:
     """Backward product A(k) A(k-1) ... A(s) of phase list `mats`; row-stochastic."""
     if not 0 <= s <= k:
         raise ValueError(f"need k >= s >= 0, got k={k}, s={s}")
-    return next(itertools.islice(_backward_products(mats, s), k - s, None))
+    plans = [_product_plan(A) for A in mats]
+    P = mats[s % len(mats)]
+    for t in range(s + 1, k + 1):
+        P = _planned_product(plans[t % len(mats)], P)
+    return P
 
 
-@dataclass(frozen=True)
-class GeometricRateBound:
-    """Envelope |Phi(k,s)_ij - phi_j(s)| <= C rho^(k-s) for a UJSC sequence."""
-
-    C: float
-    rho: float
-    M: int
-
-
-def geometric_rate_bound(n: int, T: int, eta: float) -> GeometricRateBound:
-    """The envelope for n > 1 agents. Where eta^M is 1 or its inverse
-    overflows, no finite C exists and C is inf."""
-    M = (n - 1) * T
-    try:
-        C = 2.0 * (1.0 + eta ** (-M)) / (1.0 - eta ** M)
-    except (OverflowError, ZeroDivisionError):
-        C = math.inf
-    return GeometricRateBound(C=C, rho=(1.0 - eta ** M) ** (1.0 / M), M=M)
+# P^(2^60) spans more periods than the longest run GammaSchedule.require_horizon
+# admits (sys.maxsize // 8 iterations), so a product still spread out there
+# does not settle within any run.
+MAX_SQUARINGS = 60
 
 
 def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> np.ndarray:
-    """Extend the backward product of phase list `mats` from time s until all rows agree.
+    """The common row of the backward products of phase list `mats` from time s.
 
-    Convergence is detected by the maximum column spread falling below
-    `spread_tol`; the row average, scaled to sum to one, is returned. UJSC
-    of the sequence guarantees termination at a geometric rate, which caps
-    the number of factors, with the period as the window (one period's union
-    contains every shorter window's) and the least positive weight of `mats`
-    as the floor; where the bound gives no rate in (0, 1) the cap is generous.
+    One period's product P = Phi(s + p - 1, s) is squared, P^2, P^4, ...,
+    each square a canonical product, at most MAX_SQUARINGS times. phi is
+    read off the first P^(2^j) whose maximum column spread is within
+    `spread_tol`, as the row average scaled to sum to one; NumericError when
+    none is (a product that is not finite never is).
 
     Before any product, ValidationError when a phase has a negative weight,
     a row whose sum is not within STOCHASTIC_TOL of one (a NaN weight too)
@@ -313,21 +297,16 @@ def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> n
     if not reachability(union).all(axis=0).any():
         raise NumericError("transition product has no limit: the union graph of one "
                            "period has no node that every agent hears")
-    max_steps = 1_000_000
-    n = len(union)
-    if n > 1:  # a 1x1 stochastic product is its own limit; the bound needs n > 1
-        eta = min(float(A[A > 0].min()) for A in mats)  # each diagonal is positive
-        bound = geometric_rate_bound(n, len(mats), eta)
-        if 0.0 < bound.rho < 1.0:
-            max_steps = int(10 * bound.M * math.log(1.0 / spread_tol)
-                            / math.log(1.0 / bound.rho)) + 10
-    # zip, not islice: max_steps may exceed sys.maxsize under a weak bound
-    for _, P in zip(range(max_steps), _backward_products(mats, s)):
-        if float((P.max(axis=0) - P.min(axis=0)).max()) <= spread_tol:
-            phi = P.mean(axis=0)
-            return phi / phi.sum()
+    P = transition_product(mats, s + len(mats) - 1, s)
+    with np.errstate(all="ignore"):  # an overflowing product ends as a spread never reached
+        for j in range(MAX_SQUARINGS + 1):  # P is P^(2^j)
+            if j:
+                P = _planned_product(_product_plan(P), P)
+            if float((P.max(axis=0) - P.min(axis=0)).max()) <= spread_tol:  # False on NaN
+                phi = P.mean(axis=0)
+                return phi / phi.sum()
     raise NumericError(f"transition product starting at {s} did not reach spread "
-                       f"{spread_tol} within {max_steps} factors")
+                       f"{spread_tol} within 2**{MAX_SQUARINGS} periods")
 
 
 def perron_vector(A) -> np.ndarray:

@@ -8,9 +8,11 @@ Python float operation. Stepsizes come from :func:`stepsize_for`, one agent
 and one time step at a time, on gamma_k from :func:`gamma`; oracle
 denominators from ``digraph.limiting_stochastic_vector`` and adaptive
 ones from :func:`phi_readouts`, the diagonals of the paper's
-backward products, each a chain of :func:`canonical_matmul`
-(:func:`backward_product`), the reference of ``digraph.transition_product``
-and ``digraph.limiting_stochastic_vector``; at long K, where that chain is
+backward products. Each backward product is a chain of
+:func:`canonical_matmul` (:func:`backward_product`), the reference of
+``digraph.transition_product``; a limit vector's reference squares one
+period's chain with it, and :func:`geometric_rate_bound` is the paper's
+envelope on the distance between the two. At long K, where that chain is
 O(K^2), the learner's stop at a repeated bank state has
 :func:`uncut_learner_readouts`, its generated loop run through all K
 iterations. Objectives are compiled closures
@@ -646,6 +648,26 @@ def verify_saddle(w, candidate, bx, by, samples: int = 10_000) -> float:
 # ---------------------------------------------------------------------------
 # graphs and scenarios
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GeometricRateBound:
+    """The paper's envelope |Phi(k,s)_ij - phi_j(s)| <= C rho^(k-s) for a UJSC sequence."""
+
+    C: float
+    rho: float
+    M: int
+
+
+def geometric_rate_bound(n: int, T: int, eta: float) -> GeometricRateBound:
+    """The envelope for n > 1 agents, window T and weight floor eta. Where
+    eta^M is 1 or its inverse overflows, no finite C exists and C is inf."""
+    M = (n - 1) * T
+    try:
+        C = 2.0 * (1.0 + eta ** (-M)) / (1.0 - eta ** M)
+    except (OverflowError, ZeroDivisionError):
+        C = math.inf
+    return GeometricRateBound(C=C, rho=(1.0 - eta ** M) ** (1.0 / M), M=M)
+
 
 def ergodicity_coefficient(A) -> float:
     """Contraction factor of `A` on the max-spread seminorm: 1 - min over

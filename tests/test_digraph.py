@@ -7,22 +7,23 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canonical_reference import (backward_product, canonical_dot, canonical_matmul,
-                                 disagreement_span, ergodicity_coefficient)
+from canonical_reference import (GeometricRateBound, backward_product, canonical_dot,
+                                 canonical_matmul, disagreement_span,
+                                 ergodicity_coefficient, geometric_rate_bound,
+                                 many_agents_doc)
 from nashnet import digraph
-from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GeometricRateBound,
-                             GraphSequenceSpec, build_cycle_matrix,
-                             canonical_mix_code,
-                             check_jointly_bipartite, check_ujsc,
-                             geometric_rate_bound, is_weight_balanced,
+from nashnet.digraph import (SUM_TERMS_PER_STATEMENT, GraphSequenceSpec,
+                             build_cycle_matrix, canonical_mix_code,
+                             check_jointly_bipartite, check_ujsc, is_weight_balanced,
                              limiting_stochastic_vector, perron_vector,
                              reachability, strongly_connected,
                              transition_product, validate_weight_rule)
 from nashnet.errors import NumericError, ValidationError
-from nashnet.scenario_io import bundled_scenario
+from nashnet.scenario_io import bundled_scenario, load_graph
 
 
 # --- reference matrices -----------------------------------------------------
@@ -236,14 +237,14 @@ def _phase_lists(draw):
 def test_planned_products_are_the_reference_products(mats, extra, steps):
     """transition_product, started at or beyond one period, is a chain of
     the reference canonical_matmul byte for byte, and the limit vector is
-    the one read off that chain at the first spread within LIMIT_TOL."""
+    the one read off the reference squarings of one period's chain at the
+    first spread within LIMIT_TOL."""
     s = len(mats) + extra
     want = backward_product(mats, s + steps, s)
     assert transition_product(mats, s + steps, s).tobytes() == want.tobytes()
-    P, k = mats[s % len(mats)], s
+    P = backward_product(mats, s + len(mats) - 1, s)
     while float((P.max(axis=0) - P.min(axis=0)).max()) > digraph.LIMIT_TOL:
-        k += 1
-        P = canonical_matmul(mats[k % len(mats)], P)
+        P = canonical_matmul(P, P)
     phi = P.mean(axis=0)
     assert limiting_stochastic_vector(mats, s).tobytes() == (phi / phi.sum()).tobytes()
 
@@ -307,15 +308,69 @@ def test_geometric_rate_bound_values():
     # no rate in (0, 1): eta^M is 1, or so small that its inverse overflows
     assert geometric_rate_bound(2, 1, 1.0) == GeometricRateBound(C=math.inf, rho=0.0, M=1)
     assert geometric_rate_bound(100, 4, 0.1) == GeometricRateBound(C=math.inf, rho=1.0, M=396)
-
-
-def test_limit_vector_without_a_rate_bound():
-    """A floor so small that 1 - eta^M rounds to 1 leaves the bound no rate
-    in (0, 1), so the step cap is the generous one; the product still
-    converges, to the node that every agent hears."""
     assert geometric_rate_bound(2, 1, 1e-17) == GeometricRateBound(C=2e17, rho=1.0, M=1)
+
+
+def _counting_products(monkeypatch) -> list:
+    """Wrap digraph's one product helper; the list it returns grows by one
+    entry per canonical product."""
+    calls, product = [], digraph._planned_product
+
+    def counted(plan, P):
+        calls.append(P.shape)
+        return product(plan, P)
+    monkeypatch.setattr(digraph, "_planned_product", counted)
+    return calls
+
+
+def test_slowly_mixing_limit_vector_takes_few_squarings(monkeypatch):
+    """A pair that mixes at 2e-7 per step needs about 1e8 steps, which 27
+    squarings reach; a floor of 1e-17, where the paper's envelope has no
+    rate in (0, 1), converges to the node every agent hears."""
+    a = 1e-7
+    calls = _counting_products(monkeypatch)
+    phi = limiting_stochastic_vector((np.array([[1 - a, a], [a, 1 - a]]),), 0)
+    np.testing.assert_allclose(phi, [0.5, 0.5], atol=1e-9)
+    assert len(calls) == 27
     np.testing.assert_allclose(limiting_stochastic_vector((np.array([[1.0, 1e-17], [0.5, 0.5]]),), 0),
                                [1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("A", [[[1.0, 1e-300], [1e-300, 1.0]],
+                               [[1.0 + 5e-13, 1e-300], [1e-300, 1.0 + 5e-13]]],
+                         ids=["no mixing", "overflow"])
+def test_a_pair_that_cannot_mix_fails_after_the_cap(A, monkeypatch):
+    """An off-diagonal of 1e-300 does not mix within 2**MAX_SQUARINGS
+    periods: NumericError after that many squarings and no numpy warning,
+    also where the products overflow to inf and NaN."""
+    calls = _counting_products(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="did not reach spread 1e-09 within 2"):
+            limiting_stochastic_vector((np.array(A),), 0)
+    assert len(calls) == digraph.MAX_SQUARINGS
+
+
+def test_many_agents_limit_vectors_meet_the_limit_identity(monkeypatch, tmp_path):
+    """On the benchmark's seed-1 many-agents graph (100 + 100 agents,
+    period 2), each of the four limit vectors sums to one, meets the
+    limit identity phi(s)^T = phi(s+1)^T A(s) (Phi(k, s) = Phi(k, s+1) A(s))
+    and costs at most p - 1 + MAX_SQUARINGS canonical products."""
+    path = tmp_path / "many_agents.yaml"
+    path.write_text(yaml.safe_dump(many_agents_doc(1)), encoding="utf-8")
+    graph = load_graph(path)
+    calls = _counting_products(monkeypatch)
+    for mats in (graph.a1, graph.a2):
+        p = len(mats)
+        assert (p, len(mats[0])) == (2, 100)
+        phis = []
+        for s in range(p):
+            calls.clear()
+            phis.append(limiting_stochastic_vector(mats, s))
+            assert len(calls) <= p - 1 + digraph.MAX_SQUARINGS
+            assert phis[-1].sum() == pytest.approx(1.0, abs=1e-12)
+        for s in range(p):
+            assert np.abs(phis[(s + 1) % p] @ mats[s] - phis[s]).max() <= 1e-9
 
 
 def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
@@ -325,7 +380,7 @@ def test_rootless_limit_vector_fails_before_any_product(monkeypatch):
     rootless = (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]),)
     rooted = (np.array([[1.0, 0.0], [0.5, 0.5]]),)
     want = limiting_stochastic_vector(rooted, 0)
-    assert want.tolist() == [1 - 2 ** -31, 2 ** -31]
+    assert want.tolist() == [1 - 2 ** -33, 2 ** -33]  # read off A^32
 
     def refused(*args):
         raise AssertionError("a rootless product was multiplied")

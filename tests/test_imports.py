@@ -301,9 +301,7 @@ def test_scan_finds_an_unset_default():
                                               "a.D(0, w=1)\n"]) == []
 
 
-ALLOWED_UNREAD = {
-    "GeometricRateBound.C": "the paper's envelope constant, which criterion 6d checks",
-}
+ALLOWED_UNREAD = {}
 
 
 def unread_fields(modules: dict, readers) -> list:
