@@ -12,6 +12,7 @@ and stepsize rule:
 Usage: python demos/reproduce_experiments.py [iterations]
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,8 +30,7 @@ print(f"grid oracle saddle: ({x_star:.6f}, {y_star:.6f}), "
       f"value {report.value:.6f}\n")
 
 for name in ("example1", "example2", "example3"):
-    scenario = bundled_scenario(name)
-    trace = run(scenario, iterations=iters)
+    trace = run(dataclasses.replace(bundled_scenario(name), iterations=iters))
     fx = trace.x[-1].ravel()
     fy = trace.y[-1].ravel()
     print(f"{name}: after {iters} iterations")

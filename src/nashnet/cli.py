@@ -198,7 +198,7 @@ _WRITERS = {
 }
 
 
-def _stream(scenario: Scenario, saddle: SaddleReport | None, writers, iterations=None):
+def _stream(scenario: Scenario, saddle: SaddleReport | None, writers):
     """Run `scenario` and score it against `saddle` segment by segment
     (``engine.run``'s consumer): each segment and its metrics go to each
     of `writers`, a dict path -> writer of :data:`_WRITERS`, in k order and
@@ -219,7 +219,7 @@ def _stream(scenario: Scenario, saddle: SaddleReport | None, writers, iterations
                 u = sum_objective(scenario)
             metrics = compute_metrics(segment, scenario, saddle, u)
             put(segment, metrics)
-        trace = run(scenario, iterations, consume)
+        trace = run(scenario, consume)
     return trace, metrics
 
 
@@ -228,9 +228,11 @@ def cmd_run(args) -> int:
         raise ValidationError(f"--out and --metrics name the same file {args.out!r}; "
                               "both are written as the run goes")
     scenario = _loaded(load_scenario(args.scenario))
+    if args.iters is not None:
+        scenario = _apply_override(scenario, "iterations", args.iters)
     writers = {path: _WRITERS[ext] for path, ext in ((args.out, "trace"), (args.metrics, "metrics"))
                if path}
-    trace, metrics = _stream(scenario, None, writers, args.iters)
+    trace, metrics = _stream(scenario, None, writers)
     print(f"{scenario.name}: {_outcome(trace, metrics)}")
     return 0
 
@@ -321,10 +323,8 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _apply_override(scenario: Scenario, param: str, value: float) -> Scenario:
-    if param == "iterations":
-        if value != int(value):
-            raise ValidationError(f"--values for iterations must be whole numbers, got {value!r}")
-        return replace(scenario, iterations=int(value))
+    if param == "iterations":  # taken as an int, or refused, by Scenario
+        return replace(scenario, iterations=value)
     sched = scenario.rule.schedule
     sched = replace(sched, **{param.split(".", 1)[1]: value})  # validates as the loader does
     return replace(scenario, rule=replace(scenario.rule, schedule=sched))

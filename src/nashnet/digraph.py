@@ -259,10 +259,16 @@ def transition_product(mats, k: int, s: int) -> np.ndarray:
     return P
 
 
-# P^(2^60) spans more periods than the longest run GammaSchedule.require_horizon
+# P^(2^60) spans more periods than the longest run stepsizes.require_horizon
 # admits (sys.maxsize // 8 iterations), so a product still spread out there
 # does not settle within any run.
 MAX_SQUARINGS = 60
+# Rows that lose mass can meet the spread by decaying rather than mixing, so
+# at the stop every row must sum to one within ROW_SUM_TOL. Over the N periods
+# taken, a row then lost at most ROW_SUM_TOL / N per period against a mixing
+# rate near ln(1 / spread_tol) / N, so decay moves phi by about 5e-8 at most at
+# LIMIT_TOL; rounding alone reaches 3.6e-9 in 27 squarings (test_digraph).
+ROW_SUM_TOL = 1e-6
 
 
 def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> np.ndarray:
@@ -272,7 +278,8 @@ def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> n
     each square a canonical product, at most MAX_SQUARINGS times. phi is
     read off the first P^(2^j) whose maximum column spread is within
     `spread_tol`, as the row average scaled to sum to one; NumericError when
-    none is (a product that is not finite never is).
+    none is (a product that is not finite never is), or when a row of that
+    P^(2^j) sums farther from one than ROW_SUM_TOL.
 
     Before any product, ValidationError when a phase has a negative weight,
     a row whose sum is not within STOCHASTIC_TOL of one (a NaN weight too)
@@ -303,6 +310,11 @@ def limiting_stochastic_vector(mats, s: int, spread_tol: float = LIMIT_TOL) -> n
             if j:
                 P = _planned_product(_product_plan(P), P)
             if float((P.max(axis=0) - P.min(axis=0)).max()) <= spread_tol:  # False on NaN
+                drift = float(np.abs(P.sum(axis=1) - 1.0).max())
+                if drift > ROW_SUM_TOL:
+                    raise NumericError(f"transition product starting at {s} reached spread "
+                                       f"{spread_tol} with a row sum {drift:.3g} away from one: "
+                                       "its rows lose mass faster than they mix")
                 phi = P.mean(axis=0)
                 return phi / phi.sum()
     raise NumericError(f"transition product starting at {s} did not reach spread "

@@ -57,7 +57,7 @@ from .errors import NumericError, ValidationError
 from .exprs import BoxSet, check_selection, dimensions, expr_keys, format_expr
 # the text generator, under the name perfbench/replay.py wraps for its exprs.compile span
 from .exprs import objective_code as compile_objective
-from .stepsizes import StepsizeRule, distinct_columns, stepsize_tables
+from .stepsizes import StepsizeRule, distinct_columns, require_horizon, stepsize_tables
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Scenario:
         if self.oracle_x is not None:
             object.__setattr__(self, "oracle_x", _saddle_point(self.oracle_x, "x_star", "m1", self.m1))
             object.__setattr__(self, "oracle_y", _saddle_point(self.oracle_y, "y_star", "m2", self.m2))
-        self.rule.schedule.require_horizon(self.iterations)
+        object.__setattr__(self, "iterations", require_horizon(self.iterations))
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y0", y0)
         checked = set()  # once per distinct (objective object, selection)
@@ -296,8 +296,10 @@ def _contact_pattern(g: GraphSequenceSpec) -> tuple:
     return tuple(np.array([C.sum(axis=1) > 0 for C in cross]) for cross in (g.cross1, g.cross2))
 
 
-def run(scenario: Scenario, iterations: int | None = None, consumer=None) -> Trace:
-    """Execute the dynamics for K iterations.
+def run(scenario: Scenario, consumer=None) -> Trace:
+    """Execute the dynamics for K = ``scenario.iterations`` iterations; a
+    run of another length is a run of ``dataclasses.replace(scenario,
+    iterations=K)``.
 
     The stepsize tables are set up and one function is generated for this
     scenario (see the module docstring); the run then goes in segments,
@@ -309,7 +311,7 @@ def run(scenario: Scenario, iterations: int | None = None, consumer=None) -> Tra
     ``iterations`` is K, is returned. A segment is checked for non-finite
     states before it is handed on.
     """
-    K = scenario.iterations if iterations is None else int(iterations)
+    K = scenario.iterations
     g = scenario.graph
     n1, n2, m1, m2 = g.n1, g.n2, scenario.m1, scenario.m2
     w1, w = n1 * m1, n1 * m1 + n2 * m2

@@ -28,6 +28,22 @@ from .errors import ResourceError, ValidationError
 # schedules
 # ---------------------------------------------------------------------------
 
+def require_horizon(K) -> int:
+    """K, a run's iteration count, as an int. ValidationError unless K is a
+    whole number >= 0 (an int, numpy's too, or a float without a fraction,
+    never a bool); ResourceError when K float64s exceed what an array holds."""
+    if isinstance(K, (float, np.floating)) and float(K).is_integer():
+        K = int(K)
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValidationError(f"iterations must be a whole number, got {K!r}")
+    if K < 0:
+        raise ValidationError(f"iterations must be >= 0, got {K}")
+    if K > sys.maxsize // 8:
+        raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
+                            f"{sys.maxsize // 8} float64 values")
+    return int(K)
+
+
 @dataclass(frozen=True)
 class GammaSchedule:
     """gamma_k = c / (k + b)^(1/2 + eps).
@@ -49,21 +65,12 @@ class GammaSchedule:
             raise ValidationError(f"power-law gamma_0 = c / b^(1/2 + eps) overflows "
                                   f"for c = {self.c!r}, b = {self.b!r}")
 
-    def require_horizon(self, K: int) -> None:
-        """Raise ValidationError when K < 0, and ResourceError when K float64
-        values exceed what an array can hold."""
-        if K < 0:
-            raise ValidationError(f"iterations must be >= 0, got {K}")
-        if K > sys.maxsize // 8:
-            raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
-                                f"{sys.maxsize // 8} float64 values")
-
     def values(self, K: int, start: int = 0) -> np.ndarray:
         """gamma_start .. gamma_{K-1} in one pass, as a float64 array: c / (k
         + b)^(1/2 + eps) in Python floats, the one place the power law is
         evaluated, so a value does not depend on the range it is computed
-        in. Errors as :meth:`require_horizon`."""
-        self.require_horizon(K)
+        in. Errors as :func:`require_horizon`."""
+        K = require_horizon(K)
         c, b, p = self.c, self.b, 0.5 + self.eps
         return np.fromiter((c / (k + b) ** p for k in range(start, K)), dtype=float,
                            count=K - start)
@@ -127,7 +134,9 @@ def learner_readouts(mats, activation, K: int) -> np.ndarray:
     checkpoints c, 2c, 4c, ... (c the least multiple of L >= every start)
     and stops at the first whose state equals, byte for byte, that of an
     earlier one: from there every row repeats, and the rest are read by index.
+    Errors on K as :func:`require_horizon`.
     """
+    K = require_horizon(K)
     return _readouts(mats, activation, K)[0](0, K)
 
 
@@ -140,8 +149,6 @@ def _readouts(mats, activation, K: int):
             and all(isinstance(t, (int, np.integer)) and t >= 0 for t in activation)):
         raise ValidationError(f"activation must be a non-empty sequence of integers >= 0, "
                               f"got {activation!r}")
-    if K < 0:
-        raise ValidationError(f"iterations must be >= 0, got {K}")
     nb, act = len(activation), np.asarray(activation)
     rows, start = _bank_rows(mats, activation, K)
 
@@ -207,15 +214,14 @@ def stepsize_tables(rule: StepsizeRule, graph: GraphSequenceSpec, K: int):
     rule's denominators are 1.0, so its views hold the one gamma column,
     agent stride 0 (see :func:`distinct_columns`).
     Here a rule meets its graph, once per run: the oracle's limit vectors
-    and the learners' banks are derived from it. K is checked first (see
-    ``GammaSchedule.require_horizon``). An oracle rule is a
+    and the learners' banks are derived from it. K is checked first and
+    taken as an int (see :func:`require_horizon`). An oracle rule is a
     ValidationError on a graph without limit vectors, and an adaptive rule
     is a ResourceError, before any learner code is generated, when a
     side's banks would hold more than LEARNER_BANK_CAP entries, and a
     ValidationError when a readout is not positive.
     """
-    schedule = rule.schedule
-    schedule.require_horizon(K)
+    schedule, K = rule.schedule, require_horizon(K)
     n1, n2 = graph.n1, graph.n2
     if rule.variant == "homogeneous":
         def denominators(k0: int, k1: int):

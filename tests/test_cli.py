@@ -529,7 +529,8 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     ("infinite sweep value", 3, "--values"),
     ("power-law gamma_0 overflows", 3, "gamma_0"),
     ("non-positive weight", 3, "--weights"),
-    ("fractional iterations", 3, "whole numbers"),
+    pytest.param("fractional iterations", 3, "iterations must be a whole number, got 2.7",
+                 id="fractional iterations-3-whole numbers"),
     ("fractional scenario iterations", 3, "run.iterations must be a whole number, got 2.7"),
     ("trace path in a missing directory", 3, "missing_dir"),
     ("metrics path in a missing directory", 3, "missing_dir"),
@@ -814,7 +815,7 @@ def test_peak_memory_follows_only_the_run_arrays(tmp_path):
     scenario = load_scenario(example1)
 
     def array_bytes(iterations):
-        trace = run(scenario, iterations=iterations)
+        trace = run(dataclasses.replace(scenario, iterations=iterations))
         metrics = compute_metrics(trace, scenario, cli._reference_saddle(scenario))
         return sum(getattr(obj, f.name).nbytes for obj in (trace, metrics)
                    for f in dataclasses.fields(obj) if f.name != "start")

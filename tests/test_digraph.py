@@ -351,6 +351,18 @@ def test_a_pair_that_cannot_mix_fails_after_the_cap(A, monkeypatch):
     assert len(calls) == digraph.MAX_SQUARINGS
 
 
+def test_rows_that_decay_before_they_mix_are_refused():
+    """Rows summing to 1 - 9e-13 (within STOCHASTIC_TOL) that mix at
+    3e-16 per step decay to zero long before they mix, so their spread is
+    met by rows that sum to about 0, not to one: NumericError, where the
+    row-normalized chain's vector is (2/3, 1/3). Rows of 0.333333333333,
+    1e-12 short of one, settle at once and keep their vector."""
+    with pytest.raises(NumericError, match="lose mass faster than they mix"):
+        limiting_stochastic_vector((np.array([[1 - 9e-13, 1e-16], [2e-16, 1 - 9e-13]]),), 0)
+    np.testing.assert_allclose(limiting_stochastic_vector((np.full((3, 3), 0.333333333333),), 0),
+                               [1 / 3] * 3, atol=1e-15)
+
+
 def test_many_agents_limit_vectors_meet_the_limit_identity(monkeypatch, tmp_path):
     """On the benchmark's seed-1 many-agents graph (100 + 100 agents,
     period 2), each of the four limit vectors sums to one, meets the

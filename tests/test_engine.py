@@ -24,11 +24,11 @@ from canonical_reference import (affine, contact_times, evaluate, gamma, initial
 from nashnet import engine
 from nashnet.digraph import GraphSequenceSpec
 from nashnet.engine import Scenario, _contact_pattern, _kernel_source, run
-from nashnet.errors import NumericError, ValidationError
+from nashnet.errors import NumericError, ResourceError, ValidationError
 from nashnet.exprs import Abs, BoxSet, Pow, Prod, Sum, Var, abs_nodes
 from nashnet.scenario_io import BUNDLED, bundled_scenario, loads_scenario
 from nashnet.stepsizes import (GammaSchedule, StepsizeRule, distinct_columns,
-                               stepsize_tables)
+                               learner_readouts, stepsize_tables)
 
 BOX5 = BoxSet((-5.0,), (5.0,))
 SCHED = GammaSchedule(c=1.0, b=1.0, eps=0.5)
@@ -100,7 +100,7 @@ def test_run_equals_repeated_step(name):
     bit."""
     scenario = bundled_scenario(name)
     K = 40
-    _assert_run_matches_reference(scenario, run(scenario, iterations=K), K)
+    _assert_run_matches_reference(scenario, run(dataclasses.replace(scenario, iterations=K)), K)
 
 
 def _assert_bits_equal(got, want):
@@ -219,13 +219,13 @@ def _openblas_dynamic_arch():
 
 
 _DIGEST_SCRIPT = """
-import hashlib, json
+import dataclasses, hashlib, json
 from nashnet.engine import run
 from nashnet.scenario_io import BUNDLED, bundled_scenario, trace_to_csv
 digests = {}
 for name in BUNDLED:
     s = bundled_scenario(name)
-    csv = trace_to_csv(run(s, iterations=20000))
+    csv = trace_to_csv(run(dataclasses.replace(s, iterations=20000)))
     digests[name] = hashlib.sha256(csv.encode()).hexdigest()
 print(json.dumps(digests))
 """
@@ -314,7 +314,7 @@ def test_kernel_holds_no_arithmetic_that_cannot_move_a_bit(name):
 
 def test_trace_states_are_views_of_one_buffer():
     s = bundled_scenario("example1")
-    tr = run(s, iterations=30)
+    tr = run(dataclasses.replace(s, iterations=30))
     assert tr.x.base is not None and tr.x.base is tr.y.base
     assert (tr.y.__array_interface__["data"][0] - tr.x.__array_interface__["data"][0]
             == s.n1 * s.m1 * tr.x.itemsize)
@@ -329,12 +329,12 @@ def test_segments_make_the_whole_run(name, values, monkeypatch):
     final segment it returns ends at k = K."""
     s = bundled_scenario(name)
     K = 700
-    whole = run(s, iterations=K)
+    whole = run(dataclasses.replace(s, iterations=K))
     sources, real = [], engine._kernel_source
     monkeypatch.setattr(engine, "_kernel_source", lambda *args: sources.append(real(*args)) or sources[-1])
     monkeypatch.setattr(engine, "SEGMENT_VALUES", values)
     segments = []
-    final = run(s, iterations=K, consumer=segments.append)
+    final = run(dataclasses.replace(s, iterations=K), consumer=segments.append)
     rows = max(1, values // (s.n1 * s.m1 + s.n2 * s.m2))
     assert len(sources) == 1 and final is segments[-1] and final.iterations == K
     assert [g.start for g in segments] == list(range(0, K, rows))
@@ -346,7 +346,7 @@ def test_segments_make_the_whole_run(name, values, monkeypatch):
 
 def test_zero_iterations_are_one_segment():
     segments = []
-    final = run(bundled_scenario("example2"), iterations=0, consumer=segments.append)
+    final = run(dataclasses.replace(bundled_scenario("example2"), iterations=0), segments.append)
     assert len(segments) == 1 and segments[0] is final
     assert final.iterations == 0 and len(final.x) == 1
 
@@ -362,7 +362,7 @@ def test_kernel_unpacks_one_stepsize_per_distinct_column(name, loop, monkeypatch
     under an oracle or adaptive rule."""
     sources, real = [], engine._kernel_source
     monkeypatch.setattr(engine, "_kernel_source", lambda *args: sources.append(real(*args)) or sources[-1])
-    run(bundled_scenario(name), iterations=5)
+    run(dataclasses.replace(bundled_scenario(name), iterations=5))
     lines = [ln.strip() for ln in sources[0].splitlines()]
     assert [ln for ln in lines if ln.startswith("for k,")] == [loop]
     steps = set(re.findall(r"\ba[01]_\d+\b", loop))
@@ -390,7 +390,7 @@ def test_kernel_makes_each_derivative_once_and_each_step_once(monkeypatch):
     differ, stay in the branches."""
     s = loads_scenario(yaml.safe_dump(many_agents_doc(1), sort_keys=False))
     sources, compiles = _generated(monkeypatch)
-    run(s, iterations=3)
+    run(dataclasses.replace(s, iterations=3))
     assert len(compiles) == 6 and len(sources) == 1
     lines = [ln.strip() for ln in sources[0].splitlines()]
     dispatch = lines.index("ph = k % 2")
@@ -474,7 +474,7 @@ def test_many_agents_kernel_generation_peak_memory():
         s = loads_scenario(text)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run(s, iterations=1)
+        run(dataclasses.replace(s, iterations=1))
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -494,10 +494,11 @@ def test_run_peak_memory_is_the_states_it_returns():
     import tracemalloc
     for name in ("example1", "example2", "example3"):
         s = bundled_scenario(name)
-        run(s, iterations=10)  # first-call caches
+        run(dataclasses.replace(s, iterations=10))  # first-call caches
+        s = dataclasses.replace(s, iterations=20_000)
         tracemalloc.start()
         try:
-            tr = run(s, iterations=20_000)
+            tr = run(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,7 +509,7 @@ def test_run_peak_memory_is_the_states_it_returns():
 
 def test_recorded_stepsizes_match_rule():
     scenario = bundled_scenario("example2")
-    tr = run(scenario, iterations=20)
+    tr = run(dataclasses.replace(scenario, iterations=20))
     for k in (0, 1, 7, 19):
         for i in range(scenario.n1):
             assert tr.alpha[k, i] == pytest.approx(
@@ -607,8 +608,21 @@ def test_zero_iterations():
 
 
 def test_iteration_count_validated():
+    """K has one check, at every entry point: a whole number (any integer
+    type, or a float without a fraction, never a bool) >= 0, and at most
+    sys.maxsize // 8, taken as an int."""
     s = toy_identical(iterations=4)
-    with pytest.raises(ValidationError):
-        run(s, iterations=-1)
-    with pytest.raises(ValidationError):
-        dataclasses.replace(s, iterations=-1)
+    entries = (lambda K: dataclasses.replace(s, iterations=K),
+               lambda K: GammaSchedule().values(K),
+               lambda K: stepsize_tables(s.rule, s.graph, K),
+               lambda K: learner_readouts(s.graph.a1, (0,), K))
+    for entry in entries:
+        for K in (2.5, True, "3", float("nan"), float("inf"), -1):
+            with pytest.raises(ValidationError, match="iterations must be"):
+                entry(K)
+        with pytest.raises(ResourceError):
+            entry(sys.maxsize // 8 + 1)
+    for K in (3.0, np.int64(3)):
+        s3 = dataclasses.replace(s, iterations=K)
+        assert type(s3.iterations) is int
+        assert run(s3).iterations == 3

@@ -54,7 +54,7 @@ def _cuts(K):
 def test_split_metrics_equal_whole_on_bundled_scenarios(name):
     s = bundled_scenario(name)
     K = 3000
-    trace = run(s, iterations=K)
+    trace = run(dataclasses.replace(s, iterations=K))
     saddle = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
     _assert_split_metrics_equal_whole(trace, s, saddle, _cuts(K))
 

@@ -555,7 +555,7 @@ def test_trace_csv_equals_the_row_reference(name):
     that one `%` per row writes. The homogeneous rule's stepsizes are views
     of agent stride 0 that equal the per-agent table bit for bit."""
     s = bundled_scenario(name)
-    tr = run(s, iterations=300)
+    tr = run(dataclasses.replace(s, iterations=300))
     assert _first_difference(trace_to_csv(tr), trace_csv_text(tr)) is None
     if s.rule.variant == "homogeneous":
         gam = np.array(s.rule.schedule.values(300))[:, None]
@@ -567,7 +567,7 @@ def test_trace_csv_equals_the_row_reference(name):
 def test_trace_csv_roundtrip():
     """17 significant digits reimport every state and stepsize exactly."""
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=25)
+    tr = run(dataclasses.replace(s, iterations=25))
     lines = trace_to_csv(tr).splitlines()
     assert lines[0] == "k,agent,subnet,s0,stepsize"
     rows = [ln.split(",") for ln in lines[1:]]
@@ -641,7 +641,7 @@ def test_padded_layout_csv_texts():
 
 def test_metrics_csv_schema():
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=10)
+    tr = run(dataclasses.replace(s, iterations=10))
     ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
     m = compute_metrics(tr, s, ref)
     text = metrics_to_csv(m)
@@ -655,7 +655,7 @@ def test_metrics_csv_schema():
 
 def test_plotdata_long_format():
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=5)
+    tr = run(dataclasses.replace(s, iterations=5))
     ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
     m = compute_metrics(tr, s, ref)
     text = plotdata_to_csv(tr, m)
@@ -679,7 +679,7 @@ def test_plotdata_is_a_view_of_the_run(iterations):
     """Plot data holds, for each k on the documented grid, the trace's states
     and the metrics' nash_error at that k, as the same doubles."""
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=iterations)
+    tr = run(dataclasses.replace(s, iterations=iterations))
     m = compute_metrics(tr, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
     rows = [ln.split(",") for ln in plotdata_to_csv(tr, m).splitlines()[1:]]
     grid = _documented_grid(iterations)
@@ -693,7 +693,7 @@ def test_plotdata_is_a_view_of_the_run(iterations):
 
 def _shared_saddle_run(iterations):
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=iterations)
+    tr = run(dataclasses.replace(s, iterations=iterations))
     m = compute_metrics(tr, s, SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0))
     return tr, m
 
@@ -935,7 +935,7 @@ def test_one_chunk_stays_under_2_mb():
 
 def test_metrics_series_contracts():
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=30)
+    tr = run(dataclasses.replace(s, iterations=30))
     ref = SaddleReport(s.oracle_x, s.oracle_y, 0.0, 0.0, 0)
     m = compute_metrics(tr, s, ref)
     assert len(m.h1) == len(m.h2) == len(m.nash_error) == 31
@@ -1001,7 +1001,7 @@ def test_squared_distance_is_the_reference_sum():
 def test_metrics_at_exact_consensus_fixed_point():
     """A trace sitting at consensus on the reference saddle scores zero."""
     s = bundled_scenario("shared_saddle")
-    tr = run(s, iterations=3)
+    tr = run(dataclasses.replace(s, iterations=3))
     x = np.full_like(tr.x, 1.0)
     y = np.full_like(tr.y, -0.5)
     still = dataclasses.replace(tr, x=x, y=y)

@@ -91,8 +91,9 @@ def test_oracle_run_refuses_a_graph_that_is_only_rooted():
     rooted = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]])
     g = dataclasses.replace(s.graph, a1=(rooted,) * s.graph.period)
     assert limiting_stochastic_vector(g.a1, 0)[1:].max() < 1e-6
-    s = dataclasses.replace(s, graph=g, rule=StepsizeRule("oracle_heterogeneous", s.rule.schedule))
-    for call in (lambda: oracle_heterogeneous_build(g), lambda: run(s, iterations=10)):
+    s = dataclasses.replace(s, graph=g, rule=StepsizeRule("oracle_heterogeneous", s.rule.schedule),
+                            iterations=10)
+    for call in (lambda: oracle_heterogeneous_build(g), lambda: run(s)):
         with pytest.raises(ValidationError, match="oracle limit vectors exist only on .* "
                                                   "subnet 1 is not within one period"):
             call()
