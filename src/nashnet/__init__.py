@@ -1,6 +1,7 @@
 """Distributed Nash equilibrium computation for two-subnetwork zero-sum
 games over switching directed graphs."""
 
+from .csvout import metrics_to_csv, plotdata_to_csv, trace_to_csv
 from .digraph import (GraphSequenceSpec, build_cycle_matrix,
                       check_jointly_bipartite, check_ujsc, is_weight_balanced,
                       limiting_stochastic_vector, perron_vector,
@@ -12,9 +13,7 @@ from .exprs import (Abs, BoxSet, Const, Expr, Pow, Prod, Sum, Var,
                     compile_objective, format_expr, parse_expr, sample_convexity)
 from .metrics import MetricsSeries, compute_metrics
 from .saddle import SaddleReport, WeightedObjective, grid_minimax, unit_weighted
-from .scenario_io import (bundled_scenario, load_scenario, loads_scenario,
-                          metrics_to_csv, plotdata_to_csv, save_scenario,
-                          trace_to_csv)
+from .scenario_io import bundled_scenario, load_scenario, loads_scenario, save_scenario
 from .stepsizes import (GammaSchedule, StepsizeRule, learner_readouts,
                         oracle_heterogeneous_build)
 

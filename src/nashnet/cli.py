@@ -20,15 +20,15 @@ import os
 import sys
 from dataclasses import replace
 
+from .csvout import (metrics_to_csv, plotdata_to_csv, report_to_csv, sweep_summary_to_csv,
+                     trace_to_csv)
 from .digraph import check_jointly_bipartite, check_ujsc, is_weight_balanced, validate_weight_rule
 from .engine import Scenario, run
 from .errors import NashnetError, ResourceError, ValidationError
 from .metrics import compute_metrics, sum_objective
 from .saddle import (SaddleReport, WeightedObjective, grid_minimax,
                      unit_weighted)
-from .scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
-                          metrics_to_csv, plotdata_to_csv, report_to_csv,
-                          sweep_summary_to_csv, trace_to_csv)
+from .scenario_io import BUNDLED, bundled_scenario, load_graph, load_scenario
 from .stepsizes import oracle_heterogeneous_build
 
 

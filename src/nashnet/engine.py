@@ -54,7 +54,7 @@ import numpy as np
 
 from .digraph import GraphSequenceSpec, canonical_mix_code, periodic_code
 from .errors import NumericError, ValidationError
-from .exprs import BoxSet, check_selection, dimensions, expr_keys, format_expr
+from .exprs import BoxSet, check_selection, dimensions, format_expr
 # the text generator, under the name perfbench/replay.py wraps for its exprs.compile span
 from .exprs import objective_code as compile_objective
 from .stepsizes import StepsizeRule, distinct_columns, require_horizon, stepsize_tables
@@ -190,7 +190,8 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
 
     Each agent's step inlines the code of its objective's derivative in
     the block it moves (``exprs.objective_code``), made once per distinct
-    (objective, selection, block) on the first holder's locals; every other
+    (objective tree, selection, block) on the first holder's locals (the
+    loader gives the agents of one expr text one tree); every other
     holder gets that code with its own neighbor average and cross cache put
     in, as whole identifiers. A derivative that is a negation flips the
     step's sign instead (``u - a * (-q)`` is ``u + a * q``). Finite box
@@ -210,14 +211,12 @@ def _kernel_source(scenario: Scenario, widths: tuple) -> str:
     mix = [[[f"u{s}_{i}_{d}" for d in range(m[s])] for i in range(n[s])] for s in sides]
     cache = [[[f"c{s}_{i}_{d}" for d in range(m[1 - s])] for i in range(n[s])] for s in sides]
     contact = _contact_pattern(g)
-    keys = expr_keys(e for side in objectives for e, _ in side)
-    keys = (keys[:n[0]], keys[n[0]:])
-    made = {}  # (objective key, selection, side) -> (first holder, its lines and codes)
+    made = {}  # (objective tree, selection, side) -> (first holder, its lines and codes)
 
     def derivative(s, i):
         """Agent i's lines and derivative codes, in its own block."""
         e, sel = objectives[s][i]
-        key = keys[s][i], repr(sel), s
+        key = id(e), repr(sel), s
         if key not in made:
             args = (mix[s][i], cache[s][i])[::1 - 2 * s]  # objectives take (x, y)
             made[key] = i, compile_objective(e, sel, m[0], m[1], "xy"[s], x=args[0], y=args[1])

@@ -51,6 +51,7 @@ class Var(Expr):
     def __post_init__(self):
         if self.side not in ("x", "y"):
             raise ValueError(f"variable side must be 'x' or 'y', got {self.side!r}")
+        object.__setattr__(self, "index", whole_number(self.index, "variable index"))
         if self.index < 0:
             raise ValueError("variable index must be nonnegative")
 
@@ -78,6 +79,7 @@ class Pow(Expr):
 
     def __post_init__(self):
         object.__setattr__(self, "child", _as_expr(self.child))
+        object.__setattr__(self, "exponent", whole_number(self.exponent, "power exponent"))
         if self.exponent < 1:
             raise ValueError("integer power exponent must be >= 1")
 
@@ -88,6 +90,17 @@ class Abs(Expr):
 
     def __post_init__(self):
         object.__setattr__(self, "child", _as_expr(self.child))
+
+
+def whole_number(value, what: str) -> int:
+    """`value` as an int: any integer, numpy's too, or a float with no
+    fraction such as 100000.0. A bool, a string or a fractional number is a
+    ValidationError naming `what`, not what ``int`` makes of it."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _as_expr(v):
@@ -114,18 +127,6 @@ def abs_nodes(e: Expr) -> list:
     return [node for node in _preorder(e) if isinstance(node, Abs)]
 
 
-def expr_keys(exprs) -> list:
-    """``repr(e)`` of each expression of `exprs`, made once per distinct
-    object: the key under which equal objectives share their work. Unlike
-    ``format_expr`` and ``==`` it tells the constants -0.0 and 0.0 apart."""
-    exprs = list(exprs)
-    made = {}
-    for e in exprs:
-        if id(e) not in made:
-            made[id(e)] = repr(e)
-    return [made[id(e)] for e in exprs]
-
-
 def dimensions(e: Expr) -> tuple:
     """(m1, m2) implied by the highest variable indices appearing in `e`."""
     found = [node for node in _preorder(e) if isinstance(node, Var)]
@@ -146,7 +147,7 @@ def check_selection(e: Expr, sel: dict) -> dict:
     n_abs = len(abs_nodes(e))
     out = {i: 0.0 for i in range(n_abs)}
     for k, v in (sel or {}).items():
-        k = int(k)
+        k = whole_number(k, "selection key")
         if not 0 <= k < n_abs:
             raise ValidationError(f"selection key {k} out of range (expression has {n_abs} abs nodes)")
         v = float(v)
@@ -400,20 +401,33 @@ class BoxSet:
 # convexity diagnostics
 # ---------------------------------------------------------------------------
 
+def uniform_stream(seed: int, shape: tuple) -> np.ndarray:
+    """Doubles in [0, 1) of `shape` from the SplitMix64 stream of `seed`:
+    output i = 1, 2, ... (C order over the shape) mixes seed + i * gamma,
+    gamma = 0x9E3779B97F4A7C15, mod 2**64, and its top 53 bits times 2**-53
+    are the double. The stream is nashnet's own, unlike numpy's Generator,
+    whose streams numpy may change between releases."""
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return ((z >> 11) * 2.0 ** -53).reshape(shape)
+
+
 def convexity_points(bx: BoxSet, by: BoxSet, trials: int, seed: int) -> tuple:
     """The points of :func:`sample_convexity`: six (trials, m) arrays x0,
     x1, yv, y0, y1, xv, uniform on the boxes.
 
-    One trial's draws are one row of a single ``rng.random`` block, in that
-    order, and each point is ``lo + (hi - lo) * u``: the same numbers, bit
-    for bit, as per-trial ``rng.uniform(lo, hi)`` calls on the same stream.
+    One trial's draws are one row of a single :func:`uniform_stream`
+    block, in that order, and each point is ``lo + (hi - lo) * u``.
     Unbounded box sides are sampled on a wide finite window.
     """
     x = (np.clip(bx.lower, -1e6, 1e6), np.clip(bx.upper, -1e6, 1e6))
     y = (np.clip(by.lower, -1e6, 1e6), np.clip(by.upper, -1e6, 1e6))
     sides = (x, x, y, y, y, x)
     edges = np.cumsum([0] + [len(lo) for lo, _ in sides])
-    u = np.random.default_rng(seed).random((trials, int(edges[-1])))
+    u = uniform_stream(seed, (trials, int(edges[-1])))
     return tuple(lo + (hi - lo) * u[:, a:b] for (lo, hi), a, b in zip(sides, edges, edges[1:]))
 
 

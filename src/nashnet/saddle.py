@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .exprs import BoxSet, compile_objective, expr_keys
+from .exprs import BoxSet, compile_objective
 
 # cells of the coarse grid: 2001 points per 1-D block must fit, so the cap
 # sits just above 2001^2
@@ -50,18 +50,18 @@ class WeightedObjective:
         """The weighted sum as one numpy-broadcast closure ``f(x, y)`` of the
         value, evaluating each distinct expression once per call.
 
-        One closure serves every term with the same expression, keyed by
-        ``exprs.expr_keys``, which tells -0.0 and 0.0 apart. The terms are
+        One closure serves every term that holds the same expression tree
+        (the loader gives the agents of one expr text one tree). The terms are
         summed in their own order into an accumulator that starts at 0.0,
         so the bytes equal those of the per-term sum ``sum(w * f(x, y) for
         w, f in fns)``; ``1.0 * v`` is exact and skipped.
         """
         slots, fns, order = {}, [], []
-        for (w, e), key in zip(self.terms, expr_keys(e for _, e in self.terms)):
-            if key not in slots:
-                slots[key] = len(fns)
+        for w, e in self.terms:
+            if id(e) not in slots:
+                slots[id(e)] = len(fns)
                 fns.append(compile_objective(e, m1, m2, vector=True))
-            order.append((w, slots[key]))
+            order.append((w, slots[id(e)]))
 
         def value(x, y):
             vals = [f(x, y) for f in fns]

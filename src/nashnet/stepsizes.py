@@ -22,6 +22,7 @@ import numpy as np
 from .digraph import (GraphSequenceSpec, canonical_mix_code, check_ujsc,
                       limiting_stochastic_vector, periodic_code)
 from .errors import ResourceError, ValidationError
+from .exprs import whole_number
 
 
 # ---------------------------------------------------------------------------
@@ -30,18 +31,15 @@ from .errors import ResourceError, ValidationError
 
 def require_horizon(K) -> int:
     """K, a run's iteration count, as an int. ValidationError unless K is a
-    whole number >= 0 (an int, numpy's too, or a float without a fraction,
-    never a bool); ResourceError when K float64s exceed what an array holds."""
-    if isinstance(K, (float, np.floating)) and float(K).is_integer():
-        K = int(K)
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise ValidationError(f"iterations must be a whole number, got {K!r}")
+    whole number >= 0 (``exprs.whole_number``); ResourceError when K float64s
+    exceed what an array holds."""
+    K = whole_number(K, "iterations")
     if K < 0:
         raise ValidationError(f"iterations must be >= 0, got {K}")
     if K > sys.maxsize // 8:
         raise ResourceError(f"{K} iterations cannot be tabulated: an array holds at most "
                             f"{sys.maxsize // 8} float64 values")
-    return int(K)
+    return K
 
 
 @dataclass(frozen=True)

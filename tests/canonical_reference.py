@@ -28,9 +28,10 @@ evaluates one closure per term and adds them with ``sum``, and
 minima. :func:`grid_minimax` is the oracle's search as a scan of every
 cell of every table it reads. :func:`centralized_saddle` finds the saddle by projected
 descent-ascent instead, and :func:`verify_saddle` certifies a candidate on
-samples. The convexity sampler's oracle draws each trial's points with
-sequential ``rng.uniform`` calls and evaluates them one at a time through
-the interpreter (:func:`convexity_points`, :func:`worst_violations`).
+samples. The convexity sampler's oracle draws each trial's points one at a time
+from a pure-Python SplitMix64 stream and evaluates them one at a time
+through the interpreter (:func:`convexity_points`,
+:func:`worst_violations`).
 The metrics' disagreement span has :func:`pairwise_disagreement`, every
 agent pair in plain floats, and the trace CSV has :func:`trace_csv_text`,
 one ``%`` per row.
@@ -332,14 +333,33 @@ def reference_run(scenario, K):
     return states, alphas, betas
 
 
+_MASK = (1 << 64) - 1
+
+
+def uniform_stream(seed: int, count: int) -> list:
+    """The first `count` doubles of the SplitMix64 stream of `seed`, one at
+    a time in Python integers: output i mixes seed + i * gamma mod 2**64,
+    and its top 53 bits times 2**-53 are the double."""
+    out = []
+    for i in range(1, count + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0 ** -53)
+    return out
+
+
 def convexity_points(bx, by, trials: int, seed: int) -> tuple:
     """x0, x1, yv, y0, y1, xv of every trial as (trials, m) arrays, drawn
-    per trial in that order with one ``rng.uniform`` call each."""
-    rng = np.random.default_rng(seed)
-    lo_x, hi_x = np.clip(bx.lower, -1e6, 1e6), np.clip(bx.upper, -1e6, 1e6)
-    lo_y, hi_y = np.clip(by.lower, -1e6, 1e6), np.clip(by.upper, -1e6, 1e6)
+    per trial in that order from :func:`uniform_stream`, each point
+    ``lo + (hi - lo) * u`` in Python floats."""
+    lo_x, hi_x = np.clip(bx.lower, -1e6, 1e6).tolist(), np.clip(bx.upper, -1e6, 1e6).tolist()
+    lo_y, hi_y = np.clip(by.lower, -1e6, 1e6).tolist(), np.clip(by.upper, -1e6, 1e6).tolist()
     sides = ((lo_x, hi_x), (lo_x, hi_x), (lo_y, hi_y), (lo_y, hi_y), (lo_y, hi_y), (lo_x, hi_x))
-    rows = [[rng.uniform(lo, hi) for lo, hi in sides] for _ in range(trials)]
+    u = iter(uniform_stream(seed, trials * sum(len(lo) for lo, _ in sides)))
+    rows = [[[lo + (hi - lo) * next(u) for lo, hi in zip(*side)] for side in sides]
+            for _ in range(trials)]
     return tuple(np.array([row[j] for row in rows]).reshape(trials, len(lo))
                  for j, (lo, _) in enumerate(sides))
 

@@ -27,8 +27,8 @@ from nashnet.exprs import BoxSet, abs_nodes, check_selection
 from nashnet.metrics import compute_metrics
 from nashnet.saddle import (SaddleReport, WeightedObjective, grid_minimax,
                             unit_weighted)
-from nashnet.scenario_io import (bundled_scenario, loads_scenario, metrics_to_csv,
-                                 plotdata_to_csv, scenario_to_doc, trace_to_csv)
+from nashnet.csvout import metrics_to_csv, plotdata_to_csv, trace_to_csv
+from nashnet.scenario_io import bundled_scenario, loads_scenario, scenario_to_doc
 from nashnet.stepsizes import learner_readouts, oracle_heterogeneous_build
 
 BUNDLED = ("example1", "example2", "example3", "perron_weighted", "shared_saddle")
@@ -385,7 +385,7 @@ TRACE_DIGESTS = {
 
 # SHA-256 of metrics_to_csv and plotdata_to_csv for the same runs, scored
 # against each scenario's stored saddle reference. Plot data keeps only the
-# k on scenario_io.plot_grid; its digests were re-pinned when that grid
+# k on csvout.plot_grid; its digests were re-pinned when that grid
 # replaced one row per k, and each new file is the old one's grid rows.
 METRICS_DIGESTS = {
     "example1": "45290e2856e93c94c4e14fb5092af1d27e07094751ad94b01d832eb8977ae4df",

@@ -24,14 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nashnet
-from nashnet import cli, scenario_io
+from nashnet import cli, csvout, scenario_io
 from nashnet.cli import main
 from nashnet.engine import run
 from nashnet.errors import ValidationError
 from nashnet.exprs import MAX_DEPTH, MAX_OPERANDS
 from nashnet.metrics import compute_metrics
-from nashnet.scenario_io import (bundled_scenario, load_scenario, metrics_to_csv,
-                                 save_scenario, scenario_to_doc)
+from nashnet.csvout import metrics_to_csv
+from nashnet.scenario_io import bundled_scenario, load_scenario, save_scenario, scenario_to_doc
 
 
 @pytest.fixture()
@@ -532,6 +532,15 @@ def test_oracle_needs_a_jointly_strongly_connected_graph(tmp_path, capsys):
     pytest.param("fractional iterations", 3, "iterations must be a whole number, got 2.7",
                  id="fractional iterations-3-whole numbers"),
     ("fractional scenario iterations", 3, "run.iterations must be a whole number, got 2.7"),
+    ("quoted scenario iterations", 3, "run.iterations must be a whole number, got '3'"),
+    ("scenario iterations not a number", 3, "run.iterations must be a whole number, got 'abc'"),
+    ("scenario iterations in exponent notation", 3,
+     "run.iterations must be a whole number, got '1e3'"),
+    ("boolean scenario iterations", 3, "run.iterations must be a whole number, got True"),
+    ("quoted cross edge source", 3,
+     "cross_to_1[4] cross edge source must be a whole number, got '0'"),
+    ("fractional selection key", 3,
+     "agents.subnet1[0] selection key must be a whole number, got 1.5"),
     ("trace path in a missing directory", 3, "missing_dir"),
     ("metrics path in a missing directory", 3, "missing_dir"),
     ("oracle report path in a missing directory", 3, "missing_dir"),
@@ -581,6 +590,15 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
     doc["stepsize"]["variant"] = "heterogeneous"
     unknown_variant = tmp_path / "unknown_variant.yaml"
     unknown_variant.write_text(yaml.safe_dump(doc, sort_keys=False))
+
+    def edited(stem, edit):
+        """The path of a copy of the shared_saddle document with `edit` applied."""
+        doc = yaml.safe_load(Path(shsad).read_text())
+        edit(doc)
+        path = tmp_path / f"{stem}.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        return str(path)
+
     sweep_dir = tmp_path / "sw"
     missing = tmp_path / "missing_dir"
     a_file = tmp_path / "a_file"
@@ -605,6 +623,18 @@ def test_user_errors_map_to_exit_codes(case, code, message, shsad, tmp_path, cap
         "fractional iterations": ["sweep", shsad, "--param", "iterations", "--values", "2.7",
                                   "--out", str(sweep_dir)],
         "fractional scenario iterations": ["run", str(frac_iters)],
+        "quoted scenario iterations": ["run", edited(
+            "quoted", lambda d: d["run"].update(iterations="3"))],
+        "scenario iterations not a number": ["run", edited(
+            "abc", lambda d: d["run"].update(iterations="abc"))],
+        "scenario iterations in exponent notation": ["run", edited(
+            "exponent", lambda d: d["run"].update(iterations="1e3"))],
+        "boolean scenario iterations": ["run", edited(
+            "boolean", lambda d: d["run"].update(iterations=True))],
+        "quoted cross edge source": ["graph-check", edited(
+            "cross", lambda d: d["graph"]["phases"][0]["cross_to_1"].append(["0", 0, 1.0]))],
+        "fractional selection key": ["run", edited(
+            "selection", lambda d: d["agents"]["subnet1"][0].update(selections={1.5: 0.3}))],
         "trace path in a missing directory": ["run", shsad, "--iters", "5",
                                               "--out", str(missing / "t.csv")],
         "metrics path in a missing directory": ["run", shsad, "--iters", "5",
@@ -694,7 +724,7 @@ def test_csv_writers_start_no_process(shsad, tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("a CSV writer tried to start a process")
 
-    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
+    monkeypatch.setattr(csvout, "CSV_CHUNK", 150)
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(os, "pipe", refused)
     paths = [tmp_path / "t.csv", tmp_path / "m.csv"]
@@ -728,7 +758,7 @@ def test_failed_write_removes_the_partial_file(shsad, tmp_path, monkeypatch, cap
     """A write that fails part way, here an OSError after the first chunk,
     ends in exit 3 and leaves no file at the path, not even the file that
     was there before."""
-    real, calls = scenario_io._format_chunk, []
+    real, calls = csvout._format_chunk, []
 
     def failing(*chunk):
         calls.append(chunk)
@@ -736,8 +766,8 @@ def test_failed_write_removes_the_partial_file(shsad, tmp_path, monkeypatch, cap
             raise OSError(errno.ENOSPC, "No space left on device")
         return real(*chunk)
 
-    monkeypatch.setattr(scenario_io, "CSV_CHUNK", 150)
-    monkeypatch.setattr(scenario_io, "_format_chunk", failing)
+    monkeypatch.setattr(csvout, "CSV_CHUNK", 150)
+    monkeypatch.setattr(csvout, "_format_chunk", failing)
     out = tmp_path / "t.csv"
     out.write_text("an earlier run\n")
     assert main(["run", shsad, "--out", str(out)]) == 3
@@ -774,8 +804,8 @@ def test_output_files_keep_the_umask_mode(shsad, tmp_path):
 
 _HELPERS_SCRIPT = """
 import sys
-from nashnet import cli, scenario_io
-scenario_io.CSV_CHUNK = 150
+from nashnet import cli, csvout
+csvout.CSV_CHUNK = 150
 sys.exit(cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--metrics", sys.argv[3]]))
 """
 

@@ -221,7 +221,8 @@ def _openblas_dynamic_arch():
 _DIGEST_SCRIPT = """
 import dataclasses, hashlib, json
 from nashnet.engine import run
-from nashnet.scenario_io import BUNDLED, bundled_scenario, trace_to_csv
+from nashnet.csvout import trace_to_csv
+from nashnet.scenario_io import BUNDLED, bundled_scenario
 digests = {}
 for name in BUNDLED:
     s = bundled_scenario(name)

@@ -20,7 +20,7 @@ from nashnet.exprs import (Abs, BoxSet, Const, Pow, Prod, Sum,
                            Var, check_selection, compile_objective,
                            convexity_points, dimensions, format_expr,
                            objective_code, parse_expr, sample_convexity,
-                           worst_violations)
+                           uniform_stream, worst_violations)
 from nashnet.scenario_io import BUNDLED, bundled_scenario
 
 
@@ -55,6 +55,22 @@ def test_selection_validation():
         check_selection(e, {1: 0.0})
     with pytest.raises(ValidationError):
         check_selection(e, {0: 1.5})
+    for key in (1.5, True, "1"):  # each once truncated to key 1
+        with pytest.raises(ValidationError, match="selection key must be a whole number"):
+            check_selection(Sum((e, Abs(Var("y", 0)))), {key: 0.3})
+    assert check_selection(e, {0.0: 0.5}) == {0: 0.5}
+
+
+def test_whole_number_fields_of_nodes():
+    """A power exponent and a variable index are whole numbers: a fraction
+    once gave a code line that does not compile (``2.5.0 * x[0] ** 1.5``)
+    or a bare TypeError in code generation."""
+    with pytest.raises(ValidationError, match="power exponent must be a whole number"):
+        Pow(Var("x", 0), 2.5)
+    with pytest.raises(ValidationError, match="variable index must be a whole number"):
+        Var("x", 1.5)
+    assert Pow(Var("x", 1.0), 2.0) == Pow(Var("x", 1), 2)
+    assert type(Var("x", 1.0).index) is int and type(Pow(Var("x", 0), 2.0).exponent) is int
 
 
 def test_kink_selection_used_at_zero():
@@ -404,15 +420,26 @@ INF = float("inf")
 @pytest.mark.parametrize("m1", [1, 2, 3])
 @pytest.mark.parametrize("m2", [1, 2, 3])
 def test_convexity_points_equal_the_sequential_stream(m1, m2):
-    """One rng.random block reproduces per-trial rng.uniform calls byte for
-    byte, an unbounded side (sampled on [-1e6, 1e6]) included."""
+    """The vectorised SplitMix64 block reproduces the pure-Python stream,
+    drawn per trial, byte for byte, an unbounded side (sampled on
+    [-1e6, 1e6]) included."""
     bx = BoxSet((-INF,) + (-1.5,) * (m1 - 1), (2.0,) * (m1 - 1) + (INF,))
     by = BoxSet(tuple(-0.5 * d for d in range(m2)), tuple(1.0 + d for d in range(m2)))
-    for trials, seed in ((1, 0), (37, 0), (200, 9)):
+    for trials, seed in ((1, 0), (37, 0), (200, 9), (5, 2 ** 64 - 1)):
         batched = convexity_points(bx, by, trials, seed)
         sequential = ref.convexity_points(bx, by, trials, seed)
         assert [p.shape for p in batched] == [(trials, m) for m in (m1, m1, m2, m2, m2, m1)]
         assert [p.tobytes() for p in batched] == [p.tobytes() for p in sequential]
+
+
+def test_uniform_stream_is_splitmix64():
+    """The stream's first output at seed 0 is SplitMix64's published
+    0xE220A8397B1DCDAF, and the uint64 arithmetic wraps without a warning."""
+    assert ref.uniform_stream(0, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0 ** -53]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = uniform_stream(2 ** 64 - 1, (3, 7))
+    assert u.ravel().tolist() == ref.uniform_stream(2 ** 64 - 1, 21)
 
 
 def _assert_worst_match(e, bx, by, trials, seed=0):

@@ -349,20 +349,26 @@ from nashnet import cli
 scenarios, out = cli.__file__.replace("cli.py", "scenarios"), sys.argv[2]
 example1, shsad = (os.path.join(scenarios, f"{n}.yaml") for n in ("example1", "shared_saddle"))
 for argv in (["reproduce", "1", "--out", out],
+             ["reproduce", "2", "--trust-bundled", "--out", out],
              ["run", sys.argv[1], "--out", os.path.join(out, "t.csv"),
               "--metrics", os.path.join(out, "m.csv")],
              ["oracle", shsad, "--out", os.path.join(out, "r.csv")],
+             ["graph-check", example1],
+             ["graph-check", sys.argv[1]],
              ["sweep", example1, "--param", "iterations", "--values", "500,1000",
               "--out", out]):
     assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])))
 """
 
 
 def test_commands_never_import_numpy_ma(tmp_path):
-    """``reproduce``, ``run`` on a 100 + 100 agent document, ``oracle`` and
-    ``sweep``, in one interpreter, never import ``numpy.ma``: numpy imports
-    it lazily, from ``np.unique`` for one, and it costs about 5 MB of RSS."""
+    """``reproduce`` (verified and ``--trust-bundled``), ``run`` on a 100 +
+    100 agent document, ``oracle``, ``graph-check`` and a one-process
+    ``sweep``, in one interpreter, never import ``numpy.ma`` or
+    ``numpy.random``: numpy imports each lazily (``numpy.ma`` from
+    ``np.unique`` for one), and each costs about 5 MB of RSS."""
     doc = tmp_path / "many.yaml"
     doc.write_text(yaml.dump(many_agents_doc(1), sort_keys=False,
                              Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))

@@ -22,13 +22,12 @@ from nashnet.errors import ParseError, ValidationError
 from nashnet.exprs import BoxSet, format_expr, parse_expr, sample_convexity
 from nashnet.metrics import MetricsSeries, compute_metrics
 from nashnet.saddle import SaddleReport
-from nashnet import scenario_io
+from nashnet import csvout, scenario_io
 from nashnet.cli import main
+from nashnet.csvout import (metrics_to_csv, plotdata_to_csv, report_to_csv,
+                            sweep_summary_to_csv, trace_to_csv)
 from nashnet.scenario_io import (BUNDLED, bundled_scenario, load_graph, load_scenario,
-                                 loads_scenario, metrics_to_csv,
-                                 plotdata_to_csv, report_to_csv, save_scenario,
-                                 scenario_to_doc, sweep_summary_to_csv,
-                                 trace_to_csv)
+                                 loads_scenario, save_scenario, scenario_to_doc)
 from nashnet.stepsizes import GammaSchedule, StepsizeRule, oracle_heterogeneous_build
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,10 +144,10 @@ def test_warnings_attached_not_raised():
     assert bundled_scenario("shared_saddle").warnings == ()
 
 
-CONCAVITY_F1 = "concavity in y violated on sample by 4.088e+01"
+CONCAVITY_F1 = "concavity in y violated on sample by 4.880e+01"
 EXAMPLE_WARNINGS = (f"subnet1[0]: {CONCAVITY_F1}",
-                    "subnet2[0]: concavity in y violated on sample by 3.335e+00",
-                    "subnet2[1]: concavity in y violated on sample by 1.149e+01")
+                    "subnet2[0]: concavity in y violated on sample by 7.584e+00",
+                    "subnet2[1]: concavity in y violated on sample by 1.401e+01")
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -309,6 +308,23 @@ def _isolate_agent_0(doc):
      r"^graph\.phases\[1\]\.a2\[0\]\[1\] must be a number, got '0\.5x'$"),
     ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"][0].__setitem__(2, [1.0]),
      r"^graph\.phases\[0\]\.cross_to_1\[0\]\[2\] must be a number, got \[1\.0\]$"),
+    ("shared_saddle", lambda d: d["run"].update(iterations="3"),
+     r"^run\.iterations must be a whole number, got '3'$"),
+    ("shared_saddle", lambda d: d["run"].update(iterations="1e3"),
+     r"^run\.iterations must be a whole number, got '1e3'$"),
+    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append(["0", 0, 1.0]),
+     r"^graph\.phases\[0\]\.cross_to_1\[4\] cross edge source must be a whole number, "
+     r"got '0'$"),
+    ("example2", lambda d: d["graph"]["phases"][1]["cross_to_2"][0].__setitem__(1, 1.5),
+     r"^graph\.phases\[1\]\.cross_to_2\[0\] cross edge target must be a whole number, "
+     r"got 1\.5$"),
+    ("example2", lambda d: d["agents"]["subnet1"][1].update(selections={"0": 1.0}),
+     r"^agents\.subnet1\[1\] selection key must be a whole number, got '0'$"),
+    ("example2", lambda d: d["agents"]["subnet2"][1].update(selections={0.5: 1.0}),
+     r"^agents\.subnet2\[1\] selection key must be a whole number, got 0\.5$"),
+    ("example2", lambda d: d["graph"]["phases"][0]["cross_to_1"].append([1, 2, 0.25]),
+     r"^graph\.phases\[0\]\.cross_to_1\[4\]: cross edge \[1, 2, 0\.25\] repeats "
+     r"graph\.phases\[0\]\.cross_to_1\[3\] \[1, 2, 0\.5\]$"),
 ], ids=["negative cross index", "cross index past the end",
         "oracle rule on a disconnected graph",
         "objective beyond the dimensions", "NaN box bound", "box without a dimension",
@@ -319,7 +335,9 @@ def _isolate_agent_0(doc):
         "boolean selection key", "NaN gamma c",
         "infinite gamma b", "tabulated gamma", "misspelled gamma key",
         "box bound not a number", "initial state not a number", "matrix weight not a number",
-        "cross weight not a number"])
+        "cross weight not a number", "quoted iterations", "iterations in exponent notation",
+        "quoted cross index", "fractional cross target", "quoted selection key",
+        "fractional selection key", "repeated cross edge"])
 def test_loader_rejects_unusable_documents(name, edit, message, tmp_path):
     """Each of these once loaded into a wrong matrix, spun in the limit-vector
     search, or crashed a later command; now the load fails. An edit to the
@@ -718,17 +736,17 @@ def test_csv_bytes_do_not_depend_on_the_share_count(make, chunk, monkeypatch):
                 plotdata_to_csv(trace, metrics, *streams[2:]))
 
     with monkeypatch.context() as m:
-        m.setattr(scenario_io, "_layout", lambda template: None)
-        m.setattr(scenario_io, "CSV_CHUNK", 1 << 40)
+        m.setattr(csvout, "_layout", lambda template: None)
+        m.setattr(csvout, "CSV_CHUNK", 1 << 40)
         want = texts()
-    real, calls = scenario_io._format_g, []
-    monkeypatch.setattr(scenario_io, "_format_g", lambda v: calls.append(len(v)) or real(v))
-    format_chunk, chunks = scenario_io._format_chunk, []
-    monkeypatch.setattr(scenario_io, "_format_chunk",
+    real, calls = csvout._format_g, []
+    monkeypatch.setattr(csvout, "_format_g", lambda v: calls.append(len(v)) or real(v))
+    format_chunk, chunks = csvout._format_chunk, []
+    monkeypatch.setattr(csvout, "_format_chunk",
                         lambda *args: chunks.append(args) or format_chunk(*args))
-    sizes = (chunk or scenario_io.CSV_CHUNK, 1, 7)
+    sizes = (chunk or csvout.CSV_CHUNK, 1, 7)
     for size in sizes:
-        monkeypatch.setattr(scenario_io, "CSV_CHUNK", size)
+        monkeypatch.setattr(csvout, "CSV_CHUNK", size)
         assert [_first_difference(got, text) for got, text in zip(texts(), want)] == [None] * 3
         streams = [io.StringIO() for _ in want]
         written = texts(*streams)
@@ -749,7 +767,7 @@ def _distinct_cells(trace, metrics):
     states = trace.x[0].size + trace.y[0].size
     steps = sum(1 if a.strides[1] == 0 else a.shape[1] for a in (trace.alpha, trace.beta))
     trace_cells = (trace.iterations + 1) * (1 + states) + trace.iterations * steps
-    plot_cells = len(scenario_io.plot_grid(trace.iterations)) * (states + 2)
+    plot_cells = len(csvout.plot_grid(trace.iterations)) * (states + 2)
     return trace_cells + 5 * len(metrics.h1) + plot_cells
 
 
@@ -779,9 +797,9 @@ _TIES = st.integers(2, 23).flatmap(lambda s: st.integers(
 @given(st.lists(st.one_of(_DOUBLES, _NEAR_TIES, _TIES), min_size=1, max_size=40))
 def test_format_chunk_matches_percent(values):
     """Every %.17g cell reads as `%` writes it, byte for byte."""
-    for template in (f"{scenario_io.FLOAT_FMT}\n", f"{scenario_io.FLOAT_FMT},k=1,\n"):
+    for template in (f"{csvout.FLOAT_FMT}\n", f"{csvout.FLOAT_FMT},k=1,\n"):
         block = np.array(values)[:, None]
-        assert (scenario_io._format_chunk(template, [block], (0,), 0, len(values))
+        assert (csvout._format_chunk(template, [block], (0,), 0, len(values))
                 == (template * len(values)) % tuple(values))
 
 
@@ -805,9 +823,9 @@ def test_format_chunk_gathers_any_column_index(case):
     places each column's text in every field that names it."""
     rows, cut, columns = case
     table = np.array(rows)
-    template = ",".join([scenario_io.FLOAT_FMT] * len(columns)) + "\n"
+    template = ",".join([csvout.FLOAT_FMT] * len(columns)) + "\n"
     want = (template * len(rows)) % tuple(row[c] for row in rows for c in columns)
-    assert scenario_io._format_chunk(template, [table[:, :cut], table[:, cut:]], columns,
+    assert csvout._format_chunk(template, [table[:, :cut], table[:, cut:]], columns,
                                      0, len(rows)) == want
 
 
@@ -818,8 +836,8 @@ def test_format_g_next_to_powers_of_ten():
     values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
                              [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
     values = np.concatenate([values, -values])
-    template = f"{scenario_io.FLOAT_FMT}\n"
-    assert (scenario_io._format_chunk(template, [values[:, None]], (0,), 0, len(values))
+    template = f"{csvout.FLOAT_FMT}\n"
+    assert (csvout._format_chunk(template, [values[:, None]], (0,), 0, len(values))
             == (template * len(values)) % tuple(values.tolist()))
 
 
@@ -847,9 +865,9 @@ def test_format_chunk_matches_percent_for_ints(rows):
     float-typed, negative, fractional and 2**53-or-larger values read as
     `%` writes them, and values of 10**17 or more in magnitude send the
     chunk to `%` whole."""
-    template = f"%d,{scenario_io.FLOAT_FMT}\n"
+    template = f"%d,{csvout.FLOAT_FMT}\n"
     block = np.array(rows)
-    assert (scenario_io._format_chunk(template, [block[:, :1], block[:, 1:]], (0, 1), 0,
+    assert (csvout._format_chunk(template, [block[:, :1], block[:, 1:]], (0, 1), 0,
                                      len(rows))
             == (template * len(rows)) % tuple(block.ravel().tolist()))
 
@@ -860,9 +878,9 @@ def test_unproven_values_fall_back_to_percent(monkeypatch):
     cases = [_shared_saddle_run(40), _padded_run()]
     want = [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m)) for t, m in cases]
     block = np.random.default_rng(7).normal(size=(1000, 1))
-    text = scenario_io._format_chunk("%.17g\n", [block], (0,), 0, 1000)
-    monkeypatch.setattr(scenario_io, "PROOF_MARGIN", 1.0)
-    assert scenario_io._format_chunk("%.17g\n", [block], (0,), 0, 1000) == text
+    text = csvout._format_chunk("%.17g\n", [block], (0,), 0, 1000)
+    monkeypatch.setattr(csvout, "PROOF_MARGIN", 1.0)
+    assert csvout._format_chunk("%.17g\n", [block], (0,), 0, 1000) == text
     assert [(trace_to_csv(t), metrics_to_csv(m), plotdata_to_csv(t, m))
             for t, m in cases] == want
 
@@ -881,12 +899,12 @@ def test_object_blocks_and_other_templates_go_through_percent():
     block = np.array([[1.5, 2.0], [-0.25, 3e7]])
     for template in ("%.3f,%d\n", "%e %.17g\n", "%.17g%%,%d\n", "k=%.17g;%d\n",
                      "%.17g \u00b5,%d\n"):
-        assert (scenario_io._format_chunk(template, [block], (0, 1), 0, 2)
+        assert (csvout._format_chunk(template, [block], (0, 1), 0, 2)
                 == (template * 2) % tuple(block.ravel().tolist()))
     with pytest.raises(TypeError, match="not all arguments converted"):
-        scenario_io._format_chunk("%.17g\n", [block], (0, 1), 0, 2)
+        csvout._format_chunk("%.17g\n", [block], (0, 1), 0, 2)
     with pytest.raises(ValueError, match="NaN"):
-        scenario_io._format_chunk("%d\n", [np.array([[np.nan]])], (0,), 0, 1)
+        csvout._format_chunk("%d\n", [np.array([[np.nan]])], (0,), 0, 1)
 
 
 def test_sweep_summary_quotes_paths_as_the_csv_module():
@@ -915,7 +933,7 @@ def test_one_chunk_stays_under_2_mb():
     out = io.StringIO()
     trace_to_csv(trace, out)  # builds the lookup tables
     peaks = []
-    real = scenario_io._format_chunk
+    real = csvout._format_chunk
 
     def traced(*chunk):
         tracemalloc.start()
@@ -925,11 +943,11 @@ def test_one_chunk_stays_under_2_mb():
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    scenario_io._format_chunk = traced
+    csvout._format_chunk = traced
     try:
         trace_to_csv(trace, io.StringIO())
     finally:
-        scenario_io._format_chunk = real
+        csvout._format_chunk = real
     assert len(peaks) > 2 and max(peaks) < 2e6
 
 
