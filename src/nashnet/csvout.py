@@ -200,9 +200,6 @@ def _tables() -> dict:
     point = np.where(fixed, np.where(e >= 0, e, 99), 0)
     place = np.where(np.arange(18)[None, :] > point[:, None] + 1, 7 + 2 * point[:, None],
                      _DOT_SPILL)
-    zero = np.zeros((2, 8), int)
-    zero[:, 6] = ord("0")
-    zero[1, 0] = ord("-")
     return {
         "hi": hi, "lo": lo, "scale": scale, "hi_split": _split(hi),
         "sig": sig.astype(np.int8),
@@ -214,15 +211,14 @@ def _tables() -> dict:
         # digits kept before the exponent: the integer part in fixed notation
         "need": np.where(fixed, e + 1, 0).astype(np.int8),
         "place": place.ravel().astype(np.int16),
-        "zero": _words(zero),
     }
 
 
 def _format_g(values: np.ndarray) -> np.ndarray:
     """(N, _SLOT) byte slots of ``'%.17g' % v`` for float64 `values`.
 
-    The values PROOF_MARGIN leaves undecided, and the non-finite ones, are
-    formatted by one batched `%` call.
+    The values PROOF_MARGIN leaves undecided, the zeros and the non-finite
+    ones are formatted by one batched `%` call.
     """
     t = _tables()
     n = len(values)
@@ -272,11 +268,6 @@ def _format_g(values: np.ndarray) -> np.ndarray:
     slots = out.view(np.uint8)
     slots.reshape(-1)[t["place"][s * 18 + keep] + 48 * np.arange(n)] = ord(".")
 
-    zero = values == 0
-    if zero.any():
-        out[zero] = 0
-        out[zero, 0] = t["zero"][neg[zero].astype(np.intp)]
-        proven |= zero
     if not proven.all():
         rest = np.flatnonzero(~proven)
         text = ("%-24.17g" * len(rest)) % tuple(values[rest].tolist())  # padded to 24

@@ -308,7 +308,8 @@ def run(scenario: Scenario, consumer=None) -> Trace:
     to ``consumer(segment)`` in k order and is then dropped, so the memory
     a run holds does not grow with K; the final segment, whose
     ``iterations`` is K, is returned. A segment is checked for non-finite
-    states before it is handed on.
+    states before it is handed on, and released, with its stepsize
+    tables, before the next one runs.
     """
     K = scenario.iterations
     g = scenario.graph
@@ -346,4 +347,5 @@ def run(scenario: Scenario, consumer=None) -> Trace:
             consumer(segment)
         if k1 == K:
             return segment
+        del segment, rows, finite, alpha, beta, steps  # freed before the next segment is built
         k0 = k1

@@ -50,10 +50,10 @@ class Var(Expr):
 
     def __post_init__(self):
         if self.side not in ("x", "y"):
-            raise ValueError(f"variable side must be 'x' or 'y', got {self.side!r}")
+            raise ValidationError(f"variable side must be 'x' or 'y', got {self.side!r}")
         object.__setattr__(self, "index", whole_number(self.index, "variable index"))
         if self.index < 0:
-            raise ValueError("variable index must be nonnegative")
+            raise ValidationError("variable index must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class Pow(Expr):
         object.__setattr__(self, "child", _as_expr(self.child))
         object.__setattr__(self, "exponent", whole_number(self.exponent, "power exponent"))
         if self.exponent < 1:
-            raise ValueError("integer power exponent must be >= 1")
+            raise ValidationError(f"pow exponent must be an integer >= 1, got {self.exponent}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +211,14 @@ def objective_code(e: Expr, sel, m1: int, m2: int, output: str, *,
     y = [f"y[{d}]" for d in range(m2)] if y is None else list(y)
     if (len(x), len(y)) != (m1, m2):
         raise ValueError(f"need {m1} x names and {m2} y names")
-    gen = _CodeGen(check_selection(e, sel), x, y)
-    val, gx, gy = gen.emit(e)
+    mx, my = dimensions(e)
+    if mx > m1 or my > m2:
+        raise ValueError(f"expression needs dims >= ({mx},{my}), got ({m1},{m2})")
+    gen = _CodeGen(check_selection(e, sel), x + y, m1)
+    val, grad = gen.emit(e)
     if output == "value":
         return gen.live([val[1]]), _text(val)
-    code = [(False, "0.0") if g is None else g for g in (gx if output == "x" else gy)]
+    code = [(False, "0.0") if g is None else g for g in (grad[:m1] if output == "x" else grad[m1:])]
     return gen.live([body for _, body in code]), code
 
 
@@ -246,10 +249,9 @@ def _sum_text(terms) -> str:
 
 
 class _CodeGen:
-    def __init__(self, sel, x, y):
+    def __init__(self, sel, inputs, m1):
         self.sel = sel
-        self.x, self.y = x, y
-        self.m1, self.m2 = len(x), len(y)
+        self.inputs, self.m1 = inputs, m1  # the m1 x names, then the y names
         self.names = {}  # right-hand side -> temporary name, in emission order
         self.abs_idx = 0
 
@@ -292,58 +294,47 @@ class _CodeGen:
         return kept[::-1]
 
     def emit(self, e):
-        """Return (value, gx, gy): the signed code of the value and lists of
-        the signed codes of the derivative components, None where
-        structurally zero."""
-        zx, zy = [None] * self.m1, [None] * self.m2
+        """Return (value, grad): the signed code of the value and the list
+        of the signed codes of the derivative components, x block first,
+        None where structurally zero."""
         if isinstance(e, Const):
-            return _literal(e.value), zx, zy
+            return _literal(e.value), [None] * len(self.inputs)
         if isinstance(e, Var):
-            if e.side == "x":
-                g = list(zx)
-                g[e.index] = _ONE
-                return (False, self.x[e.index]), g, zy
-            g = list(zy)
-            g[e.index] = _ONE
-            return (False, self.y[e.index]), zx, g
+            i = e.index + (self.m1 if e.side == "y" else 0)
+            grad = [None] * len(self.inputs)
+            grad[i] = _ONE
+            return (False, self.inputs[i]), grad
         if isinstance(e, Sum):
             parts = [self.emit(c) for c in e.children]
-            values = [p[0] for p in parts]
+            values = [v for v, _ in parts]
             v = values[0] if len(values) == 1 else (False, self.tmp(_sum_text(values)))
-            gx = [self._add([p[1][d] for p in parts]) for d in range(self.m1)]
-            gy = [self._add([p[2][d] for p in parts]) for d in range(self.m2)]
-            return v, gx, gy
+            return v, [self._add(terms) for terms in zip(*(g for _, g in parts))]
         if isinstance(e, Prod):
             parts = []
             for c in e.children:
-                (neg, body), cgx, cgy = self.emit(c)
-                parts.append(((neg, self.atom(body)), cgx, cgy))
-            neg, body = self.mul([p[0] for p in parts])
-            v = neg, self.atom(body)
-
-            def grad(block, d):
-                # each term is one operand, so a parent product (a scaling
-                # included) or Pow multiplies the whole product, as the
-                # tests' reference interpreter does
-                terms = [self.mul([q[0] for j, q in enumerate(parts) if j != i] + [p[block][d]])
-                         for i, p in enumerate(parts) if p[block][d] is not None]
-                return self._add(terms)
-
-            return (v, [grad(1, d) for d in range(self.m1)],
-                    [grad(2, d) for d in range(self.m2)])
+                (neg, body), g = self.emit(c)
+                parts.append(((neg, self.atom(body)), g))
+            neg, body = self.mul([v for v, _ in parts])
+            # each term is one operand, so a parent product (a scaling
+            # included) or Pow multiplies the whole product, as the tests'
+            # reference interpreter does
+            return (neg, self.atom(body)), [
+                self._add([self.mul([q for j, (q, _) in enumerate(parts) if j != i] + [g[d]])
+                           for i, (_, g) in enumerate(parts) if g[d] is not None])
+                for d in range(len(self.inputs))]
         if isinstance(e, Pow):
-            cv, cgx, cgy = self.emit(e.child)
+            cv, cg = self.emit(e.child)
             n = e.exponent
             if n == 1:  # b ** 1 is b, and its derivative factor 1.0 drops out
-                return cv, cgx, cgy
+                return cv, cg
             base = self.operand(cv)
             v = (False, self.tmp(f"{base} ** {n}"))
             d = (False, self.tmp(f"2.0 * {base}" if n == 2 else f"{n}.0 * {base} ** {n - 1}"))
-            return v, [g and self.mul([d, g]) for g in cgx], [g and self.mul([d, g]) for g in cgy]
+            return v, [g and self.mul([d, g]) for g in cg]
         if isinstance(e, Abs):
             idx = self.abs_idx
             self.abs_idx += 1
-            cv, cgx, cgy = self.emit(e.child)
+            cv, cg = self.emit(e.child)
             base = self.operand(cv)
             v = (False, self.tmp(f"abs({base})"))
             c = self.sel[idx]
@@ -354,7 +345,7 @@ class _CodeGen:
             else:
                 sign = f"1.0 if {base} > 0.0 else (-1.0 if {base} < 0.0 else {c!r})"
             s = (False, self.tmp(sign))
-            return v, [g and self.mul([s, g]) for g in cgx], [g and self.mul([s, g]) for g in cgy]
+            return v, [g and self.mul([s, g]) for g in cg]
         raise TypeError(f"unknown node {type(e).__name__}")
 
     @staticmethod
@@ -439,9 +430,6 @@ def worst_violations(e: Expr, bx: BoxSet, by: BoxSet, trials: int, seed: int) ->
     0.0 and ignoring NaN; `finite` tells whether every sampled value of `e`
     was finite. All trials go through one vector closure of `e`.
     """
-    mx, my = dimensions(e)
-    if mx > bx.dim or my > by.dim:
-        raise ValueError(f"expression needs dims >= ({mx},{my}), got ({bx.dim},{by.dim})")
     x0, x1, yv, y0, y1, xv = convexity_points(bx, by, trials, seed)
     f = compile_objective(e, bx.dim, by.dim, vector=True)
     with np.errstate(all="ignore"):
@@ -624,10 +612,7 @@ def _build(op, args):
     if op == "pow":
         if len(args) != 2:
             raise ValidationError("pow takes a child and an integer exponent")
-        n = num(args[1])
-        if n != int(n) or n < 1:
-            raise ValidationError(f"pow exponent must be an integer >= 1, got {_fmt_num(n)}")
-        return Pow(args[0], int(n))
+        return Pow(args[0], num(args[1]))
     if op == "abs":
         if len(args) != 1:
             raise ValidationError("abs takes exactly 1 argument")

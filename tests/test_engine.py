@@ -508,6 +508,26 @@ def test_run_peak_memory_is_the_states_it_returns():
         assert peak < 1.6 * states + 1.1 * tables, (name, peak, states, tables)
 
 
+def test_streamed_run_peak_memory_is_one_segment():
+    """A run with a consumer peaks below 3 x SEGMENT_VALUES doubles (1.5 MB),
+    whatever K: a finished segment, with its rows and stepsize tables, is
+    released before the next one runs. Kept bound while the next was built,
+    example2 peaked at 1.76 MB and example3 at 1.79 MB (1.22 and 1.26
+    once released)."""
+    import tracemalloc
+    for name in ("example1", "example2", "example3"):
+        s = bundled_scenario(name)
+        run(dataclasses.replace(s, iterations=10), consumer=lambda segment: None)
+        s = dataclasses.replace(s, iterations=20_000)  # several segments
+        tracemalloc.start()
+        try:
+            run(s, consumer=lambda segment: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * engine.SEGMENT_VALUES * 8, (name, peak)
+
+
 def test_recorded_stepsizes_match_rule():
     scenario = bundled_scenario("example2")
     tr = run(dataclasses.replace(scenario, iterations=20))

@@ -64,11 +64,21 @@ def test_selection_validation():
 def test_whole_number_fields_of_nodes():
     """A power exponent and a variable index are whole numbers: a fraction
     once gave a code line that does not compile (``2.5.0 * x[0] ** 1.5``)
-    or a bare TypeError in code generation."""
+    or a bare TypeError in code generation. Every bad field of a node is a
+    ValidationError, which a library caller catching NashnetError sees:
+    a side other than x or y, a negative index and an exponent below 1
+    were once a bare ValueError."""
     with pytest.raises(ValidationError, match="power exponent must be a whole number"):
         Pow(Var("x", 0), 2.5)
     with pytest.raises(ValidationError, match="variable index must be a whole number"):
         Var("x", 1.5)
+    with pytest.raises(ValidationError, match="variable side must be 'x' or 'y', got 'z'"):
+        Var("z", 0)
+    with pytest.raises(ValidationError, match="variable index must be nonnegative"):
+        Var("x", -1)
+    for n in (0, -2):
+        with pytest.raises(ValidationError, match=f"pow exponent must be an integer >= 1, got {n}$"):
+            Pow(Var("x", 0), n)
     assert Pow(Var("x", 1.0), 2.0) == Pow(Var("x", 1), 2)
     assert type(Var("x", 1.0).index) is int and type(Pow(Var("x", 0), 2.0).exponent) is int
 
@@ -261,6 +271,9 @@ def test_objective_code_drops_unread_temporaries():
     for bad in ("gradient", "both", ("x",), "xy"):
         with pytest.raises(ValueError):
             objective_code(f3, None, 1, 1, bad)
+    for text in ("x1", "y1"):  # one past its block: x1 would read the name of y0
+        with pytest.raises(ValueError, match=r"needs dims >= \(\d,\d\), got \(1,1\)"):
+            objective_code(parse_expr(text), None, 1, 1, "value")
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -315,7 +328,7 @@ def test_parse_affine_and_errors():
             parse_expr(bad)
     with pytest.raises(ValidationError, match="unterminated"):
         parse_expr("(affine (1 2")
-    for bad in ("(pow x0 0)", "(pow x0 -2)"):  # not the ValueError of Pow itself
+    for bad in ("(pow x0 0)", "(pow x0 -2)"):  # Pow's own refusal, through the parser
         with pytest.raises(ValidationError, match="pow exponent must be an integer >= 1"):
             parse_expr(bad)
 
